@@ -22,6 +22,7 @@ from .attack import (
     lognormal_quantile,
     loss_attack_score,
     loss_lrt_score,
+    shadow_distance_matrix,
     threshold_attack,
     train_shadow_ensemble,
 )
@@ -67,6 +68,7 @@ from .recourse import (
     cost,
     growing_spheres,
     scfe,
+    scfe_batch,
     uniform_l1_ball_sample,
 )
 from .runner import (

@@ -13,6 +13,7 @@ Two families:
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
@@ -113,6 +114,13 @@ class RecourseConfig:
             raise ValueError("cchvae requires a trained VAE")
         return recourse.cchvae(model, vae, x, params, self.cost_fn)
 
+    def generate_batch(self, model: Model, X: np.ndarray, seeds: Sequence[int],
+                       vae: VaeModel | None = None) -> list[RecourseResult]:
+        """One recourse per row of X; row i uses seeds[i], as generate would."""
+        if self.algorithm == "scfe":
+            return recourse.scfe_batch(model, X, self.scfe_params, self.cost_fn, seeds)
+        return [self.generate(model, x, seed, vae=vae) for x, seed in zip(X, seeds)]
+
 
 @dataclass
 class ShadowEnsemble:
@@ -142,19 +150,23 @@ def train_shadow_ensemble(
     recourse_config: RecourseConfig,
     seed: int,
     map_fn: Callable | None = None,
+    vae_config: TrainConfig | None = None,
 ) -> ShadowEnsemble:
     """Train N shadow models, each on a uniform half-pool subsample.
 
     For cchvae recourse a single shadow VAE is trained on the full pool
-    and shared by every shadow model. `map_fn(fn, items)` may run the
-    trainings concurrently; seeds are derived per model index, so results
-    do not depend on scheduling.
+    and shared by every shadow model; `vae_config` is the owner's VAE
+    training setup (its seed is replaced by one derived from `seed`).
+    `map_fn(fn, items)` may run the trainings concurrently; seeds are
+    derived per model index, so results do not depend on scheduling.
     """
     if n_models < 2:
         raise ValueError(f"need at least 2 shadow models, got {n_models}")
     half = shadow_pool.n // 2
     if half < 2:
         raise ValueError(f"shadow pool too small (n={shadow_pool.n})")
+    if recourse_config.algorithm == "cchvae" and vae_config is None:
+        raise ValueError("cchvae shadow replay needs the owner's VAE TrainConfig")
 
     def build(i: int) -> Model:
         rows = rng_for(seed, "shadow-subsample", i).choice(
@@ -175,9 +187,8 @@ def train_shadow_ensemble(
     models = list(mapper(build, range(n_models)))
     vae = None
     if recourse_config.algorithm == "cchvae":
-        vae = nn.train_vae(shadow_pool, TrainConfig(
-            learning_rate=1e-3, epochs=200, seed=derive_seed(seed, "shadow-vae"),
-        ))
+        vae = nn.train_vae(shadow_pool, dataclasses.replace(
+            vae_config, seed=derive_seed(seed, "shadow-vae")))
     return ShadowEnsemble(models=models, trainer_config=trainer_config,
                           recourse_config=recourse_config, seed=seed, vae=vae)
 
@@ -279,6 +290,54 @@ def loss_attack_score(model: Model, x: np.ndarray, y: int) -> tuple[float, bool]
     return nn.bce_loss(model, x, y), False
 
 
+def shadow_distance_matrix(
+    X: np.ndarray,
+    ensemble: ShadowEnsemble,
+    point_seeds: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recourse distance of each row of X under each shadow model.
+
+    Runs model-major: each shadow model issues one recourse batch over the
+    rows it classifies negatively, with the seed of (point_seeds[row],
+    model index). Returns the (n_points, n_models) distance matrix, NaN
+    where the model already classifies the row positively or the recourse
+    failed, and per row the counts of those two skip reasons.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    dists = np.full((X.shape[0], ensemble.n_models), np.nan)
+    positive = np.zeros(X.shape[0], dtype=np.int64)
+    failed = np.zeros(X.shape[0], dtype=np.int64)
+    for i, model in enumerate(ensemble.models):
+        # the single-point predictor decides, as the generators' own
+        # precondition check does
+        neg = np.array([nn.predict_proba(model, x) < 0.5 for x in X], dtype=bool)
+        positive += ~neg
+        rows = np.flatnonzero(neg)
+        seeds = [derive_seed(ensemble.seed, f"shadow-recourse-{point_seeds[r]}", i)
+                 for r in rows]
+        results = ensemble.recourse_config.generate_batch(model, X[rows], seeds,
+                                                          vae=ensemble.vae)
+        for r, result in zip(rows, results):
+            if result.valid:
+                dists[r, i] = max(result.cost, recourse.DISTANCE_FLOOR)
+            else:
+                failed[r] += 1
+    return dists, positive, failed
+
+
+def _surviving_distances(row: np.ndarray, positive: int, failed: int) -> np.ndarray:
+    """A point's shadow distances in model order; ShadowSampleError if
+    fewer than two survive."""
+    dists = row[~np.isnan(row)]
+    if dists.size < 2:
+        raise ShadowSampleError(
+            f"only {dists.size} shadow distances for point "
+            f"({positive} positively classified, {failed} failed "
+            f"recourse, out of {row.size} models)"
+        )
+    return dists
+
+
 def build_shadow_distances(
     x: np.ndarray,
     ensemble: ShadowEnsemble,
@@ -291,26 +350,8 @@ def build_shadow_distances(
     if fewer than two distances survive.
     """
     x = np.asarray(x, dtype=np.float64)
-    dists = []
-    skipped_positive = 0
-    skipped_failed = 0
-    for i, model in enumerate(ensemble.models):
-        if nn.predict_proba(model, x) >= 0.5:
-            skipped_positive += 1
-            continue
-        seed = derive_seed(ensemble.seed, f"shadow-recourse-{point_seed}", i)
-        result = ensemble.recourse_config.generate(model, x, seed, vae=ensemble.vae)
-        if not result.valid:
-            skipped_failed += 1
-            continue
-        dists.append(max(result.cost, recourse.DISTANCE_FLOOR))
-    if len(dists) < 2:
-        raise ShadowSampleError(
-            f"only {len(dists)} shadow distances for point "
-            f"({skipped_positive} positively classified, {skipped_failed} failed "
-            f"recourse, out of {ensemble.n_models} models)"
-        )
-    return np.array(dists, dtype=np.float64)
+    dists, positive, failed = shadow_distance_matrix(x[None, :], ensemble, [point_seed])
+    return _surviving_distances(dists[0], int(positive[0]), int(failed[0]))
 
 
 # --- attack stages consumed by the experiment runner -----------------------
@@ -334,36 +375,39 @@ def cfd_lrt_attack_scores(
     samples: Sequence,
     ensemble: ShadowEnsemble,
     alphas: Sequence[float] = (0.01, 0.05, 0.1),
-    map_fn: Callable | None = None,
     on_starved: str = "raise",
 ) -> list[AttackScore]:
     """One-sided distance-LRT scores; one shared ensemble, per-point fits.
 
-    A point whose shadow-distance sample starves (fewer than two shadow
-    models yield a recourse for it) raises by default; on_starved="skip"
-    drops the point instead, which is what the experiment runner uses.
+    The shadow replay runs as one recourse batch per shadow model over
+    the sample points (see shadow_distance_matrix); sample i uses point
+    seed i. A point whose shadow-distance sample starves (fewer than two
+    shadow models yield a recourse for it) raises by default;
+    on_starved="skip" drops the point instead, which is what the
+    experiment runner uses.
     """
     if on_starved not in ("raise", "skip"):
         raise ValueError(f"on_starved must be 'raise' or 'skip', got {on_starved!r}")
-
-    def score_one(item: tuple[int, Any]) -> AttackScore | None:
-        idx, s = item
-        t0 = cfd_statistic(s.point, s.recourse)
+    if not samples:
+        return []
+    observed = [cfd_statistic(s.point, s.recourse) for s in samples]
+    dists, positive, failed = shadow_distance_matrix(
+        np.array([s.point for s in samples]), ensemble, range(len(samples)))
+    out = []
+    for idx, (s, t0) in enumerate(zip(samples, observed)):
         try:
-            dists = build_shadow_distances(s.point, ensemble, point_seed=idx)
+            row = _surviving_distances(dists[idx], int(positive[idx]), int(failed[idx]))
         except ShadowSampleError:
             if on_starved == "skip":
-                return None
+                continue
             raise
-        fit = fit_lognormal_mle(dists)
-        return AttackScore(
+        fit = fit_lognormal_mle(row)
+        out.append(AttackScore(
             point_id=s.point_id, attack="cfd_lrt", statistic=t0,
             score=cfd_lrt_score(t0, fit), higher_means_member=True,
             guess_at={a: cfd_lrt_decide(t0, fit, a) for a in alphas},
-        )
-
-    mapper = map_fn if map_fn is not None else lambda fn, items: [fn(i) for i in items]
-    return [sc for sc in mapper(score_one, list(enumerate(samples))) if sc is not None]
+        ))
+    return out
 
 
 def loss_attack_scores(samples: Sequence, owner_model: Model) -> list[AttackScore]:

@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="output path or directory")
-        p.add_argument("--workers", type=int, default=None, help="worker threads")
+        p.add_argument("--workers", type=int, default=None,
+                       help="threads for shadow training")
 
     p = sub.add_parser("gen-data", help="generate/ingest the configured dataset as CSV")
     add_common(p)

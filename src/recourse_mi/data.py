@@ -9,6 +9,7 @@ is either already binary or thresholded at its median.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -166,8 +167,8 @@ def load_tabular(path: str | Path, label_column: str, label_rule: str = "binary"
 
     label_rule "binary" requires the label column to already hold 0/1;
     "median-threshold" labels 1 iff the raw score exceeds the column
-    median (ties map to 0). All non-label cells must parse as numbers;
-    failures name the data row and column.
+    median (ties map to 0). Every cell must parse as a finite number
+    (nan and inf are rejected); failures name the data row and column.
     """
     if label_rule not in ("binary", "median-threshold"):
         raise DataError(f"unknown label_rule {label_rule!r}")
@@ -202,6 +203,11 @@ def load_tabular(path: str | Path, label_column: str, label_rule: str = "binary"
                         f"{path}: row {row_no}, column {header[col_idx]!r}: "
                         f"non-numeric cell {cell.strip()!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise TabularParseError(
+                        f"{path}: row {row_no}, column {header[col_idx]!r}: "
+                        f"non-finite cell {cell.strip()!r}"
+                    )
                 if col_idx == label_idx:
                     raw_labels.append(value)
                 else:

@@ -10,7 +10,6 @@ replayed from seeds.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +23,7 @@ from .seeds import rng_for
 PROB_FLOOR = 1e-7  # keeps losses and logits finite on interpolating models
 
 PARAM_BLOB_MAGIC = b"RMIBLOB1"
+MODEL_FORMAT_VERSION = 1
 
 
 class DimensionMismatchError(ValueError):
@@ -228,34 +228,34 @@ def logit_confidence(model: Model, x: np.ndarray, y: int) -> float:
 
 
 def norm_subgradient(delta: np.ndarray, norm: str) -> np.ndarray:
-    """Subgradient of ||delta||_norm; zero at delta = 0."""
+    """Subgradient of ||delta||_norm, row by row for a (n, d) matrix;
+    zero where delta = 0."""
     if norm == "l1":
         return np.sign(delta)
     if norm == "l2":
-        mag = float(np.sqrt(np.sum(delta * delta)))
-        return delta / mag if mag > 0 else np.zeros_like(delta)
+        mag = np.sqrt(np.sum(delta * delta, axis=-1, keepdims=True))
+        return np.divide(delta, mag, out=np.zeros(np.shape(delta)), where=mag > 0)
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def bce_to_target_grad(model: Model, x: np.ndarray, target: float = 1.0) -> tuple[float, np.ndarray]:
-    """(probability, d BCE(f(x), target) / dx) in one forward/backward pass."""
-    if not model.architecture:
-        # logistic fast path: p = sigmoid(theta.x + b), grad = (p - target) theta.
-        # This sits in the innermost loop of gradient recourse search.
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != model.d:
-            raise DimensionMismatchError(
-                f"expected a length-{model.d} vector, got shape {x.shape}")
-        z = float(x @ model.weights[0][:, 0]) + float(model.biases[0][0])
-        p = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
-        return p, (p - target) * model.weights[0][:, 0]
-    row = _as_row(x, model.d)
-    p, acts = _forward_batch(model, row, keep=True)
-    # dL/dlogit for BCE over sigmoid is exactly p - target.
-    delta = np.array([[float(p[0]) - target]])
-    g = delta @ model.weights[-1].T
+def bce_to_target_grad_batch(model: Model, x: np.ndarray,
+                             target: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities (n,) and d BCE(f(x_i), target) / dx_i (n, d) for a
+    (n, d) batch, in one forward/backward pass."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.d:
+        raise DimensionMismatchError(f"expected (n, {model.d}) matrix, got {x.shape}")
+    p, acts = _forward_batch(model, x, keep=True)
+    # dL/dlogit for BCE over sigmoid is exactly p - target
+    g = (p - target)[:, None] * model.weights[-1][:, 0]
     for w, act in zip(reversed(model.weights[:-1]), reversed(acts[1:])):
         g = (g * (act > 0)) @ w.T
+    return p, g
+
+
+def bce_to_target_grad(model: Model, x: np.ndarray, target: float = 1.0) -> tuple[float, np.ndarray]:
+    """(probability, d BCE(f(x), target) / dx) for one point."""
+    p, g = bce_to_target_grad_batch(model, _as_row(x, model.d), target)
     return float(p[0]), g[0]
 
 
@@ -483,19 +483,32 @@ def _write_blob(arrays: list[np.ndarray], path: Path) -> None:
 
 
 def _read_blob(path: Path) -> list[np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(PARAM_BLOB_MAGIC))
-        if magic != PARAM_BLOB_MAGIC:
-            raise ValueError(f"{path}: not a parameter blob")
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays = []
-        for _ in range(count):
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            size = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * size)
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-        return arrays
+    """Arrays of a parameter blob; ValueError unless the file holds exactly
+    the arrays its header declares."""
+    buf = Path(path).read_bytes()
+    pos = 0
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(buf):
+            raise ValueError(f"{path}: truncated parameter blob "
+                             f"({len(buf)} bytes, needs at least {pos + size})")
+        pos += size
+        return buf[pos - size : pos]
+
+    if take(len(PARAM_BLOB_MAGIC)) != PARAM_BLOB_MAGIC:
+        raise ValueError(f"{path}: not a parameter blob")
+    (count,) = struct.unpack("<I", take(4))
+    arrays = []
+    for _ in range(count):
+        (ndim,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        size = int(np.prod(shape)) if shape else 1
+        arrays.append(np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy())
+    if pos != len(buf):
+        raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after "
+                         f"{count} parameter arrays")
+    return arrays
 
 
 def save_model(model: Model | VaeModel, directory: str | Path) -> None:
@@ -505,7 +518,7 @@ def save_model(model: Model | VaeModel, directory: str | Path) -> None:
     if isinstance(model, Model):
         arrays = list(model.weights) + list(model.biases)
         manifest = {
-            "format_version": 1,
+            "format_version": MODEL_FORMAT_VERSION,
             "kind": "classifier",
             "d": model.d,
             "architecture": model.architecture,
@@ -516,7 +529,7 @@ def save_model(model: Model | VaeModel, directory: str | Path) -> None:
         named = model._arrays()
         arrays = [a for _, a in named]
         manifest = {
-            "format_version": 1,
+            "format_version": MODEL_FORMAT_VERSION,
             "kind": "vae",
             "d": model.d,
             "latent_dim": model.latent_dim,
@@ -533,6 +546,9 @@ def load_model(directory: str | Path) -> Model | VaeModel:
     directory = Path(directory)
     with open(directory / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if manifest.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{directory}: unsupported model format_version "
+                         f"{manifest.get('format_version')!r}, expected {MODEL_FORMAT_VERSION}")
     arrays = _read_blob(directory / "params.bin")
     if manifest["kind"] == "classifier":
         k = manifest["n_weight_arrays"]

@@ -13,7 +13,7 @@ return the cheapest found input that the model classifies positively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -111,11 +111,12 @@ def cost(x: np.ndarray, xp: np.ndarray, fn: CostFn) -> float:
     return float(np.sqrt(np.sum(delta * delta)))
 
 
-def _batch_costs(x: np.ndarray, candidates: np.ndarray, fn: CostFn) -> np.ndarray:
-    delta = candidates - x
-    if fn.norm == "l1":
-        return np.sum(np.abs(delta), axis=1)
-    return np.sqrt(np.sum(delta * delta, axis=1))
+def _row_costs(delta: np.ndarray, norm: str) -> np.ndarray:
+    """Norm of each row of a (n, d) difference matrix."""
+    # np.add.reduce skips np.sum's dispatch, a visible cost in small SCFE batches
+    if norm == "l1":
+        return np.add.reduce(np.abs(delta), axis=1)
+    return np.sqrt(np.add.reduce(delta * delta, axis=1))
 
 
 def _require_negative(model: Model, x: np.ndarray) -> None:
@@ -126,62 +127,88 @@ def _require_negative(model: Model, x: np.ndarray) -> None:
         )
 
 
+def _keep_cheaper(best: np.ndarray, best_cost: np.ndarray, xp: np.ndarray,
+                  costs: np.ndarray, valid: np.ndarray) -> None:
+    """Store the rows of xp that are valid and cheaper than the row's best."""
+    cheaper = valid & (costs < best_cost)
+    if cheaper.any():
+        best[cheaper] = xp[cheaper]
+        best_cost[cheaper] = costs[cheaper]
+
+
 def scfe(model: Model, x: np.ndarray, params: ScfeParams, cost_fn: CostFn,
          seed: int = 0) -> RecourseResult:
-    """Gradient recourse: minimize BCE(f(x'), 1) + lam * c(x, x').
-
-    x' starts at x; after max_iters without a valid iterate, lam is
-    multiplied by lam_decay and the search restarts, up to max_retries
-    times. Returns the cheapest valid iterate seen during the successful
-    attempt, or a valid=False result.
-    """
+    """Gradient recourse for one point: scfe_batch on a batch of one."""
     x = np.asarray(x, dtype=np.float64)
-    _require_negative(model, x)
-    frozen = np.asarray(params.immutable, dtype=np.int64)
+    return scfe_batch(model, x[None, :], params, cost_fn, [seed])[0]
 
-    best: np.ndarray | None = None
-    best_cost = np.inf
-    total_iters = 0
+
+def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
+               seeds: Sequence[int]) -> list[RecourseResult]:
+    """Gradient recourse for each row of X: minimize
+    BCE(f(x'), 1) + lam * c(x, x') by Adam descent from x' = x.
+
+    After max_iters without a valid iterate, lam is multiplied by
+    lam_decay and the search restarts, up to max_retries times. Each row
+    returns the cheapest valid iterate seen during its successful attempt,
+    or a valid=False result. Rows are independent: every row runs the same
+    attempt schedule, so the rows still searching share the attempt count,
+    lam and Adam step, and a row leaves the block at the end of the
+    attempt that found its recourse.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.d:
+        raise nn.DimensionMismatchError(f"expected (n, {model.d}) matrix, got {X.shape}")
+    if len(seeds) != X.shape[0]:
+        raise ValueError(f"{len(seeds)} seeds for {X.shape[0]} points")
+    for x in X:
+        _require_negative(model, x)
+    frozen = np.asarray(params.immutable, dtype=np.int64)
+    norm = cost_fn.norm
+
+    results: list[RecourseResult | None] = [None] * X.shape[0]
+    active = np.arange(X.shape[0])
     lam = params.lam
     for attempt in range(params.max_retries + 1):
+        if active.size == 0:
+            break
         if attempt > 0:
             lam *= params.lam_decay
-        xp = x.copy()
-        opt = nn.Adam([x.shape], lr=params.step_size)
+        x0 = X[active]
+        xp = x0.copy()
+        best = np.empty_like(xp)
+        best_cost = np.full(active.size, np.inf)
+        opt = nn.Adam([xp.shape], lr=params.step_size)
         for _ in range(params.max_iters):
-            p, g = nn.bce_to_target_grad(model, xp, target=1.0)
-            total_iters += 1
-            if p >= 0.5:
-                c = cost(x, xp, cost_fn)
-                if c < best_cost:
-                    best, best_cost = xp.copy(), c
-            if lam != 0.0:
-                g = g + lam * nn.norm_subgradient(xp - x, cost_fn.norm)
+            p, g = nn.bce_to_target_grad_batch(model, xp, target=1.0)
+            delta = xp - x0
+            costs = _row_costs(delta, norm)
+            _keep_cheaper(best, best_cost, xp, costs, p >= 0.5)
+            g = g + lam * nn.norm_subgradient(delta, norm)
             if frozen.size:
-                g[frozen] = 0.0
+                g[:, frozen] = 0.0
             opt.step([xp], [g])
-        if nn.predict_proba(model, xp) >= 0.5:
-            c = cost(x, xp, cost_fn)
-            if c < best_cost:
-                best, best_cost = xp.copy(), c
-        # the in-loop probabilities come from the fused forward/backward
-        # path; re-verify the winner on the canonical predictor so the
-        # stored valid flag holds under re-evaluation
-        if best is not None and nn.predict_proba(model, best) < 0.5:
-            best, best_cost = None, np.inf
-        if best is not None:
-            return RecourseResult(
-                counterfactual=best, cost=best_cost, valid=True, algorithm="scfe",
-                trace={"iterations": total_iters, "retries_used": attempt,
-                       "lambda_final": lam},
-                seed=seed,
-            )
-    return RecourseResult(
-        counterfactual=x.copy(), cost=0.0, valid=False, algorithm="scfe",
-        trace={"iterations": total_iters, "retries_used": params.max_retries,
-               "lambda_final": lam},
-        seed=seed,
-    )
+        _keep_cheaper(best, best_cost, xp, _row_costs(xp - x0, norm),
+                      nn.predict_proba_batch(model, xp) >= 0.5)
+        trace = {"iterations": (attempt + 1) * params.max_iters,
+                 "retries_used": attempt, "lambda_final": lam}
+        for j, r in enumerate(active):
+            # the winner must stay valid on the single-point predictor,
+            # which is what any later check of the stored result uses
+            if best_cost[j] < np.inf and nn.predict_proba(model, best[j]) >= 0.5:
+                cf = best[j].copy()
+                results[r] = RecourseResult(
+                    counterfactual=cf, cost=cost(X[r], cf, cost_fn), valid=True,
+                    algorithm="scfe", trace=dict(trace), seed=seeds[r])
+        active = np.array([r for r in active if results[r] is None], dtype=np.int64)
+
+    for r in active:
+        results[r] = RecourseResult(
+            counterfactual=X[r].copy(), cost=0.0, valid=False, algorithm="scfe",
+            trace={"iterations": (params.max_retries + 1) * params.max_iters,
+                   "retries_used": params.max_retries, "lambda_final": lam},
+            seed=seeds[r])
+    return results
 
 
 def uniform_l1_ball_sample(center: np.ndarray, radius: float, count: int,
@@ -232,7 +259,7 @@ def _ball_search(
         hit = np.flatnonzero(probs >= 0.5)
         if hit.size == 0:
             continue
-        costs = _batch_costs(x, candidates[hit], cost_fn)
+        costs = _row_costs(candidates[hit] - x, cost_fn.norm)
         for local in np.argsort(costs, kind="stable"):
             idx = hit[local]
             final = decode_single(raw[idx])

@@ -140,7 +140,9 @@ class ExperimentReport:
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """Order-preserving map; results are independent of worker count."""
+    """Order-preserving map; results are independent of worker count.
+
+    Used for shadow training only: recourse runs as batches instead."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -374,14 +376,12 @@ def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[li
         queries.append((f"n{int(r):05d}", out_ds.features[r], int(out_ds.labels[r]),
                         Guess.NON_MEMBER))
 
-    def issue(item: tuple[int, tuple]) -> GameSample:
-        idx, (pid, x, y, membership) = item
-        seed = derive_seed(config.seed, "game-recourse", idx)
-        res = config.recourse.generate(owner, x, seed, vae=prep.owner_vae)
-        return GameSample(point_id=pid, point=x, label=y, membership=membership,
-                          recourse=res)
-
-    raw_samples = parallel_map(issue, list(enumerate(queries)), config.workers)
+    seeds = [derive_seed(config.seed, "game-recourse", idx) for idx in range(len(queries))]
+    results = config.recourse.generate_batch(
+        owner, np.array([q[1] for q in queries]), seeds, vae=prep.owner_vae)
+    raw_samples = [GameSample(point_id=pid, point=x, label=y, membership=membership,
+                              recourse=res)
+                   for (pid, x, y, membership), res in zip(queries, results)]
     kept = [s for s in raw_samples if s.recourse.valid]
     failures = {
         "member": sum(1 for s in raw_samples
@@ -413,6 +413,22 @@ def play_game(config: ExperimentConfig) -> list[GameSample]:
     return samples
 
 
+def build_shadow_ensemble(config: ExperimentConfig,
+                          prep: PreparedExperiment) -> ShadowEnsemble:
+    """Shadow models on the adversary's pool, replaying the owner's
+    training, recourse and (for cchvae) VAE setup."""
+    return attack_mod.train_shadow_ensemble(
+        prep.bundle.shadow_pool,
+        n_models=config.n_shadow_models,
+        architecture=config.model_architecture,
+        trainer_config=config.train,
+        recourse_config=config.recourse,
+        seed=derive_seed(config.seed, "shadow-ensemble"),
+        map_fn=lambda fn, items: parallel_map(fn, items, config.workers),
+        vae_config=config.vae_train,
+    )
+
+
 def _attack_scores(
     config: ExperimentConfig,
     prep: PreparedExperiment,
@@ -422,15 +438,13 @@ def _attack_scores(
     # Distance attacks receive only the game transcript (and the shadow
     # ensemble); the owner model is deliberately out of reach here.
     out: dict[str, list[AttackScore]] = {}
-    map_fn = lambda fn, items: parallel_map(fn, items, config.workers)
     for name in config.attacks:
         if name == "cfd":
             out[name] = attack_mod.cfd_attack_scores(samples)
         elif name == "cfd_lrt":
             assert ensemble is not None
             out[name] = attack_mod.cfd_lrt_attack_scores(
-                samples, ensemble, alphas=config.alpha_grid, map_fn=map_fn,
-                on_starved="skip")
+                samples, ensemble, alphas=config.alpha_grid, on_starved="skip")
         elif name == "loss":
             out[name] = attack_mod.loss_attack_scores(samples, prep.owner_model)
         elif name == "loss_lrt":
@@ -451,15 +465,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ensemble = None
     if needs_shadows:
         t1 = time.perf_counter()
-        ensemble = attack_mod.train_shadow_ensemble(
-            prep.bundle.shadow_pool,
-            n_models=config.n_shadow_models,
-            architecture=config.model_architecture,
-            trainer_config=config.train,
-            recourse_config=config.recourse,
-            seed=derive_seed(config.seed, "shadow-ensemble"),
-            map_fn=lambda fn, items: parallel_map(fn, items, config.workers),
-        )
+        ensemble = build_shadow_ensemble(config, prep)
         timing["shadow_training_s"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()

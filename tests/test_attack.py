@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from recourse_mi.attack import (
     RecourseConfig,
     ShadowSampleError,
     build_shadow_distances,
+    cfd_lrt_attack_scores,
     cfd_lrt_decide,
     cfd_lrt_score,
     cfd_statistic,
@@ -19,12 +22,19 @@ from recourse_mi.attack import (
     lognormal_quantile,
     loss_attack_score,
     loss_lrt_score,
+    shadow_distance_matrix,
     threshold_attack,
     train_shadow_ensemble,
 )
 from recourse_mi.data import SyntheticSpec, generate_synthetic, standardize
 from recourse_mi.nn import TrainConfig, bce_loss, logit_confidence, predict_proba
-from recourse_mi.recourse import CostFn, RecourseResult, SearchParams, growing_spheres
+from recourse_mi.recourse import (
+    CostFn,
+    RecourseResult,
+    ScfeParams,
+    SearchParams,
+    growing_spheres,
+)
 
 from conftest import make_logistic
 from reference import lognormal_quantile_oracle, normal_cdf
@@ -309,6 +319,56 @@ class TestShadowEnsemble:
         with pytest.raises(ShadowSampleError, match="2 positively classified"):
             build_shadow_distances(np.zeros(2), ens, point_seed=0)
 
+    def test_matrix_rows_match_per_point_distances(self, shadow_setup):
+        # model-major replay gives each point the distances, in model
+        # order, that the one-point builder gives it with the same seed
+        std, ensemble = shadow_setup
+        X = std.features[:12]
+        dists, positive, failed = shadow_distance_matrix(X, ensemble, range(40, 52))
+        assert dists.shape == (12, ensemble.n_models)
+        for r, x in enumerate(X):
+            row = dists[r][~np.isnan(dists[r])]
+            assert np.isnan(dists[r]).sum() == positive[r] + failed[r]
+            for i, m in enumerate(ensemble.models):
+                if predict_proba(m, x) >= 0.5:
+                    assert np.isnan(dists[r, i])
+            if row.size >= 2:
+                assert np.array_equal(row, build_shadow_distances(x, ensemble, 40 + r))
+            else:
+                with pytest.raises(ShadowSampleError):
+                    build_shadow_distances(x, ensemble, 40 + r)
+
+    def test_cfd_lrt_scores_use_per_point_fits(self, shadow_setup):
+        std, ensemble = shadow_setup
+        owner = ensemble.models[0]
+        samples = []
+        for j, x in enumerate(std.features[:40]):
+            if predict_proba(owner, x) < 0.5:
+                res = growing_spheres(owner, x, SearchParams(seed=j), CostFn("l1"))
+                samples.append(SimpleNamespace(point_id=f"p{j}", point=x, recourse=res))
+        scores = cfd_lrt_attack_scores(samples, ensemble, alphas=(0.1,), on_starved="skip")
+        by_id = {sc.point_id: sc for sc in scores}
+        assert len(by_id) >= len(samples) // 2
+        for idx, s in enumerate(samples):
+            try:
+                fit = fit_lognormal_mle(build_shadow_distances(s.point, ensemble, idx))
+            except ShadowSampleError:
+                assert s.point_id not in by_id
+                continue
+            t0 = cfd_statistic(s.point, s.recourse)
+            assert by_id[s.point_id].score == cfd_lrt_score(t0, fit)
+
+    def test_cfd_lrt_starved_point_raises_by_default(self):
+        models = [make_logistic([0.0, 0.0], 3.0), make_logistic([0.0, 0.0], 5.0)]
+        from recourse_mi.attack import ShadowEnsemble
+        ens = ShadowEnsemble(models=models, trainer_config=TrainConfig(),
+                             recourse_config=RecourseConfig(algorithm="growing_spheres"),
+                             seed=1)
+        sample = SimpleNamespace(point_id="p", point=np.zeros(2), recourse=valid_result())
+        with pytest.raises(ShadowSampleError, match="2 positively classified"):
+            cfd_lrt_attack_scores([sample], ens)
+        assert cfd_lrt_attack_scores([sample], ens, on_starved="skip") == []
+
     def test_shadow_models_never_trained_on_eval_rows(self, shadow_setup):
         std, ensemble = shadow_setup
         # the pool is the training universe here; the contract is that each
@@ -318,6 +378,26 @@ class TestShadowEnsemble:
             assert m.training_meta["train_accuracy"] is not None
         # subsample size is half the pool
         assert ensemble.models[0].training_meta["batch_size"] <= std.n // 2
+
+
+class TestGenerateBatch:
+    def test_search_generators_keep_per_point_calls(self, halfspace_2d):
+        rc = RecourseConfig(algorithm="growing_spheres",
+                            search_params=SearchParams(samples_per_radius=100))
+        X = np.array([[0.0, 0.0], [-1.0, 2.0], [0.5, -0.5]])
+        batch = rc.generate_batch(halfspace_2d, X, [3, 4, 5])
+        for x, seed, res in zip(X, (3, 4, 5), batch):
+            one = rc.generate(halfspace_2d, x, seed)
+            assert res.seed == seed
+            assert np.array_equal(res.counterfactual, one.counterfactual)
+            assert res.trace == one.trace
+
+    def test_scfe_runs_as_one_batch(self, halfspace_2d):
+        rc = RecourseConfig(algorithm="scfe", scfe_params=ScfeParams(max_iters=200))
+        X = np.array([[0.0, 0.0], [-1.0, 2.0]])
+        batch = rc.generate_batch(halfspace_2d, X, [8, 9])
+        assert [r.seed for r in batch] == [8, 9]
+        assert all(r.valid and r.algorithm == "scfe" for r in batch)
 
 
 class TestQuantileCalibration:

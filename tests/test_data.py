@@ -109,6 +109,20 @@ class TestLoadTabular:
         with pytest.raises(TabularParseError, match=r"row 2.*'b'"):
             load_tabular(f, "y", "binary")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN"])
+    def test_non_finite_feature_cell_names_row_and_column(self, tmp_path, cell):
+        f = tmp_path / "t.csv"
+        f.write_text(f"a,b,y\n1,2,0\n3,4,1\n5,{cell},1\n")
+        with pytest.raises(TabularParseError, match=r"row 3, column 'b': non-finite"):
+            load_tabular(f, "y", "binary")
+
+    @pytest.mark.parametrize("rule", ["binary", "median-threshold"])
+    def test_non_finite_label_cell_names_row_and_column(self, tmp_path, rule):
+        f = tmp_path / "t.csv"
+        f.write_text("a,y\n1,0\n2,inf\n3,1\n")
+        with pytest.raises(TabularParseError, match=r"row 2, column 'y': non-finite"):
+            load_tabular(f, "y", rule)
+
     def test_missing_label_column(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a,b\n1,2\n")

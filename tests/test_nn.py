@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from recourse_mi.nn import (
     accuracy,
     bce_loss,
     bce_to_target_grad,
+    bce_to_target_grad_batch,
     input_gradient,
     load_model,
     logit_confidence,
@@ -239,11 +242,54 @@ class TestSerialization:
         z = np.arange(8.0)
         assert np.array_equal(vae.decode(z), back.decode(z))
 
+    @pytest.fixture
+    def saved(self, tmp_path):
+        m = make_logistic([1.0, -2.0, 0.5], 0.25)
+        save_model(m, tmp_path / "m")
+        return tmp_path / "m"
+
+    def test_truncated_blob_rejected(self, saved):
+        blob = saved / "params.bin"
+        blob.write_bytes(blob.read_bytes()[:-3])
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(saved)
+
+    def test_trailing_bytes_rejected(self, saved):
+        blob = saved / "params.bin"
+        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="8 trailing bytes"):
+            load_model(saved)
+
+    @pytest.mark.parametrize("version", [2, 0, None])
+    def test_unknown_format_version_rejected(self, saved, version):
+        manifest = json.loads((saved / "manifest.json").read_text())
+        manifest["format_version"] = version
+        (saved / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="format_version"):
+            load_model(saved)
+
 
 def test_accuracy_helper():
     m = make_logistic([1.0], 0.0)
     ds = Dataset(np.array([[1.0], [-1.0], [2.0]]), np.array([1, 0, 0]))
     assert accuracy(m, ds) == pytest.approx(2.0 / 3.0)
+
+
+def test_batched_gradient_rows_match_single_point():
+    # each row of the batch gets its own probability and input gradient
+    rng = np.random.default_rng(6)
+    ds = generate_synthetic(SyntheticSpec(d=4, n_per_class=40, seed=2))
+    for arch in ([], [8, 4]):
+        m = train_classifier(ds, arch, TrainConfig(learning_rate=0.01, epochs=5, seed=1))
+        x = rng.normal(size=(7, 4))
+        p, g = bce_to_target_grad_batch(m, x, 1.0)
+        assert p.shape == (7,) and g.shape == (7, 4)
+        for i in range(7):
+            p1, g1 = bce_to_target_grad(m, x[i], 1.0)
+            assert p[i] == pytest.approx(p1, abs=1e-15)
+            assert np.allclose(g[i], g1, rtol=1e-13, atol=1e-15)
+    with pytest.raises(DimensionMismatchError):
+        bce_to_target_grad_batch(m, np.zeros(4), 1.0)
 
 
 def test_bce_to_target_grad_returns_probability():

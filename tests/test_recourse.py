@@ -8,6 +8,7 @@ from recourse_mi.nn import (
     DimensionMismatchError,
     TrainConfig,
     predict_proba,
+    train_classifier,
     train_vae,
 )
 from recourse_mi.recourse import (
@@ -19,11 +20,12 @@ from recourse_mi.recourse import (
     cost,
     growing_spheres,
     scfe,
+    scfe_batch,
     uniform_l1_ball_sample,
 )
 
 from conftest import make_logistic
-from reference import grid_cheapest_valid_logistic
+from reference import grid_cheapest_valid_logistic, scfe_reference
 
 
 class TestCost:
@@ -161,6 +163,81 @@ class TestScfe:
                    ScfeParams(max_iters=50, max_retries=1), CostFn("l1"))
         assert not res.valid
         assert res.cost == 0.0
+
+
+@pytest.fixture(scope="module")
+def scfe_models():
+    ds, _ = standardize(generate_synthetic(SyntheticSpec(d=5, n_per_class=150, seed=3,
+                                                         class_separation=0.8)))
+    return ds, {"logistic": train_classifier(ds, [], TrainConfig(
+                    learning_rate=0.05, epochs=40, seed=4)),
+                "mlp": train_classifier(ds, [16, 8], TrainConfig(
+                    learning_rate=0.01, epochs=40, seed=4))}
+
+
+class TestScfeBatch:
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize("immutable", [(), (1, 3)])
+    def test_matches_per_point_reference(self, scfe_models, arch, norm, immutable):
+        """Batched rows follow the per-point loop: same valid flags and
+        trace, cost equal up to summation order. lam=3 is too strong for
+        most rows, so the batch mixes rows that finish after different
+        numbers of lam-decay retries.
+
+        A row that starts within one Adam step of the boundary (p > 0.45)
+        can end with its iterates oscillating across it; there the
+        last-bit difference between a batched and a one-row logit grows
+        over the iterations (to about 1e-11 in the l2 logistic case), so
+        such rows are held to 1e-9 and every other row to 1e-12."""
+        ds, models = scfe_models
+        model = models[arch]
+        X = np.array([x for x in ds.features if predict_proba(model, x) < 0.5][:12])
+        params = ScfeParams(lam=3.0, lam_decay=0.3, max_iters=150, max_retries=3,
+                            immutable=immutable)
+        fn = CostFn(norm)
+        results = scfe_batch(model, X, params, fn, seeds=list(range(100, 112)))
+        assert len(results) == len(X)
+        retries = set()
+        for i, (x, res) in enumerate(zip(X, results)):
+            ref = scfe_reference(model, x, params, norm)
+            assert res.valid == ref["valid"]
+            assert res.trace == ref["trace"]
+            tol = 1e-9 if predict_proba(model, x) > 0.45 else 1e-12
+            assert abs(res.cost - ref["cost"]) <= tol
+            assert res.seed == 100 + i
+            retries.add(res.trace["retries_used"])
+            if res.valid:
+                assert res.cost == cost(x, res.counterfactual, fn)
+                assert predict_proba(model, res.counterfactual) >= 0.5
+                assert np.array_equal(res.counterfactual[list(immutable)], x[list(immutable)])
+        assert len(retries) >= 2 and max(retries) >= 1
+
+    def test_single_point_scfe_is_a_batch_of_one(self, scfe_models):
+        ds, models = scfe_models
+        model = models["mlp"]
+        X = np.array([x for x in ds.features if predict_proba(model, x) < 0.5][:3])
+        params = ScfeParams(max_iters=100)
+        for x, res in zip(X, scfe_batch(model, X, params, CostFn("l1"), [7, 7, 7])):
+            one = scfe(model, x, params, CostFn("l1"), seed=7)
+            assert one.valid == res.valid and one.trace == res.trace
+            assert one.cost == pytest.approx(res.cost, abs=1e-12)
+
+    def test_every_row_must_be_negative(self):
+        m = make_logistic([1.0], 0.0)
+        with pytest.raises(RecoursePreconditionError):
+            scfe_batch(m, np.array([[-1.0], [5.0]]), ScfeParams(), CostFn("l1"), [0, 1])
+
+    def test_shape_and_seed_count_checked(self):
+        m = make_logistic([1.0, 0.0], -1.0)
+        with pytest.raises(DimensionMismatchError):
+            scfe_batch(m, np.zeros((2, 3)), ScfeParams(), CostFn("l1"), [0, 1])
+        with pytest.raises(ValueError, match="seeds"):
+            scfe_batch(m, np.zeros((2, 2)), ScfeParams(), CostFn("l1"), [0])
+
+    def test_empty_batch(self):
+        m = make_logistic([1.0, 0.0], -1.0)
+        assert scfe_batch(m, np.zeros((0, 2)), ScfeParams(), CostFn("l1"), []) == []
 
 
 class TestGrowingSpheres:

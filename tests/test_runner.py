@@ -100,6 +100,20 @@ class TestPlayGame:
             runner.play_game(cfg)
 
 
+class TestShadowReplay:
+    def test_shadow_vae_uses_configured_vae_training(self):
+        raw = small_raw(recourse={"algorithm": "cchvae",
+                                  "vae": {"learning_rate": 2e-3, "epochs": 3}},
+                        attacks={"which": ["cfd_lrt"], "n_shadow_models": 2})
+        cfg = config_from_dict(raw)
+        prep = runner.prepare(cfg)
+        ensemble = runner.build_shadow_ensemble(cfg, prep)
+        for vae in (prep.owner_vae, ensemble.vae):
+            assert vae.training_meta["epochs"] == 3
+            assert vae.training_meta["learning_rate"] == 2e-3
+        assert ensemble.vae.training_meta["seed"] != prep.owner_vae.training_meta["seed"]
+
+
 class TestRunExperiment:
     def test_report_artifacts(self, small_report):
         rep, out = small_report
