@@ -17,7 +17,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -100,14 +100,7 @@ class RecourseConfig:
                  vae: VaeModel | None = None) -> RecourseResult:
         if self.algorithm == "scfe":
             return recourse.scfe(model, x, self.scfe_params, self.cost_fn, seed=seed)
-        params = SearchParams(
-            initial_radius=self.search_params.initial_radius,
-            radius_step=self.search_params.radius_step,
-            samples_per_radius=self.search_params.samples_per_radius,
-            max_radius=self.search_params.max_radius,
-            seed=seed,
-            immutable=self.search_params.immutable,
-        )
+        params = dataclasses.replace(self.search_params, seed=seed)
         if self.algorithm == "growing_spheres":
             return recourse.growing_spheres(model, x, params, self.cost_fn)
         if vae is None:
@@ -149,7 +142,6 @@ def train_shadow_ensemble(
     trainer_config: TrainConfig,
     recourse_config: RecourseConfig,
     seed: int,
-    map_fn: Callable | None = None,
     vae_config: TrainConfig | None = None,
 ) -> ShadowEnsemble:
     """Train N shadow models, each on a uniform half-pool subsample.
@@ -157,8 +149,8 @@ def train_shadow_ensemble(
     For cchvae recourse a single shadow VAE is trained on the full pool
     and shared by every shadow model; `vae_config` is the owner's VAE
     training setup (its seed is replaced by one derived from `seed`).
-    `map_fn(fn, items)` may run the trainings concurrently; seeds are
-    derived per model index, so results do not depend on scheduling.
+    Each shadow model trains with `trainer_config`, only its seed
+    replaced by one derived from `seed` and the model index.
     """
     if n_models < 2:
         raise ValueError(f"need at least 2 shadow models, got {n_models}")
@@ -173,18 +165,10 @@ def train_shadow_ensemble(
             shadow_pool.n, size=half, replace=False
         )
         subset = shadow_pool.take(np.sort(rows), f"shadow_train_{i}")
-        cfg = TrainConfig(
-            learning_rate=trainer_config.learning_rate,
-            epochs=trainer_config.epochs,
-            batch_size=trainer_config.batch_size,
-            seed=derive_seed(seed, "shadow-train", i),
-            adam_betas=trainer_config.adam_betas,
-            adam_eps=trainer_config.adam_eps,
-        )
+        cfg = dataclasses.replace(trainer_config, seed=derive_seed(seed, "shadow-train", i))
         return nn.train_classifier(subset, architecture, cfg)
 
-    mapper = map_fn if map_fn is not None else lambda fn, items: [fn(i) for i in items]
-    models = list(mapper(build, range(n_models)))
+    models = [build(i) for i in range(n_models)]
     vae = None
     if recourse_config.algorithm == "cchvae":
         vae = nn.train_vae(shadow_pool, dataclasses.replace(
@@ -301,16 +285,16 @@ def shadow_distance_matrix(
     rows it classifies negatively, with the seed of (point_seeds[row],
     model index). Returns the (n_points, n_models) distance matrix, NaN
     where the model already classifies the row positively or the recourse
-    failed, and per row the counts of those two skip reasons.
+    failed, and per row the counts of those two skip reasons. Row i
+    depends only on X[i] and point_seeds[i], so splitting X into blocks
+    and stacking their matrices gives the same result.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     dists = np.full((X.shape[0], ensemble.n_models), np.nan)
     positive = np.zeros(X.shape[0], dtype=np.int64)
     failed = np.zeros(X.shape[0], dtype=np.int64)
     for i, model in enumerate(ensemble.models):
-        # the single-point predictor decides, as the generators' own
-        # precondition check does
-        neg = np.array([nn.predict_proba(model, x) < 0.5 for x in X], dtype=bool)
+        neg = nn.predict_proba_batch(model, X) < 0.5
         positive += ~neg
         rows = np.flatnonzero(neg)
         seeds = [derive_seed(ensemble.seed, f"shadow-recourse-{point_seeds[r]}", i)

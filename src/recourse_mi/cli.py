@@ -19,23 +19,11 @@ def _apply_overrides(args, cfg_raw: dict) -> dict:
         cfg_raw["seed"] = args.seed
     if getattr(args, "out", None):
         cfg_raw["out_dir"] = args.out
-    if args.workers is not None:
-        cfg_raw["workers"] = args.workers
     return cfg_raw
 
 
-def _load_raw_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise runner.ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise runner.ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-
-
 def _config_from_args(args) -> runner.ExperimentConfig:
-    raw = _load_raw_config(args.config)
+    raw = runner.read_raw_config(args.config)
     return runner.config_from_dict(_apply_overrides(args, raw))
 
 
@@ -86,12 +74,7 @@ def cmd_attack(args) -> int:
     cfg = _config_from_args(args)
     report = runner.run_experiment(cfg)
     out = Path(args.out or "attack_out")
-    out.mkdir(parents=True, exist_ok=True)
-    for name, score_list in report.scores.items():
-        with open(out / f"scores_{name}.jsonl", "w", encoding="utf-8") as fh:
-            for sc in score_list:
-                rec = dict(sc.to_json(), membership=report.membership[sc.point_id])
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    report.save_scores(out)
     print(f"wrote score streams for {sorted(report.scores)} to {out}")
     return 0
 
@@ -112,7 +95,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = _apply_overrides(args, _load_raw_config(args.config))
+    raw = _apply_overrides(args, runner.read_raw_config(args.config))
     out_dir = args.out or "sweep_out"
     raw.pop("out_dir", None)
     reports = runner.run_sweep(raw, out_dir=out_dir)
@@ -132,21 +115,12 @@ def cmd_dp_bound(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    rows = ["experiment_id,attack,direction,auc,ba,tpr_at_0.1,tpr_at_0.01"]
+    docs = []
     for path in args.reports:
         with open(path, encoding="utf-8") as fh:
-            rep = json.load(fh)
-        for name in sorted(rep["attacks"]):
-            for direction in ("standard", "reversed"):
-                m = rep["attacks"][name]["directions"][direction]
-                tpr = m["tpr_at_fpr"]
-                rows.append(
-                    f"{rep['experiment_id']},{name},{direction},{m['auc']!r},"
-                    f"{m['balanced_accuracy']!r},{tpr['0.1']!r},{tpr['0.01']!r}"
-                )
+            docs.append(json.load(fh))
     out = Path(args.out or "summary.csv")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    runner.write_summary(docs, out)
     print(f"wrote {out}")
     return 0
 
@@ -163,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="output path or directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="threads for shadow training")
 
     p = sub.add_parser("gen-data", help="generate/ingest the configured dataset as CSV")
     add_common(p)

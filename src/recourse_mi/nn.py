@@ -133,7 +133,7 @@ class VaeModel:
 
 
 def _as_row(x: np.ndarray, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != d:
         raise DimensionMismatchError(f"expected a length-{d} vector, got shape {x.shape}")
     return x.reshape(1, -1)
@@ -181,24 +181,39 @@ def _init_layers(sizes: list[int], rng: np.random.Generator) -> tuple[list[np.nd
     return weights, biases
 
 
-def _forward_batch(model: Model, x: np.ndarray, keep: bool = False):
-    """Probabilities for a (n, d) batch; optionally keep activations."""
+def _rowwise(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w one row at a time: row i is bit-identical to a[i:i+1] @ w at
+    any batch size, where one (n, d) product sums in an order that
+    depends on n. `a` must be C-contiguous."""
+    return np.matmul(a[:, None, :], w)[:, 0, :]
+
+
+def _forward_batch(model: Model, x: np.ndarray, keep: bool = False, matmul=_rowwise):
+    """Probabilities for a (n, d) batch; optionally keep activations.
+
+    The default per-row products make each row's probability independent
+    of the batch; training passes np.matmul for whole-batch products."""
     acts = [x]
     a = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
+        a = np.maximum(matmul(a, w) + b, 0.0)
         if keep:
             acts.append(a)
-    logit = (a @ model.weights[-1] + model.biases[-1])[:, 0]
+    logit = (matmul(a, model.weights[-1]) + model.biases[-1])[:, 0]
     p = _sigmoid(logit)
     return (p, acts) if keep else p
 
 
+def _as_matrix(x: np.ndarray, d: int) -> np.ndarray:
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise DimensionMismatchError(f"expected (n, {d}) matrix, got {x.shape}")
+    return x
+
+
 def predict_proba_batch(model: Model, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.d:
-        raise DimensionMismatchError(f"expected (n, {model.d}) matrix, got {x.shape}")
-    return _forward_batch(model, x)
+    """Row i equals predict_proba(model, x[i]) bit for bit."""
+    return _forward_batch(model, _as_matrix(x, model.d))
 
 
 def predict_proba(model: Model, x: np.ndarray) -> float:
@@ -241,15 +256,13 @@ def norm_subgradient(delta: np.ndarray, norm: str) -> np.ndarray:
 def bce_to_target_grad_batch(model: Model, x: np.ndarray,
                              target: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities (n,) and d BCE(f(x_i), target) / dx_i (n, d) for a
-    (n, d) batch, in one forward/backward pass."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.d:
-        raise DimensionMismatchError(f"expected (n, {model.d}) matrix, got {x.shape}")
-    p, acts = _forward_batch(model, x, keep=True)
+    (n, d) batch, in one forward/backward pass. Row i is bit-identical to
+    the batch of one x[i:i+1]."""
+    p, acts = _forward_batch(model, _as_matrix(x, model.d), keep=True)
     # dL/dlogit for BCE over sigmoid is exactly p - target
     g = (p - target)[:, None] * model.weights[-1][:, 0]
     for w, act in zip(reversed(model.weights[:-1]), reversed(acts[1:])):
-        g = (g * (act > 0)) @ w.T
+        g = _rowwise(g * (act > 0), w.T)
     return p, g
 
 
@@ -329,7 +342,7 @@ def train_classifier(
         for start in range(0, data.n, batch):
             idx = order[start : start + batch]
             xb, yb = x_all[idx], y_all[idx]
-            p, acts = _forward_batch(model, xb, keep=True)
+            p, acts = _forward_batch(model, xb, keep=True, matmul=np.matmul)
             delta = ((p - yb) / xb.shape[0]).reshape(-1, 1)
             grads_w: list[np.ndarray] = [None] * len(weights)  # type: ignore[list-item]
             grads_b: list[np.ndarray] = [None] * len(biases)  # type: ignore[list-item]
@@ -344,14 +357,14 @@ def train_classifier(
         if not all(np.isfinite(w).all() for w in weights):
             raise TrainingDivergedError(epoch, f"non-finite parameters at epoch {epoch}")
         if epoch == 1 or epoch == config.epochs:
-            loss = _mean_bce(_forward_batch(model, x_all), y_all)
+            loss = _mean_bce(_forward_batch(model, x_all, matmul=np.matmul), y_all)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, f"non-finite loss at epoch {epoch}")
             if epoch == 1:
                 epoch1_loss = loss
 
-    final_loss = _mean_bce(_forward_batch(model, x_all), y_all)
-    preds = _forward_batch(model, x_all) >= 0.5
+    final_loss = _mean_bce(_forward_batch(model, x_all, matmul=np.matmul), y_all)
+    preds = _forward_batch(model, x_all, matmul=np.matmul) >= 0.5
     model.training_meta = {
         "seed": config.seed,
         "epochs": config.epochs,

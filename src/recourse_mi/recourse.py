@@ -119,11 +119,14 @@ def _row_costs(delta: np.ndarray, norm: str) -> np.ndarray:
     return np.sqrt(np.add.reduce(delta * delta, axis=1))
 
 
-def _require_negative(model: Model, x: np.ndarray) -> None:
-    p = nn.predict_proba(model, x)
-    if p >= 0.5:
+def _require_negative(model: Model, X: np.ndarray) -> None:
+    """Every row of the (n, d) block X must be negatively classified."""
+    p = nn.predict_proba_batch(model, X)
+    positive = np.flatnonzero(p >= 0.5)
+    if positive.size:
+        i = int(positive[0])
         raise RecoursePreconditionError(
-            f"query point is already positively classified (p={p:.6f})"
+            f"query point is already positively classified (row {i}, p={p[i]:.6f})"
         )
 
 
@@ -154,15 +157,16 @@ def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
     or a valid=False result. Rows are independent: every row runs the same
     attempt schedule, so the rows still searching share the attempt count,
     lam and Adam step, and a row leaves the block at the end of the
-    attempt that found its recourse.
+    attempt that found its recourse. Every operation is per row, so row i
+    of the result is bit-identical to scfe(model, X[i]) however the
+    points are split into batches.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise nn.DimensionMismatchError(f"expected (n, {model.d}) matrix, got {X.shape}")
     if len(seeds) != X.shape[0]:
         raise ValueError(f"{len(seeds)} seeds for {X.shape[0]} points")
-    for x in X:
-        _require_negative(model, x)
+    _require_negative(model, X)
     frozen = np.asarray(params.immutable, dtype=np.int64)
     norm = cost_fn.norm
 
@@ -193,9 +197,7 @@ def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
         trace = {"iterations": (attempt + 1) * params.max_iters,
                  "retries_used": attempt, "lambda_final": lam}
         for j, r in enumerate(active):
-            # the winner must stay valid on the single-point predictor,
-            # which is what any later check of the stored result uses
-            if best_cost[j] < np.inf and nn.predict_proba(model, best[j]) >= 0.5:
+            if best_cost[j] < np.inf:
                 cf = best[j].copy()
                 results[r] = RecourseResult(
                     counterfactual=cf, cost=cost(X[r], cf, cost_fn), valid=True,
@@ -299,7 +301,7 @@ def growing_spheres(model: Model, x: np.ndarray, params: SearchParams,
                     cost_fn: CostFn) -> RecourseResult:
     """Random input-space search in l1 balls of growing radius."""
     x = np.asarray(x, dtype=np.float64)
-    _require_negative(model, x)
+    _require_negative(model, x[None, :])
     project_batch, project_single = _freezer(x, params.immutable)
     found, c, trace = _ball_search(
         predict_batch=lambda pts: nn.predict_proba_batch(model, pts),
@@ -332,7 +334,7 @@ def cchvae(model: Model, vae: VaeModel, x: np.ndarray, params: SearchParams,
         raise nn.DimensionMismatchError(
             f"vae expects d={vae.d}, point has {x.shape[0]}"
         )
-    _require_negative(model, x)
+    _require_negative(model, x[None, :])
     project_batch, project_single = _freezer(x, params.immutable)
     z_center, _ = vae.encode(x)
     found, c, trace = _ball_search(

@@ -5,16 +5,17 @@ held-out pools, train the owner model, sample negatively-classified
 member and non-member points, issue one recourse per point, score every
 configured attack in both threshold directions, and persist a report
 plus ROC tables. Every stage seed derives from the master seed, so a
-report is reproducible byte-for-byte (timing aside) at any worker count.
+report is reproducible byte-for-byte (timing aside), and each point's
+recourse does not depend on how the points are batched.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -66,7 +67,6 @@ class ExperimentConfig:
     eval_points: int
     seed: int
     out_dir: str | None = None
-    workers: int = 1
     experiment_id: str = "experiment"
     vae_train: TrainConfig | None = None
     snapshot: dict = field(default_factory=dict)
@@ -124,30 +124,25 @@ class ExperimentReport:
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        for name, score_list in self.scores.items():
-            with open(out_dir / f"scores_{name}.jsonl", "w", encoding="utf-8") as fh:
-                for sc in score_list:
-                    rec = dict(sc.to_json(), membership=self.membership[sc.point_id])
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        self.save_scores(out_dir)
         for name, dirs in self.attack_metrics.items():
             for direction in dirs:
                 curve = self._curves[name][direction]
                 metrics_mod.export_log_roc(curve, out_dir / f"roc_{name}_{direction}.csv")
         return report_path
 
+    def save_scores(self, out_dir: str | Path) -> None:
+        """One scores_<attack>.jsonl per attack, a record per line."""
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, score_list in self.scores.items():
+            with open(out_dir / f"scores_{name}.jsonl", "w", encoding="utf-8") as fh:
+                for sc in score_list:
+                    rec = dict(sc.to_json(), membership=self.membership[sc.point_id])
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
     # curves kept out of the JSON report but persisted as CSV
     _curves: dict = field(default_factory=dict)
-
-
-def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """Order-preserving map; results are independent of worker count.
-
-    Used for shadow training only: recourse runs as batches instead."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # --- configuration ---------------------------------------------------------
@@ -185,7 +180,6 @@ _DEFAULT_CONFIG: dict[str, Any] = {
              "eval_points": 200},
     "seed": 0,
     "out_dir": None,
-    "workers": 1,
 }
 
 
@@ -218,13 +212,43 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError("data.kind='file' requires data.path")
     if kind == "file" and not snap["data"]["label_column"]:
         raise ConfigError("data.kind='file' requires data.label_column")
-    for a in snap["attacks"]["which"]:
+    if kind == "synthetic" and not (_is_int(snap["data"]["d"]) and snap["data"]["d"] >= 1):
+        raise ConfigError(f"data.d must be a positive integer, got {snap['data']['d']!r}")
+    att, ev = snap["attacks"], snap["eval"]
+    for a in att["which"]:
         if a not in KNOWN_ATTACKS:
             raise ConfigError(f"unknown attack {a!r}; known: {KNOWN_ATTACKS}")
-    ev = snap["eval"]
+    n_shadow = att["n_shadow_models"]
+    lrt = sorted(set(att["which"]) & {"cfd_lrt", "loss_lrt"})
+    if not _is_int(n_shadow) or (lrt and n_shadow < 2):
+        raise ConfigError(f"attacks.n_shadow_models must be an integer, at least 2 "
+                          f"for {lrt}; got {n_shadow!r}")
+    alphas = att["alpha_grid"]
+    if not isinstance(alphas, list) or not all(
+            isinstance(a, (int, float)) and not isinstance(a, bool) and 0 < a < 1
+            for a in alphas):
+        raise ConfigError(f"attacks.alpha_grid values must be in (0, 1), got {alphas!r}")
+    for key, n in ev.items():
+        if not _is_int(n):
+            raise ConfigError(f"eval.{key} must be an integer, got {n!r}")
     if ev["eval_points"] < 2:
         raise ConfigError("eval.eval_points must be >= 2")
+    _check_immutable(snap["recourse"]["immutable"],
+                     snap["data"]["d"] if kind == "synthetic" else None)
     return snap
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_immutable(immutable: Any, d: int | None) -> None:
+    """ConfigError unless `immutable` lists integer feature indices, each
+    below d when d is known (a file's d is known once it has loaded)."""
+    if not isinstance(immutable, (list, tuple)) or not all(
+            _is_int(i) and i >= 0 and (d is None or i < d) for i in immutable):
+        raise ConfigError(f"recourse.immutable must list integer feature indices "
+                          f"in [0, {d if d is not None else 'd'}), got {immutable!r}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -237,7 +261,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             seed=0,  # replaced by derived seeds per stage
         )
         rc = snap["recourse"]
-        frozen = tuple(int(i) for i in rc["immutable"])
+        frozen = tuple(rc["immutable"])
         recourse_cfg = RecourseConfig(
             algorithm=rc["algorithm"],
             cost_fn=CostFn(rc["cost_norm"]),
@@ -264,22 +288,25 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         eval_points=int(snap["eval"]["eval_points"]),
         seed=int(snap["seed"]),
         out_dir=snap["out_dir"],
-        workers=int(snap["workers"]),
         experiment_id=str(snap["experiment_id"]),
         vae_train=vae_cfg,
         snapshot=snap,
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_raw_config(path: str | Path) -> Any:
+    """The parsed JSON of a config file, before defaults or checks."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(read_raw_config(path))
 
 
 # --- pipeline stages -------------------------------------------------------
@@ -296,6 +323,7 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
         data = generate_synthetic(spec)
     else:
         data = load_tabular(dc["path"], dc["label_column"], dc["label_rule"])
+        _check_immutable(config.recourse.scfe_params.immutable, data.d)
     if dc["standardize"]:
         data, _ = standardize(data)
     return data
@@ -321,21 +349,13 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
     if owner_rows & shadow_rows or owner_rows & out_rows or shadow_rows & out_rows:
         raise GameSetupError("partition overlap detected; split is broken")
 
-    train_cfg = TrainConfig(
-        learning_rate=config.train.learning_rate,
-        epochs=config.train.epochs,
-        batch_size=config.train.batch_size,
-        seed=derive_seed(config.seed, "owner-train"),
-    )
+    train_cfg = dataclasses.replace(config.train, seed=derive_seed(config.seed, "owner-train"))
     owner = nn.train_classifier(bundle.owner_train, config.model_architecture, train_cfg)
     owner_vae = None
     if config.recourse.algorithm == "cchvae":
         assert config.vae_train is not None
-        owner_vae = nn.train_vae(bundle.owner_train, TrainConfig(
-            learning_rate=config.vae_train.learning_rate,
-            epochs=config.vae_train.epochs,
-            seed=derive_seed(config.seed, "owner-vae"),
-        ))
+        owner_vae = nn.train_vae(bundle.owner_train, dataclasses.replace(
+            config.vae_train, seed=derive_seed(config.seed, "owner-vae")))
     return PreparedExperiment(
         dataset=data,
         bundle=bundle,
@@ -424,7 +444,6 @@ def build_shadow_ensemble(config: ExperimentConfig,
         trainer_config=config.train,
         recourse_config=config.recourse,
         seed=derive_seed(config.seed, "shadow-ensemble"),
-        map_fn=lambda fn, items: parallel_map(fn, items, config.workers),
         vae_config=config.vae_train,
     )
 
@@ -524,21 +543,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def emit_summary(reports: Sequence[ExperimentReport], path: str | Path) -> None:
-    """One CSV row per (experiment, attack, direction)."""
-    if not reports:
-        raise ValueError("emit_summary needs at least one report")
+def write_summary(report_docs: Sequence[dict], path: str | Path) -> None:
+    """One CSV row per (experiment, attack, direction) of report.json
+    documents (ExperimentReport.to_json())."""
+    if not report_docs:
+        raise ValueError("a summary needs at least one report")
     lines = ["experiment_id,attack,direction,auc,ba,tpr_at_0.1,tpr_at_0.01"]
-    for rep in reports:
-        for name in sorted(rep.attack_metrics):
+    for doc in report_docs:
+        for name in sorted(doc["attacks"]):
             for direction in ("standard", "reversed"):
-                m = rep.attack_metrics[name][direction]
+                m = doc["attacks"][name]["directions"][direction]
+                tpr = m["tpr_at_fpr"]
                 lines.append(
-                    f"{rep.experiment_id},{name},{direction},{m.auc!r},"
-                    f"{m.balanced_accuracy!r},{m.tpr_at_fpr[0.1]!r},{m.tpr_at_fpr[0.01]!r}"
+                    f"{doc['experiment_id']},{name},{direction},{m['auc']!r},"
+                    f"{m['balanced_accuracy']!r},{tpr['0.1']!r},{tpr['0.01']!r}"
                 )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def emit_summary(reports: Sequence[ExperimentReport], path: str | Path) -> None:
+    """write_summary over in-memory reports."""
+    write_summary([rep.to_json() for rep in reports], path)
 
 
 def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[ExperimentReport]:

@@ -3,7 +3,7 @@
 Every stage of an experiment (splitting, training, per-point recourse,
 shadow models, ...) gets its own child seed derived from the master seed,
 a stage name, and an index. Derivation is a stable hash, so results are
-independent of execution order and worker count.
+independent of execution order and of how points are batched.
 """
 from __future__ import annotations
 

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from recourse_mi import attack, runner
 from recourse_mi.nn import Model
 
 
@@ -24,3 +25,23 @@ def make_logistic(theta, bias) -> Model:
 def halfspace_2d() -> Model:
     """Positive iff x1 > 1 (boundary distance from origin is exactly 1)."""
     return make_logistic([4.0, 0.0], -4.0)
+
+
+def batch_split_agreement(cfg, cuts) -> tuple[bool, bool]:
+    """Whether the game recourses and the shadow distance matrix of the
+    experiment `cfg` come out the same when its game points are issued
+    in blocks split at the row indices `cuts` as in one block."""
+    prep = runner.prepare(cfg)
+    samples, _ = runner._sample_game(cfg, prep)
+    X = np.array([s.point for s in samples])
+    seeds = [s.recourse.seed for s in samples]
+    blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(samples)])]
+    split = [r.to_json() for b in blocks for r in cfg.recourse.generate_batch(
+        prep.owner_model, X[b], seeds[b], vae=prep.owner_vae)]
+    game_equal = split == [s.recourse.to_json() for s in samples]
+    ensemble = runner.build_shadow_ensemble(cfg, prep)
+    whole = attack.shadow_distance_matrix(X, ensemble, range(len(X)))
+    parts = [attack.shadow_distance_matrix(X[b], ensemble, range(len(X))[b]) for b in blocks]
+    matrix_equal = all(np.array_equal(got, np.concatenate(pieces), equal_nan=True)
+                       for got, pieces in zip(whole, zip(*parts)))
+    return game_equal, matrix_equal

@@ -37,7 +37,7 @@ from recourse_mi.recourse import (
 )
 from recourse_mi.seeds import derive_seed, rng_for
 
-from conftest import make_logistic
+from conftest import batch_split_agreement, make_logistic
 from reference import (
     finite_difference_gradient,
     grid_cheapest_valid_logistic,
@@ -55,7 +55,7 @@ def criterion(num: int, ok: bool, detail: str) -> None:
 
 
 def run_cfd_experiment(d, seed, *, attacks=("cfd",), n_per_class=1500,
-                       shadow_n=0, n_shadow_models=16, workers=2):
+                       shadow_n=0, n_shadow_models=16):
     raw = {
         "data": {"kind": "synthetic", "d": d, "n_per_class": n_per_class,
                  "class_separation": 2.0 / math.sqrt(d)},
@@ -66,7 +66,6 @@ def run_cfd_experiment(d, seed, *, attacks=("cfd",), n_per_class=1500,
         "eval": {"owner_n": 1000, "shadow_n": shadow_n, "eval_out_n": 1000,
                  "eval_points": 200},
         "seed": seed,
-        "workers": workers,
     }
     return runner.run_experiment(runner.config_from_dict(raw))
 
@@ -123,7 +122,6 @@ class TestCriterion3OverfittingPrecondition:
             "eval": {"owner_n": 10000, "shadow_n": 0, "eval_out_n": 2000,
                      "eval_points": 200},
             "seed": 1,
-            "workers": 2,
         }
         rep = runner.run_experiment(runner.config_from_dict(raw))
         train_acc = rep.model_meta["train_accuracy"]
@@ -412,38 +410,43 @@ class TestCriterion10Calibration:
 
 
 class TestCriterion11Reproducibility:
-    def test_byte_identical_score_records_across_worker_counts(self, tmp_path):
-        def one_run(tag, workers):
+    def test_byte_identical_score_records_across_batch_splits(self, tmp_path):
+        raw = {
+            "data": {"kind": "synthetic", "d": 50, "n_per_class": 1500,
+                     "class_separation": 2.0 / math.sqrt(50)},
+            "model": {"architecture": []},
+            "train": {"learning_rate": 0.05, "epochs": 200},
+            "recourse": {"algorithm": "scfe", "scfe": {"max_iters": 300}},
+            "attacks": {"which": ["cfd", "cfd_lrt"], "n_shadow_models": 8},
+            "eval": {"owner_n": 1000, "shadow_n": 1000, "eval_out_n": 1000,
+                     "eval_points": 100},
+            "seed": 11,
+        }
+
+        def one_run(tag):
             out = tmp_path / tag
-            raw = {
-                "data": {"kind": "synthetic", "d": 50, "n_per_class": 1500,
-                         "class_separation": 2.0 / math.sqrt(50)},
-                "model": {"architecture": []},
-                "train": {"learning_rate": 0.05, "epochs": 200},
-                "recourse": {"algorithm": "scfe", "scfe": {"max_iters": 300}},
-                "attacks": {"which": ["cfd", "cfd_lrt"], "n_shadow_models": 8},
-                "eval": {"owner_n": 1000, "shadow_n": 1000, "eval_out_n": 1000,
-                         "eval_points": 100},
-                "seed": 11, "workers": workers, "out_dir": str(out),
-            }
-            runner.run_experiment(runner.config_from_dict(raw))
+            runner.run_experiment(runner.config_from_dict(dict(raw, out_dir=str(out))))
             scores = b"".join(
                 (out / f"scores_{a}.jsonl").read_bytes()
                 for a in ("cfd", "cfd_lrt"))
             doc = json.loads((out / "report.json").read_text())
             doc.pop("timing")
-            doc["config"].pop("workers")
             doc["config"].pop("out_dir")
             return scores, json.dumps(doc, sort_keys=True)
 
-        runs = [one_run(f"r{i}_w{w}", w) for i, w in enumerate((1, 4, 1, 4))]
+        runs = [one_run(f"r{i}") for i in range(4)]
         scores_equal = all(r[0] == runs[0][0] for r in runs)
         reports_equal = all(r[1] == runs[0][1] for r in runs)
-        ok = scores_equal and reports_equal
+        # the game and every shadow replay issue one recourse batch each;
+        # splitting the points into blocks must not change a single bit
+        cuts = [1, 8, 40]
+        game_equal, matrix_equal = batch_split_agreement(runner.config_from_dict(raw), cuts)
+        ok = scores_equal and reports_equal and game_equal and matrix_equal
         criterion(11, ok,
-                  f"4 runs at worker counts (1,4,1,4): score records "
-                  f"byte-identical={scores_equal}, reports (minus timing) "
-                  f"identical={reports_equal}")
+                  f"4 repeated runs: score records byte-identical={scores_equal}, "
+                  f"reports (minus timing) identical={reports_equal}; points split "
+                  f"at rows {cuts}: game recourses identical={game_equal}, shadow "
+                  f"distance matrix identical={matrix_equal}")
 
 
 class TestCriterion12DirectionReversal:
@@ -459,7 +462,7 @@ class TestCriterion12DirectionReversal:
             "attacks": {"which": ["cfd"]},
             "eval": {"owner_n": 800, "shadow_n": 0, "eval_out_n": 800,
                      "eval_points": 120},
-            "seed": 12, "workers": 2, "out_dir": str(out),
+            "seed": 12, "out_dir": str(out),
         }
         rep = runner.run_experiment(runner.config_from_dict(raw))
         doc = json.loads((out / "report.json").read_text())

@@ -27,7 +27,13 @@ from recourse_mi.attack import (
     train_shadow_ensemble,
 )
 from recourse_mi.data import SyntheticSpec, generate_synthetic, standardize
-from recourse_mi.nn import TrainConfig, bce_loss, logit_confidence, predict_proba
+from recourse_mi.nn import (
+    TrainConfig,
+    bce_loss,
+    logit_confidence,
+    predict_proba,
+    train_classifier,
+)
 from recourse_mi.recourse import (
     CostFn,
     RecourseResult,
@@ -338,6 +344,23 @@ class TestShadowEnsemble:
                 with pytest.raises(ShadowSampleError):
                     build_shadow_distances(x, ensemble, 40 + r)
 
+    def test_matrix_over_a_block_stacks_its_halves(self):
+        ds, _ = standardize(generate_synthetic(SyntheticSpec(d=40, n_per_class=200, seed=8,
+                                                             class_separation=0.5)))
+        rc = RecourseConfig(algorithm="scfe", scfe_params=ScfeParams(max_iters=100,
+                                                                     max_retries=1))
+        ensemble = train_shadow_ensemble(
+            ds, n_models=4, architecture=[8],
+            trainer_config=TrainConfig(learning_rate=0.02, epochs=10), recourse_config=rc,
+            seed=3)
+        X, seeds = ds.features[:30], list(range(30))
+        whole = shadow_distance_matrix(X, ensemble, seeds)
+        halves = [shadow_distance_matrix(X[part], ensemble, seeds[part])
+                  for part in (slice(0, 11), slice(11, 30))]
+        for got, parts in zip(whole, zip(*halves)):
+            assert np.array_equal(got, np.concatenate(parts), equal_nan=True)
+        assert np.isnan(whole[0]).any() and not np.isnan(whole[0]).all()
+
     def test_cfd_lrt_scores_use_per_point_fits(self, shadow_setup):
         std, ensemble = shadow_setup
         owner = ensemble.models[0]
@@ -391,6 +414,23 @@ class TestGenerateBatch:
             assert res.seed == seed
             assert np.array_equal(res.counterfactual, one.counterfactual)
             assert res.trace == one.trace
+
+    @pytest.mark.parametrize("arch", [[], [16]])
+    def test_scfe_rows_do_not_depend_on_the_batch(self, arch):
+        # a block, the block split in two, and each point alone give the
+        # same recourses bit for bit
+        ds, _ = standardize(generate_synthetic(SyntheticSpec(d=12, n_per_class=150, seed=5,
+                                                             class_separation=0.6)))
+        model = train_classifier(ds, arch, TrainConfig(learning_rate=0.02, epochs=30, seed=6))
+        X = np.array([x for x in ds.features if predict_proba(model, x) < 0.5][:24])
+        seeds = list(range(200, 224))
+        rc = RecourseConfig(algorithm="scfe", scfe_params=ScfeParams(lam=1.0, max_iters=120))
+        whole = [r.to_json() for r in rc.generate_batch(model, X, seeds)]
+        split = [r.to_json() for part in (slice(0, 7), slice(7, 24))
+                 for r in rc.generate_batch(model, X[part], seeds[part])]
+        alone = [rc.generate(model, x, seed).to_json() for x, seed in zip(X, seeds)]
+        assert whole == split == alone
+        assert any(r["valid"] for r in whole)
 
     def test_scfe_runs_as_one_batch(self, halfspace_2d):
         rc = RecourseConfig(algorithm="scfe", scfe_params=ScfeParams(max_iters=200))

@@ -54,7 +54,24 @@ class TestPredictProba:
         xs = rng.normal(size=(10, 4))
         batch = predict_proba_batch(m, xs)
         singles = [predict_proba(m, x) for x in xs]
-        assert np.allclose(batch, singles, atol=1e-12)
+        assert np.array_equal(batch, singles)
+
+    @pytest.mark.parametrize("d,arch", [(800, []), (50, [256])])
+    def test_every_row_equals_its_single_point_probability(self, d, arch):
+        # one (n, d) matrix product sums a row in an order that depends on
+        # n; the per-row products keep each row bit-identical to its
+        # one-point evaluation, at every batch size
+        rng = np.random.default_rng(9)
+        sizes = [d] + arch + [1]
+        m = Model([rng.normal(scale=d ** -0.5, size=(a, b)) for a, b in zip(sizes, sizes[1:])],
+                  [rng.normal(scale=0.1, size=b) for b in sizes[1:]], arch, d)
+        xs = rng.normal(size=(200, d))
+        for n in (200, 57, 2):
+            batch = predict_proba_batch(m, xs[:n])
+            p, g = bce_to_target_grad_batch(m, xs[:n], 1.0)
+            for i in range(n):
+                assert batch[i] == p[i] == predict_proba(m, xs[i])
+                assert np.array_equal(g[i], bce_to_target_grad(m, xs[i], 1.0)[1])
 
 
 class TestBceAndConfidence:
@@ -286,8 +303,8 @@ def test_batched_gradient_rows_match_single_point():
         assert p.shape == (7,) and g.shape == (7, 4)
         for i in range(7):
             p1, g1 = bce_to_target_grad(m, x[i], 1.0)
-            assert p[i] == pytest.approx(p1, abs=1e-15)
-            assert np.allclose(g[i], g1, rtol=1e-13, atol=1e-15)
+            assert p[i] == p1
+            assert np.array_equal(g[i], g1)
     with pytest.raises(DimensionMismatchError):
         bce_to_target_grad_batch(m, np.zeros(4), 1.0)
 

@@ -187,9 +187,10 @@ class TestScfeBatch:
 
         A row that starts within one Adam step of the boundary (p > 0.45)
         can end with its iterates oscillating across it; there the
-        last-bit difference between a batched and a one-row logit grows
-        over the iterations (to about 1e-11 in the l2 logistic case), so
-        such rows are held to 1e-9 and every other row to 1e-12."""
+        last-bit difference between the engine's logit and the
+        reference's own one-point logit grows over the iterations (to
+        about 1e-11 in the l2 logistic case), so such rows are held to
+        1e-9 and every other row to 1e-12."""
         ds, models = scfe_models
         model = models[arch]
         X = np.array([x for x in ds.features if predict_proba(model, x) < 0.5][:12])
@@ -221,7 +222,7 @@ class TestScfeBatch:
         for x, res in zip(X, scfe_batch(model, X, params, CostFn("l1"), [7, 7, 7])):
             one = scfe(model, x, params, CostFn("l1"), seed=7)
             assert one.valid == res.valid and one.trace == res.trace
-            assert one.cost == pytest.approx(res.cost, abs=1e-12)
+            assert one.cost == res.cost
 
     def test_every_row_must_be_negative(self):
         m = make_logistic([1.0], 0.0)

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from recourse_mi import cli, runner
+from recourse_mi import cli, nn, runner
 from recourse_mi.attack import Guess
 from recourse_mi.nn import predict_proba
 from recourse_mi.runner import ConfigError, GameSetupError, config_from_dict
+
+from conftest import batch_split_agreement
 
 
 def small_raw(**overrides):
@@ -22,7 +25,6 @@ def small_raw(**overrides):
         "eval": {"owner_n": 250, "shadow_n": 300, "eval_out_n": 200,
                  "eval_points": 30},
         "seed": 5,
-        "workers": 1,
     }
     for key, val in overrides.items():
         if isinstance(val, dict) and isinstance(raw.get(key), dict):
@@ -59,6 +61,40 @@ class TestConfig:
     def test_bad_recourse_param_is_config_error(self):
         with pytest.raises(ConfigError):
             config_from_dict(small_raw(recourse={"scfe": {"lam": -1.0}}))
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"attacks": {"which": ["cfd", "cfd_lrt"], "n_shadow_models": 1}}, "n_shadow_models"),
+        ({"attacks": {"which": ["loss_lrt"], "n_shadow_models": 1}}, "n_shadow_models"),
+        ({"attacks": {"alpha_grid": [2.0]}}, "alpha_grid"),
+        ({"attacks": {"alpha_grid": [0.1, 0.0]}}, "alpha_grid"),
+        ({"data": {"d": 8}, "recourse": {"immutable": [99]}}, "immutable"),
+        ({"recourse": {"immutable": [1.5]}}, "immutable"),
+        ({"eval": {"eval_points": "20"}}, "eval_points"),
+        ({"eval": {"owner_n": 250.0}}, "owner_n"),
+    ])
+    def test_bad_values_exit_1_before_training(self, tmp_path, monkeypatch, capsys,
+                                                overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(small_raw(**overrides))
+        trained = []
+        monkeypatch.setattr(nn, "train_classifier", lambda *a: trained.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_raw(**overrides)))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert match in capsys.readouterr().err and not trained
+
+    def test_file_immutable_index_checked_once_the_csv_loads(self, tmp_path, monkeypatch):
+        csv = tmp_path / "data.csv"
+        csv.write_text("a,b,label\n" + "".join(f"{i},{-i},{i % 2}\n" for i in range(40)))
+        raw = small_raw(data={"kind": "file", "path": str(csv), "label_column": "label",
+                              "label_rule": "binary"},
+                        recourse={"immutable": [2]})
+        cfg = config_from_dict(raw)
+        trained = []
+        monkeypatch.setattr(nn, "train_classifier", lambda *a: trained.append(a))
+        with pytest.raises(ConfigError, match=r"immutable.*\[0, 2\)"):
+            runner.prepare(cfg)
+        assert not trained
 
     def test_defaults_applied(self):
         cfg = config_from_dict({})
@@ -113,6 +149,21 @@ class TestShadowReplay:
             assert vae.training_meta["learning_rate"] == 2e-3
         assert ensemble.vae.training_meta["seed"] != prep.owner_vae.training_meta["seed"]
 
+    def test_shadow_training_replays_the_owner_config(self, monkeypatch):
+        cfg = config_from_dict(small_raw(attacks={"which": ["cfd_lrt"], "n_shadow_models": 2}))
+        cfg.train = dataclasses.replace(cfg.train, batch_size=50, adam_betas=(0.8, 0.99),
+                                        adam_eps=1e-6)
+        seen = []
+        real = nn.train_classifier
+        monkeypatch.setattr(nn, "train_classifier",
+                            lambda data, arch, c: seen.append(c) or real(data, arch, c))
+        runner.build_shadow_ensemble(cfg, runner.prepare(cfg))
+        owner, *shadows = seen
+        assert len(shadows) == 2
+        for c in shadows:
+            assert c.seed != owner.seed
+            assert dataclasses.replace(c, seed=owner.seed) == owner
+
 
 class TestRunExperiment:
     def test_report_artifacts(self, small_report):
@@ -163,18 +214,22 @@ class TestRunExperiment:
 
 
 class TestReproducibility:
-    def test_byte_identical_reports_and_worker_invariance(self, tmp_path):
+    def test_byte_identical_reports_and_batch_invariance(self, tmp_path):
+        attacks = {"which": ["cfd", "cfd_lrt", "loss", "loss_lrt"]}
         outs = []
-        for i, workers in enumerate((1, 4, 1)):
+        for i in range(3):
             out = tmp_path / f"r{i}"
-            cfg = config_from_dict(small_raw(out_dir=str(out), workers=workers))
-            runner.run_experiment(cfg)
+            runner.run_experiment(config_from_dict(small_raw(out_dir=str(out),
+                                                             attacks=attacks)))
             doc = json.loads((out / "report.json").read_text())
             doc.pop("timing")
-            doc["config"].pop("workers")
             doc["config"].pop("out_dir")
-            outs.append(json.dumps(doc, sort_keys=True))
+            scores = b"".join((out / f"scores_{a}.jsonl").read_bytes()
+                              for a in attacks["which"])
+            outs.append((json.dumps(doc, sort_keys=True), scores))
         assert outs[0] == outs[1] == outs[2]
+        cfg = config_from_dict(small_raw(attacks=attacks))
+        assert batch_split_agreement(cfg, [1, 8]) == (True, True)
 
 
 class TestSweepAndSummary:
@@ -205,6 +260,10 @@ class TestSweepAndSummary:
                     vals = by_key[(rep.experiment_id, name, direction)]
                     assert vals == [m.auc, m.balanced_accuracy,
                                     m.tpr_at_fpr[0.1], m.tpr_at_fpr[0.01]]
+        # `summarize` over the sweep's report.json files rebuilds its CSV
+        paths = [str(tmp_path / run / "report.json") for run in ("seed5", "seed6")]
+        assert cli.main(["summarize", *paths, "--out", str(tmp_path / "again.csv")]) == 0
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "summary.csv").read_bytes()
 
     def test_unknown_sweep_key(self):
         with pytest.raises(ConfigError, match="sweep"):
@@ -236,6 +295,15 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[0].startswith("experiment_id,attack,direction")
+
+    def test_attack_writes_the_run_score_streams(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_raw(attacks={"which": ["cfd", "loss"]})))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
+        assert cli.main(["attack", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+        for name in ("cfd", "loss"):
+            assert ((tmp_path / "a" / f"scores_{name}.jsonl").read_bytes()
+                    == (tmp_path / "r" / f"scores_{name}.jsonl").read_bytes())
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
