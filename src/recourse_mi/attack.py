@@ -395,13 +395,16 @@ def cfd_lrt_attack_scores(
 
 
 def loss_attack_scores(samples: Sequence, owner_model: Model) -> list[AttackScore]:
-    """Loss-threshold baseline; needs the owner model and true labels."""
+    """Loss-threshold baseline from one batched forward pass of the owner model."""
+    if not samples:
+        return []
+    probs = nn.predict_proba_batch(owner_model, np.array([s.point for s in samples]))
     out = []
-    for s in samples:
-        stat, higher = loss_attack_score(owner_model, s.point, s.label)
+    for s, p in zip(samples, probs):
+        stat = nn.bce_from_proba(p, s.label)
         out.append(AttackScore(
             point_id=s.point_id, attack="loss", statistic=stat, score=stat,
-            higher_means_member=higher,
+            higher_means_member=False,
         ))
     return out
 
@@ -412,11 +415,17 @@ def loss_lrt_attack_scores(
     ensemble: ShadowEnsemble,
     alphas: Sequence[float] = (0.01, 0.05, 0.1),
 ) -> list[AttackScore]:
-    """Offline loss-LRT baseline: normal OUT fit of shadow confidences."""
+    """Offline loss-LRT baseline: normal OUT fit of shadow confidences, from
+    one batched forward pass per model (the owner and each shadow)."""
+    if not samples:
+        return []
+    X = np.array([s.point for s in samples])
+    owner_p = nn.predict_proba_batch(owner_model, X)
+    shadow_p = [nn.predict_proba_batch(m, X) for m in ensemble.models]
     out = []
-    for s in samples:
-        conf = nn.logit_confidence(owner_model, s.point, s.label)
-        confs = [nn.logit_confidence(m, s.point, s.label) for m in ensemble.models]
+    for i, s in enumerate(samples):
+        conf = nn.logit_confidence_from_proba(owner_p[i], s.label)
+        confs = [nn.logit_confidence_from_proba(p[i], s.label) for p in shadow_p]
         fit = fit_normal_mle(confs)
         score = loss_lrt_score(conf, fit)
         guesses = {}

@@ -6,6 +6,10 @@ cross entropy, plus input gradients for recourse search. Determinism is a
 hard requirement here - identical data, architecture and TrainConfig must
 yield bit-identical parameters, because the membership-inference game is
 replayed from seeds.
+
+A model trains on one flat float64 parameter vector whose reshaped views
+are its weights and biases, and one flat gradient buffer that backprop
+fills view by view, so Adam updates the whole model in one pass.
 """
 from __future__ import annotations
 
@@ -125,11 +129,11 @@ class VaeModel:
         return h @ self.dec_w2 + self.dec_b2
 
     def _arrays(self) -> list[tuple[str, np.ndarray]]:
-        names = (
-            "enc_w1 enc_b1 enc_w_mu enc_b_mu enc_w_lv enc_b_lv "
-            "dec_w1 dec_b1 dec_w2 dec_b2"
-        ).split()
-        return [(n, getattr(self, n)) for n in names]
+        return [(n, getattr(self, n)) for n in _VAE_ARRAYS]
+
+
+_VAE_ARRAYS = ("enc_w1 enc_b1 enc_w_mu enc_b_mu enc_w_lv enc_b_lv "
+               "dec_w1 dec_b1 dec_w2 dec_b2").split()
 
 
 def _as_row(x: np.ndarray, d: int) -> np.ndarray:
@@ -140,45 +144,60 @@ def _as_row(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e)
+    # below. min(z, -z) is -|z| that keeps the sign bit of a nan.
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 class Adam:
-    """Adam with bias correction, shared by training and recourse search."""
+    """Adam with bias correction on one float64 array (a flat parameter
+    vector, or an (n, d) block of SCFE points), moments and scratch
+    preallocated: a step is twelve elementwise operations."""
 
-    def __init__(self, shapes: Sequence[tuple[int, ...]], lr: float,
+    def __init__(self, shape: int | tuple[int, ...], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self._s = np.empty(shape)
+        self._u = np.empty(shape)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        """p -= lr_t * m / (sqrt(v) + eps), in place."""
         self.t += 1
         lr_t = self.lr * np.sqrt(1.0 - self.b2**self.t) / (1.0 - self.b1**self.t)
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= lr_t * m / (np.sqrt(v) + self.eps)
+        m, v, s, u = self.m, self.v, self._s, self._u
+        m *= self.b1
+        np.multiply(1.0 - self.b1, g, out=s)
+        m += s
+        v *= self.b2
+        np.multiply(1.0 - self.b2, g, out=s)
+        s *= g
+        v += s
+        np.sqrt(v, out=s)
+        s += self.eps
+        np.multiply(lr_t, m, out=u)
+        u /= s
+        p -= u
 
 
-def _init_layers(sizes: list[int], rng: np.random.Generator) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    # Kaiming-style uniform fan-in init, biases zero.
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
+def _flat_views(shapes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One zeroed float64 vector and a reshaped view of it per shape, in order."""
+    sizes = [int(np.prod(s)) for s in shapes]
+    flat = np.zeros(sum(sizes))
+    ends = np.cumsum(sizes)
+    return flat, [flat[e - n : e].reshape(s) for s, n, e in zip(shapes, sizes, ends)]
+
+
+def _uniform_fan_in(w: np.ndarray, rng: np.random.Generator) -> None:
+    # Kaiming-style uniform fan-in init, in place; biases stay zero
+    bound = np.sqrt(6.0 / w.shape[0])
+    w[...] = rng.uniform(-bound, bound, size=w.shape)
 
 
 def _rowwise(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -196,10 +215,13 @@ def _forward_batch(model: Model, x: np.ndarray, keep: bool = False, matmul=_roww
     acts = [x]
     a = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(matmul(a, w) + b, 0.0)
+        a = matmul(a, w)
+        a += b
+        np.maximum(a, 0.0, out=a)
         if keep:
             acts.append(a)
-    logit = (matmul(a, model.weights[-1]) + model.biases[-1])[:, 0]
+    logit = matmul(a, model.weights[-1])[:, 0]
+    logit += model.biases[-1]
     p = _sigmoid(logit)
     return (p, acts) if keep else p
 
@@ -222,24 +244,31 @@ def predict_proba(model: Model, x: np.ndarray) -> float:
 
 
 def _clamped_prob_for_label(p: float, y: int) -> float:
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y}")
     p_y = p if y == 1 else 1.0 - p
     return float(np.clip(p_y, PROB_FLOOR, 1.0 - PROB_FLOOR))
 
 
+def bce_from_proba(p: float, y: int) -> float:
+    """-log of the (clamped) probability p assigns to the true label."""
+    return -float(np.log(_clamped_prob_for_label(float(p), y)))
+
+
+def logit_confidence_from_proba(p: float, y: int) -> float:
+    """logit of the probability p assigns to label y, clamped as in bce_from_proba."""
+    p_y = _clamped_prob_for_label(float(p), y)
+    return float(np.log(p_y) - np.log1p(-p_y))
+
+
 def bce_loss(model: Model, x: np.ndarray, y: int) -> float:
     """-log of the (clamped) probability assigned to the true label."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    p_y = _clamped_prob_for_label(predict_proba(model, x), y)
-    return -float(np.log(p_y))
+    return bce_from_proba(predict_proba(model, x), y)
 
 
 def logit_confidence(model: Model, x: np.ndarray, y: int) -> float:
     """logit of the probability assigned to label y, same clamping as bce_loss."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    p_y = _clamped_prob_for_label(predict_proba(model, x), y)
-    return float(np.log(p_y) - np.log1p(-p_y))
+    return logit_confidence_from_proba(predict_proba(model, x), y)
 
 
 def norm_subgradient(delta: np.ndarray, norm: str) -> np.ndarray:
@@ -326,14 +355,23 @@ def train_classifier(
         raise ValueError(f"architecture widths must be positive, got {architecture}")
 
     sizes = [data.d] + architecture + [1]
-    weights, biases = _init_layers(sizes, rng_for(config.seed, "init"))
+    shapes = list(zip(sizes[:-1], sizes[1:])) + [(s,) for s in sizes[1:]]
+    n_layers = len(sizes) - 1
+    # weights, then biases: views of one parameter vector and of one gradient
+    # vector that backprop writes into; the divergence check reads the weights
+    theta, params = _flat_views(shapes)
+    grad, grads = _flat_views(shapes)
+    weights, biases = params[:n_layers], params[n_layers:]
+    init_rng = rng_for(config.seed, "init")
+    for w in weights:
+        _uniform_fan_in(w, init_rng)
     model = Model(weights, biases, architecture, data.d)
+    n_weights = sum(w.size for w in weights)
 
     x_all = data.features
     y_all = data.labels.astype(np.float64)
     batch = config.effective_batch_size(data.n)
-    opt = Adam([w.shape for w in weights] + [b.shape for b in biases],
-               config.learning_rate, config.adam_betas, config.adam_eps)
+    opt = Adam(theta.shape, config.learning_rate, config.adam_betas, config.adam_eps)
     shuffle_rng = rng_for(config.seed, "shuffle")
 
     epoch1_loss = None
@@ -343,18 +381,16 @@ def train_classifier(
             idx = order[start : start + batch]
             xb, yb = x_all[idx], y_all[idx]
             p, acts = _forward_batch(model, xb, keep=True, matmul=np.matmul)
-            delta = ((p - yb) / xb.shape[0]).reshape(-1, 1)
-            grads_w: list[np.ndarray] = [None] * len(weights)  # type: ignore[list-item]
-            grads_b: list[np.ndarray] = [None] * len(biases)  # type: ignore[list-item]
-            g = delta
-            for li in range(len(weights) - 1, -1, -1):
-                grads_w[li] = acts[li].T @ g
-                grads_b[li] = g.sum(axis=0)
+            g = ((p - yb) / xb.shape[0]).reshape(-1, 1)
+            for li in range(n_layers - 1, -1, -1):
+                np.matmul(acts[li].T, g, out=grads[li])
+                np.add.reduce(g, axis=0, out=grads[n_layers + li])
                 if li > 0:
-                    g = (g @ weights[li].T) * (acts[li] > 0)
-            opt.step(weights + biases, grads_w + grads_b)
+                    g = g @ weights[li].T
+                    g *= acts[li] > 0
+            opt.step(theta, grad)
 
-        if not all(np.isfinite(w).all() for w in weights):
+        if not np.isfinite(theta[:n_weights]).all():
             raise TrainingDivergedError(epoch, f"non-finite parameters at epoch {epoch}")
         if epoch == 1 or epoch == config.epochs:
             loss = _mean_bce(_forward_batch(model, x_all, matmul=np.matmul), y_all)
@@ -396,24 +432,18 @@ def train_vae(
     """
     if config is None:
         config = TrainConfig(epochs=200)
-    rng = rng_for(config.seed, "vae-init")
     d = data.d
-
-    def unif(fan_in, fan_out):
-        bound = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-    vae = VaeModel(
-        enc_w1=unif(d, hidden_dim), enc_b1=np.zeros(hidden_dim),
-        enc_w_mu=unif(hidden_dim, latent_dim), enc_b_mu=np.zeros(latent_dim),
-        enc_w_lv=unif(hidden_dim, latent_dim), enc_b_lv=np.zeros(latent_dim),
-        dec_w1=unif(latent_dim, hidden_dim), dec_b1=np.zeros(hidden_dim),
-        dec_w2=unif(hidden_dim, d), dec_b2=np.zeros(d),
-        d=d, latent_dim=latent_dim, hidden_dim=hidden_dim,
-    )
-    params = [a for _, a in vae._arrays()]
-    opt = Adam([p.shape for p in params], config.learning_rate,
-               config.adam_betas, config.adam_eps)
+    layers = [(d, hidden_dim), (hidden_dim, latent_dim), (hidden_dim, latent_dim),
+              (latent_dim, hidden_dim), (hidden_dim, d)]
+    shapes = [s for w in layers for s in (w, w[1:])]  # each weight, then its bias
+    theta, params = _flat_views(shapes)
+    grad, grads = _flat_views(shapes)
+    rng = rng_for(config.seed, "vae-init")
+    for w in params[0::2]:
+        _uniform_fan_in(w, rng)
+    vae = VaeModel(**dict(zip(_VAE_ARRAYS, params)), d=d, latent_dim=latent_dim,
+                   hidden_dim=hidden_dim)
+    opt = Adam(theta.shape, config.learning_rate, config.adam_betas, config.adam_eps)
     shuffle_rng = rng_for(config.seed, "vae-shuffle")
     noise_rng = rng_for(config.seed, "vae-noise")
     batch = config.effective_batch_size(data.n)
@@ -436,7 +466,7 @@ def train_vae(
         kl = -0.5 * np.sum(1.0 + lv - mu * mu - np.exp(lv)) / n
         loss = recon + kl
         if not collect_grads:
-            return loss, None
+            return loss
 
         d_xhat = resid / n
         d_hdec = (d_xhat @ vae.dec_w2.T) * (h_dec_pre > 0)
@@ -444,19 +474,15 @@ def train_vae(
         d_mu = d_z + mu / n
         d_lv = d_z * (0.5 * std * eps) + (-0.5 * (1.0 - np.exp(lv))) / n
         d_henc = (d_mu @ vae.enc_w_mu.T + d_lv @ vae.enc_w_lv.T) * (h_enc_pre > 0)
-        grads = [
-            x.T @ d_henc, d_henc.sum(axis=0),
-            h_enc.T @ d_mu, d_mu.sum(axis=0),
-            h_enc.T @ d_lv, d_lv.sum(axis=0),
-            z.T @ d_hdec, d_hdec.sum(axis=0),
-            h_dec.T @ d_xhat, d_xhat.sum(axis=0),
-        ]
-        return loss, grads
+        for gw, gb, a, da in zip(grads[0::2], grads[1::2], (x, h_enc, h_enc, z, h_dec),
+                                 (d_henc, d_mu, d_lv, d_hdec, d_xhat)):
+            np.matmul(a.T, da, out=gw)
+            np.add.reduce(da, axis=0, out=gb)
+        return loss
 
     def full_elbo() -> float:
         eps0 = np.zeros((data.n, latent_dim))  # deterministic eval at the mean
-        loss, _ = elbo_loss(x_all, eps0)
-        return loss
+        return elbo_loss(x_all, eps0)
 
     epoch1 = None
     for epoch in range(1, config.epochs + 1):
@@ -464,10 +490,10 @@ def train_vae(
         for start in range(0, data.n, batch):
             idx = order[start : start + batch]
             eps = noise_rng.standard_normal((idx.size, latent_dim))
-            loss, grads = elbo_loss(x_all[idx], eps, collect_grads=True)
+            loss = elbo_loss(x_all[idx], eps, collect_grads=True)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, f"non-finite VAE loss at epoch {epoch}")
-            opt.step(params, grads)
+            opt.step(theta, grad)
         if epoch == 1:
             epoch1 = full_elbo()
 

@@ -182,7 +182,7 @@ def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
         xp = x0.copy()
         best = np.empty_like(xp)
         best_cost = np.full(active.size, np.inf)
-        opt = nn.Adam([xp.shape], lr=params.step_size)
+        opt = nn.Adam(xp.shape, lr=params.step_size)
         for _ in range(params.max_iters):
             p, g = nn.bce_to_target_grad_batch(model, xp, target=1.0)
             delta = xp - x0
@@ -191,7 +191,7 @@ def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
             g = g + lam * nn.norm_subgradient(delta, norm)
             if frozen.size:
                 g[:, frozen] = 0.0
-            opt.step([xp], [g])
+            opt.step(xp, g)
         _keep_cheaper(best, best_cost, xp, _row_costs(xp - x0, norm),
                       nn.predict_proba_batch(model, xp) >= 0.5)
         trace = {"iterations": (attempt + 1) * params.max_iters,

@@ -212,8 +212,12 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError("data.kind='file' requires data.path")
     if kind == "file" and not snap["data"]["label_column"]:
         raise ConfigError("data.kind='file' requires data.label_column")
-    if kind == "synthetic" and not (_is_int(snap["data"]["d"]) and snap["data"]["d"] >= 1):
-        raise ConfigError(f"data.d must be a positive integer, got {snap['data']['d']!r}")
+    for key in ("d", "n_per_class") if kind == "synthetic" else ():
+        if not (_is_int(snap["data"][key]) and snap["data"][key] >= 1):
+            raise ConfigError(f"data.{key} must be a positive integer, got {snap['data'][key]!r}")
+    arch = snap["model"]["architecture"]
+    if not isinstance(arch, list) or not all(_is_int(w) and w >= 1 for w in arch):
+        raise ConfigError(f"model.architecture must list positive integer widths, got {arch!r}")
     att, ev = snap["attacks"], snap["eval"]
     for a in att["which"]:
         if a not in KNOWN_ATTACKS:
@@ -231,8 +235,9 @@ def normalize_config(raw: dict) -> dict:
     for key, n in ev.items():
         if not _is_int(n):
             raise ConfigError(f"eval.{key} must be an integer, got {n!r}")
-    if ev["eval_points"] < 2:
-        raise ConfigError("eval.eval_points must be >= 2")
+    if ev["eval_points"] < 2 or ev["eval_points"] % 2:
+        raise ConfigError(f"eval.eval_points must be even and >= 2 (half members, "
+                          f"half non-members), got {ev['eval_points']!r}")
     _check_immutable(snap["recourse"]["immutable"],
                      snap["data"]["d"] if kind == "synthetic" else None)
     return snap
@@ -294,15 +299,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def read_raw_config(path: str | Path) -> Any:
-    """The parsed JSON of a config file, before defaults or checks."""
+def read_raw_config(path: str | Path) -> dict:
+    """The parsed JSON object of a config file, before defaults or checks."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return raw
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they check: the inverse normal
 CDF is bisection on math.erf, AUC is the O(n^2) pairwise count, gradients
 come from central finite differences, the two-sided distance LRT trains
-per-point IN/OUT models directly, and SCFE is the one-point-at-a-time
-loop that the batched engine replaced.
+per-point IN/OUT models directly, SCFE is the one-point-at-a-time loop
+that the batched engine replaced, and the classifier and VAE trainers
+run Adam over a list of separate parameter arrays, as they did before
+the flat parameter vector.
 """
 from __future__ import annotations
 
@@ -167,3 +169,191 @@ def scfe_reference(model, x, params, norm: str) -> dict:
     return {"counterfactual": x.copy(), "cost": 0.0, "valid": False,
             "trace": {"iterations": total_iters, "retries_used": params.max_retries,
                       "lambda_final": lam}}
+
+
+# --- list-of-arrays trainers: the optimiser loop over separate parameter
+# arrays that the flat-vector trainers replaced -------------------------
+
+def sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    """Stable sigmoid by boolean masks: 1 / (1 + exp(-z)) where z >= 0,
+    exp(z) / (1 + exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class AdamReference:
+    """Adam with bias correction over a list of parameter arrays."""
+
+    def __init__(self, shapes, lr, betas=(0.9, 0.999), eps=1e-8):
+        self.lr = lr
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
+
+    def step(self, params, grads) -> None:
+        self.t += 1
+        lr_t = self.lr * np.sqrt(1.0 - self.b2**self.t) / (1.0 - self.b1**self.t)
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            p -= lr_t * m / (np.sqrt(v) + self.eps)
+
+
+def _forward_reference(weights, biases, x, keep=False):
+    acts = [x]
+    a = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+        acts.append(a)
+    p = sigmoid_reference((a @ weights[-1] + biases[-1])[:, 0])
+    return (p, acts) if keep else p
+
+
+def _mean_bce_reference(p, y, floor=1e-7) -> float:
+    pc = np.clip(np.where(y == 1, p, 1.0 - p), floor, 1.0 - floor)
+    return float(-np.mean(np.log(pc)))
+
+
+def train_classifier_reference(data, architecture, config):
+    """(weights, biases, training_meta) of Adam on binary cross entropy,
+    one array per layer weight and bias; raises TrainingDivergedError as
+    the package trainer does."""
+    from recourse_mi.nn import TrainingDivergedError
+    from recourse_mi.seeds import rng_for
+
+    sizes = [data.d] + [int(w) for w in architecture] + [1]
+    rng = rng_for(config.seed, "init")
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = np.sqrt(6.0 / fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+
+    x_all = data.features
+    y_all = data.labels.astype(np.float64)
+    batch = config.effective_batch_size(data.n)
+    opt = AdamReference([w.shape for w in weights] + [b.shape for b in biases],
+                        config.learning_rate, config.adam_betas, config.adam_eps)
+    shuffle_rng = rng_for(config.seed, "shuffle")
+    epoch1_loss = None
+    for epoch in range(1, config.epochs + 1):
+        order = shuffle_rng.permutation(data.n)
+        for start in range(0, data.n, batch):
+            idx = order[start : start + batch]
+            xb, yb = x_all[idx], y_all[idx]
+            p, acts = _forward_reference(weights, biases, xb, keep=True)
+            g = ((p - yb) / xb.shape[0]).reshape(-1, 1)
+            grads_w = [None] * len(weights)
+            grads_b = [None] * len(biases)
+            for li in range(len(weights) - 1, -1, -1):
+                grads_w[li] = acts[li].T @ g
+                grads_b[li] = g.sum(axis=0)
+                if li > 0:
+                    g = (g @ weights[li].T) * (acts[li] > 0)
+            opt.step(weights + biases, grads_w + grads_b)
+        if not all(np.isfinite(w).all() for w in weights):
+            raise TrainingDivergedError(epoch, f"non-finite parameters at epoch {epoch}")
+        if epoch == 1 or epoch == config.epochs:
+            loss = _mean_bce_reference(_forward_reference(weights, biases, x_all), y_all)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, f"non-finite loss at epoch {epoch}")
+            if epoch == 1:
+                epoch1_loss = loss
+    final_p = _forward_reference(weights, biases, x_all)
+    meta = {
+        "seed": config.seed,
+        "epochs": config.epochs,
+        "learning_rate": config.learning_rate,
+        "batch_size": batch,
+        "epoch1_train_loss": epoch1_loss,
+        "final_train_loss": _mean_bce_reference(final_p, y_all),
+        "train_accuracy": float(np.mean((final_p >= 0.5) == (y_all == 1.0))),
+    }
+    return weights, biases, meta
+
+
+VAE_ARRAY_NAMES = ("enc_w1 enc_b1 enc_w_mu enc_b_mu enc_w_lv enc_b_lv "
+                   "dec_w1 dec_b1 dec_w2 dec_b2").split()
+
+
+def train_vae_reference(data, config, latent_dim=8, hidden_dim=20):
+    """({name: array}, training_meta) of the tabular VAE trained with
+    Adam over its ten separate parameter arrays."""
+    from recourse_mi.seeds import rng_for
+
+    rng = rng_for(config.seed, "vae-init")
+    d = data.d
+
+    def unif(fan_in, fan_out):
+        bound = np.sqrt(6.0 / fan_in)
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    P = dict(enc_w1=unif(d, hidden_dim), enc_b1=np.zeros(hidden_dim),
+             enc_w_mu=unif(hidden_dim, latent_dim), enc_b_mu=np.zeros(latent_dim),
+             enc_w_lv=unif(hidden_dim, latent_dim), enc_b_lv=np.zeros(latent_dim),
+             dec_w1=unif(latent_dim, hidden_dim), dec_b1=np.zeros(hidden_dim),
+             dec_w2=unif(hidden_dim, d), dec_b2=np.zeros(d))
+    params = [P[n] for n in VAE_ARRAY_NAMES]
+    opt = AdamReference([p.shape for p in params], config.learning_rate,
+                        config.adam_betas, config.adam_eps)
+    shuffle_rng = rng_for(config.seed, "vae-shuffle")
+    noise_rng = rng_for(config.seed, "vae-noise")
+    batch = config.effective_batch_size(data.n)
+    x_all = data.features
+
+    def elbo_loss(x, eps, collect_grads=False):
+        n = x.shape[0]
+        h_enc_pre = x @ P["enc_w1"] + P["enc_b1"]
+        h_enc = np.maximum(h_enc_pre, 0.0)
+        mu = h_enc @ P["enc_w_mu"] + P["enc_b_mu"]
+        lv = h_enc @ P["enc_w_lv"] + P["enc_b_lv"]
+        std = np.exp(0.5 * lv)
+        z = mu + std * eps
+        h_dec_pre = z @ P["dec_w1"] + P["dec_b1"]
+        h_dec = np.maximum(h_dec_pre, 0.0)
+        xhat = h_dec @ P["dec_w2"] + P["dec_b2"]
+        resid = xhat - x
+        recon = 0.5 * np.sum(resid * resid) / n
+        kl = -0.5 * np.sum(1.0 + lv - mu * mu - np.exp(lv)) / n
+        loss = recon + kl
+        if not collect_grads:
+            return loss, None
+        d_xhat = resid / n
+        d_hdec = (d_xhat @ P["dec_w2"].T) * (h_dec_pre > 0)
+        d_z = d_hdec @ P["dec_w1"].T
+        d_mu = d_z + mu / n
+        d_lv = d_z * (0.5 * std * eps) + (-0.5 * (1.0 - np.exp(lv))) / n
+        d_henc = (d_mu @ P["enc_w_mu"].T + d_lv @ P["enc_w_lv"].T) * (h_enc_pre > 0)
+        return loss, [x.T @ d_henc, d_henc.sum(axis=0), h_enc.T @ d_mu, d_mu.sum(axis=0),
+                      h_enc.T @ d_lv, d_lv.sum(axis=0), z.T @ d_hdec, d_hdec.sum(axis=0),
+                      h_dec.T @ d_xhat, d_xhat.sum(axis=0)]
+
+    def full_elbo():
+        return elbo_loss(x_all, np.zeros((data.n, latent_dim)))[0]
+
+    epoch1 = None
+    for epoch in range(1, config.epochs + 1):
+        order = shuffle_rng.permutation(data.n)
+        for start in range(0, data.n, batch):
+            idx = order[start : start + batch]
+            eps = noise_rng.standard_normal((idx.size, latent_dim))
+            _, grads = elbo_loss(x_all[idx], eps, collect_grads=True)
+            opt.step(params, grads)
+        if epoch == 1:
+            epoch1 = full_elbo()
+    meta = {
+        "seed": config.seed,
+        "epochs": config.epochs,
+        "learning_rate": config.learning_rate,
+        "epoch1_elbo_loss": epoch1,
+        "final_elbo_loss": full_elbo(),
+    }
+    return P, meta

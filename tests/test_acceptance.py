@@ -34,6 +34,7 @@ from recourse_mi.recourse import (
     SearchParams,
     growing_spheres,
     scfe,
+    scfe_batch,
 )
 from recourse_mi.seeds import derive_seed, rng_for
 
@@ -283,9 +284,12 @@ class TestCriterion7RecourseQuality:
         probs = predict_proba_batch(model, std.features)
         neg = std.features[probs < 0.5][:40]
         total, valid = 0, 0
+        # SCFE rows are batch-independent: one batch equals 40 one-point calls
+        scfe_results = scfe_batch(model, neg, ScfeParams(max_iters=300), CostFn("l1"),
+                                  list(range(len(neg))))
         for i, x in enumerate(neg):
             for res in (
-                scfe(model, x, ScfeParams(max_iters=300), CostFn("l1"), seed=i),
+                scfe_results[i],
                 growing_spheres(model, x, SearchParams(seed=i), CostFn("l1")),
                 cchvae(model, vae, x, SearchParams(seed=i), CostFn("l1")),
             ):

@@ -21,6 +21,8 @@ from recourse_mi.attack import (
     fit_normal_mle,
     lognormal_quantile,
     loss_attack_score,
+    loss_attack_scores,
+    loss_lrt_attack_scores,
     loss_lrt_score,
     shadow_distance_matrix,
     threshold_attack,
@@ -276,6 +278,27 @@ def shadow_setup():
     ensemble = train_shadow_ensemble(std, n_models=8, architecture=[],
                                      trainer_config=cfg, recourse_config=rc, seed=99)
     return std, ensemble
+
+
+def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
+    # one forward pass per model over all points; every statistic must
+    # equal its one-point bce_loss / logit_confidence, clamped tails included
+    std, ensemble = shadow_setup
+    owner = train_classifier(std, [8], TrainConfig(learning_rate=0.05, epochs=30, seed=4))
+    rng = np.random.default_rng(8)
+    points = np.concatenate([std.features[:25], rng.normal(scale=40.0, size=(5, 2))])
+    samples = [SimpleNamespace(point_id=f"p{i}", point=x, label=int(i % 2))
+               for i, x in enumerate(points)]
+    loss = loss_attack_scores(samples, owner)
+    lrt = loss_lrt_attack_scores(samples, owner, ensemble)
+    for s, ls, lr in zip(samples, loss, lrt):
+        assert ls.statistic == ls.score == bce_loss(owner, s.point, s.label)
+        assert ls.higher_means_member is False
+        conf = logit_confidence(owner, s.point, s.label)
+        fit = fit_normal_mle([logit_confidence(m, s.point, s.label) for m in ensemble.models])
+        assert lr.statistic == conf and lr.score == loss_lrt_score(conf, fit)
+    assert len(loss) == len(lrt) == len(samples)
+    assert loss_attack_scores([], owner) == loss_lrt_attack_scores([], owner, ensemble) == []
 
 
 class TestShadowEnsemble:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from recourse_mi import nn
 from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standardize
 from recourse_mi.nn import (
+    Adam,
     DimensionMismatchError,
     Model,
     TrainConfig,
@@ -24,7 +26,14 @@ from recourse_mi.nn import (
 )
 
 from conftest import make_logistic
-from reference import finite_difference_gradient
+from reference import (
+    VAE_ARRAY_NAMES,
+    AdamReference,
+    finite_difference_gradient,
+    sigmoid_reference,
+    train_classifier_reference,
+    train_vae_reference,
+)
 
 SIGMA_1 = 0.7310585786300049  # sigmoid(1)
 
@@ -194,6 +203,74 @@ class TestTrainClassifier:
         ds = generate_synthetic(SyntheticSpec(d=2, n_per_class=10, seed=1))
         m = train_classifier(ds, [], TrainConfig(learning_rate=0.01, epochs=2, seed=0))
         assert m.training_meta["batch_size"] == 20
+
+
+class TestFlatParameterTraining:
+    """The flat-vector trainers against the list-of-arrays oracles in
+    reference.py: every parameter and training_meta must be identical."""
+
+    @pytest.mark.parametrize("d,arch,cfg", [
+        (40, [], TrainConfig(learning_rate=0.05, epochs=12, seed=3)),
+        (6, [16, 8], TrainConfig(learning_rate=0.01, epochs=12, seed=4)),
+        # 300 rows in batches of 37: eight full batches and one of 4
+        (6, [8], TrainConfig(learning_rate=0.01, epochs=10, batch_size=37, seed=5)),
+        (6, [8], TrainConfig(learning_rate=0.02, epochs=10, seed=6,
+                             adam_betas=(0.8, 0.99), adam_eps=1e-6)),
+    ])
+    def test_classifier_matches_list_of_arrays_oracle(self, d, arch, cfg):
+        ds = generate_synthetic(SyntheticSpec(d=d, n_per_class=150, seed=12))
+        m = train_classifier(ds, arch, cfg)
+        weights, biases, meta = train_classifier_reference(ds, arch, cfg)
+        assert len(m.weights) == len(weights)
+        for got, want in zip(m.weights + m.biases, weights + biases):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert m.training_meta == meta
+
+    def test_parameters_are_views_of_one_vector(self):
+        ds = generate_synthetic(SyntheticSpec(d=5, n_per_class=20, seed=1))
+        m = train_classifier(ds, [4, 3], TrainConfig(learning_rate=0.01, epochs=2))
+        flat = m.weights[0].base
+        assert flat is not None and flat.ndim == 1
+        assert all(a.base is flat for a in m.weights + m.biases)
+        assert flat.size == sum(a.size for a in m.weights + m.biases)
+
+    def test_vae_matches_list_of_arrays_oracle(self):
+        ds = generate_synthetic(SyntheticSpec(d=7, n_per_class=60, seed=13))
+        std, _ = standardize(ds)
+        cfg = TrainConfig(learning_rate=2e-3, epochs=6, batch_size=25, seed=8,
+                          adam_betas=(0.85, 0.995), adam_eps=1e-7)
+        vae = train_vae(std, cfg, latent_dim=3, hidden_dim=9)
+        arrays, meta = train_vae_reference(std, cfg, latent_dim=3, hidden_dim=9)
+        assert [n for n, _ in vae._arrays()] == VAE_ARRAY_NAMES
+        for name, got in vae._arrays():
+            assert np.array_equal(got, arrays[name]), name
+        assert vae.training_meta == meta
+
+    def test_one_array_adam_equals_per_array_adam(self):
+        rng = np.random.default_rng(4)
+        shapes = [(3, 5), (5,), (5, 1), (1,)]
+        flat, views = nn._flat_views(shapes)
+        flat[:] = rng.normal(size=flat.size)
+        ref = [v.copy() for v in views]
+        opt = Adam(flat.shape, 0.01, (0.7, 0.9), 1e-6)
+        opt_ref = AdamReference(shapes, 0.01, (0.7, 0.9), 1e-6)
+        for _ in range(5):
+            g, g_views = nn._flat_views(shapes)
+            g[:] = rng.normal(size=g.size)
+            opt.step(flat, g)
+            opt_ref.step(ref, [gv.copy() for gv in g_views])
+        assert all(np.array_equal(v, r) for v, r in zip(views, ref))
+
+    def test_sigmoid_matches_masked_oracle(self):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300, 5e-324,
+                   36.7, -36.7, 709.0, -709.0, 745.2, -745.2, 800.0, -800.0,
+                   1e308, -1e308]
+        z = np.concatenate([special, np.random.default_rng(2).normal(scale=40, size=200)])
+        got, want = nn._sigmoid(z), sigmoid_reference(z)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got[0] == got[1] == 0.5 and got[2] == 1.0 and got[3] == 0.0
+        assert np.signbit(got[5]) and not np.signbit(got[4])
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recourse_mi import cli, nn, runner
 from recourse_mi.attack import Guess
@@ -32,6 +36,43 @@ def small_raw(**overrides):
         else:
             raw[key] = val
     return raw
+
+
+_NOT_INT = st.one_of(st.floats(), st.text(max_size=4), st.booleans(), st.none())
+
+
+def _bad(path, values):
+    return values.map(lambda v: [(path, v)])
+
+
+# Each draw is a list of (key path, value) edits that make small_raw()
+# invalid; the empty path replaces the whole config.
+_MALFORMED = [
+    _bad((), st.one_of(st.lists(st.integers(), max_size=2), st.integers(), st.text(max_size=4))),
+    _bad(("bogus",), st.integers()),
+    _bad(("data", "bogus"), st.integers()),
+    _bad(("data", "kind"), st.text(max_size=8).filter(lambda k: k not in ("synthetic", "file"))),
+    _bad(("data", "d"), st.one_of(_NOT_INT, st.integers(max_value=0))),
+    _bad(("data", "n_per_class"), st.one_of(_NOT_INT, st.integers(max_value=0))),
+    _bad(("model", "architecture"), st.one_of(
+        _NOT_INT, st.lists(st.one_of(_NOT_INT, st.integers(max_value=0)), min_size=1, max_size=3))),
+    _bad(("attacks", "which"), st.lists(
+        st.text(max_size=6).filter(lambda a: a not in runner.KNOWN_ATTACKS), min_size=1, max_size=2)),
+    st.integers(max_value=1).map(lambda n: [(("attacks", "which"), ["cfd", "cfd_lrt"]),
+                                            (("attacks", "n_shadow_models"), n)]),
+    _bad(("attacks", "alpha_grid"), st.lists(st.one_of(
+        st.floats().filter(lambda a: not 0 < a < 1), st.text(max_size=3)), min_size=1, max_size=3)),
+    _bad(("recourse", "immutable"), st.lists(st.one_of(
+        st.integers(min_value=6), st.integers(max_value=-1), st.floats(), st.text(max_size=3)),
+        min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(["owner_n", "shadow_n", "eval_out_n", "eval_points"]),
+              _NOT_INT).map(lambda kv: [(("eval", kv[0]), kv[1])]),
+    _bad(("eval", "eval_points"), st.one_of(
+        st.integers(max_value=1), st.integers(min_value=1).map(lambda n: 2 * n + 1))),
+    _bad(("recourse", "scfe", "lam"), st.floats(max_value=0.0)),
+    _bad(("train", "learning_rate"), st.floats(max_value=0.0)),
+    _bad(("train", "epochs"), st.integers(max_value=0)),
+]
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +112,7 @@ class TestConfig:
         ({"recourse": {"immutable": [1.5]}}, "immutable"),
         ({"eval": {"eval_points": "20"}}, "eval_points"),
         ({"eval": {"owner_n": 250.0}}, "owner_n"),
+        ({"eval": {"eval_points": 21}}, "even"),
     ])
     def test_bad_values_exit_1_before_training(self, tmp_path, monkeypatch, capsys,
                                                 overrides, match):
@@ -82,6 +124,29 @@ class TestConfig:
         cfg_path.write_text(json.dumps(small_raw(**overrides)))
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert match in capsys.readouterr().err and not trained
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(*_MALFORMED))
+    def test_malformed_config_exits_1_within_a_second_without_training(self, fields):
+        raw = small_raw()
+        for path, value in fields:
+            if not path:
+                raw = value
+                continue
+            node = raw
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+        trained = []
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "train_classifier", lambda *a, **k: trained.append(a))
+            mp.setattr(nn, "train_vae", lambda *a, **k: trained.append(a))
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(raw))
+            t0 = time.perf_counter()
+            code = cli.main(["run", "--config", str(cfg_path), "--out", str(Path(tmp) / "o")])
+            elapsed = time.perf_counter() - t0
+        assert code == 1 and not trained and elapsed < 1.0
 
     def test_file_immutable_index_checked_once_the_csv_loads(self, tmp_path, monkeypatch):
         csv = tmp_path / "data.csv"
