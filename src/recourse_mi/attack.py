@@ -10,14 +10,20 @@ Two families:
 - Loss baselines consume the owner model and the true label: thresholding
   on BCE, and the offline loss LRT against a normal OUT fit of
   logit-scaled confidences.
+
+Shadow training and the cfd_lrt shadow replay run one task per shadow
+model on forked worker processes, one per CPU in the process's affinity
+(see _map_models). Every model keeps its own seeds, so the results are
+identical to a single process's.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -135,6 +141,29 @@ class ShadowEnsemble:
         return len(self.models)
 
 
+def _map_models(fn: Callable[[int], Any], n: int) -> list:
+    """[fn(i) for i in range(n)] on one forked worker per CPU in the
+    process's affinity (at most n), inline when that is one or fork is
+    missing. Workers inherit fn through fork, so it may be a closure; only
+    results are pickled back, and a worker's exception re-raises here."""
+    workers = min(n, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    import multiprocessing  # here, so that importing the package stays as fast
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(i) for i in range(n)]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_worker_fn.append, initargs=(fn,)) as pool:
+        return list(pool.map(_call_worker_fn, range(n)))
+
+
+# in a _map_models worker, the fn it runs (last appended); empty elsewhere
+_worker_fn: list[Callable[[int], Any]] = []
+
+
+def _call_worker_fn(i: int) -> Any:
+    return _worker_fn[-1](i)
+
+
 def train_shadow_ensemble(
     shadow_pool: Dataset,
     n_models: int,
@@ -168,7 +197,7 @@ def train_shadow_ensemble(
         cfg = dataclasses.replace(trainer_config, seed=derive_seed(seed, "shadow-train", i))
         return nn.train_classifier(subset, architecture, cfg)
 
-    models = [build(i) for i in range(n_models)]
+    models = _map_models(build, n_models)
     vae = None
     if recourse_config.algorithm == "cchvae":
         vae = nn.train_vae(shadow_pool, dataclasses.replace(
@@ -290,18 +319,21 @@ def shadow_distance_matrix(
     and stacking their matrices gives the same result.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
+
+    def replay(i: int) -> tuple[np.ndarray, list[RecourseResult]]:
+        model = ensemble.models[i]
+        neg = nn.predict_proba_batch(model, X) < 0.5
+        seeds = [derive_seed(ensemble.seed, f"shadow-recourse-{point_seeds[r]}", i)
+                 for r in np.flatnonzero(neg)]
+        return neg, ensemble.recourse_config.generate_batch(model, X[neg], seeds,
+                                                            vae=ensemble.vae)
+
     dists = np.full((X.shape[0], ensemble.n_models), np.nan)
     positive = np.zeros(X.shape[0], dtype=np.int64)
     failed = np.zeros(X.shape[0], dtype=np.int64)
-    for i, model in enumerate(ensemble.models):
-        neg = nn.predict_proba_batch(model, X) < 0.5
+    for i, (neg, results) in enumerate(_map_models(replay, ensemble.n_models)):
         positive += ~neg
-        rows = np.flatnonzero(neg)
-        seeds = [derive_seed(ensemble.seed, f"shadow-recourse-{point_seeds[r]}", i)
-                 for r in rows]
-        results = ensemble.recourse_config.generate_batch(model, X[rows], seeds,
-                                                          vae=ensemble.vae)
-        for r, result in zip(rows, results):
+        for r, result in zip(np.flatnonzero(neg), results):
             if result.valid:
                 dists[r, i] = max(result.cost, recourse.DISTANCE_FLOOR)
             else:

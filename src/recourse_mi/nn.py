@@ -41,6 +41,9 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
         super().__init__(message or f"training diverged at epoch {epoch}")
 
+    def __reduce__(self):  # so a shadow-training worker can send it back intact
+        return type(self), (self.epoch, str(self))
+
 
 @dataclass
 class TrainConfig:
@@ -393,14 +396,15 @@ def train_classifier(
         if not np.isfinite(theta[:n_weights]).all():
             raise TrainingDivergedError(epoch, f"non-finite parameters at epoch {epoch}")
         if epoch == 1 or epoch == config.epochs:
-            loss = _mean_bce(_forward_batch(model, x_all, matmul=np.matmul), y_all)
-            if not np.isfinite(loss):
+            # at the last epoch this pass also gives the final loss and accuracy
+            p_all = _forward_batch(model, x_all, matmul=np.matmul)
+            final_loss = _mean_bce(p_all, y_all)
+            if not np.isfinite(final_loss):
                 raise TrainingDivergedError(epoch, f"non-finite loss at epoch {epoch}")
             if epoch == 1:
-                epoch1_loss = loss
+                epoch1_loss = final_loss
 
-    final_loss = _mean_bce(_forward_batch(model, x_all, matmul=np.matmul), y_all)
-    preds = _forward_batch(model, x_all, matmul=np.matmul) >= 0.5
+    preds = p_all >= 0.5
     model.training_meta = {
         "seed": config.seed,
         "epochs": config.epochs,

@@ -186,8 +186,10 @@ _DEFAULT_CONFIG: dict[str, Any] = {
 def _merge_strict(defaults: dict, given: dict, path: str = "") -> dict:
     out = {}
     for key, default in defaults.items():
-        if isinstance(default, dict) and isinstance(given.get(key), dict):
-            out[key] = _merge_strict(default, given[key], f"{path}{key}.")
+        if isinstance(default, dict):
+            if not isinstance(given.get(key, {}), dict):
+                raise ConfigError(f"{path}{key} must be a JSON object, got {given[key]!r}")
+            out[key] = _merge_strict(default, given.get(key, {}), f"{path}{key}.")
         elif key in given:
             out[key] = given[key]
         else:
@@ -215,6 +217,17 @@ def normalize_config(raw: dict) -> dict:
     for key in ("d", "n_per_class") if kind == "synthetic" else ():
         if not (_is_int(snap["data"][key]) and snap["data"][key] >= 1):
             raise ConfigError(f"data.{key} must be a positive integer, got {snap['data'][key]!r}")
+    sep = snap["data"]["class_separation"]
+    if kind == "synthetic" and not (_is_real(sep) and sep > 0):
+        raise ConfigError(f"data.class_separation must be a positive number, got {sep!r}")
+    rc = snap["recourse"]
+    for name, section, keys in (("train", snap["train"], ("epochs", "batch_size")),
+                                ("recourse.scfe", rc["scfe"], ("max_iters", "max_retries")),
+                                ("recourse.search", rc["search"], ("samples_per_radius",)),
+                                ("recourse.vae", rc["vae"], ("epochs",))):
+        for key in keys:
+            if not (_is_int(section[key]) or (key == "batch_size" and section[key] is None)):
+                raise ConfigError(f"{name}.{key} must be an integer, got {section[key]!r}")
     arch = snap["model"]["architecture"]
     if not isinstance(arch, list) or not all(_is_int(w) and w >= 1 for w in arch):
         raise ConfigError(f"model.architecture must list positive integer widths, got {arch!r}")
@@ -228,9 +241,7 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError(f"attacks.n_shadow_models must be an integer, at least 2 "
                           f"for {lrt}; got {n_shadow!r}")
     alphas = att["alpha_grid"]
-    if not isinstance(alphas, list) or not all(
-            isinstance(a, (int, float)) and not isinstance(a, bool) and 0 < a < 1
-            for a in alphas):
+    if not isinstance(alphas, list) or not all(_is_real(a) and 0 < a < 1 for a in alphas):
         raise ConfigError(f"attacks.alpha_grid values must be in (0, 1), got {alphas!r}")
     for key, n in ev.items():
         if not _is_int(n):
@@ -245,6 +256,10 @@ def normalize_config(raw: dict) -> dict:
 
 def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _check_immutable(immutable: Any, d: int | None) -> None:

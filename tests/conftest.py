@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -19,6 +20,12 @@ def make_logistic(theta, bias) -> Model:
         architecture=[],
         d=theta.shape[0],
     )
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make the process's CPU affinity read as n CPUs, so shadow training
+    and replay run on min(n, models) workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 @pytest.fixture

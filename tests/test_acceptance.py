@@ -38,7 +38,7 @@ from recourse_mi.recourse import (
 )
 from recourse_mi.seeds import derive_seed, rng_for
 
-from conftest import batch_split_agreement, make_logistic
+from conftest import batch_split_agreement, make_logistic, use_cpus
 from reference import (
     finite_difference_gradient,
     grid_cheapest_valid_logistic,
@@ -414,7 +414,7 @@ class TestCriterion10Calibration:
 
 
 class TestCriterion11Reproducibility:
-    def test_byte_identical_score_records_across_batch_splits(self, tmp_path):
+    def test_byte_identical_score_records_across_batch_splits(self, tmp_path, monkeypatch):
         raw = {
             "data": {"kind": "synthetic", "d": 50, "n_per_class": 1500,
                      "class_separation": 2.0 / math.sqrt(50)},
@@ -427,7 +427,8 @@ class TestCriterion11Reproducibility:
             "seed": 11,
         }
 
-        def one_run(tag):
+        def one_run(tag, cpus):
+            use_cpus(monkeypatch, cpus)
             out = tmp_path / tag
             runner.run_experiment(runner.config_from_dict(dict(raw, out_dir=str(out))))
             scores = b"".join(
@@ -438,7 +439,8 @@ class TestCriterion11Reproducibility:
             doc["config"].pop("out_dir")
             return scores, json.dumps(doc, sort_keys=True)
 
-        runs = [one_run(f"r{i}") for i in range(4)]
+        # shadow training and replay on 1 and on 2 worker processes
+        runs = [one_run(f"r{i}", cpus) for i, cpus in enumerate([1, 2, 1, 2])]
         scores_equal = all(r[0] == runs[0][0] for r in runs)
         reports_equal = all(r[1] == runs[0][1] for r in runs)
         # the game and every shadow replay issue one recourse batch each;
@@ -447,7 +449,8 @@ class TestCriterion11Reproducibility:
         game_equal, matrix_equal = batch_split_agreement(runner.config_from_dict(raw), cuts)
         ok = scores_equal and reports_equal and game_equal and matrix_equal
         criterion(11, ok,
-                  f"4 repeated runs: score records byte-identical={scores_equal}, "
+                  f"4 repeated runs on 1, 2, 1, 2 workers: score records "
+                  f"byte-identical={scores_equal}, "
                   f"reports (minus timing) identical={reports_equal}; points split "
                   f"at rows {cuts}: game recourses identical={game_equal}, shadow "
                   f"distance matrix identical={matrix_equal}")

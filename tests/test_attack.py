@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recourse_mi import attack
 from recourse_mi.attack import (
     Guess,
     InvalidRecourseError,
@@ -28,9 +31,10 @@ from recourse_mi.attack import (
     threshold_attack,
     train_shadow_ensemble,
 )
-from recourse_mi.data import SyntheticSpec, generate_synthetic, standardize
+from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standardize
 from recourse_mi.nn import (
     TrainConfig,
+    TrainingDivergedError,
     bce_loss,
     logit_confidence,
     predict_proba,
@@ -44,7 +48,7 @@ from recourse_mi.recourse import (
     growing_spheres,
 )
 
-from conftest import make_logistic
+from conftest import make_logistic, use_cpus
 from reference import lognormal_quantile_oracle, normal_cdf
 
 
@@ -424,6 +428,66 @@ class TestShadowEnsemble:
             assert m.training_meta["train_accuracy"] is not None
         # subsample size is half the pool
         assert ensemble.models[0].training_meta["batch_size"] <= std.n // 2
+
+
+class TestWorkers:
+    def test_map_models_runs_closures_on_forked_workers_in_order(self, monkeypatch):
+        offset = 10  # local state in a closure, which pickling could not send
+        use_cpus(monkeypatch, 2)
+        got = attack._map_models(lambda i: (i + offset, os.getpid()), 5)
+        assert [v for v, _ in got] == list(range(10, 15))
+        assert os.getpid() not in {pid for _, pid in got}
+
+    @pytest.mark.parametrize("reason", ["one_cpu", "no_affinity", "no_fork", "one_model"])
+    def test_map_models_runs_inline_without_workers(self, monkeypatch, reason):
+        use_cpus(monkeypatch, 1 if reason == "one_cpu" else 2)
+        if reason == "no_affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        if reason == "no_fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        n = 1 if reason == "one_model" else 3
+        got = attack._map_models(lambda i: (i, os.getpid()), n)
+        assert got == [(i, os.getpid()) for i in range(n)]
+
+    @pytest.mark.parametrize("algorithm", ["scfe", "growing_spheres", "cchvae"])
+    def test_ensemble_and_replay_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                                   algorithm):
+        ds, _ = standardize(generate_synthetic(SyntheticSpec(d=6, n_per_class=150, seed=12,
+                                                             class_separation=0.5)))
+        rc = RecourseConfig(algorithm=algorithm,
+                            scfe_params=ScfeParams(max_iters=60, max_retries=1),
+                            search_params=SearchParams(samples_per_radius=40, max_radius=2.0))
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            ensemble = train_shadow_ensemble(
+                ds, n_models=3, architecture=[8],
+                trainer_config=TrainConfig(learning_rate=0.02, epochs=8), recourse_config=rc,
+                seed=5, vae_config=TrainConfig(learning_rate=1e-3, epochs=3))
+            runs.append((ensemble, shadow_distance_matrix(ds.features[:30], ensemble,
+                                                          range(30))))
+        (one, matrix_one), (two, matrix_two) = runs
+        for a, b in zip(one.models, two.models, strict=True):
+            assert a.training_meta == b.training_meta
+            for p, q in zip(a.weights + a.biases, b.weights + b.biases, strict=True):
+                assert np.array_equal(p, q)
+        for got, want in zip(matrix_two, matrix_one, strict=True):
+            assert np.array_equal(got, want, equal_nan=True)
+        dists, positive, failed = matrix_one
+        assert positive.any() and failed.any() and not np.isnan(dists).all()
+
+    def test_shadow_divergence_in_a_worker_raises_with_its_epoch(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        feats = np.ones((20, 2))
+        feats[:, 1] = np.nan  # poisons every shadow model's first epoch
+        pool = Dataset(feats, np.arange(20) % 2)
+        with pytest.raises(TrainingDivergedError) as err:
+            train_shadow_ensemble(pool, n_models=2, architecture=[4],
+                                  trainer_config=TrainConfig(learning_rate=0.01, epochs=5),
+                                  recourse_config=RecourseConfig(), seed=0)
+        assert err.value.epoch == 1
+        assert str(err.value) == "non-finite parameters at epoch 1"
+        assert type(err.value.__cause__).__name__ == "_RemoteTraceback"  # raised in a worker
 
 
 class TestGenerateBatch:

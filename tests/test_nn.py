@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -190,6 +191,13 @@ class TestTrainClassifier:
         with pytest.raises(TrainingDivergedError) as err:
             train_classifier(ds, [8], TrainConfig(learning_rate=0.01, epochs=5, seed=0))
         assert err.value.epoch == 1
+
+    def test_divergence_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(TrainingDivergedError(3, "non-finite loss at epoch 3")))
+        assert type(err) is TrainingDivergedError and err.epoch == 3
+        assert str(err) == "non-finite loss at epoch 3"
+        assert str(pickle.loads(pickle.dumps(TrainingDivergedError(4)))) == \
+            "training diverged at epoch 4"
 
     def test_xor_one_hidden_layer(self):
         xor = Dataset(

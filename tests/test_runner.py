@@ -14,7 +14,7 @@ from recourse_mi.attack import Guess
 from recourse_mi.nn import predict_proba
 from recourse_mi.runner import ConfigError, GameSetupError, config_from_dict
 
-from conftest import batch_split_agreement
+from conftest import batch_split_agreement, use_cpus
 
 
 def small_raw(**overrides):
@@ -72,6 +72,19 @@ _MALFORMED = [
     _bad(("recourse", "scfe", "lam"), st.floats(max_value=0.0)),
     _bad(("train", "learning_rate"), st.floats(max_value=0.0)),
     _bad(("train", "epochs"), st.integers(max_value=0)),
+    st.tuples(st.sampled_from([("train", "epochs"), ("recourse", "scfe", "max_iters"),
+                               ("recourse", "scfe", "max_retries"),
+                               ("recourse", "search", "samples_per_radius"),
+                               ("recourse", "vae", "epochs")]),
+              _NOT_INT).map(lambda kv: [kv]),
+    _bad(("train", "batch_size"), st.one_of(st.floats(), st.text(max_size=4), st.booleans())),
+    _bad(("data", "class_separation"), st.one_of(
+        st.floats(max_value=0.0), st.integers(max_value=0), st.just(float("nan")),
+        st.text(max_size=3), st.booleans(), st.none())),
+    st.tuples(st.sampled_from([("data",), ("train",), ("recourse",), ("recourse", "scfe"),
+                               ("attacks",), ("eval",)]),
+              st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2)),
+              ).map(lambda kv: [kv]),
 ]
 
 
@@ -113,6 +126,13 @@ class TestConfig:
         ({"eval": {"eval_points": "20"}}, "eval_points"),
         ({"eval": {"owner_n": 250.0}}, "owner_n"),
         ({"eval": {"eval_points": 21}}, "even"),
+        ({"train": {"epochs": 3.0}}, "train.epochs"),
+        ({"train": {"batch_size": 2.5}}, "train.batch_size"),
+        ({"recourse": {"scfe": {"max_iters": 5.0}}}, "recourse.scfe.max_iters"),
+        ({"recourse": {"search": {"samples_per_radius": 10.0}}}, "samples_per_radius"),
+        ({"recourse": {"vae": {"epochs": 2.0}}}, "recourse.vae.epochs"),
+        ({"data": {"class_separation": 0}}, "class_separation"),
+        ({"recourse": 5}, "recourse must be a JSON object"),
     ])
     def test_bad_values_exit_1_before_training(self, tmp_path, monkeypatch, capsys,
                                                 overrides, match):
@@ -218,6 +238,7 @@ class TestShadowReplay:
         cfg = config_from_dict(small_raw(attacks={"which": ["cfd_lrt"], "n_shadow_models": 2}))
         cfg.train = dataclasses.replace(cfg.train, batch_size=50, adam_betas=(0.8, 0.99),
                                         adam_eps=1e-6)
+        use_cpus(monkeypatch, 1)  # a forked worker's calls would not reach `seen`
         seen = []
         real = nn.train_classifier
         monkeypatch.setattr(nn, "train_classifier",
@@ -279,10 +300,11 @@ class TestRunExperiment:
 
 
 class TestReproducibility:
-    def test_byte_identical_reports_and_batch_invariance(self, tmp_path):
+    def test_byte_identical_reports_and_batch_invariance(self, tmp_path, monkeypatch):
         attacks = {"which": ["cfd", "cfd_lrt", "loss", "loss_lrt"]}
         outs = []
-        for i in range(3):
+        for i, cpus in enumerate([1, 2, 1]):  # shadow work on 1 and on 2 workers
+            use_cpus(monkeypatch, cpus)
             out = tmp_path / f"r{i}"
             runner.run_experiment(config_from_dict(small_raw(out_dir=str(out),
                                                              attacks=attacks)))
