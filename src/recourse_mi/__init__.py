@@ -76,7 +76,6 @@ from .runner import (
     ExperimentReport,
     GameSample,
     config_from_dict,
-    emit_summary,
     load_config,
     play_game,
     run_experiment,

@@ -11,15 +11,17 @@ Two families:
   on BCE, and the offline loss LRT against a normal OUT fit of
   logit-scaled confidences.
 
-Shadow training and the cfd_lrt shadow replay run one task per shadow
-model on forked worker processes, one per CPU in the process's affinity
-(see _map_models). Every model keeps its own seeds, so the results are
-identical to a single process's.
+An audit runs two task lists on forked workers, one per CPU in the
+process's affinity (see _map_models): every model it trains, then, after
+the game, one cfd_lrt replay task per shadow model (a replayed point's
+seed is its index among the game's valid recourses). Every model and
+replay keeps its own seeds, so results are identical at any CPU count.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -164,7 +166,7 @@ def _call_worker_fn(i: int) -> Any:
     return _worker_fn[-1](i)
 
 
-def train_shadow_ensemble(
+def shadow_training_tasks(
     shadow_pool: Dataset,
     n_models: int,
     architecture: Sequence[int],
@@ -172,14 +174,16 @@ def train_shadow_ensemble(
     recourse_config: RecourseConfig,
     seed: int,
     vae_config: TrainConfig | None = None,
-) -> ShadowEnsemble:
-    """Train N shadow models, each on a uniform half-pool subsample.
+) -> tuple[list[Callable[[], Any]], Callable[[list], ShadowEnsemble]]:
+    """The training tasks of a shadow ensemble, and the function that
+    builds the ensemble from their results in task order.
 
-    For cchvae recourse a single shadow VAE is trained on the full pool
-    and shared by every shadow model; `vae_config` is the owner's VAE
+    For cchvae recourse the first task trains one shadow VAE on the full
+    pool, shared by every shadow model; `vae_config` is the owner's VAE
     training setup (its seed is replaced by one derived from `seed`).
-    Each shadow model trains with `trainer_config`, only its seed
-    replaced by one derived from `seed` and the model index.
+    Then comes one task per shadow model in index order: model i trains
+    on a uniform half-pool subsample with `trainer_config`, only its seed
+    replaced by one derived from `seed` and i.
     """
     if n_models < 2:
         raise ValueError(f"need at least 2 shadow models, got {n_models}")
@@ -197,13 +201,35 @@ def train_shadow_ensemble(
         cfg = dataclasses.replace(trainer_config, seed=derive_seed(seed, "shadow-train", i))
         return nn.train_classifier(subset, architecture, cfg)
 
-    models = _map_models(build, n_models)
-    vae = None
+    tasks: list[Callable[[], Any]] = [functools.partial(build, i) for i in range(n_models)]
     if recourse_config.algorithm == "cchvae":
-        vae = nn.train_vae(shadow_pool, dataclasses.replace(
-            vae_config, seed=derive_seed(seed, "shadow-vae")))
-    return ShadowEnsemble(models=models, trainer_config=trainer_config,
-                          recourse_config=recourse_config, seed=seed, vae=vae)
+        tasks.insert(0, functools.partial(nn.train_vae, shadow_pool, dataclasses.replace(
+            vae_config, seed=derive_seed(seed, "shadow-vae"))))
+
+    def assemble(results: list) -> ShadowEnsemble:
+        vae = results[0] if recourse_config.algorithm == "cchvae" else None
+        return ShadowEnsemble(models=results[-n_models:], trainer_config=trainer_config,
+                              recourse_config=recourse_config, seed=seed, vae=vae)
+
+    return tasks, assemble
+
+
+def train_shadow_ensemble(
+    shadow_pool: Dataset,
+    n_models: int,
+    architecture: Sequence[int],
+    trainer_config: TrainConfig,
+    recourse_config: RecourseConfig,
+    seed: int,
+    vae_config: TrainConfig | None = None,
+) -> ShadowEnsemble:
+    """Train N shadow models, each on a uniform half-pool subsample, and
+    for cchvae the shadow VAE: the tasks of shadow_training_tasks, run on
+    the workers."""
+    tasks, assemble = shadow_training_tasks(shadow_pool, n_models, architecture,
+                                            trainer_config, recourse_config, seed,
+                                            vae_config)
+    return assemble(_map_models(lambda i: tasks[i](), len(tasks)))
 
 
 def cfd_statistic(x: np.ndarray, result: RecourseResult) -> float:

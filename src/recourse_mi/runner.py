@@ -1,16 +1,18 @@
 """Config-driven experiment pipeline for the recourse membership game.
 
 One experiment: build data, split it into owner / adversary-shadow /
-held-out pools, train the owner model, sample negatively-classified
-member and non-member points, issue one recourse per point, score every
-configured attack in both threshold directions, and persist a report
-plus ROC tables. Every stage seed derives from the master seed, so a
-report is reproducible byte-for-byte (timing aside), and each point's
-recourse does not depend on how the points are batched.
+held-out pools, train the owner model and any shadow ensemble (one worker
+task list, see prepare), sample negatively-classified member and
+non-member points, issue one recourse per point, score every configured
+attack in both threshold directions, and persist a report plus ROC
+tables. Every stage seed derives from the master seed, so a report is
+reproducible byte-for-byte (timing aside) at any CPU count, and each
+point's recourse does not depend on how the points are batched.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -359,10 +361,15 @@ class PreparedExperiment:
     owner_model: Model
     owner_vae: VaeModel | None
     test_accuracy: float
+    ensemble: ShadowEnsemble | None = None
 
 
-def prepare(config: ExperimentConfig) -> PreparedExperiment:
-    """Data, splits and the trained owner model (plus VAE for cchvae)."""
+def prepare(config: ExperimentConfig, shadows: bool = True) -> PreparedExperiment:
+    """Data, splits and the trained models: the owner model, its VAE for
+    cchvae and, if `shadows` is set and an LRT attack is configured, the
+    shadow ensemble. All train as one worker task list, longest first so
+    that the workers' greedy pick balances the load: the shadow VAE and
+    the owner VAE (cchvae), the owner model, then the shadow models."""
     data = build_dataset(config)
     bundle = split(data, config.owner_n, config.shadow_n, config.eval_out_n,
                    seed=derive_seed(config.seed, "split"))
@@ -373,18 +380,32 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
         raise GameSetupError("partition overlap detected; split is broken")
 
     train_cfg = dataclasses.replace(config.train, seed=derive_seed(config.seed, "owner-train"))
-    owner = nn.train_classifier(bundle.owner_train, config.model_architecture, train_cfg)
-    owner_vae = None
-    if config.recourse.algorithm == "cchvae":
+    cchvae = config.recourse.algorithm == "cchvae"
+    tasks = [functools.partial(nn.train_classifier, bundle.owner_train,
+                               config.model_architecture, train_cfg)]
+    if cchvae:
         assert config.vae_train is not None
-        owner_vae = nn.train_vae(bundle.owner_train, dataclasses.replace(
-            config.vae_train, seed=derive_seed(config.seed, "owner-vae")))
+        tasks.insert(0, functools.partial(nn.train_vae, bundle.owner_train, dataclasses.replace(
+            config.vae_train, seed=derive_seed(config.seed, "owner-vae"))))
+    lead, assemble = 0, None
+    if shadows and set(config.attacks) & {"cfd_lrt", "loss_lrt"}:
+        shadow_tasks, assemble = attack_mod.shadow_training_tasks(
+            bundle.shadow_pool, config.n_shadow_models, config.model_architecture,
+            config.train, config.recourse, derive_seed(config.seed, "shadow-ensemble"),
+            vae_config=config.vae_train)
+        lead = len(shadow_tasks) - config.n_shadow_models  # the shadow VAE
+        tasks = shadow_tasks[:lead] + tasks + shadow_tasks[lead:]
+    done = iter(attack_mod._map_models(lambda i: tasks[i](), len(tasks)))
+    shadow_vae = [next(done) for _ in range(lead)]
+    owner_vae = next(done) if cchvae else None
+    owner = next(done)
     return PreparedExperiment(
         dataset=data,
         bundle=bundle,
         owner_model=owner,
         owner_vae=owner_vae,
         test_accuracy=nn.accuracy(owner, bundle.eval_out),
+        ensemble=assemble(shadow_vae + list(done)) if assemble else None,
     )
 
 
@@ -451,24 +472,9 @@ def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[li
 
 def play_game(config: ExperimentConfig) -> list[GameSample]:
     """Run the game protocol end to end and return its samples."""
-    prep = prepare(config)
+    prep = prepare(config, shadows=False)
     samples, _ = _sample_game(config, prep)
     return samples
-
-
-def build_shadow_ensemble(config: ExperimentConfig,
-                          prep: PreparedExperiment) -> ShadowEnsemble:
-    """Shadow models on the adversary's pool, replaying the owner's
-    training, recourse and (for cchvae) VAE setup."""
-    return attack_mod.train_shadow_ensemble(
-        prep.bundle.shadow_pool,
-        n_models=config.n_shadow_models,
-        architecture=config.model_architecture,
-        trainer_config=config.train,
-        recourse_config=config.recourse,
-        seed=derive_seed(config.seed, "shadow-ensemble"),
-        vae_config=config.vae_train,
-    )
 
 
 def _attack_scores(
@@ -503,20 +509,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     prep = prepare(config)
     timing["prepare_s"] = time.perf_counter() - t0
 
-    needs_shadows = any(a in ("cfd_lrt", "loss_lrt") for a in config.attacks)
-    ensemble = None
-    if needs_shadows:
-        t1 = time.perf_counter()
-        ensemble = build_shadow_ensemble(config, prep)
-        timing["shadow_training_s"] = time.perf_counter() - t1
+    t1 = time.perf_counter()
+    samples, game_meta = _sample_game(config, prep)
+    timing["game_s"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    samples, game_meta = _sample_game(config, prep)
-    timing["game_s"] = time.perf_counter() - t2
-
-    t3 = time.perf_counter()
-    scores = _attack_scores(config, prep, samples, ensemble)
-    timing["attacks_s"] = time.perf_counter() - t3
+    scores = _attack_scores(config, prep, samples, prep.ensemble)
+    timing["attacks_s"] = time.perf_counter() - t2
 
     membership = {s.point_id: s.membership.value for s in samples}
     attack_metrics: dict[str, dict[str, metrics_mod.MetricsReport]] = {}
@@ -585,11 +584,6 @@ def write_summary(report_docs: Sequence[dict], path: str | Path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_summary(reports: Sequence[ExperimentReport], path: str | Path) -> None:
-    """write_summary over in-memory reports."""
-    write_summary([rep.to_json() for rep in reports], path)
-
-
 def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[ExperimentReport]:
     """Cross-product sweep over data.d and/or master seeds.
 
@@ -625,5 +619,5 @@ def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[Exper
             cfg = config_from_dict(variant)
             reports.append(run_experiment(cfg))
     if out_dir is not None:
-        emit_summary(reports, out_dir / "summary.csv")
+        write_summary([r.to_json() for r in reports], out_dir / "summary.csv")
     return reports

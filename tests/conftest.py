@@ -46,7 +46,7 @@ def batch_split_agreement(cfg, cuts) -> tuple[bool, bool]:
     split = [r.to_json() for b in blocks for r in cfg.recourse.generate_batch(
         prep.owner_model, X[b], seeds[b], vae=prep.owner_vae)]
     game_equal = split == [s.recourse.to_json() for s in samples]
-    ensemble = runner.build_shadow_ensemble(cfg, prep)
+    ensemble = prep.ensemble
     whole = attack.shadow_distance_matrix(X, ensemble, range(len(X)))
     parts = [attack.shadow_distance_matrix(X[b], ensemble, range(len(X))[b]) for b in blocks]
     matrix_equal = all(np.array_equal(got, np.concatenate(pieces), equal_nan=True)

@@ -15,6 +15,7 @@ from scipy.stats import spearmanr
 from recourse_mi import runner
 from recourse_mi.attack import (
     LogNormalFit,
+    _map_models,
     cfd_lrt_score,
     fit_lognormal_mle,
     lognormal_quantile,
@@ -226,14 +227,12 @@ class TestCriterion6TwoSidedOracle:
                   and predict_proba(owner, pool.features[idx]) < 0.5][:n_points]
         assert len(chosen) == n_points
 
-        one_sided, llr = [], []
-        dropped = 0
-        for j, idx in enumerate(chosen):
-            x, y = pool.features[idx], int(pool.labels[idx])
+        def point_scores(j: int) -> tuple[float, float] | None:
+            """(one-sided score, two-sided LLR) of point j; None drops it."""
+            x, y = pool.features[chosen[j]], int(pool.labels[chosen[j]])
             r0 = scfe(owner, x, sp, cost_fn, seed=derive_seed(master, "t0", j))
             if not r0.valid:
-                dropped += 1
-                continue
+                return None
             t0 = max(r0.cost, 1e-12)
             ins, outs = [], []
             for i in range(n_in + n_out):
@@ -256,11 +255,14 @@ class TestCriterion6TwoSidedOracle:
                     continue
                 (ins if i < n_in else outs).append(max(r.cost, 1e-12))
             if len(ins) < 3 or len(outs) < 3:
-                dropped += 1
-                continue
+                return None
             fit_in, fit_out = fit_lognormal_mle(ins), fit_lognormal_mle(outs)
-            one_sided.append(cfd_lrt_score(t0, fit_out))
-            llr.append(two_sided_distance_llr(t0, fit_in, fit_out))
+            return cfd_lrt_score(t0, fit_out), two_sided_distance_llr(t0, fit_in, fit_out)
+
+        # one task per point on the workers; every point keeps its seeds
+        kept = [r for r in _map_models(point_scores, n_points) if r is not None]
+        dropped = n_points - len(kept)
+        one_sided, llr = [r[0] for r in kept], [r[1] for r in kept]
 
         rho = float(spearmanr(one_sided, llr).statistic)
         ok = rho >= 0.6 and len(one_sided) >= 40

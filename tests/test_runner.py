@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recourse_mi import cli, nn, runner
+from recourse_mi import attack, cli, nn, runner
 from recourse_mi.attack import Guess
 from recourse_mi.nn import predict_proba
 from recourse_mi.runner import ConfigError, GameSetupError, config_from_dict
@@ -228,7 +228,7 @@ class TestShadowReplay:
                         attacks={"which": ["cfd_lrt"], "n_shadow_models": 2})
         cfg = config_from_dict(raw)
         prep = runner.prepare(cfg)
-        ensemble = runner.build_shadow_ensemble(cfg, prep)
+        ensemble = prep.ensemble
         for vae in (prep.owner_vae, ensemble.vae):
             assert vae.training_meta["epochs"] == 3
             assert vae.training_meta["learning_rate"] == 2e-3
@@ -243,12 +243,60 @@ class TestShadowReplay:
         real = nn.train_classifier
         monkeypatch.setattr(nn, "train_classifier",
                             lambda data, arch, c: seen.append(c) or real(data, arch, c))
-        runner.build_shadow_ensemble(cfg, runner.prepare(cfg))
+        runner.prepare(cfg)
         owner, *shadows = seen
         assert len(shadows) == 2
         for c in shadows:
             assert c.seed != owner.seed
             assert dataclasses.replace(c, seed=owner.seed) == owner
+
+
+class TestTrainingTaskList:
+    @staticmethod
+    def cchvae_lrt():
+        return config_from_dict(small_raw(
+            recourse={"algorithm": "cchvae", "vae": {"epochs": 20},
+                      "search": {"samples_per_radius": 50}},
+            attacks={"which": ["cfd", "cfd_lrt"], "n_shadow_models": 3},
+            eval={"eval_points": 10}))
+
+    def test_models_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        cfg = self.cchvae_lrt()
+        trained = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            prep = runner.prepare(cfg)
+            trained.append([prep.owner_model, prep.owner_vae, prep.ensemble.vae,
+                            *prep.ensemble.models])
+        for one, two in zip(*trained):
+            params = [(p.weights + p.biases) if isinstance(p, nn.Model)
+                      else [a for _, a in p._arrays()] for p in (one, two)]
+            assert all(np.array_equal(a, b) for a, b in zip(*params))
+            assert one.training_meta == two.training_meta
+        assert len(trained[1]) == 6
+
+    def test_audit_trains_only_on_the_workers_in_one_task_list(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        calls = []  # a forked worker's calls never reach this list
+        real_map = attack._map_models
+        monkeypatch.setattr(attack, "_map_models",
+                            lambda fn, n: calls.append(n) or real_map(fn, n))
+        for name in ("train_classifier", "train_vae"):
+            monkeypatch.setattr(nn, name, lambda *a, _real=getattr(nn, name), _name=name:
+                                calls.append(_name) or _real(*a))
+        runner.run_experiment(self.cchvae_lrt())
+        # shadow VAE, owner VAE, owner and 3 shadow models; then 3 replays
+        assert calls == [6, 3]
+
+    def test_train_command_trains_only_the_owner(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 1)  # inline, so every training call reaches `seen`
+        seen = []
+        real = nn.train_classifier
+        monkeypatch.setattr(nn, "train_classifier", lambda *a: seen.append(a) or real(*a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_raw(attacks={"which": ["cfd_lrt", "loss_lrt"]})))
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "m")]) == 0
+        assert len(seen) == 1
 
 
 class TestRunExperiment:
@@ -356,9 +404,9 @@ class TestSweepAndSummary:
         with pytest.raises(ConfigError, match="sweep"):
             runner.run_sweep({"sweep": {"nope": [1]}})
 
-    def test_emit_summary_requires_reports(self, tmp_path):
+    def test_write_summary_requires_reports(self, tmp_path):
         with pytest.raises(ValueError):
-            runner.emit_summary([], tmp_path / "s.csv")
+            runner.write_summary([], tmp_path / "s.csv")
 
 
 class TestCli:
