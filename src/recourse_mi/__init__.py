@@ -13,14 +13,12 @@ from .attack import (
     NormalFit,
     RecourseConfig,
     ShadowEnsemble,
-    build_shadow_distances,
     cfd_lrt_decide,
     cfd_lrt_score,
     cfd_statistic,
     fit_lognormal_mle,
     fit_normal_mle,
     lognormal_quantile,
-    loss_attack_score,
     loss_lrt_score,
     shadow_distance_matrix,
     threshold_attack,
@@ -49,10 +47,7 @@ from .nn import (
     Model,
     TrainConfig,
     VaeModel,
-    bce_loss,
-    input_gradient,
     load_model,
-    logit_confidence,
     predict_proba,
     save_model,
     train_classifier,

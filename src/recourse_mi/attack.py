@@ -43,10 +43,6 @@ class InvalidRecourseError(ValueError):
     """Distance statistics are only defined for valid recourses."""
 
 
-class ShadowSampleError(RuntimeError):
-    """Fewer than two shadow distance samples survived for a point."""
-
-
 class Guess(enum.Enum):
     MEMBER = "MEMBER"
     NON_MEMBER = "NON-MEMBER"
@@ -324,11 +320,6 @@ def loss_lrt_score(conf: float, out_fit: NormalFit) -> float:
     return float(ndtr((conf - out_fit.mu) / math.sqrt(out_fit.sigma2)))
 
 
-def loss_attack_score(model: Model, x: np.ndarray, y: int) -> tuple[float, bool]:
-    """Loss-threshold baseline statistic; lower loss suggests membership."""
-    return nn.bce_loss(model, x, y), False
-
-
 def shadow_distance_matrix(
     X: np.ndarray,
     ensemble: ShadowEnsemble,
@@ -367,35 +358,6 @@ def shadow_distance_matrix(
     return dists, positive, failed
 
 
-def _surviving_distances(row: np.ndarray, positive: int, failed: int) -> np.ndarray:
-    """A point's shadow distances in model order; ShadowSampleError if
-    fewer than two survive."""
-    dists = row[~np.isnan(row)]
-    if dists.size < 2:
-        raise ShadowSampleError(
-            f"only {dists.size} shadow distances for point "
-            f"({positive} positively classified, {failed} failed "
-            f"recourse, out of {row.size} models)"
-        )
-    return dists
-
-
-def build_shadow_distances(
-    x: np.ndarray,
-    ensemble: ShadowEnsemble,
-    point_seed: int = 0,
-) -> np.ndarray:
-    """Recourse distance for x under each shadow model.
-
-    Shadow models that already classify x positively have no recourse and
-    are skipped, as are failed recourse searches. Raises ShadowSampleError
-    if fewer than two distances survive.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    dists, positive, failed = shadow_distance_matrix(x[None, :], ensemble, [point_seed])
-    return _surviving_distances(dists[0], int(positive[0]), int(failed[0]))
-
-
 # --- attack stages consumed by the experiment runner -----------------------
 #
 # The distance attacks deliberately take no model argument: the statistic
@@ -417,32 +379,24 @@ def cfd_lrt_attack_scores(
     samples: Sequence,
     ensemble: ShadowEnsemble,
     alphas: Sequence[float] = (0.01, 0.05, 0.1),
-    on_starved: str = "raise",
 ) -> list[AttackScore]:
     """One-sided distance-LRT scores; one shared ensemble, per-point fits.
 
     The shadow replay runs as one recourse batch per shadow model over
     the sample points (see shadow_distance_matrix); sample i uses point
     seed i. A point whose shadow-distance sample starves (fewer than two
-    shadow models yield a recourse for it) raises by default;
-    on_starved="skip" drops the point instead, which is what the
-    experiment runner uses.
+    shadow models yield a recourse for it) is dropped.
     """
-    if on_starved not in ("raise", "skip"):
-        raise ValueError(f"on_starved must be 'raise' or 'skip', got {on_starved!r}")
     if not samples:
         return []
     observed = [cfd_statistic(s.point, s.recourse) for s in samples]
-    dists, positive, failed = shadow_distance_matrix(
+    dists, _, _ = shadow_distance_matrix(
         np.array([s.point for s in samples]), ensemble, range(len(samples)))
     out = []
-    for idx, (s, t0) in enumerate(zip(samples, observed)):
-        try:
-            row = _surviving_distances(dists[idx], int(positive[idx]), int(failed[idx]))
-        except ShadowSampleError:
-            if on_starved == "skip":
-                continue
-            raise
+    for s, t0, row in zip(samples, observed, dists):
+        row = row[~np.isnan(row)]
+        if row.size < 2:
+            continue
         fit = fit_lognormal_mle(row)
         out.append(AttackScore(
             point_id=s.point_id, attack="cfd_lrt", statistic=t0,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: gen-data, train, recourse, attack, run, sweep, dp-bound,
-summarize. Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Subcommands: gen-data, train, recourse, run, sweep, dp-bound, summarize.
+Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
 from __future__ import annotations
 
@@ -67,15 +67,6 @@ def cmd_recourse(args) -> int:
                 "recourse": s.recourse.to_json(),
             }, sort_keys=True) + "\n")
     print(f"wrote {len(samples)} game samples to {out}")
-    return 0
-
-
-def cmd_attack(args) -> int:
-    cfg = _config_from_args(args)
-    report = runner.run_experiment(cfg)
-    out = Path(args.out or "attack_out")
-    report.save_scores(out)
-    print(f"wrote score streams for {sorted(report.scores)} to {out}")
     return 0
 
 
@@ -150,11 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_recourse)
 
-    p = sub.add_parser("attack", help="run attacks and dump score streams")
-    add_common(p)
-    p.set_defaults(fn=cmd_attack)
-
-    p = sub.add_parser("run", help="full pipeline: report.json + ROC CSVs")
+    p = sub.add_parser("run", help="full pipeline: report, score streams, ROC CSVs")
     add_common(p)
     p.set_defaults(fn=cmd_run)
 

@@ -264,16 +264,6 @@ def logit_confidence_from_proba(p: float, y: int) -> float:
     return float(np.log(p_y) - np.log1p(-p_y))
 
 
-def bce_loss(model: Model, x: np.ndarray, y: int) -> float:
-    """-log of the (clamped) probability assigned to the true label."""
-    return bce_from_proba(predict_proba(model, x), y)
-
-
-def logit_confidence(model: Model, x: np.ndarray, y: int) -> float:
-    """logit of the probability assigned to label y, same clamping as bce_loss."""
-    return logit_confidence_from_proba(predict_proba(model, x), y)
-
-
 def norm_subgradient(delta: np.ndarray, norm: str) -> np.ndarray:
     """Subgradient of ||delta||_norm, row by row for a (n, d) matrix;
     zero where delta = 0."""
@@ -296,45 +286,6 @@ def bce_to_target_grad_batch(model: Model, x: np.ndarray,
     for w, act in zip(reversed(model.weights[:-1]), reversed(acts[1:])):
         g = _rowwise(g * (act > 0), w.T)
     return p, g
-
-
-def bce_to_target_grad(model: Model, x: np.ndarray, target: float = 1.0) -> tuple[float, np.ndarray]:
-    """(probability, d BCE(f(x), target) / dx) for one point."""
-    p, g = bce_to_target_grad_batch(model, _as_row(x, model.d), target)
-    return float(p[0]), g[0]
-
-
-def input_gradient(
-    model: Model,
-    x: np.ndarray,
-    objective: str = "bce-to-target",
-    *,
-    target: float = 1.0,
-    lam: float = 0.0,
-    anchor: np.ndarray | None = None,
-    cost_norm: str = "l1",
-) -> np.ndarray:
-    """Gradient of a scalar recourse objective with respect to the input.
-
-    objective "bce-to-target" is BCE(f(x), target); "recourse-objective"
-    adds lam * ||x - anchor||_cost_norm. With lam=0 the two coincide
-    exactly (the cost term is skipped, not multiplied by zero).
-    """
-    if objective == "bce-to-target":
-        return bce_to_target_grad(model, x, target)[1]
-    if objective == "recourse-objective":
-        _, g = bce_to_target_grad(model, x, target)
-        if lam != 0.0:
-            if anchor is None:
-                raise ValueError("recourse-objective needs an anchor point")
-            anchor = np.asarray(anchor, dtype=np.float64)
-            if anchor.shape != (model.d,):
-                raise DimensionMismatchError(
-                    f"anchor shape {anchor.shape} does not match d={model.d}"
-                )
-            g = g + lam * norm_subgradient(np.asarray(x, dtype=np.float64) - anchor, cost_norm)
-        return g
-    raise ValueError(f"unknown objective {objective!r}")
 
 
 def _mean_bce(p: np.ndarray, y: np.ndarray) -> float:

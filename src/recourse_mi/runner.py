@@ -4,10 +4,11 @@ One experiment: build data, split it into owner / adversary-shadow /
 held-out pools, train the owner model and any shadow ensemble (one worker
 task list, see prepare), sample negatively-classified member and
 non-member points, issue one recourse per point, score every configured
-attack in both threshold directions, and persist a report plus ROC
-tables. Every stage seed derives from the master seed, so a report is
-reproducible byte-for-byte (timing aside) at any CPU count, and each
-point's recourse does not depend on how the points are batched.
+attack in both threshold directions, and persist a report, per-point
+score streams, ROC tables and a stage-timing trace. Every stage seed
+derives from the master seed, so everything but the trace is
+reproducible byte-for-byte at any CPU count, and each point's recourse
+does not depend on how the points are batched.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .nn import Model, TrainConfig, VaeModel
 from .recourse import CostFn, RecourseResult, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 KNOWN_ATTACKS = ("cfd", "cfd_lrt", "loss", "loss_lrt")
 
 
@@ -109,39 +110,29 @@ class ExperimentReport:
                 }
                 for name, dirs in self.attack_metrics.items()
             },
-            "scores": {
-                name: [
-                    dict(sc.to_json(), membership=self.membership[sc.point_id])
-                    for sc in score_list
-                ]
-                for name, score_list in self.scores.items()
-            },
-            "timing": self.timing,
         }
 
     def save(self, out_dir: str | Path) -> Path:
+        """report.json, one scores_<attack>.jsonl per attack (a record per
+        scored point), one roc_<attack>_<direction>.csv per curve, and the
+        stage times in trace.json."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "report.json"
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.save_scores(out_dir)
-        for name, dirs in self.attack_metrics.items():
-            for direction in dirs:
-                curve = self._curves[name][direction]
-                metrics_mod.export_log_roc(curve, out_dir / f"roc_{name}_{direction}.csv")
-        return report_path
-
-    def save_scores(self, out_dir: str | Path) -> None:
-        """One scores_<attack>.jsonl per attack, a record per line."""
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, doc in ((report_path, self.to_json()), (out_dir / "trace.json", self.timing)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         for name, score_list in self.scores.items():
             with open(out_dir / f"scores_{name}.jsonl", "w", encoding="utf-8") as fh:
                 for sc in score_list:
                     rec = dict(sc.to_json(), membership=self.membership[sc.point_id])
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for name, dirs in self.attack_metrics.items():
+            for direction in dirs:
+                curve = self._curves[name][direction]
+                metrics_mod.export_log_roc(curve, out_dir / f"roc_{name}_{direction}.csv")
+        return report_path
 
     # curves kept out of the JSON report but persisted as CSV
     _curves: dict = field(default_factory=dict)
@@ -209,6 +200,8 @@ def normalize_config(raw: dict) -> dict:
     raw = dict(raw)
     raw.pop("sweep", None)  # handled by run_sweep
     snap = _merge_strict(_DEFAULT_CONFIG, raw)
+    if not _is_int(snap["seed"]):
+        raise ConfigError(f"seed must be an integer, got {snap['seed']!r}")
     kind = snap["data"]["kind"]
     if kind not in ("synthetic", "file"):
         raise ConfigError(f"data.kind must be 'synthetic' or 'file', got {kind!r}")
@@ -308,7 +301,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         shadow_n=int(snap["eval"]["shadow_n"]),
         eval_out_n=int(snap["eval"]["eval_out_n"]),
         eval_points=int(snap["eval"]["eval_points"]),
-        seed=int(snap["seed"]),
+        seed=snap["seed"],
         out_dir=snap["out_dir"],
         experiment_id=str(snap["experiment_id"]),
         vae_train=vae_cfg,
@@ -492,7 +485,7 @@ def _attack_scores(
         elif name == "cfd_lrt":
             assert ensemble is not None
             out[name] = attack_mod.cfd_lrt_attack_scores(
-                samples, ensemble, alphas=config.alpha_grid, on_starved="skip")
+                samples, ensemble, alphas=config.alpha_grid)
         elif name == "loss":
             out[name] = attack_mod.loss_attack_scores(samples, prep.owner_model)
         elif name == "loss_lrt":
@@ -587,37 +580,49 @@ def write_summary(report_docs: Sequence[dict], path: str | Path) -> None:
 def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[ExperimentReport]:
     """Cross-product sweep over data.d and/or master seeds.
 
-    The config's optional "sweep" section holds {"d": [...], "seed": [...]};
-    each combination runs as its own experiment and a combined summary.csv
-    is written next to the per-run reports.
+    The config's optional "sweep" section holds {"d": [...], "seed": [...]},
+    each a non-empty list of integers (d at least 1); each combination runs
+    as its own experiment and a combined summary.csv is written next to the
+    per-run reports. Every combination's config is checked before the
+    first one trains.
     """
     raw_config = dict(raw_config)
-    sweep_spec = raw_config.pop("sweep", None) or {}
+    sweep_spec = raw_config.pop("sweep", {})
+    if not isinstance(sweep_spec, dict):
+        raise ConfigError(f"sweep must be a JSON object, got {sweep_spec!r}")
     unknown = set(sweep_spec) - {"d", "seed"}
     if unknown:
         raise ConfigError(f"unknown sweep key(s): {sorted(unknown)}")
+    for key, values in sweep_spec.items():
+        least = 1 if key == "d" else None
+        if not (isinstance(values, list) and values
+                and all(_is_int(v) and (least is None or v >= least) for v in values)):
+            raise ConfigError(f"sweep.{key} must be a non-empty list of integers"
+                              f"{f' >= {least}' if least else ''}, got {values!r}")
     ds = sweep_spec.get("d", [None])
     seeds = sweep_spec.get("seed", [None])
     out_dir = Path(out_dir) if out_dir else None
 
-    reports = []
+    configs = []
     for d in ds:
         for seed in seeds:
             variant = json.loads(json.dumps(raw_config))
             parts = []
             if d is not None:
-                variant.setdefault("data", {})["d"] = int(d)
-                parts.append(f"d{int(d)}")
+                data = variant.setdefault("data", {})
+                if isinstance(data, dict):  # otherwise config_from_dict rejects it
+                    data["d"] = d
+                parts.append(f"d{d}")
             if seed is not None:
-                variant["seed"] = int(seed)
-                parts.append(f"seed{int(seed)}")
+                variant["seed"] = seed
+                parts.append(f"seed{seed}")
             run_id = "_".join(parts) if parts else "run"
             base_id = variant.get("experiment_id", "experiment")
             variant["experiment_id"] = f"{base_id}_{run_id}" if parts else base_id
             if out_dir is not None:
                 variant["out_dir"] = str(out_dir / run_id)
-            cfg = config_from_dict(variant)
-            reports.append(run_experiment(cfg))
+            configs.append(config_from_dict(variant))
+    reports = [run_experiment(cfg) for cfg in configs]
     if out_dir is not None:
         write_summary([r.to_json() for r in reports], out_dir / "summary.csv")
     return reports

@@ -24,7 +24,7 @@ from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standar
 from recourse_mi.metrics import auc, roc, tpr_at_fpr
 from recourse_mi.nn import (
     TrainConfig,
-    input_gradient,
+    bce_to_target_grad_batch,
     predict_proba,
     train_classifier,
 )
@@ -368,7 +368,7 @@ class TestCriterion8Gradients:
                 ds, arch, TrainConfig(learning_rate=0.01, epochs=20, seed=82))
             for _ in range(100):
                 x = rng.normal(scale=2.0, size=6)
-                g = input_gradient(model, x, "bce-to-target", target=1.0)
+                g = bce_to_target_grad_batch(model, x[None, :])[1][0]
                 fd = finite_difference_gradient(
                     lambda v: -np.log(max(predict_proba(model, v), 1e-300)), x)
                 tol = max(1e-4, 1e-3 * float(np.linalg.norm(g)))
@@ -437,7 +437,6 @@ class TestCriterion11Reproducibility:
                 (out / f"scores_{a}.jsonl").read_bytes()
                 for a in ("cfd", "cfd_lrt"))
             doc = json.loads((out / "report.json").read_text())
-            doc.pop("timing")
             doc["config"].pop("out_dir")
             return scores, json.dumps(doc, sort_keys=True)
 
@@ -453,7 +452,7 @@ class TestCriterion11Reproducibility:
         criterion(11, ok,
                   f"4 repeated runs on 1, 2, 1, 2 workers: score records "
                   f"byte-identical={scores_equal}, "
-                  f"reports (minus timing) identical={reports_equal}; points split "
+                  f"reports identical={reports_equal}; points split "
                   f"at rows {cuts}: game recourses identical={game_equal}, shadow "
                   f"distance matrix identical={matrix_equal}")
 

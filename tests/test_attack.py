@@ -14,8 +14,7 @@ from recourse_mi.attack import (
     LogNormalFit,
     NormalFit,
     RecourseConfig,
-    ShadowSampleError,
-    build_shadow_distances,
+    ShadowEnsemble,
     cfd_lrt_attack_scores,
     cfd_lrt_decide,
     cfd_lrt_score,
@@ -23,7 +22,6 @@ from recourse_mi.attack import (
     fit_lognormal_mle,
     fit_normal_mle,
     lognormal_quantile,
-    loss_attack_score,
     loss_attack_scores,
     loss_lrt_attack_scores,
     loss_lrt_score,
@@ -35,8 +33,8 @@ from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standar
 from recourse_mi.nn import (
     TrainConfig,
     TrainingDivergedError,
-    bce_loss,
-    logit_confidence,
+    bce_from_proba,
+    logit_confidence_from_proba,
     predict_proba,
     train_classifier,
 )
@@ -50,6 +48,21 @@ from recourse_mi.recourse import (
 
 from conftest import make_logistic, use_cpus
 from reference import lognormal_quantile_oracle, normal_cdf
+
+
+def loss_of(m, x, y):
+    return bce_from_proba(predict_proba(m, x), y)
+
+
+def confidence_of(m, x, y):
+    return logit_confidence_from_proba(predict_proba(m, x), y)
+
+
+def shadow_distances(x, ensemble, point_seed):
+    """The shadow distances of one point in model order: its row of a
+    one-row shadow_distance_matrix, without the NaNs of skipped models."""
+    row = shadow_distance_matrix(x[None, :], ensemble, [point_seed])[0][0]
+    return row[~np.isnan(row)]
 
 
 def valid_result(cost=2.0, d=2):
@@ -253,9 +266,10 @@ class TestLossScores:
 
     def test_loss_attack_uses_bce_with_lower_direction(self):
         m = make_logistic([0.0], 0.0)
-        stat, higher = loss_attack_score(m, np.array([1.0]), 1)
-        assert stat == pytest.approx(np.log(2), abs=1e-12)
-        assert higher is False
+        [sc] = loss_attack_scores([SimpleNamespace(point_id="p", point=np.array([1.0]),
+                                                   label=1)], m)
+        assert sc.statistic == pytest.approx(np.log(2), abs=1e-12)
+        assert sc.higher_means_member is False
 
     def test_loss_is_softplus_of_negative_confidence(self):
         m = make_logistic([2.0, -1.0], 0.25)
@@ -263,8 +277,8 @@ class TestLossScores:
         for _ in range(30):
             x = rng.normal(size=2)
             y = int(rng.integers(0, 2))
-            conf = logit_confidence(m, x, y)
-            assert bce_loss(m, x, y) == pytest.approx(np.log1p(np.exp(-conf)), abs=1e-9)
+            conf = confidence_of(m, x, y)
+            assert loss_of(m, x, y) == pytest.approx(np.log1p(np.exp(-conf)), abs=1e-9)
 
     def test_fit_normal_mle_population_variance(self):
         fit = fit_normal_mle([1.0, 3.0])
@@ -286,7 +300,7 @@ def shadow_setup():
 
 def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
     # one forward pass per model over all points; every statistic must
-    # equal its one-point bce_loss / logit_confidence, clamped tails included
+    # equal its one-point loss / logit confidence, clamped tails included
     std, ensemble = shadow_setup
     owner = train_classifier(std, [8], TrainConfig(learning_rate=0.05, epochs=30, seed=4))
     rng = np.random.default_rng(8)
@@ -296,10 +310,10 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
     loss = loss_attack_scores(samples, owner)
     lrt = loss_lrt_attack_scores(samples, owner, ensemble)
     for s, ls, lr in zip(samples, loss, lrt):
-        assert ls.statistic == ls.score == bce_loss(owner, s.point, s.label)
+        assert ls.statistic == ls.score == loss_of(owner, s.point, s.label)
         assert ls.higher_means_member is False
-        conf = logit_confidence(owner, s.point, s.label)
-        fit = fit_normal_mle([logit_confidence(m, s.point, s.label) for m in ensemble.models])
+        conf = confidence_of(owner, s.point, s.label)
+        fit = fit_normal_mle([confidence_of(m, s.point, s.label) for m in ensemble.models])
         assert lr.statistic == conf and lr.score == loss_lrt_score(conf, fit)
     assert len(loss) == len(lrt) == len(samples)
     assert loss_attack_scores([], owner) == loss_lrt_attack_scores([], owner, ensemble) == []
@@ -314,7 +328,7 @@ class TestShadowEnsemble:
         std, ensemble = shadow_setup
         x = next(f for f, m in zip(std.features, std.labels)
                  if predict_proba(ensemble.models[0], f) < 0.5)
-        d = build_shadow_distances(x, ensemble, point_seed=0)
+        d = shadow_distances(x, ensemble, point_seed=0)
         assert 2 <= d.size <= 8
         assert (d > 0).all()
 
@@ -323,8 +337,8 @@ class TestShadowEnsemble:
         x = std.features[0]
         if predict_proba(ensemble.models[0], x) >= 0.5:
             x = std.features[1]
-        d1 = build_shadow_distances(x, ensemble, point_seed=3)
-        d2 = build_shadow_distances(x, ensemble, point_seed=3)
+        d1 = shadow_distances(x, ensemble, point_seed=3)
+        d2 = shadow_distances(x, ensemble, point_seed=3)
         assert np.array_equal(d1, d2)
 
     def test_halfspace_models_match_analytic_distance(self):
@@ -334,42 +348,58 @@ class TestShadowEnsemble:
         rc = RecourseConfig(algorithm="growing_spheres", cost_fn=CostFn("l1"),
                             search_params=SearchParams(samples_per_radius=500,
                                                        max_radius=10.0, seed=0))
-        from recourse_mi.attack import ShadowEnsemble
         ens = ShadowEnsemble(models=models, trainer_config=TrainConfig(),
                              recourse_config=rc, seed=7)
-        d = build_shadow_distances(np.zeros(2), ens, point_seed=0)
+        d = shadow_distances(np.zeros(2), ens, point_seed=0)
         assert d.size == 3
         for dist, boundary in zip(d, (1.0, 1.5, 2.0)):
             assert boundary <= dist <= 1.5 * boundary
 
-    def test_too_few_samples_raises(self):
-        # both models classify the query positively -> no distances at all
+    def test_too_few_samples_are_dropped(self):
+        # both models classify the query positively -> no distances at all,
+        # so the point has no OUT fit and gets no score
         models = [make_logistic([0.0, 0.0], 3.0), make_logistic([0.0, 0.0], 5.0)]
-        rc = RecourseConfig(algorithm="growing_spheres")
-        from recourse_mi.attack import ShadowEnsemble
         ens = ShadowEnsemble(models=models, trainer_config=TrainConfig(),
-                             recourse_config=rc, seed=1)
-        with pytest.raises(ShadowSampleError, match="2 positively classified"):
-            build_shadow_distances(np.zeros(2), ens, point_seed=0)
+                             recourse_config=RecourseConfig(algorithm="growing_spheres"),
+                             seed=1)
+        dists, positive, failed = shadow_distance_matrix(np.zeros((1, 2)), ens, [0])
+        assert positive.tolist() == [2] and failed.tolist() == [0]
+        assert np.isnan(dists).all()
+        sample = SimpleNamespace(point_id="p", point=np.zeros(2), recourse=valid_result())
+        assert cfd_lrt_attack_scores([sample], ens) == []
+
+    def test_cfd_lrt_starved_points_are_dropped(self):
+        # one model accepts everything, the others are halfspaces x1 > 1
+        # and x2 > 1: (0, 0) keeps two distances, (0, 2) one, (2, 2) none
+        models = [make_logistic([0.0, 0.0], 3.0), make_logistic([4.0, 0.0], -4.0),
+                  make_logistic([0.0, 4.0], -4.0)]
+        ens = ShadowEnsemble(models=models, trainer_config=TrainConfig(),
+                             recourse_config=RecourseConfig(algorithm="growing_spheres"),
+                             seed=1)
+        points = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+        dists, positive, failed = shadow_distance_matrix(points, ens, range(3))
+        assert positive.tolist() == [1, 2, 3] and failed.tolist() == [0, 0, 0]
+        assert (~np.isnan(dists)).sum(axis=1).tolist() == [2, 1, 0]
+        samples = [SimpleNamespace(point_id=f"p{i}", point=x, recourse=valid_result())
+                   for i, x in enumerate(points)]
+        assert [sc.point_id for sc in cfd_lrt_attack_scores(samples, ens)] == ["p0"]
+        assert cfd_lrt_attack_scores(samples[1:], ens) == []
 
     def test_matrix_rows_match_per_point_distances(self, shadow_setup):
         # model-major replay gives each point the distances, in model
-        # order, that the one-point builder gives it with the same seed
+        # order, that a one-row replay gives it with the same seed
         std, ensemble = shadow_setup
         X = std.features[:12]
         dists, positive, failed = shadow_distance_matrix(X, ensemble, range(40, 52))
         assert dists.shape == (12, ensemble.n_models)
         for r, x in enumerate(X):
-            row = dists[r][~np.isnan(dists[r])]
             assert np.isnan(dists[r]).sum() == positive[r] + failed[r]
             for i, m in enumerate(ensemble.models):
                 if predict_proba(m, x) >= 0.5:
                     assert np.isnan(dists[r, i])
-            if row.size >= 2:
-                assert np.array_equal(row, build_shadow_distances(x, ensemble, 40 + r))
-            else:
-                with pytest.raises(ShadowSampleError):
-                    build_shadow_distances(x, ensemble, 40 + r)
+            one = shadow_distance_matrix(x[None, :], ensemble, [40 + r])
+            assert np.array_equal(dists[r], one[0][0], equal_nan=True)
+            assert (positive[r], failed[r]) == (one[1][0], one[2][0])
 
     def test_matrix_over_a_block_stacks_its_halves(self):
         ds, _ = standardize(generate_synthetic(SyntheticSpec(d=40, n_per_class=200, seed=8,
@@ -396,28 +426,17 @@ class TestShadowEnsemble:
             if predict_proba(owner, x) < 0.5:
                 res = growing_spheres(owner, x, SearchParams(seed=j), CostFn("l1"))
                 samples.append(SimpleNamespace(point_id=f"p{j}", point=x, recourse=res))
-        scores = cfd_lrt_attack_scores(samples, ensemble, alphas=(0.1,), on_starved="skip")
+        scores = cfd_lrt_attack_scores(samples, ensemble, alphas=(0.1,))
         by_id = {sc.point_id: sc for sc in scores}
         assert len(by_id) >= len(samples) // 2
         for idx, s in enumerate(samples):
-            try:
-                fit = fit_lognormal_mle(build_shadow_distances(s.point, ensemble, idx))
-            except ShadowSampleError:
+            row = shadow_distances(s.point, ensemble, idx)
+            if row.size < 2:
                 assert s.point_id not in by_id
                 continue
+            fit = fit_lognormal_mle(row)
             t0 = cfd_statistic(s.point, s.recourse)
             assert by_id[s.point_id].score == cfd_lrt_score(t0, fit)
-
-    def test_cfd_lrt_starved_point_raises_by_default(self):
-        models = [make_logistic([0.0, 0.0], 3.0), make_logistic([0.0, 0.0], 5.0)]
-        from recourse_mi.attack import ShadowEnsemble
-        ens = ShadowEnsemble(models=models, trainer_config=TrainConfig(),
-                             recourse_config=RecourseConfig(algorithm="growing_spheres"),
-                             seed=1)
-        sample = SimpleNamespace(point_id="p", point=np.zeros(2), recourse=valid_result())
-        with pytest.raises(ShadowSampleError, match="2 positively classified"):
-            cfd_lrt_attack_scores([sample], ens)
-        assert cfd_lrt_attack_scores([sample], ens, on_starved="skip") == []
 
     def test_shadow_models_never_trained_on_eval_rows(self, shadow_setup):
         std, ensemble = shadow_setup

@@ -13,12 +13,10 @@ from recourse_mi.nn import (
     TrainConfig,
     TrainingDivergedError,
     accuracy,
-    bce_loss,
-    bce_to_target_grad,
+    bce_from_proba,
     bce_to_target_grad_batch,
-    input_gradient,
     load_model,
-    logit_confidence,
+    logit_confidence_from_proba,
     predict_proba,
     predict_proba_batch,
     save_model,
@@ -37,6 +35,19 @@ from reference import (
 )
 
 SIGMA_1 = 0.7310585786300049  # sigmoid(1)
+
+
+def loss_of(m, x, y):
+    return bce_from_proba(predict_proba(m, x), y)
+
+
+def confidence_of(m, x, y):
+    return logit_confidence_from_proba(predict_proba(m, x), y)
+
+
+def gradient_of(m, x, target=1.0):
+    """The input gradient of one point: row 0 of a batch of one."""
+    return bce_to_target_grad_batch(m, x[None, :], target)[1][0]
 
 
 class TestPredictProba:
@@ -81,31 +92,31 @@ class TestPredictProba:
             p, g = bce_to_target_grad_batch(m, xs[:n], 1.0)
             for i in range(n):
                 assert batch[i] == p[i] == predict_proba(m, xs[i])
-                assert np.array_equal(g[i], bce_to_target_grad(m, xs[i], 1.0)[1])
+                assert np.array_equal(g[i], gradient_of(m, xs[i]))
 
 
 class TestBceAndConfidence:
     def test_half_probability(self):
         m = make_logistic([0.0], 0.0)
-        assert bce_loss(m, np.array([1.0]), 1) == pytest.approx(np.log(2), abs=1e-12)
+        assert loss_of(m, np.array([1.0]), 1) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_clamp_floor(self):
         m = make_logistic([1000.0], 0.0)  # p ~ 1 at x=1
-        assert bce_loss(m, np.array([1.0]), 1) == pytest.approx(-np.log(1 - 1e-7), abs=1e-12)
-        assert bce_loss(m, np.array([1.0]), 0) == pytest.approx(-np.log(1e-7), abs=1e-9)
+        assert loss_of(m, np.array([1.0]), 1) == pytest.approx(-np.log(1 - 1e-7), abs=1e-12)
+        assert loss_of(m, np.array([1.0]), 0) == pytest.approx(-np.log(1e-7), abs=1e-9)
 
     def test_sigma1_against_label_zero(self):
         m = make_logistic([1.0, 0.0], 0.0)
-        assert bce_loss(m, np.array([1.0, 0.0]), 0) == pytest.approx(1.313262, abs=1e-6)
+        assert loss_of(m, np.array([1.0, 0.0]), 0) == pytest.approx(1.313262, abs=1e-6)
 
     def test_logit_confidence_inverts_sigmoid(self):
         m = make_logistic([1.0, 0.0], 0.0)
         x = np.array([1.0, 0.0])
-        assert logit_confidence(m, x, 1) == pytest.approx(1.0, abs=1e-12)
+        assert confidence_of(m, x, 1) == pytest.approx(1.0, abs=1e-12)
         m3 = make_logistic([-3.0], 0.0)
         # p = sigmoid(-3) for label 1 at x = 1
-        assert logit_confidence(m3, np.array([1.0]), 1) == pytest.approx(-3.0, abs=1e-12)
-        assert logit_confidence(make_logistic([0.0], 0.0), np.array([1.0]), 1) == 0.0
+        assert confidence_of(m3, np.array([1.0]), 1) == pytest.approx(-3.0, abs=1e-12)
+        assert confidence_of(make_logistic([0.0], 0.0), np.array([1.0]), 1) == 0.0
 
     def test_softplus_identity(self):
         # bce = log(1 + exp(-conf)) on the clamped probability
@@ -114,8 +125,8 @@ class TestBceAndConfidence:
         for _ in range(50):
             x = rng.normal(scale=3.0, size=3)
             y = int(rng.integers(0, 2))
-            conf = logit_confidence(m, x, y)
-            assert bce_loss(m, x, y) == pytest.approx(np.log1p(np.exp(-conf)), abs=1e-9)
+            conf = confidence_of(m, x, y)
+            assert loss_of(m, x, y) == pytest.approx(np.log1p(np.exp(-conf)), abs=1e-9)
 
 
 class TestInputGradient:
@@ -124,9 +135,9 @@ class TestInputGradient:
         m = make_logistic(theta, 0.5)
         x = np.array([0.3, 0.7])
         p = predict_proba(m, x)
-        g = input_gradient(m, x, "bce-to-target", target=1.0)
+        g = gradient_of(m, x, target=1.0)
         assert np.allclose(g, (p - 1.0) * theta, atol=1e-12)
-        g0 = input_gradient(m, x, "bce-to-target", target=0.0)
+        g0 = gradient_of(m, x, target=0.0)
         assert np.allclose(g0, p * theta, atol=1e-12)
 
     @pytest.mark.parametrize("arch", [[], [8], [16, 8], [8, 8, 4]])
@@ -136,29 +147,11 @@ class TestInputGradient:
         m = train_classifier(ds, arch, TrainConfig(learning_rate=0.01, epochs=15, seed=5))
         for _ in range(20):
             x = rng.normal(size=5)
-            g = input_gradient(m, x, "bce-to-target", target=1.0)
+            g = gradient_of(m, x, target=1.0)
             fd = finite_difference_gradient(
                 lambda v: -np.log(np.clip(predict_proba(m, v), 1e-300, None)), x)
             tol = max(1e-4, 1e-3 * np.linalg.norm(g))
             assert np.abs(g - fd).max() < tol
-
-    def test_recourse_objective_reduces_at_lambda_zero(self):
-        m = make_logistic([1.0, 2.0], -0.5)
-        x = np.array([0.2, -0.4])
-        anchor = np.array([0.0, 0.0])
-        g_plain = input_gradient(m, x, "bce-to-target")
-        g_rec = input_gradient(m, x, "recourse-objective", lam=0.0, anchor=anchor)
-        assert np.array_equal(g_plain, g_rec)
-
-    def test_recourse_objective_cost_term(self):
-        m = make_logistic([1.0, 2.0], -0.5)
-        x = np.array([0.2, -0.4])
-        anchor = np.array([0.1, -0.4])
-        g_l1 = input_gradient(m, x, "recourse-objective", lam=0.5, anchor=anchor,
-                              cost_norm="l1")
-        g_plain = input_gradient(m, x, "bce-to-target")
-        # delta = (0.1, 0), so the l1 subgradient is (sign(0.1), sign(0)) = (1, 0)
-        assert np.allclose(g_l1 - g_plain, [0.5, 0.0], atol=1e-12)
 
 
 class TestTrainClassifier:
@@ -387,15 +380,15 @@ def test_batched_gradient_rows_match_single_point():
         p, g = bce_to_target_grad_batch(m, x, 1.0)
         assert p.shape == (7,) and g.shape == (7, 4)
         for i in range(7):
-            p1, g1 = bce_to_target_grad(m, x[i], 1.0)
-            assert p[i] == p1
-            assert np.array_equal(g[i], g1)
+            p1, g1 = bce_to_target_grad_batch(m, x[i][None, :], 1.0)
+            assert p[i] == p1[0]
+            assert np.array_equal(g[i], g1[0])
     with pytest.raises(DimensionMismatchError):
         bce_to_target_grad_batch(m, np.zeros(4), 1.0)
 
 
 def test_bce_to_target_grad_returns_probability():
     m = make_logistic([1.0, 0.0], 0.0)
-    p, g = bce_to_target_grad(m, np.array([1.0, 0.0]), 1.0)
-    assert p == pytest.approx(SIGMA_1, abs=1e-12)
-    assert g.shape == (2,)
+    p, g = bce_to_target_grad_batch(m, np.array([[1.0, 0.0]]), 1.0)
+    assert p.shape == (1,) and p[0] == pytest.approx(SIGMA_1, abs=1e-12)
+    assert g.shape == (1, 2)

@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -49,6 +51,7 @@ def _bad(path, values):
 # invalid; the empty path replaces the whole config.
 _MALFORMED = [
     _bad((), st.one_of(st.lists(st.integers(), max_size=2), st.integers(), st.text(max_size=4))),
+    _bad(("seed",), _NOT_INT),
     _bad(("bogus",), st.integers()),
     _bad(("data", "bogus"), st.integers()),
     _bad(("data", "kind"), st.text(max_size=8).filter(lambda k: k not in ("synthetic", "file"))),
@@ -133,16 +136,31 @@ class TestConfig:
         ({"recourse": {"vae": {"epochs": 2.0}}}, "recourse.vae.epochs"),
         ({"data": {"class_separation": 0}}, "class_separation"),
         ({"recourse": 5}, "recourse must be a JSON object"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": "x"}, "seed"),
+        ({"sweep": {"d": [2.5]}}, "sweep.d"),
+        ({"sweep": {"d": 5}}, "sweep.d"),
+        ({"sweep": {"d": [4, 0]}}, "sweep.d"),
+        ({"sweep": {"seed": "ab"}}, "sweep.seed"),
+        ({"sweep": {"seed": [1, True]}}, "sweep.seed"),
+        ({"sweep": []}, "sweep must be a JSON object"),
+        ({"sweep": {"d": [4]}, "data": 5}, "data must be a JSON object"),
+        # the second run's immutable index is out of range: found before the first trains
+        ({"sweep": {"d": [8, 4]}, "recourse": {"immutable": [6]}}, "immutable"),
     ])
     def test_bad_values_exit_1_before_training(self, tmp_path, monkeypatch, capsys,
                                                 overrides, match):
-        with pytest.raises(ConfigError, match=match):
-            config_from_dict(small_raw(**overrides))
         trained = []
-        monkeypatch.setattr(nn, "train_classifier", lambda *a: trained.append(a))
+        monkeypatch.setattr(nn, "train_classifier", lambda *a, **k: trained.append(a))
+        monkeypatch.setattr(nn, "train_vae", lambda *a, **k: trained.append(a))
+        raw = small_raw(**overrides)
+        command = "sweep" if "sweep" in raw else "run"
+        with pytest.raises(ConfigError, match=match):
+            runner.run_sweep(raw) if command == "sweep" else config_from_dict(raw)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_raw(**overrides)))
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert match in capsys.readouterr().err and not trained
 
     @settings(max_examples=80, deadline=None)
@@ -305,9 +323,18 @@ class TestRunExperiment:
         assert (out / "report.json").exists()
         assert (out / "roc_cfd_standard.csv").exists()
         assert (out / "roc_cfd_reversed.csv").exists()
-        assert (out / "scores_cfd.jsonl").exists()
         doc = json.loads((out / "report.json").read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+        assert "scores" not in doc and "timing" not in doc
+        trace = json.loads((out / "trace.json").read_text())
+        assert set(trace) == {"prepare_s", "game_s", "attacks_s"}
+        scored = doc["game"]["scored_points"]
+        assert set(scored) == set(rep.scores) == {"cfd"}
+        for name, counts in scored.items():
+            lines = (out / f"scores_{name}.jsonl").read_text().splitlines()
+            assert len(lines) == counts["n_scored"] == len(rep.scores[name])
+            assert [json.loads(line)["point_id"] for line in lines] == [
+                sc.point_id for sc in rep.scores[name]]
         assert set(doc["attacks"]["cfd"]["directions"]) == {"standard", "reversed"}
         assert doc["attacks"]["cfd"]["best_direction"] in ("standard", "reversed")
 
@@ -357,7 +384,6 @@ class TestReproducibility:
             runner.run_experiment(config_from_dict(small_raw(out_dir=str(out),
                                                              attacks=attacks)))
             doc = json.loads((out / "report.json").read_text())
-            doc.pop("timing")
             doc["config"].pop("out_dir")
             scores = b"".join((out / f"scores_{a}.jsonl").read_bytes()
                               for a in attacks["which"])
@@ -431,15 +457,6 @@ class TestCli:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[0].startswith("experiment_id,attack,direction")
 
-    def test_attack_writes_the_run_score_streams(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_raw(attacks={"which": ["cfd", "loss"]})))
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
-        assert cli.main(["attack", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
-        for name in ("cfd", "loss"):
-            assert ((tmp_path / "a" / f"scores_{name}.jsonl").read_bytes()
-                    == (tmp_path / "r" / f"scores_{name}.jsonl").read_bytes())
-
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"bogus": True}))
@@ -499,4 +516,10 @@ class TestCli:
         d1 = json.loads((o1 / "report.json").read_text())
         d2 = json.loads((o2 / "report.json").read_text())
         assert d1["master_seed"] == 101 and d2["master_seed"] == 102
-        assert d1["scores"] != d2["scores"]
+        assert (o1 / "scores_cfd.jsonl").read_bytes() != (o2 / "scores_cfd.jsonl").read_bytes()
+
+    def test_docstring_lists_every_subcommand(self):
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        listed = re.search(r"Subcommands:([^.]*)\.", cli.__doc__).group(1)
+        assert sorted(c.strip() for c in listed.split(",")) == sorted(sub.choices)
