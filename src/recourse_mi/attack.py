@@ -16,6 +16,10 @@ process's affinity (see _map_models): every model it trains, then, after
 the game, one cfd_lrt replay task per shadow model (a replayed point's
 seed is its index among the game's valid recourses). Every model and
 replay keeps its own seeds, so results are identical at any CPU count.
+
+The normal CDF and quantile of the LRT scores and thresholds are ports of
+the Cephes `ndtr`/`ndtri` that SciPy's `special` module runs (see
+normal.py), and give SciPy's values bit for bit.
 """
 from __future__ import annotations
 
@@ -23,16 +27,18 @@ import dataclasses
 import enum
 import functools
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import nn, recourse
 from .data import Dataset
 from .nn import Model, TrainConfig, VaeModel
+from .normal import ndtr, ndtri
 from .recourse import CostFn, RecourseResult, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
 
@@ -145,10 +151,8 @@ def _map_models(fn: Callable[[int], Any], n: int) -> list:
     missing. Workers inherit fn through fork, so it may be a closure; only
     results are pickled back, and a worker's exception re-raises here."""
     workers = min(n, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
-    import multiprocessing  # here, so that importing the package stays as fast
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(i) for i in range(n)]
-    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                              initializer=_worker_fn.append, initargs=(fn,)) as pool:
         return list(pool.map(_call_worker_fn, range(n)))
@@ -434,6 +438,7 @@ def loss_lrt_attack_scores(
     X = np.array([s.point for s in samples])
     owner_p = nn.predict_proba_batch(owner_model, X)
     shadow_p = [nn.predict_proba_batch(m, X) for m in ensemble.models]
+    z_upper = {a: ndtri(1.0 - a) for a in alphas}
     out = []
     for i, s in enumerate(samples):
         conf = nn.logit_confidence_from_proba(owner_p[i], s.label)
@@ -445,7 +450,7 @@ def loss_lrt_attack_scores(
             if fit.sigma2 < DEGENERATE_SIGMA2:
                 thr = fit.mu
             else:
-                thr = fit.mu + math.sqrt(fit.sigma2) * ndtri(1.0 - a)
+                thr = fit.mu + math.sqrt(fit.sigma2) * z_upper[a]
             guesses[a] = Guess.MEMBER if conf >= thr else Guess.NON_MEMBER
         out.append(AttackScore(
             point_id=s.point_id, attack="loss_lrt", statistic=conf, score=score,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import numpy.random  # numpy imports it lazily; every audit draws from it
 
 
 def derive_seed(master: int, stage: str, index: int = 0) -> int:

@@ -1,13 +1,20 @@
+import json
+import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from recourse_mi import attack
+import recourse_mi
+from recourse_mi import attack, normal
 from recourse_mi.attack import (
     Guess,
     InvalidRecourseError,
@@ -556,3 +563,100 @@ class TestQuantileCalibration:
         for q in (0.1, 0.25, 0.5, 0.75, 0.9):
             frac = float(np.mean(s < lognormal_quantile(fit, q)))
             assert frac == pytest.approx(q, abs=0.02)
+
+
+def ulp_neighbours(values, k=8):
+    """Each value and its k nearest floats on either side."""
+    out = []
+    for v in values:
+        lo = hi = np.float64(v)
+        out.append(lo)
+        for _ in range(k):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            out += [lo, hi]
+    return np.array(out)
+
+
+def mismatches(port, oracle, xs):
+    """Inputs where the port and the oracle differ, as bits: NaN matches NaN
+    and the sign of a zero counts."""
+    got = np.array([port(float(x)) for x in xs])
+    want = oracle(xs)
+    same = (got == want) & (np.signbit(got) == np.signbit(want))
+    return xs[~(same | (np.isnan(got) & np.isnan(want)))]
+
+
+class TestNormalPorts:
+    """normal.ndtr/ndtri against the scipy.special routines they port."""
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.0, 5e-324])
+
+    def test_ndtr_equals_scipy_on_random_inputs(self):
+        rng = np.random.default_rng(2)
+        # plus a dense band where erf's x T(x^2)/U(x^2) runs, |z| < sqrt(2)
+        z = np.concatenate([rng.uniform(-40.0, 40.0, 120_000), rng.uniform(-1.5, 1.5, 100_000)])
+        assert mismatches(normal.ndtr, special.ndtr, z).size == 0
+
+    def test_ndtri_equals_scipy_on_random_inputs(self):
+        rng = np.random.default_rng(3)
+        tail = 10.0 ** rng.uniform(-300.0, 0.0, 60_000)
+        upper = 1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 60_000)
+        assert mismatches(normal.ndtri, special.ndtri,
+                          np.concatenate([tail, upper])).size == 0
+
+    def test_ndtr_equals_scipy_at_branch_boundaries(self):
+        # |z|/sqrt(2) at 1/sqrt(2) (erf or erfc), 1 (erfc's erf fallback)
+        # and 8 (P/Q or R/S), and z^2/2 at MAXLOG (erfc underflow)
+        edges = [b * math.sqrt(2.0) for b in (normal.SQRT1_2, 1.0, 8.0)]
+        edges.append(math.sqrt(2.0 * normal.MAXLOG))
+        z = ulp_neighbours(edges + [-e for e in edges])
+        assert mismatches(normal.ndtr, special.ndtr, z).size == 0
+
+    def test_ndtri_equals_scipy_at_branch_boundaries(self):
+        # q = exp(-2) and 1 - exp(-2) (central or tail), and the x = 8
+        # switch from P1/Q1 to P2/Q2 near q = exp(-32), in both tails
+        edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0)]
+        q = ulp_neighbours(edges)
+        assert mismatches(normal.ndtri, special.ndtri, q).size == 0
+
+    def test_special_values_equal_scipy(self):
+        assert mismatches(normal.ndtr, special.ndtr, self.SPECIAL).size == 0
+        assert mismatches(normal.ndtri, special.ndtri, self.SPECIAL).size == 0
+        assert normal.ndtri(0.0) == -math.inf and normal.ndtri(1.0) == math.inf
+
+
+AUDIT_IMPORTS = """
+import json, sys
+import recourse_mi
+from recourse_mi import runner
+loaded = set(sys.modules)
+print(json.dumps(sorted(loaded)))
+runner.run_experiment(runner.config_from_dict(json.loads(sys.argv[1])))
+print(json.dumps(sorted(set(sys.modules) - loaded)))
+"""
+
+
+def test_audit_imports_no_scipy_and_nothing_lazily(tmp_path):
+    # Importing the package loads what an audit needs, and never scipy: a
+    # module an audit loads for the first time would be timed as audit work.
+    config = {
+        "data": {"kind": "synthetic", "d": 6, "n_per_class": 400, "class_separation": 0.5},
+        "train": {"learning_rate": 0.05, "epochs": 20},
+        "recourse": {"scfe": {"max_iters": 120}},
+        "attacks": {"which": ["cfd_lrt", "loss_lrt"], "n_shadow_models": 4},
+        "eval": {"owner_n": 250, "shadow_n": 300, "eval_out_n": 200, "eval_points": 20},
+        "out_dir": str(tmp_path),
+    }
+    src = str(Path(recourse_mi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", AUDIT_IMPORTS, json.dumps(config)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    at_import, during_audit = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    assert not [m for m in at_import if m.split(".")[0] == "scipy"]
+    assert {"numpy.random", "concurrent.futures.process"} <= set(at_import)
+    late = [m for m in during_audit
+            if m.split(".")[0] == "scipy" or m.startswith(("numpy.random", "concurrent.futures"))]
+    assert late == []
+    assert (tmp_path / "scores_loss_lrt.jsonl").is_file()
