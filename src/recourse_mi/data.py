@@ -5,6 +5,17 @@ The synthetic generator picks two distinct vertices of the scaled
 hypercube {-s, +s}^d as class centers and samples unit-variance Gaussians
 around them. Tabular files are plain CSV with a header; the label column
 is either already binary or thresholded at its median.
+
+Each stage has one array-level core. `synthetic_arrays` and
+`tabular_arrays` return a writable float64 feature matrix with its
+labels and provenance, `standardize_in_place` shifts and scales that
+matrix, and `split_in_place` moves its rows into
+[owner | shadow | eval-out | unused] order and returns the partitions as
+read-only views of it. An audit runs them in turn, so from generation to
+partition it holds one feature matrix. The Dataset-level functions
+(`generate_synthetic`, `load_tabular`, `standardize`, `split`) wrap the
+same cores; `standardize` and `split` work on a copy, so their input
+stays intact.
 """
 from __future__ import annotations
 
@@ -32,7 +43,15 @@ class ZeroVarianceColumnError(DataError):
 
 
 class SplitSizeError(DataError):
-    """Requested partition sizes exceed the available rows."""
+    """Requested partition sizes are negative or exceed the available rows."""
+
+
+# the chunked stages keep scratch for about this many values per chunk
+_CHUNK_VALUES = 1 << 16
+
+
+def _chunk_rows(d: int) -> int:
+    return max(1, _CHUNK_VALUES // d)
 
 
 @dataclass(frozen=True)
@@ -112,12 +131,6 @@ class ScalerParams:
     std: np.ndarray
     convention: str = "population"
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) * self.std + self.mean
-
 
 @dataclass(frozen=True)
 class SplitBundle:
@@ -130,12 +143,13 @@ class SplitBundle:
     seed: int
 
 
-def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Sample the two-cluster dataset described by `spec`.
+def synthetic_arrays(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Features, labels and provenance of the dataset described by `spec`.
 
     Two distinct vertices of {-s, +s}^d are drawn uniformly at random,
-    then n_per_class unit-variance Gaussian rows are sampled around each.
-    Rows are ordered class 0 first; callers shuffle via `split`.
+    then n_per_class unit-variance Gaussian rows are sampled around each,
+    straight into one writable (2 n_per_class, d) matrix. Rows are ordered
+    class 0 first; callers shuffle via `split`.
     """
     rng = np.random.default_rng(spec.seed)
     v0 = rng.integers(0, 2, size=spec.d) * 2 - 1
@@ -145,12 +159,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     v0 = v0.astype(np.float64) * spec.class_separation
     v1 = v1.astype(np.float64) * spec.class_separation
 
-    x0 = rng.standard_normal((spec.n_per_class, spec.d)) + v0
-    x1 = rng.standard_normal((spec.n_per_class, spec.d)) + v1
-    features = np.vstack([x0, x1])
-    labels = np.concatenate(
-        [np.zeros(spec.n_per_class, dtype=np.int64), np.ones(spec.n_per_class, dtype=np.int64)]
-    )
+    n = spec.n_per_class
+    features = np.empty((2 * n, spec.d))
+    for rows, vertex in ((features[:n], v0), (features[n:], v1)):
+        rng.standard_normal(out=rows)
+        rows += vertex
+    labels = np.zeros(2 * n, dtype=np.int64)
+    labels[n:] = 1
     prov = {
         "kind": "synthetic",
         "d": spec.d,
@@ -159,11 +174,19 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         "class_separation": spec.class_separation,
         "vertices": [v0.tolist(), v1.tolist()],
     }
-    return Dataset(features, labels, prov)
+    return features, labels, prov
 
 
-def load_tabular(path: str | Path, label_column: str, label_rule: str = "binary") -> Dataset:
-    """Load a CSV with a header row into a Dataset.
+def generate_synthetic(spec: SyntheticSpec) -> Dataset:
+    """The dataset of `synthetic_arrays`."""
+    return Dataset(*synthetic_arrays(spec))
+
+
+def tabular_arrays(
+    path: str | Path, label_column: str, label_rule: str = "binary"
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Features (a writable matrix), labels and provenance of a CSV file
+    with a header row.
 
     label_rule "binary" requires the label column to already hold 0/1;
     "median-threshold" labels 1 iff the raw score exceeds the column
@@ -238,58 +261,138 @@ def load_tabular(path: str | Path, label_column: str, label_rule: str = "binary"
         "label_rule": label_rule,
         "feature_names": feature_names,
     }
-    return Dataset(features, labels, prov)
+    return features, labels, prov
+
+
+def load_tabular(path: str | Path, label_column: str, label_rule: str = "binary") -> Dataset:
+    """The dataset of `tabular_arrays`."""
+    return Dataset(*tabular_arrays(path, label_column, label_rule))
+
+
+def standardize_in_place(features: np.ndarray, provenance: dict) -> tuple[dict, ScalerParams]:
+    """Shift and scale the columns of `features` in place to zero mean and
+    unit variance (population convention); returns the provenance of the
+    result and the scaler.
+
+    The mean is np.mean's. The variance adds the squared deviations of
+    chunks of rows to a running sum, row after row; np.std adds the rows
+    of a matrix in the same order, so the std equals np.std(axis=0) bit
+    for bit while the scratch stays at one chunk. numpy sums a single
+    column pairwise instead, so a one-column matrix is one chunk.
+
+    Raises ZeroVarianceColumnError naming the first constant column,
+    before `features` is changed; the caller may drop it and retry.
+    """
+    n, d = features.shape
+    if n < 2:
+        raise DataError(f"standardize needs n >= 2, got n={n}")
+    mean = features.mean(axis=0)
+    step = n if d == 1 else min(n, _chunk_rows(d))
+    sums = np.empty((step + 1, d))  # row 0: the sum over the rows before the chunk
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        dev = sums[1 : b - a + 1]
+        np.subtract(features[a:b], mean, out=dev)
+        np.square(dev, out=dev)
+        sums[0] = sums[0 if a else 1 : b - a + 1].sum(axis=0)
+    std = np.sqrt(sums[0] / n)
+    flat = np.flatnonzero(std == 0.0)
+    if flat.size:
+        names = provenance.get("feature_names")
+        label = names[flat[0]] if names else f"column {int(flat[0])}"
+        raise ZeroVarianceColumnError(f"{label} has zero variance")
+    features -= mean
+    features /= std
+    return {"kind": "standardized", "parent": provenance}, ScalerParams(mean=mean, std=std)
 
 
 def standardize(data: Dataset) -> tuple[Dataset, ScalerParams]:
-    """Zero-mean unit-variance columns (population convention).
+    """A standardized copy of `data` (see standardize_in_place)."""
+    features = data.features.copy()
+    prov, scaler = standardize_in_place(features, data.provenance)
+    return Dataset(features, data.labels, prov), scaler
 
-    Raises ZeroVarianceColumnError naming the first constant column; the
-    caller may drop it and retry.
+
+def split_in_place(
+    features: np.ndarray,
+    labels: np.ndarray,
+    provenance: dict,
+    owner_n: int,
+    shadow_n: int,
+    eval_out_n: int,
+    seed: int,
+) -> SplitBundle:
+    """Disjoint uniformly-random owner/shadow/eval-out partition of the
+    dataset (features, labels, provenance).
+
+    The rows of `features` and `labels` move in place into
+    [owner | shadow | eval-out | unused] order, each partition's rows in
+    source order, and the partitions are views of them; both arrays are
+    left read-only, so the partitions cannot change. Each partition's
+    provenance lists its source rows.
     """
-    if data.n < 2:
-        raise DataError(f"standardize needs n >= 2, got n={data.n}")
-    mean = data.features.mean(axis=0)
-    std = data.features.std(axis=0)  # ddof=0
-    flat = np.flatnonzero(std == 0.0)
-    if flat.size:
-        names = data.provenance.get("feature_names")
-        label = names[flat[0]] if names else f"column {int(flat[0])}"
-        raise ZeroVarianceColumnError(f"{label} has zero variance")
-    scaler = ScalerParams(mean=mean, std=std)
-    prov = {"kind": "standardized", "parent": data.provenance}
-    return Dataset(scaler.transform(data.features), data.labels, prov), scaler
+    sizes = (owner_n, shadow_n, eval_out_n)
+    if min(sizes) < 0:
+        raise SplitSizeError(f"owner_n, shadow_n and eval_out_n must be >= 0, got {sizes}")
+    total = sum(sizes)
+    n = features.shape[0]
+    if total > n:
+        raise SplitSizeError(
+            f"owner_n + shadow_n + eval_out_n = {total} exceeds n = {n}"
+        )
+    perm = rng_for(seed, "split-permutation").permutation(n)
+    bounds = (0, owner_n, owner_n + shadow_n, total)
+    source_rows = [np.sort(perm[a:b]) for a, b in zip(bounds, bounds[1:])]
+    _gather_rows((features, labels), np.concatenate(source_rows))
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    owner, shadow, out = (
+        Dataset(features[a:b], labels[a:b],
+                {"kind": "subset", "role": role, "rows": rows.tolist(), "parent": provenance})
+        for role, rows, a, b in zip(("owner_train", "shadow_pool", "eval_out"),
+                                    source_rows, bounds, bounds[1:])
+    )
+    return SplitBundle(
+        owner_train=owner,
+        shadow_pool=shadow,
+        eval_in=np.arange(owner_n, dtype=np.int64),
+        eval_out=out,
+        seed=seed,
+    )
 
 
 def split(
     data: Dataset, owner_n: int, shadow_n: int, eval_out_n: int, seed: int
 ) -> SplitBundle:
-    """Disjoint uniformly-random owner/shadow/eval-out partition."""
-    total = owner_n + shadow_n + eval_out_n
-    if total > data.n:
-        raise SplitSizeError(
-            f"owner_n + shadow_n + eval_out_n = {total} exceeds n = {data.n}"
-        )
-    perm = rng_for(seed, "split-permutation").permutation(data.n)
-    owner_rows = np.sort(perm[:owner_n])
-    shadow_rows = np.sort(perm[owner_n : owner_n + shadow_n])
-    out_rows = np.sort(perm[owner_n + shadow_n : total])
-    return SplitBundle(
-        owner_train=data.take(owner_rows, "owner_train"),
-        shadow_pool=data.take(shadow_rows, "shadow_pool"),
-        eval_in=np.arange(owner_n, dtype=np.int64),
-        eval_out=data.take(out_rows, "eval_out"),
-        seed=seed,
-    )
+    """The partition of split_in_place, made on a copy of `data`."""
+    return split_in_place(data.features.copy(), data.labels.copy(), data.provenance,
+                          owner_n, shadow_n, eval_out_n, seed)
 
 
-def split_source_rows(bundle: SplitBundle) -> dict[str, list[int]]:
-    """Source-row indices of each partition, for disjointness checks."""
-    out: dict[str, list[int]] = {}
-    for name in ("owner_train", "shadow_pool", "eval_out"):
-        ds: Dataset = getattr(bundle, name)
-        out[name] = list(ds.provenance.get("rows", []))
-    return out
+def _gather_rows(arrays: tuple[np.ndarray, ...], order: np.ndarray) -> None:
+    """a[:k] = a[order] in place for each array a (k = len(order), whose
+    entries are distinct rows); the other rows end up after k. Works in
+    blocks of rows, with scratch for two blocks."""
+    n = arrays[0].shape[0]
+    where = np.arange(n)  # where[r]: the position source row r is at now
+    held = np.arange(n)   # held[i]: the source row now at position i
+    step = _chunk_rows(arrays[0].shape[1])
+    for a in range(0, order.size, step):
+        want = order[a : a + step]
+        b = a + want.size
+        src = where[want]  # all >= a: the rows before a are placed
+        inside = src < b
+        taken = np.zeros(b - a, dtype=bool)
+        taken[src[inside] - a] = True
+        displaced = np.flatnonzero(~taken) + a  # rows in [a, b) that are not wanted there
+        vacated = src[~inside]  # the slots beyond b that wanted rows leave
+        for arr in arrays:
+            block = arr[src]
+            arr[vacated] = arr[displaced]
+            arr[a:b] = block
+        moved = held[displaced]
+        where[moved] = vacated
+        held[vacated] = moved
 
 
 def write_csv(data: Dataset, path: str | Path, label_column: str = "label") -> None:

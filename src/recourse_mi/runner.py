@@ -26,7 +26,8 @@ from . import attack as attack_mod
 from . import metrics as metrics_mod
 from . import nn
 from .attack import AttackScore, Guess, RecourseConfig, ShadowEnsemble
-from .data import Dataset, SplitBundle, SyntheticSpec, generate_synthetic, load_tabular, split, standardize
+from .data import (Dataset, SplitBundle, SyntheticSpec, split_in_place, standardize_in_place,
+                   synthetic_arrays, tabular_arrays)
 from .nn import Model, TrainConfig, VaeModel
 from .recourse import CostFn, RecourseResult, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
@@ -244,6 +245,8 @@ def normalize_config(raw: dict) -> dict:
     if ev["eval_points"] < 2 or ev["eval_points"] % 2:
         raise ConfigError(f"eval.eval_points must be even and >= 2 (half members, "
                           f"half non-members), got {ev['eval_points']!r}")
+    _check_eval_sizes(ev, bool(lrt),
+                      2 * snap["data"]["n_per_class"] if kind == "synthetic" else None)
     _check_immutable(snap["recourse"]["immutable"],
                      snap["data"]["d"] if kind == "synthetic" else None)
     return snap
@@ -264,6 +267,23 @@ def _check_immutable(immutable: Any, d: int | None) -> None:
             _is_int(i) and i >= 0 and (d is None or i < d) for i in immutable):
         raise ConfigError(f"recourse.immutable must list integer feature indices "
                           f"in [0, {d if d is not None else 'd'}), got {immutable!r}")
+
+
+def _check_eval_sizes(ev: dict, lrt: bool, n: int | None) -> None:
+    """ConfigError unless the eval sizes can partition n rows (a file's n is
+    known once it has loaded): at least one owner and one held-out row, and
+    with an LRT attack a shadow pool of at least 4 rows, since each shadow
+    model trains on half of it."""
+    least = {"owner_n": 1, "shadow_n": 4 if lrt else 0, "eval_out_n": 1}
+    for key, low in least.items():
+        if ev[key] < low:
+            why = " with an LRT attack (each shadow model trains on half the pool)" \
+                if key == "shadow_n" and lrt else ""
+            raise ConfigError(f"eval.{key} must be at least {low}{why}, got {ev[key]}")
+    total = sum(ev[key] for key in least)
+    if n is not None and total > n:
+        raise ConfigError(f"eval.owner_n + eval.shadow_n + eval.eval_out_n = {total} "
+                          f"exceeds the {n} rows of the data")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -329,7 +349,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 # --- pipeline stages -------------------------------------------------------
 
-def build_dataset(config: ExperimentConfig) -> Dataset:
+def _data_arrays(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The features (one writable matrix), labels and provenance of the
+    configured dataset, standardized in place if configured. A file's
+    immutable indices and partition sizes are checked as soon as it has
+    loaded."""
     dc = config.data
     if dc["kind"] == "synthetic":
         spec = SyntheticSpec(
@@ -338,18 +362,35 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
             seed=derive_seed(config.seed, "synthetic-data"),
             class_separation=float(dc["class_separation"]),
         )
-        data = generate_synthetic(spec)
+        features, labels, prov = synthetic_arrays(spec)
     else:
-        data = load_tabular(dc["path"], dc["label_column"], dc["label_rule"])
-        _check_immutable(config.recourse.scfe_params.immutable, data.d)
+        features, labels, prov = tabular_arrays(dc["path"], dc["label_column"], dc["label_rule"])
+        _check_immutable(config.recourse.scfe_params.immutable, features.shape[1])
+        _check_eval_sizes(config.snapshot["eval"],
+                          bool(set(config.attacks) & {"cfd_lrt", "loss_lrt"}), features.shape[0])
     if dc["standardize"]:
-        data, _ = standardize(data)
-    return data
+        prov, _ = standardize_in_place(features, prov)
+    return features, labels, prov
+
+
+def build_dataset(config: ExperimentConfig) -> Dataset:
+    """The configured dataset, as `recourse-mi gen-data` writes it."""
+    return Dataset(*_data_arrays(config))
+
+
+def build_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
+    """The owner/shadow/eval partitions of the configured dataset and the
+    full dataset's provenance. Generation, standardization and the split
+    all work on one feature matrix, whose rows the partitions view."""
+    features, labels, prov = _data_arrays(config)
+    bundle = split_in_place(features, labels, prov, config.owner_n, config.shadow_n,
+                            config.eval_out_n, seed=derive_seed(config.seed, "split"))
+    return bundle, prov
 
 
 @dataclass
 class PreparedExperiment:
-    dataset: Dataset
+    data_provenance: dict
     bundle: SplitBundle
     owner_model: Model
     owner_vae: VaeModel | None
@@ -363,9 +404,7 @@ def prepare(config: ExperimentConfig, shadows: bool = True) -> PreparedExperimen
     shadow ensemble. All train as one worker task list, longest first so
     that the workers' greedy pick balances the load: the shadow VAE and
     the owner VAE (cchvae), the owner model, then the shadow models."""
-    data = build_dataset(config)
-    bundle = split(data, config.owner_n, config.shadow_n, config.eval_out_n,
-                   seed=derive_seed(config.seed, "split"))
+    bundle, data_provenance = build_split(config)
     owner_rows = set(bundle.owner_train.provenance.get("rows", []))
     shadow_rows = set(bundle.shadow_pool.provenance.get("rows", []))
     out_rows = set(bundle.eval_out.provenance.get("rows", []))
@@ -393,7 +432,7 @@ def prepare(config: ExperimentConfig, shadows: bool = True) -> PreparedExperimen
     owner_vae = next(done) if cchvae else None
     owner = next(done)
     return PreparedExperiment(
-        dataset=data,
+        data_provenance=data_provenance,
         bundle=bundle,
         owner_model=owner,
         owner_vae=owner_vae,
@@ -550,7 +589,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         scores=scores,
         membership=membership,
         timing=timing,
-        data_provenance=prep.dataset.provenance,
+        data_provenance=prep.data_provenance,
     )
     report._curves = curves
     if config.out_dir:

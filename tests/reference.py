@@ -6,7 +6,9 @@ come from central finite differences, the two-sided distance LRT trains
 per-point IN/OUT models directly, SCFE is the one-point-at-a-time loop
 that the batched engine replaced, and the classifier and VAE trainers
 run Adam over a list of separate parameter arrays, as they did before
-the flat parameter vector.
+the flat parameter vector. The data pipeline is the copy-based one that
+the in-place stages replaced: each class drawn on its own and stacked,
+(x - mean) / np.std, and one row gather per partition.
 """
 from __future__ import annotations
 
@@ -357,3 +359,46 @@ def train_vae_reference(data, config, latent_dim=8, hidden_dim=20):
         "final_elbo_loss": full_elbo(),
     }
     return P, meta
+
+
+def synthetic_reference(spec):
+    """(features, labels, provenance) of the two-cluster dataset, with
+    each class drawn into its own array and the two stacked."""
+    rng = np.random.default_rng(spec.seed)
+    v0 = rng.integers(0, 2, size=spec.d) * 2 - 1
+    v1 = rng.integers(0, 2, size=spec.d) * 2 - 1
+    while np.array_equal(v0, v1):
+        v1 = rng.integers(0, 2, size=spec.d) * 2 - 1
+    v0 = v0.astype(np.float64) * spec.class_separation
+    v1 = v1.astype(np.float64) * spec.class_separation
+    x0 = rng.standard_normal((spec.n_per_class, spec.d)) + v0
+    x1 = rng.standard_normal((spec.n_per_class, spec.d)) + v1
+    labels = np.concatenate([np.zeros(spec.n_per_class, dtype=np.int64),
+                             np.ones(spec.n_per_class, dtype=np.int64)])
+    prov = {"kind": "synthetic", "d": spec.d, "n_per_class": spec.n_per_class,
+            "seed": spec.seed, "class_separation": spec.class_separation,
+            "vertices": [v0.tolist(), v1.tolist()]}
+    return np.vstack([x0, x1]), labels, prov
+
+
+def standardize_reference(features):
+    """(standardized features, mean, std) with np.std's population std."""
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
+    return (features - mean) / std, mean, std
+
+
+def split_reference(features, labels, provenance, owner_n, shadow_n, eval_out_n, seed):
+    """{role: (features, labels, provenance)} of the owner/shadow/eval-out
+    partitions, each gathered from the full arrays by its sorted rows."""
+    from recourse_mi.seeds import rng_for
+
+    perm = rng_for(seed, "split-permutation").permutation(features.shape[0])
+    bounds = [0, owner_n, owner_n + shadow_n, owner_n + shadow_n + eval_out_n]
+    parts = {}
+    for role, a, b in zip(("owner_train", "shadow_pool", "eval_out"), bounds, bounds[1:]):
+        rows = np.sort(perm[a:b])
+        parts[role] = (features[rows], labels[rows],
+                       {"kind": "subset", "role": role, "rows": rows.tolist(),
+                        "parent": provenance})
+    return parts

@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from recourse_mi import attack, cli, nn, runner
+from recourse_mi import data as data_mod
 from recourse_mi.attack import Guess
+from recourse_mi.data import SyntheticSpec, ZeroVarianceColumnError, load_tabular, write_csv
 from recourse_mi.nn import predict_proba
 from recourse_mi.runner import ConfigError, GameSetupError, config_from_dict
+from recourse_mi.seeds import derive_seed
 
 from conftest import batch_split_agreement, use_cpus
 
@@ -148,6 +153,13 @@ class TestConfig:
         ({"sweep": {"d": [4]}, "data": 5}, "data must be a JSON object"),
         # the second run's immutable index is out of range: found before the first trains
         ({"sweep": {"d": [8, 4]}, "recourse": {"immutable": [6]}}, "immutable"),
+        # partition sizes: checked before any data is built
+        ({"eval": {"owner_n": -5}}, "owner_n"),
+        ({"eval": {"owner_n": 0}}, "owner_n"),
+        ({"eval": {"eval_out_n": 0}}, "eval_out_n"),
+        ({"attacks": {"which": ["cfd_lrt"]}, "eval": {"shadow_n": 3}}, "shadow_n"),
+        ({"data": {"n_per_class": 100},
+          "eval": {"owner_n": 100, "shadow_n": 100, "eval_out_n": 100}}, "exceeds the 200 rows"),
     ])
     def test_bad_values_exit_1_before_training(self, tmp_path, monkeypatch, capsys,
                                                 overrides, match):
@@ -162,6 +174,22 @@ class TestConfig:
         cfg_path.write_text(json.dumps(raw))
         assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert match in capsys.readouterr().err and not trained
+
+    def test_file_too_small_for_the_partitions_exits_1_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        trained = []
+        monkeypatch.setattr(nn, "train_classifier", lambda *a, **k: trained.append(a))
+        rng = np.random.default_rng(0)
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},{i % 2}\n" for i, (a, b)
+                                               in enumerate(rng.normal(size=(40, 2)).tolist())))
+        raw = small_raw(data={"kind": "file", "path": str(csv_path), "label_column": "y",
+                              "label_rule": "binary"},
+                        eval={"owner_n": 15, "shadow_n": 15, "eval_out_n": 15})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert "exceeds the 40 rows" in capsys.readouterr().err and not trained
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(*_MALFORMED))
@@ -317,6 +345,130 @@ class TestTrainingTaskList:
         assert len(seen) == 1
 
 
+class TestDataStage:
+    """The runner's data stage against the copy-based pipeline it replaced
+    (tests/reference.py): generation, standardization and the split work
+    in place on one feature matrix, and must give the same bytes."""
+
+    @staticmethod
+    def reference_stage(config):
+        dc = config.data
+        if dc["kind"] == "synthetic":
+            spec = SyntheticSpec(d=dc["d"], n_per_class=dc["n_per_class"],
+                                 seed=derive_seed(config.seed, "synthetic-data"),
+                                 class_separation=float(dc["class_separation"]))
+            features, labels, prov = reference.synthetic_reference(spec)
+        else:
+            ds = load_tabular(dc["path"], dc["label_column"], dc["label_rule"])
+            features, labels, prov = ds.features, ds.labels, ds.provenance
+        if dc["standardize"]:
+            features = reference.standardize_reference(features)[0]
+            prov = {"kind": "standardized", "parent": prov}
+        parts = reference.split_reference(features, labels, prov, config.owner_n,
+                                          config.shadow_n, config.eval_out_n,
+                                          derive_seed(config.seed, "split"))
+        return parts, prov, (features, labels)
+
+    def assert_matches_reference(self, config):
+        bundle, prov = runner.build_split(config)
+        parts, ref_prov, _ = self.reference_stage(config)
+        assert json.dumps(prov, sort_keys=True) == json.dumps(ref_prov, sort_keys=True)
+        for role, (x, y, part_prov) in parts.items():
+            ds = getattr(bundle, role)
+            assert ds.features.shape == x.shape and ds.features.tobytes() == x.tobytes()
+            assert ds.labels.tobytes() == y.tobytes()
+            assert json.dumps(ds.provenance, sort_keys=True) == \
+                json.dumps(part_prov, sort_keys=True)
+            assert not ds.features.flags.writeable
+        assert np.array_equal(bundle.eval_in, np.arange(config.owner_n))
+
+    @pytest.mark.parametrize("d,n_per_class,standardize", [
+        (6, 4, True), (6, 5, True), (6, 13, True), (6, 200, True),
+        (1, 7, True), (1, 300, True), (5, 33, False), (2, 101, True),
+    ])
+    def test_in_place_stage_equals_the_copy_based_pipeline(self, monkeypatch, d,
+                                                            n_per_class, standardize):
+        # 9-row chunks and split blocks at d=6: N from below one chunk to many
+        monkeypatch.setattr(data_mod, "_CHUNK_VALUES", 54)
+        n = 2 * n_per_class
+        owner_n, shadow_n = n // 4, n // 3
+        for seed in (3, 7):
+            self.assert_matches_reference(config_from_dict(small_raw(
+                seed=seed, data={"d": d, "n_per_class": n_per_class, "standardize": standardize},
+                eval={"owner_n": owner_n, "shadow_n": shadow_n,
+                      "eval_out_n": n - owner_n - shadow_n - seed % 2, "eval_points": 2})))
+
+    def test_default_chunk_size_equals_the_copy_based_pipeline(self):
+        # d=64: 1024-row chunks of 512 KiB, and 1400 rows
+        self.assert_matches_reference(config_from_dict(small_raw(
+            data={"d": 64, "n_per_class": 700},
+            eval={"owner_n": 500, "shadow_n": 600, "eval_out_n": 250})))
+
+    @pytest.mark.parametrize("d", [64, 1])  # numpy sums a single column pairwise
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1, 1025])
+    def test_scaler_equals_np_std_around_the_chunk_size(self, extra_rows, d):
+        # a chunking that changes the order of the sum moves the std's last
+        # bit for about half of these draws
+        n = data_mod._chunk_rows(d) + extra_rows
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(3.0, 2.5, size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+            out, scaler = data_mod.standardize(data_mod.Dataset(x, np.arange(n) % 2))
+            ref, mean, std = reference.standardize_reference(x)
+            assert scaler.mean.tobytes() == mean.tobytes()
+            assert scaler.std.tobytes() == std.tobytes()
+            assert out.features.tobytes() == ref.tobytes()
+
+    def test_median_threshold_file_equals_the_copy_based_pipeline(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(61, 4)) * [1.0, 30.0, 0.01, 5.0]
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a,b,score,c\n" + "".join(",".join(map(repr, r)) + "\n"
+                                                     for r in rows.tolist()))
+        self.assert_matches_reference(config_from_dict(small_raw(
+            data={"kind": "file", "path": str(csv_path), "label_column": "score",
+                  "label_rule": "median-threshold"},
+            eval={"owner_n": 20, "shadow_n": 20, "eval_out_n": 15})))
+
+    def test_zero_variance_file_column_is_named(self, tmp_path):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a,b,y\n" + "".join(f"{i * 0.5!r},2.0,{i % 2}\n" for i in range(12)))
+        config = config_from_dict(small_raw(
+            data={"kind": "file", "path": str(csv_path), "label_column": "y",
+                  "label_rule": "binary"},
+            eval={"owner_n": 4, "shadow_n": 4, "eval_out_n": 4}))
+        with pytest.raises(ZeroVarianceColumnError, match="^b has zero variance$"):
+            runner.build_split(config)
+
+    def test_gen_data_bytes_equal_the_copy_based_pipeline(self, tmp_path, capsys):
+        raw = small_raw(seed=11)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out_csv = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out_csv)]) == 0
+        _, prov, (features, labels) = self.reference_stage(config_from_dict(raw))
+        write_csv(data_mod.Dataset(features, labels, prov), tmp_path / "ref.csv")
+        assert out_csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert json.loads(out_csv.with_suffix(".provenance.json").read_text()) == \
+            json.loads(json.dumps(prov))
+
+    def test_data_stage_holds_one_feature_matrix(self):
+        # 6000 rows of d=200: one feature matrix is 9.6 MB. Generation,
+        # standardization and the split share it, and the partitions view
+        # it, so the stage's traced peak stays near one matrix.
+        cfg = config_from_dict(small_raw(data={"d": 200, "n_per_class": 3000},
+                                         eval={"owner_n": 1500, "shadow_n": 3000,
+                                               "eval_out_n": 1500}))
+        tracemalloc.start()
+        try:
+            bundle, _ = runner.build_split(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bundle.shadow_pool.features.base is bundle.owner_train.features.base
+        assert peak <= 1.25 * 6000 * 200 * 8
+
+
 class TestRunExperiment:
     def test_report_artifacts(self, small_report):
         rep, out = small_report
@@ -357,10 +509,8 @@ class TestRunExperiment:
         rep, out = small_report
         cfg = config_from_dict(small_raw(out_dir=None))
         prep = runner.prepare(cfg)
-        from recourse_mi.data import split_source_rows
-        rows = split_source_rows(prep.bundle)
-        owner = set(rows["owner_train"])
-        shadow = set(rows["shadow_pool"])
+        owner = set(prep.bundle.owner_train.provenance["rows"])
+        shadow = set(prep.bundle.shadow_pool.provenance["rows"])
         assert not owner & shadow
 
     def test_distance_attack_stage_takes_no_model(self):
