@@ -21,8 +21,6 @@ from .attack import (
     lognormal_quantile,
     loss_lrt_score,
     shadow_distance_matrix,
-    threshold_attack,
-    train_shadow_ensemble,
 )
 from .data import (
     Dataset,
@@ -62,7 +60,6 @@ from .recourse import (
     cchvae,
     cost,
     growing_spheres,
-    scfe,
     scfe_batch,
     uniform_l1_ball_sample,
 )

@@ -106,23 +106,24 @@ class RecourseConfig:
         if self.algorithm not in ("scfe", "growing_spheres", "cchvae"):
             raise ValueError(f"unknown recourse algorithm {self.algorithm!r}")
 
-    def generate(self, model: Model, x: np.ndarray, seed: int,
-                 vae: VaeModel | None = None) -> RecourseResult:
-        if self.algorithm == "scfe":
-            return recourse.scfe(model, x, self.scfe_params, self.cost_fn, seed=seed)
-        params = dataclasses.replace(self.search_params, seed=seed)
-        if self.algorithm == "growing_spheres":
-            return recourse.growing_spheres(model, x, params, self.cost_fn)
-        if vae is None:
-            raise ValueError("cchvae requires a trained VAE")
-        return recourse.cchvae(model, vae, x, params, self.cost_fn)
-
     def generate_batch(self, model: Model, X: np.ndarray, seeds: Sequence[int],
                        vae: VaeModel | None = None) -> list[RecourseResult]:
-        """One recourse per row of X; row i uses seeds[i], as generate would."""
+        """One recourse per row of X, row i with seeds[i]. Row i depends
+        only on X[i] and seeds[i], however the rows are split into blocks:
+        scfe runs the block as one batch, the ball searches run per row
+        with search_params' seed replaced by the row's."""
         if self.algorithm == "scfe":
             return recourse.scfe_batch(model, X, self.scfe_params, self.cost_fn, seeds)
-        return [self.generate(model, x, seed, vae=vae) for x, seed in zip(X, seeds)]
+        if self.algorithm == "cchvae" and vae is None:
+            raise ValueError("cchvae requires a trained VAE")
+        out = []
+        for x, seed in zip(X, seeds):
+            params = dataclasses.replace(self.search_params, seed=seed)
+            if self.algorithm == "growing_spheres":
+                out.append(recourse.growing_spheres(model, x, params, self.cost_fn))
+            else:
+                out.append(recourse.cchvae(model, vae, x, params, self.cost_fn))
+        return out
 
 
 @dataclass
@@ -214,24 +215,6 @@ def shadow_training_tasks(
     return tasks, assemble
 
 
-def train_shadow_ensemble(
-    shadow_pool: Dataset,
-    n_models: int,
-    architecture: Sequence[int],
-    trainer_config: TrainConfig,
-    recourse_config: RecourseConfig,
-    seed: int,
-    vae_config: TrainConfig | None = None,
-) -> ShadowEnsemble:
-    """Train N shadow models, each on a uniform half-pool subsample, and
-    for cchvae the shadow VAE: the tasks of shadow_training_tasks, run on
-    the workers."""
-    tasks, assemble = shadow_training_tasks(shadow_pool, n_models, architecture,
-                                            trainer_config, recourse_config, seed,
-                                            vae_config)
-    return assemble(_map_models(lambda i: tasks[i](), len(tasks)))
-
-
 def cfd_statistic(x: np.ndarray, result: RecourseResult) -> float:
     """Counterfactual distance statistic: the recourse cost, floored."""
     if not result.valid:
@@ -242,15 +225,6 @@ def cfd_statistic(x: np.ndarray, result: RecourseResult) -> float:
             f"point shape {x.shape} does not match counterfactual"
         )
     return max(result.cost, recourse.DISTANCE_FLOOR)
-
-
-def threshold_attack(statistic: float, tau: float, higher_means_member: bool) -> Guess:
-    """Threshold rule; ties resolve to MEMBER in both directions."""
-    if not (math.isfinite(statistic) and math.isfinite(tau)):
-        raise ValueError("threshold_attack needs finite inputs")
-    if higher_means_member:
-        return Guess.MEMBER if statistic >= tau else Guess.NON_MEMBER
-    return Guess.MEMBER if statistic <= tau else Guess.NON_MEMBER
 
 
 def fit_lognormal_mle(samples: Sequence[float]) -> LogNormalFit:
@@ -283,18 +257,11 @@ def lognormal_quantile(fit: LogNormalFit, q: float) -> float:
     return float(np.exp(fit.mu + np.sqrt(fit.sigma2) * ndtri(q)))
 
 
-def cfd_lrt_decide(t0: float, fit: LogNormalFit, alpha: float,
-                   reverse: bool = False) -> Guess:
-    """One-sided LRT decision at false-positive level alpha.
-
-    Standard direction: NON-MEMBER iff t0 exceeds the (1-alpha)-quantile
-    of the OUT fit. Reversed direction (generative recourse flips the
-    signal): MEMBER iff t0 falls below the alpha-quantile.
-    """
+def cfd_lrt_decide(t0: float, fit: LogNormalFit, alpha: float) -> Guess:
+    """One-sided LRT decision at false-positive level alpha: NON-MEMBER
+    iff t0 exceeds the (1-alpha)-quantile of the OUT fit."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if reverse:
-        return Guess.MEMBER if t0 < lognormal_quantile(fit, alpha) else Guess.NON_MEMBER
     return Guess.NON_MEMBER if t0 > lognormal_quantile(fit, 1.0 - alpha) else Guess.MEMBER
 
 

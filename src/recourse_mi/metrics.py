@@ -147,13 +147,3 @@ def export_log_roc(curve: RocCurve, path: str | Path) -> None:
             clamped = LOG_FPR_CLAMP if f == 0.0 else f
             writer.writerow([repr(float(clamped)), repr(float(t)), repr(float(f))])
 
-
-def import_log_roc(path: str | Path) -> np.ndarray:
-    """Read back (fpr_raw, tpr) pairs written by export_log_roc."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["fpr", "tpr", "fpr_raw"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        rows = [(float(r[2]), float(r[1])) for r in reader]
-    return np.array(rows, dtype=np.float64)

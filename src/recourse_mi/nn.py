@@ -115,17 +115,10 @@ class VaeModel:
     hidden_dim: int
     training_meta: dict = field(default_factory=dict)
 
-    def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and log-variance heads for one input vector."""
-        mu, lv = self.encode_batch(_as_row(x, self.d))
-        return mu[0], lv[0]
-
     def encode_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and log-variance heads for each row of x."""
         h = np.maximum(x @ self.enc_w1 + self.enc_b1, 0.0)
         return h @ self.enc_w_mu + self.enc_b_mu, h @ self.enc_w_lv + self.enc_b_lv
-
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        return self.decode_batch(_as_row(z, self.latent_dim))[0]
 
     def decode_batch(self, z: np.ndarray) -> np.ndarray:
         h = np.maximum(z @ self.dec_w1 + self.dec_b1, 0.0)

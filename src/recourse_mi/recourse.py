@@ -3,12 +3,15 @@
 Three generators share one contract: given a negatively classified point,
 return the cheapest found input that the model classifies positively.
 
-- scfe: Adam descent on BCE-to-target plus a weighted cost term, with the
-  trade-off weight decayed on failure.
+- scfe_batch: Adam descent on BCE-to-target plus a weighted cost term,
+  with the trade-off weight decayed on failure, for a block of points.
 - growing_spheres: uniform sampling in input-space l1 balls of growing
   radius, returning the cheapest valid sample at the first hit radius.
 - cchvae: the same growing search in a VAE's latent space; candidates are
   decoded back so results stay in the decoder's range.
+
+The ball searches take one point; attack.RecourseConfig.generate_batch
+runs any of the three for a block of points.
 """
 from __future__ import annotations
 
@@ -37,9 +40,6 @@ class CostFn:
     def __post_init__(self):
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
-
-    def __call__(self, x: np.ndarray, xp: np.ndarray) -> float:
-        return cost(x, xp, self)
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,6 @@ def _keep_cheaper(best: np.ndarray, best_cost: np.ndarray, xp: np.ndarray,
         best_cost[cheaper] = costs[cheaper]
 
 
-def scfe(model: Model, x: np.ndarray, params: ScfeParams, cost_fn: CostFn,
-         seed: int = 0) -> RecourseResult:
-    """Gradient recourse for one point: scfe_batch on a batch of one."""
-    x = np.asarray(x, dtype=np.float64)
-    return scfe_batch(model, x[None, :], params, cost_fn, [seed])[0]
-
-
 def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
                seeds: Sequence[int]) -> list[RecourseResult]:
     """Gradient recourse for each row of X: minimize
@@ -158,8 +151,8 @@ def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
     attempt schedule, so the rows still searching share the attempt count,
     lam and Adam step, and a row leaves the block at the end of the
     attempt that found its recourse. Every operation is per row, so row i
-    of the result is bit-identical to scfe(model, X[i]) however the
-    points are split into batches.
+    of the result is bit-identical to scfe_batch on X[i:i+1] however
+    the points are split into batches.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
@@ -232,123 +225,72 @@ def uniform_l1_ball_sample(center: np.ndarray, radius: float, count: int,
     return center + surface * scale[:, None]
 
 
-def _ball_search(
-    predict_batch,
-    decode_batch,
-    decode_single,
-    search_center: np.ndarray,
-    x: np.ndarray,
-    params: SearchParams,
-    cost_fn: CostFn,
-    validate_single,
-) -> tuple[np.ndarray | None, float, dict]:
-    """Growing l1-ball search core shared by growing_spheres and cchvae.
-
-    Samples around `search_center` (input or latent space), maps candidates
-    through decode_batch (identity for input space), and picks the cheapest
-    valid candidate at the first accepting radius. The pick is then rebuilt
-    through the single-point decode/predict path, so the stored result is
-    bit-identical to any later re-evaluation of its recorded search point.
-    """
-    radii = params.radii()
-    for ri, r in enumerate(radii):
-        raw = uniform_l1_ball_sample(
-            search_center, float(r), params.samples_per_radius,
-            derive_seed(params.seed, "ball-radius", ri),
-        )
-        candidates = decode_batch(raw)
-        probs = predict_batch(candidates)
-        hit = np.flatnonzero(probs >= 0.5)
-        if hit.size == 0:
-            continue
-        costs = _row_costs(candidates[hit] - x, cost_fn.norm)
-        for local in np.argsort(costs, kind="stable"):
-            idx = hit[local]
-            final = decode_single(raw[idx])
-            if validate_single(final):
-                trace = {
-                    "radius": float(r),
-                    "radii_tried": ri + 1,
-                    "samples_per_radius": params.samples_per_radius,
-                    "search_point": [float(v) for v in raw[idx]],
-                }
-                return final, cost(x, final, cost_fn), trace
-    return None, 0.0, {"radius": float(radii[-1]) if radii.size else 0.0,
-                       "radii_tried": int(radii.size),
-                       "samples_per_radius": params.samples_per_radius}
-
-
-def _freezer(x: np.ndarray, immutable: tuple[int, ...]):
-    """Pin immutable coordinates of candidates back to x's values."""
-    idx = np.asarray(immutable, dtype=np.int64)
-    if idx.size == 0:
-        return (lambda pts: pts), (lambda pt: pt)
-
-    def project_batch(pts):
-        pts = np.array(pts, copy=True)
-        pts[:, idx] = x[idx]
-        return pts
-
-    def project_single(pt):
-        pt = np.array(pt, copy=True)
-        pt[idx] = x[idx]
-        return pt
-
-    return project_batch, project_single
-
-
 def growing_spheres(model: Model, x: np.ndarray, params: SearchParams,
                     cost_fn: CostFn) -> RecourseResult:
     """Random input-space search in l1 balls of growing radius."""
-    x = np.asarray(x, dtype=np.float64)
-    _require_negative(model, x[None, :])
-    project_batch, project_single = _freezer(x, params.immutable)
-    found, c, trace = _ball_search(
-        predict_batch=lambda pts: nn.predict_proba_batch(model, pts),
-        decode_batch=project_batch,
-        decode_single=project_single,
-        search_center=x,
-        x=x,
-        params=params,
-        cost_fn=cost_fn,
-        validate_single=lambda pt: nn.predict_proba(model, pt) >= 0.5,
-    )
-    if found is None:
-        return RecourseResult(x.copy(), 0.0, False, "growing_spheres",
-                              trace=trace, seed=params.seed)
-    return RecourseResult(found, c, True, "growing_spheres",
-                          trace=trace, seed=params.seed)
+    return _ball_search(model, None, x, params, cost_fn)
 
 
 def cchvae(model: Model, vae: VaeModel, x: np.ndarray, params: SearchParams,
            cost_fn: CostFn) -> RecourseResult:
-    """Latent-space recourse: growing l1-ball search around encode(x),
-    candidates decoded back to input space, cost measured there.
+    """Latent-space recourse: growing l1-ball search around the encoder
+    mean of x, candidates decoded back to input space, cost measured there.
 
     With an immutable mask the decoded candidates have those coordinates
     pinned back to x, so the counterfactual reconstructs as
     project(decode(z)) rather than decode(z) alone.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if vae.d != x.shape[0]:
-        raise nn.DimensionMismatchError(
-            f"vae expects d={vae.d}, point has {x.shape[0]}"
-        )
+    return _ball_search(model, vae, x, params, cost_fn)
+
+
+def _ball_search(model: Model, vae: VaeModel | None, x: np.ndarray,
+                 params: SearchParams, cost_fn: CostFn) -> RecourseResult:
+    """Growing l1-ball search: in input space without a VAE
+    (growing_spheres), in the VAE's latent space with one (cchvae).
+
+    Samples around the search centre, decodes the candidates (identity
+    without a VAE) with immutable coordinates pinned to x, and picks the
+    cheapest valid candidate at the first accepting radius. The pick is
+    decoded again on its own and re-checked with the one-row predictor,
+    so the stored result equals any later re-evaluation of its recorded
+    search point (a decoded block differs from a one-row decode in the
+    last bits).
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if vae is not None and vae.d != x.shape[0]:
+        raise nn.DimensionMismatchError(f"vae expects d={vae.d}, point has {x.shape[0]}")
     _require_negative(model, x[None, :])
-    project_batch, project_single = _freezer(x, params.immutable)
-    z_center, _ = vae.encode(x)
-    found, c, trace = _ball_search(
-        predict_batch=lambda pts: nn.predict_proba_batch(model, pts),
-        decode_batch=lambda zs: project_batch(vae.decode_batch(zs)),
-        decode_single=lambda z: project_single(vae.decode(z)),
-        search_center=z_center,
-        x=x,
-        params=params,
-        cost_fn=cost_fn,
-        validate_single=lambda pt: nn.predict_proba(model, pt) >= 0.5,
-    )
-    if found is None:
-        return RecourseResult(x.copy(), 0.0, False, "cchvae",
-                              trace=trace, seed=params.seed)
-    trace["latent_point"] = trace.pop("search_point")
-    return RecourseResult(found, c, True, "cchvae", trace=trace, seed=params.seed)
+    frozen = np.asarray(params.immutable, dtype=np.int64)
+
+    def decode(raw: np.ndarray) -> np.ndarray:
+        pts = raw if vae is None else vae.decode_batch(raw)
+        if frozen.size:
+            pts = np.array(pts, copy=True)
+            pts[:, frozen] = x[frozen]
+        return pts
+
+    algorithm, point_key = (("growing_spheres", "search_point") if vae is None
+                            else ("cchvae", "latent_point"))
+    center = x if vae is None else vae.encode_batch(x[None, :])[0][0]
+    radii = params.radii()
+    for ri, r in enumerate(radii):
+        raw = uniform_l1_ball_sample(center, float(r), params.samples_per_radius,
+                                     derive_seed(params.seed, "ball-radius", ri))
+        candidates = decode(raw)
+        hit = np.flatnonzero(nn.predict_proba_batch(model, candidates) >= 0.5)
+        if hit.size == 0:
+            continue
+        costs = _row_costs(candidates[hit] - x, cost_fn.norm)
+        for local in np.argsort(costs, kind="stable"):
+            idx = hit[local]
+            final = decode(raw[idx:idx + 1])[0]
+            if nn.predict_proba(model, final) >= 0.5:
+                trace = {"radius": float(r), "radii_tried": ri + 1,
+                         "samples_per_radius": params.samples_per_radius,
+                         point_key: [float(v) for v in raw[idx]]}
+                return RecourseResult(final, cost(x, final, cost_fn), True, algorithm,
+                                      trace=trace, seed=params.seed)
+    trace = {"radius": float(radii[-1]) if radii.size else 0.0,
+             "radii_tried": int(radii.size),
+             "samples_per_radius": params.samples_per_radius}
+    return RecourseResult(x.copy(), 0.0, False, algorithm, trace=trace, seed=params.seed)

@@ -208,8 +208,15 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError(f"data.kind must be 'synthetic' or 'file', got {kind!r}")
     if kind == "file" and not snap["data"]["path"]:
         raise ConfigError("data.kind='file' requires data.path")
-    if kind == "file" and not snap["data"]["label_column"]:
-        raise ConfigError("data.kind='file' requires data.label_column")
+    dc = snap["data"]
+    if kind == "file" and not (isinstance(dc["label_column"], str) and dc["label_column"]):
+        raise ConfigError(f"data.kind='file' requires data.label_column, a non-empty "
+                          f"string; got {dc['label_column']!r}")
+    if dc["label_rule"] not in ("binary", "median-threshold"):
+        raise ConfigError(f"data.label_rule must be 'binary' or 'median-threshold', "
+                          f"got {dc['label_rule']!r}")
+    if not isinstance(dc["standardize"], bool):
+        raise ConfigError(f"data.standardize must be true or false, got {dc['standardize']!r}")
     for key in ("d", "n_per_class") if kind == "synthetic" else ():
         if not (_is_int(snap["data"][key]) and snap["data"][key] >= 1):
             raise ConfigError(f"data.{key} must be a positive integer, got {snap['data'][key]!r}")

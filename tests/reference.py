@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: the inverse normal
 CDF is bisection on math.erf, AUC is the O(n^2) pairwise count, gradients
 come from central finite differences, the two-sided distance LRT trains
 per-point IN/OUT models directly, SCFE is the one-point-at-a-time loop
-that the batched engine replaced, and the classifier and VAE trainers
+that the batched engine replaced, growing_spheres and cchvae are the two
+wrappers around a closure-driven ball search that the single search body
+replaced, and the classifier and VAE trainers
 run Adam over a list of separate parameter arrays, as they did before
 the flat parameter vector. The data pipeline is the copy-based one that
 the in-place stages replaced: each class drawn on its own and stacked,
@@ -171,6 +173,108 @@ def scfe_reference(model, x, params, norm: str) -> dict:
     return {"counterfactual": x.copy(), "cost": 0.0, "valid": False,
             "trace": {"iterations": total_iters, "retries_used": params.max_retries,
                       "lambda_final": lam}}
+
+
+
+# --- ball searches: growing_spheres and cchvae as two wrappers that pass
+# batch and single-point decode/validate closures to one search loop -----
+
+def _ball_search_reference(predict_batch, decode_batch, decode_single, search_center,
+                           x, params, cost_fn, validate_single):
+    """(counterfactual or None, cost, trace) of the cheapest valid
+    candidate at the first accepting radius, rebuilt and re-checked
+    through the single-point closures."""
+    from recourse_mi.recourse import _row_costs, cost, uniform_l1_ball_sample
+    from recourse_mi.seeds import derive_seed
+
+    radii = params.radii()
+    for ri, r in enumerate(radii):
+        raw = uniform_l1_ball_sample(search_center, float(r), params.samples_per_radius,
+                                     derive_seed(params.seed, "ball-radius", ri))
+        candidates = decode_batch(raw)
+        probs = predict_batch(candidates)
+        hit = np.flatnonzero(probs >= 0.5)
+        if hit.size == 0:
+            continue
+        costs = _row_costs(candidates[hit] - x, cost_fn.norm)
+        for local in np.argsort(costs, kind="stable"):
+            idx = hit[local]
+            final = decode_single(raw[idx])
+            if validate_single(final):
+                trace = {"radius": float(r), "radii_tried": ri + 1,
+                         "samples_per_radius": params.samples_per_radius,
+                         "search_point": [float(v) for v in raw[idx]]}
+                return final, cost(x, final, cost_fn), trace
+    return None, 0.0, {"radius": float(radii[-1]) if radii.size else 0.0,
+                       "radii_tried": int(radii.size),
+                       "samples_per_radius": params.samples_per_radius}
+
+
+def _freezer_reference(x, immutable):
+    """(batch, single-point) projections pinning immutable coordinates to x."""
+    idx = np.asarray(immutable, dtype=np.int64)
+    if idx.size == 0:
+        return (lambda pts: pts), (lambda pt: pt)
+
+    def project_batch(pts):
+        pts = np.array(pts, copy=True)
+        pts[:, idx] = x[idx]
+        return pts
+
+    def project_single(pt):
+        pt = np.array(pt, copy=True)
+        pt[idx] = x[idx]
+        return pt
+
+    return project_batch, project_single
+
+
+def _one_row(v, d):
+    """v as a C-contiguous (1, d) float64 matrix."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    assert v.shape == (d,)
+    return v.reshape(1, -1)
+
+
+def growing_spheres_reference(model, x, params, cost_fn):
+    """RecourseResult of the input-space ball search."""
+    from recourse_mi import nn
+    from recourse_mi.recourse import RecourseResult, _require_negative
+
+    x = np.asarray(x, dtype=np.float64)
+    _require_negative(model, x[None, :])
+    project_batch, project_single = _freezer_reference(x, params.immutable)
+    found, c, trace = _ball_search_reference(
+        predict_batch=lambda pts: nn.predict_proba_batch(model, pts),
+        decode_batch=project_batch, decode_single=project_single,
+        search_center=x, x=x, params=params, cost_fn=cost_fn,
+        validate_single=lambda pt: nn.predict_proba(model, pt) >= 0.5)
+    if found is None:
+        return RecourseResult(x.copy(), 0.0, False, "growing_spheres", trace=trace,
+                              seed=params.seed)
+    return RecourseResult(found, c, True, "growing_spheres", trace=trace, seed=params.seed)
+
+
+def cchvae_reference(model, vae, x, params, cost_fn):
+    """RecourseResult of the latent-space ball search around the encoder
+    mean of x, each candidate decoded back and projected."""
+    from recourse_mi import nn
+    from recourse_mi.recourse import RecourseResult, _require_negative
+
+    x = np.asarray(x, dtype=np.float64)
+    _require_negative(model, x[None, :])
+    project_batch, project_single = _freezer_reference(x, params.immutable)
+    z_center = vae.encode_batch(_one_row(x, vae.d))[0][0]
+    found, c, trace = _ball_search_reference(
+        predict_batch=lambda pts: nn.predict_proba_batch(model, pts),
+        decode_batch=lambda zs: project_batch(vae.decode_batch(zs)),
+        decode_single=lambda z: project_single(vae.decode_batch(_one_row(z, vae.latent_dim))[0]),
+        search_center=z_center, x=x, params=params, cost_fn=cost_fn,
+        validate_single=lambda pt: nn.predict_proba(model, pt) >= 0.5)
+    if found is None:
+        return RecourseResult(x.copy(), 0.0, False, "cchvae", trace=trace, seed=params.seed)
+    trace["latent_point"] = trace.pop("search_point")
+    return RecourseResult(found, c, True, "cchvae", trace=trace, seed=params.seed)
 
 
 # --- list-of-arrays trainers: the optimiser loop over separate parameter

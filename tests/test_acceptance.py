@@ -34,7 +34,6 @@ from recourse_mi.recourse import (
     ScfeParams,
     SearchParams,
     growing_spheres,
-    scfe,
     scfe_batch,
 )
 from recourse_mi.seeds import derive_seed, rng_for
@@ -230,7 +229,7 @@ class TestCriterion6TwoSidedOracle:
         def point_scores(j: int) -> tuple[float, float] | None:
             """(one-sided score, two-sided LLR) of point j; None drops it."""
             x, y = pool.features[chosen[j]], int(pool.labels[chosen[j]])
-            r0 = scfe(owner, x, sp, cost_fn, seed=derive_seed(master, "t0", j))
+            r0 = scfe_batch(owner, x[None], sp, cost_fn, [derive_seed(master, "t0", j)])[0]
             if not r0.valid:
                 return None
             t0 = max(r0.cost, 1e-12)
@@ -250,7 +249,7 @@ class TestCriterion6TwoSidedOracle:
                     TrainConfig(seed=derive_seed(master, f"t-{j}", i), **train_kw))
                 if predict_proba(m, x) >= 0.5:
                     continue
-                r = scfe(m, x, sp, cost_fn, seed=derive_seed(master, f"r-{j}", i))
+                r = scfe_batch(m, x[None], sp, cost_fn, [derive_seed(master, f"r-{j}", i)])[0]
                 if not r.valid:
                     continue
                 (ins if i < n_in else outs).append(max(r.cost, 1e-12))
@@ -325,9 +324,10 @@ class TestCriterion7RecourseQuality:
             # the lam-decay ladder self-selects the largest trade-off that
             # still crosses the boundary, which is what pins the returned
             # point near the perpendicular foot
-            res = scfe(model2, x,
-                       ScfeParams(lam=1.0, lam_decay=0.7, max_retries=12,
-                                  step_size=0.01, max_iters=3000), CostFn("l2"))
+            res = scfe_batch(model2, x[None],
+                             ScfeParams(lam=1.0, lam_decay=0.7, max_retries=12,
+                                        step_size=0.01, max_iters=3000),
+                             CostFn("l2"), [0])[0]
             assert res.valid
             span = 2.0 * boundary_dist
             _, oracle_cost = grid_cheapest_valid_logistic(

@@ -285,18 +285,18 @@ def trained_vae():
 class TestVae:
     def test_shapes(self, trained_vae):
         std, vae = trained_vae
-        mu, lv = vae.encode(std.features[0])
-        assert mu.shape == (8,) and lv.shape == (8,)
-        out = vae.decode(np.zeros(8))
-        assert out.shape == (10,)
+        mu, lv = vae.encode_batch(std.features[:1])
+        assert mu.shape == (1, 8) and lv.shape == (1, 8)
+        out = vae.decode_batch(np.zeros((1, 8)))
+        assert out.shape == (1, 10)
 
     def test_beats_constant_decoder(self, trained_vae):
         std, vae = trained_vae
         mu, _ = vae.encode_batch(std.features)
         recon = vae.decode_batch(mu)
         mse = float(np.mean((recon - std.features) ** 2))
-        zero = vae.decode(np.zeros(8))
-        mse_zero = float(np.mean((zero[None, :] - std.features) ** 2))
+        zero = vae.decode_batch(np.zeros((1, 8)))
+        mse_zero = float(np.mean((zero - std.features) ** 2))
         assert mse <= mse_zero
 
     def test_elbo_improves(self, trained_vae):
@@ -334,8 +334,8 @@ class TestSerialization:
         back = load_model(tmp_path / "v")
         for (_, a), (_, b) in zip(vae._arrays(), back._arrays()):
             assert np.array_equal(a, b)
-        z = np.arange(8.0)
-        assert np.array_equal(vae.decode(z), back.decode(z))
+        z = np.arange(8.0)[None, :]
+        assert np.array_equal(vae.decode_batch(z), back.decode_batch(z))
 
     @pytest.fixture
     def saved(self, tmp_path):

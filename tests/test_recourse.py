@@ -19,13 +19,17 @@ from recourse_mi.recourse import (
     cchvae,
     cost,
     growing_spheres,
-    scfe,
     scfe_batch,
     uniform_l1_ball_sample,
 )
 
 from conftest import make_logistic
-from reference import grid_cheapest_valid_logistic, scfe_reference
+from reference import (
+    cchvae_reference,
+    grid_cheapest_valid_logistic,
+    growing_spheres_reference,
+    scfe_reference,
+)
 
 
 class TestCost:
@@ -107,14 +111,14 @@ class TestScfe:
     def test_precondition(self):
         m = make_logistic([1.0], 0.0)
         with pytest.raises(RecoursePreconditionError):
-            scfe(m, np.array([5.0]), ScfeParams(), CostFn("l1"))
+            scfe_batch(m, np.array([[5.0]]), ScfeParams(), CostFn("l1"), [0])
 
     def test_matches_grid_oracle_on_shifted_halfspace(self):
         # theta=(1,0), b=-2: boundary at x1=2; from the origin the optimal
         # counterfactual sits just past (2, 0).
         m = make_logistic([1.0, 0.0], -2.0)
         x = np.array([0.0, 0.0])
-        res = scfe(m, x, ScfeParams(lam=0.05), CostFn("l2"))
+        res = scfe_batch(m, x[None], ScfeParams(lam=0.05), CostFn("l2"), [0])[0]
         assert res.valid
         assert res.counterfactual[0] == pytest.approx(2.0, abs=0.2)
         assert abs(res.counterfactual[1]) < 0.2
@@ -131,7 +135,7 @@ class TestScfe:
         m = make_logistic([2.0, -1.0], 0.3)
         x = np.array([-1.0, 0.5])
         assert predict_proba(m, x) < 0.5
-        res = scfe(m, x, ScfeParams(), CostFn("l1"))
+        res = scfe_batch(m, x[None], ScfeParams(), CostFn("l1"), [0])[0]
         assert res.valid
         assert predict_proba(m, res.counterfactual) >= 0.5
         # recomputing the cost from the stored vectors gives the stored cost
@@ -140,8 +144,8 @@ class TestScfe:
     def test_deterministic(self):
         m = make_logistic([1.0, 1.0], -3.0)
         x = np.array([0.0, 0.0])
-        r1 = scfe(m, x, ScfeParams(), CostFn("l1"), seed=9)
-        r2 = scfe(m, x, ScfeParams(), CostFn("l1"), seed=9)
+        r1 = scfe_batch(m, x[None], ScfeParams(), CostFn("l1"), [9])[0]
+        r2 = scfe_batch(m, x[None], ScfeParams(), CostFn("l1"), [9])[0]
         assert np.array_equal(r1.counterfactual, r2.counterfactual)
         assert r1.cost == r2.cost and r1.trace == r2.trace
 
@@ -149,9 +153,9 @@ class TestScfe:
         # enormous lambda freezes x' at x; retries must decay it until the
         # loss term wins and a valid point appears
         m = make_logistic([1.0], -1.0)
-        res = scfe(m, np.array([0.0]),
-                   ScfeParams(lam=1e6, lam_decay=0.01, max_iters=300, max_retries=5),
-                   CostFn("l1"))
+        res = scfe_batch(m, np.array([[0.0]]),
+                         ScfeParams(lam=1e6, lam_decay=0.01, max_iters=300, max_retries=5),
+                         CostFn("l1"), [0])[0]
         assert res.valid
         assert res.trace["retries_used"] >= 1
 
@@ -159,8 +163,8 @@ class TestScfe:
         # all-zero model predicts exactly 0.5 everywhere... use a strongly
         # negative bias with zero weights: p constant < 0.5, no recourse exists
         m = make_logistic([0.0, 0.0], -3.0)
-        res = scfe(m, np.array([0.0, 0.0]),
-                   ScfeParams(max_iters=50, max_retries=1), CostFn("l1"))
+        res = scfe_batch(m, np.array([[0.0, 0.0]]),
+                         ScfeParams(max_iters=50, max_retries=1), CostFn("l1"), [0])[0]
         assert not res.valid
         assert res.cost == 0.0
 
@@ -213,16 +217,6 @@ class TestScfeBatch:
                 assert predict_proba(model, res.counterfactual) >= 0.5
                 assert np.array_equal(res.counterfactual[list(immutable)], x[list(immutable)])
         assert len(retries) >= 2 and max(retries) >= 1
-
-    def test_single_point_scfe_is_a_batch_of_one(self, scfe_models):
-        ds, models = scfe_models
-        model = models["mlp"]
-        X = np.array([x for x in ds.features if predict_proba(model, x) < 0.5][:3])
-        params = ScfeParams(max_iters=100)
-        for x, res in zip(X, scfe_batch(model, X, params, CostFn("l1"), [7, 7, 7])):
-            one = scfe(model, x, params, CostFn("l1"), seed=7)
-            assert one.valid == res.valid and one.trace == res.trace
-            assert one.cost == res.cost
 
     def test_every_row_must_be_negative(self):
         m = make_logistic([1.0], 0.0)
@@ -292,7 +286,7 @@ class TestCchvae:
         res = cchvae(m, vae, neg, SearchParams(max_radius=20.0, seed=4), CostFn("l1"))
         assert res.valid
         z = np.array(res.trace["latent_point"])
-        assert np.array_equal(vae.decode(z), res.counterfactual)
+        assert np.array_equal(vae.decode_batch(z[None, :])[0], res.counterfactual)
         assert predict_proba(m, res.counterfactual) >= 0.5
 
     def test_exhausted_radius_invalid(self, vae_setup):
@@ -311,12 +305,47 @@ class TestCchvae:
         assert np.array_equal(r1.counterfactual, r2.counterfactual)
 
 
+class TestBallSearchOracle:
+    @pytest.mark.parametrize("algorithm", ["growing_spheres", "cchvae"])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize("immutable", [(), (1, 4)])
+    def test_matches_reference_search(self, vae_setup, algorithm, norm, immutable):
+        """Each search gives the RecourseResult of the closure-driven
+        reference, counterfactual bytes included: over 5 seeds, on a
+        schedule that finds recourses, one that exhausts its radii, and an
+        empty one (max_radius < initial_radius)."""
+        std, vae = vae_setup
+        model = train_classifier(std, [8], TrainConfig(learning_rate=0.01, epochs=20, seed=3))
+        points = [x for x in std.features if predict_proba(model, x) < 0.5][:2]
+        schedules = [dict(samples_per_radius=40, max_radius=6.0),
+                     dict(samples_per_radius=40, radius_step=0.05, max_radius=0.2),
+                     dict(initial_radius=0.5, max_radius=0.2)]
+        fn = CostFn(norm)
+        results = []
+        for x in points:
+            for schedule in schedules:
+                for seed in range(5):
+                    params = SearchParams(seed=seed, immutable=immutable, **schedule)
+                    if algorithm == "growing_spheres":
+                        got = growing_spheres(model, x, params, fn)
+                        want = growing_spheres_reference(model, x, params, fn)
+                    else:
+                        got = cchvae(model, vae, x, params, fn)
+                        want = cchvae_reference(model, vae, x, params, fn)
+                    assert got.to_json() == want.to_json()
+                    assert got.counterfactual.tobytes() == want.counterfactual.tobytes()
+                    results.append(got)
+        assert {r.valid for r in results} == {True, False}
+        assert any(r.trace["radii_tried"] == 0 for r in results)
+        assert any(not r.valid and r.trace["radii_tried"] == 3 for r in results)
+
+
 class TestImmutableMask:
     def test_scfe_respects_mask(self):
         # boundary reachable through either coordinate; freeze the second
         m = make_logistic([1.0, 1.0], -2.0)
         x = np.array([0.0, 0.0])
-        res = scfe(m, x, ScfeParams(immutable=(1,)), CostFn("l1"))
+        res = scfe_batch(m, x[None], ScfeParams(immutable=(1,)), CostFn("l1"), [0])[0]
         assert res.valid
         assert res.counterfactual[1] == 0.0
         assert res.counterfactual[0] > 0.0
@@ -339,6 +368,6 @@ class TestImmutableMask:
             assert res.counterfactual[5] == neg[5]
             # reconstruction is project(decode(z)) under a mask
             z = np.array(res.trace["latent_point"])
-            rebuilt = vae.decode(z)
+            rebuilt = vae.decode_batch(z[None, :])[0]
             rebuilt[[3, 5]] = neg[[3, 5]]
             assert np.array_equal(rebuilt, res.counterfactual)

@@ -89,6 +89,13 @@ _MALFORMED = [
     _bad(("data", "class_separation"), st.one_of(
         st.floats(max_value=0.0), st.integers(max_value=0), st.just(float("nan")),
         st.text(max_size=3), st.booleans(), st.none())),
+    _bad(("data", "standardize"), st.one_of(st.text(max_size=5), st.integers(), st.none())),
+    _bad(("data", "label_rule"), st.one_of(
+        st.text(max_size=8).filter(lambda r: r not in ("binary", "median-threshold")),
+        st.integers(), st.none())),
+    st.one_of(st.just(""), st.integers(), st.none(), st.lists(st.text(max_size=2), max_size=2)).map(
+        lambda c: [(("data", "kind"), "file"), (("data", "path"), "t.csv"),
+                   (("data", "label_column"), c)]),
     st.tuples(st.sampled_from([("data",), ("train",), ("recourse",), ("recourse", "scfe"),
                                ("attacks",), ("eval",)]),
               st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2)),
@@ -160,6 +167,12 @@ class TestConfig:
         ({"attacks": {"which": ["cfd_lrt"]}, "eval": {"shadow_n": 3}}, "shadow_n"),
         ({"data": {"n_per_class": 100},
           "eval": {"owner_n": 100, "shadow_n": 100, "eval_out_n": 100}}, "exceeds the 200 rows"),
+        # data values: checked before any data is read
+        ({"data": {"standardize": "no"}}, "data.standardize"),
+        ({"data": {"standardize": "false"}}, "data.standardize"),
+        ({"data": {"kind": "file", "path": "t.csv", "label_column": "y",
+                   "label_rule": "foo"}}, "data.label_rule"),
+        ({"data": {"kind": "file", "path": "t.csv", "label_column": 5}}, "data.label_column"),
     ])
     def test_bad_values_exit_1_before_training(self, tmp_path, monkeypatch, capsys,
                                                 overrides, match):
