@@ -14,8 +14,9 @@ Two families:
 An audit runs two task lists on forked workers, one per CPU in the
 process's affinity (see _map_models): every model it trains, then, after
 the game, one cfd_lrt replay task per shadow model (a replayed point's
-seed is its index among the game's valid recourses). Every model and
-replay keeps its own seeds, so results are identical at any CPU count.
+seed is its index among the game's valid recourses), which sends back
+one distance per point it replays. Every model and replay keeps its own
+seeds, so results are identical at any CPU count.
 
 The normal CDF and quantile of the LRT scores and thresholds are ports of
 the Cephes `ndtr`/`ndtri` that SciPy's `special` module runs (see
@@ -304,28 +305,29 @@ def shadow_distance_matrix(
     where the model already classifies the row positively or the recourse
     failed, and per row the counts of those two skip reasons. Row i
     depends only on X[i] and point_seeds[i], so splitting X into blocks
-    and stacking their matrices gives the same result.
+    and stacking their matrices gives the same result. Each model's task
+    sends back only its negative-row mask and one distance per negative
+    row, never the counterfactuals.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
 
-    def replay(i: int) -> tuple[np.ndarray, list[RecourseResult]]:
+    def replay(i: int) -> tuple[np.ndarray, np.ndarray]:
         model = ensemble.models[i]
         neg = nn.predict_proba_batch(model, X) < 0.5
         seeds = [derive_seed(ensemble.seed, f"shadow-recourse-{point_seeds[r]}", i)
                  for r in np.flatnonzero(neg)]
-        return neg, ensemble.recourse_config.generate_batch(model, X[neg], seeds,
-                                                            vae=ensemble.vae)
+        results = ensemble.recourse_config.generate_batch(model, X[neg], seeds,
+                                                          vae=ensemble.vae)
+        return neg, np.array([max(r.cost, recourse.DISTANCE_FLOOR) if r.valid else np.nan
+                              for r in results], dtype=np.float64)
 
     dists = np.full((X.shape[0], ensemble.n_models), np.nan)
     positive = np.zeros(X.shape[0], dtype=np.int64)
     failed = np.zeros(X.shape[0], dtype=np.int64)
-    for i, (neg, results) in enumerate(_map_models(replay, ensemble.n_models)):
+    for i, (neg, dist) in enumerate(_map_models(replay, ensemble.n_models)):
         positive += ~neg
-        for r, result in zip(np.flatnonzero(neg), results):
-            if result.valid:
-                dists[r, i] = max(result.cost, recourse.DISTANCE_FLOOR)
-            else:
-                failed[r] += 1
+        failed[neg] += np.isnan(dist)
+        dists[neg, i] = dist
     return dists, positive, failed
 
 

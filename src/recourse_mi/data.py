@@ -51,7 +51,7 @@ _CHUNK_VALUES = 1 << 16
 
 
 def _chunk_rows(d: int) -> int:
-    return max(1, _CHUNK_VALUES // d)
+    return max(1, _CHUNK_VALUES // max(d, 1))
 
 
 @dataclass(frozen=True)
@@ -400,8 +400,14 @@ def write_csv(data: Dataset, path: str | Path, label_column: str = "label") -> N
     names = data.provenance.get("feature_names") or [
         f"x{i}" for i in range(data.d)
     ]
+    rows = _chunk_rows(data.d)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + [label_column])
-        for row, lab in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+        csv.writer(fh).writerow(list(names) + [label_column])
+        # numeric cells never need quoting and "\r\n" is csv.writer's line
+        # end, so joining the reprs (an int label's is its str) writes
+        # csv.writer's bytes
+        for start in range(0, data.n, rows):
+            for row, lab in zip(data.features[start:start + rows].tolist(),
+                                data.labels[start:start + rows].tolist()):
+                row.append(lab)
+                fh.write(",".join(map(repr, row)) + "\r\n")

@@ -26,6 +26,10 @@ from .seeds import derive_seed
 
 DISTANCE_FLOOR = 1e-12
 
+# scfe_batch runs its rows in blocks of about this many values, so each of
+# its (rows, d) scratch arrays stays near 128 KB whatever the input's size
+SCFE_BLOCK_VALUES = 16384
+
 
 class RecoursePreconditionError(ValueError):
     """The query point is not negatively classified."""
@@ -149,10 +153,12 @@ def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
     returns the cheapest valid iterate seen during its successful attempt,
     or a valid=False result. Rows are independent: every row runs the same
     attempt schedule, so the rows still searching share the attempt count,
-    lam and Adam step, and a row leaves the block at the end of the
-    attempt that found its recourse. Every operation is per row, so row i
-    of the result is bit-identical to scfe_batch on X[i:i+1] however
-    the points are split into batches.
+    lam and Adam step, and a row leaves at the end of the attempt that
+    found its recourse. Every operation is per row, so row i of the result
+    is bit-identical to scfe_batch on X[i:i+1] however the points are split
+    into batches. Each attempt runs the rows still searching in consecutive
+    blocks of max(1, SCFE_BLOCK_VALUES // d), which bounds the search's
+    scratch arrays whatever the number of rows.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
@@ -161,7 +167,7 @@ def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
         raise ValueError(f"{len(seeds)} seeds for {X.shape[0]} points")
     _require_negative(model, X)
     frozen = np.asarray(params.immutable, dtype=np.int64)
-    norm = cost_fn.norm
+    block = max(1, SCFE_BLOCK_VALUES // X.shape[1])
 
     results: list[RecourseResult | None] = [None] * X.shape[0]
     active = np.arange(X.shape[0])
@@ -171,30 +177,17 @@ def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
             break
         if attempt > 0:
             lam *= params.lam_decay
-        x0 = X[active]
-        xp = x0.copy()
-        best = np.empty_like(xp)
-        best_cost = np.full(active.size, np.inf)
-        opt = nn.Adam(xp.shape, lr=params.step_size)
-        for _ in range(params.max_iters):
-            p, g = nn.bce_to_target_grad_batch(model, xp, target=1.0)
-            delta = xp - x0
-            costs = _row_costs(delta, norm)
-            _keep_cheaper(best, best_cost, xp, costs, p >= 0.5)
-            g = g + lam * nn.norm_subgradient(delta, norm)
-            if frozen.size:
-                g[:, frozen] = 0.0
-            opt.step(xp, g)
-        _keep_cheaper(best, best_cost, xp, _row_costs(xp - x0, norm),
-                      nn.predict_proba_batch(model, xp) >= 0.5)
         trace = {"iterations": (attempt + 1) * params.max_iters,
                  "retries_used": attempt, "lambda_final": lam}
-        for j, r in enumerate(active):
-            if best_cost[j] < np.inf:
-                cf = best[j].copy()
-                results[r] = RecourseResult(
-                    counterfactual=cf, cost=cost(X[r], cf, cost_fn), valid=True,
-                    algorithm="scfe", trace=dict(trace), seed=seeds[r])
+        for start in range(0, active.size, block):
+            rows = active[start:start + block]
+            best, best_cost = _scfe_attempt(model, X[rows], params, lam, cost_fn.norm, frozen)
+            for j, r in enumerate(rows):
+                if best_cost[j] < np.inf:
+                    cf = best[j].copy()
+                    results[r] = RecourseResult(
+                        counterfactual=cf, cost=cost(X[r], cf, cost_fn), valid=True,
+                        algorithm="scfe", trace=dict(trace), seed=seeds[r])
         active = np.array([r for r in active if results[r] is None], dtype=np.int64)
 
     for r in active:
@@ -204,6 +197,28 @@ def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
                    "retries_used": params.max_retries, "lambda_final": lam},
             seed=seeds[r])
     return results
+
+
+def _scfe_attempt(model: Model, x0: np.ndarray, params: ScfeParams, lam: float,
+                  norm: str, frozen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One SCFE attempt at weight lam over the block x0: each row's cheapest
+    valid iterate and its cost (inf where none was valid)."""
+    xp = x0.copy()
+    best = np.empty_like(xp)
+    best_cost = np.full(x0.shape[0], np.inf)
+    opt = nn.Adam(xp.shape, lr=params.step_size)
+    for _ in range(params.max_iters):
+        p, g = nn.bce_to_target_grad_batch(model, xp, target=1.0)
+        delta = xp - x0
+        costs = _row_costs(delta, norm)
+        _keep_cheaper(best, best_cost, xp, costs, p >= 0.5)
+        g = g + lam * nn.norm_subgradient(delta, norm)
+        if frozen.size:
+            g[:, frozen] = 0.0
+        opt.step(xp, g)
+    _keep_cheaper(best, best_cost, xp, _row_costs(xp - x0, norm),
+                  nn.predict_proba_batch(model, xp) >= 0.5)
+    return best, best_cost
 
 
 def uniform_l1_ball_sample(center: np.ndarray, radius: float, count: int,
@@ -288,7 +303,9 @@ def _ball_search(model: Model, vae: VaeModel | None, x: np.ndarray,
                 trace = {"radius": float(r), "radii_tried": ri + 1,
                          "samples_per_radius": params.samples_per_radius,
                          point_key: [float(v) for v in raw[idx]]}
-                return RecourseResult(final, cost(x, final, cost_fn), True, algorithm,
+                # a copy: without a VAE or a mask, final is a view that
+                # would pin the radius's whole sample block
+                return RecourseResult(final.copy(), cost(x, final, cost_fn), True, algorithm,
                                       trace=trace, seed=params.seed)
     trace = {"radius": float(radii[-1]) if radii.size else 0.0,
              "radii_tried": int(radii.size),

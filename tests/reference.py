@@ -10,10 +10,12 @@ replaced, and the classifier and VAE trainers
 run Adam over a list of separate parameter arrays, as they did before
 the flat parameter vector. The data pipeline is the copy-based one that
 the in-place stages replaced: each class drawn on its own and stacked,
-(x - mean) / np.std, and one row gather per partition.
+(x - mean) / np.std, and one row gather per partition; the CSV writer
+is csv.writer over repr(float(v)) of each cell.
 """
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -506,3 +508,12 @@ def split_reference(features, labels, provenance, owner_n, shadow_n, eval_out_n,
                        {"kind": "subset", "role": role, "rows": rows.tolist(),
                         "parent": provenance})
     return parts
+
+
+def write_csv_reference(features, labels, names, path, label_column="label"):
+    """The dataset CSV written cell by cell through csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(names) + [label_column])
+        for row, lab in zip(features, labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(lab)])

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import recourse_mi
-from recourse_mi import attack, normal
+from recourse_mi import attack, normal, recourse
 from recourse_mi.attack import (
     Guess,
     InvalidRecourseError,
@@ -48,12 +49,14 @@ from recourse_mi.nn import (
 )
 from recourse_mi.recourse import (
     CostFn,
+    RecoursePreconditionError,
     RecourseResult,
     ScfeParams,
     SearchParams,
     cost,
     growing_spheres,
 )
+from recourse_mi.seeds import derive_seed
 
 from conftest import make_logistic, use_cpus
 from reference import lognormal_quantile_oracle, normal_cdf
@@ -400,6 +403,40 @@ class TestShadowEnsemble:
             assert np.array_equal(got, np.concatenate(parts), equal_nan=True)
         assert np.isnan(whole[0]).any() and not np.isnan(whole[0]).all()
 
+    def test_replay_sends_one_distance_per_row(self, monkeypatch):
+        # each replay task pickles back its negative-row mask and one float
+        # per negative row, not the d-float counterfactuals of the recourses
+        rng = np.random.default_rng(31)
+        d, n, k = 200, 40, 4
+        models = [make_logistic(rng.normal(size=d) * 0.05, -1.0) for _ in range(k)]
+        rc = RecourseConfig(algorithm="scfe",
+                            scfe_params=ScfeParams(max_iters=3, max_retries=1))
+        ens = ShadowEnsemble(models=models, trainer_config=TrainConfig(),
+                             recourse_config=rc, seed=3)
+        X = rng.normal(size=(n, d))
+        sent = []
+        map_models = attack._map_models
+
+        def recording(fn, count):
+            out = map_models(fn, count)
+            sent.extend(len(pickle.dumps(r)) for r in out)
+            return out
+
+        monkeypatch.setattr(attack, "_map_models", recording)
+        dists, positive, failed = shadow_distance_matrix(X, ens, range(n))
+        assert len(sent) == k
+        assert sum(sent) <= 64 * n * k + 512 * k
+        # the matrix and skip counts still follow the replayed recourses
+        for i, model in enumerate(models):
+            neg = np.array([predict_proba(model, x) < 0.5 for x in X])
+            seeds = [derive_seed(3, f"shadow-recourse-{r}", i) for r in np.flatnonzero(neg)]
+            want = [max(r.cost, recourse.DISTANCE_FLOOR) if r.valid else np.nan
+                    for r in rc.generate_batch(model, X[neg], seeds)]
+            assert np.array_equal(dists[neg, i], want, equal_nan=True)
+            assert np.isnan(dists[~neg, i]).all()
+        assert np.array_equal(positive + failed, np.isnan(dists).sum(axis=1))
+        assert positive.sum() > 0 and failed.sum() > 0 and not np.isnan(dists).all()
+
     def test_cfd_lrt_scores_use_per_point_fits(self, shadow_setup):
         std, ensemble = shadow_setup
         owner = ensemble.models[0]
@@ -504,17 +541,23 @@ class TestGenerateBatch:
             assert np.array_equal(res.counterfactual, one.counterfactual)
             assert res.trace == one.trace
 
-    @pytest.mark.parametrize("algorithm,arch", [
-        pytest.param("scfe", [], id="arch0"),
-        pytest.param("scfe", [16], id="arch1"),
-        pytest.param("growing_spheres", [16], id="growing_spheres"),
-        pytest.param("cchvae", [16], id="cchvae"),
+    @pytest.mark.parametrize("algorithm,arch,block_rows", [
+        pytest.param("scfe", [], None, id="arch0"),
+        pytest.param("scfe", [16], None, id="arch1"),
+        pytest.param("growing_spheres", [16], None, id="growing_spheres"),
+        pytest.param("cchvae", [16], None, id="cchvae"),
+        pytest.param("scfe", [16], 5, id="scfe_blocks_of_5"),
     ])
-    def test_scfe_rows_do_not_depend_on_the_batch(self, algorithm, arch):
+    def test_scfe_rows_do_not_depend_on_the_batch(self, monkeypatch, algorithm, arch,
+                                                  block_rows):
         # for every generator, a block, the block split in two, and each
-        # point alone give the same recourses bit for bit
+        # point alone give the same recourses bit for bit; with block_rows,
+        # each SCFE attempt runs its rows in blocks of 5, which the first
+        # attempt's 24 rows fill four times with a 4-row tail
         ds, _ = standardize(generate_synthetic(SyntheticSpec(d=12, n_per_class=150, seed=5,
                                                              class_separation=0.6)))
+        if block_rows is not None:
+            monkeypatch.setattr(recourse, "SCFE_BLOCK_VALUES", block_rows * ds.d)
         model = train_classifier(ds, arch, TrainConfig(learning_rate=0.02, epochs=30, seed=6))
         vae = (train_vae(ds, TrainConfig(learning_rate=1e-3, epochs=30, seed=7))
                if algorithm == "cchvae" else None)
@@ -530,6 +573,11 @@ class TestGenerateBatch:
                  for i in range(len(X))]
         assert whole == split == alone
         assert any(r["valid"] for r in whole)
+        if block_rows is not None:
+            # the precondition covers the whole input and names the global row
+            pos = next(x for x in ds.features if predict_proba(model, x) >= 0.5)
+            with pytest.raises(RecoursePreconditionError, match=r"\(row 17, "):
+                rc.generate_batch(model, np.insert(X, 17, pos, axis=0), seeds + [224])
 
     def test_scfe_runs_as_one_batch(self, halfspace_2d):
         rc = RecourseConfig(algorithm="scfe", scfe_params=ScfeParams(max_iters=200))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recourse_mi import data as data_mod
 from recourse_mi.data import (
     DataError,
     Dataset,
@@ -16,6 +17,8 @@ from recourse_mi.data import (
     standardize,
     write_csv,
 )
+
+from reference import write_csv_reference
 
 
 def source_rows(bundle):
@@ -146,6 +149,22 @@ class TestLoadTabular:
         back = load_tabular(f, "label", "binary")
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize("n,d", [(7, 3), (1, 1), (0, 2), (3, 0)])
+    def test_write_csv_bytes_equal_csv_writer(self, tmp_path, monkeypatch, n, d):
+        # 2-row chunks with a ragged tail; extreme, signed-zero and
+        # non-finite cells; a header name that csv.writer must quote
+        monkeypatch.setattr(data_mod, "_CHUNK_VALUES", 2 * max(d, 1))
+        special = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 1.0, 1e16, np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(n + d)
+        features = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+        features.flat[:len(special)] = special[:features.size]
+        labels = rng.integers(0, 2, size=n)
+        names = [f"x{i}" for i in range(d)]
+        names[:1] = ['a,"b"'] * min(d, 1)
+        write_csv(Dataset(features, labels, {"feature_names": names}), tmp_path / "got.csv")
+        write_csv_reference(features, labels, names, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestStandardize:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recourse_mi import recourse
 from recourse_mi.data import SyntheticSpec, generate_synthetic, standardize
 from recourse_mi.nn import (
     DimensionMismatchError,
@@ -218,6 +221,25 @@ class TestScfeBatch:
                 assert np.array_equal(res.counterfactual[list(immutable)], x[list(immutable)])
         assert len(retries) >= 2 and max(retries) >= 1
 
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_retries_regroup_rows_across_blocks(self, scfe_models, monkeypatch, arch):
+        # blocks of 3 rows: the rows that fail an attempt in different
+        # blocks retry together, and every row still equals its own
+        # one-row search and the unblocked batch
+        ds, models = scfe_models
+        model = models[arch]
+        X = np.array([x for x in ds.features if predict_proba(model, x) < 0.5][:12])
+        params = ScfeParams(lam=3.0, lam_decay=0.3, max_iters=150, max_retries=3)
+        seeds = list(range(100, 112))
+        whole = [r.to_json() for r in scfe_batch(model, X, params, CostFn("l1"), seeds)]
+        monkeypatch.setattr(recourse, "SCFE_BLOCK_VALUES", 3 * ds.d)
+        blocked = [r.to_json() for r in scfe_batch(model, X, params, CostFn("l1"), seeds)]
+        alone = [scfe_batch(model, X[i:i + 1], params, CostFn("l1"), seeds[i:i + 1])[0].to_json()
+                 for i in range(len(X))]
+        assert blocked == whole == alone
+        retried = [i // 3 for i, r in enumerate(blocked) if r["trace"]["retries_used"] > 0]
+        assert len(set(retried)) >= 2
+
     def test_every_row_must_be_negative(self):
         m = make_logistic([1.0], 0.0)
         with pytest.raises(RecoursePreconditionError):
@@ -233,6 +255,22 @@ class TestScfeBatch:
     def test_empty_batch(self):
         m = make_logistic([1.0, 0.0], -1.0)
         assert scfe_batch(m, np.zeros((0, 2)), ScfeParams(), CostFn("l1"), []) == []
+
+    def test_scratch_is_bounded_by_the_row_block(self):
+        # 200 rows of d=400 are a 640 KB block, and an (n, d) search keeps
+        # about eleven such arrays live; in blocks of SCFE_BLOCK_VALUES // d
+        # rows the traced peak stays near the results' own counterfactuals
+        rng = np.random.default_rng(4)
+        m = make_logistic(rng.normal(size=400) * 0.05, -6.0)
+        X = rng.normal(size=(200, 400))
+        tracemalloc.start()
+        try:
+            results = scfe_batch(m, X, ScfeParams(max_iters=20), CostFn("l1"), range(200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 200 and any(r.valid for r in results)
+        assert peak <= 3_000_000
 
 
 class TestGrowingSpheres:
@@ -260,6 +298,13 @@ class TestGrowingSpheres:
         res = growing_spheres(m, np.zeros(2),
                               SearchParams(max_radius=2.0, seed=2), CostFn("l1"))
         assert not res.valid
+
+    def test_counterfactual_owns_its_row(self, halfspace_2d):
+        # without a VAE or a mask the decode is the identity, and the pick
+        # must not stay a view into the radius's (samples_per_radius, d) block
+        res = growing_spheres(halfspace_2d, np.zeros(2), SearchParams(seed=3), CostFn("l1"))
+        assert res.valid
+        assert res.counterfactual.flags.owndata and res.counterfactual.shape == (2,)
 
     def test_deterministic(self, halfspace_2d):
         x = np.array([0.0, 0.0])
