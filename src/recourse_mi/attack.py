@@ -11,12 +11,14 @@ Two families:
   on BCE, and the offline loss LRT against a normal OUT fit of
   logit-scaled confidences.
 
-An audit runs two task lists on forked workers, one per CPU in the
-process's affinity (see _map_models): every model it trains, then, after
-the game, one cfd_lrt replay task per shadow model (a replayed point's
-seed is its index among the game's valid recourses), which sends back
-one distance per point it replays. Every model and replay keeps its own
-seeds, so results are identical at any CPU count.
+An audit runs every task on one TaskPool (see pool.py and ShadowStream):
+its workers train the models, the game starts as soon as the owner
+returns, and each shadow model, taken in completion order, fills its
+column of the offline LRTs and is dropped. For cfd_lrt that column comes
+from a replay task on the same pool (a replayed point's seed is its index
+among the game's valid recourses), which sends back one distance per
+point it replays. Every model and replay keeps its own seeds and every
+result is stored by index, so results are identical at any CPU count.
 
 The normal CDF and quantile of the LRT scores and thresholds are ports of
 the Cephes `ndtr`/`ndtri` that SciPy's `special` module runs (see
@@ -28,11 +30,8 @@ import dataclasses
 import enum
 import functools
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from . import nn, recourse
 from .data import Dataset
 from .nn import Model, TrainConfig, VaeModel
 from .normal import ndtr, ndtri
+from .pool import TaskPool, run_all
 from .recourse import CostFn, RecourseResult, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
 
@@ -147,25 +147,14 @@ class ShadowEnsemble:
         return len(self.models)
 
 
-def _map_models(fn: Callable[[int], Any], n: int) -> list:
-    """[fn(i) for i in range(n)] on one forked worker per CPU in the
-    process's affinity (at most n), inline when that is one or fork is
-    missing. Workers inherit fn through fork, so it may be a closure; only
-    results are pickled back, and a worker's exception re-raises here."""
-    workers = min(n, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(i) for i in range(n)]
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_worker_fn.append, initargs=(fn,)) as pool:
-        return list(pool.map(_call_worker_fn, range(n)))
+def shadow_tag(i: int) -> str:
+    """The pool tag of shadow model i's training task."""
+    return f"shadow_{i}"
 
 
-# in a _map_models worker, the fn it runs (last appended); empty elsewhere
-_worker_fn: list[Callable[[int], Any]] = []
-
-
-def _call_worker_fn(i: int) -> Any:
-    return _worker_fn[-1](i)
+def replay_tag(i: int) -> str:
+    """The pool tag of shadow model i's cfd_lrt replay task."""
+    return f"replay_{i}"
 
 
 def shadow_training_tasks(
@@ -176,16 +165,17 @@ def shadow_training_tasks(
     recourse_config: RecourseConfig,
     seed: int,
     vae_config: TrainConfig | None = None,
-) -> tuple[list[Callable[[], Any]], Callable[[list], ShadowEnsemble]]:
-    """The training tasks of a shadow ensemble, and the function that
-    builds the ensemble from their results in task order.
+) -> tuple[dict[str, Callable[[], Any]], Callable[[Mapping[str, Any]], ShadowEnsemble]]:
+    """The training tasks of a shadow ensemble by pool tag, and the
+    function that builds the ensemble from their results by tag.
 
-    For cchvae recourse the first task trains one shadow VAE on the full
-    pool, shared by every shadow model; `vae_config` is the owner's VAE
-    training setup (its seed is replaced by one derived from `seed`).
-    Then comes one task per shadow model in index order: model i trains
-    on a uniform half-pool subsample with `trainer_config`, only its seed
-    replaced by one derived from `seed` and i.
+    For cchvae recourse the first task, "shadow_vae", trains one shadow
+    VAE on the full pool, shared by every shadow model; `vae_config` is
+    the owner's VAE training setup (its seed is replaced by one derived
+    from `seed`). Then comes shadow_tag(i) for each shadow model in index
+    order: model i trains on a uniform half-pool subsample with
+    `trainer_config`, only its seed replaced by one derived from `seed`
+    and i.
     """
     if n_models < 2:
         raise ValueError(f"need at least 2 shadow models, got {n_models}")
@@ -203,15 +193,16 @@ def shadow_training_tasks(
         cfg = dataclasses.replace(trainer_config, seed=derive_seed(seed, "shadow-train", i))
         return nn.train_classifier(subset, architecture, cfg)
 
-    tasks: list[Callable[[], Any]] = [functools.partial(build, i) for i in range(n_models)]
+    tasks: dict[str, Callable[[], Any]] = {}
     if recourse_config.algorithm == "cchvae":
-        tasks.insert(0, functools.partial(nn.train_vae, shadow_pool, dataclasses.replace(
-            vae_config, seed=derive_seed(seed, "shadow-vae"))))
+        tasks["shadow_vae"] = functools.partial(nn.train_vae, shadow_pool, dataclasses.replace(
+            vae_config, seed=derive_seed(seed, "shadow-vae")))
+    tasks.update((shadow_tag(i), functools.partial(build, i)) for i in range(n_models))
 
-    def assemble(results: list) -> ShadowEnsemble:
-        vae = results[0] if recourse_config.algorithm == "cchvae" else None
-        return ShadowEnsemble(models=results[-n_models:], trainer_config=trainer_config,
-                              recourse_config=recourse_config, seed=seed, vae=vae)
+    def assemble(results: Mapping[str, Any]) -> ShadowEnsemble:
+        return ShadowEnsemble(models=[results[shadow_tag(i)] for i in range(n_models)],
+                              trainer_config=trainer_config, recourse_config=recourse_config,
+                              seed=seed, vae=results.get("shadow_vae"))
 
     return tasks, assemble
 
@@ -292,6 +283,108 @@ def loss_lrt_score(conf: float, out_fit: NormalFit) -> float:
     return float(ndtr((conf - out_fit.mu) / math.sqrt(out_fit.sigma2)))
 
 
+def replay_distances(
+    model: Model,
+    X: np.ndarray,
+    point_seeds: Sequence[int],
+    index: int,
+    recourse_config: RecourseConfig,
+    seed: int,
+    vae: VaeModel | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cfd_lrt replay of shadow model `index` (of the ensemble with
+    `seed`) over the rows of X: one recourse batch over the rows it
+    classifies negatively, each with the seed of (point_seeds[row],
+    index). Returns the negative-row mask and, per negative row,
+    max(cost, DISTANCE_FLOOR), or NaN where the search failed; never the
+    counterfactuals. Module-level, so a pool worker runs it from pickled
+    arguments."""
+    neg = nn.predict_proba_batch(model, X) < 0.5
+    seeds = [derive_seed(seed, f"shadow-recourse-{point_seeds[r]}", index)
+             for r in np.flatnonzero(neg)]
+    results = recourse_config.generate_batch(model, X[neg], seeds, vae=vae)
+    return neg, np.array([max(r.cost, recourse.DISTANCE_FLOOR) if r.valid else np.nan
+                          for r in results], dtype=np.float64)
+
+
+@dataclass
+class ShadowColumns:
+    """One column per shadow model over the points of an audit: for
+    loss_lrt, the model's probability of each point; for cfd_lrt, its
+    replay distance, NaN where the model already classifies the point
+    positively or the search failed, with per-point counts of those two
+    skip reasons."""
+
+    probs: np.ndarray | None = None
+    dists: np.ndarray | None = None
+    positive: np.ndarray | None = None
+    failed: np.ndarray | None = None
+
+    @classmethod
+    def empty(cls, n_points: int, n_models: int, probs: bool, dists: bool) -> ShadowColumns:
+        cols = cls(probs=np.empty((n_points, n_models)) if probs else None)
+        if dists:
+            cols.dists = np.full((n_points, n_models), np.nan)
+            cols.positive = np.zeros(n_points, dtype=np.int64)
+            cols.failed = np.zeros(n_points, dtype=np.int64)
+        return cols
+
+    def add_replay(self, i: int, neg: np.ndarray, dist: np.ndarray) -> None:
+        """Column i from replay_distances' result."""
+        self.positive += ~neg
+        self.failed[neg] += np.isnan(dist)
+        self.dists[neg, i] = dist
+
+
+class ShadowStream:
+    """The shadow models of an audit, each used once and then dropped.
+
+    Model i comes from the inherited task shadow_tag(i) of `pool` (see
+    shadow_training_tasks). At most pool.workers shadow models are in
+    flight, each from the start of its training task to the end of its
+    last use, so the audit process never holds more of them at once.
+    Construction starts the first ones, so that they train while the
+    caller plays the game.
+    """
+
+    def __init__(self, pool: TaskPool, n_models: int):
+        self.pool, self.n_models = pool, n_models
+        self._next = 0
+        self._live: dict[str, int] = {}  # tag of a task in flight -> model index
+        self._top_up()
+
+    def _top_up(self) -> None:
+        while self._next < self.n_models and len(self._live) < self.pool.workers:
+            self.pool.start(shadow_tag(self._next))
+            self._live[shadow_tag(self._next)] = self._next
+            self._next += 1
+
+    def columns(self, X: np.ndarray, point_seeds: Sequence[int], probs: bool,
+                replay: tuple[RecourseConfig, int, VaeModel | None] | None) -> ShadowColumns:
+        """Every model's column over the rows of X, taken in completion
+        order and stored by index: its probabilities if `probs`, and with
+        `replay` = (recourse config, ensemble seed, shadow VAE) the
+        distances of its replay task on the pool (replay_distances with
+        point_seeds)."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        cols = ShadowColumns.empty(X.shape[0], self.n_models, probs, replay is not None)
+        while self._live:
+            tag, value = self.pool.take_first(self._live)
+            i = self._live.pop(tag)
+            if tag == replay_tag(i):
+                cols.add_replay(i, *value)
+            else:
+                if probs:
+                    cols.probs[:, i] = nn.predict_proba_batch(value, X)
+                if replay is not None:
+                    self.pool.submit(replay_tag(i), replay_distances, value, X, point_seeds, i,
+                                     *replay)
+                    self._live[replay_tag(i)] = i
+            del value  # drop the model before waiting for the next task
+            self._top_up()
+        return cols
+
+
 def shadow_distance_matrix(
     X: np.ndarray,
     ensemble: ShadowEnsemble,
@@ -299,42 +392,27 @@ def shadow_distance_matrix(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recourse distance of each row of X under each shadow model.
 
-    Runs model-major: each shadow model issues one recourse batch over the
-    rows it classifies negatively, with the seed of (point_seeds[row],
-    model index). Returns the (n_points, n_models) distance matrix, NaN
-    where the model already classifies the row positively or the recourse
-    failed, and per row the counts of those two skip reasons. Row i
-    depends only on X[i] and point_seeds[i], so splitting X into blocks
-    and stacking their matrices gives the same result. Each model's task
-    sends back only its negative-row mask and one distance per negative
-    row, never the counterfactuals.
+    One replay task per model (replay_distances) on a TaskPool. Returns
+    the (n_points, n_models) distance matrix, NaN where the model already
+    classifies the row positively or the recourse failed, and per row the
+    counts of those two skip reasons. Row i depends only on X[i] and
+    point_seeds[i], so splitting X into blocks and stacking their
+    matrices gives the same result.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-
-    def replay(i: int) -> tuple[np.ndarray, np.ndarray]:
-        model = ensemble.models[i]
-        neg = nn.predict_proba_batch(model, X) < 0.5
-        seeds = [derive_seed(ensemble.seed, f"shadow-recourse-{point_seeds[r]}", i)
-                 for r in np.flatnonzero(neg)]
-        results = ensemble.recourse_config.generate_batch(model, X[neg], seeds,
-                                                          vae=ensemble.vae)
-        return neg, np.array([max(r.cost, recourse.DISTANCE_FLOOR) if r.valid else np.nan
-                              for r in results], dtype=np.float64)
-
-    dists = np.full((X.shape[0], ensemble.n_models), np.nan)
-    positive = np.zeros(X.shape[0], dtype=np.int64)
-    failed = np.zeros(X.shape[0], dtype=np.int64)
-    for i, (neg, dist) in enumerate(_map_models(replay, ensemble.n_models)):
-        positive += ~neg
-        failed[neg] += np.isnan(dist)
-        dists[neg, i] = dist
-    return dists, positive, failed
+    done = run_all({replay_tag(i): functools.partial(
+        replay_distances, model, X, point_seeds, i, ensemble.recourse_config, ensemble.seed,
+        ensemble.vae) for i, model in enumerate(ensemble.models)})
+    cols = ShadowColumns.empty(X.shape[0], ensemble.n_models, probs=False, dists=True)
+    for i in range(ensemble.n_models):
+        cols.add_replay(i, *done[replay_tag(i)])
+    return cols.dists, cols.positive, cols.failed
 
 
 # --- attack stages consumed by the experiment runner -----------------------
 #
 # The distance attacks deliberately take no model argument: the statistic
-# is computed from the game transcript and the shadow ensemble alone.
+# is computed from the game transcript and the shadow distances alone.
 
 def cfd_attack_scores(samples: Sequence) -> list[AttackScore]:
     """Simple counterfactual-distance scores for a list of GameSamples."""
@@ -350,23 +428,19 @@ def cfd_attack_scores(samples: Sequence) -> list[AttackScore]:
 
 def cfd_lrt_attack_scores(
     samples: Sequence,
-    ensemble: ShadowEnsemble,
+    shadow_dists: np.ndarray,
     alphas: Sequence[float] = (0.01, 0.05, 0.1),
 ) -> list[AttackScore]:
-    """One-sided distance-LRT scores; one shared ensemble, per-point fits.
+    """One-sided distance-LRT scores with per-point fits.
 
-    The shadow replay runs as one recourse batch per shadow model over
-    the sample points (see shadow_distance_matrix); sample i uses point
-    seed i. A point whose shadow-distance sample starves (fewer than two
-    shadow models yield a recourse for it) is dropped.
+    Row i of `shadow_dists` holds sample i's distances under the shadow
+    models, NaN where a model gave none (shadow_distance_matrix or
+    ShadowStream.columns, with point seed i). A point whose sample
+    starves (fewer than two distances) is dropped.
     """
-    if not samples:
-        return []
-    observed = [cfd_statistic(s.point, s.recourse) for s in samples]
-    dists, _, _ = shadow_distance_matrix(
-        np.array([s.point for s in samples]), ensemble, range(len(samples)))
     out = []
-    for s, t0, row in zip(samples, observed, dists):
+    for s, row in zip(samples, shadow_dists):
+        t0 = cfd_statistic(s.point, s.recourse)
         row = row[~np.isnan(row)]
         if row.size < 2:
             continue
@@ -397,22 +471,20 @@ def loss_attack_scores(samples: Sequence, owner_model: Model) -> list[AttackScor
 def loss_lrt_attack_scores(
     samples: Sequence,
     owner_model: Model,
-    ensemble: ShadowEnsemble,
+    shadow_probs: np.ndarray,
     alphas: Sequence[float] = (0.01, 0.05, 0.1),
 ) -> list[AttackScore]:
-    """Offline loss-LRT baseline: normal OUT fit of shadow confidences, from
-    one batched forward pass per model (the owner and each shadow)."""
+    """Offline loss-LRT baseline: normal OUT fit of shadow confidences.
+    Row i of `shadow_probs` holds sample i's probability under each
+    shadow model; the owner's come from one batched forward pass."""
     if not samples:
         return []
-    X = np.array([s.point for s in samples])
-    owner_p = nn.predict_proba_batch(owner_model, X)
-    shadow_p = [nn.predict_proba_batch(m, X) for m in ensemble.models]
+    owner_p = nn.predict_proba_batch(owner_model, np.array([s.point for s in samples]))
     z_upper = {a: ndtri(1.0 - a) for a in alphas}
     out = []
-    for i, s in enumerate(samples):
-        conf = nn.logit_confidence_from_proba(owner_p[i], s.label)
-        confs = [nn.logit_confidence_from_proba(p[i], s.label) for p in shadow_p]
-        fit = fit_normal_mle(confs)
+    for s, p, shadow_p in zip(samples, owner_p, shadow_probs):
+        conf = nn.logit_confidence_from_proba(p, s.label)
+        fit = fit_normal_mle([nn.logit_confidence_from_proba(q, s.label) for q in shadow_p])
         score = loss_lrt_score(conf, fit)
         guesses = {}
         for a in alphas:

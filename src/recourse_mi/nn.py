@@ -25,6 +25,9 @@ from .data import Dataset
 from .seeds import rng_for
 
 PROB_FLOOR = 1e-7  # keeps losses and logits finite on interpolating models
+# predict_proba_batch runs max(1, PREDICT_BLOCK_VALUES // widest hidden layer)
+# rows at a time: 128 KB per activation block at any width and row count
+PREDICT_BLOCK_VALUES = 16384
 
 PARAM_BLOB_MAGIC = b"RMIBLOB1"
 MODEL_FORMAT_VERSION = 1
@@ -230,8 +233,17 @@ def _as_matrix(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def predict_proba_batch(model: Model, x: np.ndarray) -> np.ndarray:
-    """Row i equals predict_proba(model, x[i]) bit for bit."""
-    return _forward_batch(model, _as_matrix(x, model.d))
+    """Row i equals predict_proba(model, x[i]) bit for bit. The rows run in
+    blocks (see PREDICT_BLOCK_VALUES), which bounds the activations held
+    at once; each row is computed on its own, so the blocks change no bit."""
+    x = _as_matrix(x, model.d)
+    rows = max(1, PREDICT_BLOCK_VALUES // max(model.architecture, default=1))
+    if x.shape[0] <= rows:
+        return _forward_batch(model, x)
+    p = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], rows):
+        p[start : start + rows] = _forward_batch(model, x[start : start + rows])
+    return p
 
 
 def predict_proba(model: Model, x: np.ndarray) -> float:
@@ -333,7 +345,9 @@ def train_classifier(
                 np.matmul(acts[li].T, g, out=grads[li])
                 np.add.reduce(g, axis=0, out=grads[n_layers + li])
                 if li > 0:
-                    g = g @ weights[li].T
+                    # a one-column layer's backward product is an outer
+                    # product: one rounded product per element either way
+                    g = g * weights[li][:, 0] if weights[li].shape[1] == 1 else g @ weights[li].T
                     g *= acts[li] > 0
             opt.step(theta, grad)
 

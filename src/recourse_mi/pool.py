@@ -1,0 +1,113 @@
+"""One pool of forked workers, driven by futures, for every task of an audit.
+
+A TaskPool runs tagged tasks on one forked worker per CPU in the
+process's affinity, or inline where that is one CPU or fork is missing.
+The tasks given at construction reach the workers through fork, so they
+may be closures; tasks submitted later are pickled, so they must be
+module-level functions with picklable arguments. The executor forks all
+of its workers at its first task, before it starts its own threads.
+
+A result is taken by its tag, and a taken task is forgotten, so the pool
+keeps nothing alive that its caller has dropped. Inline, a task runs
+when its result is first taken, so that path holds no more results than
+the workers' path. Each task's wall and process seconds are measured
+where it runs.
+"""
+from __future__ import annotations
+
+import functools
+import multiprocessing
+import os
+import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from typing import Any, Callable, Hashable, Iterable, Mapping
+
+
+class TaskPool:
+    """Tagged tasks on forked workers; use it as a context manager.
+
+    `inherited` holds the tasks that may be closures, started by tag with
+    `start`; their number caps the worker count. On leaving the context
+    with an exception, tasks that have not started are cancelled; the
+    workers are always joined.
+    """
+
+    def __init__(self, inherited: Mapping[Hashable, Callable[[], Any]]):
+        self._inherited = dict(inherited)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        self.workers = min(len(self._inherited), cpus)
+        self._executor = None
+        if self.workers >= 2 and "fork" in multiprocessing.get_all_start_methods():
+            self._executor = ProcessPoolExecutor(
+                self.workers, multiprocessing.get_context("fork"),
+                initializer=_inherit, initargs=(self._inherited,))
+        else:
+            self.workers = 1
+        self._tasks: dict[Hashable, Any] = {}  # tag -> Future, or the inline call
+        self.times: dict[Hashable, dict[str, float]] = {}
+
+    def __enter__(self) -> TaskPool:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._tasks.clear()
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
+
+    def start(self, tag: Hashable) -> None:
+        """Queue the inherited task `tag`."""
+        if self._executor is None:
+            self._tasks[tag] = functools.partial(_timed, self._inherited[tag])
+        else:
+            self._tasks[tag] = self._executor.submit(_timed, _run_inherited, tag)
+
+    def submit(self, tag: Hashable, fn: Callable[..., Any], *args: Any) -> None:
+        """Queue fn(*args) under `tag`; fn and args must pickle."""
+        if self._executor is None:
+            self._tasks[tag] = functools.partial(_timed, fn, *args)
+        else:
+            self._tasks[tag] = self._executor.submit(_timed, fn, *args)
+
+    def take(self, tag: Hashable) -> Any:
+        """The result of task `tag`, once it has run; a worker's exception
+        re-raises here."""
+        task = self._tasks.pop(tag)
+        value, wall, cpu = task() if self._executor is None else task.result()
+        self.times[tag] = {"wall_s": wall, "cpu_s": cpu}
+        return value
+
+    def take_first(self, tags: Iterable[Hashable]) -> tuple[Hashable, Any]:
+        """The first of the tasks `tags` to finish and its result (inline,
+        the first of them); earlier tags win ties."""
+        tags = list(tags)
+        if self._executor is not None:
+            done, _ = wait([self._tasks[t] for t in tags], return_when=FIRST_COMPLETED)
+            tags = [t for t in tags if self._tasks[t] in done]
+        return tags[0], self.take(tags[0])
+
+
+def run_all(tasks: Mapping[Hashable, Callable[[], Any]]) -> dict[Hashable, Any]:
+    """{tag: task()} for every task, on one TaskPool, started in order."""
+    with TaskPool(tasks) as pool:
+        for tag in tasks:
+            pool.start(tag)
+        return {tag: pool.take(tag) for tag in tasks}
+
+
+def _timed(fn: Callable[..., Any], *args: Any) -> tuple[Any, float, float]:
+    wall, cpu = time.perf_counter(), time.process_time()
+    value = fn(*args)
+    return value, time.perf_counter() - wall, time.process_time() - cpu
+
+
+# in a TaskPool worker, the inherited tasks of its pool; empty elsewhere
+_INHERITED: dict[Hashable, Callable[[], Any]] = {}
+
+
+def _inherit(tasks: dict[Hashable, Callable[[], Any]]) -> None:
+    global _INHERITED
+    _INHERITED = tasks
+
+
+def _run_inherited(tag: Hashable) -> Any:
+    return _INHERITED[tag]()

@@ -1,20 +1,22 @@
 """Config-driven experiment pipeline for the recourse membership game.
 
 One experiment: build data, split it into owner / adversary-shadow /
-held-out pools, train the owner model and any shadow ensemble (one worker
-task list, see prepare), sample negatively-classified member and
-non-member points, issue one recourse per point, score every configured
-attack in both threshold directions, and persist a report, per-point
-score streams, ROC tables and a stage-timing trace. Every stage seed
-derives from the master seed, so everything but the trace is
-reproducible byte-for-byte at any CPU count, and each point's recourse
-does not depend on how the points are batched.
+held-out pools, train the owner model and any shadow models, sample
+negatively-classified member and non-member points, issue one recourse
+per point, score every configured attack in both threshold directions,
+and persist a report, per-point score streams, ROC tables and a trace of
+stage times, task times, peak memory and skip counts. An audit runs on
+one worker pool (see run_experiment). Every stage seed derives from the
+master seed, so everything but the trace is reproducible byte-for-byte
+at any CPU count, and each point's recourse does not depend on how the
+points are batched.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import json
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +31,7 @@ from .attack import AttackScore, Guess, RecourseConfig, ShadowEnsemble
 from .data import (Dataset, SplitBundle, SyntheticSpec, split_in_place, standardize_in_place,
                    synthetic_arrays, tabular_arrays)
 from .nn import Model, TrainConfig, VaeModel
+from .pool import TaskPool, run_all
 from .recourse import CostFn, RecourseResult, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
 
@@ -87,7 +90,7 @@ class ExperimentReport:
     best_direction: dict[str, str]
     scores: dict[str, list[AttackScore]]
     membership: dict[str, str]
-    timing: dict[str, float]
+    trace: dict[str, Any]
     data_provenance: dict = field(default_factory=dict)
     version: str = "0.1.0"
 
@@ -116,11 +119,11 @@ class ExperimentReport:
     def save(self, out_dir: str | Path) -> Path:
         """report.json, one scores_<attack>.jsonl per attack (a record per
         scored point), one roc_<attack>_<direction>.csv per curve, and the
-        stage times in trace.json."""
+        trace in trace.json."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "report.json"
-        for path, doc in ((report_path, self.to_json()), (out_dir / "trace.json", self.timing)):
+        for path, doc in ((report_path, self.to_json()), (out_dir / "trace.json", self.trace)):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -405,46 +408,57 @@ class PreparedExperiment:
     ensemble: ShadowEnsemble | None = None
 
 
-def prepare(config: ExperimentConfig, shadows: bool = True) -> PreparedExperiment:
-    """Data, splits and the trained models: the owner model, its VAE for
-    cchvae and, if `shadows` is set and an LRT attack is configured, the
-    shadow ensemble. All train as one worker task list, longest first so
-    that the workers' greedy pick balances the load: the shadow VAE and
-    the owner VAE (cchvae), the owner model, then the shadow models."""
+def _checked_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
     bundle, data_provenance = build_split(config)
     owner_rows = set(bundle.owner_train.provenance.get("rows", []))
     shadow_rows = set(bundle.shadow_pool.provenance.get("rows", []))
     out_rows = set(bundle.eval_out.provenance.get("rows", []))
     if owner_rows & shadow_rows or owner_rows & out_rows or shadow_rows & out_rows:
         raise GameSetupError("partition overlap detected; split is broken")
+    return bundle, data_provenance
 
+
+def _training_tasks(config: ExperimentConfig, bundle: SplitBundle, shadows: bool):
+    """Every model the experiment trains, as TaskPool tasks by tag,
+    longest first so that the workers' greedy pick balances the load: the
+    shadow VAE and the owner VAE (cchvae), the owner model, then the
+    shadow models (attack.shadow_tag), these only if `shadows` is set and
+    an LRT attack is configured. Also returns the function that assembles
+    the shadow ensemble from the results, or None without shadows."""
     train_cfg = dataclasses.replace(config.train, seed=derive_seed(config.seed, "owner-train"))
-    cchvae = config.recourse.algorithm == "cchvae"
-    tasks = [functools.partial(nn.train_classifier, bundle.owner_train,
-                               config.model_architecture, train_cfg)]
-    if cchvae:
+    tasks = {"owner": functools.partial(nn.train_classifier, bundle.owner_train,
+                                        config.model_architecture, train_cfg)}
+    if config.recourse.algorithm == "cchvae":
         assert config.vae_train is not None
-        tasks.insert(0, functools.partial(nn.train_vae, bundle.owner_train, dataclasses.replace(
-            config.vae_train, seed=derive_seed(config.seed, "owner-vae"))))
-    lead, assemble = 0, None
-    if shadows and set(config.attacks) & {"cfd_lrt", "loss_lrt"}:
-        shadow_tasks, assemble = attack_mod.shadow_training_tasks(
-            bundle.shadow_pool, config.n_shadow_models, config.model_architecture,
-            config.train, config.recourse, derive_seed(config.seed, "shadow-ensemble"),
-            vae_config=config.vae_train)
-        lead = len(shadow_tasks) - config.n_shadow_models  # the shadow VAE
-        tasks = shadow_tasks[:lead] + tasks + shadow_tasks[lead:]
-    done = iter(attack_mod._map_models(lambda i: tasks[i](), len(tasks)))
-    shadow_vae = [next(done) for _ in range(lead)]
-    owner_vae = next(done) if cchvae else None
-    owner = next(done)
+        vae_cfg = dataclasses.replace(config.vae_train, seed=derive_seed(config.seed, "owner-vae"))
+        tasks = {"owner_vae": functools.partial(nn.train_vae, bundle.owner_train, vae_cfg),
+                 **tasks}
+    if not (shadows and set(config.attacks) & {"cfd_lrt", "loss_lrt"}):
+        return tasks, None
+    shadow_tasks, assemble = attack_mod.shadow_training_tasks(
+        bundle.shadow_pool, config.n_shadow_models, config.model_architecture,
+        config.train, config.recourse, derive_seed(config.seed, "shadow-ensemble"),
+        vae_config=config.vae_train)
+    lead = {"shadow_vae": shadow_tasks.pop("shadow_vae")} if "shadow_vae" in shadow_tasks else {}
+    return {**lead, **tasks, **shadow_tasks}, assemble
+
+
+def prepare(config: ExperimentConfig, shadows: bool = True) -> PreparedExperiment:
+    """Data, splits and every trained model, all held at once: the owner
+    model, its VAE for cchvae and, if `shadows` is set and an LRT attack
+    is configured, the shadow ensemble. All train on one TaskPool in the
+    order of _training_tasks. An audit does not use this (run_experiment
+    streams the shadow models); the train command and play_game do."""
+    bundle, data_provenance = _checked_split(config)
+    tasks, assemble = _training_tasks(config, bundle, shadows)
+    done = run_all(tasks)
     return PreparedExperiment(
         data_provenance=data_provenance,
         bundle=bundle,
-        owner_model=owner,
-        owner_vae=owner_vae,
-        test_accuracy=nn.accuracy(owner, bundle.eval_out),
-        ensemble=assemble(shadow_vae + list(done)) if assemble else None,
+        owner_model=done["owner"],
+        owner_vae=done.get("owner_vae"),
+        test_accuracy=nn.accuracy(done["owner"], bundle.eval_out),
+        ensemble=assemble(done) if assemble else None,
     )
 
 
@@ -518,43 +532,90 @@ def play_game(config: ExperimentConfig) -> list[GameSample]:
 
 def _attack_scores(
     config: ExperimentConfig,
-    prep: PreparedExperiment,
+    owner_model: Model,
     samples: list[GameSample],
-    ensemble: ShadowEnsemble | None,
+    columns: attack_mod.ShadowColumns | None,
 ) -> dict[str, list[AttackScore]]:
     # Distance attacks receive only the game transcript (and the shadow
-    # ensemble); the owner model is deliberately out of reach here.
+    # distances); the owner model is deliberately out of reach here.
     out: dict[str, list[AttackScore]] = {}
     for name in config.attacks:
         if name == "cfd":
             out[name] = attack_mod.cfd_attack_scores(samples)
         elif name == "cfd_lrt":
-            assert ensemble is not None
+            assert columns is not None
             out[name] = attack_mod.cfd_lrt_attack_scores(
-                samples, ensemble, alphas=config.alpha_grid)
+                samples, columns.dists, alphas=config.alpha_grid)
         elif name == "loss":
-            out[name] = attack_mod.loss_attack_scores(samples, prep.owner_model)
+            out[name] = attack_mod.loss_attack_scores(samples, owner_model)
         elif name == "loss_lrt":
-            assert ensemble is not None
+            assert columns is not None
             out[name] = attack_mod.loss_lrt_attack_scores(
-                samples, prep.owner_model, ensemble, alphas=config.alpha_grid)
+                samples, owner_model, columns.probs, alphas=config.alpha_grid)
     return out
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Full pipeline; persists report.json and ROC CSVs when out_dir is set."""
-    timing: dict[str, float] = {}
+    """Full pipeline; persists report.json, the score and ROC files and
+    trace.json when out_dir is set.
+
+    One TaskPool serves the whole audit. It trains every model, in the
+    order of _training_tasks; the game runs here as soon as the owner
+    (and its VAE) return, while the workers keep training shadow models;
+    then each shadow model is taken in completion order, fills its column
+    of the offline LRTs (its probabilities here, its cfd_lrt replay on the
+    pool) and is dropped (attack.ShadowStream).
+
+    trace.json holds the wall seconds of the stages up to the owner model
+    (prepare_s), the game (game_s) and the shadow columns and attack
+    scores (attacks_s); each pool task's wall and process seconds, as
+    measured where it ran (tasks); the audit process's ru_maxrss in KiB
+    at each stage boundary (ru_maxrss_kb); and for cfd_lrt the shadow
+    skips summed over the points (shadow_skips) and the number of starved
+    points it dropped (cfd_lrt_starved).
+    """
+    trace: dict[str, Any] = {"ru_maxrss_kb": {}}
+
+    def stage(name: str) -> None:
+        trace["ru_maxrss_kb"][name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
     t0 = time.perf_counter()
-    prep = prepare(config)
-    timing["prepare_s"] = time.perf_counter() - t0
+    bundle, data_provenance = _checked_split(config)
+    stage("data")
+    tasks, assemble = _training_tasks(config, bundle, shadows=True)
+    n_shadow = config.n_shadow_models if assemble else 0  # the last tasks, streamed
+    with TaskPool(tasks) as pool:
+        for tag in list(tasks)[:len(tasks) - n_shadow]:
+            pool.start(tag)
+        stream = attack_mod.ShadowStream(pool, n_shadow) if n_shadow else None
+        owner_vae = pool.take("owner_vae") if "owner_vae" in tasks else None
+        owner = pool.take("owner")
+        prep = PreparedExperiment(data_provenance, bundle, owner, owner_vae,
+                                  test_accuracy=nn.accuracy(owner, bundle.eval_out))
+        trace["prepare_s"] = time.perf_counter() - t0
+        stage("owner")
 
-    t1 = time.perf_counter()
-    samples, game_meta = _sample_game(config, prep)
-    timing["game_s"] = time.perf_counter() - t1
+        t1 = time.perf_counter()
+        samples, game_meta = _sample_game(config, prep)
+        trace["game_s"] = time.perf_counter() - t1
+        stage("game")
 
-    t2 = time.perf_counter()
-    scores = _attack_scores(config, prep, samples, prep.ensemble)
-    timing["attacks_s"] = time.perf_counter() - t2
+        t2 = time.perf_counter()
+        columns = None
+        if stream is not None:
+            shadow_vae = pool.take("shadow_vae") if "shadow_vae" in tasks else None
+            replay = ((config.recourse, derive_seed(config.seed, "shadow-ensemble"), shadow_vae)
+                      if "cfd_lrt" in config.attacks else None)
+            columns = stream.columns(np.array([s.point for s in samples]), range(len(samples)),
+                                     probs="loss_lrt" in config.attacks, replay=replay)
+            stage("shadows")
+        trace["tasks"] = pool.times
+    scores = _attack_scores(config, owner, samples, columns)
+    trace["attacks_s"] = time.perf_counter() - t2
+    if "cfd_lrt" in scores:
+        trace["shadow_skips"] = {"positive": int(columns.positive.sum()),
+                                 "failed": int(columns.failed.sum())}
+        trace["cfd_lrt_starved"] = len(samples) - len(scores["cfd_lrt"])
 
     membership = {s.point_id: s.membership.value for s in samples}
     attack_metrics: dict[str, dict[str, metrics_mod.MetricsReport]] = {}
@@ -579,6 +640,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             dirs[direction] = metrics_mod.report(curve, alphas=(0.1, 0.01))
         attack_metrics[name] = dirs
         best_direction[name] = max(dirs, key=lambda d: dirs[d].auc)
+    stage("end")
 
     report = ExperimentReport(
         config=config.snapshot,
@@ -595,8 +657,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         best_direction=best_direction,
         scores=scores,
         membership=membership,
-        timing=timing,
-        data_provenance=prep.data_provenance,
+        trace=trace,
+        data_provenance=data_provenance,
     )
     report._curves = curves
     if config.out_dir:

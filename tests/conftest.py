@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -22,9 +23,20 @@ def make_logistic(theta, bias) -> Model:
     )
 
 
+@pytest.fixture(autouse=True)
+def no_leftover_workers():
+    """Fail a test that leaves worker processes running; end them first."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join()
+    assert not left, f"worker processes left running: {left}"
+
+
 def use_cpus(monkeypatch, n: int) -> None:
-    """Make the process's CPU affinity read as n CPUs, so shadow training
-    and replay run on min(n, models) workers."""
+    """Make the process's CPU affinity read as n CPUs, so a TaskPool runs
+    its tasks on min(n, tasks) workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 

@@ -5,6 +5,7 @@ complete. The heavier end-to-end criteria (dimension sweep, shadow-model
 LRT, MLP interpolation, the two-sided LRT oracle) run real experiments at
 desk scale and take minutes each.
 """
+import functools
 import json
 import math
 
@@ -15,7 +16,6 @@ from scipy.stats import spearmanr
 from recourse_mi import runner
 from recourse_mi.attack import (
     LogNormalFit,
-    _map_models,
     cfd_lrt_score,
     fit_lognormal_mle,
     lognormal_quantile,
@@ -28,6 +28,7 @@ from recourse_mi.nn import (
     predict_proba,
     train_classifier,
 )
+from recourse_mi.pool import run_all
 from recourse_mi.privacy import dp_ba_bound
 from recourse_mi.recourse import (
     CostFn,
@@ -259,7 +260,8 @@ class TestCriterion6TwoSidedOracle:
             return cfd_lrt_score(t0, fit_out), two_sided_distance_llr(t0, fit_in, fit_out)
 
         # one task per point on the workers; every point keeps its seeds
-        kept = [r for r in _map_models(point_scores, n_points) if r is not None]
+        done = run_all({j: functools.partial(point_scores, j) for j in range(n_points)})
+        kept = [r for r in done.values() if r is not None]
         dropped = n_points - len(kept)
         one_sided, llr = [r[0] for r in kept], [r[1] for r in kept]
 

@@ -44,9 +44,11 @@ from recourse_mi.nn import (
     bce_from_proba,
     logit_confidence_from_proba,
     predict_proba,
+    predict_proba_batch,
     train_classifier,
     train_vae,
 )
+from recourse_mi.pool import TaskPool, run_all
 from recourse_mi.recourse import (
     CostFn,
     RecoursePreconditionError,
@@ -80,7 +82,20 @@ def shadow_distances(x, ensemble, point_seed):
 def train_ensemble(*args, **kwargs) -> ShadowEnsemble:
     """The ensemble of shadow_training_tasks, its tasks run on the workers."""
     tasks, assemble = shadow_training_tasks(*args, **kwargs)
-    return assemble(attack._map_models(lambda i: tasks[i](), len(tasks)))
+    return assemble(run_all(tasks))
+
+
+def cfd_lrt_scores(samples, ensemble, alphas=(0.01, 0.05, 0.1)):
+    """cfd_lrt scores of the samples against the ensemble's distance
+    matrix, sample i replayed with point seed i."""
+    X = np.array([s.point for s in samples])
+    dists, _, _ = shadow_distance_matrix(X, ensemble, range(len(samples)))
+    return cfd_lrt_attack_scores(samples, dists, alphas)
+
+
+def shadow_probs(X, ensemble):
+    """Each row's probability under each shadow model, (n, n_models)."""
+    return np.column_stack([predict_proba_batch(m, X) for m in ensemble.models])
 
 
 def valid_result(cost=2.0, d=2):
@@ -293,7 +308,7 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
     samples = [SimpleNamespace(point_id=f"p{i}", point=x, label=int(i % 2))
                for i, x in enumerate(points)]
     loss = loss_attack_scores(samples, owner)
-    lrt = loss_lrt_attack_scores(samples, owner, ensemble)
+    lrt = loss_lrt_attack_scores(samples, owner, shadow_probs(points, ensemble))
     for s, ls, lr in zip(samples, loss, lrt):
         assert ls.statistic == ls.score == loss_of(owner, s.point, s.label)
         assert ls.higher_means_member is False
@@ -301,7 +316,8 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
         fit = fit_normal_mle([confidence_of(m, s.point, s.label) for m in ensemble.models])
         assert lr.statistic == conf and lr.score == loss_lrt_score(conf, fit)
     assert len(loss) == len(lrt) == len(samples)
-    assert loss_attack_scores([], owner) == loss_lrt_attack_scores([], owner, ensemble) == []
+    assert loss_attack_scores([], owner) == loss_lrt_attack_scores([], owner,
+                                                                   np.empty((0, 8))) == []
 
 
 class TestShadowEnsemble:
@@ -351,7 +367,7 @@ class TestShadowEnsemble:
         assert positive.tolist() == [2] and failed.tolist() == [0]
         assert np.isnan(dists).all()
         sample = SimpleNamespace(point_id="p", point=np.zeros(2), recourse=valid_result())
-        assert cfd_lrt_attack_scores([sample], ens) == []
+        assert cfd_lrt_scores([sample], ens) == []
 
     def test_cfd_lrt_starved_points_are_dropped(self):
         # one model accepts everything, the others are halfspaces x1 > 1
@@ -367,8 +383,8 @@ class TestShadowEnsemble:
         assert (~np.isnan(dists)).sum(axis=1).tolist() == [2, 1, 0]
         samples = [SimpleNamespace(point_id=f"p{i}", point=x, recourse=valid_result())
                    for i, x in enumerate(points)]
-        assert [sc.point_id for sc in cfd_lrt_attack_scores(samples, ens)] == ["p0"]
-        assert cfd_lrt_attack_scores(samples[1:], ens) == []
+        assert [sc.point_id for sc in cfd_lrt_scores(samples, ens)] == ["p0"]
+        assert cfd_lrt_scores(samples[1:], ens) == []
 
     def test_matrix_rows_match_per_point_distances(self, shadow_setup):
         # model-major replay gives each point the distances, in model
@@ -415,14 +431,14 @@ class TestShadowEnsemble:
                              recourse_config=rc, seed=3)
         X = rng.normal(size=(n, d))
         sent = []
-        map_models = attack._map_models
+        take = TaskPool.take
 
-        def recording(fn, count):
-            out = map_models(fn, count)
-            sent.extend(len(pickle.dumps(r)) for r in out)
+        def recording(pool, tag):
+            out = take(pool, tag)
+            sent.append(len(pickle.dumps(out)))
             return out
 
-        monkeypatch.setattr(attack, "_map_models", recording)
+        monkeypatch.setattr(TaskPool, "take", recording)
         dists, positive, failed = shadow_distance_matrix(X, ens, range(n))
         assert len(sent) == k
         assert sum(sent) <= 64 * n * k + 512 * k
@@ -445,7 +461,7 @@ class TestShadowEnsemble:
             if predict_proba(owner, x) < 0.5:
                 res = growing_spheres(owner, x, SearchParams(seed=j), CostFn("l1"))
                 samples.append(SimpleNamespace(point_id=f"p{j}", point=x, recourse=res))
-        scores = cfd_lrt_attack_scores(samples, ensemble, alphas=(0.1,))
+        scores = cfd_lrt_scores(samples, ensemble, alphas=(0.1,))
         by_id = {sc.point_id: sc for sc in scores}
         assert len(by_id) >= len(samples) // 2
         for idx, s in enumerate(samples):
@@ -470,11 +486,13 @@ class TestShadowEnsemble:
 
 class TestWorkers:
     def test_map_models_runs_closures_on_forked_workers_in_order(self, monkeypatch):
+        # run_all: every inherited task of one TaskPool, results by tag
         offset = 10  # local state in a closure, which pickling could not send
         use_cpus(monkeypatch, 2)
-        got = attack._map_models(lambda i: (i + offset, os.getpid()), 5)
-        assert [v for v, _ in got] == list(range(10, 15))
-        assert os.getpid() not in {pid for _, pid in got}
+        got = run_all({i: lambda i=i: (i + offset, os.getpid()) for i in range(5)})
+        assert list(got) == list(range(5))
+        assert [v for v, _ in got.values()] == list(range(10, 15))
+        assert os.getpid() not in {pid for _, pid in got.values()}
 
     @pytest.mark.parametrize("reason", ["one_cpu", "no_affinity", "no_fork", "one_model"])
     def test_map_models_runs_inline_without_workers(self, monkeypatch, reason):
@@ -484,8 +502,8 @@ class TestWorkers:
         if reason == "no_fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         n = 1 if reason == "one_model" else 3
-        got = attack._map_models(lambda i: (i, os.getpid()), n)
-        assert got == [(i, os.getpid()) for i in range(n)]
+        got = run_all({i: lambda i=i: (i, os.getpid()) for i in range(n)})
+        assert got == {i: (i, os.getpid()) for i in range(n)}
 
     @pytest.mark.parametrize("algorithm", ["scfe", "growing_spheres", "cchvae"])
     def test_ensemble_and_replay_do_not_depend_on_the_worker_count(self, monkeypatch,

@@ -1,5 +1,6 @@
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestPredictProba:
             for i in range(n):
                 assert batch[i] == p[i] == predict_proba(m, xs[i])
                 assert np.array_equal(g[i], gradient_of(m, xs[i]))
+
+    def test_rows_run_in_blocks_of_bounded_memory(self):
+        # a [256] MLP over 2000 rows: one (2000, 256) activation block
+        # would take 4.1 MB; the row blocks keep the traced peak under
+        # 1 MB and every row equal to its one-row evaluation
+        rng = np.random.default_rng(10)
+        m = Model([rng.normal(scale=0.14, size=(50, 256)), rng.normal(scale=0.06, size=(256, 1))],
+                  [rng.normal(scale=0.1, size=256), np.array([0.1])], [256], 50)
+        xs = rng.normal(size=(2000, 50))
+        assert 2000 % (nn.PREDICT_BLOCK_VALUES // 256) != 0  # a short last block
+        tracemalloc.start()
+        try:
+            batch = predict_proba_batch(m, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+        assert all(batch[i] == nn._forward_batch(m, xs[i:i + 1])[0] for i in range(2000))
 
 
 class TestBceAndConfidence:
@@ -217,6 +236,8 @@ class TestFlatParameterTraining:
         (6, [8], TrainConfig(learning_rate=0.01, epochs=10, batch_size=37, seed=5)),
         (6, [8], TrainConfig(learning_rate=0.02, epochs=10, seed=6,
                              adam_betas=(0.8, 0.99), adam_eps=1e-6)),
+        # a one-column output layer's backward product, at batch 64
+        (50, [256], TrainConfig(learning_rate=0.01, epochs=3, batch_size=64, seed=7)),
     ])
     def test_classifier_matches_list_of_arrays_oracle(self, d, arch, cfg):
         ds = generate_synthetic(SyntheticSpec(d=d, n_per_class=150, seed=12))

@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
+import gc
 import json
+import multiprocessing
+import os
 import re
 import tempfile
 import time
@@ -18,6 +21,7 @@ from recourse_mi import data as data_mod
 from recourse_mi.attack import Guess
 from recourse_mi.data import SyntheticSpec, ZeroVarianceColumnError, load_tabular, write_csv
 from recourse_mi.nn import predict_proba
+from recourse_mi.pool import TaskPool
 from recourse_mi.runner import ConfigError, GameSetupError, config_from_dict
 from recourse_mi.seeds import derive_seed
 
@@ -336,16 +340,22 @@ class TestTrainingTaskList:
 
     def test_audit_trains_only_on_the_workers_in_one_task_list(self, monkeypatch):
         use_cpus(monkeypatch, 2)
+        pools, started, submitted = [], [], []
+        for name, seen in (("__init__", pools), ("start", started), ("submit", submitted)):
+            monkeypatch.setattr(TaskPool, name, lambda self, *a, _real=getattr(TaskPool, name),
+                                _seen=seen: _seen.append(a[0] if a else None) or _real(self, *a))
         calls = []  # a forked worker's calls never reach this list
-        real_map = attack._map_models
-        monkeypatch.setattr(attack, "_map_models",
-                            lambda fn, n: calls.append(n) or real_map(fn, n))
         for name in ("train_classifier", "train_vae"):
             monkeypatch.setattr(nn, name, lambda *a, _real=getattr(nn, name), _name=name:
                                 calls.append(_name) or _real(*a))
         runner.run_experiment(self.cchvae_lrt())
-        # shadow VAE, owner VAE, owner and 3 shadow models; then 3 replays
-        assert calls == [6, 3]
+        # one pool: every model is one of its inherited tasks, longest
+        # first, and the 3 replays go to the same pool
+        assert len(pools) == 1 and list(pools[0]) == [
+            "shadow_vae", "owner_vae", "owner", "shadow_0", "shadow_1", "shadow_2"]
+        assert started == list(pools[0])
+        assert sorted(submitted) == ["replay_0", "replay_1", "replay_2"]
+        assert calls == []
 
     def test_train_command_trains_only_the_owner(self, tmp_path, monkeypatch):
         use_cpus(monkeypatch, 1)  # inline, so every training call reaches `seen`
@@ -492,7 +502,7 @@ class TestRunExperiment:
         assert doc["schema_version"] == 2
         assert "scores" not in doc and "timing" not in doc
         trace = json.loads((out / "trace.json").read_text())
-        assert set(trace) == {"prepare_s", "game_s", "attacks_s"}
+        assert set(trace) == {"prepare_s", "game_s", "attacks_s", "ru_maxrss_kb", "tasks"}
         scored = doc["game"]["scored_points"]
         assert set(scored) == set(rep.scores) == {"cfd"}
         for name, counts in scored.items():
@@ -554,6 +564,118 @@ class TestReproducibility:
         assert outs[0] == outs[1] == outs[2]
         cfg = config_from_dict(small_raw(attacks=attacks))
         assert batch_split_agreement(cfg, [1, 8]) == (True, True)
+
+
+class TestStreamedAudit:
+    """One TaskPool per audit: the game overlaps shadow training, and each
+    shadow model is used once, in completion order, then dropped."""
+
+    @staticmethod
+    def lrt_raw(**overrides):
+        return small_raw(attacks={"which": ["cfd", "cfd_lrt", "loss", "loss_lrt"],
+                                  "n_shadow_models": 6}, **overrides)
+
+    @staticmethod
+    def outputs(out: Path) -> dict[str, bytes]:
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                 if p.name != "trace.json"}
+        doc = json.loads(files.pop("report.json"))
+        doc["config"].pop("out_dir")
+        return dict(files, report=json.dumps(doc, sort_keys=True).encode())
+
+    def test_outputs_do_not_depend_on_the_completion_order(self, tmp_path, monkeypatch):
+        # on 2 workers shadow 0's training waits until the audit process has
+        # taken every other shadow model, so it finishes last; every report,
+        # score and ROC byte must equal a run on one CPU
+        slow_seed = derive_seed(derive_seed(5, "shadow-ensemble"), "shadow-train", 0)
+        others_taken = tmp_path / "others_taken"
+        audit_pid = os.getpid()
+        real = nn.train_classifier
+
+        def delayed(data, arch, cfg):
+            deadline = time.monotonic() + 60
+            while (cfg.seed == slow_seed and os.getpid() != audit_pid
+                   and not others_taken.exists() and time.monotonic() < deadline):
+                time.sleep(0.01)
+            return real(data, arch, cfg)
+
+        taken = []
+        real_take = TaskPool.take
+
+        def take(pool, tag):
+            value = real_take(pool, tag)
+            taken.append(tag)
+            if tag == "shadow_5":
+                others_taken.touch()
+            return value
+
+        monkeypatch.setattr(TaskPool, "take", take)
+        monkeypatch.setattr(nn, "train_classifier", delayed)  # before the workers fork
+        runs = []
+        for cpus in (2, 1):
+            use_cpus(monkeypatch, cpus)
+            del taken[:]
+            out = tmp_path / f"cpus{cpus}"
+            runner.run_experiment(config_from_dict(self.lrt_raw(out_dir=str(out))))
+            runs.append((self.outputs(out), [t for t in taken if t.startswith("shadow_")]))
+        (two, order_two), (one, order_one) = runs
+        assert order_two[-1] == "shadow_0" and order_one[0] == "shadow_0"
+        assert set(two) == set(one) and len(two) == 13
+        for name in one:
+            assert two[name] == one[name], name
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_audit_holds_at_most_two_shadow_models(self, monkeypatch, cpus):
+        # live Models when the game returns and when each LRT scorer is
+        # entered: the owner and at most 2 shadows, never the ensemble
+        use_cpus(monkeypatch, cpus)
+        gc.collect()
+        before = sum(isinstance(o, nn.Model) for o in gc.get_objects())
+        live = {}
+
+        def count(name):
+            gc.collect()
+            live[name] = sum(isinstance(o, nn.Model) for o in gc.get_objects()) - before
+
+        real_game = runner._sample_game
+        monkeypatch.setattr(runner, "_sample_game",
+                            lambda *a: (lambda out: count("game") or out)(real_game(*a)))
+        for name in ("cfd_lrt_attack_scores", "loss_lrt_attack_scores"):
+            monkeypatch.setattr(attack, name, lambda *a, _real=getattr(attack, name),
+                                _name=name, **k: count(_name) or _real(*a, **k))
+        runner.run_experiment(config_from_dict(self.lrt_raw()))
+        assert set(live) == {"game", "cfd_lrt_attack_scores", "loss_lrt_attack_scores"}
+        assert all(1 <= n <= 3 for n in live.values()), live
+
+    def test_trace_counts_tasks_memory_and_shadow_skips(self, tmp_path):
+        cfg = config_from_dict(self.lrt_raw(out_dir=str(tmp_path)))
+        rep = runner.run_experiment(cfg)
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert set(trace["tasks"]) == {"owner", *(f"shadow_{i}" for i in range(6)),
+                                       *(f"replay_{i}" for i in range(6))}
+        for times in trace["tasks"].values():
+            assert set(times) == {"wall_s", "cpu_s"} and times["wall_s"] >= 0
+        stages = ["data", "owner", "game", "shadows", "end"]
+        maxrss = [trace["ru_maxrss_kb"].pop(name) for name in stages]
+        assert not trace["ru_maxrss_kb"] and maxrss == sorted(maxrss) and maxrss[0] > 0
+        # the skip counts of the distance matrix the audit's replay builds
+        prep = runner.prepare(cfg)
+        samples, _ = runner._sample_game(cfg, prep)
+        dists, positive, failed = attack.shadow_distance_matrix(
+            np.array([s.point for s in samples]), prep.ensemble, range(len(samples)))
+        assert trace["shadow_skips"] == {"positive": int(positive.sum()),
+                                         "failed": int(failed.sum())}
+        starved = int(((~np.isnan(dists)).sum(axis=1) < 2).sum())
+        assert trace["cfd_lrt_starved"] == starved
+        assert rep.game_meta["scored_points"]["cfd_lrt"]["n_skipped"] == starved
+        assert positive.sum() > 0
+
+    def test_game_setup_error_mid_audit_leaves_no_worker(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        raw = self.lrt_raw(eval={"eval_points": 100000})
+        with pytest.raises(GameSetupError, match="negatively-classified"):
+            runner.run_experiment(config_from_dict(raw))
+        assert multiprocessing.active_children() == []
 
 
 class TestSweepAndSummary:
