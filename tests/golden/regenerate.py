@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Rewrite the golden outputs of every audit config in this directory.
+
+    PYTHONPATH=src python3 tests/golden/regenerate.py
+
+Each <case>.json holds an audit config under "config" and, under
+"outputs", the parts of that audit's output that do not depend on the
+BLAS kernel: per attack and direction the AUC, balanced accuracy and
+TPR at fixed FPR, the sha256 of each roc_*.csv, each scores file's point
+ids and guess_at in file order with their statistic and score, and the
+report's game section. It also holds the sha256 of each scores file and,
+under "exact_on", the OpenBLAS kernel and numpy version they were
+recorded with.
+
+tests/test_golden.py reruns each config and compares. The statistic and
+score move in their last bits with the BLAS kernel, so they are compared
+within a relative bound, and byte for byte (the scores hashes) only where
+the kernel and numpy version equal the recorded ones. Regenerate only
+when a change is meant to move outputs, and say by how much.
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent
+
+
+def exact_on() -> dict:
+    """The OpenBLAS kernel numpy runs (None if it cannot be read) and the
+    numpy version: where both equal the recorded ones, scores must match
+    byte for byte."""
+    import numpy as np
+
+    kernel = None
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        libs = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                kernel = fn().decode()
+                break
+    return {"blas_kernel": kernel, "numpy": np.__version__}
+
+
+def golden_outputs(out_dir: Path) -> dict:
+    """The golden outputs of the audit written to out_dir."""
+    report = json.loads((out_dir / "report.json").read_text())
+    scores = {}
+    for path in sorted(out_dir.glob("scores_*.jsonl")):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        scores[path.name] = [{key: rec[key] for key in
+                              ("point_id", "guess_at", "statistic", "score")}
+                             for rec in records]
+    return {
+        "attacks": {name: att["directions"] for name, att in report["attacks"].items()},
+        "roc_sha256": {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in sorted(out_dir.glob("roc_*.csv"))},
+        "scores": scores,
+        "scores_sha256": {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                          for path in sorted(out_dir.glob("scores_*.jsonl"))},
+        "game": report["game"],
+    }
+
+
+def run_case(config: dict) -> dict:
+    """golden_outputs of one audit of config, run in a temporary directory."""
+    from recourse_mi import runner
+
+    with tempfile.TemporaryDirectory() as tmp:
+        runner.run_experiment(runner.config_from_dict(dict(config, out_dir=tmp)))
+        return golden_outputs(Path(tmp))
+
+
+def main() -> int:
+    for path in sorted(GOLDEN.glob("*.json")):
+        config = json.loads(path.read_text())["config"]
+        doc = {"config": config, "exact_on": exact_on(), "outputs": run_case(config)}
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
