@@ -12,7 +12,6 @@ from .attack import (
     LogNormalFit,
     NormalFit,
     RecourseConfig,
-    ShadowEnsemble,
     cfd_lrt_decide,
     cfd_lrt_score,
     cfd_statistic,
@@ -20,7 +19,6 @@ from .attack import (
     fit_normal_mle,
     lognormal_quantile,
     loss_lrt_score,
-    shadow_distance_matrix,
 )
 from .data import (
     Dataset,

@@ -11,14 +11,15 @@ Two families:
   on BCE, and the offline loss LRT against a normal OUT fit of
   logit-scaled confidences.
 
-An audit runs every task on one TaskPool (see pool.py and ShadowStream):
-its workers train the models, the game starts as soon as the owner
-returns, and each shadow model, taken in completion order, fills its
-column of the offline LRTs and is dropped. For cfd_lrt that column comes
-from a replay task on the same pool (a replayed point's seed is its index
-among the game's valid recourses), which sends back one distance per
-point it replays. Every model and replay keeps its own seeds and every
-result is stored by index, so results are identical at any CPU count.
+An audit runs every task on one TaskPool (see pool.py): its workers
+train the models, and the game starts as soon as the owner returns.
+ShadowStream is the one path from shadow models to the offline LRTs: it
+takes each shadow model in completion order, fills the model's column
+and drops it. For cfd_lrt that column comes from a replay task on the
+same pool (a replayed point's seed is its index among the game's valid
+recourses), which sends back one distance per point it replays. Every
+model and replay keeps its own seeds and every result is stored by
+index, so results are identical at any CPU count.
 
 The normal CDF and quantile of the LRT scores and thresholds are ports of
 the Cephes `ndtr`/`ndtri` that SciPy's `special` module runs (see
@@ -31,7 +32,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from . import nn, recourse
 from .data import Dataset
 from .nn import Model, TrainConfig, VaeModel
 from .normal import ndtr, ndtri
-from .pool import TaskPool, run_all
+from .pool import TaskPool
 from .recourse import CostFn, RecourseResult, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
 
@@ -127,26 +128,6 @@ class RecourseConfig:
         return out
 
 
-@dataclass
-class ShadowEnsemble:
-    """N classifiers trained on subsamples of the adversary's pool.
-
-    The pool is disjoint from every evaluation point, so recourse
-    distances computed under these models sample the OUT distribution of
-    Algorithm-style LRT attacks. One ensemble serves all query points.
-    """
-
-    models: list[Model]
-    trainer_config: TrainConfig
-    recourse_config: RecourseConfig
-    seed: int
-    vae: VaeModel | None = None
-
-    @property
-    def n_models(self) -> int:
-        return len(self.models)
-
-
 def shadow_tag(i: int) -> str:
     """The pool tag of shadow model i's training task."""
     return f"shadow_{i}"
@@ -162,28 +143,17 @@ def shadow_training_tasks(
     n_models: int,
     architecture: Sequence[int],
     trainer_config: TrainConfig,
-    recourse_config: RecourseConfig,
     seed: int,
-    vae_config: TrainConfig | None = None,
-) -> tuple[dict[str, Callable[[], Any]], Callable[[Mapping[str, Any]], ShadowEnsemble]]:
-    """The training tasks of a shadow ensemble by pool tag, and the
-    function that builds the ensemble from their results by tag.
-
-    For cchvae recourse the first task, "shadow_vae", trains one shadow
-    VAE on the full pool, shared by every shadow model; `vae_config` is
-    the owner's VAE training setup (its seed is replaced by one derived
-    from `seed`). Then comes shadow_tag(i) for each shadow model in index
-    order: model i trains on a uniform half-pool subsample with
+) -> dict[str, Callable[[], Model]]:
+    """The training tasks of the shadow models by pool tag, shadow_tag(i)
+    in index order: model i trains on a uniform half-pool subsample with
     `trainer_config`, only its seed replaced by one derived from `seed`
-    and i.
-    """
+    and i."""
     if n_models < 2:
         raise ValueError(f"need at least 2 shadow models, got {n_models}")
     half = shadow_pool.n // 2
     if half < 2:
         raise ValueError(f"shadow pool too small (n={shadow_pool.n})")
-    if recourse_config.algorithm == "cchvae" and vae_config is None:
-        raise ValueError("cchvae shadow replay needs the owner's VAE TrainConfig")
 
     def build(i: int) -> Model:
         rows = rng_for(seed, "shadow-subsample", i).choice(
@@ -193,18 +163,7 @@ def shadow_training_tasks(
         cfg = dataclasses.replace(trainer_config, seed=derive_seed(seed, "shadow-train", i))
         return nn.train_classifier(subset, architecture, cfg)
 
-    tasks: dict[str, Callable[[], Any]] = {}
-    if recourse_config.algorithm == "cchvae":
-        tasks["shadow_vae"] = functools.partial(nn.train_vae, shadow_pool, dataclasses.replace(
-            vae_config, seed=derive_seed(seed, "shadow-vae")))
-    tasks.update((shadow_tag(i), functools.partial(build, i)) for i in range(n_models))
-
-    def assemble(results: Mapping[str, Any]) -> ShadowEnsemble:
-        return ShadowEnsemble(models=[results[shadow_tag(i)] for i in range(n_models)],
-                              trainer_config=trainer_config, recourse_config=recourse_config,
-                              seed=seed, vae=results.get("shadow_vae"))
-
-    return tasks, assemble
+    return {shadow_tag(i): functools.partial(build, i) for i in range(n_models)}
 
 
 def cfd_statistic(x: np.ndarray, result: RecourseResult) -> float:
@@ -292,10 +251,10 @@ def replay_distances(
     seed: int,
     vae: VaeModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The cfd_lrt replay of shadow model `index` (of the ensemble with
-    `seed`) over the rows of X: one recourse batch over the rows it
-    classifies negatively, each with the seed of (point_seeds[row],
-    index). Returns the negative-row mask and, per negative row,
+    """The cfd_lrt replay of shadow model `index` (of the shadow models
+    with seed `seed`) over the rows of X: one recourse batch over the
+    rows it classifies negatively, each with the seed of
+    (point_seeds[row], index). Returns the negative-row mask and, per negative row,
     max(cost, DISTANCE_FLOOR), or NaN where the search failed; never the
     counterfactuals. Module-level, so a pool worker runs it from pickled
     arguments."""
@@ -319,21 +278,6 @@ class ShadowColumns:
     dists: np.ndarray | None = None
     positive: np.ndarray | None = None
     failed: np.ndarray | None = None
-
-    @classmethod
-    def empty(cls, n_points: int, n_models: int, probs: bool, dists: bool) -> ShadowColumns:
-        cols = cls(probs=np.empty((n_points, n_models)) if probs else None)
-        if dists:
-            cols.dists = np.full((n_points, n_models), np.nan)
-            cols.positive = np.zeros(n_points, dtype=np.int64)
-            cols.failed = np.zeros(n_points, dtype=np.int64)
-        return cols
-
-    def add_replay(self, i: int, neg: np.ndarray, dist: np.ndarray) -> None:
-        """Column i from replay_distances' result."""
-        self.positive += ~neg
-        self.failed[neg] += np.isnan(dist)
-        self.dists[neg, i] = dist
 
 
 class ShadowStream:
@@ -363,16 +307,24 @@ class ShadowStream:
                 replay: tuple[RecourseConfig, int, VaeModel | None] | None) -> ShadowColumns:
         """Every model's column over the rows of X, taken in completion
         order and stored by index: its probabilities if `probs`, and with
-        `replay` = (recourse config, ensemble seed, shadow VAE) the
+        `replay` = (recourse config, shadow seed, shadow VAE) the
         distances of its replay task on the pool (replay_distances with
         point_seeds)."""
         X = np.ascontiguousarray(X, dtype=np.float64)
-        cols = ShadowColumns.empty(X.shape[0], self.n_models, probs, replay is not None)
+        n = X.shape[0]
+        cols = ShadowColumns(probs=np.empty((n, self.n_models)) if probs else None)
+        if replay is not None:
+            cols.dists = np.full((n, self.n_models), np.nan)
+            cols.positive = np.zeros(n, dtype=np.int64)
+            cols.failed = np.zeros(n, dtype=np.int64)
         while self._live:
             tag, value = self.pool.take_first(self._live)
             i = self._live.pop(tag)
             if tag == replay_tag(i):
-                cols.add_replay(i, *value)
+                neg, dist = value
+                cols.positive += ~neg
+                cols.failed[neg] += np.isnan(dist)
+                cols.dists[neg, i] = dist
             else:
                 if probs:
                     cols.probs[:, i] = nn.predict_proba_batch(value, X)
@@ -383,30 +335,6 @@ class ShadowStream:
             del value  # drop the model before waiting for the next task
             self._top_up()
         return cols
-
-
-def shadow_distance_matrix(
-    X: np.ndarray,
-    ensemble: ShadowEnsemble,
-    point_seeds: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recourse distance of each row of X under each shadow model.
-
-    One replay task per model (replay_distances) on a TaskPool. Returns
-    the (n_points, n_models) distance matrix, NaN where the model already
-    classifies the row positively or the recourse failed, and per row the
-    counts of those two skip reasons. Row i depends only on X[i] and
-    point_seeds[i], so splitting X into blocks and stacking their
-    matrices gives the same result.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    done = run_all({replay_tag(i): functools.partial(
-        replay_distances, model, X, point_seeds, i, ensemble.recourse_config, ensemble.seed,
-        ensemble.vae) for i, model in enumerate(ensemble.models)})
-    cols = ShadowColumns.empty(X.shape[0], ensemble.n_models, probs=False, dists=True)
-    for i in range(ensemble.n_models):
-        cols.add_replay(i, *done[replay_tag(i)])
-    return cols.dists, cols.positive, cols.failed
 
 
 # --- attack stages consumed by the experiment runner -----------------------
@@ -434,9 +362,9 @@ def cfd_lrt_attack_scores(
     """One-sided distance-LRT scores with per-point fits.
 
     Row i of `shadow_dists` holds sample i's distances under the shadow
-    models, NaN where a model gave none (shadow_distance_matrix or
-    ShadowStream.columns, with point seed i). A point whose sample
-    starves (fewer than two distances) is dropped.
+    models, NaN where a model gave none (ShadowStream.columns, with point
+    seed i). A point whose sample starves (fewer than two distances) is
+    dropped.
     """
     out = []
     for s, row in zip(samples, shadow_dists):

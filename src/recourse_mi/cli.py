@@ -40,7 +40,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    prep = runner.prepare(cfg, shadows=False)
+    prep = runner.prepare(cfg)
     out = Path(args.out or "model")
     nn.save_model(prep.owner_model, out)
     if prep.owner_vae is not None:

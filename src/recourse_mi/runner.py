@@ -1,15 +1,16 @@
 """Config-driven experiment pipeline for the recourse membership game.
 
 One experiment: build data, split it into owner / adversary-shadow /
-held-out pools, train the owner model and any shadow models, sample
-negatively-classified member and non-member points, issue one recourse
-per point, score every configured attack in both threshold directions,
-and persist a report, per-point score streams, ROC tables and a trace of
-stage times, task times, peak memory and skip counts. An audit runs on
-one worker pool (see run_experiment). Every stage seed derives from the
-master seed, so everything but the trace is reproducible byte-for-byte
-at any CPU count, and each point's recourse does not depend on how the
-points are batched.
+held-out pools, train the owner model, sample negatively-classified
+member and non-member points, issue one recourse per point, stream the
+shadow models of the offline LRTs, score every configured attack in both
+threshold directions, and persist a report, per-point score streams, ROC
+tables and a trace of stage times, task times, peak memory and skip
+counts. An audit runs on one worker pool (see run_experiment); prepare
+trains only the owner's models, for the commands that need no shadows.
+Every stage seed derives from the master seed, so everything but the
+trace is reproducible byte-for-byte at any CPU count, and each point's
+recourse does not depend on how the points are batched.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import metrics as metrics_mod
 from . import nn
-from .attack import AttackScore, Guess, RecourseConfig, ShadowEnsemble
+from .attack import AttackScore, Guess, RecourseConfig
 from .data import (Dataset, SplitBundle, SyntheticSpec, split_in_place, standardize_in_place,
                    synthetic_arrays, tabular_arrays)
 from .nn import Model, TrainConfig, VaeModel
@@ -91,6 +92,7 @@ class ExperimentReport:
     scores: dict[str, list[AttackScore]]
     membership: dict[str, str]
     trace: dict[str, Any]
+    curves: dict[str, dict[str, metrics_mod.RocCurve]]  # saved as CSV, not in to_json
     data_provenance: dict = field(default_factory=dict)
     version: str = "0.1.0"
 
@@ -134,12 +136,9 @@ class ExperimentReport:
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
         for name, dirs in self.attack_metrics.items():
             for direction in dirs:
-                curve = self._curves[name][direction]
+                curve = self.curves[name][direction]
                 metrics_mod.export_log_roc(curve, out_dir / f"roc_{name}_{direction}.csv")
         return report_path
-
-    # curves kept out of the JSON report but persisted as CSV
-    _curves: dict = field(default_factory=dict)
 
 
 # --- configuration ---------------------------------------------------------
@@ -405,7 +404,6 @@ class PreparedExperiment:
     owner_model: Model
     owner_vae: VaeModel | None
     test_accuracy: float
-    ensemble: ShadowEnsemble | None = None
 
 
 def _checked_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
@@ -418,47 +416,33 @@ def _checked_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
     return bundle, data_provenance
 
 
-def _training_tasks(config: ExperimentConfig, bundle: SplitBundle, shadows: bool):
-    """Every model the experiment trains, as TaskPool tasks by tag,
-    longest first so that the workers' greedy pick balances the load: the
-    shadow VAE and the owner VAE (cchvae), the owner model, then the
-    shadow models (attack.shadow_tag), these only if `shadows` is set and
-    an LRT attack is configured. Also returns the function that assembles
-    the shadow ensemble from the results, or None without shadows."""
-    train_cfg = dataclasses.replace(config.train, seed=derive_seed(config.seed, "owner-train"))
-    tasks = {"owner": functools.partial(nn.train_classifier, bundle.owner_train,
-                                        config.model_architecture, train_cfg)}
+def _owner_tasks(config: ExperimentConfig, bundle: SplitBundle) -> dict:
+    """The owner's training tasks by TaskPool tag, longest first so that
+    the workers' greedy pick balances the load: its VAE for cchvae, then
+    the owner model."""
+    tasks = {}
     if config.recourse.algorithm == "cchvae":
         assert config.vae_train is not None
         vae_cfg = dataclasses.replace(config.vae_train, seed=derive_seed(config.seed, "owner-vae"))
-        tasks = {"owner_vae": functools.partial(nn.train_vae, bundle.owner_train, vae_cfg),
-                 **tasks}
-    if not (shadows and set(config.attacks) & {"cfd_lrt", "loss_lrt"}):
-        return tasks, None
-    shadow_tasks, assemble = attack_mod.shadow_training_tasks(
-        bundle.shadow_pool, config.n_shadow_models, config.model_architecture,
-        config.train, config.recourse, derive_seed(config.seed, "shadow-ensemble"),
-        vae_config=config.vae_train)
-    lead = {"shadow_vae": shadow_tasks.pop("shadow_vae")} if "shadow_vae" in shadow_tasks else {}
-    return {**lead, **tasks, **shadow_tasks}, assemble
+        tasks["owner_vae"] = functools.partial(nn.train_vae, bundle.owner_train, vae_cfg)
+    train_cfg = dataclasses.replace(config.train, seed=derive_seed(config.seed, "owner-train"))
+    tasks["owner"] = functools.partial(nn.train_classifier, bundle.owner_train,
+                                       config.model_architecture, train_cfg)
+    return tasks
 
 
-def prepare(config: ExperimentConfig, shadows: bool = True) -> PreparedExperiment:
-    """Data, splits and every trained model, all held at once: the owner
-    model, its VAE for cchvae and, if `shadows` is set and an LRT attack
-    is configured, the shadow ensemble. All train on one TaskPool in the
-    order of _training_tasks. An audit does not use this (run_experiment
-    streams the shadow models); the train command and play_game do."""
+def prepare(config: ExperimentConfig) -> PreparedExperiment:
+    """Data, splits, the owner model and, for cchvae, its VAE, trained on
+    one TaskPool. The train command and play_game use this; an audit runs
+    run_experiment, which also streams the shadow models."""
     bundle, data_provenance = _checked_split(config)
-    tasks, assemble = _training_tasks(config, bundle, shadows)
-    done = run_all(tasks)
+    done = run_all(_owner_tasks(config, bundle))
     return PreparedExperiment(
         data_provenance=data_provenance,
         bundle=bundle,
         owner_model=done["owner"],
         owner_vae=done.get("owner_vae"),
         test_accuracy=nn.accuracy(done["owner"], bundle.eval_out),
-        ensemble=assemble(done) if assemble else None,
     )
 
 
@@ -525,7 +509,7 @@ def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[li
 
 def play_game(config: ExperimentConfig) -> list[GameSample]:
     """Run the game protocol end to end and return its samples."""
-    prep = prepare(config, shadows=False)
+    prep = prepare(config)
     samples, _ = _sample_game(config, prep)
     return samples
 
@@ -559,12 +543,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Full pipeline; persists report.json, the score and ROC files and
     trace.json when out_dir is set.
 
-    One TaskPool serves the whole audit. It trains every model, in the
-    order of _training_tasks; the game runs here as soon as the owner
-    (and its VAE) return, while the workers keep training shadow models;
-    then each shadow model is taken in completion order, fills its column
-    of the offline LRTs (its probabilities here, its cfd_lrt replay on the
-    pool) and is dropped (attack.ShadowStream).
+    One TaskPool serves the whole audit. It trains every model, longest
+    first: the shadow VAE (cchvae with cfd_lrt, for the replay), the
+    owner's models (_owner_tasks), then the shadow models of the offline
+    LRTs (attack.shadow_training_tasks). The game runs here as soon as the
+    owner (and its VAE) return, while the workers keep training shadow
+    models; then each shadow model is taken in completion order, fills
+    its column of the offline LRTs (its probabilities here, its cfd_lrt
+    replay on the pool) and is dropped (attack.ShadowStream).
 
     trace.json holds the wall seconds of the stages up to the owner model
     (prepare_s), the game (game_s) and the shadow columns and attack
@@ -582,8 +568,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     bundle, data_provenance = _checked_split(config)
     stage("data")
-    tasks, assemble = _training_tasks(config, bundle, shadows=True)
-    n_shadow = config.n_shadow_models if assemble else 0  # the last tasks, streamed
+    shadow_seed = derive_seed(config.seed, "shadow-ensemble")
+    tasks = {}
+    if "cfd_lrt" in config.attacks and config.recourse.algorithm == "cchvae":
+        vae_cfg = dataclasses.replace(config.vae_train,
+                                      seed=derive_seed(shadow_seed, "shadow-vae"))
+        tasks["shadow_vae"] = functools.partial(nn.train_vae, bundle.shadow_pool, vae_cfg)
+    tasks.update(_owner_tasks(config, bundle))
+    n_shadow = config.n_shadow_models if set(config.attacks) & {"cfd_lrt", "loss_lrt"} else 0
+    if n_shadow:  # the last tasks, streamed
+        tasks.update(attack_mod.shadow_training_tasks(
+            bundle.shadow_pool, n_shadow, config.model_architecture, config.train, shadow_seed))
     with TaskPool(tasks) as pool:
         for tag in list(tasks)[:len(tasks) - n_shadow]:
             pool.start(tag)
@@ -604,7 +599,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         columns = None
         if stream is not None:
             shadow_vae = pool.take("shadow_vae") if "shadow_vae" in tasks else None
-            replay = ((config.recourse, derive_seed(config.seed, "shadow-ensemble"), shadow_vae)
+            replay = ((config.recourse, shadow_seed, shadow_vae)
                       if "cfd_lrt" in config.attacks else None)
             columns = stream.columns(np.array([s.point for s in samples]), range(len(samples)),
                                      probs="loss_lrt" in config.attacks, replay=replay)
@@ -658,9 +653,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         scores=scores,
         membership=membership,
         trace=trace,
+        curves=curves,
         data_provenance=data_provenance,
     )
-    report._curves = curves
     if config.out_dir:
         report.save(config.out_dir)
     return report

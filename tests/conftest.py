@@ -10,6 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from recourse_mi import attack, runner
 from recourse_mi.nn import Model
+from recourse_mi.pool import TaskPool, run_all
+from recourse_mi.seeds import derive_seed
 
 
 def make_logistic(theta, bias) -> Model:
@@ -46,10 +48,28 @@ def halfspace_2d() -> Model:
     return make_logistic([4.0, 0.0], -4.0)
 
 
+def train_shadows(shadow_pool, n_models, architecture, trainer_config, seed) -> list[Model]:
+    """The shadow models of attack.shadow_training_tasks in index order,
+    trained by pool.run_all."""
+    done = run_all(attack.shadow_training_tasks(shadow_pool, n_models, architecture,
+                                                trainer_config, seed))
+    return [done[attack.shadow_tag(i)] for i in range(n_models)]
+
+
+def stream_columns(models, X, point_seeds, probs=False, replay=None) -> attack.ShadowColumns:
+    """attack.ShadowStream.columns over the given shadow models, each the
+    result of its training tag's task on a TaskPool (forked workers when
+    use_cpus allows), as an audit takes them."""
+    tasks = {attack.shadow_tag(i): (lambda m=m: m) for i, m in enumerate(models)}
+    with TaskPool(tasks) as pool:
+        return attack.ShadowStream(pool, len(models)).columns(X, point_seeds, probs, replay)
+
+
 def batch_split_agreement(cfg, cuts) -> tuple[bool, bool]:
     """Whether the game recourses and the shadow distance matrix of the
-    experiment `cfg` come out the same when its game points are issued
-    in blocks split at the row indices `cuts` as in one block."""
+    experiment `cfg` (scfe or growing_spheres recourse) come out the same
+    when its game points are issued in blocks split at the row indices
+    `cuts` as in one block."""
     prep = runner.prepare(cfg)
     samples, _ = runner._sample_game(cfg, prep)
     X = np.array([s.point for s in samples])
@@ -58,9 +78,14 @@ def batch_split_agreement(cfg, cuts) -> tuple[bool, bool]:
     split = [r.to_json() for b in blocks for r in cfg.recourse.generate_batch(
         prep.owner_model, X[b], seeds[b], vae=prep.owner_vae)]
     game_equal = split == [s.recourse.to_json() for s in samples]
-    ensemble = prep.ensemble
-    whole = attack.shadow_distance_matrix(X, ensemble, range(len(X)))
-    parts = [attack.shadow_distance_matrix(X[b], ensemble, range(len(X))[b]) for b in blocks]
-    matrix_equal = all(np.array_equal(got, np.concatenate(pieces), equal_nan=True)
-                       for got, pieces in zip(whole, zip(*parts)))
+    shadow_seed = derive_seed(cfg.seed, "shadow-ensemble")
+    models = train_shadows(prep.bundle.shadow_pool, cfg.n_shadow_models,
+                           cfg.model_architecture, cfg.train, shadow_seed)
+    replay = (cfg.recourse, shadow_seed, None)
+    whole = stream_columns(models, X, range(len(X)), replay=replay)
+    parts = [stream_columns(models, X[b], range(len(X))[b], replay=replay) for b in blocks]
+    matrix_equal = all(
+        np.array_equal(getattr(whole, key), np.concatenate([getattr(p, key) for p in parts]),
+                       equal_nan=True)
+        for key in ("dists", "positive", "failed"))
     return game_equal, matrix_equal

@@ -23,7 +23,6 @@ from recourse_mi.attack import (
     LogNormalFit,
     NormalFit,
     RecourseConfig,
-    ShadowEnsemble,
     cfd_lrt_attack_scores,
     cfd_lrt_decide,
     cfd_lrt_score,
@@ -34,7 +33,8 @@ from recourse_mi.attack import (
     loss_attack_scores,
     loss_lrt_attack_scores,
     loss_lrt_score,
-    shadow_distance_matrix,
+    replay_distances,
+    shadow_tag,
     shadow_training_tasks,
 )
 from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standardize
@@ -44,7 +44,6 @@ from recourse_mi.nn import (
     bce_from_proba,
     logit_confidence_from_proba,
     predict_proba,
-    predict_proba_batch,
     train_classifier,
     train_vae,
 )
@@ -60,7 +59,7 @@ from recourse_mi.recourse import (
 )
 from recourse_mi.seeds import derive_seed
 
-from conftest import make_logistic, use_cpus
+from conftest import make_logistic, stream_columns, train_shadows, use_cpus
 from reference import lognormal_quantile_oracle, normal_cdf
 
 
@@ -72,30 +71,19 @@ def confidence_of(m, x, y):
     return logit_confidence_from_proba(predict_proba(m, x), y)
 
 
-def shadow_distances(x, ensemble, point_seed):
+def shadow_distances(x, models, replay, point_seed):
     """The shadow distances of one point in model order: its row of a
-    one-row shadow_distance_matrix, without the NaNs of skipped models."""
-    row = shadow_distance_matrix(x[None, :], ensemble, [point_seed])[0][0]
+    one-row stream, without the NaNs of skipped models."""
+    row = stream_columns(models, x[None, :], [point_seed], replay=replay).dists[0]
     return row[~np.isnan(row)]
 
 
-def train_ensemble(*args, **kwargs) -> ShadowEnsemble:
-    """The ensemble of shadow_training_tasks, its tasks run on the workers."""
-    tasks, assemble = shadow_training_tasks(*args, **kwargs)
-    return assemble(run_all(tasks))
-
-
-def cfd_lrt_scores(samples, ensemble, alphas=(0.01, 0.05, 0.1)):
-    """cfd_lrt scores of the samples against the ensemble's distance
+def cfd_lrt_scores(samples, models, replay, alphas=(0.01, 0.05, 0.1)):
+    """cfd_lrt scores of the samples against the stream's distance
     matrix, sample i replayed with point seed i."""
     X = np.array([s.point for s in samples])
-    dists, _, _ = shadow_distance_matrix(X, ensemble, range(len(samples)))
+    dists = stream_columns(models, X, range(len(samples)), replay=replay).dists
     return cfd_lrt_attack_scores(samples, dists, alphas)
-
-
-def shadow_probs(X, ensemble):
-    """Each row's probability under each shadow model, (n, n_models)."""
-    return np.column_stack([predict_proba_batch(m, X) for m in ensemble.models])
 
 
 def valid_result(cost=2.0, d=2):
@@ -287,33 +275,35 @@ class TestLossScores:
 
 @pytest.fixture(scope="module")
 def shadow_setup():
+    """A standardized 2-d pool, 8 logistic shadow models trained on it and
+    their growing_spheres replay setup (recourse config, seed, no VAE)."""
     ds = generate_synthetic(SyntheticSpec(d=2, n_per_class=300, seed=31,
                                           class_separation=1.0))
     std, _ = standardize(ds)
     cfg = TrainConfig(learning_rate=0.05, epochs=60, seed=0)
     rc = RecourseConfig(algorithm="growing_spheres", cost_fn=CostFn("l1"),
                         search_params=SearchParams(samples_per_radius=200, seed=0))
-    ensemble = train_ensemble(std, n_models=8, architecture=[],
-                              trainer_config=cfg, recourse_config=rc, seed=99)
-    return std, ensemble
+    models = train_shadows(std, n_models=8, architecture=[], trainer_config=cfg, seed=99)
+    return std, models, (rc, 99, None)
 
 
 def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
     # one forward pass per model over all points; every statistic must
     # equal its one-point loss / logit confidence, clamped tails included
-    std, ensemble = shadow_setup
+    std, models, _ = shadow_setup
     owner = train_classifier(std, [8], TrainConfig(learning_rate=0.05, epochs=30, seed=4))
     rng = np.random.default_rng(8)
     points = np.concatenate([std.features[:25], rng.normal(scale=40.0, size=(5, 2))])
     samples = [SimpleNamespace(point_id=f"p{i}", point=x, label=int(i % 2))
                for i, x in enumerate(points)]
     loss = loss_attack_scores(samples, owner)
-    lrt = loss_lrt_attack_scores(samples, owner, shadow_probs(points, ensemble))
+    probs = stream_columns(models, points, range(len(points)), probs=True).probs
+    lrt = loss_lrt_attack_scores(samples, owner, probs)
     for s, ls, lr in zip(samples, loss, lrt):
         assert ls.statistic == ls.score == loss_of(owner, s.point, s.label)
         assert ls.higher_means_member is False
         conf = confidence_of(owner, s.point, s.label)
-        fit = fit_normal_mle([confidence_of(m, s.point, s.label) for m in ensemble.models])
+        fit = fit_normal_mle([confidence_of(m, s.point, s.label) for m in models])
         assert lr.statistic == conf and lr.score == loss_lrt_score(conf, fit)
     assert len(loss) == len(lrt) == len(samples)
     assert loss_attack_scores([], owner) == loss_lrt_attack_scores([], owner,
@@ -321,151 +311,166 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
 
 
 class TestShadowEnsemble:
+    """The shadow models of shadow_training_tasks, and their columns as
+    ShadowStream, the audit's one path from shadow models to the LRTs,
+    builds them; the hand-built cases run on 1 and on 2 CPUs."""
+
     def test_builds_n_models(self, shadow_setup):
-        _, ensemble = shadow_setup
-        assert ensemble.n_models == 8
+        std, models, _ = shadow_setup
+        assert len(models) == 8
+        tasks = shadow_training_tasks(std, 8, [], TrainConfig(), seed=99)
+        assert list(tasks) == [shadow_tag(i) for i in range(8)]
 
     def test_distances_positive_and_at_most_n(self, shadow_setup):
-        std, ensemble = shadow_setup
+        std, models, replay = shadow_setup
         x = next(f for f, m in zip(std.features, std.labels)
-                 if predict_proba(ensemble.models[0], f) < 0.5)
-        d = shadow_distances(x, ensemble, point_seed=0)
+                 if predict_proba(models[0], f) < 0.5)
+        d = shadow_distances(x, models, replay, point_seed=0)
         assert 2 <= d.size <= 8
         assert (d > 0).all()
 
     def test_deterministic(self, shadow_setup):
-        std, ensemble = shadow_setup
+        std, models, replay = shadow_setup
         x = std.features[0]
-        if predict_proba(ensemble.models[0], x) >= 0.5:
+        if predict_proba(models[0], x) >= 0.5:
             x = std.features[1]
-        d1 = shadow_distances(x, ensemble, point_seed=3)
-        d2 = shadow_distances(x, ensemble, point_seed=3)
+        d1 = shadow_distances(x, models, replay, point_seed=3)
+        d2 = shadow_distances(x, models, replay, point_seed=3)
         assert np.array_equal(d1, d2)
 
-    def test_halfspace_models_match_analytic_distance(self):
-        # hand-built "ensemble" of halfspace models with known boundaries:
-        # each GS distance must fall in [distance, 1.5 * distance]
+    def test_halfspace_models_match_analytic_distance(self, monkeypatch):
+        # hand-built shadow models: halfspaces with known boundaries; each
+        # GS distance must fall in [distance, 1.5 * distance]
         models = [make_logistic([4.0, 0.0], -4.0 * b) for b in (1.0, 1.5, 2.0)]
         rc = RecourseConfig(algorithm="growing_spheres", cost_fn=CostFn("l1"),
                             search_params=SearchParams(samples_per_radius=500,
                                                        max_radius=10.0, seed=0))
-        ens = ShadowEnsemble(models=models, trainer_config=TrainConfig(),
-                             recourse_config=rc, seed=7)
-        d = shadow_distances(np.zeros(2), ens, point_seed=0)
-        assert d.size == 3
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            runs.append(shadow_distances(np.zeros(2), models, (rc, 7, None), point_seed=0))
+        d = runs[0]
+        assert np.array_equal(runs[1], d) and d.size == 3
         for dist, boundary in zip(d, (1.0, 1.5, 2.0)):
             assert boundary <= dist <= 1.5 * boundary
 
-    def test_too_few_samples_are_dropped(self):
+    def test_too_few_samples_are_dropped(self, monkeypatch):
         # both models classify the query positively -> no distances at all,
         # so the point has no OUT fit and gets no score
         models = [make_logistic([0.0, 0.0], 3.0), make_logistic([0.0, 0.0], 5.0)]
-        ens = ShadowEnsemble(models=models, trainer_config=TrainConfig(),
-                             recourse_config=RecourseConfig(algorithm="growing_spheres"),
-                             seed=1)
-        dists, positive, failed = shadow_distance_matrix(np.zeros((1, 2)), ens, [0])
-        assert positive.tolist() == [2] and failed.tolist() == [0]
-        assert np.isnan(dists).all()
+        replay = (RecourseConfig(algorithm="growing_spheres"), 1, None)
         sample = SimpleNamespace(point_id="p", point=np.zeros(2), recourse=valid_result())
-        assert cfd_lrt_scores([sample], ens) == []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            cols = stream_columns(models, np.zeros((1, 2)), [0], replay=replay)
+            assert cols.positive.tolist() == [2] and cols.failed.tolist() == [0]
+            assert np.isnan(cols.dists).all()
+            assert cfd_lrt_scores([sample], models, replay) == []
 
-    def test_cfd_lrt_starved_points_are_dropped(self):
+    def test_cfd_lrt_starved_points_are_dropped(self, monkeypatch):
         # one model accepts everything, the others are halfspaces x1 > 1
         # and x2 > 1: (0, 0) keeps two distances, (0, 2) one, (2, 2) none
         models = [make_logistic([0.0, 0.0], 3.0), make_logistic([4.0, 0.0], -4.0),
                   make_logistic([0.0, 4.0], -4.0)]
-        ens = ShadowEnsemble(models=models, trainer_config=TrainConfig(),
-                             recourse_config=RecourseConfig(algorithm="growing_spheres"),
-                             seed=1)
+        replay = (RecourseConfig(algorithm="growing_spheres"), 1, None)
         points = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-        dists, positive, failed = shadow_distance_matrix(points, ens, range(3))
-        assert positive.tolist() == [1, 2, 3] and failed.tolist() == [0, 0, 0]
-        assert (~np.isnan(dists)).sum(axis=1).tolist() == [2, 1, 0]
         samples = [SimpleNamespace(point_id=f"p{i}", point=x, recourse=valid_result())
                    for i, x in enumerate(points)]
-        assert [sc.point_id for sc in cfd_lrt_scores(samples, ens)] == ["p0"]
-        assert cfd_lrt_scores(samples[1:], ens) == []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            cols = stream_columns(models, points, range(3), replay=replay)
+            assert cols.positive.tolist() == [1, 2, 3] and cols.failed.tolist() == [0, 0, 0]
+            assert (~np.isnan(cols.dists)).sum(axis=1).tolist() == [2, 1, 0]
+            assert [sc.point_id for sc in cfd_lrt_scores(samples, models, replay)] == ["p0"]
+            assert cfd_lrt_scores(samples[1:], models, replay) == []
 
     def test_matrix_rows_match_per_point_distances(self, shadow_setup):
         # model-major replay gives each point the distances, in model
         # order, that a one-row replay gives it with the same seed
-        std, ensemble = shadow_setup
+        std, models, replay = shadow_setup
         X = std.features[:12]
-        dists, positive, failed = shadow_distance_matrix(X, ensemble, range(40, 52))
-        assert dists.shape == (12, ensemble.n_models)
+        cols = stream_columns(models, X, range(40, 52), replay=replay)
+        assert cols.dists.shape == (12, len(models))
         for r, x in enumerate(X):
-            assert np.isnan(dists[r]).sum() == positive[r] + failed[r]
-            for i, m in enumerate(ensemble.models):
-                if predict_proba(m, x) >= 0.5:
-                    assert np.isnan(dists[r, i])
-            one = shadow_distance_matrix(x[None, :], ensemble, [40 + r])
-            assert np.array_equal(dists[r], one[0][0], equal_nan=True)
-            assert (positive[r], failed[r]) == (one[1][0], one[2][0])
+            assert np.isnan(cols.dists[r]).sum() == cols.positive[r] + cols.failed[r]
+            positive = failed = 0
+            for i, m in enumerate(models):
+                neg, dist = replay_distances(m, x[None, :], [40 + r], i, *replay)
+                assert neg.tolist() == [predict_proba(m, x) < 0.5]
+                assert np.array_equal(cols.dists[r, i], dist[0] if neg[0] else np.nan,
+                                      equal_nan=True)
+                positive += not neg[0]
+                failed += bool(neg[0] and np.isnan(dist[0]))
+            assert (cols.positive[r], cols.failed[r]) == (positive, failed)
 
     def test_matrix_over_a_block_stacks_its_halves(self):
         ds, _ = standardize(generate_synthetic(SyntheticSpec(d=40, n_per_class=200, seed=8,
                                                              class_separation=0.5)))
         rc = RecourseConfig(algorithm="scfe", scfe_params=ScfeParams(max_iters=100,
                                                                      max_retries=1))
-        ensemble = train_ensemble(
-            ds, n_models=4, architecture=[8],
-            trainer_config=TrainConfig(learning_rate=0.02, epochs=10), recourse_config=rc,
-            seed=3)
+        models = train_shadows(ds, n_models=4, architecture=[8],
+                               trainer_config=TrainConfig(learning_rate=0.02, epochs=10),
+                               seed=3)
         X, seeds = ds.features[:30], list(range(30))
-        whole = shadow_distance_matrix(X, ensemble, seeds)
-        halves = [shadow_distance_matrix(X[part], ensemble, seeds[part])
-                  for part in (slice(0, 11), slice(11, 30))]
-        for got, parts in zip(whole, zip(*halves)):
-            assert np.array_equal(got, np.concatenate(parts), equal_nan=True)
-        assert np.isnan(whole[0]).any() and not np.isnan(whole[0]).all()
+        for i, model in enumerate(models):
+            whole = replay_distances(model, X, seeds, i, rc, 3)
+            halves = [replay_distances(model, X[part], seeds[part], i, rc, 3)
+                      for part in (slice(0, 11), slice(11, 30))]
+            for got, parts in zip(whole, zip(*halves)):
+                assert np.array_equal(got, np.concatenate(parts), equal_nan=True)
+        dists = stream_columns(models, X, seeds, replay=(rc, 3, None)).dists
+        assert np.isnan(dists).any() and not np.isnan(dists).all()
 
     def test_replay_sends_one_distance_per_row(self, monkeypatch):
-        # each replay task pickles back its negative-row mask and one float
+        # each replay task sends back its negative-row mask and one float
         # per negative row, not the d-float counterfactuals of the recourses
         rng = np.random.default_rng(31)
         d, n, k = 200, 40, 4
         models = [make_logistic(rng.normal(size=d) * 0.05, -1.0) for _ in range(k)]
         rc = RecourseConfig(algorithm="scfe",
                             scfe_params=ScfeParams(max_iters=3, max_retries=1))
-        ens = ShadowEnsemble(models=models, trainer_config=TrainConfig(),
-                             recourse_config=rc, seed=3)
         X = rng.normal(size=(n, d))
         sent = []
         take = TaskPool.take
 
         def recording(pool, tag):
             out = take(pool, tag)
-            sent.append(len(pickle.dumps(out)))
+            if tag.startswith("replay_"):
+                sent.append(len(pickle.dumps(out)))
             return out
 
         monkeypatch.setattr(TaskPool, "take", recording)
-        dists, positive, failed = shadow_distance_matrix(X, ens, range(n))
-        assert len(sent) == k
-        assert sum(sent) <= 64 * n * k + 512 * k
-        # the matrix and skip counts still follow the replayed recourses
-        for i, model in enumerate(models):
-            neg = np.array([predict_proba(model, x) < 0.5 for x in X])
-            seeds = [derive_seed(3, f"shadow-recourse-{r}", i) for r in np.flatnonzero(neg)]
-            want = [max(r.cost, recourse.DISTANCE_FLOOR) if r.valid else np.nan
-                    for r in rc.generate_batch(model, X[neg], seeds)]
-            assert np.array_equal(dists[neg, i], want, equal_nan=True)
-            assert np.isnan(dists[~neg, i]).all()
-        assert np.array_equal(positive + failed, np.isnan(dists).sum(axis=1))
-        assert positive.sum() > 0 and failed.sum() > 0 and not np.isnan(dists).all()
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            del sent[:]
+            cols = stream_columns(models, X, range(n), replay=(rc, 3, None))
+            assert len(sent) == k
+            assert sum(sent) <= 64 * n * k + 512 * k
+            # the matrix and skip counts still follow the replayed recourses
+            for i, model in enumerate(models):
+                neg = np.array([predict_proba(model, x) < 0.5 for x in X])
+                seeds = [derive_seed(3, f"shadow-recourse-{r}", i) for r in np.flatnonzero(neg)]
+                want = [max(r.cost, recourse.DISTANCE_FLOOR) if r.valid else np.nan
+                        for r in rc.generate_batch(model, X[neg], seeds)]
+                assert np.array_equal(cols.dists[neg, i], want, equal_nan=True)
+                assert np.isnan(cols.dists[~neg, i]).all()
+            assert np.array_equal(cols.positive + cols.failed, np.isnan(cols.dists).sum(axis=1))
+            assert cols.positive.sum() > 0 and cols.failed.sum() > 0
+            assert not np.isnan(cols.dists).all()
 
     def test_cfd_lrt_scores_use_per_point_fits(self, shadow_setup):
-        std, ensemble = shadow_setup
-        owner = ensemble.models[0]
+        std, models, replay = shadow_setup
+        owner = models[0]
         samples = []
         for j, x in enumerate(std.features[:40]):
             if predict_proba(owner, x) < 0.5:
                 res = growing_spheres(owner, x, SearchParams(seed=j), CostFn("l1"))
                 samples.append(SimpleNamespace(point_id=f"p{j}", point=x, recourse=res))
-        scores = cfd_lrt_scores(samples, ensemble, alphas=(0.1,))
+        scores = cfd_lrt_scores(samples, models, replay, alphas=(0.1,))
         by_id = {sc.point_id: sc for sc in scores}
         assert len(by_id) >= len(samples) // 2
         for idx, s in enumerate(samples):
-            row = shadow_distances(s.point, ensemble, idx)
+            row = shadow_distances(s.point, models, replay, idx)
             if row.size < 2:
                 assert s.point_id not in by_id
                 continue
@@ -474,14 +479,14 @@ class TestShadowEnsemble:
             assert by_id[s.point_id].score == cfd_lrt_score(t0, fit)
 
     def test_shadow_models_never_trained_on_eval_rows(self, shadow_setup):
-        std, ensemble = shadow_setup
+        std, models, _ = shadow_setup
         # the pool is the training universe here; the contract is that each
         # shadow trains on a strict subsample of the pool that the builder
         # received - verified via the training metadata row counts
-        for m in ensemble.models:
+        for m in models:
             assert m.training_meta["train_accuracy"] is not None
         # subsample size is half the pool
-        assert ensemble.models[0].training_meta["batch_size"] <= std.n // 2
+        assert models[0].training_meta["batch_size"] <= std.n // 2
 
 
 class TestWorkers:
@@ -513,24 +518,25 @@ class TestWorkers:
         rc = RecourseConfig(algorithm=algorithm,
                             scfe_params=ScfeParams(max_iters=60, max_retries=1),
                             search_params=SearchParams(samples_per_radius=40, max_radius=2.0))
+        vae = (train_vae(ds, TrainConfig(learning_rate=1e-3, epochs=3, seed=6))
+               if algorithm == "cchvae" else None)
         runs = []
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
-            ensemble = train_ensemble(
-                ds, n_models=3, architecture=[8],
-                trainer_config=TrainConfig(learning_rate=0.02, epochs=8), recourse_config=rc,
-                seed=5, vae_config=TrainConfig(learning_rate=1e-3, epochs=3))
-            runs.append((ensemble, shadow_distance_matrix(ds.features[:30], ensemble,
-                                                          range(30))))
-        (one, matrix_one), (two, matrix_two) = runs
-        for a, b in zip(one.models, two.models, strict=True):
+            models = train_shadows(ds, n_models=3, architecture=[8],
+                                   trainer_config=TrainConfig(learning_rate=0.02, epochs=8),
+                                   seed=5)
+            runs.append((models, stream_columns(models, ds.features[:30], range(30),
+                                                probs=True, replay=(rc, 5, vae))))
+        (one, cols_one), (two, cols_two) = runs
+        for a, b in zip(one, two, strict=True):
             assert a.training_meta == b.training_meta
             for p, q in zip(a.weights + a.biases, b.weights + b.biases, strict=True):
                 assert np.array_equal(p, q)
-        for got, want in zip(matrix_two, matrix_one, strict=True):
-            assert np.array_equal(got, want, equal_nan=True)
-        dists, positive, failed = matrix_one
-        assert positive.any() and failed.any() and not np.isnan(dists).all()
+        for key in ("probs", "dists", "positive", "failed"):
+            assert np.array_equal(getattr(cols_two, key), getattr(cols_one, key), equal_nan=True)
+        assert cols_one.positive.any() and cols_one.failed.any()
+        assert not np.isnan(cols_one.dists).all()
 
     def test_shadow_divergence_in_a_worker_raises_with_its_epoch(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -538,9 +544,8 @@ class TestWorkers:
         feats[:, 1] = np.nan  # poisons every shadow model's first epoch
         pool = Dataset(feats, np.arange(20) % 2)
         with pytest.raises(TrainingDivergedError) as err:
-            train_ensemble(pool, n_models=2, architecture=[4],
-                           trainer_config=TrainConfig(learning_rate=0.01, epochs=5),
-                           recourse_config=RecourseConfig(), seed=0)
+            train_shadows(pool, n_models=2, architecture=[4],
+                          trainer_config=TrainConfig(learning_rate=0.01, epochs=5), seed=0)
         assert err.value.epoch == 1
         assert str(err.value) == "non-finite parameters at epoch 1"
         assert type(err.value.__cause__).__name__ == "_RemoteTraceback"  # raised in a worker

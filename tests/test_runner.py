@@ -25,7 +25,7 @@ from recourse_mi.pool import TaskPool
 from recourse_mi.runner import ConfigError, GameSetupError, config_from_dict
 from recourse_mi.seeds import derive_seed
 
-from conftest import batch_split_agreement, use_cpus
+from conftest import batch_split_agreement, stream_columns, train_shadows, use_cpus
 
 
 def small_raw(**overrides):
@@ -285,17 +285,24 @@ class TestPlayGame:
 
 
 class TestShadowReplay:
-    def test_shadow_vae_uses_configured_vae_training(self):
+    def test_shadow_vae_uses_configured_vae_training(self, monkeypatch):
         raw = small_raw(recourse={"algorithm": "cchvae",
                                   "vae": {"learning_rate": 2e-3, "epochs": 3}},
                         attacks={"which": ["cfd_lrt"], "n_shadow_models": 2})
-        cfg = config_from_dict(raw)
-        prep = runner.prepare(cfg)
-        ensemble = prep.ensemble
-        for vae in (prep.owner_vae, ensemble.vae):
+        use_cpus(monkeypatch, 1)  # inline, so every call below reaches its list
+        trained, replayed = {}, []
+        real_vae, real_replay = nn.train_vae, attack.replay_distances
+        monkeypatch.setattr(nn, "train_vae", lambda data, c: trained.setdefault(
+            data.n, real_vae(data, c)))
+        monkeypatch.setattr(attack, "replay_distances", lambda *a: replayed.append(a[-1])
+                            or real_replay(*a))
+        runner.run_experiment(config_from_dict(raw))
+        owner_vae, shadow_vae = trained[250], trained[300]  # eval.owner_n, eval.shadow_n
+        for vae in (owner_vae, shadow_vae):
             assert vae.training_meta["epochs"] == 3
             assert vae.training_meta["learning_rate"] == 2e-3
-        assert ensemble.vae.training_meta["seed"] != prep.owner_vae.training_meta["seed"]
+        assert shadow_vae.training_meta["seed"] != owner_vae.training_meta["seed"]
+        assert len(replayed) == 2 and all(vae is shadow_vae for vae in replayed)
 
     def test_shadow_training_replays_the_owner_config(self, monkeypatch):
         cfg = config_from_dict(small_raw(attacks={"which": ["cfd_lrt"], "n_shadow_models": 2}))
@@ -306,7 +313,7 @@ class TestShadowReplay:
         real = nn.train_classifier
         monkeypatch.setattr(nn, "train_classifier",
                             lambda data, arch, c: seen.append(c) or real(data, arch, c))
-        runner.prepare(cfg)
+        runner.run_experiment(cfg)
         owner, *shadows = seen
         assert len(shadows) == 2
         for c in shadows:
@@ -324,19 +331,26 @@ class TestTrainingTaskList:
             eval={"eval_points": 10}))
 
     def test_models_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # every model the audit process takes from its pool, by tag
         cfg = self.cchvae_lrt()
-        trained = []
+        taken = {}
+        real_take = TaskPool.take
+        monkeypatch.setattr(TaskPool, "take", lambda pool, tag: taken[cpus].setdefault(
+            tag, real_take(pool, tag)))
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
-            prep = runner.prepare(cfg)
-            trained.append([prep.owner_model, prep.owner_vae, prep.ensemble.vae,
-                            *prep.ensemble.models])
-        for one, two in zip(*trained):
+            taken[cpus] = {}
+            runner.run_experiment(cfg)
+        models = {cpus: {tag: m for tag, m in by_tag.items() if not tag.startswith("replay_")}
+                  for cpus, by_tag in taken.items()}
+        assert sorted(models[1]) == sorted(models[2]) == [
+            "owner", "owner_vae", "shadow_0", "shadow_1", "shadow_2", "shadow_vae"]
+        for tag, one in models[1].items():
+            two = models[2][tag]
             params = [(p.weights + p.biases) if isinstance(p, nn.Model)
                       else [a for _, a in p._arrays()] for p in (one, two)]
-            assert all(np.array_equal(a, b) for a, b in zip(*params))
+            assert all(np.array_equal(a, b) for a, b in zip(*params, strict=True))
             assert one.training_meta == two.training_meta
-        assert len(trained[1]) == 6
 
     def test_audit_trains_only_on_the_workers_in_one_task_list(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -356,6 +370,19 @@ class TestTrainingTaskList:
         assert started == list(pools[0])
         assert sorted(submitted) == ["replay_0", "replay_1", "replay_2"]
         assert calls == []
+
+    @pytest.mark.parametrize("which,shadow_vae", [
+        (["cfd", "loss_lrt"], False), (["cfd_lrt"], True)], ids=["loss_lrt", "cfd_lrt"])
+    def test_shadow_vae_trains_only_for_the_cfd_lrt_replay(self, tmp_path, which, shadow_vae):
+        # only the cfd_lrt replay searches the shadow VAE's latent space
+        raw = small_raw(recourse={"algorithm": "cchvae", "vae": {"epochs": 5},
+                                  "search": {"samples_per_radius": 50}},
+                        attacks={"which": which, "n_shadow_models": 2},
+                        eval={"eval_points": 10}, out_dir=str(tmp_path))
+        runner.run_experiment(config_from_dict(raw))
+        tasks = json.loads((tmp_path / "trace.json").read_text())["tasks"]
+        assert ("shadow_vae" in tasks) == shadow_vae
+        assert {"owner", "owner_vae", "shadow_0", "shadow_1"} <= set(tasks)
 
     def test_train_command_trains_only_the_owner(self, tmp_path, monkeypatch):
         use_cpus(monkeypatch, 1)  # inline, so every training call reaches `seen`
@@ -538,7 +565,7 @@ class TestRunExperiment:
 
     def test_distance_attack_stage_takes_no_model(self):
         # threat-model enforcement is structural: the distance attack
-        # entry points accept the transcript (+ ensemble), never a Model
+        # entry points accept the transcript (+ shadow distances), never a Model
         import inspect
         from recourse_mi import attack as attack_mod
         for fn in (attack_mod.cfd_attack_scores, attack_mod.cfd_lrt_attack_scores):
@@ -658,11 +685,16 @@ class TestStreamedAudit:
         stages = ["data", "owner", "game", "shadows", "end"]
         maxrss = [trace["ru_maxrss_kb"].pop(name) for name in stages]
         assert not trace["ru_maxrss_kb"] and maxrss == sorted(maxrss) and maxrss[0] > 0
-        # the skip counts of the distance matrix the audit's replay builds
+        # the skip counts of the same shadow models and game points streamed
+        # outside the audit
         prep = runner.prepare(cfg)
         samples, _ = runner._sample_game(cfg, prep)
-        dists, positive, failed = attack.shadow_distance_matrix(
-            np.array([s.point for s in samples]), prep.ensemble, range(len(samples)))
+        shadow_seed = derive_seed(cfg.seed, "shadow-ensemble")
+        models = train_shadows(prep.bundle.shadow_pool, cfg.n_shadow_models,
+                               cfg.model_architecture, cfg.train, shadow_seed)
+        cols = stream_columns(models, np.array([s.point for s in samples]),
+                              range(len(samples)), replay=(cfg.recourse, shadow_seed, None))
+        dists, positive, failed = cols.dists, cols.positive, cols.failed
         assert trace["shadow_skips"] == {"positive": int(positive.sum()),
                                          "failed": int(failed.sum())}
         starved = int(((~np.isnan(dists)).sum(axis=1) < 2).sum())
