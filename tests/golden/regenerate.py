@@ -8,14 +8,18 @@ Each <case>.json holds an audit config under "config" and, under
 BLAS kernel: per attack and direction the AUC, balanced accuracy and
 TPR at fixed FPR, the sha256 of each roc_*.csv, each scores file's point
 ids and guess_at in file order with their statistic and score, and the
-report's game section. It also holds the sha256 of each scores file and,
-under "exact_on", the OpenBLAS kernel and numpy version they were
-recorded with.
+report's game section. It also holds the sha256 of each scores file and
+of report.json (without config.out_dir and, for a file case, without
+config.data.path and the provenance path, which name temporary files)
+and, under "exact_on", the OpenBLAS kernel and numpy version they were
+recorded with. A file case also holds, under "gen_data", the config
+whose `recourse-mi gen-data` CSV it audits; that CSV is written afresh
+on every run.
 
 tests/test_golden.py reruns each config and compares. The statistic and
 score move in their last bits with the BLAS kernel, so they are compared
-within a relative bound, and byte for byte (the scores hashes) only where
-the kernel and numpy version equal the recorded ones. Regenerate only
+within a relative bound, and byte for byte (the scores and report hashes)
+only where the kernel and numpy version equal the recorded ones. Regenerate only
 when a change is meant to move outputs, and say by how much.
 """
 from __future__ import annotations
@@ -54,6 +58,20 @@ def exact_on() -> dict:
     return {"blas_kernel": kernel, "numpy": np.__version__}
 
 
+def report_sha256(path: Path) -> str:
+    """sha256 of the report.json at path as the audit writes it, without
+    the paths of its temporary files: config.out_dir and, for file data,
+    config.data.path and the dataset provenance's path."""
+    report = json.loads(path.read_text())
+    del report["config"]["out_dir"]
+    if report["config"]["data"]["kind"] == "file":
+        del report["config"]["data"]["path"]
+        provenance = report["data_provenance"]
+        del provenance.get("parent", provenance)["path"]  # standardized data nests it
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def golden_outputs(out_dir: Path) -> dict:
     """The golden outputs of the audit written to out_dir."""
     report = json.loads((out_dir / "report.json").read_text())
@@ -71,22 +89,32 @@ def golden_outputs(out_dir: Path) -> dict:
         "scores_sha256": {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                           for path in sorted(out_dir.glob("scores_*.jsonl"))},
         "game": report["game"],
+        "report_sha256": report_sha256(out_dir / "report.json"),
     }
 
 
-def run_case(config: dict) -> dict:
-    """golden_outputs of one audit of config, run in a temporary directory."""
-    from recourse_mi import runner
+def run_case(config: dict, gen_data: dict | None = None) -> dict:
+    """golden_outputs of one audit of config, run in a temporary directory.
+    With gen_data, `recourse-mi gen-data` first writes that config's
+    dataset to a CSV there, and the audit reads it as config's data.path."""
+    from recourse_mi import cli, runner
 
     with tempfile.TemporaryDirectory() as tmp:
-        runner.run_experiment(runner.config_from_dict(dict(config, out_dir=tmp)))
-        return golden_outputs(Path(tmp))
+        tmp = Path(tmp)
+        if gen_data is not None:
+            (tmp / "gen_data.json").write_text(json.dumps(gen_data))
+            assert cli.main(["gen-data", "--config", str(tmp / "gen_data.json"),
+                             "--out", str(tmp / "data.csv")]) == 0
+            config = dict(config, data=dict(config["data"], path=str(tmp / "data.csv")))
+        runner.run_experiment(runner.config_from_dict(dict(config, out_dir=str(tmp / "out"))))
+        return golden_outputs(tmp / "out")
 
 
 def main() -> int:
     for path in sorted(GOLDEN.glob("*.json")):
-        config = json.loads(path.read_text())["config"]
-        doc = {"config": config, "exact_on": exact_on(), "outputs": run_case(config)}
+        doc = json.loads(path.read_text())
+        doc = {key: doc[key] for key in ("config", "gen_data") if key in doc}
+        doc.update(exact_on=exact_on(), outputs=run_case(**doc))
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path.name}")
     return 0

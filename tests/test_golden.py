@@ -1,10 +1,11 @@
-"""Golden outputs: three small audits must reproduce what tests/golden/
+"""Golden outputs: five small audits must reproduce what tests/golden/
 recorded, on one CPU and on two.
 
 ROC files, AUCs, point ids and guesses are compared exactly; statistics
 and scores within 1e-9 relative, about 500 times the largest shift seen
 between OpenBLAS kernels (2.1e-12), and byte for byte on the kernel and
-numpy version they were recorded with. See tests/golden/regenerate.py.
+numpy version they were recorded with (the scores files and report.json).
+See tests/golden/regenerate.py.
 """
 import json
 import math
@@ -23,7 +24,8 @@ def close(got: float, want: float) -> bool:
 
 
 def test_every_case_is_recorded():
-    assert CASES == ["cchvae_cfd_lrt", "growing_spheres", "scfe_all_attacks"]
+    assert CASES == ["cchvae_cfd_lrt", "file_median_threshold", "growing_spheres",
+                     "scfe_all_attacks", "scfe_logistic_immutable"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -31,7 +33,7 @@ def test_every_case_is_recorded():
 def test_audit_reproduces_its_golden_outputs(monkeypatch, case, cpus):
     golden = json.loads((GOLDEN / f"{case}.json").read_text())
     use_cpus(monkeypatch, cpus)
-    got = run_case(golden["config"])
+    got = run_case(golden["config"], golden.get("gen_data"))
     want = golden["outputs"]
     assert got["game"] == want["game"]
     assert got["attacks"] == want["attacks"]
@@ -46,3 +48,4 @@ def test_audit_reproduces_its_golden_outputs(monkeypatch, case, cpus):
                 assert close(g[key], w[key]), (name, w["point_id"], key, g[key], w[key])
     if golden["exact_on"]["blas_kernel"] and golden["exact_on"] == exact_on():
         assert got["scores_sha256"] == want["scores_sha256"]
+        assert got["report_sha256"] == want["report_sha256"]
