@@ -64,8 +64,8 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:

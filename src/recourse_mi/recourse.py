@@ -56,7 +56,8 @@ class ScfeParams:
     immutable: tuple[int, ...] = ()  # feature indices recourse may not move
 
     def __post_init__(self):
-        if min(self.lam, self.max_iters, self.step_size) <= 0 or self.max_retries < 0:
+        if not all(0 < v < np.inf for v in (self.lam, self.max_iters, self.step_size)) \
+                or self.max_retries < 0:
             raise ValueError(f"invalid ScfeParams {self}")
         if not 0.0 < self.lam_decay < 1.0:
             raise ValueError(f"lam_decay must be in (0,1), got {self.lam_decay}")
@@ -74,14 +75,17 @@ class SearchParams:
     immutable: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if min(self.initial_radius, self.radius_step, self.max_radius) <= 0:
-            raise ValueError(f"radii must be positive in {self}")
+        if not all(0 < r < np.inf for r in (self.initial_radius, self.radius_step,
+                                             self.max_radius)):
+            raise ValueError(f"radii must be finite and positive in {self}")
+        if self.initial_radius > self.max_radius:
+            raise ValueError(f"initial_radius must be at most max_radius in {self}")
         if self.samples_per_radius < 1:
             raise ValueError(f"samples_per_radius must be >= 1, got {self.samples_per_radius}")
 
     def radii(self) -> np.ndarray:
         count = int(np.floor((self.max_radius - self.initial_radius) / self.radius_step + 1e-12)) + 1
-        return self.initial_radius + self.radius_step * np.arange(max(count, 0))
+        return self.initial_radius + self.radius_step * np.arange(count)
 
 
 @dataclass(frozen=True)
@@ -307,7 +311,6 @@ def _ball_search(model: Model, vae: VaeModel | None, x: np.ndarray,
                 # would pin the radius's whole sample block
                 return RecourseResult(final.copy(), cost(x, final, cost_fn), True, algorithm,
                                       trace=trace, seed=params.seed)
-    trace = {"radius": float(radii[-1]) if radii.size else 0.0,
-             "radii_tried": int(radii.size),
+    trace = {"radius": float(radii[-1]), "radii_tried": int(radii.size),
              "samples_per_radius": params.samples_per_radius}
     return RecourseResult(x.copy(), 0.0, False, algorithm, trace=trace, seed=params.seed)

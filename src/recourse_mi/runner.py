@@ -143,197 +143,185 @@ class ExperimentReport:
 
 # --- configuration ---------------------------------------------------------
 
-_DEFAULT_CONFIG: dict[str, Any] = {
-    "experiment_id": "experiment",
-    "data": {
-        "kind": "synthetic",
-        "d": 20,
-        "n_per_class": 2000,
-        "class_separation": 1.0,
-        "path": None,
-        "label_column": None,
-        "label_rule": "median-threshold",
-        "standardize": True,
-    },
-    "model": {"architecture": []},
-    "train": {"learning_rate": 1e-4, "epochs": 250, "batch_size": None},
-    "recourse": {
-        "algorithm": "scfe",
-        "cost_norm": "l1",
-        "immutable": [],
-        "scfe": {"lam": 0.1, "lam_decay": 0.5, "max_iters": 1000,
-                 "step_size": 0.05, "max_retries": 5},
-        "search": {"initial_radius": 0.1, "radius_step": 0.1,
-                   "samples_per_radius": 500, "max_radius": 10.0},
-        "vae": {"learning_rate": 1e-3, "epochs": 200},
-    },
-    "attacks": {
-        "which": ["cfd"],
-        "n_shadow_models": 16,
-        "alpha_grid": [0.01, 0.05, 0.1],
-    },
-    "eval": {"owner_n": 1000, "shadow_n": 2000, "eval_out_n": 1000,
-             "eval_points": 200},
-    "seed": 0,
-    "out_dir": None,
-}
+# One row per config key: (key path, type, bounds, default). A type is int,
+# float (any finite int or float), bool, str, a tuple of the allowed
+# strings, or a one-item list of one of these for a list of such values.
+# Bounds (low, high) hold for a number or each listed number: inclusive for
+# int, exclusive for float, None for no bound. A row whose default is None
+# also accepts null. normalize_config builds the snapshot from these rows,
+# keeping each given value as given, then applies _check_rules.
+CONFIG_TABLE: tuple[tuple[str, Any, tuple | None, Any], ...] = (
+    ("experiment_id", str, None, "experiment"),
+    ("seed", int, None, 0),
+    ("out_dir", str, None, None),
+    ("data.kind", ("synthetic", "file"), None, "synthetic"),
+    ("data.d", int, (1, 10_000), 20),
+    ("data.n_per_class", int, (1, None), 2000),
+    ("data.class_separation", float, (0, None), 1.0),
+    ("data.path", str, None, None),
+    ("data.label_column", str, None, None),
+    ("data.label_rule", ("binary", "median-threshold"), None, "median-threshold"),
+    ("data.standardize", bool, None, True),
+    ("model.architecture", [int], (1, None), []),
+    ("train.learning_rate", float, (0, None), 1e-4),
+    ("train.epochs", int, (1, None), 250),
+    ("train.batch_size", int, (1, None), None),
+    ("recourse.algorithm", ("scfe", "growing_spheres", "cchvae"), None, "scfe"),
+    ("recourse.cost_norm", ("l1", "l2"), None, "l1"),
+    ("recourse.immutable", [int], (0, None), []),
+    ("recourse.scfe.lam", float, (0, None), 0.1),
+    ("recourse.scfe.lam_decay", float, (0, 1), 0.5),
+    ("recourse.scfe.max_iters", int, (1, None), 1000),
+    ("recourse.scfe.step_size", float, (0, None), 0.05),
+    ("recourse.scfe.max_retries", int, (0, None), 5),
+    ("recourse.search.initial_radius", float, (0, None), 0.1),
+    ("recourse.search.radius_step", float, (0, None), 0.1),
+    ("recourse.search.samples_per_radius", int, (1, None), 500),
+    ("recourse.search.max_radius", float, (0, None), 10.0),
+    ("recourse.vae.learning_rate", float, (0, None), 1e-3),
+    ("recourse.vae.epochs", int, (1, None), 200),
+    ("attacks.which", [str], None, ["cfd"]),
+    ("attacks.n_shadow_models", int, (0, 1024), 16),
+    ("attacks.alpha_grid", [float], (0, 1), [0.01, 0.05, 0.1]),
+    ("eval.owner_n", int, (1, None), 1000),
+    ("eval.shadow_n", int, (0, None), 2000),
+    ("eval.eval_out_n", int, (1, None), 1000),
+    ("eval.eval_points", int, (2, None), 200),
+)
+_ROWS = {row[0]: row for row in CONFIG_TABLE}
+_NOUNS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+          bool: ("true or false", ""), str: ("a string", "strings")}
 
 
-def _merge_strict(defaults: dict, given: dict, path: str = "") -> dict:
-    out = {}
-    for key, default in defaults.items():
-        if isinstance(default, dict):
-            if not isinstance(given.get(key, {}), dict):
-                raise ConfigError(f"{path}{key} must be a JSON object, got {given[key]!r}")
-            out[key] = _merge_strict(default, given.get(key, {}), f"{path}{key}.")
-        elif key in given:
-            out[key] = given[key]
-        else:
-            out[key] = default
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(path + k for k in unknown)}")
-    return out
+def _fits(value: Any, kind: Any, bounds: tuple | None) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0], bounds) for v in value)
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    if kind in (bool, str):
+        return isinstance(value, kind)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        return False
+    low, high = bounds or (None, None)
+    if kind is int:
+        return (low is None or value >= low) and (high is None or value <= high)
+    # also false for nan, inf and ints too large for a float
+    return abs(value) <= np.finfo(float).max and (low is None or value > low) \
+        and (high is None or value < high)
+
+
+def _requirement(key: str) -> str:
+    """What the table requires of the value at `key`, as error messages
+    (and the README's table of keys) word it."""
+    _, kind, bounds, default = _ROWS[key]
+    many = isinstance(kind, list)
+    base = kind[0] if many else kind
+    text = f"one of {base}" if isinstance(base, tuple) else _NOUNS[base][many]
+    if bounds:
+        low, high = bounds
+        closed = base is int
+        text += (f" {'>=' if closed else '>'} {low}" if high is None else
+                 f" in {'[' if closed else '('}{low}, {high}{']' if closed else ')'}")
+    return ("a list of " if many else "") + text + (" or null" if default is None else "")
 
 
 def normalize_config(raw: dict) -> dict:
-    """Apply defaults and reject unknown keys; returns the full snapshot."""
+    """The full snapshot of a config: every CONFIG_TABLE key, given or by
+    default. ConfigError names the first key whose value breaks its row or
+    a rule of _check_rules, or the unknown keys."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    raw = dict(raw)
-    raw.pop("sweep", None)  # handled by run_sweep
-    snap = _merge_strict(_DEFAULT_CONFIG, raw)
-    if not _is_int(snap["seed"]):
-        raise ConfigError(f"seed must be an integer, got {snap['seed']!r}")
-    kind = snap["data"]["kind"]
-    if kind not in ("synthetic", "file"):
-        raise ConfigError(f"data.kind must be 'synthetic' or 'file', got {kind!r}")
-    if kind == "file" and not snap["data"]["path"]:
-        raise ConfigError("data.kind='file' requires data.path")
-    dc = snap["data"]
-    if kind == "file" and not (isinstance(dc["label_column"], str) and dc["label_column"]):
-        raise ConfigError(f"data.kind='file' requires data.label_column, a non-empty "
-                          f"string; got {dc['label_column']!r}")
-    if dc["label_rule"] not in ("binary", "median-threshold"):
-        raise ConfigError(f"data.label_rule must be 'binary' or 'median-threshold', "
-                          f"got {dc['label_rule']!r}")
-    if not isinstance(dc["standardize"], bool):
-        raise ConfigError(f"data.standardize must be true or false, got {dc['standardize']!r}")
-    for key in ("d", "n_per_class") if kind == "synthetic" else ():
-        if not (_is_int(snap["data"][key]) and snap["data"][key] >= 1):
-            raise ConfigError(f"data.{key} must be a positive integer, got {snap['data'][key]!r}")
-    sep = snap["data"]["class_separation"]
-    if kind == "synthetic" and not (_is_real(sep) and sep > 0):
-        raise ConfigError(f"data.class_separation must be a positive number, got {sep!r}")
-    rc = snap["recourse"]
-    for name, section, keys in (("train", snap["train"], ("epochs", "batch_size")),
-                                ("recourse.scfe", rc["scfe"], ("max_iters", "max_retries")),
-                                ("recourse.search", rc["search"], ("samples_per_radius",)),
-                                ("recourse.vae", rc["vae"], ("epochs",))):
-        for key in keys:
-            if not (_is_int(section[key]) or (key == "batch_size" and section[key] is None)):
-                raise ConfigError(f"{name}.{key} must be an integer, got {section[key]!r}")
-    arch = snap["model"]["architecture"]
-    if not isinstance(arch, list) or not all(_is_int(w) and w >= 1 for w in arch):
-        raise ConfigError(f"model.architecture must list positive integer widths, got {arch!r}")
-    att, ev = snap["attacks"], snap["eval"]
-    for a in att["which"]:
-        if a not in KNOWN_ATTACKS:
-            raise ConfigError(f"unknown attack {a!r}; known: {KNOWN_ATTACKS}")
-    n_shadow = att["n_shadow_models"]
-    lrt = sorted(set(att["which"]) & {"cfd_lrt", "loss_lrt"})
-    if not _is_int(n_shadow) or (lrt and n_shadow < 2):
-        raise ConfigError(f"attacks.n_shadow_models must be an integer, at least 2 "
-                          f"for {lrt}; got {n_shadow!r}")
-    alphas = att["alpha_grid"]
-    if not isinstance(alphas, list) or not all(_is_real(a) and 0 < a < 1 for a in alphas):
-        raise ConfigError(f"attacks.alpha_grid values must be in (0, 1), got {alphas!r}")
-    for key, n in ev.items():
-        if not _is_int(n):
-            raise ConfigError(f"eval.{key} must be an integer, got {n!r}")
-    if ev["eval_points"] < 2 or ev["eval_points"] % 2:
-        raise ConfigError(f"eval.eval_points must be even and >= 2 (half members, "
-                          f"half non-members), got {ev['eval_points']!r}")
-    _check_eval_sizes(ev, bool(lrt),
-                      2 * snap["data"]["n_per_class"] if kind == "synthetic" else None)
-    _check_immutable(snap["recourse"]["immutable"],
-                     snap["data"]["d"] if kind == "synthetic" else None)
+    raw = {k: v for k, v in raw.items() if k != "sweep"}  # handled by run_sweep
+    snap: dict = {}
+    for key, kind, bounds, default in CONFIG_TABLE:
+        *sections, name = key.split(".")
+        given, node = raw, snap
+        for depth, section in enumerate(sections, start=1):
+            given = given.get(section, {})
+            if not isinstance(given, dict):
+                raise ConfigError(f"{'.'.join(sections[:depth])} must be a JSON object, "
+                                  f"got {given!r}")
+            node = node.setdefault(section, {})
+        value = given.get(name, list(default) if isinstance(default, list) else default)
+        if not (_fits(value, kind, bounds) or value is None and default is None):
+            raise ConfigError(f"{key} must be {_requirement(key)}, got {value!r}")
+        node[name] = value
+    unknown = _unknown_keys(raw, snap)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+    _check_rules(snap)
     return snap
 
 
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _unknown_keys(given: dict, known: dict, path: str = "") -> list[str]:
+    out = []
+    for key, value in given.items():
+        if key not in known:
+            out.append(path + key)
+        elif isinstance(known[key], dict):
+            out += _unknown_keys(value, known[key], f"{path}{key}.")
+    return out
 
 
-def _is_real(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_immutable(immutable: Any, d: int | None) -> None:
-    """ConfigError unless `immutable` lists integer feature indices, each
-    below d when d is known (a file's d is known once it has loaded)."""
-    if not isinstance(immutable, (list, tuple)) or not all(
-            _is_int(i) and i >= 0 and (d is None or i < d) for i in immutable):
-        raise ConfigError(f"recourse.immutable must list integer feature indices "
-                          f"in [0, {d if d is not None else 'd'}), got {immutable!r}")
-
-
-def _check_eval_sizes(ev: dict, lrt: bool, n: int | None) -> None:
-    """ConfigError unless the eval sizes can partition n rows (a file's n is
-    known once it has loaded): at least one owner and one held-out row, and
-    with an LRT attack a shadow pool of at least 4 rows, since each shadow
-    model trains on half of it."""
-    least = {"owner_n": 1, "shadow_n": 4 if lrt else 0, "eval_out_n": 1}
-    for key, low in least.items():
-        if ev[key] < low:
-            why = " with an LRT attack (each shadow model trains on half the pool)" \
-                if key == "shadow_n" and lrt else ""
-            raise ConfigError(f"eval.{key} must be at least {low}{why}, got {ev[key]}")
-    total = sum(ev[key] for key in least)
-    if n is not None and total > n:
-        raise ConfigError(f"eval.owner_n + eval.shadow_n + eval.eval_out_n = {total} "
-                          f"exceeds the {n} rows of the data")
+def _check_rules(snap: dict, shape: tuple[int, int] | None = None) -> None:
+    """The rules that tie keys together, checked once every key fits its
+    row. The data's (rows, columns) are known for synthetic data, and for
+    a file once it has loaded (shape)."""
+    dc, rc, att, ev = snap["data"], snap["recourse"], snap["attacks"], snap["eval"]
+    if shape is None and dc["kind"] == "synthetic":
+        shape = (2 * dc["n_per_class"], dc["d"])
+    n, d = shape or (None, None)
+    which, search = att["which"], rc["search"]
+    unknown = [a for a in which if a not in KNOWN_ATTACKS]
+    lrt = sorted(set(which) & {"cfd_lrt", "loss_lrt"})
+    total = ev["owner_n"] + ev["shadow_n"] + ev["eval_out_n"]
+    rules = (
+        (dc["kind"] == "file" and not (dc["path"] and dc["label_column"]),
+         f"data.kind='file' requires data.path and data.label_column, both non-empty "
+         f"strings; got {dc['path']!r} and {dc['label_column']!r}"),
+        (unknown, f"unknown attack(s) {unknown} in attacks.which; known: {KNOWN_ATTACKS}"),
+        (not which or len(set(which)) < len(which),
+         f"attacks.which must name at least one attack and none twice, got {which!r}"),
+        (lrt and att["n_shadow_models"] < 2,
+         f"attacks.n_shadow_models must be at least 2 for {lrt}, got {att['n_shadow_models']!r}"),
+        (lrt and ev["shadow_n"] < 4, f"eval.shadow_n must be at least 4 with an LRT attack "
+         f"(each shadow model trains on half the pool), got {ev['shadow_n']!r}"),
+        (ev["eval_points"] % 2, f"eval.eval_points must be even (half members, half "
+         f"non-members), got {ev['eval_points']!r}"),
+        (search["initial_radius"] > search["max_radius"],
+         f"recourse.search.initial_radius must be at most recourse.search.max_radius "
+         f"({search['max_radius']!r}), got {search['initial_radius']!r}"),
+        (d is not None and any(i >= d for i in rc["immutable"]),
+         f"recourse.immutable must list feature indices in [0, {d}), got {rc['immutable']!r}"),
+        (n is not None and total > n, f"eval.owner_n + eval.shadow_n + eval.eval_out_n = "
+         f"{total} exceeds the {n} rows of the data"),
+    )
+    for broken, message in rules:
+        if broken:
+            raise ConfigError(message)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     snap = normalize_config(raw)
-    try:
-        train_cfg = TrainConfig(
-            learning_rate=snap["train"]["learning_rate"],
-            epochs=snap["train"]["epochs"],
-            batch_size=snap["train"]["batch_size"],
-            seed=0,  # replaced by derived seeds per stage
-        )
-        rc = snap["recourse"]
-        frozen = tuple(rc["immutable"])
-        recourse_cfg = RecourseConfig(
-            algorithm=rc["algorithm"],
-            cost_fn=CostFn(rc["cost_norm"]),
-            scfe_params=ScfeParams(**rc["scfe"], immutable=frozen),
-            search_params=SearchParams(**rc["search"], immutable=frozen),
-        )
-        vae_cfg = TrainConfig(
-            learning_rate=rc["vae"]["learning_rate"],
-            epochs=rc["vae"]["epochs"],
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    rc = snap["recourse"]
+    frozen = tuple(rc["immutable"])
     return ExperimentConfig(
         data=snap["data"],
-        model_architecture=[int(w) for w in snap["model"]["architecture"]],
-        train=train_cfg,
-        recourse=recourse_cfg,
+        model_architecture=list(snap["model"]["architecture"]),
+        train=TrainConfig(learning_rate=snap["train"]["learning_rate"],
+                          epochs=snap["train"]["epochs"],
+                          batch_size=snap["train"]["batch_size"],
+                          seed=0),  # replaced by derived seeds per stage
+        recourse=RecourseConfig(algorithm=rc["algorithm"], cost_fn=CostFn(rc["cost_norm"]),
+                                scfe_params=ScfeParams(**rc["scfe"], immutable=frozen),
+                                search_params=SearchParams(**rc["search"], immutable=frozen)),
         attacks=list(snap["attacks"]["which"]),
-        n_shadow_models=int(snap["attacks"]["n_shadow_models"]),
+        n_shadow_models=snap["attacks"]["n_shadow_models"],
         alpha_grid=[float(a) for a in snap["attacks"]["alpha_grid"]],
-        owner_n=int(snap["eval"]["owner_n"]),
-        shadow_n=int(snap["eval"]["shadow_n"]),
-        eval_out_n=int(snap["eval"]["eval_out_n"]),
-        eval_points=int(snap["eval"]["eval_points"]),
-        seed=snap["seed"],
-        out_dir=snap["out_dir"],
-        experiment_id=str(snap["experiment_id"]),
-        vae_train=vae_cfg,
+        **snap["eval"],  # owner_n, shadow_n, eval_out_n, eval_points
+        seed=snap["seed"], out_dir=snap["out_dir"], experiment_id=snap["experiment_id"],
+        vae_train=TrainConfig(learning_rate=rc["vae"]["learning_rate"],
+                              epochs=rc["vae"]["epochs"]),
         snapshot=snap,
     )
 
@@ -374,9 +362,7 @@ def _data_arrays(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict
         features, labels, prov = synthetic_arrays(spec)
     else:
         features, labels, prov = tabular_arrays(dc["path"], dc["label_column"], dc["label_rule"])
-        _check_immutable(config.recourse.scfe_params.immutable, features.shape[1])
-        _check_eval_sizes(config.snapshot["eval"],
-                          bool(set(config.attacks) & {"cfd_lrt", "loss_lrt"}), features.shape[0])
+        _check_rules(config.snapshot, features.shape)
     if dc["standardize"]:
         prov, _ = standardize_in_place(features, prov)
     return features, labels, prov
@@ -684,26 +670,22 @@ def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[Exper
     """Cross-product sweep over data.d and/or master seeds.
 
     The config's optional "sweep" section holds {"d": [...], "seed": [...]},
-    each a non-empty list of integers (d at least 1); each combination runs
-    as its own experiment and a combined summary.csv is written next to the
+    each a non-empty list of values that the data.d and seed rows of
+    CONFIG_TABLE accept; each combination runs as its own experiment and a combined summary.csv is written next to the
     per-run reports. Every combination's config is checked before the
     first one trains.
     """
     raw_config = dict(raw_config)
-    sweep_spec = raw_config.pop("sweep", {})
-    if not isinstance(sweep_spec, dict):
-        raise ConfigError(f"sweep must be a JSON object, got {sweep_spec!r}")
-    unknown = set(sweep_spec) - {"d", "seed"}
-    if unknown:
-        raise ConfigError(f"unknown sweep key(s): {sorted(unknown)}")
-    for key, values in sweep_spec.items():
-        least = 1 if key == "d" else None
-        if not (isinstance(values, list) and values
-                and all(_is_int(v) and (least is None or v >= least) for v in values)):
-            raise ConfigError(f"sweep.{key} must be a non-empty list of integers"
-                              f"{f' >= {least}' if least else ''}, got {values!r}")
-    ds = sweep_spec.get("d", [None])
-    seeds = sweep_spec.get("seed", [None])
+    spec = raw_config.pop("sweep", {})
+    if not isinstance(spec, dict) or set(spec) - {"d", "seed"}:
+        raise ConfigError(f"sweep must be a JSON object with the keys d and/or seed, got {spec!r}")
+    for key, target in (("d", "data.d"), ("seed", "seed")):
+        _, kind, bounds, _ = _ROWS[target]
+        if key in spec and not (spec[key] and _fits(spec[key], [kind], bounds)):
+            raise ConfigError(f"sweep.{key} must be a non-empty list of {target} values, each "
+                              f"{_requirement(target)}; got {spec[key]!r}")
+    ds = spec.get("d", [None])
+    seeds = spec.get("seed", [None])
     out_dir = Path(out_dir) if out_dir else None
 
     configs = []

@@ -174,6 +174,11 @@ class TestInputGradient:
 
 
 class TestTrainClassifier:
+    @pytest.mark.parametrize("lr", [float("inf"), float("nan"), 0.0])
+    def test_config_rejects_a_learning_rate_that_is_not_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
     def test_separable_blobs_high_accuracy(self):
         ds = generate_synthetic(
             SyntheticSpec(d=2, n_per_class=150, seed=7, class_separation=4.0))

@@ -111,6 +111,10 @@ class TestUniformL1Ball:
 
 
 class TestScfe:
+    def test_params_reject_an_infinite_step_size(self):
+        with pytest.raises(ValueError, match="step_size=inf"):
+            ScfeParams(step_size=float("inf"))
+
     def test_precondition(self):
         m = make_logistic([1.0], 0.0)
         with pytest.raises(RecoursePreconditionError):
@@ -274,6 +278,16 @@ class TestScfeBatch:
 
 
 class TestGrowingSpheres:
+    def test_params_reject_a_nan_max_radius(self):
+        with pytest.raises(ValueError, match="max_radius=nan"):
+            SearchParams(max_radius=float("nan"))
+
+    def test_params_reject_an_initial_radius_above_max_radius(self):
+        # such a schedule has no radius, so every search would fail
+        with pytest.raises(ValueError, match="initial_radius must be at most max_radius"):
+            SearchParams(initial_radius=5.0, max_radius=1.0)
+        assert SearchParams(initial_radius=1.0, max_radius=1.0).radii().tolist() == [1.0]
+
     def test_halfspace_boundary_band(self, halfspace_2d):
         x = np.array([0.0, 0.0])
         res = growing_spheres(halfspace_2d, x, SearchParams(seed=3), CostFn("l1"))
@@ -357,14 +371,14 @@ class TestBallSearchOracle:
     def test_matches_reference_search(self, vae_setup, algorithm, norm, immutable):
         """Each search gives the RecourseResult of the closure-driven
         reference, counterfactual bytes included: over 5 seeds, on a
-        schedule that finds recourses, one that exhausts its radii, and an
-        empty one (max_radius < initial_radius)."""
+        schedule that finds recourses, one that exhausts its radii, and one
+        of a single radius (max_radius == initial_radius)."""
         std, vae = vae_setup
         model = train_classifier(std, [8], TrainConfig(learning_rate=0.01, epochs=20, seed=3))
         points = [x for x in std.features if predict_proba(model, x) < 0.5][:2]
         schedules = [dict(samples_per_radius=40, max_radius=6.0),
                      dict(samples_per_radius=40, radius_step=0.05, max_radius=0.2),
-                     dict(initial_radius=0.5, max_radius=0.2)]
+                     dict(initial_radius=0.5, max_radius=0.5)]
         fn = CostFn(norm)
         results = []
         for x in points:
@@ -381,7 +395,7 @@ class TestBallSearchOracle:
                     assert got.counterfactual.tobytes() == want.counterfactual.tobytes()
                     results.append(got)
         assert {r.valid for r in results} == {True, False}
-        assert any(r.trace["radii_tried"] == 0 for r in results)
+        assert any(r.trace["radii_tried"] == 1 and r.trace["radius"] == 0.5 for r in results)
         assert any(not r.valid and r.trace["radii_tried"] == 3 for r in results)
 
 

@@ -56,6 +56,17 @@ def _bad(path, values):
     return values.map(lambda v: [(path, v)])
 
 
+_FLOAT_KEYS = [("data", "class_separation"), ("train", "learning_rate"),
+               ("recourse", "scfe", "lam"), ("recourse", "scfe", "lam_decay"),
+               ("recourse", "scfe", "step_size"), ("recourse", "search", "initial_radius"),
+               ("recourse", "search", "radius_step"), ("recourse", "search", "max_radius"),
+               ("recourse", "vae", "learning_rate")]
+_INT_KEYS = [("seed",), ("data", "d"), ("data", "n_per_class"), ("train", "epochs"),
+             ("train", "batch_size"), ("recourse", "scfe", "max_iters"),
+             ("recourse", "scfe", "max_retries"), ("recourse", "search", "samples_per_radius"),
+             ("recourse", "vae", "epochs"), ("attacks", "n_shadow_models"), ("eval", "owner_n"),
+             ("eval", "shadow_n"), ("eval", "eval_out_n"), ("eval", "eval_points")]
+
 # Each draw is a list of (key path, value) edits that make small_raw()
 # invalid; the empty path replaces the whole config.
 _MALFORMED = [
@@ -100,6 +111,10 @@ _MALFORMED = [
     st.one_of(st.just(""), st.integers(), st.none(), st.lists(st.text(max_size=2), max_size=2)).map(
         lambda c: [(("data", "kind"), "file"), (("data", "path"), "t.csv"),
                    (("data", "label_column"), c)]),
+    st.tuples(st.sampled_from(_FLOAT_KEYS),
+              st.sampled_from([float("inf"), float("-inf"), float("nan")])).map(lambda kv: [kv]),
+    st.tuples(st.sampled_from(_FLOAT_KEYS + _INT_KEYS),
+              st.one_of(st.integers(1, 100), st.floats(0.01, 0.99)).map(str)).map(lambda kv: [kv]),
     st.tuples(st.sampled_from([("data",), ("train",), ("recourse",), ("recourse", "scfe"),
                                ("attacks",), ("eval",)]),
               st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2)),
@@ -177,6 +192,21 @@ class TestConfig:
         ({"data": {"kind": "file", "path": "t.csv", "label_column": "y",
                    "label_rule": "foo"}}, "data.label_rule"),
         ({"data": {"kind": "file", "path": "t.csv", "label_column": 5}}, "data.label_column"),
+        # each key's type and bounds come from runner.CONFIG_TABLE, numbers finite
+        ({"out_dir": 5}, "out_dir"),
+        ({"experiment_id": [1]}, "experiment_id"),
+        ({"data": {"class_separation": float("inf")}}, "data.class_separation"),
+        ({"recourse": {"search": {"max_radius": float("nan")}}}, "recourse.search.max_radius"),
+        ({"recourse": {"scfe": {"step_size": float("inf")}}}, "recourse.scfe.step_size"),
+        ({"train": {"learning_rate": "0.1"}}, "train.learning_rate must be a finite number > 0"),
+        ({"recourse": {"vae": {"learning_rate": -1}}}, "recourse.vae.learning_rate"),
+        ({"attacks": {"n_shadow_models": 1025}}, "attacks.n_shadow_models"),
+        ({"data": {"d": 10_001}}, "data.d"),
+        # rules across keys
+        ({"attacks": {"which": []}}, "attacks.which"),
+        ({"attacks": {"which": ["cfd", "cfd"]}}, "attacks.which"),
+        ({"recourse": {"algorithm": "growing_spheres",
+                       "search": {"initial_radius": 5.0, "max_radius": 1.0}}}, "initial_radius"),
     ])
     def test_bad_values_exit_1_before_training(self, tmp_path, monkeypatch, capsys,
                                                 overrides, match):
@@ -189,7 +219,8 @@ class TestConfig:
             runner.run_sweep(raw) if command == "sweep" else config_from_dict(raw)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
-        assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        out = [] if "out_dir" in raw else ["--out", str(tmp_path / "o")]  # --out would replace it
+        assert cli.main([command, "--config", str(cfg_path), *out]) == 1
         assert match in capsys.readouterr().err and not trained
 
     def test_file_too_small_for_the_partitions_exits_1_before_training(
@@ -243,6 +274,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"immutable.*\[0, 2\)"):
             runner.prepare(cfg)
         assert not trained
+
+    def test_readme_lists_the_config_table_and_names_only_its_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([\w.]+)` \| (.+?) \| `(.+?)` \|$", readme, re.M)
+        assert rows == [(key, runner._requirement(key), json.dumps(default))
+                        for key, _, _, default in runner.CONFIG_TABLE]
+        rules = readme[readme.index("Beyond each key's own row:"):
+                       readme.index("`--seed` and `--out` override")]
+        named = set(re.findall(r"`([a-z_]+(?:\.[a-z_]+)+)`", rules))
+        assert len(named) >= 10 and named <= {row[0] for row in runner.CONFIG_TABLE}
 
     def test_defaults_applied(self):
         cfg = config_from_dict({})
