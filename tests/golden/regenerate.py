@@ -18,9 +18,10 @@ on every run.
 
 tests/test_golden.py reruns each config and compares. The statistic and
 score move in their last bits with the BLAS kernel, so they are compared
-within a relative bound, and byte for byte (the scores and report hashes)
-only where the kernel and numpy version equal the recorded ones. Regenerate only
-when a change is meant to move outputs, and say by how much.
+within a relative bound, and byte for byte (the scores and report
+hashes) only where the kernel and numpy version equal the recorded ones.
+Regenerate only when a change is meant to move outputs, and say by how
+much.
 """
 from __future__ import annotations
 
