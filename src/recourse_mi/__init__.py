@@ -9,7 +9,6 @@ differentially private recourse.
 from .attack import (
     AttackScore,
     Guess,
-    LogNormalFit,
     NormalFit,
     RecourseConfig,
     cfd_lrt_decide,

@@ -60,16 +60,9 @@ class Guess(enum.Enum):
 
 
 @dataclass(frozen=True)
-class LogNormalFit:
-    """MLE fit of log-statistics: mean and population variance."""
-
-    mu: float
-    sigma2: float
-    n: int
-
-
-@dataclass(frozen=True)
 class NormalFit:
+    """MLE fit of one point's OUT statistics: mean and population variance."""
+
     mu: float
     sigma2: float
     n: int
@@ -156,10 +149,9 @@ def shadow_training_tasks(
         raise ValueError(f"shadow pool too small (n={shadow_pool.n})")
 
     def build(i: int) -> Model:
-        rows = rng_for(seed, "shadow-subsample", i).choice(
-            shadow_pool.n, size=half, replace=False
-        )
-        subset = shadow_pool.take(np.sort(rows), f"shadow_train_{i}")
+        rows = np.sort(rng_for(seed, "shadow-subsample", i).choice(
+            shadow_pool.n, size=half, replace=False))
+        subset = Dataset(shadow_pool.features[rows], shadow_pool.labels[rows])
         cfg = dataclasses.replace(trainer_config, seed=derive_seed(seed, "shadow-train", i))
         return nn.train_classifier(subset, architecture, cfg)
 
@@ -178,17 +170,12 @@ def cfd_statistic(x: np.ndarray, result: RecourseResult) -> float:
     return max(result.cost, recourse.DISTANCE_FLOOR)
 
 
-def fit_lognormal_mle(samples: Sequence[float]) -> LogNormalFit:
-    """Mean / population variance of the log-samples."""
+def fit_lognormal_mle(samples: Sequence[float]) -> NormalFit:
+    """The normal MLE fit of the log-samples."""
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < 1:
-        raise ValueError("need at least one sample")
     if not (arr > 0).all():
         raise ValueError("log-normal fit requires strictly positive samples")
-    logs = np.log(arr)
-    mu = float(np.mean(logs))
-    sigma2 = float(np.mean((mu - logs) ** 2))
-    return LogNormalFit(mu=mu, sigma2=sigma2, n=int(arr.size))
+    return fit_normal_mle(np.log(arr))
 
 
 def fit_normal_mle(samples: Sequence[float]) -> NormalFit:
@@ -199,7 +186,7 @@ def fit_normal_mle(samples: Sequence[float]) -> NormalFit:
     return NormalFit(mu=mu, sigma2=float(np.mean((arr - mu) ** 2)), n=int(arr.size))
 
 
-def lognormal_quantile(fit: LogNormalFit, q: float) -> float:
+def lognormal_quantile(fit: NormalFit, q: float) -> float:
     """exp(mu + sigma * Phi^-1(q)); collapses to exp(mu) for degenerate fits."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0,1), got {q}")
@@ -208,7 +195,7 @@ def lognormal_quantile(fit: LogNormalFit, q: float) -> float:
     return float(np.exp(fit.mu + np.sqrt(fit.sigma2) * ndtri(q)))
 
 
-def cfd_lrt_decide(t0: float, fit: LogNormalFit, alpha: float) -> Guess:
+def cfd_lrt_decide(t0: float, fit: NormalFit, alpha: float) -> Guess:
     """One-sided LRT decision at false-positive level alpha: NON-MEMBER
     iff t0 exceeds the (1-alpha)-quantile of the OUT fit."""
     if not 0.0 < alpha < 1.0:
@@ -216,25 +203,21 @@ def cfd_lrt_decide(t0: float, fit: LogNormalFit, alpha: float) -> Guess:
     return Guess.NON_MEMBER if t0 > lognormal_quantile(fit, 1.0 - alpha) else Guess.MEMBER
 
 
-def cfd_lrt_score(t0: float, fit: LogNormalFit) -> float:
-    """OUT-distribution CDF of the observed distance, in [0, 1].
+def cfd_lrt_score(t0: float, fit: NormalFit) -> float:
+    """OUT-distribution CDF of the observed distance, in [0, 1]: the
+    loss_lrt_score of log t0 against the fit of the log-distances.
 
     Sweeping a threshold over this score reproduces cfd_lrt_decide across
-    all alpha. Degenerate fits snap to {0, 0.5, 1} by the sign of
-    log t0 - mu.
+    all alpha.
     """
     if t0 <= 0:
         raise ValueError(f"distance statistic must be positive, got {t0}")
-    log_t0 = math.log(t0)
-    if fit.sigma2 < DEGENERATE_SIGMA2:
-        if log_t0 > fit.mu:
-            return 1.0
-        return 0.5 if log_t0 == fit.mu else 0.0
-    return float(ndtr((log_t0 - fit.mu) / math.sqrt(fit.sigma2)))
+    return loss_lrt_score(math.log(t0), fit)
 
 
 def loss_lrt_score(conf: float, out_fit: NormalFit) -> float:
-    """Offline loss-LRT score: OUT-fit CDF of the logit confidence."""
+    """Offline LRT score: OUT-fit CDF of the statistic. Degenerate fits
+    snap to {0, 0.5, 1} by the sign of conf - mu."""
     if out_fit.sigma2 < DEGENERATE_SIGMA2:
         if conf > out_fit.mu:
             return 1.0
@@ -357,7 +340,7 @@ def cfd_attack_scores(samples: Sequence) -> list[AttackScore]:
 def cfd_lrt_attack_scores(
     samples: Sequence,
     shadow_dists: np.ndarray,
-    alphas: Sequence[float] = (0.01, 0.05, 0.1),
+    alphas: Sequence[float],
 ) -> list[AttackScore]:
     """One-sided distance-LRT scores with per-point fits.
 
@@ -400,7 +383,7 @@ def loss_lrt_attack_scores(
     samples: Sequence,
     owner_model: Model,
     shadow_probs: np.ndarray,
-    alphas: Sequence[float] = (0.01, 0.05, 0.1),
+    alphas: Sequence[float],
 ) -> list[AttackScore]:
     """Offline loss-LRT baseline: normal OUT fit of shadow confidences.
     Row i of `shadow_probs` holds sample i's probability under each

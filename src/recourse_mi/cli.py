@@ -71,10 +71,10 @@ def cmd_recourse(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.out_dir is None:
-        cfg.out_dir = "run_out"
-        cfg.snapshot["out_dir"] = cfg.out_dir
+    raw = _apply_overrides(args, runner.read_raw_config(args.config))
+    if raw.get("out_dir") is None:
+        raw["out_dir"] = "run_out"
+    cfg = runner.config_from_dict(raw)
     report = runner.run_experiment(cfg)
     for name, dirs in report.attack_metrics.items():
         best = report.best_direction[name]

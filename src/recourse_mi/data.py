@@ -68,9 +68,9 @@ class SyntheticSpec:
             raise DataError(f"d must be >= 1, got {self.d}")
         if self.n_per_class < 1:
             raise DataError(f"n_per_class must be >= 1, got {self.n_per_class}")
-        if not self.class_separation > 0:
+        if not 0 < self.class_separation < np.inf:
             raise DataError(
-                f"class_separation must be positive, got {self.class_separation}"
+                f"class_separation must be finite and positive, got {self.class_separation}"
             )
 
 
@@ -111,17 +111,6 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def take(self, rows: np.ndarray, role: str) -> "Dataset":
-        """Row subset with provenance recording the source rows."""
-        rows = np.asarray(rows, dtype=np.int64)
-        prov = {
-            "kind": "subset",
-            "role": role,
-            "rows": rows.tolist(),
-            "parent": self.provenance,
-        }
-        return Dataset(self.features[rows], self.labels[rows], prov)
-
 
 @dataclass(frozen=True)
 class ScalerParams:
@@ -129,7 +118,6 @@ class ScalerParams:
 
     mean: np.ndarray
     std: np.ndarray
-    convention: str = "population"
 
 
 @dataclass(frozen=True)
@@ -138,9 +126,7 @@ class SplitBundle:
 
     owner_train: Dataset
     shadow_pool: Dataset
-    eval_in: np.ndarray
     eval_out: Dataset
-    seed: int
 
 
 def synthetic_arrays(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -210,38 +196,37 @@ def tabular_arrays(
         label_idx = header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
 
-        rows: list[list[float]] = []
-        raw_labels: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
+        n = 0
+        try:
+            for _ in reader:
+                n += 1
+        except (csv.Error, UnicodeDecodeError):
+            pass  # the parse below raises it again, after the rows before it
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        features = np.empty((n, len(feature_names)))
+        scores = np.empty(n)
+        for i, row in enumerate(reader):
             if len(row) != len(header):
                 raise TabularParseError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}"
                 )
-            values = []
-            for col_idx, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise TabularParseError(
-                        f"{path}: row {row_no}, column {header[col_idx]!r}: "
-                        f"non-numeric cell {cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise TabularParseError(
-                        f"{path}: row {row_no}, column {header[col_idx]!r}: "
-                        f"non-finite cell {cell.strip()!r}"
-                    )
-                if col_idx == label_idx:
-                    raw_labels.append(value)
-                else:
-                    values.append(value)
-            rows.append(values)
+            # numpy converts each str as float() does
+            try:
+                features[i, :label_idx] = row[:label_idx]
+                features[i, label_idx:] = row[label_idx + 1:]
+                scores[i] = row[label_idx]
+                finite = math.isfinite(scores[i]) and np.isfinite(features[i]).all()
+            except ValueError:
+                finite = False
+            if not finite:
+                values = _parse_row(path, header, i + 1, row)
+                scores[i] = values.pop(label_idx)
+                features[i] = values
 
-    if not rows:
+    if n == 0:
         raise TabularParseError(f"{path}: no data rows")
-    features = np.array(rows, dtype=np.float64)
-    scores = np.array(raw_labels, dtype=np.float64)
-
     if label_rule == "binary":
         if not np.isin(scores, (0.0, 1.0)).all():
             bad = int(np.flatnonzero(~np.isin(scores, (0.0, 1.0)))[0]) + 1
@@ -262,6 +247,24 @@ def tabular_arrays(
         "feature_names": feature_names,
     }
     return features, labels, prov
+
+
+def _parse_row(path: Path, header: list[str], row_no: int, row: list[str]) -> list[float]:
+    """float() of each cell of data row `row_no`; TabularParseError names the first bad cell."""
+    values = []
+    for name, cell in zip(header, row):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise TabularParseError(
+                f"{path}: row {row_no}, column {name!r}: non-numeric cell {cell.strip()!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise TabularParseError(
+                f"{path}: row {row_no}, column {name!r}: non-finite cell {cell.strip()!r}"
+            )
+        values.append(value)
+    return values
 
 
 def load_tabular(path: str | Path, label_column: str, label_rule: str = "binary") -> Dataset:
@@ -352,13 +355,7 @@ def split_in_place(
         for role, rows, a, b in zip(("owner_train", "shadow_pool", "eval_out"),
                                     source_rows, bounds, bounds[1:])
     )
-    return SplitBundle(
-        owner_train=owner,
-        shadow_pool=shadow,
-        eval_in=np.arange(owner_n, dtype=np.int64),
-        eval_out=out,
-        seed=seed,
-    )
+    return SplitBundle(owner_train=owner, shadow_pool=shadow, eval_out=out)
 
 
 def split(

@@ -18,6 +18,7 @@ import numpy as np
 from .attack import Guess
 
 LOG_FPR_CLAMP = 1e-5
+REPORT_FPRS = (0.1, 0.01)  # write_summary and the run command print these two
 
 
 class SingleClassError(ValueError):
@@ -29,9 +30,6 @@ class RocCurve:
     """Threshold-sweep curve; points ordered from (0,0) to (1,1)."""
 
     points: np.ndarray  # (k, 2) columns fpr, tpr
-    score_direction: bool  # True if higher score means MEMBER
-    n_pos: int
-    n_neg: int
 
     @property
     def fpr(self) -> np.ndarray:
@@ -104,8 +102,7 @@ def roc(scores: Sequence[float], membership: Sequence,
     if points[-1, 0] != 1.0 or points[-1, 1] != 1.0:
         points = np.vstack([points, [1.0, 1.0]])
     points.setflags(write=False)
-    return RocCurve(points=points, score_direction=higher_means_member,
-                    n_pos=n_pos, n_neg=n_neg)
+    return RocCurve(points)
 
 
 def auc(curve: RocCurve) -> float:
@@ -127,11 +124,12 @@ def tpr_at_fpr(curve: RocCurve, alpha: float) -> float:
     return float(curve.tpr[ok[-1]]) if ok.size else 0.0
 
 
-def report(curve: RocCurve, alphas: Sequence[float] = (0.1, 0.01)) -> MetricsReport:
+def report(curve: RocCurve) -> MetricsReport:
+    """AUC, balanced accuracy and the TPR at each of REPORT_FPRS."""
     return MetricsReport(
         auc=auc(curve),
         balanced_accuracy=balanced_accuracy(curve),
-        tpr_at_fpr={float(a): tpr_at_fpr(curve, a) for a in alphas},
+        tpr_at_fpr={a: tpr_at_fpr(curve, a) for a in REPORT_FPRS},
     )
 
 

@@ -29,6 +29,9 @@ PROB_FLOOR = 1e-7  # keeps losses and logits finite on interpolating models
 # rows at a time: 128 KB per activation block at any width and row count
 PREDICT_BLOCK_VALUES = 16384
 
+VAE_LATENT_DIM = 8
+VAE_HIDDEN_DIM = 20
+
 PARAM_BLOB_MAGIC = b"RMIBLOB1"
 MODEL_FORMAT_VERSION = 1
 
@@ -60,8 +63,6 @@ class TrainConfig:
     epochs: int = 250
     batch_size: int | None = None
     seed: int = 0
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
@@ -118,6 +119,12 @@ class VaeModel:
     hidden_dim: int
     training_meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        shapes = _vae_shapes(self.d, self.latent_dim, self.hidden_dim)
+        for (name, a), shape in zip(self._arrays(), shapes):
+            if np.shape(a) != shape:
+                raise ValueError(f"VAE array {name} has shape {np.shape(a)}, expected {shape}")
+
     def encode_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and log-variance heads for each row of x."""
         h = np.maximum(x @ self.enc_w1 + self.enc_b1, 0.0)
@@ -133,6 +140,12 @@ class VaeModel:
 
 _VAE_ARRAYS = ("enc_w1 enc_b1 enc_w_mu enc_b_mu enc_w_lv enc_b_lv "
                "dec_w1 dec_b1 dec_w2 dec_b2").split()
+
+
+def _vae_shapes(d: int, latent_dim: int, hidden_dim: int) -> list[tuple[int, ...]]:
+    """The shapes of the _VAE_ARRAYS: each weight, then its bias."""
+    h, z = hidden_dim, latent_dim
+    return [s for w in ((d, h), (h, z), (h, z), (z, h), (h, d)) for s in (w, w[1:])]
 
 
 def _as_row(x: np.ndarray, d: int) -> np.ndarray:
@@ -151,15 +164,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Adam with bias correction on one float64 array (a flat parameter
-    vector, or an (n, d) block of SCFE points), moments and scratch
-    preallocated: a step is twelve elementwise operations."""
+    """Adam (betas 0.9 and 0.999, eps 1e-8) with bias correction on one
+    float64 array (a flat parameter vector, or an (n, d) block of SCFE
+    points), moments and scratch preallocated: a step is twelve elementwise
+    operations."""
 
-    def __init__(self, shape: int | tuple[int, ...], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, shape: int | tuple[int, ...], lr: float):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
@@ -330,7 +342,7 @@ def train_classifier(
     x_all = data.features
     y_all = data.labels.astype(np.float64)
     batch = config.effective_batch_size(data.n)
-    opt = Adam(theta.shape, config.learning_rate, config.adam_betas, config.adam_eps)
+    opt = Adam(theta.shape, config.learning_rate)
     shuffle_rng = rng_for(config.seed, "shuffle")
 
     epoch1_loss = None
@@ -380,32 +392,21 @@ def accuracy(model: Model, data: Dataset) -> float:
     return float(np.mean(preds == (data.labels == 1)))
 
 
-def train_vae(
-    data: Dataset,
-    config: TrainConfig | None = None,
-    latent_dim: int = 8,
-    hidden_dim: int = 20,
-) -> VaeModel:
-    """Train the tabular VAE (Gaussian decoder with unit observation
-    variance, KL to a standard normal, both terms weighted equally).
-
-    Expects standardized features. Defaults to 200 epochs when no config
-    is given.
+def train_vae(data: Dataset, config: TrainConfig) -> VaeModel:
+    """Train the tabular VAE, VAE_LATENT_DIM latent and VAE_HIDDEN_DIM
+    hidden units (Gaussian decoder with unit observation variance, KL to a
+    standard normal, both terms weighted equally). Expects standardized
+    features.
     """
-    if config is None:
-        config = TrainConfig(epochs=200)
-    d = data.d
-    layers = [(d, hidden_dim), (hidden_dim, latent_dim), (hidden_dim, latent_dim),
-              (latent_dim, hidden_dim), (hidden_dim, d)]
-    shapes = [s for w in layers for s in (w, w[1:])]  # each weight, then its bias
+    shapes = _vae_shapes(data.d, VAE_LATENT_DIM, VAE_HIDDEN_DIM)
     theta, params = _flat_views(shapes)
     grad, grads = _flat_views(shapes)
     rng = rng_for(config.seed, "vae-init")
     for w in params[0::2]:
         _uniform_fan_in(w, rng)
-    vae = VaeModel(**dict(zip(_VAE_ARRAYS, params)), d=d, latent_dim=latent_dim,
-                   hidden_dim=hidden_dim)
-    opt = Adam(theta.shape, config.learning_rate, config.adam_betas, config.adam_eps)
+    vae = VaeModel(**dict(zip(_VAE_ARRAYS, params)), d=data.d,
+                   latent_dim=VAE_LATENT_DIM, hidden_dim=VAE_HIDDEN_DIM)
+    opt = Adam(theta.shape, config.learning_rate)
     shuffle_rng = rng_for(config.seed, "vae-shuffle")
     noise_rng = rng_for(config.seed, "vae-noise")
     batch = config.effective_batch_size(data.n)
@@ -443,7 +444,7 @@ def train_vae(
         return loss
 
     def full_elbo() -> float:
-        eps0 = np.zeros((data.n, latent_dim))  # deterministic eval at the mean
+        eps0 = np.zeros((data.n, VAE_LATENT_DIM))  # deterministic eval at the mean
         return elbo_loss(x_all, eps0)
 
     epoch1 = None
@@ -451,7 +452,7 @@ def train_vae(
         order = shuffle_rng.permutation(data.n)
         for start in range(0, data.n, batch):
             idx = order[start : start + batch]
-            eps = noise_rng.standard_normal((idx.size, latent_dim))
+            eps = noise_rng.standard_normal((idx.size, VAE_LATENT_DIM))
             loss = elbo_loss(x_all[idx], eps, collect_grads=True)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, f"non-finite VAE loss at epoch {epoch}")
@@ -544,6 +545,8 @@ def save_model(model: Model | VaeModel, directory: str | Path) -> None:
 
 
 def load_model(directory: str | Path) -> Model | VaeModel:
+    """The model save_model wrote to `directory`. ValueError, naming the
+    directory, unless manifest.json and params.bin describe one model."""
     directory = Path(directory)
     with open(directory / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -551,22 +554,27 @@ def load_model(directory: str | Path) -> Model | VaeModel:
         raise ValueError(f"{directory}: unsupported model format_version "
                          f"{manifest.get('format_version')!r}, expected {MODEL_FORMAT_VERSION}")
     arrays = _read_blob(directory / "params.bin")
-    if manifest["kind"] == "classifier":
-        k = manifest["n_weight_arrays"]
-        return Model(
-            weights=arrays[:k],
-            biases=arrays[k:],
-            architecture=list(manifest["architecture"]),
-            d=manifest["d"],
-            training_meta=manifest["training_meta"],
-        )
-    if manifest["kind"] == "vae":
-        kwargs = dict(zip(manifest["array_names"], arrays))
-        return VaeModel(
-            d=manifest["d"],
-            latent_dim=manifest["latent_dim"],
-            hidden_dim=manifest["hidden_dim"],
-            training_meta=manifest["training_meta"],
-            **kwargs,
-        )
-    raise ValueError(f"unknown model kind {manifest['kind']!r}")
+    try:
+        if manifest["kind"] == "classifier":
+            k = manifest["n_weight_arrays"]
+            return Model(
+                weights=arrays[:k],
+                biases=arrays[k:],
+                architecture=list(manifest["architecture"]),
+                d=manifest["d"],
+                training_meta=manifest["training_meta"],
+            )
+        if manifest["kind"] == "vae":
+            if manifest["array_names"] != _VAE_ARRAYS or len(arrays) != len(_VAE_ARRAYS):
+                raise ValueError(f"VAE arrays {manifest['array_names']!r} ({len(arrays)} in "
+                                 f"params.bin), expected {_VAE_ARRAYS}")
+            return VaeModel(
+                **dict(zip(_VAE_ARRAYS, arrays)),
+                d=manifest["d"],
+                latent_dim=manifest["latent_dim"],
+                hidden_dim=manifest["hidden_dim"],
+                training_meta=manifest["training_meta"],
+            )
+    except ValueError as exc:
+        raise ValueError(f"{directory}: {exc}") from None
+    raise ValueError(f"{directory}: unknown model kind {manifest['kind']!r}")

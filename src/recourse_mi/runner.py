@@ -74,9 +74,9 @@ class ExperimentConfig:
     eval_out_n: int
     eval_points: int
     seed: int
+    vae_train: TrainConfig
     out_dir: str | None = None
     experiment_id: str = "experiment"
-    vae_train: TrainConfig | None = None
     snapshot: dict = field(default_factory=dict)
 
 
@@ -385,21 +385,10 @@ def build_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
 
 @dataclass
 class PreparedExperiment:
-    data_provenance: dict
     bundle: SplitBundle
     owner_model: Model
     owner_vae: VaeModel | None
     test_accuracy: float
-
-
-def _checked_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
-    bundle, data_provenance = build_split(config)
-    owner_rows = set(bundle.owner_train.provenance.get("rows", []))
-    shadow_rows = set(bundle.shadow_pool.provenance.get("rows", []))
-    out_rows = set(bundle.eval_out.provenance.get("rows", []))
-    if owner_rows & shadow_rows or owner_rows & out_rows or shadow_rows & out_rows:
-        raise GameSetupError("partition overlap detected; split is broken")
-    return bundle, data_provenance
 
 
 def _owner_tasks(config: ExperimentConfig, bundle: SplitBundle) -> dict:
@@ -408,7 +397,6 @@ def _owner_tasks(config: ExperimentConfig, bundle: SplitBundle) -> dict:
     the owner model."""
     tasks = {}
     if config.recourse.algorithm == "cchvae":
-        assert config.vae_train is not None
         vae_cfg = dataclasses.replace(config.vae_train, seed=derive_seed(config.seed, "owner-vae"))
         tasks["owner_vae"] = functools.partial(nn.train_vae, bundle.owner_train, vae_cfg)
     train_cfg = dataclasses.replace(config.train, seed=derive_seed(config.seed, "owner-train"))
@@ -421,10 +409,9 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
     """Data, splits, the owner model and, for cchvae, its VAE, trained on
     one TaskPool. The train command and play_game use this; an audit runs
     run_experiment, which also streams the shadow models."""
-    bundle, data_provenance = _checked_split(config)
+    bundle, _ = build_split(config)
     done = run_all(_owner_tasks(config, bundle))
     return PreparedExperiment(
-        data_provenance=data_provenance,
         bundle=bundle,
         owner_model=done["owner"],
         owner_vae=done.get("owner_vae"),
@@ -441,9 +428,7 @@ def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[li
 
     p_train = nn.predict_proba_batch(owner, train_ds.features)
     p_out = nn.predict_proba_batch(owner, out_ds.features)
-    eligible = np.zeros(train_ds.n, dtype=bool)
-    eligible[prep.bundle.eval_in] = True
-    neg_train = np.flatnonzero((p_train < 0.5) & eligible)
+    neg_train = np.flatnonzero(p_train < 0.5)
     neg_out = np.flatnonzero(p_out < 0.5)
     k = config.eval_points // 2
     if neg_train.size < k or neg_out.size < k:
@@ -552,7 +537,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         trace["ru_maxrss_kb"][name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     t0 = time.perf_counter()
-    bundle, data_provenance = _checked_split(config)
+    bundle, data_provenance = build_split(config)
     stage("data")
     shadow_seed = derive_seed(config.seed, "shadow-ensemble")
     tasks = {}
@@ -571,7 +556,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         stream = attack_mod.ShadowStream(pool, n_shadow) if n_shadow else None
         owner_vae = pool.take("owner_vae") if "owner_vae" in tasks else None
         owner = pool.take("owner")
-        prep = PreparedExperiment(data_provenance, bundle, owner, owner_vae,
+        prep = PreparedExperiment(bundle, owner, owner_vae,
                                   test_accuracy=nn.accuracy(owner, bundle.eval_out))
         trace["prepare_s"] = time.perf_counter() - t0
         stage("owner")
@@ -618,7 +603,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                                   ("reversed", not native_higher)):
             curve = metrics_mod.roc(values, truth, higher_means_member=higher)
             curves[name][direction] = curve
-            dirs[direction] = metrics_mod.report(curve, alphas=(0.1, 0.01))
+            dirs[direction] = metrics_mod.report(curve)
         attack_metrics[name] = dirs
         best_direction[name] = max(dirs, key=lambda d: dirs[d].auc)
     stage("end")

@@ -11,7 +11,8 @@ run Adam over a list of separate parameter arrays, as they did before
 the flat parameter vector. The data pipeline is the copy-based one that
 the in-place stages replaced: each class drawn on its own and stacked,
 (x - mean) / np.std, and one row gather per partition; the CSV writer
-is csv.writer over repr(float(v)) of each cell.
+is csv.writer over repr(float(v)) of each cell, and the CSV reader
+float()s each cell into lists of rows that np.array stacks at the end.
 """
 from __future__ import annotations
 
@@ -349,7 +350,7 @@ def train_classifier_reference(data, architecture, config):
     y_all = data.labels.astype(np.float64)
     batch = config.effective_batch_size(data.n)
     opt = AdamReference([w.shape for w in weights] + [b.shape for b in biases],
-                        config.learning_rate, config.adam_betas, config.adam_eps)
+                        config.learning_rate)
     shuffle_rng = rng_for(config.seed, "shuffle")
     epoch1_loss = None
     for epoch in range(1, config.epochs + 1):
@@ -410,8 +411,7 @@ def train_vae_reference(data, config, latent_dim=8, hidden_dim=20):
              dec_w1=unif(latent_dim, hidden_dim), dec_b1=np.zeros(hidden_dim),
              dec_w2=unif(hidden_dim, d), dec_b2=np.zeros(d))
     params = [P[n] for n in VAE_ARRAY_NAMES]
-    opt = AdamReference([p.shape for p in params], config.learning_rate,
-                        config.adam_betas, config.adam_eps)
+    opt = AdamReference([p.shape for p in params], config.learning_rate)
     shuffle_rng = rng_for(config.seed, "vae-shuffle")
     noise_rng = rng_for(config.seed, "vae-noise")
     batch = config.effective_batch_size(data.n)
@@ -517,3 +517,68 @@ def write_csv_reference(features, labels, names, path, label_column="label"):
         writer.writerow(list(names) + [label_column])
         for row, lab in zip(features, labels):
             writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+
+
+def tabular_arrays_reference(path, label_column, label_rule="binary"):
+    """(features, labels, provenance) of a CSV file parsed cell by cell:
+    every cell through float(), checked finite, into a list of rows."""
+    from pathlib import Path
+
+    from recourse_mi.data import TabularParseError
+
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TabularParseError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        if label_column not in header:
+            raise TabularParseError(
+                f"{path}: label column {label_column!r} not in header {header}"
+            )
+        label_idx = header.index(label_column)
+        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        rows, raw_labels = [], []
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise TabularParseError(
+                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                )
+            values = []
+            for col_idx, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise TabularParseError(
+                        f"{path}: row {row_no}, column {header[col_idx]!r}: "
+                        f"non-numeric cell {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise TabularParseError(
+                        f"{path}: row {row_no}, column {header[col_idx]!r}: "
+                        f"non-finite cell {cell.strip()!r}"
+                    )
+                if col_idx == label_idx:
+                    raw_labels.append(value)
+                else:
+                    values.append(value)
+            rows.append(values)
+    if not rows:
+        raise TabularParseError(f"{path}: no data rows")
+    features = np.array(rows, dtype=np.float64)
+    scores = np.array(raw_labels, dtype=np.float64)
+    if label_rule == "binary":
+        if not np.isin(scores, (0.0, 1.0)).all():
+            bad = int(np.flatnonzero(~np.isin(scores, (0.0, 1.0)))[0]) + 1
+            raise TabularParseError(
+                f"{path}: row {bad}, column {label_column!r}: "
+                f"label {scores[bad - 1]} is not 0/1 (rule=binary)"
+            )
+        labels = scores.astype(np.int64)
+    else:
+        labels = (scores > float(np.median(scores))).astype(np.int64)
+    prov = {"kind": "file", "path": str(path), "label_column": label_column,
+            "label_rule": label_rule, "feature_names": feature_names}
+    return features, labels, prov

@@ -15,7 +15,7 @@ from scipy.stats import spearmanr
 
 from recourse_mi import runner
 from recourse_mi.attack import (
-    LogNormalFit,
+    NormalFit,
     cfd_lrt_score,
     fit_lognormal_mle,
     lognormal_quantile,
@@ -171,7 +171,7 @@ class TestCriterion5LogNormalOracle:
         for mu in (-1.5, -0.3, 0.0, 0.8, 2.0):
             for sigma2 in (0.05, 0.4, 1.0, 3.0):
                 for q in (0.005, 0.05, 0.25, 0.5, 0.9, 0.975, 0.995):
-                    got = lognormal_quantile(LogNormalFit(mu, sigma2, 8), q)
+                    got = lognormal_quantile(NormalFit(mu, sigma2, 8), q)
                     want = lognormal_quantile_oracle(mu, sigma2, q)
                     worst_q = max(worst_q, abs(got - want) / max(abs(want), 1.0))
         ok = worst_fit < 1e-12 and worst_q < 1e-8

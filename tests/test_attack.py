@@ -20,7 +20,6 @@ from recourse_mi import attack, normal, recourse
 from recourse_mi.attack import (
     Guess,
     InvalidRecourseError,
-    LogNormalFit,
     NormalFit,
     RecourseConfig,
     cfd_lrt_attack_scores,
@@ -147,42 +146,42 @@ class TestLogNormalFit:
 class TestLogNormalQuantile:
     def test_median_is_exp_mu(self):
         for s2 in (0.0, 0.5, 4.0):
-            assert lognormal_quantile(LogNormalFit(0.0, s2, 5), 0.5) == \
+            assert lognormal_quantile(NormalFit(0.0, s2, 5), 0.5) == \
                 pytest.approx(1.0, abs=1e-12)
 
     def test_against_bisection_oracle(self):
         for mu in (-1.0, 0.0, 0.7):
             for s2 in (0.04, 1.0, 2.5):
                 for q in (0.01, 0.1, 0.5, 0.9, 0.975, 0.99):
-                    got = lognormal_quantile(LogNormalFit(mu, s2, 8), q)
+                    got = lognormal_quantile(NormalFit(mu, s2, 8), q)
                     want = lognormal_quantile_oracle(mu, s2, q)
                     assert got == pytest.approx(want, abs=1e-8, rel=1e-8)
 
     def test_degenerate_fit(self):
-        fit = LogNormalFit(1.0, 0.0, 3)
+        fit = NormalFit(1.0, 0.0, 3)
         for q in (0.01, 0.5, 0.99):
             assert lognormal_quantile(fit, q) == pytest.approx(np.e, abs=1e-12)
 
     def test_monotone_in_q(self):
-        fit = LogNormalFit(0.2, 0.9, 10)
+        fit = NormalFit(0.2, 0.9, 10)
         qs = np.linspace(0.01, 0.99, 50)
         vals = [lognormal_quantile(fit, q) for q in qs]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
-            lognormal_quantile(LogNormalFit(0.0, 1.0, 3), 0.0)
+            lognormal_quantile(NormalFit(0.0, 1.0, 3), 0.0)
         with pytest.raises(ValueError):
-            lognormal_quantile(LogNormalFit(0.0, 1.0, 3), 1.0)
+            lognormal_quantile(NormalFit(0.0, 1.0, 3), 1.0)
 
 
 class TestCfdLrtDecide:
     def test_degenerate_above(self):
-        fit = LogNormalFit(1.0, 0.0, 4)
+        fit = NormalFit(1.0, 0.0, 4)
         assert cfd_lrt_decide(np.e + 0.1, fit, 0.05) is Guess.NON_MEMBER
 
     def test_degenerate_below(self):
-        fit = LogNormalFit(1.0, 0.0, 4)
+        fit = NormalFit(1.0, 0.0, 4)
         assert cfd_lrt_decide(np.e - 0.1, fit, 0.05) is Guess.MEMBER
 
     @given(
@@ -194,7 +193,7 @@ class TestCfdLrtDecide:
     @settings(max_examples=200, deadline=None)
     def test_score_decision_coherence(self, mu, sigma2, t0, alpha):
         # MEMBER exactly when score <= 1 - alpha (non-degenerate fits)
-        fit = LogNormalFit(mu, sigma2, 16)
+        fit = NormalFit(mu, sigma2, 16)
         decision = cfd_lrt_decide(t0, fit, alpha)
         score = cfd_lrt_score(t0, fit)
         assert (decision is Guess.MEMBER) == (score <= 1.0 - alpha)
@@ -202,7 +201,7 @@ class TestCfdLrtDecide:
     def test_score_threshold_sweep_matches_decisions(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
-            fit = LogNormalFit(float(rng.normal()), float(rng.uniform(0.01, 2.0)), 16)
+            fit = NormalFit(float(rng.normal()), float(rng.uniform(0.01, 2.0)), 16)
             t0 = float(rng.lognormal())
             alpha = float(rng.uniform(0.01, 0.99))
             want = Guess.MEMBER if cfd_lrt_score(t0, fit) <= 1 - alpha else Guess.NON_MEMBER
@@ -212,23 +211,23 @@ class TestCfdLrtDecide:
 class TestCfdLrtScore:
     def test_median_is_half(self):
         for mu in (-1.0, 0.0, 2.0):
-            fit = LogNormalFit(mu, 1.3, 9)
+            fit = NormalFit(mu, 1.3, 9)
             assert cfd_lrt_score(float(np.exp(mu)), fit) == pytest.approx(0.5, abs=1e-12)
 
     def test_one_sigma(self):
-        fit = LogNormalFit(0.0, 1.0, 9)
+        fit = NormalFit(0.0, 1.0, 9)
         assert cfd_lrt_score(np.e, fit) == pytest.approx(normal_cdf(1.0), abs=1e-9)
         assert cfd_lrt_score(np.e, fit) == pytest.approx(0.841345, abs=1e-6)
 
     def test_degenerate_snaps(self):
-        fit = LogNormalFit(0.0, 0.0, 3)
+        fit = NormalFit(0.0, 0.0, 3)
         assert cfd_lrt_score(0.5, fit) == 0.0
         assert cfd_lrt_score(1.0, fit) == 0.5
         assert cfd_lrt_score(2.0, fit) == 1.0
 
     def test_rejects_nonpositive_t0(self):
         with pytest.raises(ValueError):
-            cfd_lrt_score(0.0, LogNormalFit(0.0, 1.0, 3))
+            cfd_lrt_score(0.0, NormalFit(0.0, 1.0, 3))
 
 
 class TestLossScores:
@@ -298,7 +297,7 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
                for i, x in enumerate(points)]
     loss = loss_attack_scores(samples, owner)
     probs = stream_columns(models, points, range(len(points)), probs=True).probs
-    lrt = loss_lrt_attack_scores(samples, owner, probs)
+    lrt = loss_lrt_attack_scores(samples, owner, probs, (0.01, 0.05, 0.1))
     for s, ls, lr in zip(samples, loss, lrt):
         assert ls.statistic == ls.score == loss_of(owner, s.point, s.label)
         assert ls.higher_means_member is False
@@ -306,8 +305,8 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
         fit = fit_normal_mle([confidence_of(m, s.point, s.label) for m in models])
         assert lr.statistic == conf and lr.score == loss_lrt_score(conf, fit)
     assert len(loss) == len(lrt) == len(samples)
-    assert loss_attack_scores([], owner) == loss_lrt_attack_scores([], owner,
-                                                                   np.empty((0, 8))) == []
+    assert loss_attack_scores([], owner) == loss_lrt_attack_scores([], owner, np.empty((0, 8)),
+                                                                   (0.1,)) == []
 
 
 class TestShadowEnsemble:

@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from recourse_mi.data import (
     write_csv,
 )
 
-from reference import write_csv_reference
+from reference import tabular_arrays_reference, write_csv_reference
 
 
 def source_rows(bundle):
@@ -84,11 +87,80 @@ class TestGenerateSynthetic:
             SyntheticSpec(d=0, n_per_class=1, seed=0)
         with pytest.raises(DataError):
             SyntheticSpec(d=1, n_per_class=0, seed=0)
-        with pytest.raises(DataError):
-            SyntheticSpec(d=1, n_per_class=1, seed=0, class_separation=0.0)
+        for sep in (0.0, np.inf, np.nan):
+            with pytest.raises(DataError):
+                SyntheticSpec(d=1, n_per_class=1, seed=0, class_separation=sep)
+
+
+_FIELD_OVER_LIMIT = "1" * 140_000  # longer than csv's default field size limit
+_GOOD_ROWS = "".join(f"{i},{i % 2}\n" for i in range(3000))  # past the first 8 KiB read
+
+# (file bytes, label column, label rule) for tabular_arrays against the
+# cell-by-cell reference parser: results or errors must be identical
+CSV_CASES = {
+    "quoted": (b'a,b,y\n"1.5","2",1\n"-3","4e2",0\n', "y", "binary"),
+    "padded": (b" a , b ,y\n 1 ,\t2 , 0\n3,4,1 \n", "y", "binary"),
+    "underscores": (b"a,y\n1_0,1\n2_000.5,0\n", "y", "binary"),
+    "arabic_indic": ("a,y\n\u0661\u0662,1\n\u0663.\u0665,0\n".encode(), "y", "binary"),
+    "signed_zero": (b"a,b,y\n-0,-0.0,0\n0,+0.0,1\n", "y", "binary"),
+    "subnormal": (b"a,y\n5e-324,0\n-4.9e-324,1\n2.2250738585072014e-308,0\n", "y", "binary"),
+    "overflow": (b"a,y\n1,0\n1e500,1\n", "y", "binary"),
+    "hex": (b"a,y\n1,0\n0x10,1\n", "y", "binary"),
+    "blank_line": (b"a,y\n1,0\n\n2,1\n", "y", "binary"),
+    "short_row": (b"a,b,y\n1,2,0\n3,1\n", "y", "binary"),
+    "long_row": (b"a,y\n1,0\n3,1,5\n", "y", "binary"),
+    "crlf": (b"a,b,y\r\n1,2,0\r\n3,4,1\r\n", "y", "binary"),
+    "multi_line_quoted": (b'a,b,y\n"1\n",2,0\n3,"\n4",1\n', "y", "binary"),
+    "label_first": (b"y,a,b\n1,2,3\n0,4,5\n", "y", "binary"),
+    "label_middle": (b"a,s,b\n1,10,2\n3,20,4\n5,30,6\n", "s", "median-threshold"),
+    "label_only": (b"y\n1\n0\n", "y", "binary"),
+    "nan_label": (b"a,y\n1,0\n2,nan\n", "y", "median-threshold"),
+    "bad_label_before_bad_feature": (b"y,a\nx,inf\n", "y", "binary"),
+    "inf_before_text": (b"a,b,y\ninf,abc,1\n", "y", "binary"),
+    "not_binary": (b"a,y\n1,0\n2,2\n", "y", "binary"),
+    "empty": (b"", "y", "binary"),
+    "header_only": (b"a,y\n", "y", "binary"),
+    "no_label_column": (b"a,b\n1,2\n", "y", "binary"),
+    "field_limit": (f"a,y\n1,1\n{_FIELD_OVER_LIMIT},0\n".encode(), "y", "binary"),
+    "field_limit_after_bad_row": (f"a,y\nabc,1\n{_FIELD_OVER_LIMIT},0\n".encode(), "y",
+                                  "binary"),
+    "bad_utf8": (f"a,y\n{_GOOD_ROWS}".encode() + b"\xff,1\n", "y", "binary"),
+    "bad_utf8_after_bad_row": (f"a,y\nabc,1\n{_GOOD_ROWS}".encode() + b"\xff,1\n", "y",
+                               "binary"),
+}
+
+
+def _parse_outcome(parse, path, label_column, label_rule):
+    try:
+        features, labels, prov = parse(path, label_column, label_rule)
+    except (ValueError, csv.Error) as exc:  # TabularParseError and UnicodeDecodeError included
+        return type(exc), str(exc)
+    return features.shape, features.tobytes(), labels.dtype, labels.tobytes(), prov
 
 
 class TestLoadTabular:
+    @pytest.mark.parametrize("case", sorted(CSV_CASES))
+    def test_matches_the_cell_by_cell_reference(self, tmp_path, case):
+        content, label_column, label_rule = CSV_CASES[case]
+        f = tmp_path / "t.csv"
+        f.write_bytes(content)
+        assert _parse_outcome(data_mod.tabular_arrays, f, label_column, label_rule) == \
+            _parse_outcome(tabular_arrays_reference, f, label_column, label_rule)
+
+    def test_parse_holds_about_one_copy_of_the_matrix(self, tmp_path):
+        # the rows go straight into the matrix (about 1.1 copies at the peak);
+        # lists of Python floats stacked at the end peaked at 5.4 copies
+        f = tmp_path / "t.csv"
+        write_csv(generate_synthetic(SyntheticSpec(d=40, n_per_class=1000, seed=3)), f)
+        tracemalloc.start()
+        try:
+            features, _, _ = data_mod.tabular_arrays(f, "label", "binary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert features.shape == (2000, 40) and features.flags.writeable
+        assert peak <= 1.25 * features.nbytes
+
     def test_median_threshold(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a,b,score\n1,10,1\n2,20,2\n3,30,3\n4,40,4\n")
@@ -173,7 +245,6 @@ class TestStandardize:
         out, scaler = standardize(ds)
         assert np.allclose(out.features[:, 0], [-1.0, 1.0])
         assert scaler.mean[0] == 2.0 and scaler.std[0] == 1.0
-        assert scaler.convention == "population"
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
@@ -211,7 +282,6 @@ class TestSplit:
         rows = source_rows(b)
         all_rows = rows["owner_train"] + rows["shadow_pool"] + rows["eval_out"]
         assert len(all_rows) == len(set(all_rows)) == 100
-        assert np.array_equal(b.eval_in, np.arange(50))
 
     def test_deterministic(self):
         ds = generate_synthetic(SyntheticSpec(d=2, n_per_class=50, seed=5))

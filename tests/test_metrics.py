@@ -25,8 +25,7 @@ M, N = Guess.MEMBER, Guess.NON_MEMBER
 
 def curve_from_points(pts) -> RocCurve:
     arr = np.array(pts, dtype=np.float64)
-    return RocCurve(points=arr, score_direction=True,
-                    n_pos=10, n_neg=10)
+    return RocCurve(points=arr)
 
 
 class TestRoc:
@@ -205,7 +204,7 @@ def test_report_bundles_metrics():
     members[0], members[1] = True, False
     labels = [M if b else N for b in members]
     c = roc(scores, labels)
-    rep = report(c, alphas=(0.1, 0.01))
+    rep = report(c)
     assert isinstance(rep, MetricsReport)
     assert 0.0 <= rep.auc <= 1.0
     assert 0.5 <= rep.balanced_accuracy <= 1.0

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -239,8 +240,8 @@ class TestFlatParameterTraining:
         (6, [16, 8], TrainConfig(learning_rate=0.01, epochs=12, seed=4)),
         # 300 rows in batches of 37: eight full batches and one of 4
         (6, [8], TrainConfig(learning_rate=0.01, epochs=10, batch_size=37, seed=5)),
-        (6, [8], TrainConfig(learning_rate=0.02, epochs=10, seed=6,
-                             adam_betas=(0.8, 0.99), adam_eps=1e-6)),
+        # an explicit full batch of 300 rows (the default policy would take 64)
+        (6, [8], TrainConfig(learning_rate=0.02, epochs=10, batch_size=300, seed=6)),
         # a one-column output layer's backward product, at batch 64
         (50, [256], TrainConfig(learning_rate=0.01, epochs=3, batch_size=64, seed=7)),
     ])
@@ -264,10 +265,9 @@ class TestFlatParameterTraining:
     def test_vae_matches_list_of_arrays_oracle(self):
         ds = generate_synthetic(SyntheticSpec(d=7, n_per_class=60, seed=13))
         std, _ = standardize(ds)
-        cfg = TrainConfig(learning_rate=2e-3, epochs=6, batch_size=25, seed=8,
-                          adam_betas=(0.85, 0.995), adam_eps=1e-7)
-        vae = train_vae(std, cfg, latent_dim=3, hidden_dim=9)
-        arrays, meta = train_vae_reference(std, cfg, latent_dim=3, hidden_dim=9)
+        cfg = TrainConfig(learning_rate=2e-3, epochs=6, batch_size=25, seed=8)
+        vae = train_vae(std, cfg)
+        arrays, meta = train_vae_reference(std, cfg)
         assert [n for n, _ in vae._arrays()] == VAE_ARRAY_NAMES
         for name, got in vae._arrays():
             assert np.array_equal(got, arrays[name]), name
@@ -279,8 +279,8 @@ class TestFlatParameterTraining:
         flat, views = nn._flat_views(shapes)
         flat[:] = rng.normal(size=flat.size)
         ref = [v.copy() for v in views]
-        opt = Adam(flat.shape, 0.01, (0.7, 0.9), 1e-6)
-        opt_ref = AdamReference(shapes, 0.01, (0.7, 0.9), 1e-6)
+        opt = Adam(flat.shape, 0.01)
+        opt_ref = AdamReference(shapes, 0.01)
         for _ in range(5):
             g, g_views = nn._flat_views(shapes)
             g[:] = rng.normal(size=g.size)
@@ -380,6 +380,24 @@ class TestSerialization:
         blob.write_bytes(blob.read_bytes() + b"\0" * 8)
         with pytest.raises(ValueError, match="8 trailing bytes"):
             load_model(saved)
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("vae", "d", 7), ("vae", "latent_dim", 3), ("vae", "hidden_dim", 21),
+        ("vae", "array_names", ["w"] * 10), ("classifier", "d", 4),
+        ("classifier", "n_weight_arrays", 2),
+    ])
+    def test_manifest_that_disagrees_with_params_rejected(self, tmp_path, kind, key, value):
+        if kind == "vae":
+            std, _ = standardize(generate_synthetic(SyntheticSpec(d=5, n_per_class=30, seed=6)))
+            model = train_vae(std, TrainConfig(learning_rate=1e-3, epochs=1, seed=2))
+        else:
+            model = make_logistic([1.0, -2.0, 0.5], 0.25)
+        save_model(model, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        manifest[key] = value
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path / "m"))):
+            load_model(tmp_path / "m")
 
     @pytest.mark.parametrize("version", [2, 0, None])
     def test_unknown_format_version_rejected(self, saved, version):

@@ -285,6 +285,13 @@ class TestConfig:
         named = set(re.findall(r"`([a-z_]+(?:\.[a-z_]+)+)`", rules))
         assert len(named) >= 10 and named <= {row[0] for row in runner.CONFIG_TABLE}
 
+    def test_readme_library_use_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+        namespace: dict = {}
+        exec(block, namespace)
+        assert 0.0 <= namespace["score"] <= 1.0
+
     def test_defaults_applied(self):
         cfg = config_from_dict({})
         assert cfg.recourse.algorithm == "scfe"
@@ -346,9 +353,9 @@ class TestShadowReplay:
         assert len(replayed) == 2 and all(vae is shadow_vae for vae in replayed)
 
     def test_shadow_training_replays_the_owner_config(self, monkeypatch):
-        cfg = config_from_dict(small_raw(attacks={"which": ["cfd_lrt"], "n_shadow_models": 2}))
-        cfg.train = dataclasses.replace(cfg.train, batch_size=50, adam_betas=(0.8, 0.99),
-                                        adam_eps=1e-6)
+        # batch_size and learning_rate, not their defaults, mark the owner's config
+        cfg = config_from_dict(small_raw(train={"batch_size": 50, "learning_rate": 0.03},
+                                         attacks={"which": ["cfd_lrt"], "n_shadow_models": 2}))
         use_cpus(monkeypatch, 1)  # a forked worker's calls would not reach `seen`
         seen = []
         real = nn.train_classifier
@@ -356,6 +363,7 @@ class TestShadowReplay:
                             lambda data, arch, c: seen.append(c) or real(data, arch, c))
         runner.run_experiment(cfg)
         owner, *shadows = seen
+        assert (owner.batch_size, owner.learning_rate) == (50, 0.03)
         assert len(shadows) == 2
         for c in shadows:
             assert c.seed != owner.seed
@@ -471,7 +479,6 @@ class TestDataStage:
             assert json.dumps(ds.provenance, sort_keys=True) == \
                 json.dumps(part_prov, sort_keys=True)
             assert not ds.features.flags.writeable
-        assert np.array_equal(bundle.eval_in, np.arange(config.owner_n))
 
     @pytest.mark.parametrize("d,n_per_class,standardize", [
         (6, 4, True), (6, 5, True), (6, 13, True), (6, 200, True),
@@ -814,6 +821,15 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[0].startswith("experiment_id,attack,direction")
+
+    @pytest.mark.parametrize("out_dir", ["absent", None])
+    def test_run_writes_run_out_without_an_out_dir(self, tmp_path, monkeypatch, capsys, out_dir):
+        raw = small_raw() if out_dir == "absent" else small_raw(out_dir=out_dir)
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", "cfg.json"]) == 0
+        report = json.loads((tmp_path / "run_out" / "report.json").read_text())
+        assert report["config"]["out_dir"] == "run_out"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
