@@ -54,6 +54,10 @@ def _chunk_rows(d: int) -> int:
     return max(1, _CHUNK_VALUES // max(d, 1))
 
 
+# the CSV parse stores its parsed rows in blocks of about this many cells
+_PARSE_BLOCK_CELLS = 1 << 9
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of the two-cluster hypercube-Gaussian construction."""
@@ -196,34 +200,36 @@ def tabular_arrays(
         label_idx = header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
 
+        # an upper bound on the data rows: the lines after the header (csv ends
+        # records at the same \r\n, \r or \n; latin-1 decodes every byte)
+        with open(path, encoding="latin-1") as lines:
+            max_rows = sum(1 for _ in lines) - 1
+        features = np.empty((max_rows, len(feature_names)))
+        scores = np.empty(max_rows)
+        block_rows = max(1, _PARSE_BLOCK_CELLS // len(header))
+        labels, cells = [], []  # the rows parsed since the last store
+
+        def store(end: int) -> None:
+            start = end - len(labels)
+            scores[start:end] = labels
+            features[start:end] = np.reshape(cells, (len(labels), len(feature_names)))
+            labels.clear()
+            cells.clear()
+
         n = 0
-        try:
-            for _ in reader:
-                n += 1
-        except (csv.Error, UnicodeDecodeError):
-            pass  # the parse below raises it again, after the rows before it
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        features = np.empty((n, len(feature_names)))
-        scores = np.empty(n)
-        for i, row in enumerate(reader):
+        for n, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise TabularParseError(
-                    f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: row {n} has {len(row)} cells, expected {len(header)}"
                 )
-            # numpy converts each str as float() does
-            try:
-                features[i, :label_idx] = row[:label_idx]
-                features[i, label_idx:] = row[label_idx + 1:]
-                scores[i] = row[label_idx]
-                finite = math.isfinite(scores[i]) and np.isfinite(features[i]).all()
-            except ValueError:
-                finite = False
-            if not finite:
-                values = _parse_row(path, header, i + 1, row)
-                scores[i] = values.pop(label_idx)
-                features[i] = values
+            values = _parse_row(path, header, n, row)
+            labels.append(values.pop(label_idx))
+            cells += values
+            if len(labels) == block_rows:
+                store(n)
+        store(n)
+        if n < max_rows:  # a quoted cell holds a line break
+            features, scores = features[:n], scores[:n]
 
     if n == 0:
         raise TabularParseError(f"{path}: no data rows")

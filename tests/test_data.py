@@ -110,6 +110,11 @@ CSV_CASES = {
     "short_row": (b"a,b,y\n1,2,0\n3,1\n", "y", "binary"),
     "long_row": (b"a,y\n1,0\n3,1,5\n", "y", "binary"),
     "crlf": (b"a,b,y\r\n1,2,0\r\n3,4,1\r\n", "y", "binary"),
+    "cr": (b"a,b,y\r1,2,0\r3,4,1\r", "y", "binary"),
+    "mixed_line_breaks": (b"a,y\r\n1,0\r2,1\n3,0", "y", "binary"),
+    "no_final_line_break": (b"a,y\n1,0\n2,1", "y", "binary"),
+    "many_rows": (f"a,y\n{_GOOD_ROWS}".encode(), "y", "binary"),
+    "bad_cell_after_many_rows": (f"a,y\n{_GOOD_ROWS}abc,1\n".encode(), "y", "binary"),
     "multi_line_quoted": (b'a,b,y\n"1\n",2,0\n3,"\n4",1\n', "y", "binary"),
     "label_first": (b"y,a,b\n1,2,3\n0,4,5\n", "y", "binary"),
     "label_middle": (b"a,s,b\n1,10,2\n3,20,4\n5,30,6\n", "s", "median-threshold"),
@@ -148,8 +153,9 @@ class TestLoadTabular:
             _parse_outcome(tabular_arrays_reference, f, label_column, label_rule)
 
     def test_parse_holds_about_one_copy_of_the_matrix(self, tmp_path):
-        # the rows go straight into the matrix (about 1.1 copies at the peak);
-        # lists of Python floats stacked at the end peaked at 5.4 copies
+        # the rows go into the matrix a few hundred cells at a time (about
+        # 1.1 copies at the peak); lists of Python floats stacked at the end
+        # peaked at 5.4 copies
         f = tmp_path / "t.csv"
         write_csv(generate_synthetic(SyntheticSpec(d=40, n_per_class=1000, seed=3)), f)
         tracemalloc.start()
