@@ -11,7 +11,6 @@ from .attack import (
     Guess,
     NormalFit,
     RecourseConfig,
-    cfd_lrt_decide,
     cfd_lrt_score,
     cfd_statistic,
     fit_lognormal_mle,

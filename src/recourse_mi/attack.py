@@ -3,13 +3,16 @@
 Two families:
 
 - Distance attacks consume only (x, x') pairs: simple thresholding on the
-  counterfactual distance, and a one-sided LRT that fits a log-normal to
-  the distances produced for x by shadow models (trained on data disjoint
-  from every evaluation point) and scores the observed distance against
-  that OUT fit. They never see the owner model, by interface.
+  counterfactual distance, and a one-sided LRT of the log-distance
+  against the distances produced for x by shadow models (trained on data
+  disjoint from every evaluation point). They never see the owner model,
+  by interface.
 - Loss baselines consume the owner model and the true label: thresholding
-  on BCE, and the offline loss LRT against a normal OUT fit of
-  logit-scaled confidences.
+  on BCE, and the offline loss LRT of the logit-scaled confidence.
+
+Both LRTs run one offline test (_offline_lrt_scores): a per-point normal
+fit of the OUT statistics, scored by its CDF, that guesses MEMBER at
+level alpha iff the statistic reaches the fit's (1 - alpha)-quantile.
 
 An audit runs every task on one TaskPool (see pool.py): its workers
 train the models, and the game starts as soon as the owner returns.
@@ -186,29 +189,26 @@ def fit_normal_mle(samples: Sequence[float]) -> NormalFit:
     return NormalFit(mu=mu, sigma2=float(np.mean((arr - mu) ** 2)), n=int(arr.size))
 
 
+def normal_quantile(fit: NormalFit, q: float) -> float:
+    """mu + sigma * Phi^-1(q); collapses to mu for degenerate fits. q = 0
+    and 1 give -inf and inf, as ndtri does."""
+    if fit.sigma2 < DEGENERATE_SIGMA2:
+        return fit.mu
+    return fit.mu + math.sqrt(fit.sigma2) * ndtri(q)
+
+
 def lognormal_quantile(fit: NormalFit, q: float) -> float:
-    """exp(mu + sigma * Phi^-1(q)); collapses to exp(mu) for degenerate fits."""
+    """exp(normal_quantile(fit, q)), for q in (0, 1)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0,1), got {q}")
-    if fit.sigma2 < DEGENERATE_SIGMA2:
-        return float(np.exp(fit.mu))
-    return float(np.exp(fit.mu + np.sqrt(fit.sigma2) * ndtri(q)))
-
-
-def cfd_lrt_decide(t0: float, fit: NormalFit, alpha: float) -> Guess:
-    """One-sided LRT decision at false-positive level alpha: NON-MEMBER
-    iff t0 exceeds the (1-alpha)-quantile of the OUT fit."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    return Guess.NON_MEMBER if t0 > lognormal_quantile(fit, 1.0 - alpha) else Guess.MEMBER
+    return float(np.exp(normal_quantile(fit, q)))
 
 
 def cfd_lrt_score(t0: float, fit: NormalFit) -> float:
     """OUT-distribution CDF of the observed distance, in [0, 1]: the
-    loss_lrt_score of log t0 against the fit of the log-distances.
-
-    Sweeping a threshold over this score reproduces cfd_lrt_decide across
-    all alpha.
+    loss_lrt_score of log t0 against the fit of the log-distances, higher
+    for members. For a non-degenerate fit, cfd_lrt's guess at level alpha
+    is MEMBER iff this score reaches 1 - alpha, up to rounding.
     """
     if t0 <= 0:
         raise ValueError(f"distance statistic must be positive, got {t0}")
@@ -337,31 +337,39 @@ def cfd_attack_scores(samples: Sequence) -> list[AttackScore]:
     return out
 
 
-def cfd_lrt_attack_scores(
-    samples: Sequence,
-    shadow_dists: np.ndarray,
-    alphas: Sequence[float],
-) -> list[AttackScore]:
-    """One-sided distance-LRT scores with per-point fits.
-
-    Row i of `shadow_dists` holds sample i's distances under the shadow
-    models, NaN where a model gave none (ShadowStream.columns, with point
-    seed i). A point whose sample starves (fewer than two distances) is
-    dropped.
-    """
+def _offline_lrt_scores(samples: Sequence, attack: str, stats: Sequence[float],
+                        shadow_stats: np.ndarray, alphas: Sequence[float],
+                        reported: Sequence[float]) -> list[AttackScore]:
+    """The offline LRT of both LRT attacks: point i's statistic stats[i]
+    against the normal MLE fit of row i of `shadow_stats` without its
+    NaNs, reported as reported[i]. A point with fewer than two shadow
+    statistics is dropped. The score is the fit's CDF (loss_lrt_score),
+    and the guess at level alpha is MEMBER iff the statistic reaches the
+    fit's (1 - alpha)-quantile."""
     out = []
-    for s, row in zip(samples, shadow_dists):
-        t0 = cfd_statistic(s.point, s.recourse)
+    for s, stat, row, shown in zip(samples, stats, shadow_stats, reported):
         row = row[~np.isnan(row)]
         if row.size < 2:
             continue
-        fit = fit_lognormal_mle(row)
+        fit = fit_normal_mle(row)
         out.append(AttackScore(
-            point_id=s.point_id, attack="cfd_lrt", statistic=t0,
-            score=cfd_lrt_score(t0, fit), higher_means_member=True,
-            guess_at={a: cfd_lrt_decide(t0, fit, a) for a in alphas},
+            point_id=s.point_id, attack=attack, statistic=shown,
+            score=loss_lrt_score(stat, fit), higher_means_member=True,
+            guess_at={a: Guess.MEMBER if stat >= normal_quantile(fit, 1.0 - a)
+                      else Guess.NON_MEMBER for a in alphas},
         ))
     return out
+
+
+def cfd_lrt_attack_scores(samples: Sequence, shadow_dists: np.ndarray,
+                          alphas: Sequence[float]) -> list[AttackScore]:
+    """One-sided distance LRT: the offline LRT of log t0 against the log
+    of row i of `shadow_dists`, sample i's distances under the shadow
+    models, NaN where a model gave none (ShadowStream.columns, with point
+    seed i)."""
+    t0s = [cfd_statistic(s.point, s.recourse) for s in samples]
+    return _offline_lrt_scores(samples, "cfd_lrt", [math.log(t) for t in t0s],
+                               np.log(shadow_dists), alphas, reported=t0s)
 
 
 def loss_attack_scores(samples: Sequence, owner_model: Model) -> list[AttackScore]:
@@ -391,21 +399,7 @@ def loss_lrt_attack_scores(
     if not samples:
         return []
     owner_p = nn.predict_proba_batch(owner_model, np.array([s.point for s in samples]))
-    z_upper = {a: ndtri(1.0 - a) for a in alphas}
-    out = []
-    for s, p, shadow_p in zip(samples, owner_p, shadow_probs):
-        conf = nn.logit_confidence_from_proba(p, s.label)
-        fit = fit_normal_mle([nn.logit_confidence_from_proba(q, s.label) for q in shadow_p])
-        score = loss_lrt_score(conf, fit)
-        guesses = {}
-        for a in alphas:
-            if fit.sigma2 < DEGENERATE_SIGMA2:
-                thr = fit.mu
-            else:
-                thr = fit.mu + math.sqrt(fit.sigma2) * z_upper[a]
-            guesses[a] = Guess.MEMBER if conf >= thr else Guess.NON_MEMBER
-        out.append(AttackScore(
-            point_id=s.point_id, attack="loss_lrt", statistic=conf, score=score,
-            higher_means_member=True, guess_at=guesses,
-        ))
-    return out
+    confs = [nn.logit_confidence_from_proba(p, s.label) for s, p in zip(samples, owner_p)]
+    shadow_confs = np.array([[nn.logit_confidence_from_proba(q, s.label) for q in row]
+                             for s, row in zip(samples, shadow_probs)])
+    return _offline_lrt_scores(samples, "loss_lrt", confs, shadow_confs, alphas, reported=confs)

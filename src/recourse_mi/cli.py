@@ -95,13 +95,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dp_bound(args) -> int:
-    try:
-        epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip() != ""]
+    try:  # a token that is no number, or a negative or NaN epsilon
+        bounds = privacy.bound_table(float(tok) for tok in args.epsilons.split(",")
+                                     if tok.strip() != "")
     except ValueError as exc:
         raise runner.ConfigError(f"bad --epsilons list: {exc}") from exc
-    if not epsilons:
+    if not bounds:
         raise runner.ConfigError("--epsilons is empty")
-    sys.stdout.write(privacy.format_bound_csv(privacy.bound_table(epsilons)))
+    sys.stdout.write(privacy.format_bound_csv(bounds))
     return 0
 
 

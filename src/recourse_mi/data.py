@@ -186,7 +186,7 @@ def tabular_arrays(
     if label_rule not in ("binary", "median-threshold"):
         raise DataError(f"unknown label_rule {label_rule!r}")
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -26,7 +26,7 @@ class DpBound:
 
 def dp_ba_bound(epsilon: float) -> DpBound:
     """Both balanced-accuracy bounds at privacy level epsilon >= 0."""
-    if epsilon < 0:
+    if not epsilon >= 0:  # also rejects NaN
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     e = math.exp(-epsilon)
     simple = 0.5 + (1.0 - e) / 2.0

@@ -688,7 +688,8 @@ def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[Exper
                 parts.append(f"seed{seed}")
             run_id = "_".join(parts) if parts else "run"
             base_id = variant.get("experiment_id", "experiment")
-            variant["experiment_id"] = f"{base_id}_{run_id}" if parts else base_id
+            if parts and isinstance(base_id, str):  # otherwise config_from_dict rejects it
+                variant["experiment_id"] = f"{base_id}_{run_id}"
             if out_dir is not None:
                 variant["out_dir"] = str(out_dir / run_id)
             configs.append(config_from_dict(variant))

@@ -23,7 +23,6 @@ from recourse_mi.attack import (
     NormalFit,
     RecourseConfig,
     cfd_lrt_attack_scores,
-    cfd_lrt_decide,
     cfd_lrt_score,
     cfd_statistic,
     fit_lognormal_mle,
@@ -175,37 +174,87 @@ class TestLogNormalQuantile:
             lognormal_quantile(NormalFit(0.0, 1.0, 3), 1.0)
 
 
+def distance_sample(t0, point_id="p"):
+    """A game sample whose valid recourse costs t0."""
+    return SimpleNamespace(point_id=point_id, point=np.zeros(2), recourse=valid_result(t0))
+
+
+def cfd_lrt_one(t0, dists, alphas):
+    """cfd_lrt's score of one point with distance t0 and shadow distances `dists`."""
+    [sc] = cfd_lrt_attack_scores([distance_sample(t0)], np.array([dists], dtype=float), alphas)
+    return sc
+
+
 class TestCfdLrtDecide:
+    """cfd_lrt's guess at level alpha: MEMBER iff log t0 reaches the
+    (1 - alpha)-quantile of the fit of the log shadow distances."""
+
     def test_degenerate_above(self):
-        fit = NormalFit(1.0, 0.0, 4)
-        assert cfd_lrt_decide(np.e + 0.1, fit, 0.05) is Guess.NON_MEMBER
+        sc = cfd_lrt_one(np.e + 0.1, [np.e] * 4, (0.05,))
+        assert sc.guess_at == {0.05: Guess.MEMBER} and sc.score == 1.0
 
     def test_degenerate_below(self):
-        fit = NormalFit(1.0, 0.0, 4)
-        assert cfd_lrt_decide(np.e - 0.1, fit, 0.05) is Guess.MEMBER
+        sc = cfd_lrt_one(np.e - 0.1, [np.e] * 4, (0.05,))
+        assert sc.guess_at == {0.05: Guess.NON_MEMBER} and sc.score == 0.0
 
     @given(
-        mu=st.floats(-2.0, 2.0),
-        sigma2=st.floats(1e-6, 4.0),
+        dists=st.lists(st.floats(1e-3, 50.0), min_size=2, max_size=16),
         t0=st.floats(1e-6, 50.0),
         alpha=st.floats(0.001, 0.999),
     )
     @settings(max_examples=200, deadline=None)
-    def test_score_decision_coherence(self, mu, sigma2, t0, alpha):
-        # MEMBER exactly when score <= 1 - alpha (non-degenerate fits)
-        fit = NormalFit(mu, sigma2, 16)
-        decision = cfd_lrt_decide(t0, fit, alpha)
-        score = cfd_lrt_score(t0, fit)
-        assert (decision is Guess.MEMBER) == (score <= 1.0 - alpha)
+    def test_score_decision_coherence(self, dists, t0, alpha):
+        fit = fit_lognormal_mle(dists)
+        sc = cfd_lrt_one(t0, dists, (alpha,))
+        member = math.log(t0) >= attack.normal_quantile(fit, 1.0 - alpha)
+        assert sc.guess_at[alpha] is (Guess.MEMBER if member else Guess.NON_MEMBER)
+        assert sc.score == cfd_lrt_score(t0, fit)
 
     def test_score_threshold_sweep_matches_decisions(self):
+        # away from rounding, MEMBER exactly when the score reaches 1 - alpha
         rng = np.random.default_rng(12)
         for _ in range(100):
-            fit = NormalFit(float(rng.normal()), float(rng.uniform(0.01, 2.0)), 16)
+            dists = rng.lognormal(float(rng.normal()), float(rng.uniform(0.1, 1.4)), size=16)
             t0 = float(rng.lognormal())
             alpha = float(rng.uniform(0.01, 0.99))
-            want = Guess.MEMBER if cfd_lrt_score(t0, fit) <= 1 - alpha else Guess.NON_MEMBER
-            assert cfd_lrt_decide(t0, fit, alpha) is want
+            sc = cfd_lrt_one(t0, dists, (alpha,))
+            assert abs(sc.score - (1 - alpha)) > 1e-9
+            want = Guess.MEMBER if sc.score >= 1 - alpha else Guess.NON_MEMBER
+            assert sc.guess_at[alpha] is want
+
+
+class TestLevelAlpha:
+    """Both LRTs guess MEMBER for an alpha share of the statistics drawn
+    from a point's own OUT fit, within 4 binomial standard errors."""
+
+    ALPHAS = (0.01, 0.05, 0.1)
+    N = 20_000
+
+    def assert_level(self, scores):
+        assert len(scores) == self.N
+        for a in self.ALPHAS:
+            share = np.mean([sc.guess_at[a] is Guess.MEMBER for sc in scores])
+            assert abs(share - a) <= 4 * math.sqrt(a * (1 - a) / self.N), (a, share)
+
+    def test_cfd_lrt(self):
+        rng = np.random.default_rng(0)
+        dists = rng.lognormal(0.3, math.sqrt(0.5), size=16)
+        fit = fit_lognormal_mle(dists)
+        t0s = np.exp(rng.normal(fit.mu, math.sqrt(fit.sigma2), size=self.N))
+        samples = [distance_sample(float(t), f"p{i}") for i, t in enumerate(t0s)]
+        self.assert_level(cfd_lrt_attack_scores(samples, np.tile(dists, (self.N, 1)),
+                                                self.ALPHAS))
+
+    def test_loss_lrt(self):
+        # with a weight of 1 and no bias, a label-1 point's confidence is the point
+        rng = np.random.default_rng(1)
+        shadow_p = 1 / (1 + np.exp(-rng.normal(0.5, 1.2, size=8)))
+        fit = fit_normal_mle([logit_confidence_from_proba(q, 1) for q in shadow_p])
+        xs = rng.normal(fit.mu, math.sqrt(fit.sigma2), size=self.N)
+        samples = [SimpleNamespace(point_id=f"p{i}", point=np.array([x]), label=1)
+                   for i, x in enumerate(xs)]
+        self.assert_level(loss_lrt_attack_scores(samples, make_logistic([1.0], 0.0),
+                                                 np.tile(shadow_p, (self.N, 1)), self.ALPHAS))
 
 
 class TestCfdLrtScore:

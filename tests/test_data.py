@@ -220,6 +220,18 @@ class TestLoadTabular:
         with pytest.raises(TabularParseError, match="rule=binary"):
             load_tabular(f, "y", "binary")
 
+    @pytest.mark.parametrize("content,label_column", [
+        (b"a,b,y\n1,2,0\n3,4,1\n", "y"),
+        (b"y,a,b\n1,2,3\n0,4,5\n", "y"),  # the mark sits before the label's name
+    ])
+    def test_byte_order_mark_is_dropped(self, tmp_path, content, label_column):
+        f = tmp_path / "t.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + content)
+        with_mark = _parse_outcome(data_mod.tabular_arrays, f, label_column, "binary")
+        f.write_bytes(content)
+        assert with_mark == _parse_outcome(data_mod.tabular_arrays, f, label_column, "binary")
+        assert with_mark[-1]["feature_names"][0] == "a"
+
     def test_round_trip_with_write_csv(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(d=3, n_per_class=4, seed=9))
         f = tmp_path / "round.csv"

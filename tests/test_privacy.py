@@ -28,6 +28,10 @@ class TestDpBaBound:
         with pytest.raises(ValueError):
             dp_ba_bound(-0.01)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dp_ba_bound(math.nan)
+
     def test_refined_below_simple_and_monotone_on_grid(self):
         eps = np.arange(0.0, 10.0 + 1e-12, 0.01)
         bounds = bound_table(eps)

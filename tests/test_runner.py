@@ -207,6 +207,10 @@ class TestConfig:
         ({"attacks": {"which": ["cfd", "cfd"]}}, "attacks.which"),
         ({"recourse": {"algorithm": "growing_spheres",
                        "search": {"initial_radius": 5.0, "max_radius": 1.0}}}, "initial_radius"),
+        # a sweep run's id is the configured one plus a suffix, only for a string
+        ({"sweep": {"seed": [1]}, "experiment_id": [1]}, "experiment_id"),
+        ({"sweep": {"seed": [1]}, "experiment_id": None}, "experiment_id"),
+        ({"sweep": {"d": [4]}, "experiment_id": 5}, "experiment_id"),
     ])
     def test_bad_values_exit_1_before_training(self, tmp_path, monkeypatch, capsys,
                                                 overrides, match):
@@ -807,6 +811,12 @@ class TestCli:
         assert rc == 0
         assert out[0] == "epsilon,ba_bound,refined_ba_bound"
         assert float(out[2].split(",")[1]) == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("epsilons", ["nan", "-1", "0.5,nan"])
+    def test_dp_bound_bad_epsilon_exits_1(self, capsys, epsilons):
+        assert cli.main(["dp-bound", "--epsilons", epsilons]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "config error: bad --epsilons list: epsilon must be nonnegative" in err
 
     def test_run_and_summarize(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
