@@ -11,12 +11,10 @@ from .attack import (
     Guess,
     NormalFit,
     RecourseConfig,
-    cfd_lrt_score,
     cfd_statistic,
-    fit_lognormal_mle,
     fit_normal_mle,
-    lognormal_quantile,
     loss_lrt_score,
+    normal_quantile,
 )
 from .data import (
     Dataset,
@@ -42,7 +40,7 @@ from .nn import (
     TrainConfig,
     VaeModel,
     load_model,
-    predict_proba,
+    predict_proba_batch,
     save_model,
     train_classifier,
     train_vae,
@@ -54,8 +52,8 @@ from .recourse import (
     ScfeParams,
     SearchParams,
     cchvae,
-    cost,
     growing_spheres,
+    row_costs,
     scfe_batch,
     uniform_l1_ball_sample,
 )

@@ -11,8 +11,11 @@ Two families:
   on BCE, and the offline loss LRT of the logit-scaled confidence.
 
 Both LRTs run one offline test (_offline_lrt_scores): a per-point normal
-fit of the OUT statistics, scored by its CDF, that guesses MEMBER at
-level alpha iff the statistic reaches the fit's (1 - alpha)-quantile.
+fit of the OUT statistics (fit_normal_mle), scored by its CDF
+(loss_lrt_score), that guesses MEMBER at level alpha iff the statistic
+reaches the fit's (1 - alpha)-quantile (normal_quantile); cfd_lrt's
+statistic is the log-distance. Each loss statistic is one nn.bce or
+nn.logit_confidence call over all points (and all shadow models).
 
 An audit runs every task on one TaskPool (see pool.py): its workers
 train the models, and the game starts as soon as the owner returns.
@@ -173,14 +176,6 @@ def cfd_statistic(x: np.ndarray, result: RecourseResult) -> float:
     return max(result.cost, recourse.DISTANCE_FLOOR)
 
 
-def fit_lognormal_mle(samples: Sequence[float]) -> NormalFit:
-    """The normal MLE fit of the log-samples."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if not (arr > 0).all():
-        raise ValueError("log-normal fit requires strictly positive samples")
-    return fit_normal_mle(np.log(arr))
-
-
 def fit_normal_mle(samples: Sequence[float]) -> NormalFit:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size < 1:
@@ -195,24 +190,6 @@ def normal_quantile(fit: NormalFit, q: float) -> float:
     if fit.sigma2 < DEGENERATE_SIGMA2:
         return fit.mu
     return fit.mu + math.sqrt(fit.sigma2) * ndtri(q)
-
-
-def lognormal_quantile(fit: NormalFit, q: float) -> float:
-    """exp(normal_quantile(fit, q)), for q in (0, 1)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must be in (0,1), got {q}")
-    return float(np.exp(normal_quantile(fit, q)))
-
-
-def cfd_lrt_score(t0: float, fit: NormalFit) -> float:
-    """OUT-distribution CDF of the observed distance, in [0, 1]: the
-    loss_lrt_score of log t0 against the fit of the log-distances, higher
-    for members. For a non-degenerate fit, cfd_lrt's guess at level alpha
-    is MEMBER iff this score reaches 1 - alpha, up to rounding.
-    """
-    if t0 <= 0:
-        raise ValueError(f"distance statistic must be positive, got {t0}")
-    return loss_lrt_score(math.log(t0), fit)
 
 
 def loss_lrt_score(conf: float, out_fit: NormalFit) -> float:
@@ -367,6 +344,8 @@ def cfd_lrt_attack_scores(samples: Sequence, shadow_dists: np.ndarray,
     of row i of `shadow_dists`, sample i's distances under the shadow
     models, NaN where a model gave none (ShadowStream.columns, with point
     seed i)."""
+    if (np.asarray(shadow_dists) <= 0).any():  # NaN marks a missing distance
+        raise ValueError("shadow distances must be positive")
     t0s = [cfd_statistic(s.point, s.recourse) for s in samples]
     return _offline_lrt_scores(samples, "cfd_lrt", [math.log(t) for t in t0s],
                                np.log(shadow_dists), alphas, reported=t0s)
@@ -377,14 +356,9 @@ def loss_attack_scores(samples: Sequence, owner_model: Model) -> list[AttackScor
     if not samples:
         return []
     probs = nn.predict_proba_batch(owner_model, np.array([s.point for s in samples]))
-    out = []
-    for s, p in zip(samples, probs):
-        stat = nn.bce_from_proba(p, s.label)
-        out.append(AttackScore(
-            point_id=s.point_id, attack="loss", statistic=stat, score=stat,
-            higher_means_member=False,
-        ))
-    return out
+    losses = nn.bce(probs, [s.label for s in samples]).tolist()
+    return [AttackScore(point_id=s.point_id, attack="loss", statistic=t, score=t,
+                        higher_means_member=False) for s, t in zip(samples, losses)]
 
 
 def loss_lrt_attack_scores(
@@ -398,8 +372,8 @@ def loss_lrt_attack_scores(
     shadow model; the owner's come from one batched forward pass."""
     if not samples:
         return []
+    labels = np.array([s.label for s in samples])
     owner_p = nn.predict_proba_batch(owner_model, np.array([s.point for s in samples]))
-    confs = [nn.logit_confidence_from_proba(p, s.label) for s, p in zip(samples, owner_p)]
-    shadow_confs = np.array([[nn.logit_confidence_from_proba(q, s.label) for q in row]
-                             for s, row in zip(samples, shadow_probs)])
+    confs = nn.logit_confidence(owner_p, labels).tolist()
+    shadow_confs = nn.logit_confidence(shadow_probs, labels[:, None])
     return _offline_lrt_scores(samples, "loss_lrt", confs, shadow_confs, alphas, reported=confs)

@@ -347,7 +347,7 @@ def split_in_place(
     n = features.shape[0]
     if total > n:
         raise SplitSizeError(
-            f"owner_n + shadow_n + eval_out_n = {total} exceeds n = {n}"
+            f"owner_n + shadow_n + eval_out_n = {total} exceeds the {n} rows of the data"
         )
     perm = rng_for(seed, "split-permutation").permutation(n)
     bounds = (0, owner_n, owner_n + shadow_n, total)
@@ -400,9 +400,10 @@ def _gather_rows(arrays: tuple[np.ndarray, ...], order: np.ndarray) -> None:
 
 def write_csv(data: Dataset, path: str | Path, label_column: str = "label") -> None:
     """Write features + label column as CSV (inverse of load_tabular)."""
-    names = data.provenance.get("feature_names") or [
-        f"x{i}" for i in range(data.d)
-    ]
+    source = data.provenance
+    while "parent" in source:  # a file's names stay with the file's own provenance
+        source = source["parent"]
+    names = source.get("feature_names") or [f"x{i}" for i in range(data.d)]
     rows = _chunk_rows(data.d)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(names) + [label_column])

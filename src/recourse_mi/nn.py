@@ -2,7 +2,9 @@
 
 Everything is plain numpy: fully-connected ReLU networks (an empty
 architecture list means logistic regression) trained with Adam on binary
-cross entropy, plus input gradients for recourse search. Determinism is a
+cross entropy, plus input gradients for recourse search. Predictions
+and losses are batched: predict_proba_batch computes each row on its
+own, and bce and logit_confidence work elementwise. Determinism is a
 hard requirement here - identical data, architecture and TrainConfig must
 yield bit-identical parameters, because the membership-inference game is
 replayed from seeds.
@@ -148,13 +150,6 @@ def _vae_shapes(d: int, latent_dim: int, hidden_dim: int) -> list[tuple[int, ...
     return [s for w in ((d, h), (h, z), (h, z), (z, h), (h, d)) for s in (w, w[1:])]
 
 
-def _as_row(x: np.ndarray, d: int) -> np.ndarray:
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != d:
-        raise DimensionMismatchError(f"expected a length-{d} vector, got shape {x.shape}")
-    return x.reshape(1, -1)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # e = exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e)
     # below. min(z, -z) is -|z| that keeps the sign bit of a nan.
@@ -245,7 +240,9 @@ def _as_matrix(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def predict_proba_batch(model: Model, x: np.ndarray) -> np.ndarray:
-    """Row i equals predict_proba(model, x[i]) bit for bit. The rows run in
+    """Probability of the positive class for each row of x; a row is
+    classified positive iff its probability is >= 0.5. Row i equals
+    predict_proba_batch(model, x[i:i+1]) bit for bit. The rows run in
     blocks (see PREDICT_BLOCK_VALUES), which bounds the activations held
     at once; each row is computed on its own, so the blocks change no bit."""
     x = _as_matrix(x, model.d)
@@ -258,38 +255,26 @@ def predict_proba_batch(model: Model, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def predict_proba(model: Model, x: np.ndarray) -> float:
-    """Probability of the positive class; prediction is 1 iff >= 0.5."""
-    return float(_forward_batch(model, _as_row(x, model.d))[0])
+def _prob_of_label(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The probability p assigns to label y, elementwise, clamped to
+    [PROB_FLOOR, 1 - PROB_FLOOR]; every label must be 0 or 1."""
+    y = np.asarray(y)
+    binary = np.isin(y, (0, 1))
+    if not binary.all():
+        raise ValueError(f"label must be 0 or 1, got {y[~binary].flat[0]}")
+    return np.clip(np.where(y == 1, p, 1.0 - p), PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
-def _clamped_prob_for_label(p: float, y: int) -> float:
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    p_y = p if y == 1 else 1.0 - p
-    return float(np.clip(p_y, PROB_FLOOR, 1.0 - PROB_FLOOR))
+def bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Binary cross entropy: -log of the clamped probability p assigns to
+    label y, elementwise (p and y broadcast)."""
+    return -np.log(_prob_of_label(p, y))
 
 
-def bce_from_proba(p: float, y: int) -> float:
-    """-log of the (clamped) probability p assigns to the true label."""
-    return -float(np.log(_clamped_prob_for_label(float(p), y)))
-
-
-def logit_confidence_from_proba(p: float, y: int) -> float:
-    """logit of the probability p assigns to label y, clamped as in bce_from_proba."""
-    p_y = _clamped_prob_for_label(float(p), y)
-    return float(np.log(p_y) - np.log1p(-p_y))
-
-
-def norm_subgradient(delta: np.ndarray, norm: str) -> np.ndarray:
-    """Subgradient of ||delta||_norm, row by row for a (n, d) matrix;
-    zero where delta = 0."""
-    if norm == "l1":
-        return np.sign(delta)
-    if norm == "l2":
-        mag = np.sqrt(np.sum(delta * delta, axis=-1, keepdims=True))
-        return np.divide(delta, mag, out=np.zeros(np.shape(delta)), where=mag > 0)
-    raise ValueError(f"unknown norm {norm!r}")
+def logit_confidence(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The logit of the clamped probability p assigns to label y, elementwise."""
+    p_y = _prob_of_label(p, y)
+    return np.log(p_y) - np.log1p(-p_y)
 
 
 def bce_to_target_grad_batch(model: Model, x: np.ndarray,
@@ -303,11 +288,6 @@ def bce_to_target_grad_batch(model: Model, x: np.ndarray,
     for w, act in zip(reversed(model.weights[:-1]), reversed(acts[1:])):
         g = _rowwise(g * (act > 0), w.T)
     return p, g
-
-
-def _mean_bce(p: np.ndarray, y: np.ndarray) -> float:
-    pc = np.clip(np.where(y == 1, p, 1.0 - p), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return float(-np.mean(np.log(pc)))
 
 
 def train_classifier(
@@ -368,7 +348,7 @@ def train_classifier(
         if epoch == 1 or epoch == config.epochs:
             # at the last epoch this pass also gives the final loss and accuracy
             p_all = _forward_batch(model, x_all, matmul=np.matmul)
-            final_loss = _mean_bce(p_all, y_all)
+            final_loss = float(np.mean(bce(p_all, y_all)))
             if not np.isfinite(final_loss):
                 raise TrainingDivergedError(epoch, f"non-finite loss at epoch {epoch}")
             if epoch == 1:

@@ -11,7 +11,8 @@ return the cheapest found input that the model classifies positively.
   decoded back so results stay in the decoder's range.
 
 The ball searches take one point; attack.RecourseConfig.generate_batch
-runs any of the three for a block of points.
+runs any of the three for a block of points. Each stores the row_costs
+of its counterfactual as its cost.
 """
 from __future__ import annotations
 
@@ -108,23 +109,29 @@ class RecourseResult:
         }
 
 
-def cost(x: np.ndarray, xp: np.ndarray, fn: CostFn) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    xp = np.asarray(xp, dtype=np.float64)
-    if x.shape != xp.shape:
-        raise nn.DimensionMismatchError(f"shape mismatch {x.shape} vs {xp.shape}")
-    delta = xp - x
-    if fn.norm == "l1":
-        return float(np.sum(np.abs(delta)))
-    return float(np.sqrt(np.sum(delta * delta)))
-
-
-def _row_costs(delta: np.ndarray, norm: str) -> np.ndarray:
-    """Norm of each row of a (n, d) difference matrix."""
+def row_costs(delta: np.ndarray, norm: str) -> np.ndarray:
+    """The l1 or l2 norm of each row of a (n, d) difference matrix: row i
+    of counterfactuals - points is the recourse cost of row i."""
+    if np.ndim(delta) != 2:
+        raise nn.DimensionMismatchError(f"expected a (n, d) matrix, got shape "
+                                        f"{np.shape(delta)}")
     # np.add.reduce skips np.sum's dispatch, a visible cost in small SCFE batches
     if norm == "l1":
         return np.add.reduce(np.abs(delta), axis=1)
-    return np.sqrt(np.add.reduce(delta * delta, axis=1))
+    if norm == "l2":
+        return np.sqrt(np.add.reduce(delta * delta, axis=1))
+    raise ValueError(f"unknown norm {norm!r}")
+
+
+def norm_subgradient(delta: np.ndarray, norm: str) -> np.ndarray:
+    """Subgradient of ||delta||_norm, row by row for a (n, d) matrix;
+    zero where delta = 0."""
+    if norm == "l1":
+        return np.sign(delta)
+    if norm == "l2":
+        mag = np.sqrt(np.sum(delta * delta, axis=-1, keepdims=True))
+        return np.divide(delta, mag, out=np.zeros(np.shape(delta)), where=mag > 0)
+    raise ValueError(f"unknown norm {norm!r}")
 
 
 def _require_negative(model: Model, X: np.ndarray) -> None:
@@ -188,18 +195,15 @@ def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
             best, best_cost = _scfe_attempt(model, X[rows], params, lam, cost_fn.norm, frozen)
             for j, r in enumerate(rows):
                 if best_cost[j] < np.inf:
-                    cf = best[j].copy()
                     results[r] = RecourseResult(
-                        counterfactual=cf, cost=cost(X[r], cf, cost_fn), valid=True,
+                        counterfactual=best[j].copy(), cost=float(best_cost[j]), valid=True,
                         algorithm="scfe", trace=dict(trace), seed=seeds[r])
         active = np.array([r for r in active if results[r] is None], dtype=np.int64)
 
-    for r in active:
+    for r in active:  # no attempt found these rows a recourse; trace is the last one's
         results[r] = RecourseResult(
             counterfactual=X[r].copy(), cost=0.0, valid=False, algorithm="scfe",
-            trace={"iterations": (params.max_retries + 1) * params.max_iters,
-                   "retries_used": params.max_retries, "lambda_final": lam},
-            seed=seeds[r])
+            trace=dict(trace), seed=seeds[r])
     return results
 
 
@@ -214,13 +218,13 @@ def _scfe_attempt(model: Model, x0: np.ndarray, params: ScfeParams, lam: float,
     for _ in range(params.max_iters):
         p, g = nn.bce_to_target_grad_batch(model, xp, target=1.0)
         delta = xp - x0
-        costs = _row_costs(delta, norm)
+        costs = row_costs(delta, norm)
         _keep_cheaper(best, best_cost, xp, costs, p >= 0.5)
-        g = g + lam * nn.norm_subgradient(delta, norm)
+        g = g + lam * norm_subgradient(delta, norm)
         if frozen.size:
             g[:, frozen] = 0.0
         opt.step(xp, g)
-    _keep_cheaper(best, best_cost, xp, _row_costs(xp - x0, norm),
+    _keep_cheaper(best, best_cost, xp, row_costs(xp - x0, norm),
                   nn.predict_proba_batch(model, xp) >= 0.5)
     return best, best_cost
 
@@ -270,10 +274,10 @@ def _ball_search(model: Model, vae: VaeModel | None, x: np.ndarray,
     Samples around the search centre, decodes the candidates (identity
     without a VAE) with immutable coordinates pinned to x, and picks the
     cheapest valid candidate at the first accepting radius. The pick is
-    decoded again on its own and re-checked with the one-row predictor,
-    so the stored result equals any later re-evaluation of its recorded
-    search point (a decoded block differs from a one-row decode in the
-    last bits).
+    decoded again on its own, then re-checked and costed as a one-row
+    block, so the stored result equals any later re-evaluation of its
+    recorded search point (a decoded block differs from a one-row decode
+    in the last bits).
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if vae is not None and vae.d != x.shape[0]:
@@ -299,17 +303,18 @@ def _ball_search(model: Model, vae: VaeModel | None, x: np.ndarray,
         hit = np.flatnonzero(nn.predict_proba_batch(model, candidates) >= 0.5)
         if hit.size == 0:
             continue
-        costs = _row_costs(candidates[hit] - x, cost_fn.norm)
+        costs = row_costs(candidates[hit] - x, cost_fn.norm)
         for local in np.argsort(costs, kind="stable"):
             idx = hit[local]
-            final = decode(raw[idx:idx + 1])[0]
-            if nn.predict_proba(model, final) >= 0.5:
+            final = decode(raw[idx:idx + 1])
+            if nn.predict_proba_batch(model, final)[0] >= 0.5:
                 trace = {"radius": float(r), "radii_tried": ri + 1,
                          "samples_per_radius": params.samples_per_radius,
                          point_key: [float(v) for v in raw[idx]]}
                 # a copy: without a VAE or a mask, final is a view that
                 # would pin the radius's whole sample block
-                return RecourseResult(final.copy(), cost(x, final, cost_fn), True, algorithm,
+                c = float(row_costs(final - x, cost_fn.norm)[0])
+                return RecourseResult(final[0].copy(), c, True, algorithm,
                                       trace=trace, seed=params.seed)
     trace = {"radius": float(radii[-1]), "radii_tried": int(radii.size),
              "samples_per_radius": params.samples_per_radius}

@@ -29,8 +29,8 @@ from . import attack as attack_mod
 from . import metrics as metrics_mod
 from . import nn
 from .attack import AttackScore, Guess, RecourseConfig
-from .data import (Dataset, SplitBundle, SyntheticSpec, split_in_place, standardize_in_place,
-                   synthetic_arrays, tabular_arrays)
+from .data import (Dataset, SplitBundle, SplitSizeError, SyntheticSpec, split_in_place,
+                   standardize_in_place, synthetic_arrays, tabular_arrays)
 from .nn import Model, TrainConfig, VaeModel
 from .pool import TaskPool, run_all
 from .recourse import CostFn, RecourseResult, ScfeParams, SearchParams
@@ -263,18 +263,17 @@ def _unknown_keys(given: dict, known: dict, path: str = "") -> list[str]:
     return out
 
 
-def _check_rules(snap: dict, shape: tuple[int, int] | None = None) -> None:
+def _check_rules(snap: dict, d: int | None = None) -> None:
     """The rules that tie keys together, checked once every key fits its
-    row. The data's (rows, columns) are known for synthetic data, and for
-    a file once it has loaded (shape)."""
+    row. The data's column count d is known for synthetic data, and for a
+    file once it has loaded. Whether the partitions fit the data's rows is
+    the split's check (build_split)."""
     dc, rc, att, ev = snap["data"], snap["recourse"], snap["attacks"], snap["eval"]
-    if shape is None and dc["kind"] == "synthetic":
-        shape = (2 * dc["n_per_class"], dc["d"])
-    n, d = shape or (None, None)
+    if d is None and dc["kind"] == "synthetic":
+        d = dc["d"]
     which, search = att["which"], rc["search"]
     unknown = [a for a in which if a not in KNOWN_ATTACKS]
     lrt = sorted(set(which) & {"cfd_lrt", "loss_lrt"})
-    total = ev["owner_n"] + ev["shadow_n"] + ev["eval_out_n"]
     rules = (
         (dc["kind"] == "file" and not (dc["path"] and dc["label_column"]),
          f"data.kind='file' requires data.path and data.label_column, both non-empty "
@@ -293,8 +292,6 @@ def _check_rules(snap: dict, shape: tuple[int, int] | None = None) -> None:
          f"({search['max_radius']!r}), got {search['initial_radius']!r}"),
         (d is not None and any(i >= d for i in rc["immutable"]),
          f"recourse.immutable must list feature indices in [0, {d}), got {rc['immutable']!r}"),
-        (n is not None and total > n, f"eval.owner_n + eval.shadow_n + eval.eval_out_n = "
-         f"{total} exceeds the {n} rows of the data"),
     )
     for broken, message in rules:
         if broken:
@@ -349,8 +346,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _data_arrays(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
     """The features (one writable matrix), labels and provenance of the
     configured dataset, standardized in place if configured. A file's
-    immutable indices and partition sizes are checked as soon as it has
-    loaded."""
+    immutable indices are checked as soon as it has loaded."""
     dc = config.data
     if dc["kind"] == "synthetic":
         spec = SyntheticSpec(
@@ -362,7 +358,7 @@ def _data_arrays(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict
         features, labels, prov = synthetic_arrays(spec)
     else:
         features, labels, prov = tabular_arrays(dc["path"], dc["label_column"], dc["label_rule"])
-        _check_rules(config.snapshot, features.shape)
+        _check_rules(config.snapshot, features.shape[1])
     if dc["standardize"]:
         prov, _ = standardize_in_place(features, prov)
     return features, labels, prov
@@ -378,8 +374,11 @@ def build_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
     full dataset's provenance. Generation, standardization and the split
     all work on one feature matrix, whose rows the partitions view."""
     features, labels, prov = _data_arrays(config)
-    bundle = split_in_place(features, labels, prov, config.owner_n, config.shadow_n,
-                            config.eval_out_n, seed=derive_seed(config.seed, "split"))
+    try:
+        bundle = split_in_place(features, labels, prov, config.owner_n, config.shadow_n,
+                                config.eval_out_n, seed=derive_seed(config.seed, "split"))
+    except SplitSizeError as exc:  # partitions larger than the data, before any training
+        raise ConfigError(f"eval: {exc}") from None
     return bundle, prov
 
 

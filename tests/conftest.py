@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from recourse_mi import attack, runner
-from recourse_mi.nn import Model
+from recourse_mi.nn import Model, predict_proba_batch
 from recourse_mi.pool import TaskPool, run_all
 from recourse_mi.seeds import derive_seed
 
@@ -23,6 +23,12 @@ def make_logistic(theta, bias) -> Model:
         architecture=[],
         d=theta.shape[0],
     )
+
+
+def prob_of(model: Model, x: np.ndarray) -> float:
+    """The probability of one point: row 0 of predict_proba_batch over the
+    batch of x alone."""
+    return float(predict_proba_batch(model, x[None, :])[0])
 
 
 @pytest.fixture(autouse=True)

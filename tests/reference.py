@@ -6,9 +6,9 @@ come from central finite differences, the two-sided distance LRT trains
 per-point IN/OUT models directly, SCFE is the one-point-at-a-time loop
 that the batched engine replaced, growing_spheres and cchvae are the two
 wrappers around a closure-driven ball search that the single search body
-replaced, and the classifier and VAE trainers
-run Adam over a list of separate parameter arrays, as they did before
-the flat parameter vector. The data pipeline is the copy-based one that
+replaced (costing their pick with the one-row norm `_norm`), and the
+classifier and VAE trainers run Adam over a list of separate parameter
+arrays, as they did before the flat parameter vector. The data pipeline is the copy-based one that
 the in-place stages replaced: each class drawn on its own and stacked,
 (x - mean) / np.std, and one row gather per partition; the CSV writer
 is csv.writer over repr(float(v)) of each cell, and the CSV reader
@@ -187,7 +187,7 @@ def _ball_search_reference(predict_batch, decode_batch, decode_single, search_ce
     """(counterfactual or None, cost, trace) of the cheapest valid
     candidate at the first accepting radius, rebuilt and re-checked
     through the single-point closures."""
-    from recourse_mi.recourse import _row_costs, cost, uniform_l1_ball_sample
+    from recourse_mi.recourse import row_costs, uniform_l1_ball_sample
     from recourse_mi.seeds import derive_seed
 
     radii = params.radii()
@@ -199,7 +199,7 @@ def _ball_search_reference(predict_batch, decode_batch, decode_single, search_ce
         hit = np.flatnonzero(probs >= 0.5)
         if hit.size == 0:
             continue
-        costs = _row_costs(candidates[hit] - x, cost_fn.norm)
+        costs = row_costs(candidates[hit] - x, cost_fn.norm)
         for local in np.argsort(costs, kind="stable"):
             idx = hit[local]
             final = decode_single(raw[idx])
@@ -207,7 +207,7 @@ def _ball_search_reference(predict_batch, decode_batch, decode_single, search_ce
                 trace = {"radius": float(r), "radii_tried": ri + 1,
                          "samples_per_radius": params.samples_per_radius,
                          "search_point": [float(v) for v in raw[idx]]}
-                return final, cost(x, final, cost_fn), trace
+                return final, _norm(final - x, cost_fn.norm), trace
     return None, 0.0, {"radius": float(radii[-1]) if radii.size else 0.0,
                        "radii_tried": int(radii.size),
                        "samples_per_radius": params.samples_per_radius}
@@ -251,7 +251,7 @@ def growing_spheres_reference(model, x, params, cost_fn):
         predict_batch=lambda pts: nn.predict_proba_batch(model, pts),
         decode_batch=project_batch, decode_single=project_single,
         search_center=x, x=x, params=params, cost_fn=cost_fn,
-        validate_single=lambda pt: nn.predict_proba(model, pt) >= 0.5)
+        validate_single=lambda pt: nn.predict_proba_batch(model, _one_row(pt, model.d))[0] >= 0.5)
     if found is None:
         return RecourseResult(x.copy(), 0.0, False, "growing_spheres", trace=trace,
                               seed=params.seed)
@@ -273,7 +273,7 @@ def cchvae_reference(model, vae, x, params, cost_fn):
         decode_batch=lambda zs: project_batch(vae.decode_batch(zs)),
         decode_single=lambda z: project_single(vae.decode_batch(_one_row(z, vae.latent_dim))[0]),
         search_center=z_center, x=x, params=params, cost_fn=cost_fn,
-        validate_single=lambda pt: nn.predict_proba(model, pt) >= 0.5)
+        validate_single=lambda pt: nn.predict_proba_batch(model, _one_row(pt, model.d))[0] >= 0.5)
     if found is None:
         return RecourseResult(x.copy(), 0.0, False, "cchvae", trace=trace, seed=params.seed)
     trace["latent_point"] = trace.pop("search_point")

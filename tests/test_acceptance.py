@@ -8,6 +8,7 @@ desk scale and take minutes each.
 import functools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,16 +17,15 @@ from scipy.stats import spearmanr
 from recourse_mi import runner
 from recourse_mi.attack import (
     NormalFit,
-    cfd_lrt_score,
-    fit_lognormal_mle,
-    lognormal_quantile,
+    cfd_lrt_attack_scores,
+    fit_normal_mle,
+    normal_quantile,
 )
 from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standardize
 from recourse_mi.metrics import auc, roc, tpr_at_fpr
 from recourse_mi.nn import (
     TrainConfig,
     bce_to_target_grad_batch,
-    predict_proba,
     train_classifier,
 )
 from recourse_mi.pool import run_all
@@ -39,7 +39,7 @@ from recourse_mi.recourse import (
 )
 from recourse_mi.seeds import derive_seed, rng_for
 
-from conftest import batch_split_agreement, make_logistic, use_cpus
+from conftest import batch_split_agreement, make_logistic, prob_of, use_cpus
 from reference import (
     finite_difference_gradient,
     grid_cheapest_valid_logistic,
@@ -161,7 +161,7 @@ class TestCriterion5LogNormalOracle:
         worst_fit = 0.0
         for _ in range(50):
             s = rng.lognormal(rng.normal(), rng.uniform(0.1, 1.5), size=64)
-            fit = fit_lognormal_mle(s)
+            fit = fit_normal_mle(np.log(s))  # cfd_lrt's log-normal fit
             logs = [math.log(v) for v in s]
             mu = sum(logs) / len(logs)
             sigma2 = sum((mu - v) ** 2 for v in logs) / len(logs)
@@ -171,7 +171,7 @@ class TestCriterion5LogNormalOracle:
         for mu in (-1.5, -0.3, 0.0, 0.8, 2.0):
             for sigma2 in (0.05, 0.4, 1.0, 3.0):
                 for q in (0.005, 0.05, 0.25, 0.5, 0.9, 0.975, 0.995):
-                    got = lognormal_quantile(NormalFit(mu, sigma2, 8), q)
+                    got = math.exp(normal_quantile(NormalFit(mu, sigma2, 8), q))
                     want = lognormal_quantile_oracle(mu, sigma2, q)
                     worst_q = max(worst_q, abs(got - want) / max(abs(want), 1.0))
         ok = worst_fit < 1e-12 and worst_q < 1e-8
@@ -224,7 +224,7 @@ class TestCriterion6TwoSidedOracle:
 
         chosen = [int(idx) for idx, mg in zip(candidates, band_coord)
                   if pool.labels[idx] == 0 and band[0] < mg < band[1]
-                  and predict_proba(owner, pool.features[idx]) < 0.5][:n_points]
+                  and prob_of(owner, pool.features[idx]) < 0.5][:n_points]
         assert len(chosen) == n_points
 
         def point_scores(j: int) -> tuple[float, float] | None:
@@ -248,7 +248,7 @@ class TestCriterion6TwoSidedOracle:
                 m = train_classifier(
                     Dataset(feats, labs), [],
                     TrainConfig(seed=derive_seed(master, f"t-{j}", i), **train_kw))
-                if predict_proba(m, x) >= 0.5:
+                if prob_of(m, x) >= 0.5:
                     continue
                 r = scfe_batch(m, x[None], sp, cost_fn, [derive_seed(master, f"r-{j}", i)])[0]
                 if not r.valid:
@@ -256,8 +256,11 @@ class TestCriterion6TwoSidedOracle:
                 (ins if i < n_in else outs).append(max(r.cost, 1e-12))
             if len(ins) < 3 or len(outs) < 3:
                 return None
-            fit_in, fit_out = fit_lognormal_mle(ins), fit_lognormal_mle(outs)
-            return cfd_lrt_score(t0, fit_out), two_sided_distance_llr(t0, fit_in, fit_out)
+            # the one-sided score is the audit's cfd_lrt of the OUT distances
+            sample = SimpleNamespace(point_id=f"p{j}", point=x, recourse=r0)
+            [one_sided] = cfd_lrt_attack_scores([sample], np.array([outs]), alphas=())
+            fit_in, fit_out = fit_normal_mle(np.log(ins)), fit_normal_mle(np.log(outs))
+            return one_sided.score, two_sided_distance_llr(t0, fit_in, fit_out)
 
         # one task per point on the workers; every point keeps its seeds
         done = run_all({j: functools.partial(point_scores, j) for j in range(n_points)})
@@ -297,7 +300,7 @@ class TestCriterion7RecourseQuality:
                 cchvae(model, vae, x, SearchParams(seed=i), CostFn("l1")),
             ):
                 total += 1
-                if res.valid and predict_proba(model, res.counterfactual) >= 0.5:
+                if res.valid and prob_of(model, res.counterfactual) >= 0.5:
                     valid += 1
         validity = valid / total
 
@@ -322,7 +325,7 @@ class TestCriterion7RecourseQuality:
             boundary_dist = float(rng.uniform(1.0, 2.5))
             x = boundary_pt - boundary_dist * theta / norm_t
             model2 = make_logistic(theta, bias)
-            assert predict_proba(model2, x) < 0.5
+            assert prob_of(model2, x) < 0.5
             # the lam-decay ladder self-selects the largest trade-off that
             # still crosses the boundary, which is what pins the returned
             # point near the perpendicular foot
@@ -372,7 +375,7 @@ class TestCriterion8Gradients:
                 x = rng.normal(scale=2.0, size=6)
                 g = bce_to_target_grad_batch(model, x[None, :])[1][0]
                 fd = finite_difference_gradient(
-                    lambda v: -np.log(max(predict_proba(model, v), 1e-300)), x)
+                    lambda v: -np.log(max(prob_of(model, v), 1e-300)), x)
                 tol = max(1e-4, 1e-3 * float(np.linalg.norm(g)))
                 worst = max(worst, float(np.abs(g - fd).max()) / tol)
         criterion(8, worst < 1.0,

@@ -16,21 +16,19 @@ from hypothesis import strategies as st
 from scipy import special
 
 import recourse_mi
-from recourse_mi import attack, normal, recourse
+from recourse_mi import normal, recourse
 from recourse_mi.attack import (
     Guess,
     InvalidRecourseError,
     NormalFit,
     RecourseConfig,
     cfd_lrt_attack_scores,
-    cfd_lrt_score,
     cfd_statistic,
-    fit_lognormal_mle,
     fit_normal_mle,
-    lognormal_quantile,
     loss_attack_scores,
     loss_lrt_attack_scores,
     loss_lrt_score,
+    normal_quantile,
     replay_distances,
     shadow_tag,
     shadow_training_tasks,
@@ -39,9 +37,9 @@ from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standar
 from recourse_mi.nn import (
     TrainConfig,
     TrainingDivergedError,
-    bce_from_proba,
-    logit_confidence_from_proba,
-    predict_proba,
+    bce,
+    logit_confidence,
+    predict_proba_batch,
     train_classifier,
     train_vae,
 )
@@ -52,21 +50,21 @@ from recourse_mi.recourse import (
     RecourseResult,
     ScfeParams,
     SearchParams,
-    cost,
     growing_spheres,
+    row_costs,
 )
 from recourse_mi.seeds import derive_seed
 
-from conftest import make_logistic, stream_columns, train_shadows, use_cpus
+from conftest import make_logistic, prob_of, stream_columns, train_shadows, use_cpus
 from reference import lognormal_quantile_oracle, normal_cdf
 
 
 def loss_of(m, x, y):
-    return bce_from_proba(predict_proba(m, x), y)
+    return float(bce(prob_of(m, x), y))
 
 
 def confidence_of(m, x, y):
-    return logit_confidence_from_proba(predict_proba(m, x), y)
+    return float(logit_confidence(prob_of(m, x), y))
 
 
 def shadow_distances(x, models, replay, point_seed):
@@ -105,36 +103,38 @@ class TestCfdStatistic:
         x = np.array([0.0, 0.0])
         res = growing_spheres(halfspace_2d, x, SearchParams(seed=1), CostFn("l1"))
         stat = cfd_statistic(x, res)
-        assert stat == cost(x, res.counterfactual, CostFn("l1"))
+        assert stat == row_costs(res.counterfactual[None, :] - x, "l1")[0]
 
 
 class TestLogNormalFit:
+    """cfd_lrt's log-normal fit: fit_normal_mle of the log-samples."""
+
     def test_all_e(self):
-        fit = fit_lognormal_mle([np.e, np.e, np.e])
+        fit = fit_normal_mle(np.log([np.e, np.e, np.e]))
         assert fit.mu == pytest.approx(1.0, abs=1e-15)
         assert fit.sigma2 == pytest.approx(0.0, abs=1e-15)
         assert fit.n == 3
 
     def test_single_sample(self):
-        fit = fit_lognormal_mle([1.0])
+        fit = fit_normal_mle(np.log([1.0]))
         assert fit.mu == 0.0 and fit.sigma2 == 0.0 and fit.n == 1
 
     def test_one_and_e_squared(self):
-        fit = fit_lognormal_mle([1.0, np.e**2])
+        fit = fit_normal_mle(np.log([1.0, np.e**2]))
         assert fit.mu == pytest.approx(1.0, abs=1e-12)
         assert fit.sigma2 == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="positive"):
+            cfd_lrt_one(1.0, [1.0, 0.0], (0.05,))
         with pytest.raises(ValueError):
-            fit_lognormal_mle([1.0, 0.0])
-        with pytest.raises(ValueError):
-            fit_lognormal_mle([])
+            fit_normal_mle(np.log([]))
 
     def test_matches_direct_formula(self):
         # the two-line MLE computed longhand, independent of the module
         rng = np.random.default_rng(0)
         s = rng.lognormal(mean=0.3, sigma=0.8, size=257)
-        fit = fit_lognormal_mle(s)
+        fit = fit_normal_mle(np.log(s))
         logs = [float(np.log(v)) for v in s]
         mu = sum(logs) / len(logs)
         sigma2 = sum((mu - l) ** 2 for l in logs) / len(logs)
@@ -143,35 +143,36 @@ class TestLogNormalFit:
 
 
 class TestLogNormalQuantile:
+    """The log-normal quantile of a fit of log-samples: exp(normal_quantile)."""
+
     def test_median_is_exp_mu(self):
         for s2 in (0.0, 0.5, 4.0):
-            assert lognormal_quantile(NormalFit(0.0, s2, 5), 0.5) == \
+            assert math.exp(normal_quantile(NormalFit(0.0, s2, 5), 0.5)) == \
                 pytest.approx(1.0, abs=1e-12)
 
     def test_against_bisection_oracle(self):
         for mu in (-1.0, 0.0, 0.7):
             for s2 in (0.04, 1.0, 2.5):
                 for q in (0.01, 0.1, 0.5, 0.9, 0.975, 0.99):
-                    got = lognormal_quantile(NormalFit(mu, s2, 8), q)
+                    got = math.exp(normal_quantile(NormalFit(mu, s2, 8), q))
                     want = lognormal_quantile_oracle(mu, s2, q)
                     assert got == pytest.approx(want, abs=1e-8, rel=1e-8)
 
     def test_degenerate_fit(self):
         fit = NormalFit(1.0, 0.0, 3)
         for q in (0.01, 0.5, 0.99):
-            assert lognormal_quantile(fit, q) == pytest.approx(np.e, abs=1e-12)
+            assert math.exp(normal_quantile(fit, q)) == pytest.approx(np.e, abs=1e-12)
 
     def test_monotone_in_q(self):
         fit = NormalFit(0.2, 0.9, 10)
         qs = np.linspace(0.01, 0.99, 50)
-        vals = [lognormal_quantile(fit, q) for q in qs]
+        vals = [math.exp(normal_quantile(fit, q)) for q in qs]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
-    def test_rejects_bad_q(self):
-        with pytest.raises(ValueError):
-            lognormal_quantile(NormalFit(0.0, 1.0, 3), 0.0)
-        with pytest.raises(ValueError):
-            lognormal_quantile(NormalFit(0.0, 1.0, 3), 1.0)
+    def test_q_zero_and_one_give_zero_and_inf(self):
+        # the ends of the distance range, as ndtri gives -inf and inf
+        assert math.exp(normal_quantile(NormalFit(0.0, 1.0, 3), 0.0)) == 0.0
+        assert math.exp(normal_quantile(NormalFit(0.0, 1.0, 3), 1.0)) == math.inf
 
 
 def distance_sample(t0, point_id="p"):
@@ -204,11 +205,11 @@ class TestCfdLrtDecide:
     )
     @settings(max_examples=200, deadline=None)
     def test_score_decision_coherence(self, dists, t0, alpha):
-        fit = fit_lognormal_mle(dists)
+        fit = fit_normal_mle(np.log(dists))
         sc = cfd_lrt_one(t0, dists, (alpha,))
-        member = math.log(t0) >= attack.normal_quantile(fit, 1.0 - alpha)
+        member = math.log(t0) >= normal_quantile(fit, 1.0 - alpha)
         assert sc.guess_at[alpha] is (Guess.MEMBER if member else Guess.NON_MEMBER)
-        assert sc.score == cfd_lrt_score(t0, fit)
+        assert sc.score == loss_lrt_score(math.log(t0), fit)
 
     def test_score_threshold_sweep_matches_decisions(self):
         # away from rounding, MEMBER exactly when the score reaches 1 - alpha
@@ -239,7 +240,7 @@ class TestLevelAlpha:
     def test_cfd_lrt(self):
         rng = np.random.default_rng(0)
         dists = rng.lognormal(0.3, math.sqrt(0.5), size=16)
-        fit = fit_lognormal_mle(dists)
+        fit = fit_normal_mle(np.log(dists))
         t0s = np.exp(rng.normal(fit.mu, math.sqrt(fit.sigma2), size=self.N))
         samples = [distance_sample(float(t), f"p{i}") for i, t in enumerate(t0s)]
         self.assert_level(cfd_lrt_attack_scores(samples, np.tile(dists, (self.N, 1)),
@@ -249,7 +250,7 @@ class TestLevelAlpha:
         # with a weight of 1 and no bias, a label-1 point's confidence is the point
         rng = np.random.default_rng(1)
         shadow_p = 1 / (1 + np.exp(-rng.normal(0.5, 1.2, size=8)))
-        fit = fit_normal_mle([logit_confidence_from_proba(q, 1) for q in shadow_p])
+        fit = fit_normal_mle(logit_confidence(shadow_p, 1))
         xs = rng.normal(fit.mu, math.sqrt(fit.sigma2), size=self.N)
         samples = [SimpleNamespace(point_id=f"p{i}", point=np.array([x]), label=1)
                    for i, x in enumerate(xs)]
@@ -258,25 +259,33 @@ class TestLevelAlpha:
 
 
 class TestCfdLrtScore:
+    """cfd_lrt's score of a distance t0: loss_lrt_score of log t0 against
+    the fit of the log shadow distances."""
+
     def test_median_is_half(self):
         for mu in (-1.0, 0.0, 2.0):
             fit = NormalFit(mu, 1.3, 9)
-            assert cfd_lrt_score(float(np.exp(mu)), fit) == pytest.approx(0.5, abs=1e-12)
+            assert loss_lrt_score(math.log(float(np.exp(mu))), fit) == \
+                pytest.approx(0.5, abs=1e-12)
 
     def test_one_sigma(self):
         fit = NormalFit(0.0, 1.0, 9)
-        assert cfd_lrt_score(np.e, fit) == pytest.approx(normal_cdf(1.0), abs=1e-9)
-        assert cfd_lrt_score(np.e, fit) == pytest.approx(0.841345, abs=1e-6)
+        assert loss_lrt_score(math.log(np.e), fit) == pytest.approx(normal_cdf(1.0), abs=1e-9)
+        assert loss_lrt_score(math.log(np.e), fit) == pytest.approx(0.841345, abs=1e-6)
 
     def test_degenerate_snaps(self):
         fit = NormalFit(0.0, 0.0, 3)
-        assert cfd_lrt_score(0.5, fit) == 0.0
-        assert cfd_lrt_score(1.0, fit) == 0.5
-        assert cfd_lrt_score(2.0, fit) == 1.0
+        assert loss_lrt_score(math.log(0.5), fit) == 0.0
+        assert loss_lrt_score(math.log(1.0), fit) == 0.5
+        assert loss_lrt_score(math.log(2.0), fit) == 1.0
 
-    def test_rejects_nonpositive_t0(self):
-        with pytest.raises(ValueError):
-            cfd_lrt_score(0.0, NormalFit(0.0, 1.0, 3))
+    def test_zero_t0_scores_at_the_distance_floor(self):
+        # cfd_statistic floors t0, so log t0 is always finite
+        dists = [1 / np.e, np.e]
+        sc = cfd_lrt_one(0.0, dists, (0.05,))
+        assert sc.statistic == recourse.DISTANCE_FLOOR
+        assert sc.score == loss_lrt_score(math.log(recourse.DISTANCE_FLOOR),
+                                          fit_normal_mle(np.log(dists)))
 
 
 class TestLossScores:
@@ -372,7 +381,7 @@ class TestShadowEnsemble:
     def test_distances_positive_and_at_most_n(self, shadow_setup):
         std, models, replay = shadow_setup
         x = next(f for f, m in zip(std.features, std.labels)
-                 if predict_proba(models[0], f) < 0.5)
+                 if prob_of(models[0], f) < 0.5)
         d = shadow_distances(x, models, replay, point_seed=0)
         assert 2 <= d.size <= 8
         assert (d > 0).all()
@@ -380,7 +389,7 @@ class TestShadowEnsemble:
     def test_deterministic(self, shadow_setup):
         std, models, replay = shadow_setup
         x = std.features[0]
-        if predict_proba(models[0], x) >= 0.5:
+        if prob_of(models[0], x) >= 0.5:
             x = std.features[1]
         d1 = shadow_distances(x, models, replay, point_seed=3)
         d2 = shadow_distances(x, models, replay, point_seed=3)
@@ -444,7 +453,7 @@ class TestShadowEnsemble:
             positive = failed = 0
             for i, m in enumerate(models):
                 neg, dist = replay_distances(m, x[None, :], [40 + r], i, *replay)
-                assert neg.tolist() == [predict_proba(m, x) < 0.5]
+                assert neg.tolist() == [prob_of(m, x) < 0.5]
                 assert np.array_equal(cols.dists[r, i], dist[0] if neg[0] else np.nan,
                                       equal_nan=True)
                 positive += not neg[0]
@@ -496,7 +505,7 @@ class TestShadowEnsemble:
             assert sum(sent) <= 64 * n * k + 512 * k
             # the matrix and skip counts still follow the replayed recourses
             for i, model in enumerate(models):
-                neg = np.array([predict_proba(model, x) < 0.5 for x in X])
+                neg = np.array([prob_of(model, x) < 0.5 for x in X])
                 seeds = [derive_seed(3, f"shadow-recourse-{r}", i) for r in np.flatnonzero(neg)]
                 want = [max(r.cost, recourse.DISTANCE_FLOOR) if r.valid else np.nan
                         for r in rc.generate_batch(model, X[neg], seeds)]
@@ -511,7 +520,7 @@ class TestShadowEnsemble:
         owner = models[0]
         samples = []
         for j, x in enumerate(std.features[:40]):
-            if predict_proba(owner, x) < 0.5:
+            if prob_of(owner, x) < 0.5:
                 res = growing_spheres(owner, x, SearchParams(seed=j), CostFn("l1"))
                 samples.append(SimpleNamespace(point_id=f"p{j}", point=x, recourse=res))
         scores = cfd_lrt_scores(samples, models, replay, alphas=(0.1,))
@@ -522,9 +531,9 @@ class TestShadowEnsemble:
             if row.size < 2:
                 assert s.point_id not in by_id
                 continue
-            fit = fit_lognormal_mle(row)
+            fit = fit_normal_mle(np.log(row))
             t0 = cfd_statistic(s.point, s.recourse)
-            assert by_id[s.point_id].score == cfd_lrt_score(t0, fit)
+            assert by_id[s.point_id].score == loss_lrt_score(math.log(t0), fit)
 
     def test_shadow_models_never_trained_on_eval_rows(self, shadow_setup):
         std, models, _ = shadow_setup
@@ -632,7 +641,8 @@ class TestGenerateBatch:
         model = train_classifier(ds, arch, TrainConfig(learning_rate=0.02, epochs=30, seed=6))
         vae = (train_vae(ds, TrainConfig(learning_rate=1e-3, epochs=30, seed=7))
                if algorithm == "cchvae" else None)
-        X = np.array([x for x in ds.features if predict_proba(model, x) < 0.5][:24])
+        negative = predict_proba_batch(model, ds.features) < 0.5
+        X = ds.features[negative][:24]
         seeds = list(range(200, 224))
         rc = RecourseConfig(algorithm=algorithm,
                             scfe_params=ScfeParams(lam=1.0, max_iters=120),
@@ -646,7 +656,7 @@ class TestGenerateBatch:
         assert any(r["valid"] for r in whole)
         if block_rows is not None:
             # the precondition covers the whole input and names the global row
-            pos = next(x for x in ds.features if predict_proba(model, x) >= 0.5)
+            pos = ds.features[~negative][0]
             with pytest.raises(RecoursePreconditionError, match=r"\(row 17, "):
                 rc.generate_batch(model, np.insert(X, 17, pos, axis=0), seeds + [224])
 
@@ -664,9 +674,9 @@ class TestQuantileCalibration:
         # q-quantile approaches q
         rng = np.random.default_rng(17)
         s = rng.lognormal(mean=0.5, sigma=1.1, size=10_000)
-        fit = fit_lognormal_mle(s)
+        fit = fit_normal_mle(np.log(s))
         for q in (0.1, 0.25, 0.5, 0.75, 0.9):
-            frac = float(np.mean(s < lognormal_quantile(fit, q)))
+            frac = float(np.mean(s < math.exp(normal_quantile(fit, q))))
             assert frac == pytest.approx(q, abs=0.02)
 
 

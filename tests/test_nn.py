@@ -15,18 +15,17 @@ from recourse_mi.nn import (
     TrainConfig,
     TrainingDivergedError,
     accuracy,
-    bce_from_proba,
+    bce,
     bce_to_target_grad_batch,
     load_model,
-    logit_confidence_from_proba,
-    predict_proba,
+    logit_confidence,
     predict_proba_batch,
     save_model,
     train_classifier,
     train_vae,
 )
 
-from conftest import make_logistic
+from conftest import make_logistic, prob_of
 from reference import (
     VAE_ARRAY_NAMES,
     AdamReference,
@@ -40,11 +39,11 @@ SIGMA_1 = 0.7310585786300049  # sigmoid(1)
 
 
 def loss_of(m, x, y):
-    return bce_from_proba(predict_proba(m, x), y)
+    return float(bce(prob_of(m, x), y))
 
 
 def confidence_of(m, x, y):
-    return logit_confidence_from_proba(predict_proba(m, x), y)
+    return float(logit_confidence(prob_of(m, x), y))
 
 
 def gradient_of(m, x, target=1.0):
@@ -55,20 +54,20 @@ def gradient_of(m, x, target=1.0):
 class TestPredictProba:
     def test_zero_parameters_give_half(self):
         m = make_logistic([0.0, 0.0], 0.0)
-        assert predict_proba(m, np.array([3.0, -7.0])) == 0.5
+        assert prob_of(m, np.array([3.0, -7.0])) == 0.5
 
     def test_zero_preactivation(self):
         m = make_logistic([1.0, 0.0], 0.0)
-        assert predict_proba(m, np.array([0.0, 0.0])) == 0.5
+        assert prob_of(m, np.array([0.0, 0.0])) == 0.5
 
     def test_sigmoid_of_one(self):
         m = make_logistic([1.0, 0.0], 0.0)
-        assert predict_proba(m, np.array([1.0, 0.0])) == pytest.approx(SIGMA_1, abs=1e-12)
+        assert prob_of(m, np.array([1.0, 0.0])) == pytest.approx(SIGMA_1, abs=1e-12)
 
     def test_dimension_mismatch(self):
         m = make_logistic([1.0, 0.0], 0.0)
         with pytest.raises(DimensionMismatchError):
-            predict_proba(m, np.array([1.0, 0.0, 0.0]))
+            predict_proba_batch(m, np.array([[1.0, 0.0, 0.0]]))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(0)
@@ -76,7 +75,7 @@ class TestPredictProba:
         m = train_classifier(ds, [8], TrainConfig(learning_rate=0.01, epochs=20, seed=2))
         xs = rng.normal(size=(10, 4))
         batch = predict_proba_batch(m, xs)
-        singles = [predict_proba(m, x) for x in xs]
+        singles = [prob_of(m, x) for x in xs]
         assert np.array_equal(batch, singles)
 
     @pytest.mark.parametrize("d,arch", [(800, []), (50, [256])])
@@ -93,7 +92,7 @@ class TestPredictProba:
             batch = predict_proba_batch(m, xs[:n])
             p, g = bce_to_target_grad_batch(m, xs[:n], 1.0)
             for i in range(n):
-                assert batch[i] == p[i] == predict_proba(m, xs[i])
+                assert batch[i] == p[i] == prob_of(m, xs[i])
                 assert np.array_equal(g[i], gradient_of(m, xs[i]))
 
     def test_rows_run_in_blocks_of_bounded_memory(self):
@@ -148,13 +147,32 @@ class TestBceAndConfidence:
             conf = confidence_of(m, x, y)
             assert loss_of(m, x, y) == pytest.approx(np.log1p(np.exp(-conf)), abs=1e-9)
 
+    def test_arrays_map_elementwise(self):
+        # a (points, models) matrix against a column of labels gives, bit
+        # for bit, each probability's own value, clamped tails included
+        rng = np.random.default_rng(4)
+        p = np.concatenate([rng.random(400), [0.0, 1.0, 1e-9, 1 - 1e-9, 0.5, 1e-7]])
+        rng.shuffle(p)
+        p = p.reshape(-1, 2)
+        y = rng.integers(0, 2, size=p.shape[0])
+        for fn in (bce, logit_confidence):
+            got = fn(p, y[:, None])
+            assert got.shape == p.shape and np.isfinite(got).all()
+            assert all(got[i, j] == fn(p[i, j], y[i])
+                       for i in range(p.shape[0]) for j in range(2))
+
+    def test_every_label_is_checked(self):
+        for fn in (bce, logit_confidence):
+            with pytest.raises(ValueError, match="label must be 0 or 1, got 2"):
+                fn(np.full(3, 0.5), np.array([1, 0, 2]))
+
 
 class TestInputGradient:
     def test_logistic_analytic_form(self):
         theta = np.array([2.0, -1.0])
         m = make_logistic(theta, 0.5)
         x = np.array([0.3, 0.7])
-        p = predict_proba(m, x)
+        p = prob_of(m, x)
         g = gradient_of(m, x, target=1.0)
         assert np.allclose(g, (p - 1.0) * theta, atol=1e-12)
         g0 = gradient_of(m, x, target=0.0)
@@ -169,7 +187,7 @@ class TestInputGradient:
             x = rng.normal(size=5)
             g = gradient_of(m, x, target=1.0)
             fd = finite_difference_gradient(
-                lambda v: -np.log(np.clip(predict_proba(m, v), 1e-300, None)), x)
+                lambda v: -np.log(np.clip(prob_of(m, v), 1e-300, None)), x)
             tol = max(1e-4, 1e-3 * np.linalg.norm(g))
             assert np.abs(g - fd).max() < tol
 
@@ -350,7 +368,7 @@ class TestSerialization:
         for a, b in zip(m.weights + m.biases, back.weights + back.biases):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         x = np.array([0.1, -0.2, 0.3])
-        assert predict_proba(back, x) == predict_proba(m, x)
+        assert prob_of(back, x) == prob_of(m, x)
 
     def test_vae_round_trip_bit_exact(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(d=5, n_per_class=30, seed=6))

@@ -10,7 +10,7 @@ from recourse_mi.data import SyntheticSpec, generate_synthetic, standardize
 from recourse_mi.nn import (
     DimensionMismatchError,
     TrainConfig,
-    predict_proba,
+    predict_proba_batch,
     train_classifier,
     train_vae,
 )
@@ -20,19 +20,29 @@ from recourse_mi.recourse import (
     ScfeParams,
     SearchParams,
     cchvae,
-    cost,
     growing_spheres,
+    row_costs,
     scfe_batch,
     uniform_l1_ball_sample,
 )
 
-from conftest import make_logistic
+from conftest import make_logistic, prob_of
 from reference import (
     cchvae_reference,
     grid_cheapest_valid_logistic,
     growing_spheres_reference,
     scfe_reference,
 )
+
+
+def cost(x, xp, fn):
+    """The cost of the one counterfactual xp of x: row 0 of row_costs."""
+    return float(row_costs(xp[None, :] - x, fn.norm)[0])
+
+
+def negatives(model, X):
+    """The rows of X that the model classifies negatively."""
+    return X[predict_proba_batch(model, X) < 0.5]
 
 
 class TestCost:
@@ -47,12 +57,15 @@ class TestCost:
         assert cost(x, xp, CostFn("l2")) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
     def test_dimension_mismatch(self):
+        # row_costs takes a (n, d) difference matrix, not a vector
         with pytest.raises(DimensionMismatchError):
-            cost(np.zeros(2), np.zeros(3), CostFn("l1"))
+            row_costs(np.zeros(3), "l1")
 
     def test_bad_norm_rejected(self):
         with pytest.raises(ValueError):
             CostFn("linf")
+        with pytest.raises(ValueError, match="linf"):
+            row_costs(np.zeros((1, 2)), "linf")
 
     @given(st.integers(1, 10), st.integers(0, 2**31))
     @settings(max_examples=50, deadline=None)
@@ -72,6 +85,32 @@ class TestCost:
         for fn in (CostFn("l1"), CostFn("l2")):
             assert cost(x, y, fn) == cost(y, x, fn)
             assert cost(x, z, fn) <= cost(x, y, fn) + cost(y, z, fn) + 1e-12
+
+    @pytest.mark.parametrize("d", [1, 7, 800])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize("algorithm", ["scfe", "growing_spheres", "cchvae"])
+    def test_every_generator_stores_the_row_cost_of_its_counterfactual(self, algorithm,
+                                                                      norm, d):
+        # the stored cost is the row cost of (x, counterfactual) bit for
+        # bit, however the generator computed it; the points sit just on
+        # the negative side of a random hyperplane, so every search can
+        # find a recourse
+        ds, _ = standardize(generate_synthetic(SyntheticSpec(d=d, n_per_class=30, seed=d)))
+        theta = np.random.default_rng(d).normal(size=d)
+        model = make_logistic(theta, 0.0)
+        X = ds.features[:6] - ((ds.features[:6] @ theta + 1e-3) / (theta @ theta))[:, None] * theta
+        fn = CostFn(norm)
+        params = SearchParams(samples_per_radius=50, max_radius=3.0)
+        if algorithm == "scfe":
+            results = scfe_batch(model, X, ScfeParams(max_iters=100), fn, range(len(X)))
+        elif algorithm == "growing_spheres":
+            results = [growing_spheres(model, x, params, fn) for x in X]
+        else:
+            vae = train_vae(ds, TrainConfig(learning_rate=1e-3, epochs=2, seed=2))
+            results = [cchvae(model, vae, x, params, fn) for x in X]
+        assert any(r.valid for r in results)
+        for x, r in zip(X, results):
+            assert r.cost == row_costs(r.counterfactual[None, :] - x, norm)[0]
 
 
 class TestUniformL1Ball:
@@ -141,10 +180,10 @@ class TestScfe:
     def test_validity_when_reachable(self):
         m = make_logistic([2.0, -1.0], 0.3)
         x = np.array([-1.0, 0.5])
-        assert predict_proba(m, x) < 0.5
+        assert prob_of(m, x) < 0.5
         res = scfe_batch(m, x[None], ScfeParams(), CostFn("l1"), [0])[0]
         assert res.valid
-        assert predict_proba(m, res.counterfactual) >= 0.5
+        assert prob_of(m, res.counterfactual) >= 0.5
         # recomputing the cost from the stored vectors gives the stored cost
         assert res.cost == cost(x, res.counterfactual, CostFn("l1"))
 
@@ -204,7 +243,7 @@ class TestScfeBatch:
         1e-9 and every other row to 1e-12."""
         ds, models = scfe_models
         model = models[arch]
-        X = np.array([x for x in ds.features if predict_proba(model, x) < 0.5][:12])
+        X = negatives(model, ds.features)[:12]
         params = ScfeParams(lam=3.0, lam_decay=0.3, max_iters=150, max_retries=3,
                             immutable=immutable)
         fn = CostFn(norm)
@@ -215,13 +254,13 @@ class TestScfeBatch:
             ref = scfe_reference(model, x, params, norm)
             assert res.valid == ref["valid"]
             assert res.trace == ref["trace"]
-            tol = 1e-9 if predict_proba(model, x) > 0.45 else 1e-12
+            tol = 1e-9 if prob_of(model, x) > 0.45 else 1e-12
             assert abs(res.cost - ref["cost"]) <= tol
             assert res.seed == 100 + i
             retries.add(res.trace["retries_used"])
             if res.valid:
                 assert res.cost == cost(x, res.counterfactual, fn)
-                assert predict_proba(model, res.counterfactual) >= 0.5
+                assert prob_of(model, res.counterfactual) >= 0.5
                 assert np.array_equal(res.counterfactual[list(immutable)], x[list(immutable)])
         assert len(retries) >= 2 and max(retries) >= 1
 
@@ -232,7 +271,7 @@ class TestScfeBatch:
         # one-row search and the unblocked batch
         ds, models = scfe_models
         model = models[arch]
-        X = np.array([x for x in ds.features if predict_proba(model, x) < 0.5][:12])
+        X = negatives(model, ds.features)[:12]
         params = ScfeParams(lam=3.0, lam_decay=0.3, max_iters=150, max_retries=3)
         seeds = list(range(100, 112))
         whole = [r.to_json() for r in scfe_batch(model, X, params, CostFn("l1"), seeds)]
@@ -341,12 +380,12 @@ class TestCchvae:
     def test_counterfactual_reconstructs_from_latent(self, vae_setup):
         std, vae = vae_setup
         m = make_logistic([1.0, 0, 0, 0, 0, 0, 0, 0], -0.5)
-        neg = next(x for x in std.features if predict_proba(m, x) < 0.5)
+        neg = negatives(m, std.features)[0]
         res = cchvae(m, vae, neg, SearchParams(max_radius=20.0, seed=4), CostFn("l1"))
         assert res.valid
         z = np.array(res.trace["latent_point"])
         assert np.array_equal(vae.decode_batch(z[None, :])[0], res.counterfactual)
-        assert predict_proba(m, res.counterfactual) >= 0.5
+        assert prob_of(m, res.counterfactual) >= 0.5
 
     def test_exhausted_radius_invalid(self, vae_setup):
         std, vae = vae_setup
@@ -358,7 +397,7 @@ class TestCchvae:
     def test_deterministic(self, vae_setup):
         std, vae = vae_setup
         m = make_logistic([1.0, 0, 0, 0, 0, 0, 0, 0], -0.5)
-        neg = next(x for x in std.features if predict_proba(m, x) < 0.5)
+        neg = negatives(m, std.features)[0]
         r1 = cchvae(m, vae, neg, SearchParams(seed=6), CostFn("l1"))
         r2 = cchvae(m, vae, neg, SearchParams(seed=6), CostFn("l1"))
         assert np.array_equal(r1.counterfactual, r2.counterfactual)
@@ -375,7 +414,7 @@ class TestBallSearchOracle:
         of a single radius (max_radius == initial_radius)."""
         std, vae = vae_setup
         model = train_classifier(std, [8], TrainConfig(learning_rate=0.01, epochs=20, seed=3))
-        points = [x for x in std.features if predict_proba(model, x) < 0.5][:2]
+        points = negatives(model, std.features)[:2]
         schedules = [dict(samples_per_radius=40, max_radius=6.0),
                      dict(samples_per_radius=40, radius_step=0.05, max_radius=0.2),
                      dict(initial_radius=0.5, max_radius=0.5)]
@@ -419,7 +458,7 @@ class TestImmutableMask:
     def test_cchvae_mask_pins_coordinates(self, vae_setup):
         std, vae = vae_setup
         m = make_logistic([1.0, 0, 0, 0, 0, 0, 0, 0], -0.5)
-        neg = next(x for x in std.features if predict_proba(m, x) < 0.5)
+        neg = negatives(m, std.features)[0]
         res = cchvae(m, vae, neg, SearchParams(seed=6, immutable=(3, 5)),
                      CostFn("l1"))
         if res.valid:

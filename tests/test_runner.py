@@ -20,12 +20,11 @@ from recourse_mi import attack, cli, nn, runner
 from recourse_mi import data as data_mod
 from recourse_mi.attack import Guess
 from recourse_mi.data import SyntheticSpec, ZeroVarianceColumnError, load_tabular, write_csv
-from recourse_mi.nn import predict_proba
 from recourse_mi.pool import TaskPool
 from recourse_mi.runner import ConfigError, GameSetupError, config_from_dict
 from recourse_mi.seeds import derive_seed
 
-from conftest import batch_split_agreement, stream_columns, train_shadows, use_cpus
+from conftest import batch_split_agreement, prob_of, stream_columns, train_shadows, use_cpus
 
 
 def small_raw(**overrides):
@@ -179,7 +178,8 @@ class TestConfig:
         ({"sweep": {"d": [4]}, "data": 5}, "data must be a JSON object"),
         # the second run's immutable index is out of range: found before the first trains
         ({"sweep": {"d": [8, 4]}, "recourse": {"immutable": [6]}}, "immutable"),
-        # partition sizes: checked before any data is built
+        # partition sizes: each checked before any data is built, their sum
+        # against the data's rows by the split, still before any training
         ({"eval": {"owner_n": -5}}, "owner_n"),
         ({"eval": {"owner_n": 0}}, "owner_n"),
         ({"eval": {"eval_out_n": 0}}, "eval_out_n"),
@@ -220,7 +220,10 @@ class TestConfig:
         raw = small_raw(**overrides)
         command = "sweep" if "sweep" in raw else "run"
         with pytest.raises(ConfigError, match=match):
-            runner.run_sweep(raw) if command == "sweep" else config_from_dict(raw)
+            if command == "sweep":
+                runner.run_sweep(raw)
+            else:
+                runner.build_split(config_from_dict(raw))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         out = [] if "out_dir" in raw else ["--out", str(tmp_path / "o")]  # --out would replace it
@@ -295,6 +298,7 @@ class TestConfig:
         namespace: dict = {}
         exec(block, namespace)
         assert 0.0 <= namespace["score"] <= 1.0
+        assert namespace["member"] is (namespace["score"] >= 0.95)
 
     def test_defaults_applied(self):
         cfg = config_from_dict({})
@@ -313,7 +317,7 @@ class TestPlayGame:
         n_n = len(samples) - n_m
         assert n_m == n_n == 15
         for s in samples:
-            assert predict_proba(prep.owner_model, s.point) < 0.5
+            assert prob_of(prep.owner_model, s.point) < 0.5
             assert s.recourse.valid
 
     def test_deterministic(self):
@@ -854,6 +858,36 @@ class TestCli:
         cfg_path.write_text(json.dumps(raw))
         rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_gen_data_splits_nothing_so_only_the_other_commands_check_partitions(
+            self, tmp_path, monkeypatch, capsys):
+        trained = []
+        monkeypatch.setattr(nn, "train_classifier", lambda *a, **k: trained.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        # the default eval sizes sum to 4000 rows, and the data has 200
+        cfg_path.write_text(json.dumps({"data": {"d": 4, "n_per_class": 100}}))
+        out_csv = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out_csv)]) == 0
+        assert load_tabular(out_csv, "label", "binary").n == 200
+        for command in ("run", "train", "recourse", "sweep"):
+            assert cli.main([command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / command)]) == 1
+            assert "exceeds the 200 rows" in capsys.readouterr().err
+        assert not trained
+
+    def test_gen_data_keeps_a_files_feature_names(self, tmp_path, capsys):
+        # standardized data keeps the file's names under its provenance's parent
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text("age,income,y\n" + "".join(f"{i},{i * i % 7},{i % 2}\n"
+                                                       for i in range(20)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "data": {"kind": "file", "path": str(csv_path), "label_column": "y",
+                     "label_rule": "binary"},
+            "eval": {"owner_n": 5, "shadow_n": 5, "eval_out_n": 5}}))
+        out_csv = tmp_path / "out.csv"
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out_csv)]) == 0
+        assert out_csv.read_text().splitlines()[0] == "age,income,label"
 
     def test_gen_data_round_trip(self, tmp_path, capsys):
         raw = small_raw()
