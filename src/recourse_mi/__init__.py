@@ -6,6 +6,8 @@ shadow-model LRT), loss-based baselines, three recourse generators, ROC
 metrics focused on the low-FPR regime, and balanced-accuracy bounds under
 differentially private recourse.
 """
+__version__ = "0.1.0"  # before the submodules: runner writes it into each report
+
 from .attack import (
     AttackScore,
     Guess,
@@ -67,5 +69,3 @@ from .runner import (
     run_experiment,
     run_sweep,
 )
-
-__version__ = "0.1.0"

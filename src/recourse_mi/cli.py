@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import nn, privacy, runner
+from . import metrics, nn, privacy, runner
 from .data import write_csv
 
 
@@ -79,8 +79,8 @@ def cmd_run(args) -> int:
     for name, dirs in report.attack_metrics.items():
         best = report.best_direction[name]
         m = dirs[best]
-        print(f"{name} [{best}]: auc={m.auc:.4f} ba={m.balanced_accuracy:.4f} "
-              f"tpr@0.1={m.tpr_at_fpr[0.1]:.4f} tpr@0.01={m.tpr_at_fpr[0.01]:.4f}")
+        tprs = " ".join(f"tpr@{a!r}={m.tpr_at_fpr[a]:.4f}" for a in metrics.REPORT_FPRS)
+        print(f"{name} [{best}]: auc={m.auc:.4f} ba={m.balanced_accuracy:.4f} {tprs}")
     print(f"report written to {Path(cfg.out_dir) / 'report.json'}")
     return 0
 

@@ -15,10 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .attack import Guess
-
 LOG_FPR_CLAMP = 1e-5
-REPORT_FPRS = (0.1, 0.01)  # write_summary and the run command print these two
+REPORT_FPRS = (0.1, 0.01)  # runner.write_summary and cli's run command print these
 
 
 class SingleClassError(ValueError):
@@ -54,27 +52,17 @@ class MetricsReport:
         }
 
 
-def _membership_array(membership: Sequence) -> np.ndarray:
-    out = np.empty(len(membership), dtype=bool)
-    for i, m in enumerate(membership):
-        if isinstance(m, Guess):
-            out[i] = m is Guess.MEMBER
-        elif m in ("MEMBER", "NON-MEMBER"):
-            out[i] = m == "MEMBER"
-        else:
-            out[i] = bool(m)
-    return out
-
-
-def roc(scores: Sequence[float], membership: Sequence,
+def roc(scores: Sequence[float], membership: Sequence[bool],
         higher_means_member: bool = True) -> RocCurve:
     """ROC curve over all thresholds of the given scores.
 
-    `membership` holds the ground truth as Guess values, the strings
-    "MEMBER"/"NON-MEMBER", or booleans (True = member).
+    `membership` holds the ground truth as booleans (True = member); any
+    other dtype, such as the strings "MEMBER" and "NON-MEMBER", raises.
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = _membership_array(membership)
+    y = np.asarray(membership)
+    if y.dtype != bool:
+        raise TypeError(f"membership must be booleans (True = member), got {y.dtype}")
     if s.shape[0] != y.shape[0]:
         raise ValueError(f"{s.shape[0]} scores vs {y.shape[0]} membership labels")
     n_pos = int(y.sum())

@@ -12,11 +12,13 @@ replayed from seeds.
 A model trains on one flat float64 parameter vector whose reshaped views
 are its weights and biases, and one flat gradient buffer that backprop
 fills view by view, so Adam updates the whole model in one pass.
+
+save_model writes a model as one JSON document, manifest.json, with its
+arrays inline as nested lists; load_model reads it back bit for bit.
 """
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -34,8 +36,7 @@ PREDICT_BLOCK_VALUES = 16384
 VAE_LATENT_DIM = 8
 VAE_HIDDEN_DIM = 20
 
-PARAM_BLOB_MAGIC = b"RMIBLOB1"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class DimensionMismatchError(ValueError):
@@ -451,110 +452,55 @@ def train_vae(data: Dataset, config: TrainConfig) -> VaeModel:
     return vae
 
 
-# --- serialization: JSON manifest + little-endian float64 blob ------------
-
-def _write_blob(arrays: list[np.ndarray], path: Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(PARAM_BLOB_MAGIC)
-        fh.write(struct.pack("<I", len(arrays)))
-        for a in arrays:
-            fh.write(struct.pack("<I", a.ndim))
-            for dim in a.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def _read_blob(path: Path) -> list[np.ndarray]:
-    """Arrays of a parameter blob; ValueError unless the file holds exactly
-    the arrays its header declares."""
-    buf = Path(path).read_bytes()
-    pos = 0
-
-    def take(size: int) -> bytes:
-        nonlocal pos
-        if pos + size > len(buf):
-            raise ValueError(f"{path}: truncated parameter blob "
-                             f"({len(buf)} bytes, needs at least {pos + size})")
-        pos += size
-        return buf[pos - size : pos]
-
-    if take(len(PARAM_BLOB_MAGIC)) != PARAM_BLOB_MAGIC:
-        raise ValueError(f"{path}: not a parameter blob")
-    (count,) = struct.unpack("<I", take(4))
-    arrays = []
-    for _ in range(count):
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        size = int(np.prod(shape)) if shape else 1
-        arrays.append(np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy())
-    if pos != len(buf):
-        raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after "
-                         f"{count} parameter arrays")
-    return arrays
-
+# --- serialization: one JSON document per model, arrays inline ------------
 
 def save_model(model: Model | VaeModel, directory: str | Path) -> None:
-    """Write manifest.json + params.bin; round-trip is bit-exact."""
+    """Write the model, its arrays as nested lists, to directory/manifest.json.
+    json writes each float with repr, so the round trip is bit-exact."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if isinstance(model, Model):
-        arrays = list(model.weights) + list(model.biases)
-        manifest = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "classifier",
-            "d": model.d,
-            "architecture": model.architecture,
-            "n_weight_arrays": len(model.weights),
-            "training_meta": model.training_meta,
-        }
+        doc = {"kind": "classifier", "architecture": model.architecture,
+               "weights": [w.tolist() for w in model.weights],
+               "biases": [b.tolist() for b in model.biases]}
     else:
-        named = model._arrays()
-        arrays = [a for _, a in named]
-        manifest = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "vae",
-            "d": model.d,
-            "latent_dim": model.latent_dim,
-            "hidden_dim": model.hidden_dim,
-            "array_names": [n for n, _ in named],
-            "training_meta": model.training_meta,
-        }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    _write_blob(arrays, directory / "params.bin")
+        doc = {"kind": "vae", "latent_dim": model.latent_dim, "hidden_dim": model.hidden_dim,
+               **{name: a.tolist() for name, a in model._arrays()}}
+    doc.update(format_version=MODEL_FORMAT_VERSION, d=model.d, training_meta=model.training_meta)
+    # json.dumps encodes in C in one shot, where json.dump runs the Python encoder
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    (directory / "manifest.json").write_text(text, encoding="utf-8")
+
+
+def _float_array(cells) -> np.ndarray:
+    a = np.array(cells)  # ValueError for a ragged array
+    if a.dtype != np.float64:  # a null, string or bool cell; save_model writes floats
+        raise ValueError(f"expected an array of floats, got one of {a.dtype}")
+    return a
 
 
 def load_model(directory: str | Path) -> Model | VaeModel:
     """The model save_model wrote to `directory`. ValueError, naming the
-    directory, unless manifest.json and params.bin describe one model."""
+    directory, unless its manifest.json holds one model of this format;
+    Model and VaeModel check that the arrays fit the declared sizes."""
     directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{directory}: unsupported model format_version "
-                         f"{manifest.get('format_version')!r}, expected {MODEL_FORMAT_VERSION}")
-    arrays = _read_blob(directory / "params.bin")
     try:
-        if manifest["kind"] == "classifier":
-            k = manifest["n_weight_arrays"]
-            return Model(
-                weights=arrays[:k],
-                biases=arrays[k:],
-                architecture=list(manifest["architecture"]),
-                d=manifest["d"],
-                training_meta=manifest["training_meta"],
-            )
-        if manifest["kind"] == "vae":
-            if manifest["array_names"] != _VAE_ARRAYS or len(arrays) != len(_VAE_ARRAYS):
-                raise ValueError(f"VAE arrays {manifest['array_names']!r} ({len(arrays)} in "
-                                 f"params.bin), expected {_VAE_ARRAYS}")
-            return VaeModel(
-                **dict(zip(_VAE_ARRAYS, arrays)),
-                d=manifest["d"],
-                latent_dim=manifest["latent_dim"],
-                hidden_dim=manifest["hidden_dim"],
-                training_meta=manifest["training_meta"],
-            )
-    except ValueError as exc:
+        with open(directory / "manifest.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("format_version") != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported model format_version "
+                             f"{doc.get('format_version')!r}, expected {MODEL_FORMAT_VERSION}")
+        if doc["kind"] == "classifier":
+            return Model(weights=[_float_array(w) for w in doc["weights"]],
+                         biases=[_float_array(b) for b in doc["biases"]],
+                         architecture=list(doc["architecture"]), d=doc["d"],
+                         training_meta=doc["training_meta"])
+        if doc["kind"] == "vae":
+            return VaeModel(**{name: _float_array(doc[name]) for name in _VAE_ARRAYS},
+                            d=doc["d"], latent_dim=doc["latent_dim"],
+                            hidden_dim=doc["hidden_dim"], training_meta=doc["training_meta"])
+        raise ValueError(f"unknown model kind {doc['kind']!r}")
+    except KeyError as exc:
+        raise ValueError(f"{directory}: manifest.json has no {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:  # not a model document
         raise ValueError(f"{directory}: {exc}") from None
-    raise ValueError(f"{directory}: unknown model kind {manifest['kind']!r}")

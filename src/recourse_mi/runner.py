@@ -14,6 +14,7 @@ recourse does not depend on how the points are batched.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import json
@@ -25,6 +26,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from . import __version__
 from . import attack as attack_mod
 from . import metrics as metrics_mod
 from . import nn
@@ -94,12 +96,11 @@ class ExperimentReport:
     trace: dict[str, Any]
     curves: dict[str, dict[str, metrics_mod.RocCurve]]  # saved as CSV, not in to_json
     data_provenance: dict = field(default_factory=dict)
-    version: str = "0.1.0"
 
     def to_json(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
-            "version": self.version,
+            "version": __version__,
             "experiment_id": self.experiment_id,
             "config": self.config,
             "master_seed": self.master_seed,
@@ -583,6 +584,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         trace["cfd_lrt_starved"] = len(samples) - len(scores["cfd_lrt"])
 
     membership = {s.point_id: s.membership.value for s in samples}
+    is_member = {s.point_id: s.membership is Guess.MEMBER for s in samples}
     attack_metrics: dict[str, dict[str, metrics_mod.MetricsReport]] = {}
     best_direction: dict[str, str] = {}
     curves: dict[str, dict[str, metrics_mod.RocCurve]] = {}
@@ -590,7 +592,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if not score_list:
             raise GameSetupError(f"attack {name!r} produced no scores")
         values = [sc.score for sc in score_list]
-        truth = [membership[sc.point_id] for sc in score_list]
+        truth = [is_member[sc.point_id] for sc in score_list]
         game_meta.setdefault("scored_points", {})[name] = {
             "n_scored": len(score_list),
             "n_skipped": len(samples) - len(score_list),
@@ -636,18 +638,17 @@ def write_summary(report_docs: Sequence[dict], path: str | Path) -> None:
     documents (ExperimentReport.to_json())."""
     if not report_docs:
         raise ValueError("a summary needs at least one report")
-    lines = ["experiment_id,attack,direction,auc,ba,tpr_at_0.1,tpr_at_0.01"]
-    for doc in report_docs:
-        for name in sorted(doc["attacks"]):
-            for direction in ("standard", "reversed"):
-                m = doc["attacks"][name]["directions"][direction]
-                tpr = m["tpr_at_fpr"]
-                lines.append(
-                    f"{doc['experiment_id']},{name},{direction},{m['auc']!r},"
-                    f"{m['balanced_accuracy']!r},{tpr['0.1']!r},{tpr['0.01']!r}"
-                )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fprs = [repr(a) for a in metrics_mod.REPORT_FPRS]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["experiment_id", "attack", "direction", "auc", "ba",
+                         *(f"tpr_at_{a}" for a in fprs)])
+        for doc in report_docs:
+            for name in sorted(doc["attacks"]):
+                for direction in ("standard", "reversed"):
+                    m = doc["attacks"][name]["directions"][direction]
+                    writer.writerow([doc["experiment_id"], name, direction, m["auc"],
+                                     m["balanced_accuracy"], *(m["tpr_at_fpr"][a] for a in fprs)])
 
 
 def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[ExperimentReport]:

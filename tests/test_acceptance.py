@@ -48,7 +48,7 @@ from reference import (
     two_sided_distance_llr,
 )
 
-M, N = "MEMBER", "NON-MEMBER"
+M, N = True, False
 
 
 def criterion(num: int, ok: bool, detail: str) -> None:

@@ -1,0 +1,50 @@
+"""The package's import layering, read from its sources with ast: the leaf
+modules import no other package module, and data and nn import only the
+modules below them."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "recourse_mi"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+
+ALLOWED = {
+    "metrics": set(),
+    "normal": set(),
+    "privacy": set(),
+    "pool": set(),
+    "seeds": set(),
+    "data": {"seeds"},
+    "nn": {"data", "seeds"},
+}
+
+
+def package_imports(module: str) -> set[str]:
+    """The package modules `module` imports; a name that is no module
+    (`from . import __version__`) counts as the package's __init__."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("recourse_mi")):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found |= {a.name if a.name in MODULES else "__init__" for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("recourse_mi.")}
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_module_imports_only_the_layers_below_it(module):
+    assert package_imports(module) <= ALLOWED[module]
+
+
+def test_the_reader_sees_the_package_imports():
+    assert package_imports("runner") >= {"__init__", "attack", "metrics", "nn", "data"}
+    assert package_imports("cli") == {"metrics", "nn", "privacy", "runner", "data"}

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recourse_mi.attack import Guess
 from recourse_mi.metrics import (
     MetricsReport,
     RocCurve,
@@ -20,7 +19,7 @@ from recourse_mi.metrics import (
 
 from reference import pairwise_auc
 
-M, N = Guess.MEMBER, Guess.NON_MEMBER
+M, N = True, False
 
 
 def curve_from_points(pts) -> RocCurve:
@@ -61,10 +60,13 @@ class TestRoc:
         with pytest.raises(SingleClassError):
             roc([0.1, 0.2], [M, M])
 
-    def test_accepts_string_and_bool_membership(self):
-        c1 = roc([0.9, 0.1], ["MEMBER", "NON-MEMBER"])
-        c2 = roc([0.9, 0.1], [True, False])
-        assert auc(c1) == auc(c2) == 1.0
+    @pytest.mark.parametrize("membership", [["MEMBER", "NON-MEMBER"], ["NON-MEMBER"] * 2,
+                                            [1, 0], [1.0, 0.0], [None, None]],
+                             ids=["strings", "non_member_strings", "ints", "floats", "nulls"])
+    def test_rejects_membership_that_is_not_boolean(self, membership):
+        # the truthy string "NON-MEMBER" must not count as a member
+        with pytest.raises(TypeError, match="booleans"):
+            roc([0.9, 0.1], membership)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

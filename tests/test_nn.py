@@ -360,15 +360,19 @@ class TestVae:
 class TestSerialization:
     def test_classifier_round_trip_bit_exact(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(d=3, n_per_class=40, seed=6))
-        m = train_classifier(ds, [8, 4], TrainConfig(learning_rate=0.01, epochs=5, seed=1))
-        save_model(m, tmp_path / "m")
-        back = load_model(tmp_path / "m")
-        assert isinstance(back, Model)
-        assert back.architecture == m.architecture and back.d == m.d
-        for a, b in zip(m.weights + m.biases, back.weights + back.biases):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        x = np.array([0.1, -0.2, 0.3])
-        assert prob_of(back, x) == prob_of(m, x)
+        trained = train_classifier(ds, [8, 4], TrainConfig(learning_rate=0.01, epochs=5, seed=1))
+        # -0.0, the smallest subnormal and the largest finite float
+        extreme = make_logistic([-0.0, 5e-324, np.finfo(np.float64).max], -0.0)
+        for m in (trained, extreme):
+            save_model(m, tmp_path / "m")
+            back = load_model(tmp_path / "m")
+            assert isinstance(back, Model)
+            assert back.architecture == m.architecture and back.d == m.d
+            for a, b in zip(m.weights + m.biases, back.weights + back.biases):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert a.tobytes() == b.tobytes()  # keeps the sign of -0.0 too
+            x = np.array([0.1, -0.2, 0.3])
+            assert prob_of(back, x) == prob_of(m, x)
 
     def test_vae_round_trip_bit_exact(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(d=5, n_per_class=30, seed=6))
@@ -381,30 +385,43 @@ class TestSerialization:
         z = np.arange(8.0)[None, :]
         assert np.array_equal(vae.decode_batch(z), back.decode_batch(z))
 
+    def test_one_file_per_model(self, tmp_path):
+        std, _ = standardize(generate_synthetic(SyntheticSpec(d=5, n_per_class=30, seed=6)))
+        save_model(make_logistic([1.0, -2.0], 0.5), tmp_path / "m")
+        save_model(train_vae(std, TrainConfig(learning_rate=1e-3, epochs=1, seed=2)),
+                   tmp_path / "v")
+        for directory in (tmp_path / "m", tmp_path / "v"):
+            assert [p.name for p in directory.iterdir()] == ["manifest.json"]
+            doc = json.loads((directory / "manifest.json").read_text())
+            assert doc["format_version"] == nn.MODEL_FORMAT_VERSION == 2
+
     @pytest.fixture
     def saved(self, tmp_path):
         m = make_logistic([1.0, -2.0, 0.5], 0.25)
         save_model(m, tmp_path / "m")
         return tmp_path / "m"
 
-    def test_truncated_blob_rejected(self, saved):
-        blob = saved / "params.bin"
-        blob.write_bytes(blob.read_bytes()[:-3])
-        with pytest.raises(ValueError, match="truncated"):
+    def test_truncated_file_rejected(self, saved):
+        manifest = saved / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=re.escape(str(saved))):
             load_model(saved)
 
     def test_trailing_bytes_rejected(self, saved):
-        blob = saved / "params.bin"
-        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
-        with pytest.raises(ValueError, match="8 trailing bytes"):
+        manifest = saved / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match=re.escape(str(saved)) + ".*Extra data"):
             load_model(saved)
 
-    @pytest.mark.parametrize("kind,key,value", [
-        ("vae", "d", 7), ("vae", "latent_dim", 3), ("vae", "hidden_dim", 21),
-        ("vae", "array_names", ["w"] * 10), ("classifier", "d", 4),
-        ("classifier", "n_weight_arrays", 2),
-    ])
-    def test_manifest_that_disagrees_with_params_rejected(self, tmp_path, kind, key, value):
+    def test_a_document_that_is_no_object_rejected(self, saved):
+        (saved / "manifest.json").write_text("[2]")
+        with pytest.raises(ValueError, match=re.escape(str(saved))):
+            load_model(saved)
+
+    @staticmethod
+    def edited(tmp_path, kind, edit):
+        """The directory of a saved model of `kind` whose manifest.json
+        document `edit` has changed in place."""
         if kind == "vae":
             std, _ = standardize(generate_synthetic(SyntheticSpec(d=5, n_per_class=30, seed=6)))
             model = train_vae(std, TrainConfig(learning_rate=1e-3, epochs=1, seed=2))
@@ -412,17 +429,41 @@ class TestSerialization:
             model = make_logistic([1.0, -2.0, 0.5], 0.25)
         save_model(model, tmp_path / "m")
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        manifest[key] = value
+        edit(manifest)
         (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=re.escape(str(tmp_path / "m"))):
-            load_model(tmp_path / "m")
+        return tmp_path / "m"
 
-    @pytest.mark.parametrize("version", [2, 0, None])
+    @pytest.mark.parametrize("kind,key,value", [
+        ("vae", "d", 7), ("vae", "latent_dim", 3), ("vae", "hidden_dim", 21),
+        ("classifier", "d", 4),
+    ])
+    def test_manifest_that_disagrees_with_params_rejected(self, tmp_path, kind, key, value):
+        saved = self.edited(tmp_path, kind, lambda doc: doc.update({key: value}))
+        with pytest.raises(ValueError, match=re.escape(str(saved))):
+            load_model(saved)
+
+    @pytest.mark.parametrize("kind,edit,message", [
+        ("vae", lambda doc: doc.update(w=doc.pop("enc_w1")), "no 'enc_w1'"),
+        ("vae", lambda doc: doc.pop("dec_b2"), "no 'dec_b2'"),
+        ("classifier", lambda doc: doc["weights"].pop(), "parameter count"),
+        ("classifier", lambda doc: doc["weights"][0].append([1.0, 2.0]), ""),
+        ("classifier", lambda doc: doc["weights"][0][1].__setitem__(0, "x"), "floats"),
+        ("classifier", lambda doc: doc["biases"].__setitem__(0, [None]), "floats"),
+        ("classifier", lambda doc: doc.update(kind="tree"), "unknown model kind 'tree'"),
+        ("classifier", lambda doc: doc.pop("kind"), "no 'kind'"),
+    ], ids=["renamed_vae_array", "missing_vae_array", "dropped_weight_array", "ragged_array",
+            "string_cell", "null_cell", "unknown_kind", "no_kind"])
+    def test_malformed_arrays_or_kind_rejected(self, tmp_path, kind, edit, message):
+        saved = self.edited(tmp_path, kind, edit)
+        with pytest.raises(ValueError, match=re.escape(str(saved)) + ".*" + re.escape(message)):
+            load_model(saved)
+
+    @pytest.mark.parametrize("version", [1, 0, None])
     def test_unknown_format_version_rejected(self, saved, version):
         manifest = json.loads((saved / "manifest.json").read_text())
         manifest["format_version"] = version
         (saved / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format_version"):
+        with pytest.raises(ValueError, match=re.escape(str(saved)) + ".*format_version"):
             load_model(saved)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import gc
 import json
@@ -291,6 +292,15 @@ class TestConfig:
                        readme.index("`--seed` and `--out` override")]
         named = set(re.findall(r"`([a-z_]+(?:\.[a-z_]+)+)`", rules))
         assert len(named) >= 10 and named <= {row[0] for row in runner.CONFIG_TABLE}
+
+    def test_readme_config_schema_is_the_default_snapshot(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Config schema\n.*?```jsonc\n(.*?)```", readme, re.S).group(1)
+        # no string in the block holds "//", so each comment runs to its line's end
+        doc = json.loads(re.sub(r"//.*", "", block))
+        assert "sweep" in doc
+        del doc["sweep"]
+        assert doc == runner.normalize_config({})
 
     def test_readme_library_use_runs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -803,6 +813,21 @@ class TestSweepAndSummary:
         with pytest.raises(ConfigError, match="sweep"):
             runner.run_sweep({"sweep": {"nope": [1]}})
 
+    def test_summary_quotes_an_id_with_a_comma_quote_or_line_break(self, tmp_path, capsys):
+        experiment_id = 'a,b "c"\nd'
+        (tmp_path / "cfg.json").write_text(json.dumps(small_raw(experiment_id=experiment_id)))
+        assert cli.main(["run", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(["summarize", str(tmp_path / "out" / "report.json"),
+                         "--out", str(tmp_path / "summary.csv")]) == 0
+        with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["experiment_id", "attack", "direction", "auc", "ba",
+                          "tpr_at_0.1", "tpr_at_0.01"]
+        assert [row[:3] for row in rows] == [[experiment_id, "cfd", "standard"],
+                                             [experiment_id, "cfd", "reversed"]]
+        assert all(len(row) == len(header) for row in rows)
+
     def test_write_summary_requires_reports(self, tmp_path):
         with pytest.raises(ValueError):
             runner.write_summary([], tmp_path / "s.csv")
@@ -941,3 +966,12 @@ class TestCli:
                  if isinstance(a, argparse._SubParsersAction)]
         listed = re.search(r"Subcommands:([^.]*)\.", cli.__doc__).group(1)
         assert sorted(c.strip() for c in listed.split(",")) == sorted(sub.choices)
+
+
+def test_report_version_is_the_package_version(tmp_path):
+    import recourse_mi
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.+)"$', pyproject, re.M).group(1) == recourse_mi.__version__
+    rep = runner.run_experiment(config_from_dict(small_raw(out_dir=str(tmp_path))))
+    assert json.loads((tmp_path / "report.json").read_text())["version"] == recourse_mi.__version__
+    assert not hasattr(rep, "version")
