@@ -9,8 +9,7 @@ differentially private recourse.
 __version__ = "0.1.0"  # before the submodules: runner writes it into each report
 
 from .attack import (
-    AttackScore,
-    Guess,
+    AttackScores,
     NormalFit,
     RecourseConfig,
     cfd_statistic,
@@ -50,19 +49,19 @@ from .nn import (
 from .privacy import DpBound, dp_ba_bound
 from .recourse import (
     CostFn,
-    RecourseResult,
+    RecourseBatch,
     ScfeParams,
     SearchParams,
     cchvae,
     growing_spheres,
     row_costs,
-    scfe_batch,
+    scfe,
     uniform_l1_ball_sample,
 )
 from .runner import (
     ExperimentConfig,
     ExperimentReport,
-    GameSample,
+    Game,
     config_from_dict,
     load_config,
     play_game,

@@ -10,6 +10,9 @@ Two families:
 - Loss baselines consume the owner model and the true label: thresholding
   on BCE, and the offline loss LRT of the logit-scaled confidence.
 
+Every attack takes the game (runner.Game) and returns one AttackScores of
+arrays over the rounds it scored; AttackScores.records writes them out.
+
 Both LRTs run one offline test (_offline_lrt_scores): a per-point normal
 fit of the OUT statistics (fit_normal_mle), scored by its CDF
 (loss_lrt_score), that guesses MEMBER at level alpha iff the statistic
@@ -34,11 +37,10 @@ normal.py), and give SciPy's values bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,22 +49,10 @@ from .data import Dataset
 from .nn import Model, TrainConfig, VaeModel
 from .normal import ndtr, ndtri
 from .pool import TaskPool
-from .recourse import CostFn, RecourseResult, ScfeParams, SearchParams
+from .recourse import CostFn, RecourseBatch, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
 
 DEGENERATE_SIGMA2 = 1e-18
-
-
-class InvalidRecourseError(ValueError):
-    """Distance statistics are only defined for valid recourses."""
-
-
-class Guess(enum.Enum):
-    MEMBER = "MEMBER"
-    NON_MEMBER = "NON-MEMBER"
-
-    def __str__(self) -> str:  # serialized form
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -74,24 +64,34 @@ class NormalFit:
     n: int
 
 
-@dataclass(frozen=True)
-class AttackScore:
-    point_id: str
-    attack: str
-    statistic: float
-    score: float
-    higher_means_member: bool
-    guess_at: dict[float, Guess] = field(default_factory=dict)
+@dataclass(frozen=True, eq=False)
+class AttackScores:
+    """One attack's scores of the game rounds it scored: rows[j] indexes
+    the game's rounds, statistic[j] and score[j] are that round's, and
+    member_at[alpha][j] is its level-alpha guess (LRT attacks only)."""
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "point_id": self.point_id,
-            "attack": self.attack,
-            "statistic": self.statistic,
-            "score": self.score,
-            "direction": "higher" if self.higher_means_member else "lower",
-            "guess_at": {repr(a): g.value for a, g in sorted(self.guess_at.items())},
-        }
+    attack: str
+    rows: np.ndarray
+    statistic: np.ndarray
+    score: np.ndarray
+    higher_means_member: bool
+    member_at: dict[float, np.ndarray] = field(default_factory=dict)
+
+    def records(self, point_ids: Sequence[str], member: np.ndarray) -> Iterator[dict[str, Any]]:
+        """One scores_<attack>.jsonl record per scored round, given the
+        game's point ids and ground-truth membership."""
+        word = {True: "MEMBER", False: "NON-MEMBER"}
+        for j, (r, stat, score) in enumerate(zip(self.rows.tolist(), self.statistic.tolist(),
+                                                 self.score.tolist())):
+            yield {
+                "point_id": point_ids[r],
+                "attack": self.attack,
+                "statistic": stat,
+                "score": score,
+                "direction": "higher" if self.higher_means_member else "lower",
+                "guess_at": {repr(a): word[bool(m[j])] for a, m in sorted(self.member_at.items())},
+                "membership": word[bool(member[r])],
+            }
 
 
 @dataclass(frozen=True)
@@ -108,23 +108,16 @@ class RecourseConfig:
             raise ValueError(f"unknown recourse algorithm {self.algorithm!r}")
 
     def generate_batch(self, model: Model, X: np.ndarray, seeds: Sequence[int],
-                       vae: VaeModel | None = None) -> list[RecourseResult]:
+                       vae: VaeModel | None = None) -> RecourseBatch:
         """One recourse per row of X, row i with seeds[i]. Row i depends
-        only on X[i] and seeds[i], however the rows are split into blocks:
-        scfe runs the block as one batch, the ball searches run per row
-        with search_params' seed replaced by the row's."""
+        only on X[i] and seeds[i], however the rows are split into blocks."""
         if self.algorithm == "scfe":
-            return recourse.scfe_batch(model, X, self.scfe_params, self.cost_fn, seeds)
-        if self.algorithm == "cchvae" and vae is None:
+            return recourse.scfe(model, X, self.scfe_params, self.cost_fn, seeds)
+        if self.algorithm == "growing_spheres":
+            return recourse.growing_spheres(model, X, self.search_params, self.cost_fn, seeds)
+        if vae is None:
             raise ValueError("cchvae requires a trained VAE")
-        out = []
-        for x, seed in zip(X, seeds):
-            params = dataclasses.replace(self.search_params, seed=seed)
-            if self.algorithm == "growing_spheres":
-                out.append(recourse.growing_spheres(model, x, params, self.cost_fn))
-            else:
-                out.append(recourse.cchvae(model, vae, x, params, self.cost_fn))
-        return out
+        return recourse.cchvae(model, vae, X, self.search_params, self.cost_fn, seeds)
 
 
 def shadow_tag(i: int) -> str:
@@ -164,16 +157,9 @@ def shadow_training_tasks(
     return {shadow_tag(i): functools.partial(build, i) for i in range(n_models)}
 
 
-def cfd_statistic(x: np.ndarray, result: RecourseResult) -> float:
-    """Counterfactual distance statistic: the recourse cost, floored."""
-    if not result.valid:
-        raise InvalidRecourseError("cfd_statistic needs a valid recourse")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != np.asarray(result.counterfactual).shape:
-        raise nn.DimensionMismatchError(
-            f"point shape {x.shape} does not match counterfactual"
-        )
-    return max(result.cost, recourse.DISTANCE_FLOOR)
+def cfd_statistic(costs: np.ndarray) -> np.ndarray:
+    """Counterfactual distance statistic: each recourse cost, floored."""
+    return np.maximum(costs, recourse.DISTANCE_FLOOR)
 
 
 def fit_normal_mle(samples: Sequence[float]) -> NormalFit:
@@ -221,9 +207,8 @@ def replay_distances(
     neg = nn.predict_proba_batch(model, X) < 0.5
     seeds = [derive_seed(seed, f"shadow-recourse-{point_seeds[r]}", index)
              for r in np.flatnonzero(neg)]
-    results = recourse_config.generate_batch(model, X[neg], seeds, vae=vae)
-    return neg, np.array([max(r.cost, recourse.DISTANCE_FLOOR) if r.valid else np.nan
-                          for r in results], dtype=np.float64)
+    batch = recourse_config.generate_batch(model, X[neg], seeds, vae=vae)
+    return neg, np.where(batch.valid, cfd_statistic(batch.costs), np.nan)
 
 
 @dataclass
@@ -302,78 +287,69 @@ class ShadowStream:
 # The distance attacks deliberately take no model argument: the statistic
 # is computed from the game transcript and the shadow distances alone.
 
-def cfd_attack_scores(samples: Sequence) -> list[AttackScore]:
-    """Simple counterfactual-distance scores for a list of GameSamples."""
-    out = []
-    for s in samples:
-        t = cfd_statistic(s.point, s.recourse)
-        out.append(AttackScore(
-            point_id=s.point_id, attack="cfd", statistic=t, score=t,
-            higher_means_member=True,
-        ))
-    return out
+def cfd_attack_scores(game) -> AttackScores:
+    """Simple counterfactual-distance scores of the game's rounds
+    (runner.Game)."""
+    t = cfd_statistic(game.recourse.costs)
+    return AttackScores("cfd", np.arange(t.size), t, t, higher_means_member=True)
 
 
-def _offline_lrt_scores(samples: Sequence, attack: str, stats: Sequence[float],
-                        shadow_stats: np.ndarray, alphas: Sequence[float],
-                        reported: Sequence[float]) -> list[AttackScore]:
-    """The offline LRT of both LRT attacks: point i's statistic stats[i]
+def _offline_lrt_scores(attack: str, stats: Sequence[float], shadow_stats: np.ndarray,
+                        alphas: Sequence[float], reported: np.ndarray) -> AttackScores:
+    """The offline LRT of both LRT attacks: round i's statistic stats[i]
     against the normal MLE fit of row i of `shadow_stats` without its
-    NaNs, reported as reported[i]. A point with fewer than two shadow
+    NaNs, reported as reported[i]. A round with fewer than two shadow
     statistics is dropped. The score is the fit's CDF (loss_lrt_score),
     and the guess at level alpha is MEMBER iff the statistic reaches the
     fit's (1 - alpha)-quantile."""
-    out = []
-    for s, stat, row, shown in zip(samples, stats, shadow_stats, reported):
+    rows, scores = [], []
+    member_at: dict[float, list[bool]] = {a: [] for a in alphas}
+    for i, (stat, row) in enumerate(zip(stats, shadow_stats)):
         row = row[~np.isnan(row)]
         if row.size < 2:
             continue
         fit = fit_normal_mle(row)
-        out.append(AttackScore(
-            point_id=s.point_id, attack=attack, statistic=shown,
-            score=loss_lrt_score(stat, fit), higher_means_member=True,
-            guess_at={a: Guess.MEMBER if stat >= normal_quantile(fit, 1.0 - a)
-                      else Guess.NON_MEMBER for a in alphas},
-        ))
-    return out
+        rows.append(i)
+        scores.append(loss_lrt_score(stat, fit))
+        for a, guesses in member_at.items():
+            guesses.append(stat >= normal_quantile(fit, 1.0 - a))
+    rows = np.array(rows, dtype=np.int64)
+    return AttackScores(attack, rows, reported[rows],
+                        np.array(scores, dtype=np.float64), higher_means_member=True,
+                        member_at={a: np.array(g, dtype=bool) for a, g in member_at.items()})
 
 
-def cfd_lrt_attack_scores(samples: Sequence, shadow_dists: np.ndarray,
-                          alphas: Sequence[float]) -> list[AttackScore]:
+def cfd_lrt_attack_scores(game, shadow_dists: np.ndarray,
+                          alphas: Sequence[float]) -> AttackScores:
     """One-sided distance LRT: the offline LRT of log t0 against the log
-    of row i of `shadow_dists`, sample i's distances under the shadow
+    of row i of `shadow_dists`, round i's distances under the shadow
     models, NaN where a model gave none (ShadowStream.columns, with point
     seed i)."""
     if (np.asarray(shadow_dists) <= 0).any():  # NaN marks a missing distance
         raise ValueError("shadow distances must be positive")
-    t0s = [cfd_statistic(s.point, s.recourse) for s in samples]
-    return _offline_lrt_scores(samples, "cfd_lrt", [math.log(t) for t in t0s],
+    t0s = cfd_statistic(game.recourse.costs)
+    return _offline_lrt_scores("cfd_lrt", [math.log(t) for t in t0s.tolist()],
                                np.log(shadow_dists), alphas, reported=t0s)
 
 
-def loss_attack_scores(samples: Sequence, owner_model: Model) -> list[AttackScore]:
+def loss_attack_scores(game, owner_model: Model) -> AttackScores:
     """Loss-threshold baseline from one batched forward pass of the owner model."""
-    if not samples:
-        return []
-    probs = nn.predict_proba_batch(owner_model, np.array([s.point for s in samples]))
-    losses = nn.bce(probs, [s.label for s in samples]).tolist()
-    return [AttackScore(point_id=s.point_id, attack="loss", statistic=t, score=t,
-                        higher_means_member=False) for s, t in zip(samples, losses)]
+    losses = nn.bce(nn.predict_proba_batch(owner_model, game.points), game.labels)
+    return AttackScores("loss", np.arange(losses.size), losses, losses,
+                        higher_means_member=False)
 
 
 def loss_lrt_attack_scores(
-    samples: Sequence,
+    game,
     owner_model: Model,
     shadow_probs: np.ndarray,
     alphas: Sequence[float],
-) -> list[AttackScore]:
+) -> AttackScores:
     """Offline loss-LRT baseline: normal OUT fit of shadow confidences.
-    Row i of `shadow_probs` holds sample i's probability under each
+    Row i of `shadow_probs` holds round i's probability under each
     shadow model; the owner's come from one batched forward pass."""
-    if not samples:
-        return []
-    labels = np.array([s.label for s in samples])
-    owner_p = nn.predict_proba_batch(owner_model, np.array([s.point for s in samples]))
-    confs = nn.logit_confidence(owner_p, labels).tolist()
-    shadow_confs = nn.logit_confidence(shadow_probs, labels[:, None])
-    return _offline_lrt_scores(samples, "loss_lrt", confs, shadow_confs, alphas, reported=confs)
+    owner_p = nn.predict_proba_batch(owner_model, game.points)
+    confs = nn.logit_confidence(owner_p, game.labels)
+    shadow_confs = nn.logit_confidence(shadow_probs, game.labels[:, None])
+    return _offline_lrt_scores("loss_lrt", confs.tolist(), shadow_confs, alphas,
+                               reported=confs)

@@ -55,18 +55,18 @@ def cmd_train(args) -> int:
 
 def cmd_recourse(args) -> int:
     cfg = _config_from_args(args)
-    samples = runner.play_game(cfg)
+    game = runner.play_game(cfg)
     out = Path(args.out or "game_samples.jsonl")
     with open(out, "w", encoding="utf-8") as fh:
-        for s in samples:
+        for i, point_id in enumerate(game.point_ids):
             fh.write(json.dumps({
-                "point_id": s.point_id,
-                "membership": s.membership.value,
-                "label": s.label,
-                "point": [float(v) for v in s.point],
-                "recourse": s.recourse.to_json(),
+                "point_id": point_id,
+                "membership": "MEMBER" if game.member[i] else "NON-MEMBER",
+                "label": int(game.labels[i]),
+                "point": game.points[i].tolist(),
+                "recourse": game.recourse.row_json(i),
             }, sort_keys=True) + "\n")
-    print(f"wrote {len(samples)} game samples to {out}")
+    print(f"wrote {len(game.point_ids)} game samples to {out}")
     return 0
 
 

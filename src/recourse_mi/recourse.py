@@ -1,22 +1,23 @@
 """Counterfactual recourse generators and cost functions.
 
-Three generators share one contract: given a negatively classified point,
-return the cheapest found input that the model classifies positively.
+Three generators share one contract: given a block of negatively
+classified points and one seed per point, return a RecourseBatch holding,
+per row, the cheapest found input that the model classifies positively.
 
-- scfe_batch: Adam descent on BCE-to-target plus a weighted cost term,
-  with the trade-off weight decayed on failure, for a block of points.
+- scfe: Adam descent on BCE-to-target plus a weighted cost term, with the
+  trade-off weight decayed on failure, run over the whole block at once.
 - growing_spheres: uniform sampling in input-space l1 balls of growing
   radius, returning the cheapest valid sample at the first hit radius.
 - cchvae: the same growing search in a VAE's latent space; candidates are
   decoded back so results stay in the decoder's range.
 
-The ball searches take one point; attack.RecourseConfig.generate_batch
-runs any of the three for a block of points. Each stores the row_costs
-of its counterfactual as its cost.
+The ball searches run row by row inside the block. Each generator stores
+the row_costs of its counterfactual as its cost, and row i of a batch
+depends only on row i of the block and its seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from .seeds import derive_seed
 
 DISTANCE_FLOOR = 1e-12
 
-# scfe_batch runs its rows in blocks of about this many values, so each of
+# scfe runs its rows in blocks of about this many values, so each of
 # its (rows, d) scratch arrays stays near 128 KB whatever the input's size
 SCFE_BLOCK_VALUES = 16384
 
@@ -72,7 +73,6 @@ class SearchParams:
     radius_step: float = 0.1
     samples_per_radius: int = 500
     max_radius: float = 10.0
-    seed: int = 0
     immutable: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -89,24 +89,57 @@ class SearchParams:
         return self.initial_radius + self.radius_step * np.arange(count)
 
 
-@dataclass(frozen=True)
-class RecourseResult:
-    counterfactual: np.ndarray
-    cost: float
-    valid: bool
-    algorithm: str
-    trace: dict = field(default_factory=dict)
-    seed: int = 0
+@dataclass(frozen=True, eq=False)
+class RecourseBatch:
+    """One recourse per row of a block of points: row i's counterfactual,
+    cost and validity, the seed it searched with, and in `columns` its
+    search record. scfe records `iterations`, `retries_used` and
+    `lambda_final`; the ball searches record `radius`, `radii_tried`,
+    `samples_per_radius` and the accepted sample, `search_point` or
+    `latent_point` (NaN in a failed row). A failed row's counterfactual is
+    its point and its cost 0."""
 
-    def to_json(self) -> dict[str, Any]:
+    algorithm: str
+    counterfactuals: np.ndarray  # (n, d)
+    costs: np.ndarray  # (n,)
+    valid: np.ndarray  # (n,) bool
+    seeds: np.ndarray  # (n,) uint64
+    columns: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return self.costs.shape[0]
+
+    @property
+    def trace(self) -> dict[str, int]:
+        """The block's search counters: iterations and retries (scfe) or
+        radii tried (ball searches) summed over the rows, and the
+        configured samples per radius; all 0 for an empty block."""
+        c = self.columns
+        if self.algorithm == "scfe":
+            return {"iterations": int(c["iterations"].sum()),
+                    "retries_used": int(c["retries_used"].sum())}
+        return {"radii_tried": int(c["radii_tried"].sum()),
+                "samples_per_radius": int(c["samples_per_radius"].max(initial=0))}
+
+    def row_json(self, i: int) -> dict[str, Any]:
+        """Row i as one JSON record, its search record under "trace"; the
+        accepted sample appears only in a valid row."""
+        valid = bool(self.valid[i])
         return {
-            "counterfactual": [float(v) for v in self.counterfactual],
-            "cost": self.cost,
-            "valid": self.valid,
+            "counterfactual": self.counterfactuals[i].tolist(),
+            "cost": self.costs[i].item(),
+            "valid": valid,
             "algorithm": self.algorithm,
-            "trace": self.trace,
-            "seed": self.seed,
+            "trace": {k: v[i].tolist() for k, v in self.columns.items()
+                      if valid or v.ndim == 1},
+            "seed": self.seeds[i].item(),
         }
+
+    def take(self, rows) -> RecourseBatch:
+        """The batch of the selected rows (an index array or boolean mask)."""
+        return RecourseBatch(self.algorithm, self.counterfactuals[rows], self.costs[rows],
+                             self.valid[rows], self.seeds[rows],
+                             {k: v[rows] for k, v in self.columns.items()})
 
 
 def row_costs(delta: np.ndarray, norm: str) -> np.ndarray:
@@ -134,8 +167,14 @@ def norm_subgradient(delta: np.ndarray, norm: str) -> np.ndarray:
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def _require_negative(model: Model, X: np.ndarray) -> None:
-    """Every row of the (n, d) block X must be negatively classified."""
+def _query_block(model: Model, X: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
+    """X as a contiguous float64 (n, d) block, once its shape fits the
+    model, it has one seed per row and every row is negatively classified."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.d:
+        raise nn.DimensionMismatchError(f"expected (n, {model.d}) matrix, got {X.shape}")
+    if len(seeds) != X.shape[0]:
+        raise ValueError(f"{len(seeds)} seeds for {X.shape[0]} points")
     p = nn.predict_proba_batch(model, X)
     positive = np.flatnonzero(p >= 0.5)
     if positive.size:
@@ -143,6 +182,7 @@ def _require_negative(model: Model, X: np.ndarray) -> None:
         raise RecoursePreconditionError(
             f"query point is already positively classified (row {i}, p={p[i]:.6f})"
         )
+    return X
 
 
 def _keep_cheaper(best: np.ndarray, best_cost: np.ndarray, xp: np.ndarray,
@@ -154,57 +194,49 @@ def _keep_cheaper(best: np.ndarray, best_cost: np.ndarray, xp: np.ndarray,
         best_cost[cheaper] = costs[cheaper]
 
 
-def scfe_batch(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
-               seeds: Sequence[int]) -> list[RecourseResult]:
+def scfe(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
+         seeds: Sequence[int]) -> RecourseBatch:
     """Gradient recourse for each row of X: minimize
     BCE(f(x'), 1) + lam * c(x, x') by Adam descent from x' = x.
 
     After max_iters without a valid iterate, lam is multiplied by
     lam_decay and the search restarts, up to max_retries times. Each row
-    returns the cheapest valid iterate seen during its successful attempt,
-    or a valid=False result. Rows are independent: every row runs the same
-    attempt schedule, so the rows still searching share the attempt count,
-    lam and Adam step, and a row leaves at the end of the attempt that
-    found its recourse. Every operation is per row, so row i of the result
-    is bit-identical to scfe_batch on X[i:i+1] however the points are split
-    into batches. Each attempt runs the rows still searching in consecutive
+    keeps the cheapest valid iterate seen during its successful attempt,
+    or fails. Rows are independent: every row runs the same attempt
+    schedule, so the rows still searching share the attempt count, lam
+    and Adam step, and a row leaves at the end of the attempt that found
+    its recourse. Every operation is per row, so row i of the batch is
+    bit-identical to scfe on X[i:i+1] however the points are split into
+    batches. Each attempt runs the rows still searching in consecutive
     blocks of max(1, SCFE_BLOCK_VALUES // d), which bounds the search's
-    scratch arrays whatever the number of rows.
+    scratch arrays whatever the number of rows. A failed row records the
+    last attempt.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.d:
-        raise nn.DimensionMismatchError(f"expected (n, {model.d}) matrix, got {X.shape}")
-    if len(seeds) != X.shape[0]:
-        raise ValueError(f"{len(seeds)} seeds for {X.shape[0]} points")
-    _require_negative(model, X)
+    X = _query_block(model, X, seeds)
     frozen = np.asarray(params.immutable, dtype=np.int64)
     block = max(1, SCFE_BLOCK_VALUES // X.shape[1])
-
-    results: list[RecourseResult | None] = [None] * X.shape[0]
-    active = np.arange(X.shape[0])
+    n = X.shape[0]
+    counterfactuals, costs, valid = X.copy(), np.zeros(n), np.zeros(n, dtype=bool)
+    retries, lam_final = np.zeros(n, dtype=np.int64), np.zeros(n)
+    active = np.arange(n)
     lam = params.lam
     for attempt in range(params.max_retries + 1):
         if active.size == 0:
             break
         if attempt > 0:
             lam *= params.lam_decay
-        trace = {"iterations": (attempt + 1) * params.max_iters,
-                 "retries_used": attempt, "lambda_final": lam}
+        retries[active], lam_final[active] = attempt, lam
         for start in range(0, active.size, block):
             rows = active[start:start + block]
             best, best_cost = _scfe_attempt(model, X[rows], params, lam, cost_fn.norm, frozen)
-            for j, r in enumerate(rows):
-                if best_cost[j] < np.inf:
-                    results[r] = RecourseResult(
-                        counterfactual=best[j].copy(), cost=float(best_cost[j]), valid=True,
-                        algorithm="scfe", trace=dict(trace), seed=seeds[r])
-        active = np.array([r for r in active if results[r] is None], dtype=np.int64)
-
-    for r in active:  # no attempt found these rows a recourse; trace is the last one's
-        results[r] = RecourseResult(
-            counterfactual=X[r].copy(), cost=0.0, valid=False, algorithm="scfe",
-            trace=dict(trace), seed=seeds[r])
-    return results
+            found = best_cost < np.inf
+            counterfactuals[rows[found]] = best[found]
+            costs[rows[found]] = best_cost[found]
+            valid[rows[found]] = True
+        active = active[~valid[active]]
+    return RecourseBatch("scfe", counterfactuals, costs, valid, np.asarray(seeds, np.uint64),
+                         {"iterations": (retries + 1) * params.max_iters,
+                          "retries_used": retries, "lambda_final": lam_final})
 
 
 def _scfe_attempt(model: Model, x0: np.ndarray, params: ScfeParams, lam: float,
@@ -248,74 +280,73 @@ def uniform_l1_ball_sample(center: np.ndarray, radius: float, count: int,
     return center + surface * scale[:, None]
 
 
-def growing_spheres(model: Model, x: np.ndarray, params: SearchParams,
-                    cost_fn: CostFn) -> RecourseResult:
-    """Random input-space search in l1 balls of growing radius."""
-    return _ball_search(model, None, x, params, cost_fn)
+def growing_spheres(model: Model, X: np.ndarray, params: SearchParams, cost_fn: CostFn,
+                    seeds: Sequence[int]) -> RecourseBatch:
+    """Random input-space search in l1 balls of growing radius, for each
+    row of X with its seed."""
+    return _ball_search(model, None, X, params, cost_fn, seeds)
 
 
-def cchvae(model: Model, vae: VaeModel, x: np.ndarray, params: SearchParams,
-           cost_fn: CostFn) -> RecourseResult:
-    """Latent-space recourse: growing l1-ball search around the encoder
-    mean of x, candidates decoded back to input space, cost measured there.
-
-    With an immutable mask the decoded candidates have those coordinates
-    pinned back to x, so the counterfactual reconstructs as
-    project(decode(z)) rather than decode(z) alone.
-    """
-    return _ball_search(model, vae, x, params, cost_fn)
+def cchvae(model: Model, vae: VaeModel, X: np.ndarray, params: SearchParams,
+           cost_fn: CostFn, seeds: Sequence[int]) -> RecourseBatch:
+    """Latent-space recourse for each row x of X: growing l1-ball search
+    around the encoder mean of x, candidates decoded back to input space
+    (as project(decode(z)) under an immutable mask), cost measured there."""
+    return _ball_search(model, vae, X, params, cost_fn, seeds)
 
 
-def _ball_search(model: Model, vae: VaeModel | None, x: np.ndarray,
-                 params: SearchParams, cost_fn: CostFn) -> RecourseResult:
-    """Growing l1-ball search: in input space without a VAE
-    (growing_spheres), in the VAE's latent space with one (cchvae).
+def _ball_search(model: Model, vae: VaeModel | None, X: np.ndarray, params: SearchParams,
+                 cost_fn: CostFn, seeds: Sequence[int]) -> RecourseBatch:
+    """Growing l1-ball search for each row x of X with its seed: in input
+    space around x without a VAE (growing_spheres), in the VAE's latent
+    space around the encoder mean of x alone with one (cchvae).
 
-    Samples around the search centre, decodes the candidates (identity
+    Each row samples around its centre, decodes the candidates (identity
     without a VAE) with immutable coordinates pinned to x, and picks the
     cheapest valid candidate at the first accepting radius. The pick is
     decoded again on its own, then re-checked and costed as a one-row
-    block, so the stored result equals any later re-evaluation of its
+    block, so the stored row equals any later re-evaluation of its
     recorded search point (a decoded block differs from a one-row decode
     in the last bits).
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if vae is not None and vae.d != x.shape[0]:
-        raise nn.DimensionMismatchError(f"vae expects d={vae.d}, point has {x.shape[0]}")
-    _require_negative(model, x[None, :])
+    X = _query_block(model, X, seeds)
+    if vae is not None and vae.d != X.shape[1]:
+        raise nn.DimensionMismatchError(f"vae expects d={vae.d}, points have {X.shape[1]}")
     frozen = np.asarray(params.immutable, dtype=np.int64)
 
-    def decode(raw: np.ndarray) -> np.ndarray:
+    def decode(raw: np.ndarray, x: np.ndarray) -> np.ndarray:
         pts = raw if vae is None else vae.decode_batch(raw)
         if frozen.size:
             pts = np.array(pts, copy=True)
             pts[:, frozen] = x[frozen]
         return pts
 
+    radii = params.radii()
+    n = X.shape[0]
+    counterfactuals, costs, valid = X.copy(), np.zeros(n), np.zeros(n, dtype=bool)
+    radius, radii_tried = np.full(n, radii[-1]), np.full(n, radii.size)
+    points = np.full((n, X.shape[1] if vae is None else vae.latent_dim), np.nan)
+    for i, (x, seed) in enumerate(zip(X, seeds)):
+        center = x if vae is None else vae.encode_batch(x[None, :])[0][0]
+        for ri, r in enumerate(radii):
+            raw = uniform_l1_ball_sample(center, float(r), params.samples_per_radius,
+                                         derive_seed(seed, "ball-radius", ri))
+            candidates = decode(raw, x)
+            hit = np.flatnonzero(nn.predict_proba_batch(model, candidates) >= 0.5)
+            if hit.size == 0:
+                continue
+            for idx in hit[np.argsort(row_costs(candidates[hit] - x, cost_fn.norm),
+                                      kind="stable")]:
+                final = decode(raw[idx:idx + 1], x)
+                if nn.predict_proba_batch(model, final)[0] >= 0.5:
+                    counterfactuals[i], costs[i] = final[0], row_costs(final - x, cost_fn.norm)[0]
+                    valid[i], radius[i], radii_tried[i], points[i] = True, r, ri + 1, raw[idx]
+                    break
+            if valid[i]:
+                break
     algorithm, point_key = (("growing_spheres", "search_point") if vae is None
                             else ("cchvae", "latent_point"))
-    center = x if vae is None else vae.encode_batch(x[None, :])[0][0]
-    radii = params.radii()
-    for ri, r in enumerate(radii):
-        raw = uniform_l1_ball_sample(center, float(r), params.samples_per_radius,
-                                     derive_seed(params.seed, "ball-radius", ri))
-        candidates = decode(raw)
-        hit = np.flatnonzero(nn.predict_proba_batch(model, candidates) >= 0.5)
-        if hit.size == 0:
-            continue
-        costs = row_costs(candidates[hit] - x, cost_fn.norm)
-        for local in np.argsort(costs, kind="stable"):
-            idx = hit[local]
-            final = decode(raw[idx:idx + 1])
-            if nn.predict_proba_batch(model, final)[0] >= 0.5:
-                trace = {"radius": float(r), "radii_tried": ri + 1,
-                         "samples_per_radius": params.samples_per_radius,
-                         point_key: [float(v) for v in raw[idx]]}
-                # a copy: without a VAE or a mask, final is a view that
-                # would pin the radius's whole sample block
-                c = float(row_costs(final - x, cost_fn.norm)[0])
-                return RecourseResult(final[0].copy(), c, True, algorithm,
-                                      trace=trace, seed=params.seed)
-    trace = {"radius": float(radii[-1]), "radii_tried": int(radii.size),
-             "samples_per_radius": params.samples_per_radius}
-    return RecourseResult(x.copy(), 0.0, False, algorithm, trace=trace, seed=params.seed)
+    return RecourseBatch(algorithm, counterfactuals, costs, valid, np.asarray(seeds, np.uint64),
+                         {"radius": radius, "radii_tried": radii_tried,
+                          "samples_per_radius": np.full(n, params.samples_per_radius),
+                          point_key: points})

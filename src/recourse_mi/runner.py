@@ -2,8 +2,9 @@
 
 One experiment: build data, split it into owner / adversary-shadow /
 held-out pools, train the owner model, sample negatively-classified
-member and non-member points, issue one recourse per point, stream the
-shadow models of the offline LRTs, score every configured attack in both
+member and non-member points, issue one recourse batch over them (a Game
+of arrays keeps the rounds whose recourse is valid), stream the shadow
+models of the offline LRTs, score every configured attack in both
 threshold directions, and persist a report, per-point score streams, ROC
 tables and a trace of stage times, task times, peak memory and skip
 counts. An audit runs on one worker pool (see run_experiment); prepare
@@ -30,12 +31,12 @@ from . import __version__
 from . import attack as attack_mod
 from . import metrics as metrics_mod
 from . import nn
-from .attack import AttackScore, Guess, RecourseConfig
+from .attack import RecourseConfig
 from .data import (Dataset, SplitBundle, SplitSizeError, SyntheticSpec, split_in_place,
                    standardize_in_place, synthetic_arrays, tabular_arrays)
 from .nn import Model, TrainConfig, VaeModel
 from .pool import TaskPool, run_all
-from .recourse import CostFn, RecourseResult, ScfeParams, SearchParams
+from .recourse import CostFn, RecourseBatch, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
 
 SCHEMA_VERSION = 2
@@ -50,16 +51,17 @@ class GameSetupError(RuntimeError):
     """The game cannot be played as configured (e.g. too few negatives)."""
 
 
-@dataclass(frozen=True)
-class GameSample:
-    """One game round: a negatively classified point, its ground-truth
-    membership, and the single recourse issued for it."""
+@dataclass(frozen=True, eq=False)
+class Game:
+    """The kept rounds of the membership game, one row each: a negatively
+    classified point, its label, its ground-truth membership and the one
+    recourse issued for it (row i of `recourse`, always valid)."""
 
-    point_id: str
-    point: np.ndarray
-    label: int
-    membership: Guess
-    recourse: RecourseResult
+    point_ids: list[str]
+    points: np.ndarray  # (n, d)
+    labels: np.ndarray  # (n,) int
+    member: np.ndarray  # (n,) bool
+    recourse: RecourseBatch
 
 
 @dataclass
@@ -91,8 +93,8 @@ class ExperimentReport:
     game_meta: dict
     attack_metrics: dict[str, dict[str, metrics_mod.MetricsReport]]
     best_direction: dict[str, str]
-    scores: dict[str, list[AttackScore]]
-    membership: dict[str, str]
+    scores: dict[str, attack_mod.AttackScores]
+    game: Game
     trace: dict[str, Any]
     curves: dict[str, dict[str, metrics_mod.RocCurve]]  # saved as CSV, not in to_json
     data_provenance: dict = field(default_factory=dict)
@@ -130,10 +132,9 @@ class ExperimentReport:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        for name, score_list in self.scores.items():
+        for name, sc in self.scores.items():
             with open(out_dir / f"scores_{name}.jsonl", "w", encoding="utf-8") as fh:
-                for sc in score_list:
-                    rec = dict(sc.to_json(), membership=self.membership[sc.point_id])
+                for rec in sc.records(self.game.point_ids, self.game.member):
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
         for name, dirs in self.attack_metrics.items():
             for direction in dirs:
@@ -346,22 +347,29 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def _data_arrays(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
     """The features (one writable matrix), labels and provenance of the
-    configured dataset, standardized in place if configured. A file's
-    immutable indices are checked as soon as it has loaded."""
+    configured dataset, standardized in place if configured. A data file
+    that cannot be read or standardized is a ConfigError naming data.path,
+    and its immutable indices are checked once it has loaded."""
     dc = config.data
-    if dc["kind"] == "synthetic":
-        spec = SyntheticSpec(
-            d=int(dc["d"]),
-            n_per_class=int(dc["n_per_class"]),
-            seed=derive_seed(config.seed, "synthetic-data"),
-            class_separation=float(dc["class_separation"]),
-        )
-        features, labels, prov = synthetic_arrays(spec)
-    else:
-        features, labels, prov = tabular_arrays(dc["path"], dc["label_column"], dc["label_rule"])
+    try:
+        if dc["kind"] == "synthetic":
+            features, labels, prov = synthetic_arrays(SyntheticSpec(
+                d=int(dc["d"]),
+                n_per_class=int(dc["n_per_class"]),
+                seed=derive_seed(config.seed, "synthetic-data"),
+                class_separation=float(dc["class_separation"]),
+            ))
+        else:
+            features, labels, prov = tabular_arrays(dc["path"], dc["label_column"],
+                                                    dc["label_rule"])
+        if dc["standardize"]:
+            prov, _ = standardize_in_place(features, prov)
+    except (OSError, csv.Error, ValueError) as exc:
+        if dc["kind"] != "file":
+            raise
+        raise ConfigError(f"data.path {dc['path']!r} cannot be used: {exc}") from exc
+    if dc["kind"] == "file":
         _check_rules(config.snapshot, features.shape[1])
-    if dc["standardize"]:
-        prov, _ = standardize_in_place(features, prov)
     return features, labels, prov
 
 
@@ -419,9 +427,9 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
     )
 
 
-def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[list[GameSample], dict]:
+def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[Game, dict]:
     """Draw balanced negatively-classified member/non-member points and
-    issue one recourse each. Failed recourses are dropped with counts."""
+    issue one recourse batch over them. Failed recourses are dropped with counts."""
     owner = prep.owner_model
     train_ds = prep.bundle.owner_train
     out_ds = prep.bundle.eval_out
@@ -440,29 +448,16 @@ def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[li
     member_rows = np.sort(rng.choice(neg_train, size=k, replace=False))
     non_member_rows = np.sort(rng.choice(neg_out, size=k, replace=False))
 
-    queries: list[tuple[str, np.ndarray, int, Guess]] = []
-    for r in member_rows:
-        queries.append((f"m{int(r):05d}", train_ds.features[r], int(train_ds.labels[r]),
-                        Guess.MEMBER))
-    for r in non_member_rows:
-        queries.append((f"n{int(r):05d}", out_ds.features[r], int(out_ds.labels[r]),
-                        Guess.NON_MEMBER))
-
-    seeds = [derive_seed(config.seed, "game-recourse", idx) for idx in range(len(queries))]
-    results = config.recourse.generate_batch(
-        owner, np.array([q[1] for q in queries]), seeds, vae=prep.owner_vae)
-    raw_samples = [GameSample(point_id=pid, point=x, label=y, membership=membership,
-                              recourse=res)
-                   for (pid, x, y, membership), res in zip(queries, results)]
-    kept = [s for s in raw_samples if s.recourse.valid]
-    failures = {
-        "member": sum(1 for s in raw_samples
-                      if s.membership is Guess.MEMBER and not s.recourse.valid),
-        "non_member": sum(1 for s in raw_samples
-                          if s.membership is Guess.NON_MEMBER and not s.recourse.valid),
-    }
-    n_m = sum(1 for s in kept if s.membership is Guess.MEMBER)
-    n_n = len(kept) - n_m
+    point_ids = [f"m{int(r):05d}" for r in member_rows] + \
+        [f"n{int(r):05d}" for r in non_member_rows]
+    points = np.concatenate([train_ds.features[member_rows], out_ds.features[non_member_rows]])
+    labels = np.concatenate([train_ds.labels[member_rows], out_ds.labels[non_member_rows]])
+    member = np.arange(2 * k) < k
+    seeds = [derive_seed(config.seed, "game-recourse", idx) for idx in range(2 * k)]
+    batch = config.recourse.generate_batch(owner, points, seeds, vae=prep.owner_vae)
+    failed = ~batch.valid
+    failures = {"member": int(failed[member].sum()), "non_member": int(failed[~member].sum())}
+    n_m, n_n = k - failures["member"], k - failures["non_member"]
     if min(n_m, n_n) == 0:
         raise GameSetupError(
             f"all recourses failed on one side (members kept {n_m}, non-members kept {n_n})"
@@ -475,38 +470,39 @@ def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[li
         "recourse_failures": failures,
         "unbalanced_flag": bool(unbalanced),
     }
-    return kept, meta
+    kept = batch.valid
+    return Game([pid for pid, v in zip(point_ids, kept) if v], points[kept], labels[kept],
+                member[kept], batch.take(kept)), meta
 
 
-def play_game(config: ExperimentConfig) -> list[GameSample]:
-    """Run the game protocol end to end and return its samples."""
-    prep = prepare(config)
-    samples, _ = _sample_game(config, prep)
-    return samples
+def play_game(config: ExperimentConfig) -> Game:
+    """Run the game protocol end to end and return its kept rounds."""
+    game, _ = _sample_game(config, prepare(config))
+    return game
 
 
 def _attack_scores(
     config: ExperimentConfig,
     owner_model: Model,
-    samples: list[GameSample],
+    game: Game,
     columns: attack_mod.ShadowColumns | None,
-) -> dict[str, list[AttackScore]]:
+) -> dict[str, attack_mod.AttackScores]:
     # Distance attacks receive only the game transcript (and the shadow
     # distances); the owner model is deliberately out of reach here.
-    out: dict[str, list[AttackScore]] = {}
+    out: dict[str, attack_mod.AttackScores] = {}
     for name in config.attacks:
         if name == "cfd":
-            out[name] = attack_mod.cfd_attack_scores(samples)
+            out[name] = attack_mod.cfd_attack_scores(game)
         elif name == "cfd_lrt":
             assert columns is not None
             out[name] = attack_mod.cfd_lrt_attack_scores(
-                samples, columns.dists, alphas=config.alpha_grid)
+                game, columns.dists, alphas=config.alpha_grid)
         elif name == "loss":
-            out[name] = attack_mod.loss_attack_scores(samples, owner_model)
+            out[name] = attack_mod.loss_attack_scores(game, owner_model)
         elif name == "loss_lrt":
             assert columns is not None
             out[name] = attack_mod.loss_lrt_attack_scores(
-                samples, owner_model, columns.probs, alphas=config.alpha_grid)
+                game, owner_model, columns.probs, alphas=config.alpha_grid)
     return out
 
 
@@ -562,7 +558,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         stage("owner")
 
         t1 = time.perf_counter()
-        samples, game_meta = _sample_game(config, prep)
+        game, game_meta = _sample_game(config, prep)
         trace["game_s"] = time.perf_counter() - t1
         stage("game")
 
@@ -572,37 +568,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             shadow_vae = pool.take("shadow_vae") if "shadow_vae" in tasks else None
             replay = ((config.recourse, shadow_seed, shadow_vae)
                       if "cfd_lrt" in config.attacks else None)
-            columns = stream.columns(np.array([s.point for s in samples]), range(len(samples)),
+            columns = stream.columns(game.points, range(len(game.point_ids)),
                                      probs="loss_lrt" in config.attacks, replay=replay)
             stage("shadows")
         trace["tasks"] = pool.times
-    scores = _attack_scores(config, owner, samples, columns)
+    scores = _attack_scores(config, owner, game, columns)
     trace["attacks_s"] = time.perf_counter() - t2
     if "cfd_lrt" in scores:
         trace["shadow_skips"] = {"positive": int(columns.positive.sum()),
                                  "failed": int(columns.failed.sum())}
-        trace["cfd_lrt_starved"] = len(samples) - len(scores["cfd_lrt"])
+        trace["cfd_lrt_starved"] = len(game.point_ids) - scores["cfd_lrt"].rows.size
 
-    membership = {s.point_id: s.membership.value for s in samples}
-    is_member = {s.point_id: s.membership is Guess.MEMBER for s in samples}
     attack_metrics: dict[str, dict[str, metrics_mod.MetricsReport]] = {}
     best_direction: dict[str, str] = {}
     curves: dict[str, dict[str, metrics_mod.RocCurve]] = {}
-    for name, score_list in scores.items():
-        if not score_list:
+    for name, sc in scores.items():
+        if sc.rows.size == 0:
             raise GameSetupError(f"attack {name!r} produced no scores")
-        values = [sc.score for sc in score_list]
-        truth = [is_member[sc.point_id] for sc in score_list]
+        truth = game.member[sc.rows]
         game_meta.setdefault("scored_points", {})[name] = {
-            "n_scored": len(score_list),
-            "n_skipped": len(samples) - len(score_list),
+            "n_scored": int(sc.rows.size),
+            "n_skipped": len(game.point_ids) - int(sc.rows.size),
         }
-        native_higher = score_list[0].higher_means_member
         dirs: dict[str, metrics_mod.MetricsReport] = {}
         curves[name] = {}
-        for direction, higher in (("standard", native_higher),
-                                  ("reversed", not native_higher)):
-            curve = metrics_mod.roc(values, truth, higher_means_member=higher)
+        for direction, higher in (("standard", sc.higher_means_member),
+                                  ("reversed", not sc.higher_means_member)):
+            curve = metrics_mod.roc(sc.score, truth, higher_means_member=higher)
             curves[name][direction] = curve
             dirs[direction] = metrics_mod.report(curve)
         attack_metrics[name] = dirs
@@ -623,7 +615,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         attack_metrics=attack_metrics,
         best_direction=best_direction,
         scores=scores,
-        membership=membership,
+        game=game,
         trace=trace,
         curves=curves,
         data_provenance=data_provenance,

@@ -31,6 +31,11 @@ def prob_of(model: Model, x: np.ndarray) -> float:
     return float(predict_proba_batch(model, x[None, :])[0])
 
 
+def records(batch) -> list[dict]:
+    """Every row of a RecourseBatch as its JSON record."""
+    return [batch.row_json(i) for i in range(len(batch))]
+
+
 @pytest.fixture(autouse=True)
 def no_leftover_workers():
     """Fail a test that leaves worker processes running; end them first."""
@@ -77,13 +82,12 @@ def batch_split_agreement(cfg, cuts) -> tuple[bool, bool]:
     when its game points are issued in blocks split at the row indices
     `cuts` as in one block."""
     prep = runner.prepare(cfg)
-    samples, _ = runner._sample_game(cfg, prep)
-    X = np.array([s.point for s in samples])
-    seeds = [s.recourse.seed for s in samples]
-    blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(samples)])]
-    split = [r.to_json() for b in blocks for r in cfg.recourse.generate_batch(
-        prep.owner_model, X[b], seeds[b], vae=prep.owner_vae)]
-    game_equal = split == [s.recourse.to_json() for s in samples]
+    game, _ = runner._sample_game(cfg, prep)
+    X, seeds = game.points, game.recourse.seeds
+    blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(X)])]
+    split = [r for b in blocks for r in records(cfg.recourse.generate_batch(
+        prep.owner_model, X[b], seeds[b], vae=prep.owner_vae))]
+    game_equal = split == records(game.recourse)
     shadow_seed = derive_seed(cfg.seed, "shadow-ensemble")
     models = train_shadows(prep.bundle.shadow_pool, cfg.n_shadow_models,
                            cfg.model_architecture, cfg.train, shadow_seed)

@@ -6,7 +6,8 @@ come from central finite differences, the two-sided distance LRT trains
 per-point IN/OUT models directly, SCFE is the one-point-at-a-time loop
 that the batched engine replaced, growing_spheres and cchvae are the two
 wrappers around a closure-driven ball search that the single search body
-replaced (costing their pick with the one-row norm `_norm`), and the
+replaced (costing their pick with the one-row norm `_norm`, and
+returning one row's JSON record), and the
 classifier and VAE trainers run Adam over a list of separate parameter
 arrays, as they did before the flat parameter vector. The data pipeline is the copy-based one that
 the in-place stages replaced: each class drawn on its own and stacked,
@@ -183,7 +184,7 @@ def scfe_reference(model, x, params, norm: str) -> dict:
 # batch and single-point decode/validate closures to one search loop -----
 
 def _ball_search_reference(predict_batch, decode_batch, decode_single, search_center,
-                           x, params, cost_fn, validate_single):
+                           x, params, cost_fn, validate_single, seed):
     """(counterfactual or None, cost, trace) of the cheapest valid
     candidate at the first accepting radius, rebuilt and re-checked
     through the single-point closures."""
@@ -193,7 +194,7 @@ def _ball_search_reference(predict_batch, decode_batch, decode_single, search_ce
     radii = params.radii()
     for ri, r in enumerate(radii):
         raw = uniform_l1_ball_sample(search_center, float(r), params.samples_per_radius,
-                                     derive_seed(params.seed, "ball-radius", ri))
+                                     derive_seed(seed, "ball-radius", ri))
         candidates = decode_batch(raw)
         probs = predict_batch(candidates)
         hit = np.flatnonzero(probs >= 0.5)
@@ -239,33 +240,37 @@ def _one_row(v, d):
     return v.reshape(1, -1)
 
 
-def growing_spheres_reference(model, x, params, cost_fn):
-    """RecourseResult of the input-space ball search."""
-    from recourse_mi import nn
-    from recourse_mi.recourse import RecourseResult, _require_negative
+def _row_record(algorithm, x, found, c, trace, seed):
+    """The JSON record of one recourse: RecourseBatch.row_json's fields."""
+    valid = found is not None
+    return {"counterfactual": [float(v) for v in (found if valid else x)],
+            "cost": float(c) if valid else 0.0, "valid": valid, "algorithm": algorithm,
+            "trace": trace, "seed": seed}
 
-    x = np.asarray(x, dtype=np.float64)
-    _require_negative(model, x[None, :])
+
+def growing_spheres_reference(model, x, params, cost_fn, seed):
+    """The row record of the input-space ball search."""
+    from recourse_mi import nn
+    from recourse_mi.recourse import _query_block
+
+    x = _query_block(model, x[None, :], [seed])[0]
     project_batch, project_single = _freezer_reference(x, params.immutable)
     found, c, trace = _ball_search_reference(
         predict_batch=lambda pts: nn.predict_proba_batch(model, pts),
         decode_batch=project_batch, decode_single=project_single,
         search_center=x, x=x, params=params, cost_fn=cost_fn,
-        validate_single=lambda pt: nn.predict_proba_batch(model, _one_row(pt, model.d))[0] >= 0.5)
-    if found is None:
-        return RecourseResult(x.copy(), 0.0, False, "growing_spheres", trace=trace,
-                              seed=params.seed)
-    return RecourseResult(found, c, True, "growing_spheres", trace=trace, seed=params.seed)
+        validate_single=lambda pt: nn.predict_proba_batch(model, _one_row(pt, model.d))[0] >= 0.5,
+        seed=seed)
+    return _row_record("growing_spheres", x, found, c, trace, seed)
 
 
-def cchvae_reference(model, vae, x, params, cost_fn):
-    """RecourseResult of the latent-space ball search around the encoder
+def cchvae_reference(model, vae, x, params, cost_fn, seed):
+    """The row record of the latent-space ball search around the encoder
     mean of x, each candidate decoded back and projected."""
     from recourse_mi import nn
-    from recourse_mi.recourse import RecourseResult, _require_negative
+    from recourse_mi.recourse import _query_block
 
-    x = np.asarray(x, dtype=np.float64)
-    _require_negative(model, x[None, :])
+    x = _query_block(model, x[None, :], [seed])[0]
     project_batch, project_single = _freezer_reference(x, params.immutable)
     z_center = vae.encode_batch(_one_row(x, vae.d))[0][0]
     found, c, trace = _ball_search_reference(
@@ -273,11 +278,11 @@ def cchvae_reference(model, vae, x, params, cost_fn):
         decode_batch=lambda zs: project_batch(vae.decode_batch(zs)),
         decode_single=lambda z: project_single(vae.decode_batch(_one_row(z, vae.latent_dim))[0]),
         search_center=z_center, x=x, params=params, cost_fn=cost_fn,
-        validate_single=lambda pt: nn.predict_proba_batch(model, _one_row(pt, model.d))[0] >= 0.5)
-    if found is None:
-        return RecourseResult(x.copy(), 0.0, False, "cchvae", trace=trace, seed=params.seed)
-    trace["latent_point"] = trace.pop("search_point")
-    return RecourseResult(found, c, True, "cchvae", trace=trace, seed=params.seed)
+        validate_single=lambda pt: nn.predict_proba_batch(model, _one_row(pt, model.d))[0] >= 0.5,
+        seed=seed)
+    if found is not None:
+        trace["latent_point"] = trace.pop("search_point")
+    return _row_record("cchvae", x, found, c, trace, seed)
 
 
 # --- list-of-arrays trainers: the optimiser loop over separate parameter

@@ -35,7 +35,7 @@ from recourse_mi.recourse import (
     ScfeParams,
     SearchParams,
     growing_spheres,
-    scfe_batch,
+    scfe,
 )
 from recourse_mi.seeds import derive_seed, rng_for
 
@@ -230,10 +230,10 @@ class TestCriterion6TwoSidedOracle:
         def point_scores(j: int) -> tuple[float, float] | None:
             """(one-sided score, two-sided LLR) of point j; None drops it."""
             x, y = pool.features[chosen[j]], int(pool.labels[chosen[j]])
-            r0 = scfe_batch(owner, x[None], sp, cost_fn, [derive_seed(master, "t0", j)])[0]
-            if not r0.valid:
+            r0 = scfe(owner, x[None], sp, cost_fn, [derive_seed(master, "t0", j)])
+            if not r0.valid[0]:
                 return None
-            t0 = max(r0.cost, 1e-12)
+            t0 = max(r0.costs.item(), 1e-12)
             ins, outs = [], []
             for i in range(n_in + n_out):
                 rows = rng_for(master, f"ds-{j}", i).choice(rest, size=n - 1,
@@ -250,17 +250,17 @@ class TestCriterion6TwoSidedOracle:
                     TrainConfig(seed=derive_seed(master, f"t-{j}", i), **train_kw))
                 if prob_of(m, x) >= 0.5:
                     continue
-                r = scfe_batch(m, x[None], sp, cost_fn, [derive_seed(master, f"r-{j}", i)])[0]
-                if not r.valid:
+                r = scfe(m, x[None], sp, cost_fn, [derive_seed(master, f"r-{j}", i)])
+                if not r.valid[0]:
                     continue
-                (ins if i < n_in else outs).append(max(r.cost, 1e-12))
+                (ins if i < n_in else outs).append(max(r.costs.item(), 1e-12))
             if len(ins) < 3 or len(outs) < 3:
                 return None
             # the one-sided score is the audit's cfd_lrt of the OUT distances
-            sample = SimpleNamespace(point_id=f"p{j}", point=x, recourse=r0)
-            [one_sided] = cfd_lrt_attack_scores([sample], np.array([outs]), alphas=())
+            one_sided = cfd_lrt_attack_scores(SimpleNamespace(recourse=r0), np.array([outs]),
+                                              alphas=())
             fit_in, fit_out = fit_normal_mle(np.log(ins)), fit_normal_mle(np.log(outs))
-            return one_sided.score, two_sided_distance_llr(t0, fit_in, fit_out)
+            return one_sided.score.item(), two_sided_distance_llr(t0, fit_in, fit_out)
 
         # one task per point on the workers; every point keeps its seeds
         done = run_all({j: functools.partial(point_scores, j) for j in range(n_points)})
@@ -290,17 +290,15 @@ class TestCriterion7RecourseQuality:
         probs = predict_proba_batch(model, std.features)
         neg = std.features[probs < 0.5][:40]
         total, valid = 0, 0
-        # SCFE rows are batch-independent: one batch equals 40 one-point calls
-        scfe_results = scfe_batch(model, neg, ScfeParams(max_iters=300), CostFn("l1"),
-                                  list(range(len(neg))))
-        for i, x in enumerate(neg):
-            for res in (
-                scfe_results[i],
-                growing_spheres(model, x, SearchParams(seed=i), CostFn("l1")),
-                cchvae(model, vae, x, SearchParams(seed=i), CostFn("l1")),
-            ):
+        # rows are batch-independent: each batch equals 40 one-point calls,
+        # point i with seed i
+        seeds = list(range(len(neg)))
+        for batch in (scfe(model, neg, ScfeParams(max_iters=300), CostFn("l1"), seeds),
+                      growing_spheres(model, neg, SearchParams(), CostFn("l1"), seeds),
+                      cchvae(model, vae, neg, SearchParams(), CostFn("l1"), seeds)):
+            for cf, ok in zip(batch.counterfactuals, batch.valid):
                 total += 1
-                if res.valid and prob_of(model, res.counterfactual) >= 0.5:
+                if ok and prob_of(model, cf) >= 0.5:
                     valid += 1
         validity = valid / total
 
@@ -329,11 +327,11 @@ class TestCriterion7RecourseQuality:
             # the lam-decay ladder self-selects the largest trade-off that
             # still crosses the boundary, which is what pins the returned
             # point near the perpendicular foot
-            res = scfe_batch(model2, x[None],
-                             ScfeParams(lam=1.0, lam_decay=0.7, max_retries=12,
-                                        step_size=0.01, max_iters=3000),
-                             CostFn("l2"), [0])[0]
-            assert res.valid
+            res = scfe(model2, x[None],
+                       ScfeParams(lam=1.0, lam_decay=0.7, max_retries=12,
+                                  step_size=0.01, max_iters=3000),
+                       CostFn("l2"), [0])
+            assert res.valid[0]
             span = 2.0 * boundary_dist
             _, oracle_cost = grid_cheapest_valid_logistic(
                 theta, bias, x, "l2",
@@ -341,7 +339,7 @@ class TestCriterion7RecourseQuality:
                 resolution=801)
             grid_step = 2.0 * span / 800.0
             assert abs(oracle_cost - boundary_dist) <= 2.0 * grid_step
-            rel_errs.append(abs(res.cost - oracle_cost) / max(oracle_cost, grid_step))
+            rel_errs.append(abs(res.costs.item() - oracle_cost) / max(oracle_cost, grid_step))
         scfe_worst = max(rel_errs)
 
         # (c) growing spheres against analytic halfspace distances
@@ -351,10 +349,10 @@ class TestCriterion7RecourseQuality:
             theta = np.zeros(d)
             theta[0] = 4.0
             model3 = make_logistic(theta, -4.0 * boundary)
-            res = growing_spheres(model3, np.zeros(d), SearchParams(seed=d),
-                                  CostFn("l1"))
-            gs_detail.append(round(res.cost / boundary, 3))
-            gs_ok &= res.valid and boundary <= res.cost <= 1.5 * boundary
+            res = growing_spheres(model3, np.zeros((1, d)), SearchParams(), CostFn("l1"), [d])
+            c = res.costs.item()
+            gs_detail.append(round(c / boundary, 3))
+            gs_ok &= bool(res.valid[0]) and boundary <= c <= 1.5 * boundary
 
         ok = validity >= 0.95 and scfe_worst <= 0.05 and gs_ok
         criterion(7, ok,

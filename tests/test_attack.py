@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import multiprocessing
@@ -18,8 +17,6 @@ from scipy import special
 import recourse_mi
 from recourse_mi import normal, recourse
 from recourse_mi.attack import (
-    Guess,
-    InvalidRecourseError,
     NormalFit,
     RecourseConfig,
     cfd_lrt_attack_scores,
@@ -47,7 +44,6 @@ from recourse_mi.pool import TaskPool, run_all
 from recourse_mi.recourse import (
     CostFn,
     RecoursePreconditionError,
-    RecourseResult,
     ScfeParams,
     SearchParams,
     growing_spheres,
@@ -55,7 +51,7 @@ from recourse_mi.recourse import (
 )
 from recourse_mi.seeds import derive_seed
 
-from conftest import make_logistic, prob_of, stream_columns, train_shadows, use_cpus
+from conftest import make_logistic, prob_of, records, stream_columns, train_shadows, use_cpus
 from reference import lognormal_quantile_oracle, normal_cdf
 
 
@@ -74,36 +70,34 @@ def shadow_distances(x, models, replay, point_seed):
     return row[~np.isnan(row)]
 
 
-def cfd_lrt_scores(samples, models, replay, alphas=(0.01, 0.05, 0.1)):
-    """cfd_lrt scores of the samples against the stream's distance
-    matrix, sample i replayed with point seed i."""
-    X = np.array([s.point for s in samples])
-    dists = stream_columns(models, X, range(len(samples)), replay=replay).dists
-    return cfd_lrt_attack_scores(samples, dists, alphas)
+def distance_game(t0s, points=None):
+    """A game (runner.Game's fields that the distance attacks read) whose
+    rounds' valid recourses cost t0s, at `points` or at the origin of the
+    plane."""
+    t0s = np.asarray(t0s, dtype=np.float64)
+    return SimpleNamespace(points=np.zeros((t0s.size, 2)) if points is None else points,
+                           recourse=SimpleNamespace(costs=t0s))
 
 
-def valid_result(cost=2.0, d=2):
-    return RecourseResult(counterfactual=np.zeros(d), cost=cost, valid=True,
-                          algorithm="scfe")
+def cfd_lrt_scores(game, models, replay, alphas=(0.01, 0.05, 0.1)):
+    """cfd_lrt scores of the game's rounds against the stream's distance
+    matrix, round i replayed with point seed i."""
+    dists = stream_columns(models, game.points, range(len(game.points)), replay=replay).dists
+    return cfd_lrt_attack_scores(game, dists, alphas)
 
 
 class TestCfdStatistic:
     def test_pass_through(self):
-        assert cfd_statistic(np.zeros(2), valid_result(2.0)) == 2.0
+        assert cfd_statistic(np.array([2.0])).tolist() == [2.0]
 
     def test_floor(self):
-        assert cfd_statistic(np.zeros(2), valid_result(0.0)) == 1e-12
-
-    def test_invalid_recourse_rejected(self):
-        res = RecourseResult(np.zeros(2), 0.0, False, "scfe")
-        with pytest.raises(InvalidRecourseError):
-            cfd_statistic(np.zeros(2), res)
+        assert cfd_statistic(np.array([0.0, 2.0])).tolist() == [1e-12, 2.0]
 
     def test_matches_recomputed_cost(self, halfspace_2d):
         x = np.array([0.0, 0.0])
-        res = growing_spheres(halfspace_2d, x, SearchParams(seed=1), CostFn("l1"))
-        stat = cfd_statistic(x, res)
-        assert stat == row_costs(res.counterfactual[None, :] - x, "l1")[0]
+        res = growing_spheres(halfspace_2d, x[None], SearchParams(), CostFn("l1"), [1])
+        stat = cfd_statistic(res.costs)[0]
+        assert stat == row_costs(res.counterfactuals - x, "l1")[0]
 
 
 class TestLogNormalFit:
@@ -175,15 +169,13 @@ class TestLogNormalQuantile:
         assert math.exp(normal_quantile(NormalFit(0.0, 1.0, 3), 1.0)) == math.inf
 
 
-def distance_sample(t0, point_id="p"):
-    """A game sample whose valid recourse costs t0."""
-    return SimpleNamespace(point_id=point_id, point=np.zeros(2), recourse=valid_result(t0))
-
-
 def cfd_lrt_one(t0, dists, alphas):
-    """cfd_lrt's score of one point with distance t0 and shadow distances `dists`."""
-    [sc] = cfd_lrt_attack_scores([distance_sample(t0)], np.array([dists], dtype=float), alphas)
-    return sc
+    """cfd_lrt's statistic, score and guesses (alpha -> member) of one
+    point with distance t0 and shadow distances `dists`."""
+    sc = cfd_lrt_attack_scores(distance_game([t0]), np.array([dists], dtype=float), alphas)
+    assert sc.rows.tolist() == [0]
+    return SimpleNamespace(statistic=sc.statistic.item(), score=sc.score.item(),
+                           member_at={a: bool(m[0]) for a, m in sc.member_at.items()})
 
 
 class TestCfdLrtDecide:
@@ -192,11 +184,11 @@ class TestCfdLrtDecide:
 
     def test_degenerate_above(self):
         sc = cfd_lrt_one(np.e + 0.1, [np.e] * 4, (0.05,))
-        assert sc.guess_at == {0.05: Guess.MEMBER} and sc.score == 1.0
+        assert sc.member_at == {0.05: True} and sc.score == 1.0
 
     def test_degenerate_below(self):
         sc = cfd_lrt_one(np.e - 0.1, [np.e] * 4, (0.05,))
-        assert sc.guess_at == {0.05: Guess.NON_MEMBER} and sc.score == 0.0
+        assert sc.member_at == {0.05: False} and sc.score == 0.0
 
     @given(
         dists=st.lists(st.floats(1e-3, 50.0), min_size=2, max_size=16),
@@ -208,7 +200,7 @@ class TestCfdLrtDecide:
         fit = fit_normal_mle(np.log(dists))
         sc = cfd_lrt_one(t0, dists, (alpha,))
         member = math.log(t0) >= normal_quantile(fit, 1.0 - alpha)
-        assert sc.guess_at[alpha] is (Guess.MEMBER if member else Guess.NON_MEMBER)
+        assert sc.member_at[alpha] is member
         assert sc.score == loss_lrt_score(math.log(t0), fit)
 
     def test_score_threshold_sweep_matches_decisions(self):
@@ -220,8 +212,7 @@ class TestCfdLrtDecide:
             alpha = float(rng.uniform(0.01, 0.99))
             sc = cfd_lrt_one(t0, dists, (alpha,))
             assert abs(sc.score - (1 - alpha)) > 1e-9
-            want = Guess.MEMBER if sc.score >= 1 - alpha else Guess.NON_MEMBER
-            assert sc.guess_at[alpha] is want
+            assert sc.member_at[alpha] is (sc.score >= 1 - alpha)
 
 
 class TestLevelAlpha:
@@ -232,9 +223,9 @@ class TestLevelAlpha:
     N = 20_000
 
     def assert_level(self, scores):
-        assert len(scores) == self.N
+        assert scores.rows.size == self.N
         for a in self.ALPHAS:
-            share = np.mean([sc.guess_at[a] is Guess.MEMBER for sc in scores])
+            share = scores.member_at[a].mean()
             assert abs(share - a) <= 4 * math.sqrt(a * (1 - a) / self.N), (a, share)
 
     def test_cfd_lrt(self):
@@ -242,9 +233,8 @@ class TestLevelAlpha:
         dists = rng.lognormal(0.3, math.sqrt(0.5), size=16)
         fit = fit_normal_mle(np.log(dists))
         t0s = np.exp(rng.normal(fit.mu, math.sqrt(fit.sigma2), size=self.N))
-        samples = [distance_sample(float(t), f"p{i}") for i, t in enumerate(t0s)]
-        self.assert_level(cfd_lrt_attack_scores(samples, np.tile(dists, (self.N, 1)),
-                                                self.ALPHAS))
+        self.assert_level(cfd_lrt_attack_scores(distance_game(t0s),
+                                                np.tile(dists, (self.N, 1)), self.ALPHAS))
 
     def test_loss_lrt(self):
         # with a weight of 1 and no bias, a label-1 point's confidence is the point
@@ -252,9 +242,8 @@ class TestLevelAlpha:
         shadow_p = 1 / (1 + np.exp(-rng.normal(0.5, 1.2, size=8)))
         fit = fit_normal_mle(logit_confidence(shadow_p, 1))
         xs = rng.normal(fit.mu, math.sqrt(fit.sigma2), size=self.N)
-        samples = [SimpleNamespace(point_id=f"p{i}", point=np.array([x]), label=1)
-                   for i, x in enumerate(xs)]
-        self.assert_level(loss_lrt_attack_scores(samples, make_logistic([1.0], 0.0),
+        game = SimpleNamespace(points=xs[:, None], labels=np.ones(self.N, dtype=np.int64))
+        self.assert_level(loss_lrt_attack_scores(game, make_logistic([1.0], 0.0),
                                                  np.tile(shadow_p, (self.N, 1)), self.ALPHAS))
 
 
@@ -311,9 +300,10 @@ class TestLossScores:
 
     def test_loss_attack_uses_bce_with_lower_direction(self):
         m = make_logistic([0.0], 0.0)
-        [sc] = loss_attack_scores([SimpleNamespace(point_id="p", point=np.array([1.0]),
-                                                   label=1)], m)
-        assert sc.statistic == pytest.approx(np.log(2), abs=1e-12)
+        sc = loss_attack_scores(SimpleNamespace(points=np.array([[1.0]]), labels=np.array([1])),
+                                m)
+        assert sc.rows.tolist() == [0]
+        assert sc.statistic[0] == pytest.approx(np.log(2), abs=1e-12)
         assert sc.higher_means_member is False
 
     def test_loss_is_softplus_of_negative_confidence(self):
@@ -339,7 +329,7 @@ def shadow_setup():
     std, _ = standardize(ds)
     cfg = TrainConfig(learning_rate=0.05, epochs=60, seed=0)
     rc = RecourseConfig(algorithm="growing_spheres", cost_fn=CostFn("l1"),
-                        search_params=SearchParams(samples_per_radius=200, seed=0))
+                        search_params=SearchParams(samples_per_radius=200))
     models = train_shadows(std, n_models=8, architecture=[], trainer_config=cfg, seed=99)
     return std, models, (rc, 99, None)
 
@@ -351,20 +341,17 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
     owner = train_classifier(std, [8], TrainConfig(learning_rate=0.05, epochs=30, seed=4))
     rng = np.random.default_rng(8)
     points = np.concatenate([std.features[:25], rng.normal(scale=40.0, size=(5, 2))])
-    samples = [SimpleNamespace(point_id=f"p{i}", point=x, label=int(i % 2))
-               for i, x in enumerate(points)]
-    loss = loss_attack_scores(samples, owner)
+    game = SimpleNamespace(points=points, labels=np.arange(len(points)) % 2)
+    loss = loss_attack_scores(game, owner)
     probs = stream_columns(models, points, range(len(points)), probs=True).probs
-    lrt = loss_lrt_attack_scores(samples, owner, probs, (0.01, 0.05, 0.1))
-    for s, ls, lr in zip(samples, loss, lrt):
-        assert ls.statistic == ls.score == loss_of(owner, s.point, s.label)
-        assert ls.higher_means_member is False
-        conf = confidence_of(owner, s.point, s.label)
-        fit = fit_normal_mle([confidence_of(m, s.point, s.label) for m in models])
-        assert lr.statistic == conf and lr.score == loss_lrt_score(conf, fit)
-    assert len(loss) == len(lrt) == len(samples)
-    assert loss_attack_scores([], owner) == loss_lrt_attack_scores([], owner, np.empty((0, 8)),
-                                                                   (0.1,)) == []
+    lrt = loss_lrt_attack_scores(game, owner, probs, (0.01, 0.05, 0.1))
+    assert loss.higher_means_member is False
+    for i, (x, y) in enumerate(zip(points, game.labels)):
+        assert loss.statistic[i] == loss.score[i] == loss_of(owner, x, y)
+        conf = confidence_of(owner, x, y)
+        fit = fit_normal_mle([confidence_of(m, x, y) for m in models])
+        assert lrt.statistic[i] == conf and lrt.score[i] == loss_lrt_score(conf, fit)
+    assert loss.rows.tolist() == lrt.rows.tolist() == list(range(len(points)))
 
 
 class TestShadowEnsemble:
@@ -401,7 +388,7 @@ class TestShadowEnsemble:
         models = [make_logistic([4.0, 0.0], -4.0 * b) for b in (1.0, 1.5, 2.0)]
         rc = RecourseConfig(algorithm="growing_spheres", cost_fn=CostFn("l1"),
                             search_params=SearchParams(samples_per_radius=500,
-                                                       max_radius=10.0, seed=0))
+                                                       max_radius=10.0))
         runs = []
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
@@ -416,13 +403,13 @@ class TestShadowEnsemble:
         # so the point has no OUT fit and gets no score
         models = [make_logistic([0.0, 0.0], 3.0), make_logistic([0.0, 0.0], 5.0)]
         replay = (RecourseConfig(algorithm="growing_spheres"), 1, None)
-        sample = SimpleNamespace(point_id="p", point=np.zeros(2), recourse=valid_result())
+        game = distance_game([2.0])
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             cols = stream_columns(models, np.zeros((1, 2)), [0], replay=replay)
             assert cols.positive.tolist() == [2] and cols.failed.tolist() == [0]
             assert np.isnan(cols.dists).all()
-            assert cfd_lrt_scores([sample], models, replay) == []
+            assert cfd_lrt_scores(game, models, replay).rows.size == 0
 
     def test_cfd_lrt_starved_points_are_dropped(self, monkeypatch):
         # one model accepts everything, the others are halfspaces x1 > 1
@@ -431,15 +418,15 @@ class TestShadowEnsemble:
                   make_logistic([0.0, 4.0], -4.0)]
         replay = (RecourseConfig(algorithm="growing_spheres"), 1, None)
         points = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-        samples = [SimpleNamespace(point_id=f"p{i}", point=x, recourse=valid_result())
-                   for i, x in enumerate(points)]
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             cols = stream_columns(models, points, range(3), replay=replay)
             assert cols.positive.tolist() == [1, 2, 3] and cols.failed.tolist() == [0, 0, 0]
             assert (~np.isnan(cols.dists)).sum(axis=1).tolist() == [2, 1, 0]
-            assert [sc.point_id for sc in cfd_lrt_scores(samples, models, replay)] == ["p0"]
-            assert cfd_lrt_scores(samples[1:], models, replay) == []
+            game = distance_game([2.0] * 3, points)
+            assert cfd_lrt_scores(game, models, replay).rows.tolist() == [0]
+            game = distance_game([2.0] * 2, points[1:])
+            assert cfd_lrt_scores(game, models, replay).rows.size == 0
 
     def test_matrix_rows_match_per_point_distances(self, shadow_setup):
         # model-major replay gives each point the distances, in model
@@ -507,8 +494,9 @@ class TestShadowEnsemble:
             for i, model in enumerate(models):
                 neg = np.array([prob_of(model, x) < 0.5 for x in X])
                 seeds = [derive_seed(3, f"shadow-recourse-{r}", i) for r in np.flatnonzero(neg)]
-                want = [max(r.cost, recourse.DISTANCE_FLOOR) if r.valid else np.nan
-                        for r in rc.generate_batch(model, X[neg], seeds)]
+                batch = rc.generate_batch(model, X[neg], seeds)
+                want = np.where(batch.valid, np.maximum(batch.costs, recourse.DISTANCE_FLOOR),
+                                np.nan)
                 assert np.array_equal(cols.dists[neg, i], want, equal_nan=True)
                 assert np.isnan(cols.dists[~neg, i]).all()
             assert np.array_equal(cols.positive + cols.failed, np.isnan(cols.dists).sum(axis=1))
@@ -518,22 +506,21 @@ class TestShadowEnsemble:
     def test_cfd_lrt_scores_use_per_point_fits(self, shadow_setup):
         std, models, replay = shadow_setup
         owner = models[0]
-        samples = []
-        for j, x in enumerate(std.features[:40]):
-            if prob_of(owner, x) < 0.5:
-                res = growing_spheres(owner, x, SearchParams(seed=j), CostFn("l1"))
-                samples.append(SimpleNamespace(point_id=f"p{j}", point=x, recourse=res))
-        scores = cfd_lrt_scores(samples, models, replay, alphas=(0.1,))
-        by_id = {sc.point_id: sc for sc in scores}
-        assert len(by_id) >= len(samples) // 2
-        for idx, s in enumerate(samples):
-            row = shadow_distances(s.point, models, replay, idx)
+        js = [j for j, x in enumerate(std.features[:40]) if prob_of(owner, x) < 0.5]
+        X = std.features[js]
+        game = SimpleNamespace(points=X, recourse=growing_spheres(owner, X, SearchParams(),
+                                                                  CostFn("l1"), js))
+        scores = cfd_lrt_scores(game, models, replay, alphas=(0.1,))
+        by_row = dict(zip(scores.rows.tolist(), scores.score.tolist()))
+        assert len(by_row) >= len(js) // 2
+        for idx, x in enumerate(X):
+            row = shadow_distances(x, models, replay, idx)
             if row.size < 2:
-                assert s.point_id not in by_id
+                assert idx not in by_row
                 continue
             fit = fit_normal_mle(np.log(row))
-            t0 = cfd_statistic(s.point, s.recourse)
-            assert by_id[s.point_id].score == loss_lrt_score(math.log(t0), fit)
+            t0 = cfd_statistic(game.recourse.costs)[idx]
+            assert by_row[idx] == loss_lrt_score(math.log(t0), fit)
 
     def test_shadow_models_never_trained_on_eval_rows(self, shadow_setup):
         std, models, _ = shadow_setup
@@ -614,12 +601,10 @@ class TestGenerateBatch:
                             search_params=SearchParams(samples_per_radius=100))
         X = np.array([[0.0, 0.0], [-1.0, 2.0], [0.5, -0.5]])
         batch = rc.generate_batch(halfspace_2d, X, [3, 4, 5])
-        for x, seed, res in zip(X, (3, 4, 5), batch):
-            one = growing_spheres(halfspace_2d, x,
-                                  dataclasses.replace(rc.search_params, seed=seed), rc.cost_fn)
-            assert res.seed == seed
-            assert np.array_equal(res.counterfactual, one.counterfactual)
-            assert res.trace == one.trace
+        for i, (x, seed) in enumerate(zip(X, (3, 4, 5))):
+            one = growing_spheres(halfspace_2d, x[None], rc.search_params, rc.cost_fn, [seed])
+            assert batch.row_json(i) == one.row_json(0)
+            assert batch.seeds[i] == seed
 
     @pytest.mark.parametrize("algorithm,arch,block_rows", [
         pytest.param("scfe", [], None, id="arch0"),
@@ -647,10 +632,10 @@ class TestGenerateBatch:
         rc = RecourseConfig(algorithm=algorithm,
                             scfe_params=ScfeParams(lam=1.0, max_iters=120),
                             search_params=SearchParams(samples_per_radius=50, max_radius=3.0))
-        whole = [r.to_json() for r in rc.generate_batch(model, X, seeds, vae=vae)]
-        split = [r.to_json() for part in (slice(0, 7), slice(7, 24))
-                 for r in rc.generate_batch(model, X[part], seeds[part], vae=vae)]
-        alone = [rc.generate_batch(model, X[i:i + 1], seeds[i:i + 1], vae=vae)[0].to_json()
+        whole = records(rc.generate_batch(model, X, seeds, vae=vae))
+        split = [r for part in (slice(0, 7), slice(7, 24))
+                 for r in records(rc.generate_batch(model, X[part], seeds[part], vae=vae))]
+        alone = [rc.generate_batch(model, X[i:i + 1], seeds[i:i + 1], vae=vae).row_json(0)
                  for i in range(len(X))]
         assert whole == split == alone
         assert any(r["valid"] for r in whole)
@@ -664,8 +649,8 @@ class TestGenerateBatch:
         rc = RecourseConfig(algorithm="scfe", scfe_params=ScfeParams(max_iters=200))
         X = np.array([[0.0, 0.0], [-1.0, 2.0]])
         batch = rc.generate_batch(halfspace_2d, X, [8, 9])
-        assert [r.seed for r in batch] == [8, 9]
-        assert all(r.valid and r.algorithm == "scfe" for r in batch)
+        assert batch.seeds.tolist() == [8, 9]
+        assert batch.valid.all() and batch.algorithm == "scfe"
 
 
 class TestQuantileCalibration:

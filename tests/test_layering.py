@@ -1,6 +1,6 @@
 """The package's import layering, read from its sources with ast: the leaf
-modules import no other package module, and data and nn import only the
-modules below them."""
+modules import no other package module, data, nn and recourse import only
+the modules below them, and attack sits below the runner and the CLI."""
 import ast
 from pathlib import Path
 
@@ -17,6 +17,7 @@ ALLOWED = {
     "seeds": set(),
     "data": {"seeds"},
     "nn": {"data", "seeds"},
+    "recourse": {"nn", "seeds"},
 }
 
 
@@ -48,3 +49,7 @@ def test_module_imports_only_the_layers_below_it(module):
 def test_the_reader_sees_the_package_imports():
     assert package_imports("runner") >= {"__init__", "attack", "metrics", "nn", "data"}
     assert package_imports("cli") == {"metrics", "nn", "privacy", "runner", "data"}
+
+
+def test_attack_imports_neither_the_runner_nor_the_cli():
+    assert not package_imports("attack") & {"runner", "cli"}

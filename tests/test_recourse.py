@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,11 +23,11 @@ from recourse_mi.recourse import (
     cchvae,
     growing_spheres,
     row_costs,
-    scfe_batch,
+    scfe,
     uniform_l1_ball_sample,
 )
 
-from conftest import make_logistic, prob_of
+from conftest import make_logistic, prob_of, records
 from reference import (
     cchvae_reference,
     grid_cheapest_valid_logistic,
@@ -43,6 +44,13 @@ def cost(x, xp, fn):
 def negatives(model, X):
     """The rows of X that the model classifies negatively."""
     return X[predict_proba_batch(model, X) < 0.5]
+
+
+def row(batch, i=0):
+    """Row i of a RecourseBatch as its JSON record's fields, the
+    counterfactual as an array."""
+    rec = batch.row_json(i)
+    return SimpleNamespace(**dict(rec, counterfactual=np.array(rec["counterfactual"])))
 
 
 class TestCost:
@@ -101,16 +109,17 @@ class TestCost:
         X = ds.features[:6] - ((ds.features[:6] @ theta + 1e-3) / (theta @ theta))[:, None] * theta
         fn = CostFn(norm)
         params = SearchParams(samples_per_radius=50, max_radius=3.0)
+        seeds = [0] * len(X)
         if algorithm == "scfe":
-            results = scfe_batch(model, X, ScfeParams(max_iters=100), fn, range(len(X)))
+            batch = scfe(model, X, ScfeParams(max_iters=100), fn, range(len(X)))
         elif algorithm == "growing_spheres":
-            results = [growing_spheres(model, x, params, fn) for x in X]
+            batch = growing_spheres(model, X, params, fn, seeds)
         else:
             vae = train_vae(ds, TrainConfig(learning_rate=1e-3, epochs=2, seed=2))
-            results = [cchvae(model, vae, x, params, fn) for x in X]
-        assert any(r.valid for r in results)
-        for x, r in zip(X, results):
-            assert r.cost == row_costs(r.counterfactual[None, :] - x, norm)[0]
+            batch = cchvae(model, vae, X, params, fn, seeds)
+        assert batch.valid.any()
+        for x, cf, c in zip(X, batch.counterfactuals, batch.costs):
+            assert c == row_costs(cf[None, :] - x, norm)[0]
 
 
 class TestUniformL1Ball:
@@ -157,14 +166,14 @@ class TestScfe:
     def test_precondition(self):
         m = make_logistic([1.0], 0.0)
         with pytest.raises(RecoursePreconditionError):
-            scfe_batch(m, np.array([[5.0]]), ScfeParams(), CostFn("l1"), [0])
+            scfe(m, np.array([[5.0]]), ScfeParams(), CostFn("l1"), [0])
 
     def test_matches_grid_oracle_on_shifted_halfspace(self):
         # theta=(1,0), b=-2: boundary at x1=2; from the origin the optimal
         # counterfactual sits just past (2, 0).
         m = make_logistic([1.0, 0.0], -2.0)
         x = np.array([0.0, 0.0])
-        res = scfe_batch(m, x[None], ScfeParams(lam=0.05), CostFn("l2"), [0])[0]
+        res = row(scfe(m, x[None], ScfeParams(lam=0.05), CostFn("l2"), [0]))
         assert res.valid
         assert res.counterfactual[0] == pytest.approx(2.0, abs=0.2)
         assert abs(res.counterfactual[1]) < 0.2
@@ -181,7 +190,7 @@ class TestScfe:
         m = make_logistic([2.0, -1.0], 0.3)
         x = np.array([-1.0, 0.5])
         assert prob_of(m, x) < 0.5
-        res = scfe_batch(m, x[None], ScfeParams(), CostFn("l1"), [0])[0]
+        res = row(scfe(m, x[None], ScfeParams(), CostFn("l1"), [0]))
         assert res.valid
         assert prob_of(m, res.counterfactual) >= 0.5
         # recomputing the cost from the stored vectors gives the stored cost
@@ -190,8 +199,8 @@ class TestScfe:
     def test_deterministic(self):
         m = make_logistic([1.0, 1.0], -3.0)
         x = np.array([0.0, 0.0])
-        r1 = scfe_batch(m, x[None], ScfeParams(), CostFn("l1"), [9])[0]
-        r2 = scfe_batch(m, x[None], ScfeParams(), CostFn("l1"), [9])[0]
+        r1 = row(scfe(m, x[None], ScfeParams(), CostFn("l1"), [9]))
+        r2 = row(scfe(m, x[None], ScfeParams(), CostFn("l1"), [9]))
         assert np.array_equal(r1.counterfactual, r2.counterfactual)
         assert r1.cost == r2.cost and r1.trace == r2.trace
 
@@ -199,9 +208,9 @@ class TestScfe:
         # enormous lambda freezes x' at x; retries must decay it until the
         # loss term wins and a valid point appears
         m = make_logistic([1.0], -1.0)
-        res = scfe_batch(m, np.array([[0.0]]),
-                         ScfeParams(lam=1e6, lam_decay=0.01, max_iters=300, max_retries=5),
-                         CostFn("l1"), [0])[0]
+        res = row(scfe(m, np.array([[0.0]]),
+                       ScfeParams(lam=1e6, lam_decay=0.01, max_iters=300, max_retries=5),
+                       CostFn("l1"), [0]))
         assert res.valid
         assert res.trace["retries_used"] >= 1
 
@@ -209,8 +218,8 @@ class TestScfe:
         # all-zero model predicts exactly 0.5 everywhere... use a strongly
         # negative bias with zero weights: p constant < 0.5, no recourse exists
         m = make_logistic([0.0, 0.0], -3.0)
-        res = scfe_batch(m, np.array([[0.0, 0.0]]),
-                         ScfeParams(max_iters=50, max_retries=1), CostFn("l1"), [0])[0]
+        res = row(scfe(m, np.array([[0.0, 0.0]]),
+                       ScfeParams(max_iters=50, max_retries=1), CostFn("l1"), [0]))
         assert not res.valid
         assert res.cost == 0.0
 
@@ -247,10 +256,11 @@ class TestScfeBatch:
         params = ScfeParams(lam=3.0, lam_decay=0.3, max_iters=150, max_retries=3,
                             immutable=immutable)
         fn = CostFn(norm)
-        results = scfe_batch(model, X, params, fn, seeds=list(range(100, 112)))
-        assert len(results) == len(X)
+        batch = scfe(model, X, params, fn, seeds=list(range(100, 112)))
+        assert len(batch) == len(X)
         retries = set()
-        for i, (x, res) in enumerate(zip(X, results)):
+        for i, x in enumerate(X):
+            res = row(batch, i)
             ref = scfe_reference(model, x, params, norm)
             assert res.valid == ref["valid"]
             assert res.trace == ref["trace"]
@@ -274,10 +284,10 @@ class TestScfeBatch:
         X = negatives(model, ds.features)[:12]
         params = ScfeParams(lam=3.0, lam_decay=0.3, max_iters=150, max_retries=3)
         seeds = list(range(100, 112))
-        whole = [r.to_json() for r in scfe_batch(model, X, params, CostFn("l1"), seeds)]
+        whole = records(scfe(model, X, params, CostFn("l1"), seeds))
         monkeypatch.setattr(recourse, "SCFE_BLOCK_VALUES", 3 * ds.d)
-        blocked = [r.to_json() for r in scfe_batch(model, X, params, CostFn("l1"), seeds)]
-        alone = [scfe_batch(model, X[i:i + 1], params, CostFn("l1"), seeds[i:i + 1])[0].to_json()
+        blocked = records(scfe(model, X, params, CostFn("l1"), seeds))
+        alone = [scfe(model, X[i:i + 1], params, CostFn("l1"), seeds[i:i + 1]).row_json(0)
                  for i in range(len(X))]
         assert blocked == whole == alone
         retried = [i // 3 for i, r in enumerate(blocked) if r["trace"]["retries_used"] > 0]
@@ -286,18 +296,14 @@ class TestScfeBatch:
     def test_every_row_must_be_negative(self):
         m = make_logistic([1.0], 0.0)
         with pytest.raises(RecoursePreconditionError):
-            scfe_batch(m, np.array([[-1.0], [5.0]]), ScfeParams(), CostFn("l1"), [0, 1])
+            scfe(m, np.array([[-1.0], [5.0]]), ScfeParams(), CostFn("l1"), [0, 1])
 
     def test_shape_and_seed_count_checked(self):
         m = make_logistic([1.0, 0.0], -1.0)
         with pytest.raises(DimensionMismatchError):
-            scfe_batch(m, np.zeros((2, 3)), ScfeParams(), CostFn("l1"), [0, 1])
+            scfe(m, np.zeros((2, 3)), ScfeParams(), CostFn("l1"), [0, 1])
         with pytest.raises(ValueError, match="seeds"):
-            scfe_batch(m, np.zeros((2, 2)), ScfeParams(), CostFn("l1"), [0])
-
-    def test_empty_batch(self):
-        m = make_logistic([1.0, 0.0], -1.0)
-        assert scfe_batch(m, np.zeros((0, 2)), ScfeParams(), CostFn("l1"), []) == []
+            scfe(m, np.zeros((2, 2)), ScfeParams(), CostFn("l1"), [0])
 
     def test_scratch_is_bounded_by_the_row_block(self):
         # 200 rows of d=400 are a 640 KB block, and an (n, d) search keeps
@@ -308,11 +314,11 @@ class TestScfeBatch:
         X = rng.normal(size=(200, 400))
         tracemalloc.start()
         try:
-            results = scfe_batch(m, X, ScfeParams(max_iters=20), CostFn("l1"), range(200))
+            batch = scfe(m, X, ScfeParams(max_iters=20), CostFn("l1"), range(200))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(results) == 200 and any(r.valid for r in results)
+        assert len(batch) == 200 and batch.valid.any()
         assert peak <= 3_000_000
 
 
@@ -329,7 +335,7 @@ class TestGrowingSpheres:
 
     def test_halfspace_boundary_band(self, halfspace_2d):
         x = np.array([0.0, 0.0])
-        res = growing_spheres(halfspace_2d, x, SearchParams(seed=3), CostFn("l1"))
+        res = row(growing_spheres(halfspace_2d, x[None], SearchParams(), CostFn("l1"), [3]))
         assert res.valid
         # true boundary distance is exactly 1; sampled cost cannot beat it
         assert 1.0 <= res.cost <= 1.5
@@ -338,31 +344,32 @@ class TestGrowingSpheres:
     def test_positive_model_rejected_then_near_boundary_first_radius(self):
         m = make_logistic([0.0, 0.0], 5.0)  # positive everywhere
         with pytest.raises(RecoursePreconditionError):
-            growing_spheres(m, np.array([4.0, 4.0]), SearchParams(seed=0), CostFn("l1"))
+            growing_spheres(m, np.array([[4.0, 4.0]]), SearchParams(), CostFn("l1"), [0])
         # boundary at x1=-0.005 with the query just below it: the first
         # radius already contains a large valid region
         near = make_logistic([100.0, 0.0], 0.5)
-        res = growing_spheres(near, np.array([-0.02, 0.0]),
-                              SearchParams(seed=1), CostFn("l1"))
+        res = row(growing_spheres(near, np.array([[-0.02, 0.0]]), SearchParams(), CostFn("l1"),
+                                  [1]))
         assert res.valid and res.trace["radii_tried"] == 1
 
     def test_exhausted_radius_returns_invalid(self):
         m = make_logistic([1.0, 0.0], -100.0)  # boundary at x1=100
-        res = growing_spheres(m, np.zeros(2),
-                              SearchParams(max_radius=2.0, seed=2), CostFn("l1"))
+        res = row(growing_spheres(m, np.zeros((1, 2)), SearchParams(max_radius=2.0),
+                                  CostFn("l1"), [2]))
         assert not res.valid
 
     def test_counterfactual_owns_its_row(self, halfspace_2d):
         # without a VAE or a mask the decode is the identity, and the pick
         # must not stay a view into the radius's (samples_per_radius, d) block
-        res = growing_spheres(halfspace_2d, np.zeros(2), SearchParams(seed=3), CostFn("l1"))
-        assert res.valid
-        assert res.counterfactual.flags.owndata and res.counterfactual.shape == (2,)
+        batch = growing_spheres(halfspace_2d, np.zeros((1, 2)), SearchParams(), CostFn("l1"), [3])
+        assert batch.valid[0]
+        for arr in (batch.counterfactuals, batch.columns["search_point"]):
+            assert arr.flags.owndata and arr.shape == (1, 2)
 
     def test_deterministic(self, halfspace_2d):
         x = np.array([0.0, 0.0])
-        r1 = growing_spheres(halfspace_2d, x, SearchParams(seed=11), CostFn("l2"))
-        r2 = growing_spheres(halfspace_2d, x, SearchParams(seed=11), CostFn("l2"))
+        r1 = row(growing_spheres(halfspace_2d, x[None], SearchParams(), CostFn("l2"), [11]))
+        r2 = row(growing_spheres(halfspace_2d, x[None], SearchParams(), CostFn("l2"), [11]))
         assert np.array_equal(r1.counterfactual, r2.counterfactual)
         assert r1.trace == r2.trace
 
@@ -381,7 +388,7 @@ class TestCchvae:
         std, vae = vae_setup
         m = make_logistic([1.0, 0, 0, 0, 0, 0, 0, 0], -0.5)
         neg = negatives(m, std.features)[0]
-        res = cchvae(m, vae, neg, SearchParams(max_radius=20.0, seed=4), CostFn("l1"))
+        res = row(cchvae(m, vae, neg[None], SearchParams(max_radius=20.0), CostFn("l1"), [4]))
         assert res.valid
         z = np.array(res.trace["latent_point"])
         assert np.array_equal(vae.decode_batch(z[None, :])[0], res.counterfactual)
@@ -391,15 +398,15 @@ class TestCchvae:
         std, vae = vae_setup
         m = make_logistic([1.0, 0, 0, 0, 0, 0, 0, 0], -1e6)
         neg = std.features[0]
-        res = cchvae(m, vae, neg, SearchParams(max_radius=0.5, seed=5), CostFn("l1"))
+        res = row(cchvae(m, vae, neg[None], SearchParams(max_radius=0.5), CostFn("l1"), [5]))
         assert not res.valid
 
     def test_deterministic(self, vae_setup):
         std, vae = vae_setup
         m = make_logistic([1.0, 0, 0, 0, 0, 0, 0, 0], -0.5)
         neg = negatives(m, std.features)[0]
-        r1 = cchvae(m, vae, neg, SearchParams(seed=6), CostFn("l1"))
-        r2 = cchvae(m, vae, neg, SearchParams(seed=6), CostFn("l1"))
+        r1 = row(cchvae(m, vae, neg[None], SearchParams(), CostFn("l1"), [6]))
+        r2 = row(cchvae(m, vae, neg[None], SearchParams(), CostFn("l1"), [6]))
         assert np.array_equal(r1.counterfactual, r2.counterfactual)
 
 
@@ -408,7 +415,7 @@ class TestBallSearchOracle:
     @pytest.mark.parametrize("norm", ["l1", "l2"])
     @pytest.mark.parametrize("immutable", [(), (1, 4)])
     def test_matches_reference_search(self, vae_setup, algorithm, norm, immutable):
-        """Each search gives the RecourseResult of the closure-driven
+        """Each search gives the row record of the closure-driven
         reference, counterfactual bytes included: over 5 seeds, on a
         schedule that finds recourses, one that exhausts its radii, and one
         of a single radius (max_radius == initial_radius)."""
@@ -423,19 +430,21 @@ class TestBallSearchOracle:
         for x in points:
             for schedule in schedules:
                 for seed in range(5):
-                    params = SearchParams(seed=seed, immutable=immutable, **schedule)
+                    params = SearchParams(immutable=immutable, **schedule)
                     if algorithm == "growing_spheres":
-                        got = growing_spheres(model, x, params, fn)
-                        want = growing_spheres_reference(model, x, params, fn)
+                        got = growing_spheres(model, x[None], params, fn, [seed])
+                        want = growing_spheres_reference(model, x, params, fn, seed)
                     else:
-                        got = cchvae(model, vae, x, params, fn)
-                        want = cchvae_reference(model, vae, x, params, fn)
-                    assert got.to_json() == want.to_json()
-                    assert got.counterfactual.tobytes() == want.counterfactual.tobytes()
-                    results.append(got)
-        assert {r.valid for r in results} == {True, False}
-        assert any(r.trace["radii_tried"] == 1 and r.trace["radius"] == 0.5 for r in results)
-        assert any(not r.valid and r.trace["radii_tried"] == 3 for r in results)
+                        got = cchvae(model, vae, x[None], params, fn, [seed])
+                        want = cchvae_reference(model, vae, x, params, fn, seed)
+                    assert got.row_json(0) == want
+                    assert got.counterfactuals[0].tobytes() == \
+                        np.array(want["counterfactual"]).tobytes()
+                    results.append(want)
+        assert {r["valid"] for r in results} == {True, False}
+        assert any(r["trace"]["radii_tried"] == 1 and r["trace"]["radius"] == 0.5
+                   for r in results)
+        assert any(not r["valid"] and r["trace"]["radii_tried"] == 3 for r in results)
 
 
 class TestImmutableMask:
@@ -443,15 +452,15 @@ class TestImmutableMask:
         # boundary reachable through either coordinate; freeze the second
         m = make_logistic([1.0, 1.0], -2.0)
         x = np.array([0.0, 0.0])
-        res = scfe_batch(m, x[None], ScfeParams(immutable=(1,)), CostFn("l1"), [0])[0]
+        res = row(scfe(m, x[None], ScfeParams(immutable=(1,)), CostFn("l1"), [0]))
         assert res.valid
         assert res.counterfactual[1] == 0.0
         assert res.counterfactual[0] > 0.0
 
     def test_growing_spheres_respects_mask(self, halfspace_2d):
         x = np.array([0.0, -3.0])
-        res = growing_spheres(halfspace_2d, x,
-                              SearchParams(seed=4, immutable=(1,)), CostFn("l1"))
+        res = row(growing_spheres(halfspace_2d, x[None], SearchParams(immutable=(1,)),
+                                  CostFn("l1"), [4]))
         assert res.valid
         assert res.counterfactual[1] == -3.0
 
@@ -459,8 +468,7 @@ class TestImmutableMask:
         std, vae = vae_setup
         m = make_logistic([1.0, 0, 0, 0, 0, 0, 0, 0], -0.5)
         neg = negatives(m, std.features)[0]
-        res = cchvae(m, vae, neg, SearchParams(seed=6, immutable=(3, 5)),
-                     CostFn("l1"))
+        res = row(cchvae(m, vae, neg[None], SearchParams(immutable=(3, 5)), CostFn("l1"), [6]))
         if res.valid:
             assert res.counterfactual[3] == neg[3]
             assert res.counterfactual[5] == neg[5]
@@ -469,3 +477,57 @@ class TestImmutableMask:
             rebuilt = vae.decode_batch(z[None, :])[0]
             rebuilt[[3, 5]] = neg[[3, 5]]
             assert np.array_equal(rebuilt, res.counterfactual)
+
+
+class TestBatchContract:
+    """Every generator returns one RecourseBatch per block: its trace sums
+    the rows' search records, and an empty block (the replay of a shadow
+    model that classifies every game point positively) gives zero-length
+    columns and zero counters."""
+
+    ALGORITHMS = ["scfe", "growing_spheres", "cchvae"]
+
+    @staticmethod
+    def generate(algorithm, model, vae, X, seeds):
+        # radii that find some rows a recourse and exhaust on others
+        params = SearchParams(samples_per_radius=30,
+                              max_radius=4.0 if algorithm == "cchvae" else 2.0)
+        if algorithm == "scfe":
+            return scfe(model, X, ScfeParams(lam=3.0, lam_decay=0.3, max_iters=50,
+                                             max_retries=2), CostFn("l1"), seeds)
+        if algorithm == "growing_spheres":
+            return growing_spheres(model, X, params, CostFn("l1"), seeds)
+        return cchvae(model, vae, X, params, CostFn("l1"), seeds)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_trace_sums_the_rows(self, vae_setup, algorithm):
+        std, vae = vae_setup
+        m = make_logistic([1.0, 0, 0, 0, 0, 0, 0, 0], -0.5)
+        X = negatives(m, std.features)[:8]
+        batch = self.generate(algorithm, m, vae, X, list(range(8)))
+        cols = batch.columns
+        assert len(batch) == 8 and {len(v) for v in cols.values()} == {8}
+        assert batch.seeds.tolist() == list(range(8))
+        assert batch.valid.any()
+        if algorithm == "scfe":
+            assert batch.trace == {"iterations": int(cols["iterations"].sum()),
+                                   "retries_used": int(cols["retries_used"].sum())}
+            assert cols["retries_used"].max() >= 1
+        else:
+            assert batch.trace == {"radii_tried": int(cols["radii_tried"].sum()),
+                                   "samples_per_radius": 30}
+            point = cols["search_point" if algorithm == "growing_spheres" else "latent_point"]
+            assert not batch.valid.all()
+            assert np.isnan(point).all(axis=1).tolist() == (~batch.valid).tolist()
+        assert batch.take([2, 0]).row_json(1) == batch.row_json(0)
+        assert [batch.take(batch.valid).row_json(j) for j in range(batch.valid.sum())] == \
+            [batch.row_json(i) for i in np.flatnonzero(batch.valid)]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_empty_block(self, vae_setup, algorithm):
+        std, vae = vae_setup
+        m = make_logistic([1.0, 0, 0, 0, 0, 0, 0, 0], -0.5)
+        batch = self.generate(algorithm, m, vae, np.zeros((0, 8)), [])
+        assert len(batch) == 0 and batch.counterfactuals.shape == (0, 8)
+        assert {v.shape[0] for v in batch.columns.values()} == {0}
+        assert set(batch.trace.values()) == {0}

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 import reference
 from recourse_mi import attack, cli, nn, runner
 from recourse_mi import data as data_mod
-from recourse_mi.attack import Guess
 from recourse_mi.data import SyntheticSpec, ZeroVarianceColumnError, load_tabular, write_csv
 from recourse_mi.pool import TaskPool
+from recourse_mi.recourse import DISTANCE_FLOOR
 from recourse_mi.runner import ConfigError, GameSetupError, config_from_dict
 from recourse_mi.seeds import derive_seed
 
@@ -321,24 +321,23 @@ class TestConfig:
 class TestPlayGame:
     def test_balanced_and_negatively_classified(self):
         cfg = config_from_dict(small_raw())
-        samples = runner.play_game(cfg)
+        game = runner.play_game(cfg)
         prep = runner.prepare(cfg)
-        n_m = sum(1 for s in samples if s.membership is Guess.MEMBER)
-        n_n = len(samples) - n_m
+        n_m = int(game.member.sum())
+        n_n = len(game.point_ids) - n_m
         assert n_m == n_n == 15
-        for s in samples:
-            assert prob_of(prep.owner_model, s.point) < 0.5
-            assert s.recourse.valid
+        for x in game.points:
+            assert prob_of(prep.owner_model, x) < 0.5
+        assert game.recourse.valid.all()
 
     def test_deterministic(self):
         cfg1 = config_from_dict(small_raw())
         cfg2 = config_from_dict(small_raw())
-        s1 = runner.play_game(cfg1)
-        s2 = runner.play_game(cfg2)
-        assert [s.point_id for s in s1] == [s.point_id for s in s2]
-        for a, b in zip(s1, s2):
-            assert np.array_equal(a.point, b.point)
-            assert np.array_equal(a.recourse.counterfactual, b.recourse.counterfactual)
+        g1 = runner.play_game(cfg1)
+        g2 = runner.play_game(cfg2)
+        assert g1.point_ids == g2.point_ids
+        assert np.array_equal(g1.points, g2.points)
+        assert np.array_equal(g1.recourse.counterfactuals, g2.recourse.counterfactuals)
 
     def test_too_few_negatives_errors_with_counts(self):
         # near-total separation: almost nothing is negatively classified
@@ -553,8 +552,39 @@ class TestDataStage:
             data={"kind": "file", "path": str(csv_path), "label_column": "y",
                   "label_rule": "binary"},
             eval={"owner_n": 4, "shadow_n": 4, "eval_out_n": 4}))
-        with pytest.raises(ZeroVarianceColumnError, match="^b has zero variance$"):
+        with pytest.raises(ConfigError, match="^data.path .* b has zero variance$") as err:
             runner.build_split(config)
+        assert isinstance(err.value.__cause__, ZeroVarianceColumnError)
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "non_numeric",
+                                      "zero_variance", "no_label_column"])
+    def test_unusable_data_file_exits_1_before_training(self, tmp_path, monkeypatch, capsys,
+                                                         case):
+        trained = []
+        monkeypatch.setattr(nn, "train_classifier", lambda *a, **k: trained.append(a))
+        path = tmp_path / "t.csv"
+        rows = "a,b,y\n" + "".join(f"{i * 0.5!r},{-i!r},{i % 2}\n" for i in range(40))
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(rows.encode() + b"\xff\xfe,1.0,0\n")
+        elif case == "non_numeric":
+            path.write_text(rows + "x,1.0,0\n")
+        elif case == "zero_variance":
+            path.write_text("a,b,y\n" + "".join(f"{i * 0.5!r},2.0,{i % 2}\n" for i in range(40)))
+        elif case != "missing":
+            path.write_text(rows)
+        raw = small_raw(data={"kind": "file", "path": str(path), "label_rule": "binary",
+                              "label_column": "label" if case == "no_label_column" else "y"},
+                        eval={"owner_n": 10, "shadow_n": 10, "eval_out_n": 10})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        for command in ("run", "gen-data"):
+            assert cli.main([command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / command)]) == 1
+            assert f"config error: data.path {str(path)!r} cannot be used: " in \
+                capsys.readouterr().err
+        assert not trained
 
     def test_gen_data_bytes_equal_the_copy_based_pipeline(self, tmp_path, capsys):
         raw = small_raw(seed=11)
@@ -600,9 +630,9 @@ class TestRunExperiment:
         assert set(scored) == set(rep.scores) == {"cfd"}
         for name, counts in scored.items():
             lines = (out / f"scores_{name}.jsonl").read_text().splitlines()
-            assert len(lines) == counts["n_scored"] == len(rep.scores[name])
+            assert len(lines) == counts["n_scored"] == rep.scores[name].rows.size
             assert [json.loads(line)["point_id"] for line in lines] == [
-                sc.point_id for sc in rep.scores[name]]
+                rep.game.point_ids[r] for r in rep.scores[name].rows]
         assert set(doc["attacks"]["cfd"]["directions"]) == {"standard", "reversed"}
         assert doc["attacks"]["cfd"]["best_direction"] in ("standard", "reversed")
 
@@ -754,12 +784,12 @@ class TestStreamedAudit:
         # the skip counts of the same shadow models and game points streamed
         # outside the audit
         prep = runner.prepare(cfg)
-        samples, _ = runner._sample_game(cfg, prep)
+        game, _ = runner._sample_game(cfg, prep)
         shadow_seed = derive_seed(cfg.seed, "shadow-ensemble")
         models = train_shadows(prep.bundle.shadow_pool, cfg.n_shadow_models,
                                cfg.model_architecture, cfg.train, shadow_seed)
-        cols = stream_columns(models, np.array([s.point for s in samples]),
-                              range(len(samples)), replay=(cfg.recourse, shadow_seed, None))
+        cols = stream_columns(models, game.points, range(len(game.points)),
+                              replay=(cfg.recourse, shadow_seed, None))
         dists, positive, failed = cols.dists, cols.positive, cols.failed
         assert trace["shadow_skips"] == {"positive": int(positive.sum()),
                                          "failed": int(failed.sum())}
@@ -947,6 +977,33 @@ class TestCli:
         assert len(lines) == 30
         rec = json.loads(lines[0])
         assert set(rec) == {"point_id", "membership", "label", "point", "recourse"}
+
+    @pytest.mark.parametrize("recourse", [
+        {"algorithm": "scfe", "scfe": {"max_iters": 120}},
+        {"algorithm": "growing_spheres", "search": {"samples_per_radius": 50}},
+    ], ids=lambda rc: rc["algorithm"])
+    def test_recourse_plays_the_game_that_run_scores(self, tmp_path, capsys, recourse):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_raw(recourse=recourse)))
+        game = tmp_path / "g.jsonl"
+        assert cli.main(["recourse", "--config", str(cfg_path), "--out", str(game)]) == 0
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        rows = [json.loads(line) for line in game.read_text().splitlines()]
+        scores = [json.loads(line)
+                  for line in (tmp_path / "o" / "scores_cfd.jsonl").read_text().splitlines()]
+        assert [r["point_id"] for r in rows] == [sc["point_id"] for sc in scores]
+        want = ({"iterations": int, "retries_used": int, "lambda_final": float}
+                if recourse["algorithm"] == "scfe" else
+                {"radius": float, "radii_tried": int, "samples_per_radius": int,
+                 "search_point": list})
+        for row, sc in zip(rows, scores):
+            rec = row["recourse"]
+            assert max(rec["cost"], DISTANCE_FLOOR) == sc["statistic"]
+            assert row["membership"] == sc["membership"]
+            assert rec["valid"] is True and rec["algorithm"] == recourse["algorithm"]
+            assert type(rec["seed"]) is int and type(row["label"]) is int
+            assert {k: type(v) for k, v in rec["trace"].items()} == want
+            assert all(type(v) is float for v in rec["trace"].get("search_point", []))
 
     def test_seed_override_changes_result(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
