@@ -11,7 +11,8 @@ replayed from seeds.
 
 A model trains on one flat float64 parameter vector whose reshaped views
 are its weights and biases, and one flat gradient buffer that backprop
-fills view by view, so Adam updates the whole model in one pass.
+fills view by view, so Adam updates the whole model in one pass. Both
+trainers run that pass in one minibatch loop, _fit, with one divergence rule.
 
 save_model writes a model as one JSON document, manifest.json, with its
 arrays inline as nested lists; load_model reads it back bit for bit.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +45,8 @@ class DimensionMismatchError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss or parameters went non-finite; carries the 1-based epoch."""
+    """A parameter went non-finite after an epoch, or the full-data loss after
+    the first or the last (_fit's one rule); carries the 1-based epoch."""
 
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
@@ -291,6 +293,34 @@ def bce_to_target_grad_batch(model: Model, x: np.ndarray,
     return p, g
 
 
+def _fit(theta: np.ndarray, grad: np.ndarray, n: int, config: TrainConfig, stage: str,
+         step: Callable[[np.ndarray], None],
+         full_loss: Callable[[], float]) -> tuple[float, float]:
+    """Adam on the flat parameter vector theta over minibatches of the n
+    rows, reshuffled each epoch from rng stage `stage`; step(rows) fills
+    the flat gradient `grad`. TrainingDivergedError if any parameter is
+    non-finite after an epoch, or full_loss() after the first or the last
+    epoch; returns full_loss() after those two epochs."""
+    if n == 0:
+        raise ValueError("cannot train on an empty dataset")
+    batch = config.effective_batch_size(n)
+    opt = Adam(theta.shape, config.learning_rate)
+    shuffle_rng = rng_for(config.seed, stage)
+    losses = []
+    for epoch in range(1, config.epochs + 1):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, batch):
+            step(order[start : start + batch])
+            opt.step(theta, grad)
+        if not np.isfinite(theta).all():
+            raise TrainingDivergedError(epoch, f"non-finite parameters at epoch {epoch}")
+        if epoch == 1 or epoch == config.epochs:
+            losses.append(full_loss())
+            if not np.isfinite(losses[-1]):
+                raise TrainingDivergedError(epoch, f"non-finite loss at epoch {epoch}")
+    return losses[0], losses[-1]
+
+
 def train_classifier(
     data: Dataset, architecture: Sequence[int], config: TrainConfig
 ) -> Model:
@@ -300,8 +330,6 @@ def train_classifier(
     shuffling both derive from it. Raises TrainingDivergedError if the
     loss or any parameter goes non-finite.
     """
-    if data.n == 0:
-        raise ValueError("cannot train on an empty dataset")
     architecture = [int(w) for w in architecture]
     if any(w < 1 for w in architecture):
         raise ValueError(f"architecture widths must be positive, got {architecture}")
@@ -310,7 +338,7 @@ def train_classifier(
     shapes = list(zip(sizes[:-1], sizes[1:])) + [(s,) for s in sizes[1:]]
     n_layers = len(sizes) - 1
     # weights, then biases: views of one parameter vector and of one gradient
-    # vector that backprop writes into; the divergence check reads the weights
+    # vector that backprop writes into
     theta, params = _flat_views(shapes)
     grad, grads = _flat_views(shapes)
     weights, biases = params[:n_layers], params[n_layers:]
@@ -318,52 +346,38 @@ def train_classifier(
     for w in weights:
         _uniform_fan_in(w, init_rng)
     model = Model(weights, biases, architecture, data.d)
-    n_weights = sum(w.size for w in weights)
-
     x_all = data.features
     y_all = data.labels.astype(np.float64)
-    batch = config.effective_batch_size(data.n)
-    opt = Adam(theta.shape, config.learning_rate)
-    shuffle_rng = rng_for(config.seed, "shuffle")
 
-    epoch1_loss = None
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(data.n)
-        for start in range(0, data.n, batch):
-            idx = order[start : start + batch]
-            xb, yb = x_all[idx], y_all[idx]
-            p, acts = _forward_batch(model, xb, keep=True, matmul=np.matmul)
-            g = ((p - yb) / xb.shape[0]).reshape(-1, 1)
-            for li in range(n_layers - 1, -1, -1):
-                np.matmul(acts[li].T, g, out=grads[li])
-                np.add.reduce(g, axis=0, out=grads[n_layers + li])
-                if li > 0:
-                    # a one-column layer's backward product is an outer
-                    # product: one rounded product per element either way
-                    g = g * weights[li][:, 0] if weights[li].shape[1] == 1 else g @ weights[li].T
-                    g *= acts[li] > 0
-            opt.step(theta, grad)
+    def step(rows: np.ndarray) -> None:
+        xb, yb = x_all[rows], y_all[rows]
+        p, acts = _forward_batch(model, xb, keep=True, matmul=np.matmul)
+        g = ((p - yb) / xb.shape[0]).reshape(-1, 1)
+        for li in range(n_layers - 1, -1, -1):
+            np.matmul(acts[li].T, g, out=grads[li])
+            np.add.reduce(g, axis=0, out=grads[n_layers + li])
+            if li > 0:
+                # a one-column layer's backward product is an outer
+                # product: one rounded product per element either way
+                g = g * weights[li][:, 0] if weights[li].shape[1] == 1 else g @ weights[li].T
+                g *= acts[li] > 0
 
-        if not np.isfinite(theta[:n_weights]).all():
-            raise TrainingDivergedError(epoch, f"non-finite parameters at epoch {epoch}")
-        if epoch == 1 or epoch == config.epochs:
-            # at the last epoch this pass also gives the final loss and accuracy
-            p_all = _forward_batch(model, x_all, matmul=np.matmul)
-            final_loss = float(np.mean(bce(p_all, y_all)))
-            if not np.isfinite(final_loss):
-                raise TrainingDivergedError(epoch, f"non-finite loss at epoch {epoch}")
-            if epoch == 1:
-                epoch1_loss = final_loss
+    p_all = None
 
-    preds = p_all >= 0.5
+    def full_loss() -> float:
+        nonlocal p_all  # the last pass also gives the training accuracy
+        p_all = _forward_batch(model, x_all, matmul=np.matmul)
+        return float(np.mean(bce(p_all, y_all)))
+
+    epoch1_loss, final_loss = _fit(theta, grad, data.n, config, "shuffle", step, full_loss)
     model.training_meta = {
         "seed": config.seed,
         "epochs": config.epochs,
         "learning_rate": config.learning_rate,
-        "batch_size": batch,
+        "batch_size": config.effective_batch_size(data.n),
         "epoch1_train_loss": epoch1_loss,
         "final_train_loss": final_loss,
-        "train_accuracy": float(np.mean(preds == (y_all == 1.0))),
+        "train_accuracy": float(np.mean((p_all >= 0.5) == (y_all == 1.0))),
     }
     return model
 
@@ -377,7 +391,8 @@ def train_vae(data: Dataset, config: TrainConfig) -> VaeModel:
     """Train the tabular VAE, VAE_LATENT_DIM latent and VAE_HIDDEN_DIM
     hidden units (Gaussian decoder with unit observation variance, KL to a
     standard normal, both terms weighted equally). Expects standardized
-    features.
+    features. Raises TrainingDivergedError if any parameter, or the ELBO
+    at the latent mean, goes non-finite.
     """
     shapes = _vae_shapes(data.d, VAE_LATENT_DIM, VAE_HIDDEN_DIM)
     theta, params = _flat_views(shapes)
@@ -387,14 +402,14 @@ def train_vae(data: Dataset, config: TrainConfig) -> VaeModel:
         _uniform_fan_in(w, rng)
     vae = VaeModel(**dict(zip(_VAE_ARRAYS, params)), d=data.d,
                    latent_dim=VAE_LATENT_DIM, hidden_dim=VAE_HIDDEN_DIM)
-    opt = Adam(theta.shape, config.learning_rate)
-    shuffle_rng = rng_for(config.seed, "vae-shuffle")
     noise_rng = rng_for(config.seed, "vae-noise")
-    batch = config.effective_batch_size(data.n)
     x_all = data.features
 
-    def elbo_loss(x: np.ndarray, eps: np.ndarray, collect_grads: bool = False):
+    def step(rows: np.ndarray) -> None:
+        # backprop of the minibatch ELBO, one reparameterised sample per row
+        x = x_all[rows]
         n = x.shape[0]
+        eps = noise_rng.standard_normal((n, VAE_LATENT_DIM))
         h_enc_pre = x @ vae.enc_w1 + vae.enc_b1
         h_enc = np.maximum(h_enc_pre, 0.0)
         mu = h_enc @ vae.enc_w_mu + vae.enc_b_mu
@@ -403,16 +418,7 @@ def train_vae(data: Dataset, config: TrainConfig) -> VaeModel:
         z = mu + std * eps
         h_dec_pre = z @ vae.dec_w1 + vae.dec_b1
         h_dec = np.maximum(h_dec_pre, 0.0)
-        xhat = h_dec @ vae.dec_w2 + vae.dec_b2
-
-        resid = xhat - x
-        recon = 0.5 * np.sum(resid * resid) / n
-        kl = -0.5 * np.sum(1.0 + lv - mu * mu - np.exp(lv)) / n
-        loss = recon + kl
-        if not collect_grads:
-            return loss
-
-        d_xhat = resid / n
+        d_xhat = (h_dec @ vae.dec_w2 + vae.dec_b2 - x) / n
         d_hdec = (d_xhat @ vae.dec_w2.T) * (h_dec_pre > 0)
         d_z = d_hdec @ vae.dec_w1.T
         d_mu = d_z + mu / n
@@ -422,26 +428,16 @@ def train_vae(data: Dataset, config: TrainConfig) -> VaeModel:
                                  (d_henc, d_mu, d_lv, d_hdec, d_xhat)):
             np.matmul(a.T, da, out=gw)
             np.add.reduce(da, axis=0, out=gb)
-        return loss
 
-    def full_elbo() -> float:
-        eps0 = np.zeros((data.n, VAE_LATENT_DIM))  # deterministic eval at the mean
-        return elbo_loss(x_all, eps0)
+    def full_elbo():
+        # the ELBO with the decoder run at the latent mean: deterministic
+        mu, lv = vae.encode_batch(x_all)
+        resid = vae.decode_batch(mu) - x_all
+        recon = 0.5 * np.sum(resid * resid) / data.n
+        kl = -0.5 * np.sum(1.0 + lv - mu * mu - np.exp(lv)) / data.n
+        return recon + kl
 
-    epoch1 = None
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(data.n)
-        for start in range(0, data.n, batch):
-            idx = order[start : start + batch]
-            eps = noise_rng.standard_normal((idx.size, VAE_LATENT_DIM))
-            loss = elbo_loss(x_all[idx], eps, collect_grads=True)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, f"non-finite VAE loss at epoch {epoch}")
-            opt.step(theta, grad)
-        if epoch == 1:
-            epoch1 = full_elbo()
-
-    final = full_elbo()
+    epoch1, final = _fit(theta, grad, data.n, config, "vae-shuffle", step, full_elbo)
     vae.training_meta = {
         "seed": config.seed,
         "epochs": config.epochs,

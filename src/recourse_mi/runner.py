@@ -471,6 +471,8 @@ def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[Ga
         "unbalanced_flag": bool(unbalanced),
     }
     kept = batch.valid
+    if kept.all():  # nothing to drop, so nothing to copy
+        return Game(point_ids, points, labels, member, batch), meta
     return Game([pid for pid, v in zip(point_ids, kept) if v], points[kept], labels[kept],
                 member[kept], batch.take(kept)), meta
 

@@ -373,7 +373,7 @@ def train_classifier_reference(data, architecture, config):
                 if li > 0:
                     g = (g @ weights[li].T) * (acts[li] > 0)
             opt.step(weights + biases, grads_w + grads_b)
-        if not all(np.isfinite(w).all() for w in weights):
+        if not all(np.isfinite(a).all() for a in weights + biases):
             raise TrainingDivergedError(epoch, f"non-finite parameters at epoch {epoch}")
         if epoch == 1 or epoch == config.epochs:
             loss = _mean_bce_reference(_forward_reference(weights, biases, x_all), y_all)

@@ -1,6 +1,7 @@
 """The package's import layering, read from its sources with ast: the leaf
 modules import no other package module, data, nn and recourse import only
-the modules below them, and attack sits below the runner and the CLI."""
+the modules below them, and attack sits below the runner and the CLI. An
+ast check also pins the package's Adam loops to their two homes."""
 import ast
 from pathlib import Path
 
@@ -53,3 +54,27 @@ def test_the_reader_sees_the_package_imports():
 
 def test_attack_imports_neither_the_runner_nor_the_cli():
     assert not package_imports("attack") & {"runner", "cli"}
+
+
+def adam_constructors() -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every `Adam(...)` or
+    `nn.Adam(...)` call in the package sources."""
+    found = set()
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "Adam":
+            found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module in sorted(MODULES):
+        visit(ast.parse((PACKAGE / f"{module}.py").read_text()), module, "<module>")
+    return found
+
+
+def test_adam_is_built_only_by_the_training_loop_and_scfe():
+    # a third hand-rolled optimiser loop belongs in nn._fit instead
+    assert adam_constructors() == {("nn", "_fit"), ("recourse", "_scfe_attempt")}

@@ -356,6 +356,28 @@ class TestVae:
         for (_, a), (_, b) in zip(v1._arrays(), v2._arrays()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("poison", ["nan cell", "1e200 cell", "scaled by 1e150"])
+    def test_divergence_raises_with_epoch(self, poison):
+        ds = generate_synthetic(SyntheticSpec(d=4, n_per_class=30, seed=3))
+        std, _ = standardize(ds)
+        feats = std.features.copy()
+        if poison == "scaled by 1e150":
+            feats *= 1e150
+        else:
+            feats[7, 2] = np.nan if poison == "nan cell" else 1e200
+        with pytest.raises(TrainingDivergedError) as err:
+            train_vae(Dataset(feats, ds.labels), TrainConfig(learning_rate=1e-3, epochs=5))
+        assert err.value.epoch == 1
+        assert str(err.value) == "non-finite parameters at epoch 1"
+
+
+@pytest.mark.parametrize("train", [lambda ds, cfg: train_classifier(ds, [4], cfg), train_vae],
+                         ids=["classifier", "vae"])
+def test_both_trainers_refuse_an_empty_dataset(train):
+    empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
+        train(empty, TrainConfig(epochs=2))
+
 
 class TestSerialization:
     def test_classifier_round_trip_bit_exact(self, tmp_path):

@@ -339,6 +339,20 @@ class TestPlayGame:
         assert np.array_equal(g1.points, g2.points)
         assert np.array_equal(g1.recourse.counterfactuals, g2.recourse.counterfactuals)
 
+    def test_a_game_without_failed_recourse_copies_nothing(self, monkeypatch):
+        seen = {}
+        real = attack.RecourseConfig.generate_batch
+
+        def spy(self, model, X, seeds, vae=None):
+            seen["points"], seen["batch"] = X, real(self, model, X, seeds, vae=vae)
+            return seen["batch"]
+
+        monkeypatch.setattr(attack.RecourseConfig, "generate_batch", spy)
+        game = runner.play_game(config_from_dict(small_raw()))
+        assert seen["batch"].valid.all()
+        assert np.shares_memory(game.points, seen["points"])
+        assert np.shares_memory(game.recourse.counterfactuals, seen["batch"].counterfactuals)
+
     def test_too_few_negatives_errors_with_counts(self):
         # near-total separation: almost nothing is negatively classified
         # once we ask for more points than exist on a side
