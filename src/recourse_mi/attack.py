@@ -328,8 +328,8 @@ def cfd_lrt_attack_scores(game, shadow_dists: np.ndarray,
     if (np.asarray(shadow_dists) <= 0).any():  # NaN marks a missing distance
         raise ValueError("shadow distances must be positive")
     t0s = cfd_statistic(game.recourse.costs)
-    return _offline_lrt_scores("cfd_lrt", [math.log(t) for t in t0s.tolist()],
-                               np.log(shadow_dists), alphas, reported=t0s)
+    return _offline_lrt_scores("cfd_lrt", np.log(t0s).tolist(), np.log(shadow_dists),
+                               alphas, reported=t0s)
 
 
 def loss_attack_scores(game, owner_model: Model) -> AttackScores:

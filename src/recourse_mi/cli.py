@@ -14,64 +14,57 @@ from . import metrics, nn, privacy, runner
 from .data import write_csv
 
 
-def _apply_overrides(args, cfg_raw: dict) -> dict:
-    if args.seed is not None:
-        cfg_raw["seed"] = args.seed
-    if getattr(args, "out", None):
-        cfg_raw["out_dir"] = args.out
-    return cfg_raw
-
-
-def _config_from_args(args) -> runner.ExperimentConfig:
+def _raw_config(args) -> dict:
+    """The raw config of --config with --seed and --out applied."""
     raw = runner.read_raw_config(args.config)
-    return runner.config_from_dict(_apply_overrides(args, raw))
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    if args.out:
+        raw["out_dir"] = args.out
+    return raw
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = runner.config_from_dict(_raw_config(args))
     data = runner.build_dataset(cfg)
     out = Path(args.out or "data.csv")
     write_csv(data, out)
-    with open(out.with_suffix(".provenance.json"), "w", encoding="utf-8") as fh:
-        json.dump(data.provenance, fh, indent=2, sort_keys=True)
+    runner.write_json(out.with_suffix(".provenance.json"), data.provenance)
     print(f"wrote {data.n} rows x {data.d} features to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = runner.config_from_dict(_raw_config(args))
     prep = runner.prepare(cfg)
     out = Path(args.out or "model")
     nn.save_model(prep.owner_model, out)
     if prep.owner_vae is not None:
         nn.save_model(prep.owner_vae, out / "vae")
     meta = dict(prep.owner_model.training_meta, test_accuracy=prep.test_accuracy)
-    with open(out / "accuracy.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    runner.write_json(out / "accuracy.json", meta)
     print(f"train accuracy {meta['train_accuracy']:.4f}, "
           f"test accuracy {prep.test_accuracy:.4f} -> {out}")
     return 0
 
 
 def cmd_recourse(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = runner.config_from_dict(_raw_config(args))
     game = runner.play_game(cfg)
     out = Path(args.out or "game_samples.jsonl")
-    with open(out, "w", encoding="utf-8") as fh:
-        for i, point_id in enumerate(game.point_ids):
-            fh.write(json.dumps({
-                "point_id": point_id,
-                "membership": "MEMBER" if game.member[i] else "NON-MEMBER",
-                "label": int(game.labels[i]),
-                "point": game.points[i].tolist(),
-                "recourse": game.recourse.row_json(i),
-            }, sort_keys=True) + "\n")
+    runner.write_jsonl(out, ({
+        "point_id": point_id,
+        "membership": "MEMBER" if game.member[i] else "NON-MEMBER",
+        "label": int(game.labels[i]),
+        "point": game.points[i].tolist(),
+        "recourse": game.recourse.row_json(i),
+    } for i, point_id in enumerate(game.point_ids)))
     print(f"wrote {len(game.point_ids)} game samples to {out}")
     return 0
 
 
 def cmd_run(args) -> int:
-    raw = _apply_overrides(args, runner.read_raw_config(args.config))
+    raw = _raw_config(args)
     if raw.get("out_dir") is None:
         raw["out_dir"] = "run_out"
     cfg = runner.config_from_dict(raw)
@@ -86,7 +79,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = _apply_overrides(args, runner.read_raw_config(args.config))
+    raw = _raw_config(args)
     out_dir = args.out or "sweep_out"
     raw.pop("out_dir", None)
     reports = runner.run_sweep(raw, out_dir=out_dir)

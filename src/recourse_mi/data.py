@@ -16,6 +16,10 @@ partition it holds one feature matrix. The Dataset-level functions
 (`generate_synthetic`, `load_tabular`, `standardize`, `split`) wrap the
 same cores; `standardize` and `split` work on a copy, so their input
 stays intact.
+
+Every loop that walks rows in blocks to bound its scratch, here and in
+nn and recourse, takes block_rows(width) rows of `width` values at a
+time from one budget, BLOCK_VALUES; block size changes no output bit.
 """
 from __future__ import annotations
 
@@ -46,16 +50,12 @@ class SplitSizeError(DataError):
     """Requested partition sizes are negative or exceed the available rows."""
 
 
-# the chunked stages keep scratch for about this many values per chunk
-_CHUNK_VALUES = 1 << 16
+BLOCK_VALUES = 1 << 14  # 128 KB of float64 per block
 
 
-def _chunk_rows(d: int) -> int:
-    return max(1, _CHUNK_VALUES // max(d, 1))
-
-
-# the CSV parse stores its parsed rows in blocks of about this many cells
-_PARSE_BLOCK_CELLS = 1 << 9
+def block_rows(width: int) -> int:
+    """Rows per block for rows of `width` values: at least one."""
+    return max(1, BLOCK_VALUES // max(width, 1))
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def tabular_arrays(
             max_rows = sum(1 for _ in lines) - 1
         features = np.empty((max_rows, len(feature_names)))
         scores = np.empty(max_rows)
-        block_rows = max(1, _PARSE_BLOCK_CELLS // len(header))
+        step = block_rows(len(header))
         labels, cells = [], []  # the rows parsed since the last store
 
         def store(end: int) -> None:
@@ -225,7 +225,7 @@ def tabular_arrays(
             values = _parse_row(path, header, n, row)
             labels.append(values.pop(label_idx))
             cells += values
-            if len(labels) == block_rows:
+            if len(labels) == step:
                 store(n)
         store(n)
         if n < max_rows:  # a quoted cell holds a line break
@@ -284,10 +284,10 @@ def standardize_in_place(features: np.ndarray, provenance: dict) -> tuple[dict, 
     result and the scaler.
 
     The mean is np.mean's. The variance adds the squared deviations of
-    chunks of rows to a running sum, row after row; np.std adds the rows
+    blocks of rows to a running sum, row after row; np.std adds the rows
     of a matrix in the same order, so the std equals np.std(axis=0) bit
-    for bit while the scratch stays at one chunk. numpy sums a single
-    column pairwise instead, so a one-column matrix is one chunk.
+    for bit while the scratch stays at one block. numpy sums a single
+    column pairwise instead, so a one-column matrix is one block.
 
     Raises ZeroVarianceColumnError naming the first constant column,
     before `features` is changed; the caller may drop it and retry.
@@ -296,8 +296,8 @@ def standardize_in_place(features: np.ndarray, provenance: dict) -> tuple[dict, 
     if n < 2:
         raise DataError(f"standardize needs n >= 2, got n={n}")
     mean = features.mean(axis=0)
-    step = n if d == 1 else min(n, _chunk_rows(d))
-    sums = np.empty((step + 1, d))  # row 0: the sum over the rows before the chunk
+    step = n if d == 1 else min(n, block_rows(d))
+    sums = np.empty((step + 1, d))  # row 0: the sum over the rows before the block
     for a in range(0, n, step):
         b = min(a + step, n)
         dev = sums[1 : b - a + 1]
@@ -379,7 +379,7 @@ def _gather_rows(arrays: tuple[np.ndarray, ...], order: np.ndarray) -> None:
     n = arrays[0].shape[0]
     where = np.arange(n)  # where[r]: the position source row r is at now
     held = np.arange(n)   # held[i]: the source row now at position i
-    step = _chunk_rows(arrays[0].shape[1])
+    step = block_rows(arrays[0].shape[1])
     for a in range(0, order.size, step):
         want = order[a : a + step]
         b = a + want.size
@@ -404,7 +404,7 @@ def write_csv(data: Dataset, path: str | Path, label_column: str = "label") -> N
     while "parent" in source:  # a file's names stay with the file's own provenance
         source = source["parent"]
     names = source.get("feature_names") or [f"x{i}" for i in range(data.d)]
-    rows = _chunk_rows(data.d)
+    rows = block_rows(data.d)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(names) + [label_column])
         # numeric cells never need quoting and "\r\n" is csv.writer's line

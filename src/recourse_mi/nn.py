@@ -26,13 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, block_rows
 from .seeds import rng_for
 
 PROB_FLOOR = 1e-7  # keeps losses and logits finite on interpolating models
-# predict_proba_batch runs max(1, PREDICT_BLOCK_VALUES // widest hidden layer)
-# rows at a time: 128 KB per activation block at any width and row count
-PREDICT_BLOCK_VALUES = 16384
 
 VAE_LATENT_DIM = 8
 VAE_HIDDEN_DIM = 20
@@ -246,10 +243,11 @@ def predict_proba_batch(model: Model, x: np.ndarray) -> np.ndarray:
     """Probability of the positive class for each row of x; a row is
     classified positive iff its probability is >= 0.5. Row i equals
     predict_proba_batch(model, x[i:i+1]) bit for bit. The rows run in
-    blocks (see PREDICT_BLOCK_VALUES), which bounds the activations held
-    at once; each row is computed on its own, so the blocks change no bit."""
+    blocks of data.block_rows(widest hidden layer), which bounds the
+    activations held at once; each row is computed on its own, so the
+    blocks change no bit."""
     x = _as_matrix(x, model.d)
-    rows = max(1, PREDICT_BLOCK_VALUES // max(model.architecture, default=1))
+    rows = block_rows(max(model.architecture, default=1))
     if x.shape[0] <= rows:
         return _forward_batch(model, x)
     p = np.empty(x.shape[0])

@@ -23,14 +23,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import nn
+from .data import block_rows
 from .nn import Model, VaeModel
 from .seeds import derive_seed
 
 DISTANCE_FLOOR = 1e-12
-
-# scfe runs its rows in blocks of about this many values, so each of
-# its (rows, d) scratch arrays stays near 128 KB whatever the input's size
-SCFE_BLOCK_VALUES = 16384
 
 
 class RecoursePreconditionError(ValueError):
@@ -208,13 +205,13 @@ def scfe(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
     its recourse. Every operation is per row, so row i of the batch is
     bit-identical to scfe on X[i:i+1] however the points are split into
     batches. Each attempt runs the rows still searching in consecutive
-    blocks of max(1, SCFE_BLOCK_VALUES // d), which bounds the search's
-    scratch arrays whatever the number of rows. A failed row records the
-    last attempt.
+    blocks of data.block_rows(d) rows, which bounds the search's scratch
+    arrays whatever the number of rows. A failed row records the last
+    attempt.
     """
     X = _query_block(model, X, seeds)
     frozen = np.asarray(params.immutable, dtype=np.int64)
-    block = max(1, SCFE_BLOCK_VALUES // X.shape[1])
+    block = block_rows(X.shape[1])
     n = X.shape[0]
     counterfactuals, costs, valid = X.copy(), np.zeros(n), np.zeros(n, dtype=bool)
     retries, lam_final = np.zeros(n, dtype=np.int64), np.zeros(n)

@@ -23,7 +23,7 @@ import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -128,19 +128,30 @@ class ExperimentReport:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "report.json"
-        for path, doc in ((report_path, self.to_json()), (out_dir / "trace.json", self.trace)):
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        write_json(report_path, self.to_json())
+        write_json(out_dir / "trace.json", self.trace)
         for name, sc in self.scores.items():
-            with open(out_dir / f"scores_{name}.jsonl", "w", encoding="utf-8") as fh:
-                for rec in sc.records(self.game.point_ids, self.game.member):
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            write_jsonl(out_dir / f"scores_{name}.jsonl",
+                        sc.records(self.game.point_ids, self.game.member))
         for name, dirs in self.attack_metrics.items():
             for direction in dirs:
                 curve = self.curves[name][direction]
                 metrics_mod.export_log_roc(curve, out_dir / f"roc_{name}_{direction}.csv")
         return report_path
+
+
+def write_json(path: str | Path, doc: Any) -> None:
+    """`doc` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One compact JSON object with sorted keys per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 # --- configuration ---------------------------------------------------------

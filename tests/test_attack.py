@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import recourse_mi
-from recourse_mi import normal, recourse
+from recourse_mi import data as data_mod, normal, recourse
 from recourse_mi.attack import (
     NormalFit,
     RecourseConfig,
@@ -199,9 +199,18 @@ class TestCfdLrtDecide:
     def test_score_decision_coherence(self, dists, t0, alpha):
         fit = fit_normal_mle(np.log(dists))
         sc = cfd_lrt_one(t0, dists, (alpha,))
-        member = math.log(t0) >= normal_quantile(fit, 1.0 - alpha)
-        assert sc.member_at[alpha] is member
-        assert sc.score == loss_lrt_score(math.log(t0), fit)
+        stat = np.log([t0]).item()  # logged as the shadow distances are
+        assert sc.member_at[alpha] is (stat >= normal_quantile(fit, 1.0 - alpha))
+        assert sc.score == loss_lrt_score(stat, fit)
+
+    def test_a_distance_equal_to_every_shadow_distance_scores_the_tie(self):
+        # the statistic and the shadow distances go through one log, so each
+        # point sits on its degenerate fit's mean; math.log beside np.log
+        # scored some of these points 1.0 or 0.0
+        t0s = np.random.default_rng(3).lognormal(size=20_000)
+        sc = cfd_lrt_attack_scores(distance_game(t0s), np.repeat(t0s[:, None], 4, axis=1),
+                                   (0.05,))
+        assert sc.rows.size == t0s.size and (sc.score == 0.5).all()
 
     def test_score_threshold_sweep_matches_decisions(self):
         # away from rounding, MEMBER exactly when the score reaches 1 - alpha
@@ -622,7 +631,7 @@ class TestGenerateBatch:
         ds, _ = standardize(generate_synthetic(SyntheticSpec(d=12, n_per_class=150, seed=5,
                                                              class_separation=0.6)))
         if block_rows is not None:
-            monkeypatch.setattr(recourse, "SCFE_BLOCK_VALUES", block_rows * ds.d)
+            monkeypatch.setattr(data_mod, "BLOCK_VALUES", block_rows * ds.d)
         model = train_classifier(ds, arch, TrainConfig(learning_rate=0.02, epochs=30, seed=6))
         vae = (train_vae(ds, TrainConfig(learning_rate=1e-3, epochs=30, seed=7))
                if algorithm == "cchvae" else None)

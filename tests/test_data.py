@@ -144,27 +144,32 @@ def _parse_outcome(parse, path, label_column, label_rule):
 
 
 class TestLoadTabular:
+    @pytest.mark.parametrize("blocks", ["default", "two_rows"])
     @pytest.mark.parametrize("case", sorted(CSV_CASES))
-    def test_matches_the_cell_by_cell_reference(self, tmp_path, case):
+    def test_matches_the_cell_by_cell_reference(self, tmp_path, monkeypatch, case, blocks):
         content, label_column, label_rule = CSV_CASES[case]
+        if blocks == "two_rows":  # a budget of two rows' cells: the parse stores 2-row blocks
+            header = next(csv.reader(content.decode("utf-8", "replace").splitlines()), [])
+            monkeypatch.setattr(data_mod, "BLOCK_VALUES", 2 * len(header))
         f = tmp_path / "t.csv"
         f.write_bytes(content)
         assert _parse_outcome(data_mod.tabular_arrays, f, label_column, label_rule) == \
             _parse_outcome(tabular_arrays_reference, f, label_column, label_rule)
 
     def test_parse_holds_about_one_copy_of_the_matrix(self, tmp_path):
-        # the rows go into the matrix a few hundred cells at a time (about
-        # 1.1 copies at the peak); lists of Python floats stacked at the end
-        # peaked at 5.4 copies
+        # the rows go into the matrix one block of BLOCK_VALUES cells at a
+        # time, whose Python floats take about 0.75 MB (1.17 copies of this
+        # 5.1 MB matrix at the peak); lists of Python floats stacked at the
+        # end peaked at 5.4 copies
         f = tmp_path / "t.csv"
-        write_csv(generate_synthetic(SyntheticSpec(d=40, n_per_class=1000, seed=3)), f)
+        write_csv(generate_synthetic(SyntheticSpec(d=40, n_per_class=8000, seed=3)), f)
         tracemalloc.start()
         try:
             features, _, _ = data_mod.tabular_arrays(f, "label", "binary")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert features.shape == (2000, 40) and features.flags.writeable
+        assert features.shape == (16000, 40) and features.flags.writeable
         assert peak <= 1.25 * features.nbytes
 
     def test_median_threshold(self, tmp_path):
@@ -244,7 +249,7 @@ class TestLoadTabular:
     def test_write_csv_bytes_equal_csv_writer(self, tmp_path, monkeypatch, n, d):
         # 2-row chunks with a ragged tail; extreme, signed-zero and
         # non-finite cells; a header name that csv.writer must quote
-        monkeypatch.setattr(data_mod, "_CHUNK_VALUES", 2 * max(d, 1))
+        monkeypatch.setattr(data_mod, "BLOCK_VALUES", 2 * max(d, 1))
         special = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 1.0, 1e16, np.inf, -np.inf, np.nan]
         rng = np.random.default_rng(n + d)
         features = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))

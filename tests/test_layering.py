@@ -1,11 +1,15 @@
 """The package's import layering, read from its sources with ast: the leaf
 modules import no other package module, data, nn and recourse import only
 the modules below them, and attack sits below the runner and the CLI. An
-ast check also pins the package's Adam loops to their two homes."""
+ast check also pins the package's Adam loops to their two homes, and spies
+pin every row-blocked loop to the one scratch budget, data.BLOCK_VALUES."""
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from recourse_mi import data, nn, recourse
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "recourse_mi"
 MODULES = {p.stem for p in PACKAGE.glob("*.py")}
@@ -18,7 +22,7 @@ ALLOWED = {
     "seeds": set(),
     "data": {"seeds"},
     "nn": {"data", "seeds"},
-    "recourse": {"nn", "seeds"},
+    "recourse": {"data", "nn", "seeds"},
 }
 
 
@@ -78,3 +82,75 @@ def adam_constructors() -> set[tuple[str, str]]:
 def test_adam_is_built_only_by_the_training_loop_and_scfe():
     # a third hand-rolled optimiser loop belongs in nn._fit instead
     assert adam_constructors() == {("nn", "_fit"), ("recourse", "_scfe_attempt")}
+
+
+class RowSlices(np.ndarray):
+    """A matrix that logs the row count of each plain slice read from it
+    (log["get"]) or written to it (log["set"])."""
+
+    log: dict = {}
+
+    def _note(self, op, key):
+        if isinstance(key, slice) and self.ndim == 2:
+            start, stop, _ = key.indices(self.shape[0])
+            RowSlices.log[op].append(stop - start)
+
+    def __getitem__(self, key):
+        self._note("get", key)
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self._note("set", key)
+        super().__setitem__(key, value)
+
+
+def blocks_of(n, width):
+    """The row counts of n rows walked in blocks of data.block_rows(width)."""
+    step = data.block_rows(width)
+    return [min(step, n - a) for a in range(0, n, step)]
+
+
+def test_every_blocked_loop_takes_its_rows_from_the_one_budget(monkeypatch, tmp_path):
+    # at 40 values a block, each loop below walks 23 rows (21 for the split)
+    # in several blocks; a loop with a budget of its own walks them in one
+    monkeypatch.setattr(data, "BLOCK_VALUES", 40)
+    monkeypatch.setattr(RowSlices, "log", {"get": [], "set": []})
+    n, d = 23, 4
+    x = np.random.default_rng(0).normal(size=(n, d))
+
+    def spy(module, name):
+        rows, real = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda m, block, *a, **kw: rows.append(len(block))
+                            or real(m, block, *a, **kw))
+        return rows
+
+    forward = spy(nn, "_forward_batch")
+    mlp = nn.Model([np.ones((d, 8)), np.ones((8, 1))], [np.zeros(8), np.zeros(1)], [8], d)
+    nn.predict_proba_batch(mlp, x)
+    assert forward == blocks_of(n, 8)
+
+    attempts = spy(recourse, "_scfe_attempt")
+    logistic = nn.Model([np.ones((d, 1))], [np.array([-100.0])], [], d)
+    recourse.scfe(logistic, x, recourse.ScfeParams(max_iters=2, max_retries=0),
+                  recourse.CostFn("l1"), range(n))
+    assert attempts == blocks_of(n, d)
+
+    data.standardize_in_place(x.copy().view(RowSlices), {})
+    assert RowSlices.log["get"] == blocks_of(n, d)
+
+    labels = np.arange(n) % 2
+    data.split_in_place(x.copy().view(RowSlices), labels.copy(), {}, 6, 7, 8, seed=0)
+    assert RowSlices.log["set"] == blocks_of(21, d)
+
+    RowSlices.log["get"].clear()
+    ds = data.Dataset(x, labels)
+    object.__setattr__(ds, "features", ds.features.view(RowSlices))
+    data.write_csv(ds, tmp_path / "x.csv")
+    assert RowSlices.log["get"] == blocks_of(n, d)
+
+    RowSlices.log["set"].clear()
+    monkeypatch.setattr(data, "np", type("numpy", (), {  # its matrix logs the stores
+        "__getattr__": lambda self, name: getattr(np, name),
+        "empty": staticmethod(lambda shape: np.empty(shape).view(RowSlices))})())
+    data.tabular_arrays(tmp_path / "x.csv", "label")
+    assert [k for k in RowSlices.log["set"] if k] == blocks_of(n, d + 1)

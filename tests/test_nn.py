@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from recourse_mi import nn
-from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standardize
+from recourse_mi.data import Dataset, SyntheticSpec, block_rows, generate_synthetic, standardize
 from recourse_mi.nn import (
     Adam,
     DimensionMismatchError,
@@ -103,7 +103,7 @@ class TestPredictProba:
         m = Model([rng.normal(scale=0.14, size=(50, 256)), rng.normal(scale=0.06, size=(256, 1))],
                   [rng.normal(scale=0.1, size=256), np.array([0.1])], [256], 50)
         xs = rng.normal(size=(2000, 50))
-        assert 2000 % (nn.PREDICT_BLOCK_VALUES // 256) != 0  # a short last block
+        assert 2000 % block_rows(256) != 0  # a short last block
         tracemalloc.start()
         try:
             batch = predict_proba_batch(m, xs)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recourse_mi import recourse
+from recourse_mi import data as data_mod
 from recourse_mi.data import SyntheticSpec, generate_synthetic, standardize
 from recourse_mi.nn import (
     DimensionMismatchError,
@@ -285,7 +285,7 @@ class TestScfeBatch:
         params = ScfeParams(lam=3.0, lam_decay=0.3, max_iters=150, max_retries=3)
         seeds = list(range(100, 112))
         whole = records(scfe(model, X, params, CostFn("l1"), seeds))
-        monkeypatch.setattr(recourse, "SCFE_BLOCK_VALUES", 3 * ds.d)
+        monkeypatch.setattr(data_mod, "BLOCK_VALUES", 3 * ds.d)
         blocked = records(scfe(model, X, params, CostFn("l1"), seeds))
         alone = [scfe(model, X[i:i + 1], params, CostFn("l1"), seeds[i:i + 1]).row_json(0)
                  for i in range(len(X))]
@@ -307,7 +307,7 @@ class TestScfeBatch:
 
     def test_scratch_is_bounded_by_the_row_block(self):
         # 200 rows of d=400 are a 640 KB block, and an (n, d) search keeps
-        # about eleven such arrays live; in blocks of SCFE_BLOCK_VALUES // d
+        # about eleven such arrays live; in blocks of data.block_rows(d)
         # rows the traced peak stays near the results' own counterfactuals
         rng = np.random.default_rng(4)
         m = make_logistic(rng.normal(size=400) * 0.05, -6.0)

@@ -518,7 +518,7 @@ class TestDataStage:
     def test_in_place_stage_equals_the_copy_based_pipeline(self, monkeypatch, d,
                                                             n_per_class, standardize):
         # 9-row chunks and split blocks at d=6: N from below one chunk to many
-        monkeypatch.setattr(data_mod, "_CHUNK_VALUES", 54)
+        monkeypatch.setattr(data_mod, "BLOCK_VALUES", 54)
         n = 2 * n_per_class
         owner_n, shadow_n = n // 4, n // 3
         for seed in (3, 7):
@@ -528,7 +528,7 @@ class TestDataStage:
                       "eval_out_n": n - owner_n - shadow_n - seed % 2, "eval_points": 2})))
 
     def test_default_chunk_size_equals_the_copy_based_pipeline(self):
-        # d=64: 1024-row chunks of 512 KiB, and 1400 rows
+        # d=64: 256-row chunks of 128 KiB, and 1400 rows
         self.assert_matches_reference(config_from_dict(small_raw(
             data={"d": 64, "n_per_class": 700},
             eval={"owner_n": 500, "shadow_n": 600, "eval_out_n": 250})))
@@ -538,7 +538,7 @@ class TestDataStage:
     def test_scaler_equals_np_std_around_the_chunk_size(self, extra_rows, d):
         # a chunking that changes the order of the sum moves the std's last
         # bit for about half of these draws
-        n = data_mod._chunk_rows(d) + extra_rows
+        n = data_mod.block_rows(d) + extra_rows
         for seed in range(8):
             rng = np.random.default_rng(seed)
             x = rng.normal(3.0, 2.5, size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
@@ -980,6 +980,17 @@ class TestCli:
         m = load_model(out)
         assert m.d == 6
         assert (out / "accuracy.json").exists()
+
+    def test_pretty_json_files_end_in_one_line_break_and_round_trip(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_raw()))
+        for command, out in (("gen-data", "d.csv"), ("train", "model"), ("run", "run")):
+            assert cli.main([command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / out)]) == 0
+        for path in (tmp_path / "d.provenance.json", tmp_path / "model" / "accuracy.json",
+                     tmp_path / "run" / "report.json", tmp_path / "run" / "trace.json"):
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
 
     def test_recourse_writes_transcripts(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
