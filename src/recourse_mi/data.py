@@ -206,28 +206,15 @@ def tabular_arrays(
             max_rows = sum(1 for _ in lines) - 1
         features = np.empty((max_rows, len(feature_names)))
         scores = np.empty(max_rows)
-        step = block_rows(len(header))
-        labels, cells = [], []  # the rows parsed since the last store
-
-        def store(end: int) -> None:
-            start = end - len(labels)
-            scores[start:end] = labels
-            features[start:end] = np.reshape(cells, (len(labels), len(feature_names)))
-            labels.clear()
-            cells.clear()
-
-        n = 0
+        n = 0  # each row goes straight into the matrix, so the parse holds no scratch
         for n, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise TabularParseError(
                     f"{path}: row {n} has {len(row)} cells, expected {len(header)}"
                 )
             values = _parse_row(path, header, n, row)
-            labels.append(values.pop(label_idx))
-            cells += values
-            if len(labels) == step:
-                store(n)
-        store(n)
+            scores[n - 1] = values.pop(label_idx)
+            features[n - 1] = values
         if n < max_rows:  # a quoted cell holds a line break
             features, scores = features[:n], scores[:n]
 

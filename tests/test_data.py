@@ -144,32 +144,26 @@ def _parse_outcome(parse, path, label_column, label_rule):
 
 
 class TestLoadTabular:
-    @pytest.mark.parametrize("blocks", ["default", "two_rows"])
     @pytest.mark.parametrize("case", sorted(CSV_CASES))
-    def test_matches_the_cell_by_cell_reference(self, tmp_path, monkeypatch, case, blocks):
+    def test_matches_the_cell_by_cell_reference(self, tmp_path, case):
         content, label_column, label_rule = CSV_CASES[case]
-        if blocks == "two_rows":  # a budget of two rows' cells: the parse stores 2-row blocks
-            header = next(csv.reader(content.decode("utf-8", "replace").splitlines()), [])
-            monkeypatch.setattr(data_mod, "BLOCK_VALUES", 2 * len(header))
         f = tmp_path / "t.csv"
         f.write_bytes(content)
         assert _parse_outcome(data_mod.tabular_arrays, f, label_column, label_rule) == \
             _parse_outcome(tabular_arrays_reference, f, label_column, label_rule)
 
     def test_parse_holds_about_one_copy_of_the_matrix(self, tmp_path):
-        # the rows go into the matrix one block of BLOCK_VALUES cells at a
-        # time, whose Python floats take about 0.75 MB (1.17 copies of this
-        # 5.1 MB matrix at the peak); lists of Python floats stacked at the
-        # end peaked at 5.4 copies
+        # each row goes straight into the matrix (about 1.1 copies at the
+        # peak); lists of Python floats stacked at the end peaked at 5.4 copies
         f = tmp_path / "t.csv"
-        write_csv(generate_synthetic(SyntheticSpec(d=40, n_per_class=8000, seed=3)), f)
+        write_csv(generate_synthetic(SyntheticSpec(d=40, n_per_class=1000, seed=3)), f)
         tracemalloc.start()
         try:
             features, _, _ = data_mod.tabular_arrays(f, "label", "binary")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert features.shape == (16000, 40) and features.flags.writeable
+        assert features.shape == (2000, 40) and features.flags.writeable
         assert peak <= 1.25 * features.nbytes
 
     def test_median_threshold(self, tmp_path):

@@ -147,10 +147,3 @@ def test_every_blocked_loop_takes_its_rows_from_the_one_budget(monkeypatch, tmp_
     object.__setattr__(ds, "features", ds.features.view(RowSlices))
     data.write_csv(ds, tmp_path / "x.csv")
     assert RowSlices.log["get"] == blocks_of(n, d)
-
-    RowSlices.log["set"].clear()
-    monkeypatch.setattr(data, "np", type("numpy", (), {  # its matrix logs the stores
-        "__getattr__": lambda self, name: getattr(np, name),
-        "empty": staticmethod(lambda shape: np.empty(shape).view(RowSlices))})())
-    data.tabular_arrays(tmp_path / "x.csv", "label")
-    assert [k for k in RowSlices.log["set"] if k] == blocks_of(n, d + 1)
