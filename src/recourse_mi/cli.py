@@ -69,9 +69,9 @@ def cmd_run(args) -> int:
         raw["out_dir"] = "run_out"
     cfg = runner.config_from_dict(raw)
     report = runner.run_experiment(cfg)
-    for name, dirs in report.attack_metrics.items():
-        best = report.best_direction[name]
-        m = dirs[best]
+    for name, result in report.attacks.items():
+        best = result.best_direction
+        m = result.metrics[best]
         tprs = " ".join(f"tpr@{a!r}={m.tpr_at_fpr[a]:.4f}" for a in metrics.REPORT_FPRS)
         print(f"{name} [{best}]: auc={m.auc:.4f} ba={m.balanced_accuracy:.4f} {tprs}")
     print(f"report written to {Path(cfg.out_dir) / 'report.json'}")
@@ -117,31 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON experiment config")
+    for name, fn, text in (
+            ("gen-data", cmd_gen_data, "generate/ingest the configured dataset as CSV"),
+            ("train", cmd_train, "train the owner model and save it"),
+            ("recourse", cmd_recourse, "play the game and dump recourse transcripts"),
+            ("run", cmd_run, "full pipeline: report, score streams, ROC CSVs"),
+            ("sweep", cmd_sweep, "run the sweep section of a config")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="output path or directory")
-
-    p = sub.add_parser("gen-data", help="generate/ingest the configured dataset as CSV")
-    add_common(p)
-    p.set_defaults(fn=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the owner model and save it")
-    add_common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("recourse", help="play the game and dump recourse transcripts")
-    add_common(p)
-    p.set_defaults(fn=cmd_recourse)
-
-    p = sub.add_parser("run", help="full pipeline: report, score streams, ROC CSVs")
-    add_common(p)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("sweep", help="run the sweep section of a config")
-    add_common(p)
-    p.set_defaults(fn=cmd_sweep)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("dp-bound", help="print BA bounds for a list of epsilons")
     p.add_argument("--epsilons", required=True,

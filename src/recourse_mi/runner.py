@@ -84,19 +84,31 @@ class ExperimentConfig:
     snapshot: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True, eq=False)
+class AttackResult:
+    """One attack's scores and, per threshold direction ("standard", then
+    "reversed"), its ROC curve and metrics; best_direction is the one with
+    the larger AUC, the first on a tie."""
+
+    scores: attack_mod.AttackScores
+    curves: dict[str, metrics_mod.RocCurve]  # saved as CSV, not in to_json
+    metrics: dict[str, metrics_mod.MetricsReport]
+    best_direction: str
+
+
 @dataclass
 class ExperimentReport:
+    """One audit: its config snapshot, model and game metadata, the game's
+    kept rounds, one AttackResult per attack in config order, the trace."""
+
     config: dict
     master_seed: int
     experiment_id: str
     model_meta: dict
     game_meta: dict
-    attack_metrics: dict[str, dict[str, metrics_mod.MetricsReport]]
-    best_direction: dict[str, str]
-    scores: dict[str, attack_mod.AttackScores]
+    attacks: dict[str, AttackResult]
     game: Game
     trace: dict[str, Any]
-    curves: dict[str, dict[str, metrics_mod.RocCurve]]  # saved as CSV, not in to_json
     data_provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
@@ -113,11 +125,11 @@ class ExperimentReport:
                 name: {
                     "directions": {
                         direction: rep.to_json()
-                        for direction, rep in dirs.items()
+                        for direction, rep in result.metrics.items()
                     },
-                    "best_direction": self.best_direction[name],
+                    "best_direction": result.best_direction,
                 }
-                for name, dirs in self.attack_metrics.items()
+                for name, result in self.attacks.items()
             },
         }
 
@@ -130,12 +142,10 @@ class ExperimentReport:
         report_path = out_dir / "report.json"
         write_json(report_path, self.to_json())
         write_json(out_dir / "trace.json", self.trace)
-        for name, sc in self.scores.items():
+        for name, result in self.attacks.items():
             write_jsonl(out_dir / f"scores_{name}.jsonl",
-                        sc.records(self.game.point_ids, self.game.member))
-        for name, dirs in self.attack_metrics.items():
-            for direction in dirs:
-                curve = self.curves[name][direction]
+                        result.scores.records(self.game.point_ids, self.game.member))
+            for direction, curve in result.curves.items():
                 metrics_mod.export_log_roc(curve, out_dir / f"roc_{name}_{direction}.csv")
         return report_path
 
@@ -294,6 +304,8 @@ def _check_rules(snap: dict, d: int | None = None) -> None:
         (unknown, f"unknown attack(s) {unknown} in attacks.which; known: {KNOWN_ATTACKS}"),
         (not which or len(set(which)) < len(which),
          f"attacks.which must name at least one attack and none twice, got {which!r}"),
+        (len(set(att["alpha_grid"])) < len(att["alpha_grid"]),
+         f"attacks.alpha_grid must list no value twice, got {att['alpha_grid']!r}"),
         (lrt and att["n_shadow_models"] < 2,
          f"attacks.n_shadow_models must be at least 2 for {lrt}, got {att['n_shadow_models']!r}"),
         (lrt and ev["shadow_n"] < 4, f"eval.shadow_n must be at least 4 with an LRT attack "
@@ -520,8 +532,9 @@ def _attack_scores(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Full pipeline; persists report.json, the score and ROC files and
-    trace.json when out_dir is set.
+    """Full pipeline: an ExperimentReport with one AttackResult per
+    configured attack, saved (report.json, the score and ROC files,
+    trace.json) when out_dir is set.
 
     One TaskPool serves the whole audit. It trains every model, longest
     first: the shadow VAE (cchvae with cfd_lrt, for the replay), the
@@ -592,9 +605,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                                  "failed": int(columns.failed.sum())}
         trace["cfd_lrt_starved"] = len(game.point_ids) - scores["cfd_lrt"].rows.size
 
-    attack_metrics: dict[str, dict[str, metrics_mod.MetricsReport]] = {}
-    best_direction: dict[str, str] = {}
-    curves: dict[str, dict[str, metrics_mod.RocCurve]] = {}
+    attacks: dict[str, AttackResult] = {}
     for name, sc in scores.items():
         if sc.rows.size == 0:
             raise GameSetupError(f"attack {name!r} produced no scores")
@@ -603,15 +614,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "n_scored": int(sc.rows.size),
             "n_skipped": len(game.point_ids) - int(sc.rows.size),
         }
-        dirs: dict[str, metrics_mod.MetricsReport] = {}
-        curves[name] = {}
-        for direction, higher in (("standard", sc.higher_means_member),
-                                  ("reversed", not sc.higher_means_member)):
-            curve = metrics_mod.roc(sc.score, truth, higher_means_member=higher)
-            curves[name][direction] = curve
-            dirs[direction] = metrics_mod.report(curve)
-        attack_metrics[name] = dirs
-        best_direction[name] = max(dirs, key=lambda d: dirs[d].auc)
+        curves = {direction: metrics_mod.roc(sc.score, truth, higher_means_member=higher)
+                  for direction, higher in (("standard", sc.higher_means_member),
+                                            ("reversed", not sc.higher_means_member))}
+        reports = {direction: metrics_mod.report(curve) for direction, curve in curves.items()}
+        attacks[name] = AttackResult(sc, curves, reports,
+                                     max(reports, key=lambda d: reports[d].auc))
     stage("end")
 
     report = ExperimentReport(
@@ -625,12 +633,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "final_train_loss": prep.owner_model.training_meta.get("final_train_loss"),
         },
         game_meta=game_meta,
-        attack_metrics=attack_metrics,
-        best_direction=best_direction,
-        scores=scores,
+        attacks=attacks,
         game=game,
         trace=trace,
-        curves=curves,
         data_provenance=data_provenance,
     )
     if config.out_dir:
@@ -660,10 +665,11 @@ def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[Exper
     """Cross-product sweep over data.d and/or master seeds.
 
     The config's optional "sweep" section holds {"d": [...], "seed": [...]},
-    each a non-empty list of values that the data.d and seed rows of
-    CONFIG_TABLE accept; each combination runs as its own experiment and a combined summary.csv is written next to the
-    per-run reports. Every combination's config is checked before the
-    first one trains.
+    each a non-empty list of distinct values that the data.d and seed rows
+    of CONFIG_TABLE accept; d only for synthetic data, since a file fixes
+    d. Each combination runs as its own experiment and a combined
+    summary.csv is written next to the per-run reports. Every
+    combination's config is checked before the first one trains.
     """
     raw_config = dict(raw_config)
     spec = raw_config.pop("sweep", {})
@@ -671,9 +677,13 @@ def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[Exper
         raise ConfigError(f"sweep must be a JSON object with the keys d and/or seed, got {spec!r}")
     for key, target in (("d", "data.d"), ("seed", "seed")):
         _, kind, bounds, _ = _ROWS[target]
-        if key in spec and not (spec[key] and _fits(spec[key], [kind], bounds)):
-            raise ConfigError(f"sweep.{key} must be a non-empty list of {target} values, each "
-                              f"{_requirement(target)}; got {spec[key]!r}")
+        if key in spec and not (spec[key] and _fits(spec[key], [kind], bounds)
+                                and len(set(spec[key])) == len(spec[key])):
+            raise ConfigError(f"sweep.{key} must be a non-empty list of distinct {target} "
+                              f"values, each {_requirement(target)}; got {spec[key]!r}")
+    dc = raw_config.get("data")
+    if "d" in spec and isinstance(dc, dict) and dc.get("kind") == "file":
+        raise ConfigError("sweep.d cannot vary d with data.kind 'file': the file fixes d")
     ds = spec.get("d", [None])
     seeds = spec.get("seed", [None])
     out_dir = Path(out_dir) if out_dir else None

@@ -78,7 +78,7 @@ class TestCriterion1DimensionSweep:
         seeds = (1, 2, 3)
         mean_auc = {}
         for d in (50, 200, 800):
-            vals = [run_cfd_experiment(d, s).attack_metrics["cfd"]["standard"].auc
+            vals = [run_cfd_experiment(d, s).attacks["cfd"].metrics["standard"].auc
                     for s in seeds]
             mean_auc[d] = float(np.mean(vals))
         gap = mean_auc[800] - mean_auc[50]
@@ -101,8 +101,8 @@ class TestCriterion2LrtDominates:
             # shadow and owner training sets degrades the OUT fits)
             rep = run_cfd_experiment(800, s, attacks=("cfd", "cfd_lrt"),
                                      n_per_class=2200, shadow_n=2000)
-            cfd_vals.append(rep.attack_metrics["cfd"]["standard"].auc)
-            lrt_vals.append(rep.attack_metrics["cfd_lrt"]["standard"].auc)
+            cfd_vals.append(rep.attacks["cfd"].metrics["standard"].auc)
+            lrt_vals.append(rep.attacks["cfd_lrt"].metrics["standard"].auc)
         cfd_mean, lrt_mean = float(np.mean(cfd_vals)), float(np.mean(lrt_vals))
         ok = lrt_mean >= cfd_mean - 0.02
         criterion(2, ok,
@@ -128,7 +128,7 @@ class TestCriterion3OverfittingPrecondition:
         rep = runner.run_experiment(runner.config_from_dict(raw))
         train_acc = rep.model_meta["train_accuracy"]
         test_acc = rep.model_meta["test_accuracy"]
-        loss_auc = rep.attack_metrics["loss"]["standard"].auc
+        loss_auc = rep.attacks["loss"].metrics["standard"].auc
         ok = train_acc >= 0.999 and test_acc <= 0.95 and loss_auc > 0.52
         criterion(3, ok,
                   f"train={train_acc:.4f} (need >=0.999), "

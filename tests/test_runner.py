@@ -212,6 +212,14 @@ class TestConfig:
         ({"sweep": {"seed": [1]}, "experiment_id": [1]}, "experiment_id"),
         ({"sweep": {"seed": [1]}, "experiment_id": None}, "experiment_id"),
         ({"sweep": {"d": [4]}, "experiment_id": 5}, "experiment_id"),
+        # work repeated or dropped without a word: a repeated sweep value would
+        # run and write one experiment twice, a file fixes d so sweep.d would
+        # repeat its audit under other names, and a repeated alpha collapses
+        # to one guess_at key
+        ({"sweep": {"seed": [3, 3]}}, "sweep.seed"),
+        ({"sweep": {"d": [2, 50]}, "data": {"kind": "file", "path": "t.csv",
+                                            "label_column": "y"}}, "sweep.d"),
+        ({"attacks": {"which": ["cfd_lrt"], "alpha_grid": [0.05, 0.05]}}, "attacks.alpha_grid"),
     ])
     def test_bad_values_exit_1_before_training(self, tmp_path, monkeypatch, capsys,
                                                 overrides, match):
@@ -641,12 +649,12 @@ class TestRunExperiment:
         trace = json.loads((out / "trace.json").read_text())
         assert set(trace) == {"prepare_s", "game_s", "attacks_s", "ru_maxrss_kb", "tasks"}
         scored = doc["game"]["scored_points"]
-        assert set(scored) == set(rep.scores) == {"cfd"}
+        assert set(scored) == set(rep.attacks) == {"cfd"}
         for name, counts in scored.items():
             lines = (out / f"scores_{name}.jsonl").read_text().splitlines()
-            assert len(lines) == counts["n_scored"] == rep.scores[name].rows.size
+            assert len(lines) == counts["n_scored"] == rep.attacks[name].scores.rows.size
             assert [json.loads(line)["point_id"] for line in lines] == [
-                rep.game.point_ids[r] for r in rep.scores[name].rows]
+                rep.game.point_ids[r] for r in rep.attacks[name].scores.rows]
         assert set(doc["attacks"]["cfd"]["directions"]) == {"standard", "reversed"}
         assert doc["attacks"]["cfd"]["best_direction"] in ("standard", "reversed")
 
@@ -661,9 +669,9 @@ class TestRunExperiment:
 
     def test_best_direction_has_max_auc(self, small_report):
         rep, _ = small_report
-        for name, dirs in rep.attack_metrics.items():
-            best = rep.best_direction[name]
-            assert dirs[best].auc == max(d.auc for d in dirs.values())
+        for result in rep.attacks.values():
+            dirs = result.metrics
+            assert dirs[result.best_direction].auc == max(d.auc for d in dirs.values())
 
     def test_partitions_disjoint(self, small_report):
         rep, out = small_report
@@ -843,8 +851,8 @@ class TestSweepAndSummary:
             parts = row.split(",")
             by_key[(parts[0], parts[1], parts[2])] = [float(v) for v in parts[3:]]
         for rep in reports:
-            for name, dirs in rep.attack_metrics.items():
-                for direction, m in dirs.items():
+            for name, result in rep.attacks.items():
+                for direction, m in result.metrics.items():
                     vals = by_key[(rep.experiment_id, name, direction)]
                     assert vals == [m.auc, m.balanced_accuracy,
                                     m.tpr_at_fpr[0.1], m.tpr_at_fpr[0.01]]
@@ -904,6 +912,38 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[0].startswith("experiment_id,attack,direction")
+
+    def test_run_prints_each_attacks_best_direction_then_the_report_path(self, tmp_path,
+                                                                        capsys):
+        raw = small_raw(attacks={"which": ["loss", "cfd"]})  # not in alphabetical order
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        expected = []
+        for name in ("loss", "cfd"):
+            best = doc["attacks"][name]["best_direction"]
+            m = doc["attacks"][name]["directions"][best]
+            expected.append(f"{name} [{best}]: auc={m['auc']:.4f} "
+                            f"ba={m['balanced_accuracy']:.4f} "
+                            f"tpr@0.1={m['tpr_at_fpr']['0.1']:.4f} "
+                            f"tpr@0.01={m['tpr_at_fpr']['0.01']:.4f}")
+        expected.append(f"report written to {out / 'report.json'}")
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_an_attack_that_scores_no_round_is_a_runtime_error(self, tmp_path, monkeypatch,
+                                                               capsys):
+        empty = attack.AttackScores("loss", np.empty(0, dtype=np.intp), np.empty(0),
+                                    np.empty(0), higher_means_member=True)
+        monkeypatch.setattr(attack, "loss_attack_scores", lambda *a, **k: empty)
+        raw = small_raw(attacks={"which": ["cfd", "loss"]})
+        with pytest.raises(GameSetupError, match="attack 'loss' produced no scores"):
+            runner.run_experiment(config_from_dict(raw))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "attack 'loss' produced no scores" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out_dir", ["absent", None])
     def test_run_writes_run_out_without_an_out_dir(self, tmp_path, monkeypatch, capsys, out_dir):
