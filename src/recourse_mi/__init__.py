@@ -64,7 +64,6 @@ from .runner import (
     Game,
     config_from_dict,
     load_config,
-    play_game,
     run_experiment,
     run_sweep,
 )

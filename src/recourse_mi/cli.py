@@ -36,21 +36,22 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = runner.config_from_dict(_raw_config(args))
-    prep = runner.prepare(cfg)
+    report = runner.run_experiment(cfg, stop="owner")
     out = Path(args.out or "model")
-    nn.save_model(prep.owner_model, out)
-    if prep.owner_vae is not None:
-        nn.save_model(prep.owner_vae, out / "vae")
-    meta = dict(prep.owner_model.training_meta, test_accuracy=prep.test_accuracy)
+    nn.save_model(report.owner_model, out)
+    if report.owner_vae is not None:
+        nn.save_model(report.owner_vae, out / "vae")
+    test_accuracy = report.model_meta["test_accuracy"]
+    meta = dict(report.owner_model.training_meta, test_accuracy=test_accuracy)
     runner.write_json(out / "accuracy.json", meta)
     print(f"train accuracy {meta['train_accuracy']:.4f}, "
-          f"test accuracy {prep.test_accuracy:.4f} -> {out}")
+          f"test accuracy {test_accuracy:.4f} -> {out}")
     return 0
 
 
 def cmd_recourse(args) -> int:
     cfg = runner.config_from_dict(_raw_config(args))
-    game = runner.play_game(cfg)
+    game = runner.run_experiment(cfg, stop="game").game
     out = Path(args.out or "game_samples.jsonl")
     runner.write_jsonl(out, ({
         "point_id": point_id,
@@ -80,6 +81,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     raw = _raw_config(args)
+    spec = raw.get("sweep")
+    if args.seed is not None and isinstance(spec, dict) and "seed" in spec:
+        raise runner.ConfigError("--seed cannot be combined with sweep.seed, which sets the "
+                                 "master seed of every run")
     out_dir = args.out or "sweep_out"
     raw.pop("out_dir", None)
     reports = runner.run_sweep(raw, out_dir=out_dir)

@@ -1,17 +1,17 @@
 """Config-driven experiment pipeline for the recourse membership game.
 
-One experiment: build data, split it into owner / adversary-shadow /
-held-out pools, train the owner model, sample negatively-classified
-member and non-member points, issue one recourse batch over them (a Game
-of arrays keeps the rounds whose recourse is valid), stream the shadow
-models of the offline LRTs, score every configured attack in both
-threshold directions, and persist a report, per-point score streams, ROC
-tables and a trace of stage times, task times, peak memory and skip
-counts. An audit runs on one worker pool (see run_experiment); prepare
-trains only the owner's models, for the commands that need no shadows.
-Every stage seed derives from the master seed, so everything but the
-trace is reproducible byte-for-byte at any CPU count, and each point's
-recourse does not depend on how the points are batched.
+One pipeline, run_experiment, on one worker pool: build data, split it
+into owner / adversary-shadow / held-out pools, train the owner model,
+sample negatively-classified member and non-member points, issue one
+recourse batch over them (a Game of arrays keeps the rounds whose
+recourse is valid), stream the shadow models of the offline LRTs, score
+every configured attack in both threshold directions, and persist a
+report, per-point score streams, ROC tables and a trace of stage times,
+task times, peak memory and skip counts. The train and recourse commands
+run it up to the owner and up to the game. Every stage seed derives from
+the master seed, so everything but the trace is reproducible
+byte-for-byte at any CPU count, and each point's recourse does not
+depend on how the points are batched.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .attack import RecourseConfig
 from .data import (Dataset, SplitBundle, SplitSizeError, SyntheticSpec, split_in_place,
                    standardize_in_place, synthetic_arrays, tabular_arrays)
 from .nn import Model, TrainConfig, VaeModel
-from .pool import TaskPool, run_all
+from .pool import TaskPool
 from .recourse import CostFn, RecourseBatch, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
 
@@ -98,8 +98,9 @@ class AttackResult:
 
 @dataclass
 class ExperimentReport:
-    """One audit: its config snapshot, model and game metadata, the game's
-    kept rounds, one AttackResult per attack in config order, the trace."""
+    """One audit or the prefix of it that ran: its config snapshot, model
+    and game metadata, the game's kept rounds, one AttackResult per attack
+    in config order, the trace, and the owner model and VAE (unsaved)."""
 
     config: dict
     master_seed: int
@@ -107,8 +108,10 @@ class ExperimentReport:
     model_meta: dict
     game_meta: dict
     attacks: dict[str, AttackResult]
-    game: Game
+    game: Game | None  # None when the run stopped at the owner
     trace: dict[str, Any]
+    owner_model: Model
+    owner_vae: VaeModel | None
     data_provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
@@ -414,14 +417,6 @@ def build_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
     return bundle, prov
 
 
-@dataclass
-class PreparedExperiment:
-    bundle: SplitBundle
-    owner_model: Model
-    owner_vae: VaeModel | None
-    test_accuracy: float
-
-
 def _owner_tasks(config: ExperimentConfig, bundle: SplitBundle) -> dict:
     """The owner's training tasks by TaskPool tag, longest first so that
     the workers' greedy pick balances the load: its VAE for cchvae, then
@@ -436,26 +431,12 @@ def _owner_tasks(config: ExperimentConfig, bundle: SplitBundle) -> dict:
     return tasks
 
 
-def prepare(config: ExperimentConfig) -> PreparedExperiment:
-    """Data, splits, the owner model and, for cchvae, its VAE, trained on
-    one TaskPool. The train command and play_game use this; an audit runs
-    run_experiment, which also streams the shadow models."""
-    bundle, _ = build_split(config)
-    done = run_all(_owner_tasks(config, bundle))
-    return PreparedExperiment(
-        bundle=bundle,
-        owner_model=done["owner"],
-        owner_vae=done.get("owner_vae"),
-        test_accuracy=nn.accuracy(done["owner"], bundle.eval_out),
-    )
-
-
-def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[Game, dict]:
+def _sample_game(config: ExperimentConfig, owner: Model, owner_vae: VaeModel | None,
+                 bundle: SplitBundle) -> tuple[Game, dict]:
     """Draw balanced negatively-classified member/non-member points and
     issue one recourse batch over them. Failed recourses are dropped with counts."""
-    owner = prep.owner_model
-    train_ds = prep.bundle.owner_train
-    out_ds = prep.bundle.eval_out
+    train_ds = bundle.owner_train
+    out_ds = bundle.eval_out
 
     p_train = nn.predict_proba_batch(owner, train_ds.features)
     p_out = nn.predict_proba_batch(owner, out_ds.features)
@@ -477,7 +458,7 @@ def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[Ga
     labels = np.concatenate([train_ds.labels[member_rows], out_ds.labels[non_member_rows]])
     member = np.arange(2 * k) < k
     seeds = [derive_seed(config.seed, "game-recourse", idx) for idx in range(2 * k)]
-    batch = config.recourse.generate_batch(owner, points, seeds, vae=prep.owner_vae)
+    batch = config.recourse.generate_batch(owner, points, seeds, vae=owner_vae)
     failed = ~batch.valid
     failures = {"member": int(failed[member].sum()), "non_member": int(failed[~member].sum())}
     n_m, n_n = k - failures["member"], k - failures["non_member"]
@@ -498,12 +479,6 @@ def _sample_game(config: ExperimentConfig, prep: PreparedExperiment) -> tuple[Ga
         return Game(point_ids, points, labels, member, batch), meta
     return Game([pid for pid, v in zip(point_ids, kept) if v], points[kept], labels[kept],
                 member[kept], batch.take(kept)), meta
-
-
-def play_game(config: ExperimentConfig) -> Game:
-    """Run the game protocol end to end and return its kept rounds."""
-    game, _ = _sample_game(config, prepare(config))
-    return game
 
 
 def _attack_scores(
@@ -531,10 +506,26 @@ def _attack_scores(
     return out
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Full pipeline: an ExperimentReport with one AttackResult per
-    configured attack, saved (report.json, the score and ROC files,
-    trace.json) when out_dir is set.
+def _stage(trace: dict[str, Any], name: str | None, span: str | None = None,
+           since: float = 0.0) -> float:
+    """Close a stage: the audit process's ru_maxrss (KiB) under name and,
+    if it closes the timed span begun at `since` (a perf_counter reading),
+    its wall seconds under `span`. Returns the time, the next span's start."""
+    now = time.perf_counter()
+    if span is not None:
+        trace[span] = now - since
+    if name is not None:
+        trace["ru_maxrss_kb"][name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return now
+
+
+def run_experiment(config: ExperimentConfig, stop: str = "report") -> ExperimentReport:
+    """The audit pipeline, run through the stage `stop`: "owner" (data,
+    split, the owner model and, for cchvae, its VAE), then "game", then
+    "report" (shadow models, attack scores and metrics; saved as
+    report.json, the score and ROC files and trace.json when out_dir is
+    set). A run stopped before "report" trains only the owner's models and
+    writes nothing; the train and recourse commands run such prefixes.
 
     One TaskPool serves the whole audit. It trains every model, longest
     first: the shadow VAE (cchvae with cfd_lrt, for the replay), the
@@ -553,42 +544,59 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     skips summed over the points (shadow_skips) and the number of starved
     points it dropped (cfd_lrt_starved).
     """
+    if stop not in ("owner", "game", "report"):
+        raise ValueError(f"stop must be 'owner', 'game' or 'report', got {stop!r}")
+    scored = config.attacks if stop == "report" else []  # so a stopped run trains no shadow
     trace: dict[str, Any] = {"ru_maxrss_kb": {}}
-
-    def stage(name: str) -> None:
-        trace["ru_maxrss_kb"][name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     bundle, data_provenance = build_split(config)
-    stage("data")
+    _stage(trace, "data")
     shadow_seed = derive_seed(config.seed, "shadow-ensemble")
     tasks = {}
-    if "cfd_lrt" in config.attacks and config.recourse.algorithm == "cchvae":
+    if "cfd_lrt" in scored and config.recourse.algorithm == "cchvae":
         vae_cfg = dataclasses.replace(config.vae_train,
                                       seed=derive_seed(shadow_seed, "shadow-vae"))
         tasks["shadow_vae"] = functools.partial(nn.train_vae, bundle.shadow_pool, vae_cfg)
     tasks.update(_owner_tasks(config, bundle))
-    n_shadow = config.n_shadow_models if set(config.attacks) & {"cfd_lrt", "loss_lrt"} else 0
+    n_shadow = config.n_shadow_models if set(scored) & {"cfd_lrt", "loss_lrt"} else 0
     if n_shadow:  # the last tasks, streamed
         tasks.update(attack_mod.shadow_training_tasks(
             bundle.shadow_pool, n_shadow, config.model_architecture, config.train, shadow_seed))
     with TaskPool(tasks) as pool:
+        trace["tasks"] = pool.times
         for tag in list(tasks)[:len(tasks) - n_shadow]:
             pool.start(tag)
         stream = attack_mod.ShadowStream(pool, n_shadow) if n_shadow else None
         owner_vae = pool.take("owner_vae") if "owner_vae" in tasks else None
         owner = pool.take("owner")
-        prep = PreparedExperiment(bundle, owner, owner_vae,
-                                  test_accuracy=nn.accuracy(owner, bundle.eval_out))
-        trace["prepare_s"] = time.perf_counter() - t0
-        stage("owner")
+        report = ExperimentReport(
+            config=config.snapshot,
+            master_seed=config.seed,
+            experiment_id=config.experiment_id,
+            model_meta={
+                "architecture": config.model_architecture,
+                "train_accuracy": owner.training_meta.get("train_accuracy"),
+                "test_accuracy": nn.accuracy(owner, bundle.eval_out),
+                "final_train_loss": owner.training_meta.get("final_train_loss"),
+            },
+            game_meta={},
+            attacks={},
+            game=None,
+            trace=trace,
+            owner_model=owner,
+            owner_vae=owner_vae,
+            data_provenance=data_provenance,
+        )
+        start = _stage(trace, "owner", "prepare_s", start)
+        if stop == "owner":
+            return report
 
-        t1 = time.perf_counter()
-        game, game_meta = _sample_game(config, prep)
-        trace["game_s"] = time.perf_counter() - t1
-        stage("game")
+        game, report.game_meta = _sample_game(config, owner, owner_vae, bundle)
+        report.game = game
+        start = _stage(trace, "game", "game_s", start)
+        if stop == "game":
+            return report
 
-        t2 = time.perf_counter()
         columns = None
         if stream is not None:
             shadow_vae = pool.take("shadow_vae") if "shadow_vae" in tasks else None
@@ -596,21 +604,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                       if "cfd_lrt" in config.attacks else None)
             columns = stream.columns(game.points, range(len(game.point_ids)),
                                      probs="loss_lrt" in config.attacks, replay=replay)
-            stage("shadows")
-        trace["tasks"] = pool.times
+            _stage(trace, "shadows")
     scores = _attack_scores(config, owner, game, columns)
-    trace["attacks_s"] = time.perf_counter() - t2
+    _stage(trace, None, "attacks_s", start)
     if "cfd_lrt" in scores:
         trace["shadow_skips"] = {"positive": int(columns.positive.sum()),
                                  "failed": int(columns.failed.sum())}
         trace["cfd_lrt_starved"] = len(game.point_ids) - scores["cfd_lrt"].rows.size
 
-    attacks: dict[str, AttackResult] = {}
     for name, sc in scores.items():
         if sc.rows.size == 0:
             raise GameSetupError(f"attack {name!r} produced no scores")
         truth = game.member[sc.rows]
-        game_meta.setdefault("scored_points", {})[name] = {
+        report.game_meta.setdefault("scored_points", {})[name] = {
             "n_scored": int(sc.rows.size),
             "n_skipped": len(game.point_ids) - int(sc.rows.size),
         }
@@ -618,26 +624,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                   for direction, higher in (("standard", sc.higher_means_member),
                                             ("reversed", not sc.higher_means_member))}
         reports = {direction: metrics_mod.report(curve) for direction, curve in curves.items()}
-        attacks[name] = AttackResult(sc, curves, reports,
-                                     max(reports, key=lambda d: reports[d].auc))
-    stage("end")
-
-    report = ExperimentReport(
-        config=config.snapshot,
-        master_seed=config.seed,
-        experiment_id=config.experiment_id,
-        model_meta={
-            "architecture": config.model_architecture,
-            "train_accuracy": prep.owner_model.training_meta.get("train_accuracy"),
-            "test_accuracy": prep.test_accuracy,
-            "final_train_loss": prep.owner_model.training_meta.get("final_train_loss"),
-        },
-        game_meta=game_meta,
-        attacks=attacks,
-        game=game,
-        trace=trace,
-        data_provenance=data_provenance,
-    )
+        report.attacks[name] = AttackResult(sc, curves, reports,
+                                            max(reports, key=lambda d: reports[d].auc))
+    _stage(trace, "end")
     if config.out_dir:
         report.save(config.out_dir)
     return report

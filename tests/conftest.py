@@ -81,15 +81,16 @@ def batch_split_agreement(cfg, cuts) -> tuple[bool, bool]:
     experiment `cfg` (scfe or growing_spheres recourse) come out the same
     when its game points are issued in blocks split at the row indices
     `cuts` as in one block."""
-    prep = runner.prepare(cfg)
-    game, _ = runner._sample_game(cfg, prep)
+    rep = runner.run_experiment(cfg, stop="game")
+    game = rep.game
     X, seeds = game.points, game.recourse.seeds
     blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(X)])]
     split = [r for b in blocks for r in records(cfg.recourse.generate_batch(
-        prep.owner_model, X[b], seeds[b], vae=prep.owner_vae))]
+        rep.owner_model, X[b], seeds[b], vae=rep.owner_vae))]
     game_equal = split == records(game.recourse)
     shadow_seed = derive_seed(cfg.seed, "shadow-ensemble")
-    models = train_shadows(prep.bundle.shadow_pool, cfg.n_shadow_models,
+    bundle, _ = runner.build_split(cfg)
+    models = train_shadows(bundle.shadow_pool, cfg.n_shadow_models,
                            cfg.model_architecture, cfg.train, shadow_seed)
     replay = (cfg.recourse, shadow_seed, None)
     whole = stream_columns(models, X, range(len(X)), replay=replay)

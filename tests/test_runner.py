@@ -239,6 +239,27 @@ class TestConfig:
         assert cli.main([command, "--config", str(cfg_path), *out]) == 1
         assert match in capsys.readouterr().err and not trained
 
+    def test_sweep_seed_flag_against_sweep_seed_exits_1_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        # every run's sweep.seed would replace --seed without a word
+        trained = []
+        monkeypatch.setattr(nn, "train_classifier", lambda *a, **k: trained.append(a))
+        monkeypatch.setattr(nn, "train_vae", lambda *a, **k: trained.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_raw(sweep={"seed": [1]})))
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--seed", "9",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "sweep.seed" in err and not trained and not out.exists()
+
+    def test_sweep_seed_flag_sets_the_seed_of_a_d_sweep(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_raw(sweep={"d": [4]})))
+        assert cli.main(["sweep", "--config", str(cfg_path), "--seed", "9",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "d4" / "report.json").read_text())["master_seed"] == 9
+
     def test_file_too_small_for_the_partitions_exits_1_before_training(
             self, tmp_path, monkeypatch, capsys):
         trained = []
@@ -288,7 +309,7 @@ class TestConfig:
         trained = []
         monkeypatch.setattr(nn, "train_classifier", lambda *a: trained.append(a))
         with pytest.raises(ConfigError, match=r"immutable.*\[0, 2\)"):
-            runner.prepare(cfg)
+            runner.run_experiment(cfg, stop="owner")
         assert not trained
 
     def test_readme_lists_the_config_table_and_names_only_its_keys(self):
@@ -329,20 +350,20 @@ class TestConfig:
 class TestPlayGame:
     def test_balanced_and_negatively_classified(self):
         cfg = config_from_dict(small_raw())
-        game = runner.play_game(cfg)
-        prep = runner.prepare(cfg)
+        rep = runner.run_experiment(cfg, stop="game")
+        game = rep.game
         n_m = int(game.member.sum())
         n_n = len(game.point_ids) - n_m
         assert n_m == n_n == 15
         for x in game.points:
-            assert prob_of(prep.owner_model, x) < 0.5
+            assert prob_of(rep.owner_model, x) < 0.5
         assert game.recourse.valid.all()
 
     def test_deterministic(self):
         cfg1 = config_from_dict(small_raw())
         cfg2 = config_from_dict(small_raw())
-        g1 = runner.play_game(cfg1)
-        g2 = runner.play_game(cfg2)
+        g1 = runner.run_experiment(cfg1, stop="game").game
+        g2 = runner.run_experiment(cfg2, stop="game").game
         assert g1.point_ids == g2.point_ids
         assert np.array_equal(g1.points, g2.points)
         assert np.array_equal(g1.recourse.counterfactuals, g2.recourse.counterfactuals)
@@ -356,7 +377,7 @@ class TestPlayGame:
             return seen["batch"]
 
         monkeypatch.setattr(attack.RecourseConfig, "generate_batch", spy)
-        game = runner.play_game(config_from_dict(small_raw()))
+        game = runner.run_experiment(config_from_dict(small_raw()), stop="game").game
         assert seen["batch"].valid.all()
         assert np.shares_memory(game.points, seen["points"])
         assert np.shares_memory(game.recourse.counterfactuals, seen["batch"].counterfactuals)
@@ -368,7 +389,7 @@ class TestPlayGame:
         raw["eval"]["eval_points"] = 100000
         cfg = config_from_dict(raw)
         with pytest.raises(GameSetupError, match="negatively-classified"):
-            runner.play_game(cfg)
+            runner.run_experiment(cfg, stop="game")
 
 
 class TestShadowReplay:
@@ -472,15 +493,34 @@ class TestTrainingTaskList:
         assert ("shadow_vae" in tasks) == shadow_vae
         assert {"owner", "owner_vae", "shadow_0", "shadow_1"} <= set(tasks)
 
-    def test_train_command_trains_only_the_owner(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["train", "recourse"])
+    @pytest.mark.parametrize("algorithm", ["scfe", "cchvae"])
+    def test_train_command_trains_only_the_owner(self, tmp_path, monkeypatch, command,
+                                                 algorithm):
+        # train and recourse stop the audit before its shadows: the owner
+        # model and, for cchvae, the owner's VAE train on the owner's rows,
+        # and no shadow model or shadow VAE trains or is even put on the pool
         use_cpus(monkeypatch, 1)  # inline, so every training call reaches `seen`
-        seen = []
-        real = nn.train_classifier
-        monkeypatch.setattr(nn, "train_classifier", lambda *a: seen.append(a) or real(*a))
+        pools = []
+        monkeypatch.setattr(TaskPool, "__init__", lambda self, tasks, _real=TaskPool.__init__:
+                            pools.append(list(tasks)) or _real(self, tasks))
+        seen = {"train_classifier": [], "train_vae": []}
+        for name, rows in seen.items():
+            monkeypatch.setattr(nn, name, lambda data, *a, _real=getattr(nn, name), _rows=rows:
+                                _rows.append(data.n) or _real(data, *a))
+        raw = small_raw(recourse={"algorithm": algorithm, "vae": {"epochs": 5},
+                                  "search": {"samples_per_radius": 50}},
+                        attacks={"which": ["cfd_lrt", "loss_lrt"]}, eval={"eval_points": 10})
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_raw(attacks={"which": ["cfd_lrt", "loss_lrt"]})))
-        assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "m")]) == 0
-        assert len(seen) == 1
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "m"
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        owner_n = raw["eval"]["owner_n"]
+        assert pools == [["owner_vae", "owner"] if algorithm == "cchvae" else ["owner"]]
+        assert seen == {"train_classifier": [owner_n],
+                        "train_vae": [owner_n] if algorithm == "cchvae" else []}
+        if command == "train":
+            assert (out / "vae" / "manifest.json").is_file() == (algorithm == "cchvae")
 
 
 class TestDataStage:
@@ -676,9 +716,9 @@ class TestRunExperiment:
     def test_partitions_disjoint(self, small_report):
         rep, out = small_report
         cfg = config_from_dict(small_raw(out_dir=None))
-        prep = runner.prepare(cfg)
-        owner = set(prep.bundle.owner_train.provenance["rows"])
-        shadow = set(prep.bundle.shadow_pool.provenance["rows"])
+        bundle, _ = runner.build_split(cfg)
+        owner = set(bundle.owner_train.provenance["rows"])
+        shadow = set(bundle.shadow_pool.provenance["rows"])
         assert not owner & shadow
 
     def test_distance_attack_stage_takes_no_model(self):
@@ -805,10 +845,9 @@ class TestStreamedAudit:
         assert not trace["ru_maxrss_kb"] and maxrss == sorted(maxrss) and maxrss[0] > 0
         # the skip counts of the same shadow models and game points streamed
         # outside the audit
-        prep = runner.prepare(cfg)
-        game, _ = runner._sample_game(cfg, prep)
+        game = runner.run_experiment(cfg, stop="game").game
         shadow_seed = derive_seed(cfg.seed, "shadow-ensemble")
-        models = train_shadows(prep.bundle.shadow_pool, cfg.n_shadow_models,
+        models = train_shadows(runner.build_split(cfg)[0].shadow_pool, cfg.n_shadow_models,
                                cfg.model_architecture, cfg.train, shadow_seed)
         cols = stream_columns(models, game.points, range(len(game.points)),
                               replay=(cfg.recourse, shadow_seed, None))
@@ -1038,6 +1077,9 @@ class TestCli:
         out = tmp_path / "g.jsonl"
         rc = cli.main(["recourse", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 0
+        # the audit stops at the game, so its out_dir, here the transcript's
+        # file path, gets no report, trace or score file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "g.jsonl"]
         lines = out.read_text().splitlines()
         assert len(lines) == 30
         rec = json.loads(lines[0])
