@@ -99,7 +99,7 @@ class RecourseConfig:
     """Which generator the game (and the shadow replay) uses."""
 
     algorithm: str = "scfe"  # scfe | growing_spheres | cchvae
-    cost_fn: CostFn = CostFn("l1")
+    cost_fn: CostFn = CostFn()
     scfe_params: ScfeParams = ScfeParams()
     search_params: SearchParams = SearchParams()
 

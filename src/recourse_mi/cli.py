@@ -66,7 +66,7 @@ def cmd_recourse(args) -> int:
 
 def cmd_run(args) -> int:
     raw = _raw_config(args)
-    if raw.get("out_dir") is None:
+    if not raw.get("out_dir"):
         raw["out_dir"] = "run_out"
     cfg = runner.config_from_dict(raw)
     report = runner.run_experiment(cfg)
@@ -85,10 +85,10 @@ def cmd_sweep(args) -> int:
     if args.seed is not None and isinstance(spec, dict) and "seed" in spec:
         raise runner.ConfigError("--seed cannot be combined with sweep.seed, which sets the "
                                  "master seed of every run")
-    out_dir = args.out or "sweep_out"
-    raw.pop("out_dir", None)
-    reports = runner.run_sweep(raw, out_dir=out_dir)
-    print(f"{len(reports)} runs -> {Path(out_dir) / 'summary.csv'}")
+    if not raw.get("out_dir"):  # as for run: --out, then the config's out_dir
+        raw["out_dir"] = "sweep_out"
+    reports = runner.run_sweep(raw)
+    print(f"{len(reports)} runs -> {Path(raw['out_dir']) / 'summary.csv'}")
     return 0
 
 

@@ -173,7 +173,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def tabular_arrays(
-    path: str | Path, label_column: str, label_rule: str = "binary"
+    path: str | Path, label_column: str, label_rule: str
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Features (a writable matrix), labels and provenance of a CSV file
     with a header row.
@@ -260,7 +260,7 @@ def _parse_row(path: Path, header: list[str], row_no: int, row: list[str]) -> li
     return values
 
 
-def load_tabular(path: str | Path, label_column: str, label_rule: str = "binary") -> Dataset:
+def load_tabular(path: str | Path, label_column: str, label_rule: str) -> Dataset:
     """The dataset of `tabular_arrays`."""
     return Dataset(*tabular_arrays(path, label_column, label_rule))
 

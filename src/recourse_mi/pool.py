@@ -86,14 +86,6 @@ class TaskPool:
         return tags[0], self.take(tags[0])
 
 
-def run_all(tasks: Mapping[Hashable, Callable[[], Any]]) -> dict[Hashable, Any]:
-    """{tag: task()} for every task, on one TaskPool, started in order."""
-    with TaskPool(tasks) as pool:
-        for tag in tasks:
-            pool.start(tag)
-        return {tag: pool.take(tag) for tag in tasks}
-
-
 def _timed(fn: Callable[..., Any], *args: Any) -> tuple[Any, float, float]:
     wall, cpu = time.perf_counter(), time.process_time()
     value = fn(*args)

@@ -167,9 +167,7 @@ def norm_subgradient(delta: np.ndarray, norm: str) -> np.ndarray:
 def _query_block(model: Model, X: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
     """X as a contiguous float64 (n, d) block, once its shape fits the
     model, it has one seed per row and every row is negatively classified."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.d:
-        raise nn.DimensionMismatchError(f"expected (n, {model.d}) matrix, got {X.shape}")
+    X = nn._as_matrix(X, model.d)
     if len(seeds) != X.shape[0]:
         raise ValueError(f"{len(seeds)} seeds for {X.shape[0]} points")
     p = nn.predict_proba_batch(model, X)

@@ -21,7 +21,7 @@ import functools
 import json
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -79,9 +79,8 @@ class ExperimentConfig:
     eval_points: int
     seed: int
     vae_train: TrainConfig
-    out_dir: str | None = None
-    experiment_id: str = "experiment"
-    snapshot: dict = field(default_factory=dict)
+    out_dir: str | None
+    snapshot: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +102,6 @@ class ExperimentReport:
     in config order, the trace, and the owner model and VAE (unsaved)."""
 
     config: dict
-    master_seed: int
-    experiment_id: str
     model_meta: dict
     game_meta: dict
     attacks: dict[str, AttackResult]
@@ -112,15 +109,15 @@ class ExperimentReport:
     trace: dict[str, Any]
     owner_model: Model
     owner_vae: VaeModel | None
-    data_provenance: dict = field(default_factory=dict)
+    data_provenance: dict
 
     def to_json(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
             "version": __version__,
-            "experiment_id": self.experiment_id,
+            "experiment_id": self.config["experiment_id"],
             "config": self.config,
-            "master_seed": self.master_seed,
+            "master_seed": self.config["seed"],
             "data_provenance": self.data_provenance,
             "model": self.model_meta,
             "game": self.game_meta,
@@ -183,27 +180,27 @@ CONFIG_TABLE: tuple[tuple[str, Any, tuple | None, Any], ...] = (
     ("data.kind", ("synthetic", "file"), None, "synthetic"),
     ("data.d", int, (1, 10_000), 20),
     ("data.n_per_class", int, (1, None), 2000),
-    ("data.class_separation", float, (0, None), 1.0),
+    ("data.class_separation", float, (0, None), SyntheticSpec.class_separation),
     ("data.path", str, None, None),
     ("data.label_column", str, None, None),
     ("data.label_rule", ("binary", "median-threshold"), None, "median-threshold"),
     ("data.standardize", bool, None, True),
     ("model.architecture", [int], (1, None), []),
-    ("train.learning_rate", float, (0, None), 1e-4),
-    ("train.epochs", int, (1, None), 250),
-    ("train.batch_size", int, (1, None), None),
-    ("recourse.algorithm", ("scfe", "growing_spheres", "cchvae"), None, "scfe"),
-    ("recourse.cost_norm", ("l1", "l2"), None, "l1"),
+    ("train.learning_rate", float, (0, None), TrainConfig.learning_rate),
+    ("train.epochs", int, (1, None), TrainConfig.epochs),
+    ("train.batch_size", int, (1, None), TrainConfig.batch_size),
+    ("recourse.algorithm", ("scfe", "growing_spheres", "cchvae"), None, RecourseConfig.algorithm),
+    ("recourse.cost_norm", ("l1", "l2"), None, CostFn.norm),
     ("recourse.immutable", [int], (0, None), []),
-    ("recourse.scfe.lam", float, (0, None), 0.1),
-    ("recourse.scfe.lam_decay", float, (0, 1), 0.5),
-    ("recourse.scfe.max_iters", int, (1, None), 1000),
-    ("recourse.scfe.step_size", float, (0, None), 0.05),
-    ("recourse.scfe.max_retries", int, (0, None), 5),
-    ("recourse.search.initial_radius", float, (0, None), 0.1),
-    ("recourse.search.radius_step", float, (0, None), 0.1),
-    ("recourse.search.samples_per_radius", int, (1, None), 500),
-    ("recourse.search.max_radius", float, (0, None), 10.0),
+    ("recourse.scfe.lam", float, (0, None), ScfeParams.lam),
+    ("recourse.scfe.lam_decay", float, (0, 1), ScfeParams.lam_decay),
+    ("recourse.scfe.max_iters", int, (1, None), ScfeParams.max_iters),
+    ("recourse.scfe.step_size", float, (0, None), ScfeParams.step_size),
+    ("recourse.scfe.max_retries", int, (0, None), ScfeParams.max_retries),
+    ("recourse.search.initial_radius", float, (0, None), SearchParams.initial_radius),
+    ("recourse.search.radius_step", float, (0, None), SearchParams.radius_step),
+    ("recourse.search.samples_per_radius", int, (1, None), SearchParams.samples_per_radius),
+    ("recourse.search.max_radius", float, (0, None), SearchParams.max_radius),
     ("recourse.vae.learning_rate", float, (0, None), 1e-3),
     ("recourse.vae.epochs", int, (1, None), 200),
     ("attacks.which", [str], None, ["cfd"]),
@@ -259,7 +256,7 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError("config must be a JSON object")
     raw = {k: v for k, v in raw.items() if k != "sweep"}  # handled by run_sweep
     snap: dict = {}
-    for key, kind, bounds, default in CONFIG_TABLE:
+    for key, _, _, default in CONFIG_TABLE:
         *sections, name = key.split(".")
         given, node = raw, snap
         for depth, section in enumerate(sections, start=1):
@@ -269,14 +266,20 @@ def normalize_config(raw: dict) -> dict:
                                   f"got {given!r}")
             node = node.setdefault(section, {})
         value = given.get(name, list(default) if isinstance(default, list) else default)
-        if not (_fits(value, kind, bounds) or value is None and default is None):
-            raise ConfigError(f"{key} must be {_requirement(key)}, got {value!r}")
-        node[name] = value
+        node[name] = _checked(key, value)
     unknown = _unknown_keys(raw, snap)
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
     _check_rules(snap)
     return snap
+
+
+def _checked(key: str, value: Any) -> Any:
+    """value, once it fits the CONFIG_TABLE row of key."""
+    _, kind, bounds, default = _ROWS[key]
+    if not (_fits(value, kind, bounds) or value is None and default is None):
+        raise ConfigError(f"{key} must be {_requirement(key)}, got {value!r}")
+    return value
 
 
 def _unknown_keys(given: dict, known: dict, path: str = "") -> list[str]:
@@ -344,7 +347,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         n_shadow_models=snap["attacks"]["n_shadow_models"],
         alpha_grid=[float(a) for a in snap["attacks"]["alpha_grid"]],
         **snap["eval"],  # owner_n, shadow_n, eval_out_n, eval_points
-        seed=snap["seed"], out_dir=snap["out_dir"], experiment_id=snap["experiment_id"],
+        seed=snap["seed"], out_dir=snap["out_dir"],
         vae_train=TrainConfig(learning_rate=rc["vae"]["learning_rate"],
                               epochs=rc["vae"]["epochs"]),
         snapshot=snap,
@@ -571,8 +574,6 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
         owner = pool.take("owner")
         report = ExperimentReport(
             config=config.snapshot,
-            master_seed=config.seed,
-            experiment_id=config.experiment_id,
             model_meta={
                 "architecture": config.model_architecture,
                 "train_accuracy": owner.training_meta.get("train_accuracy"),
@@ -650,15 +651,16 @@ def write_summary(report_docs: Sequence[dict], path: str | Path) -> None:
                                      m["balanced_accuracy"], *(m["tpr_at_fpr"][a] for a in fprs)])
 
 
-def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[ExperimentReport]:
+def run_sweep(raw_config: dict) -> list[ExperimentReport]:
     """Cross-product sweep over data.d and/or master seeds.
 
     The config's optional "sweep" section holds {"d": [...], "seed": [...]},
     each a non-empty list of distinct values that the data.d and seed rows
     of CONFIG_TABLE accept; d only for synthetic data, since a file fixes
-    d. Each combination runs as its own experiment and a combined
-    summary.csv is written next to the per-run reports. Every
-    combination's config is checked before the first one trains.
+    d. Each combination runs as its own experiment, in <out_dir>/<run id>
+    when the config sets out_dir, with a combined summary.csv beside the
+    runs. Every combination's config is checked
+    before the first one trains.
     """
     raw_config = dict(raw_config)
     spec = raw_config.pop("sweep", {})
@@ -675,6 +677,7 @@ def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[Exper
         raise ConfigError("sweep.d cannot vary d with data.kind 'file': the file fixes d")
     ds = spec.get("d", [None])
     seeds = spec.get("seed", [None])
+    out_dir = _checked("out_dir", raw_config.get("out_dir"))
     out_dir = Path(out_dir) if out_dir else None
 
     configs = []
@@ -691,7 +694,7 @@ def run_sweep(raw_config: dict, out_dir: str | Path | None = None) -> list[Exper
                 variant["seed"] = seed
                 parts.append(f"seed{seed}")
             run_id = "_".join(parts) if parts else "run"
-            base_id = variant.get("experiment_id", "experiment")
+            base_id = variant.get("experiment_id", _ROWS["experiment_id"][3])
             if parts and isinstance(base_id, str):  # otherwise config_from_dict rejects it
                 variant["experiment_id"] = f"{base_id}_{run_id}"
             if out_dir is not None:

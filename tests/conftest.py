@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from recourse_mi import attack, runner
 from recourse_mi.nn import Model, predict_proba_batch
-from recourse_mi.pool import TaskPool, run_all
+from recourse_mi.pool import TaskPool
 from recourse_mi.seeds import derive_seed
 
 
@@ -59,9 +59,17 @@ def halfspace_2d() -> Model:
     return make_logistic([4.0, 0.0], -4.0)
 
 
+def run_all(tasks: dict) -> dict:
+    """{tag: task()} for every task, on one TaskPool, started in order."""
+    with TaskPool(tasks) as pool:
+        for tag in tasks:
+            pool.start(tag)
+        return {tag: pool.take(tag) for tag in tasks}
+
+
 def train_shadows(shadow_pool, n_models, architecture, trainer_config, seed) -> list[Model]:
     """The shadow models of attack.shadow_training_tasks in index order,
-    trained by pool.run_all."""
+    trained by run_all."""
     done = run_all(attack.shadow_training_tasks(shadow_pool, n_models, architecture,
                                                 trainer_config, seed))
     return [done[attack.shadow_tag(i)] for i in range(n_models)]

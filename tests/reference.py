@@ -524,7 +524,7 @@ def write_csv_reference(features, labels, names, path, label_column="label"):
             writer.writerow([repr(float(v)) for v in row] + [int(lab)])
 
 
-def tabular_arrays_reference(path, label_column, label_rule="binary"):
+def tabular_arrays_reference(path, label_column, label_rule):
     """(features, labels, provenance) of a CSV file parsed cell by cell:
     every cell through float(), checked finite, into a list of rows."""
     from pathlib import Path

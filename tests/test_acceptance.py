@@ -28,7 +28,6 @@ from recourse_mi.nn import (
     bce_to_target_grad_batch,
     train_classifier,
 )
-from recourse_mi.pool import run_all
 from recourse_mi.privacy import dp_ba_bound
 from recourse_mi.recourse import (
     CostFn,
@@ -39,7 +38,7 @@ from recourse_mi.recourse import (
 )
 from recourse_mi.seeds import derive_seed, rng_for
 
-from conftest import batch_split_agreement, make_logistic, prob_of, use_cpus
+from conftest import batch_split_agreement, make_logistic, prob_of, run_all, use_cpus
 from reference import (
     finite_difference_gradient,
     grid_cheapest_valid_logistic,

@@ -40,7 +40,7 @@ from recourse_mi.nn import (
     train_classifier,
     train_vae,
 )
-from recourse_mi.pool import TaskPool, run_all
+from recourse_mi.pool import TaskPool
 from recourse_mi.recourse import (
     CostFn,
     RecoursePreconditionError,
@@ -51,7 +51,8 @@ from recourse_mi.recourse import (
 )
 from recourse_mi.seeds import derive_seed
 
-from conftest import make_logistic, prob_of, records, stream_columns, train_shadows, use_cpus
+from conftest import (make_logistic, prob_of, records, run_all, stream_columns, train_shadows,
+                      use_cpus)
 from reference import lognormal_quantile_oracle, normal_cdf
 
 
@@ -543,8 +544,8 @@ class TestShadowEnsemble:
 
 
 class TestWorkers:
-    def test_map_models_runs_closures_on_forked_workers_in_order(self, monkeypatch):
-        # run_all: every inherited task of one TaskPool, results by tag
+    def test_task_pool_forks_workers_that_run_closures_in_order(self, monkeypatch):
+        # every inherited task of one TaskPool, results by tag
         offset = 10  # local state in a closure, which pickling could not send
         use_cpus(monkeypatch, 2)
         got = run_all({i: lambda i=i: (i + offset, os.getpid()) for i in range(5)})
@@ -553,7 +554,7 @@ class TestWorkers:
         assert os.getpid() not in {pid for _, pid in got.values()}
 
     @pytest.mark.parametrize("reason", ["one_cpu", "no_affinity", "no_fork", "one_model"])
-    def test_map_models_runs_inline_without_workers(self, monkeypatch, reason):
+    def test_task_pool_runs_inline_without_workers(self, monkeypatch, reason):
         use_cpus(monkeypatch, 1 if reason == "one_cpu" else 2)
         if reason == "no_affinity":
             monkeypatch.delattr(os, "sched_getaffinity")

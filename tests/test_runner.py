@@ -195,6 +195,7 @@ class TestConfig:
         ({"data": {"kind": "file", "path": "t.csv", "label_column": 5}}, "data.label_column"),
         # each key's type and bounds come from runner.CONFIG_TABLE, numbers finite
         ({"out_dir": 5}, "out_dir"),
+        ({"sweep": {"seed": [1]}, "out_dir": 5}, "out_dir"),
         ({"experiment_id": [1]}, "experiment_id"),
         ({"data": {"class_separation": float("inf")}}, "data.class_separation"),
         ({"recourse": {"search": {"max_radius": float("nan")}}}, "recourse.search.max_radius"),
@@ -345,6 +346,13 @@ class TestConfig:
         assert cfg.train.learning_rate == 1e-4
         assert cfg.train.epochs == 250
         assert cfg.n_shadow_models == 16
+
+    def test_defaults_are_the_library_defaults(self):
+        cfg = config_from_dict({})
+        assert cfg.recourse == attack.RecourseConfig()
+        assert cfg.train == nn.TrainConfig()
+        assert runner.normalize_config({})["data"]["class_separation"] == \
+            SyntheticSpec.class_separation
 
 
 class TestPlayGame:
@@ -871,7 +879,7 @@ class TestSweepAndSummary:
     def test_sweep_emits_reports_and_summary(self, tmp_path):
         raw = small_raw()
         raw["sweep"] = {"d": [4, 6]}
-        reports = runner.run_sweep(raw, out_dir=tmp_path)
+        reports = runner.run_sweep(dict(raw, out_dir=str(tmp_path)))
         assert len(reports) == 2
         assert (tmp_path / "d4" / "report.json").exists()
         assert (tmp_path / "d6" / "report.json").exists()
@@ -883,7 +891,7 @@ class TestSweepAndSummary:
     def test_summary_values_match_reports(self, tmp_path):
         raw = small_raw()
         raw["sweep"] = {"seed": [5, 6]}
-        reports = runner.run_sweep(raw, out_dir=tmp_path)
+        reports = runner.run_sweep(dict(raw, out_dir=str(tmp_path)))
         rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
         by_key = {}
         for row in rows:
@@ -892,7 +900,7 @@ class TestSweepAndSummary:
         for rep in reports:
             for name, result in rep.attacks.items():
                 for direction, m in result.metrics.items():
-                    vals = by_key[(rep.experiment_id, name, direction)]
+                    vals = by_key[(rep.config["experiment_id"], name, direction)]
                     assert vals == [m.auc, m.balanced_accuracy,
                                     m.tpr_at_fpr[0.1], m.tpr_at_fpr[0.01]]
         # `summarize` over the sweep's report.json files rebuilds its CSV
@@ -984,7 +992,7 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "attack 'loss' produced no scores" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("out_dir", ["absent", None])
+    @pytest.mark.parametrize("out_dir", ["absent", None, ""])
     def test_run_writes_run_out_without_an_out_dir(self, tmp_path, monkeypatch, capsys, out_dir):
         raw = small_raw() if out_dir == "absent" else small_raw(out_dir=out_dir)
         (tmp_path / "cfg.json").write_text(json.dumps(raw))
@@ -992,6 +1000,23 @@ class TestCli:
         assert cli.main(["run", "--config", "cfg.json"]) == 0
         report = json.loads((tmp_path / "run_out" / "report.json").read_text())
         assert report["config"]["out_dir"] == "run_out"
+
+    @pytest.mark.parametrize("flag, configured, written", [
+        ("flag_out", "from_config", "flag_out"),
+        (None, "from_config", "from_config"),
+        (None, None, "sweep_out"),
+        (None, "", "sweep_out"),
+    ])
+    def test_sweep_writes_to_out_then_the_configs_out_dir_then_sweep_out(
+            self, tmp_path, monkeypatch, capsys, flag, configured, written):
+        raw = small_raw(out_dir=configured, sweep={"seed": [1]})
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sweep", "--config", "cfg.json", *(["--out", flag] if flag else [])]) == 0
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [written]
+        report = json.loads((tmp_path / written / "seed1" / "report.json").read_text())
+        assert report["config"]["out_dir"] == str(Path(written) / "seed1")
+        assert capsys.readouterr().out == f"1 runs -> {Path(written) / 'summary.csv'}\n"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
