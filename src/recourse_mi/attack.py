@@ -22,13 +22,14 @@ nn.logit_confidence call over all points (and all shadow models).
 
 An audit runs every task on one TaskPool (see pool.py): its workers
 train the models, and the game starts as soon as the owner returns.
-ShadowStream is the one path from shadow models to the offline LRTs: it
-takes each shadow model in completion order, fills the model's column
-and drops it. For cfd_lrt that column comes from a replay task on the
-same pool (a replayed point's seed is its index among the game's valid
-recourses), which sends back one distance per point it replays. Every
-model and replay keeps its own seeds and every result is stored by
-index, so results are identical at any CPU count.
+Once the game has been played, each shadow model's task (shadow_tasks)
+starts on the game's points: it trains its model, computes the model's
+probability of each point and, for cfd_lrt, replays recourse on it (a
+replayed point's seed is its index among the game's valid recourses).
+It returns only that column, never the model, and shadow_columns, the
+one path from shadow models to the offline LRTs, stores each column by
+model index as its task returns. Every model and replay keeps its own
+seeds, so results are identical at any CPU count and completion order.
 
 The normal CDF and quantile of the LRT scores and thresholds are ports of
 the Cephes `ndtr`/`ndtri` that SciPy's `special` module runs (see
@@ -121,40 +122,42 @@ class RecourseConfig:
 
 
 def shadow_tag(i: int) -> str:
-    """The pool tag of shadow model i's training task."""
+    """The pool tag of shadow model i's task."""
     return f"shadow_{i}"
 
 
-def replay_tag(i: int) -> str:
-    """The pool tag of shadow model i's cfd_lrt replay task."""
-    return f"replay_{i}"
+def train_shadow(shadow_pool: Dataset, index: int, architecture: Sequence[int],
+                 trainer_config: TrainConfig, seed: int) -> Model:
+    """Shadow model `index` of the shadow models with seed `seed`: it
+    trains on a uniform half-pool subsample with `trainer_config`, only its
+    seed replaced by one derived from `seed` and `index`."""
+    rows = np.sort(rng_for(seed, "shadow-subsample", index).choice(
+        shadow_pool.n, size=shadow_pool.n // 2, replace=False))
+    subset = Dataset(shadow_pool.features[rows], shadow_pool.labels[rows])
+    cfg = dataclasses.replace(trainer_config, seed=derive_seed(seed, "shadow-train", index))
+    return nn.train_classifier(subset, architecture, cfg)
 
 
-def shadow_training_tasks(
+def shadow_tasks(
     shadow_pool: Dataset,
     n_models: int,
     architecture: Sequence[int],
     trainer_config: TrainConfig,
     seed: int,
-) -> dict[str, Callable[[], Model]]:
-    """The training tasks of the shadow models by pool tag, shadow_tag(i)
-    in index order: model i trains on a uniform half-pool subsample with
-    `trainer_config`, only its seed replaced by one derived from `seed`
-    and i."""
+) -> dict[str, Callable[..., tuple]]:
+    """The shadow models' pool tasks by tag, shadow_tag(i) in index order.
+    Task i, started on (X, point_seeds, replay), trains model i
+    (train_shadow) and returns its shadow_column, never the model."""
     if n_models < 2:
         raise ValueError(f"need at least 2 shadow models, got {n_models}")
-    half = shadow_pool.n // 2
-    if half < 2:
+    if shadow_pool.n // 2 < 2:
         raise ValueError(f"shadow pool too small (n={shadow_pool.n})")
 
-    def build(i: int) -> Model:
-        rows = np.sort(rng_for(seed, "shadow-subsample", i).choice(
-            shadow_pool.n, size=half, replace=False))
-        subset = Dataset(shadow_pool.features[rows], shadow_pool.labels[rows])
-        cfg = dataclasses.replace(trainer_config, seed=derive_seed(seed, "shadow-train", i))
-        return nn.train_classifier(subset, architecture, cfg)
+    def task(i: int, X: np.ndarray, point_seeds: Sequence[int], replay) -> tuple:
+        model = train_shadow(shadow_pool, i, architecture, trainer_config, seed)
+        return shadow_column(model, i, seed, X, point_seeds, replay)
 
-    return {shadow_tag(i): functools.partial(build, i) for i in range(n_models)}
+    return {shadow_tag(i): functools.partial(task, i) for i in range(n_models)}
 
 
 def cfd_statistic(costs: np.ndarray) -> np.ndarray:
@@ -188,98 +191,72 @@ def loss_lrt_score(conf: float, out_fit: NormalFit) -> float:
     return float(ndtr((conf - out_fit.mu) / math.sqrt(out_fit.sigma2)))
 
 
-def replay_distances(
+def shadow_column(
     model: Model,
+    index: int,
+    seed: int,
     X: np.ndarray,
     point_seeds: Sequence[int],
-    index: int,
-    recourse_config: RecourseConfig,
-    seed: int,
-    vae: VaeModel | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The cfd_lrt replay of shadow model `index` (of the shadow models
-    with seed `seed`) over the rows of X: one recourse batch over the
-    rows it classifies negatively, each with the seed of
-    (point_seeds[row], index). Returns the negative-row mask and, per negative row,
-    max(cost, DISTANCE_FLOOR), or NaN where the search failed; never the
-    counterfactuals. Module-level, so a pool worker runs it from pickled
-    arguments."""
-    neg = nn.predict_proba_batch(model, X) < 0.5
+    replay: tuple[RecourseConfig, VaeModel | None] | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Shadow model `index`'s column over the rows of X (of the shadow
+    models with seed `seed`): its probability of each row and, with
+    replay = (recourse config, shadow VAE), its cfd_lrt replay distances.
+    The replay is one recourse batch over the rows the model classifies
+    negatively, each with the seed of (point_seeds[row], index); a row's
+    distance is max(cost, DISTANCE_FLOOR), NaN where the model classifies
+    the row positively or the search failed. Never the counterfactuals."""
+    probs = nn.predict_proba_batch(model, X)
+    if replay is None:
+        return probs, None
+    recourse_config, vae = replay
+    neg = probs < 0.5
     seeds = [derive_seed(seed, f"shadow-recourse-{point_seeds[r]}", index)
              for r in np.flatnonzero(neg)]
     batch = recourse_config.generate_batch(model, X[neg], seeds, vae=vae)
-    return neg, np.where(batch.valid, cfd_statistic(batch.costs), np.nan)
+    dists = np.full(len(X), np.nan)
+    dists[neg] = np.where(batch.valid, cfd_statistic(batch.costs), np.nan)
+    return probs, dists
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ShadowColumns:
-    """One column per shadow model over the points of an audit: for
-    loss_lrt, the model's probability of each point; for cfd_lrt, its
-    replay distance, NaN where the model already classifies the point
-    positively or the search failed, with per-point counts of those two
-    skip reasons."""
+    """One column per shadow model over the points of an audit: the
+    model's probability of each point (loss_lrt) and, with the replay, its
+    distance (cfd_lrt), NaN where the model already classifies the point
+    positively or the search failed."""
 
-    probs: np.ndarray | None = None
-    dists: np.ndarray | None = None
-    positive: np.ndarray | None = None
-    failed: np.ndarray | None = None
+    probs: np.ndarray
+    dists: np.ndarray | None
+
+    @property
+    def positive(self) -> np.ndarray:
+        """Per point, the replay skips of models that classify it positively."""
+        return (self.probs >= 0.5).sum(axis=1)
+
+    @property
+    def failed(self) -> np.ndarray:
+        """Per point, the replay skips of models whose search failed."""
+        return ((self.probs < 0.5) & np.isnan(self.dists)).sum(axis=1)
 
 
-class ShadowStream:
-    """The shadow models of an audit, each used once and then dropped.
-
-    Model i comes from the inherited task shadow_tag(i) of `pool` (see
-    shadow_training_tasks). At most pool.workers shadow models are in
-    flight, each from the start of its training task to the end of its
-    last use, so the audit process never holds more of them at once.
-    Construction starts the first ones, so that they train while the
-    caller plays the game.
-    """
-
-    def __init__(self, pool: TaskPool, n_models: int):
-        self.pool, self.n_models = pool, n_models
-        self._next = 0
-        self._live: dict[str, int] = {}  # tag of a task in flight -> model index
-        self._top_up()
-
-    def _top_up(self) -> None:
-        while self._next < self.n_models and len(self._live) < self.pool.workers:
-            self.pool.start(shadow_tag(self._next))
-            self._live[shadow_tag(self._next)] = self._next
-            self._next += 1
-
-    def columns(self, X: np.ndarray, point_seeds: Sequence[int], probs: bool,
-                replay: tuple[RecourseConfig, int, VaeModel | None] | None) -> ShadowColumns:
-        """Every model's column over the rows of X, taken in completion
-        order and stored by index: its probabilities if `probs`, and with
-        `replay` = (recourse config, shadow seed, shadow VAE) the
-        distances of its replay task on the pool (replay_distances with
-        point_seeds)."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        n = X.shape[0]
-        cols = ShadowColumns(probs=np.empty((n, self.n_models)) if probs else None)
-        if replay is not None:
-            cols.dists = np.full((n, self.n_models), np.nan)
-            cols.positive = np.zeros(n, dtype=np.int64)
-            cols.failed = np.zeros(n, dtype=np.int64)
-        while self._live:
-            tag, value = self.pool.take_first(self._live)
-            i = self._live.pop(tag)
-            if tag == replay_tag(i):
-                neg, dist = value
-                cols.positive += ~neg
-                cols.failed[neg] += np.isnan(dist)
-                cols.dists[neg, i] = dist
-            else:
-                if probs:
-                    cols.probs[:, i] = nn.predict_proba_batch(value, X)
-                if replay is not None:
-                    self.pool.submit(replay_tag(i), replay_distances, value, X, point_seeds, i,
-                                     *replay)
-                    self._live[replay_tag(i)] = i
-            del value  # drop the model before waiting for the next task
-            self._top_up()
-        return cols
+def shadow_columns(pool: TaskPool, n_models: int, X: np.ndarray, point_seeds: Sequence[int],
+                   replay: tuple[RecourseConfig, VaeModel | None] | None) -> ShadowColumns:
+    """Start every shadow task of `pool` (shadow_tasks) on the rows of X,
+    point_seeds and replay, and store each column by model index as its
+    task returns."""
+    live = {shadow_tag(i): i for i in range(n_models)}
+    for tag in live:
+        pool.start(tag, X, point_seeds, replay)
+    cols = ShadowColumns(np.empty((len(X), n_models)),
+                         None if replay is None else np.empty((len(X), n_models)))
+    while live:
+        tag, (probs, dists) = pool.take_first(live)
+        i = live.pop(tag)
+        cols.probs[:, i] = probs
+        if cols.dists is not None:
+            cols.dists[:, i] = dists
+    return cols
 
 
 # --- attack stages consumed by the experiment runner -----------------------
@@ -323,8 +300,8 @@ def cfd_lrt_attack_scores(game, shadow_dists: np.ndarray,
                           alphas: Sequence[float]) -> AttackScores:
     """One-sided distance LRT: the offline LRT of log t0 against the log
     of row i of `shadow_dists`, round i's distances under the shadow
-    models, NaN where a model gave none (ShadowStream.columns, with point
-    seed i)."""
+    models, NaN where a model gave none (shadow_columns, with point seed
+    i)."""
     if (np.asarray(shadow_dists) <= 0).any():  # NaN marks a missing distance
         raise ValueError("shadow distances must be positive")
     t0s = cfd_statistic(game.recourse.costs)

@@ -83,12 +83,11 @@ def roc(scores: Sequence[float], membership: Sequence[bool],
     idx = np.concatenate([last, [s.size - 1]])
     tpr = tps[idx] / n_pos
     fpr = fps[idx] / n_neg
+    # the last tie group ends at tps[-1] = n_pos and fps[-1] = n_neg, so at (1, 1)
     points = np.column_stack([
         np.concatenate([[0.0], fpr]),
         np.concatenate([[0.0], tpr]),
     ])
-    if points[-1, 0] != 1.0 or points[-1, 1] != 1.0:
-        points = np.vstack([points, [1.0, 1.0]])
     points.setflags(write=False)
     return RocCurve(points)
 

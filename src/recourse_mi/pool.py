@@ -2,10 +2,10 @@
 
 A TaskPool runs tagged tasks on one forked worker per CPU in the
 process's affinity, or inline where that is one CPU or fork is missing.
-The tasks given at construction reach the workers through fork, so they
-may be closures; tasks submitted later are pickled, so they must be
-module-level functions with picklable arguments. The executor forks all
-of its workers at its first task, before it starts its own threads.
+Every task is given at construction and reaches the workers through
+fork, so it may be a closure; only the arguments it is started with are
+pickled. The executor forks all of its workers at its first task, before
+it starts its own threads.
 
 A result is taken by its tag, and a taken task is forgotten, so the pool
 keeps nothing alive that its caller has dropped. Inline, a task runs
@@ -26,13 +26,13 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 class TaskPool:
     """Tagged tasks on forked workers; use it as a context manager.
 
-    `inherited` holds the tasks that may be closures, started by tag with
-    `start`; their number caps the worker count. On leaving the context
+    `inherited` holds every task by tag, each started with `start`; their
+    number caps the worker count. On leaving the context
     with an exception, tasks that have not started are cancelled; the
     workers are always joined.
     """
 
-    def __init__(self, inherited: Mapping[Hashable, Callable[[], Any]]):
+    def __init__(self, inherited: Mapping[Hashable, Callable[..., Any]]):
         self._inherited = dict(inherited)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         self.workers = min(len(self._inherited), cpus)
@@ -54,19 +54,12 @@ class TaskPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
 
-    def start(self, tag: Hashable) -> None:
-        """Queue the inherited task `tag`."""
+    def start(self, tag: Hashable, *args: Any) -> None:
+        """Queue the inherited task `tag` on `args`, which must pickle."""
         if self._executor is None:
-            self._tasks[tag] = functools.partial(_timed, self._inherited[tag])
+            self._tasks[tag] = functools.partial(_timed, self._inherited[tag], *args)
         else:
-            self._tasks[tag] = self._executor.submit(_timed, _run_inherited, tag)
-
-    def submit(self, tag: Hashable, fn: Callable[..., Any], *args: Any) -> None:
-        """Queue fn(*args) under `tag`; fn and args must pickle."""
-        if self._executor is None:
-            self._tasks[tag] = functools.partial(_timed, fn, *args)
-        else:
-            self._tasks[tag] = self._executor.submit(_timed, fn, *args)
+            self._tasks[tag] = self._executor.submit(_timed, _run_inherited, tag, *args)
 
     def take(self, tag: Hashable) -> Any:
         """The result of task `tag`, once it has run; a worker's exception
@@ -93,13 +86,13 @@ def _timed(fn: Callable[..., Any], *args: Any) -> tuple[Any, float, float]:
 
 
 # in a TaskPool worker, the inherited tasks of its pool; empty elsewhere
-_INHERITED: dict[Hashable, Callable[[], Any]] = {}
+_INHERITED: dict[Hashable, Callable[..., Any]] = {}
 
 
-def _inherit(tasks: dict[Hashable, Callable[[], Any]]) -> None:
+def _inherit(tasks: dict[Hashable, Callable[..., Any]]) -> None:
     global _INHERITED
     _INHERITED = tasks
 
 
-def _run_inherited(tag: Hashable) -> Any:
-    return _INHERITED[tag]()
+def _run_inherited(tag: Hashable, *args: Any) -> Any:
+    return _INHERITED[tag](*args)

@@ -4,14 +4,14 @@ One pipeline, run_experiment, on one worker pool: build data, split it
 into owner / adversary-shadow / held-out pools, train the owner model,
 sample negatively-classified member and non-member points, issue one
 recourse batch over them (a Game of arrays keeps the rounds whose
-recourse is valid), stream the shadow models of the offline LRTs, score
-every configured attack in both threshold directions, and persist a
-report, per-point score streams, ROC tables and a trace of stage times,
-task times, peak memory and skip counts. The train and recourse commands
-run it up to the owner and up to the game. Every stage seed derives from
-the master seed, so everything but the trace is reproducible
-byte-for-byte at any CPU count, and each point's recourse does not
-depend on how the points are batched.
+recourse is valid), collect the shadow models' columns of the offline
+LRTs, score every configured attack in both threshold directions, and
+persist a report, per-point score streams, ROC tables and a trace of
+stage times, task times, peak memory and skip counts. The train and
+recourse commands run it up to the owner and up to the game. Every
+stage seed derives from the master seed, so everything but the trace is
+reproducible byte-for-byte at any CPU count, and each point's recourse
+does not depend on how the points are batched.
 """
 from __future__ import annotations
 
@@ -530,20 +530,22 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
     set). A run stopped before "report" trains only the owner's models and
     writes nothing; the train and recourse commands run such prefixes.
 
-    One TaskPool serves the whole audit. It trains every model, longest
-    first: the shadow VAE (cchvae with cfd_lrt, for the replay), the
-    owner's models (_owner_tasks), then the shadow models of the offline
-    LRTs (attack.shadow_training_tasks). The game runs here as soon as the
-    owner (and its VAE) return, while the workers keep training shadow
-    models; then each shadow model is taken in completion order, fills
-    its column of the offline LRTs (its probabilities here, its cfd_lrt
-    replay on the pool) and is dropped (attack.ShadowStream).
+    One TaskPool serves the whole audit, one task per model. It first
+    starts the shadow VAE (cchvae with cfd_lrt, for the replay) and the
+    owner's models (_owner_tasks), longest first. The game runs here as
+    soon as the owner (and its VAE) return. Then every shadow model's task
+    (attack.shadow_tasks) starts on the game's points: it trains its model
+    and returns only the model's column of the offline LRTs, its
+    probabilities and, for cfd_lrt, its replay's distances
+    (attack.shadow_columns), so the audit process never holds a shadow
+    model.
 
     trace.json holds the wall seconds of the stages up to the owner model
     (prepare_s), the game (game_s) and the shadow columns and attack
     scores (attacks_s); each pool task's wall and process seconds, as
-    measured where it ran (tasks); the audit process's ru_maxrss in KiB
-    at each stage boundary (ru_maxrss_kb); and for cfd_lrt the shadow
+    measured where it ran (tasks; a shadow task's cover its model's
+    training, probabilities and replay); the audit process's ru_maxrss in
+    KiB at each stage boundary (ru_maxrss_kb); and for cfd_lrt the shadow
     skips summed over the points (shadow_skips) and the number of starved
     points it dropped (cfd_lrt_starved).
     """
@@ -555,22 +557,20 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
     bundle, data_provenance = build_split(config)
     _stage(trace, "data")
     shadow_seed = derive_seed(config.seed, "shadow-ensemble")
-    tasks = {}
+    first = {}
     if "cfd_lrt" in scored and config.recourse.algorithm == "cchvae":
         vae_cfg = dataclasses.replace(config.vae_train,
                                       seed=derive_seed(shadow_seed, "shadow-vae"))
-        tasks["shadow_vae"] = functools.partial(nn.train_vae, bundle.shadow_pool, vae_cfg)
-    tasks.update(_owner_tasks(config, bundle))
+        first["shadow_vae"] = functools.partial(nn.train_vae, bundle.shadow_pool, vae_cfg)
+    first.update(_owner_tasks(config, bundle))
     n_shadow = config.n_shadow_models if set(scored) & {"cfd_lrt", "loss_lrt"} else 0
-    if n_shadow:  # the last tasks, streamed
-        tasks.update(attack_mod.shadow_training_tasks(
-            bundle.shadow_pool, n_shadow, config.model_architecture, config.train, shadow_seed))
-    with TaskPool(tasks) as pool:
+    shadows = attack_mod.shadow_tasks(bundle.shadow_pool, n_shadow, config.model_architecture,
+                                      config.train, shadow_seed) if n_shadow else {}
+    with TaskPool({**first, **shadows}) as pool:
         trace["tasks"] = pool.times
-        for tag in list(tasks)[:len(tasks) - n_shadow]:
+        for tag in first:
             pool.start(tag)
-        stream = attack_mod.ShadowStream(pool, n_shadow) if n_shadow else None
-        owner_vae = pool.take("owner_vae") if "owner_vae" in tasks else None
+        owner_vae = pool.take("owner_vae") if "owner_vae" in first else None
         owner = pool.take("owner")
         report = ExperimentReport(
             config=config.snapshot,
@@ -599,12 +599,13 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
             return report
 
         columns = None
-        if stream is not None:
-            shadow_vae = pool.take("shadow_vae") if "shadow_vae" in tasks else None
-            replay = ((config.recourse, shadow_seed, shadow_vae)
-                      if "cfd_lrt" in config.attacks else None)
-            columns = stream.columns(game.points, range(len(game.point_ids)),
-                                     probs="loss_lrt" in config.attacks, replay=replay)
+        if shadows:
+            replay = None
+            if "cfd_lrt" in scored:
+                replay = (config.recourse,
+                          pool.take("shadow_vae") if "shadow_vae" in first else None)
+            columns = attack_mod.shadow_columns(pool, n_shadow, game.points,
+                                                range(len(game.point_ids)), replay)
             _stage(trace, "shadows")
     scores = _attack_scores(config, owner, game, columns)
     _stage(trace, None, "attacks_s", start)

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import sys
@@ -68,20 +69,24 @@ def run_all(tasks: dict) -> dict:
 
 
 def train_shadows(shadow_pool, n_models, architecture, trainer_config, seed) -> list[Model]:
-    """The shadow models of attack.shadow_training_tasks in index order,
-    trained by run_all."""
-    done = run_all(attack.shadow_training_tasks(shadow_pool, n_models, architecture,
-                                                trainer_config, seed))
-    return [done[attack.shadow_tag(i)] for i in range(n_models)]
+    """The shadow models that the tasks of attack.shadow_tasks train
+    (attack.train_shadow), in index order, trained by run_all."""
+    done = run_all({i: functools.partial(attack.train_shadow, shadow_pool, i, architecture,
+                                         trainer_config, seed) for i in range(n_models)})
+    return list(done.values())
 
 
-def stream_columns(models, X, point_seeds, probs=False, replay=None) -> attack.ShadowColumns:
-    """attack.ShadowStream.columns over the given shadow models, each the
-    result of its training tag's task on a TaskPool (forked workers when
-    use_cpus allows), as an audit takes them."""
-    tasks = {attack.shadow_tag(i): (lambda m=m: m) for i, m in enumerate(models)}
+def stream_columns(models, X, point_seeds, replay=None) -> attack.ShadowColumns:
+    """attack.shadow_columns over the given shadow models on a TaskPool
+    (forked workers when use_cpus allows), task i returning models[i]'s
+    attack.shadow_column as an audit's shadow task does. `replay` is
+    (recourse config, shadow seed, shadow VAE): the task's arguments and
+    the seed its shadow models hold."""
+    seed, replay = (replay[1], (replay[0], replay[2])) if replay else (0, None)
+    tasks = {attack.shadow_tag(i): functools.partial(attack.shadow_column, m, i, seed)
+             for i, m in enumerate(models)}
     with TaskPool(tasks) as pool:
-        return attack.ShadowStream(pool, len(models)).columns(X, point_seeds, probs, replay)
+        return attack.shadow_columns(pool, len(models), X, point_seeds, replay)
 
 
 def batch_split_agreement(cfg, cuts) -> tuple[bool, bool]:

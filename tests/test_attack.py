@@ -26,9 +26,9 @@ from recourse_mi.attack import (
     loss_lrt_attack_scores,
     loss_lrt_score,
     normal_quantile,
-    replay_distances,
+    shadow_column,
     shadow_tag,
-    shadow_training_tasks,
+    shadow_tasks,
 )
 from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standardize
 from recourse_mi.nn import (
@@ -353,7 +353,7 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
     points = np.concatenate([std.features[:25], rng.normal(scale=40.0, size=(5, 2))])
     game = SimpleNamespace(points=points, labels=np.arange(len(points)) % 2)
     loss = loss_attack_scores(game, owner)
-    probs = stream_columns(models, points, range(len(points)), probs=True).probs
+    probs = stream_columns(models, points, range(len(points))).probs
     lrt = loss_lrt_attack_scores(game, owner, probs, (0.01, 0.05, 0.1))
     assert loss.higher_means_member is False
     for i, (x, y) in enumerate(zip(points, game.labels)):
@@ -365,14 +365,14 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
 
 
 class TestShadowEnsemble:
-    """The shadow models of shadow_training_tasks, and their columns as
-    ShadowStream, the audit's one path from shadow models to the LRTs,
+    """The shadow models of shadow_tasks, and their columns as
+    shadow_columns, the audit's one path from shadow models to the LRTs,
     builds them; the hand-built cases run on 1 and on 2 CPUs."""
 
     def test_builds_n_models(self, shadow_setup):
         std, models, _ = shadow_setup
         assert len(models) == 8
-        tasks = shadow_training_tasks(std, 8, [], TrainConfig(), seed=99)
+        tasks = shadow_tasks(std, 8, [], TrainConfig(), seed=99)
         assert list(tasks) == [shadow_tag(i) for i in range(8)]
 
     def test_distances_positive_and_at_most_n(self, shadow_setup):
@@ -449,12 +449,12 @@ class TestShadowEnsemble:
             assert np.isnan(cols.dists[r]).sum() == cols.positive[r] + cols.failed[r]
             positive = failed = 0
             for i, m in enumerate(models):
-                neg, dist = replay_distances(m, x[None, :], [40 + r], i, *replay)
-                assert neg.tolist() == [prob_of(m, x) < 0.5]
-                assert np.array_equal(cols.dists[r, i], dist[0] if neg[0] else np.nan,
-                                      equal_nan=True)
-                positive += not neg[0]
-                failed += bool(neg[0] and np.isnan(dist[0]))
+                prob, dist = shadow_column(m, i, replay[1], x[None, :], [40 + r],
+                                           (replay[0], replay[2]))
+                assert prob.tolist() == [prob_of(m, x)] == [cols.probs[r, i]]
+                assert np.array_equal(cols.dists[r, i], dist[0], equal_nan=True)
+                positive += prob[0] >= 0.5
+                failed += bool(prob[0] < 0.5 and np.isnan(dist[0]))
             assert (cols.positive[r], cols.failed[r]) == (positive, failed)
 
     def test_matrix_over_a_block_stacks_its_halves(self):
@@ -467,17 +467,18 @@ class TestShadowEnsemble:
                                seed=3)
         X, seeds = ds.features[:30], list(range(30))
         for i, model in enumerate(models):
-            whole = replay_distances(model, X, seeds, i, rc, 3)
-            halves = [replay_distances(model, X[part], seeds[part], i, rc, 3)
+            whole = shadow_column(model, i, 3, X, seeds, (rc, None))
+            halves = [shadow_column(model, i, 3, X[part], seeds[part], (rc, None))
                       for part in (slice(0, 11), slice(11, 30))]
             for got, parts in zip(whole, zip(*halves)):
                 assert np.array_equal(got, np.concatenate(parts), equal_nan=True)
         dists = stream_columns(models, X, seeds, replay=(rc, 3, None)).dists
         assert np.isnan(dists).any() and not np.isnan(dists).all()
 
-    def test_replay_sends_one_distance_per_row(self, monkeypatch):
-        # each replay task sends back its negative-row mask and one float
-        # per negative row, not the d-float counterfactuals of the recourses
+    def test_shadow_task_sends_two_floats_per_row(self, monkeypatch):
+        # each shadow task sends back its model's probability and replay
+        # distance of each row, not the model nor the d-float
+        # counterfactuals of the recourses
         rng = np.random.default_rng(31)
         d, n, k = 200, 40, 4
         models = [make_logistic(rng.normal(size=d) * 0.05, -1.0) for _ in range(k)]
@@ -489,8 +490,7 @@ class TestShadowEnsemble:
 
         def recording(pool, tag):
             out = take(pool, tag)
-            if tag.startswith("replay_"):
-                sent.append(len(pickle.dumps(out)))
+            sent.append(len(pickle.dumps(out)))
             return out
 
         monkeypatch.setattr(TaskPool, "take", recording)
@@ -499,7 +499,7 @@ class TestShadowEnsemble:
             del sent[:]
             cols = stream_columns(models, X, range(n), replay=(rc, 3, None))
             assert len(sent) == k
-            assert sum(sent) <= 64 * n * k + 512 * k
+            assert sum(sent) <= 16 * n * k + 512 * k
             # the matrix and skip counts still follow the replayed recourses
             for i, model in enumerate(models):
                 neg = np.array([prob_of(model, x) < 0.5 for x in X])
@@ -581,7 +581,7 @@ class TestWorkers:
                                    trainer_config=TrainConfig(learning_rate=0.02, epochs=8),
                                    seed=5)
             runs.append((models, stream_columns(models, ds.features[:30], range(30),
-                                                probs=True, replay=(rc, 5, vae))))
+                                                replay=(rc, 5, vae))))
         (one, cols_one), (two, cols_two) = runs
         for a, b in zip(one, two, strict=True):
             assert a.training_meta == b.training_meta

@@ -25,7 +25,8 @@ from recourse_mi.recourse import DISTANCE_FLOOR
 from recourse_mi.runner import ConfigError, GameSetupError, config_from_dict
 from recourse_mi.seeds import derive_seed
 
-from conftest import batch_split_agreement, prob_of, stream_columns, train_shadows, use_cpus
+from conftest import (batch_split_agreement, prob_of, records, stream_columns, train_shadows,
+                      use_cpus)
 
 
 def small_raw(**overrides):
@@ -390,6 +391,48 @@ class TestPlayGame:
         assert np.shares_memory(game.points, seen["points"])
         assert np.shares_memory(game.recourse.counterfactuals, seen["batch"].counterfactuals)
 
+    @staticmethod
+    def growing_spheres(max_radius):
+        # a search this short fails for most of the 15 points per side
+        return config_from_dict(small_raw(recourse={
+            "algorithm": "growing_spheres",
+            "search": {"samples_per_radius": 50, "max_radius": max_radius}}))
+
+    def test_a_game_keeps_exactly_the_valid_rows_and_counts_the_failures(self, monkeypatch):
+        seen = {}
+        real = attack.RecourseConfig.generate_batch
+
+        def spy(self, model, X, seeds, vae=None):
+            seen["points"], seen["batch"] = X, real(self, model, X, seeds, vae=vae)
+            return seen["batch"]
+
+        monkeypatch.setattr(attack.RecourseConfig, "generate_batch", spy)
+        cfg = self.growing_spheres(1.2)
+        rep = runner.run_experiment(cfg, stop="game")
+        game, batch, kept = rep.game, seen["batch"], seen["batch"].valid
+        member = np.arange(30) < 15
+        failures = {"member": int((~kept[member]).sum()),
+                    "non_member": int((~kept[~member]).sum())}
+        assert 0 < min(failures.values()) and max(failures.values()) < 15
+        assert rep.game_meta["recourse_failures"] == failures
+        assert (rep.game_meta["n_member"], rep.game_meta["n_non_member"]) == (
+            15 - failures["member"], 15 - failures["non_member"])
+        assert np.array_equal(game.points, seen["points"][kept])
+        assert np.array_equal(game.member, member[kept])
+        assert records(game.recourse) == [batch.row_json(int(i)) for i in np.flatnonzero(kept)]
+        # each kept id names the owner-training (m) or held-out (n) row of its point
+        bundle, _ = runner.build_split(cfg)
+        assert len(set(game.point_ids)) == len(game.point_ids) == int(kept.sum())
+        for pid, x, y, m in zip(game.point_ids, game.points, game.labels, game.member):
+            rows = bundle.owner_train if m else bundle.eval_out
+            assert pid[0] == ("m" if m else "n")
+            assert np.array_equal(rows.features[int(pid[1:])], x)
+            assert rows.labels[int(pid[1:])] == y
+
+    def test_a_side_with_no_valid_recourse_errors_with_counts(self):
+        with pytest.raises(GameSetupError, match=r"members kept 1, non-members kept 0\)"):
+            runner.run_experiment(self.growing_spheres(0.2), stop="game")
+
     def test_too_few_negatives_errors_with_counts(self):
         # near-total separation: almost nothing is negatively classified
         # once we ask for more points than exist on a side
@@ -407,11 +450,11 @@ class TestShadowReplay:
                         attacks={"which": ["cfd_lrt"], "n_shadow_models": 2})
         use_cpus(monkeypatch, 1)  # inline, so every call below reaches its list
         trained, replayed = {}, []
-        real_vae, real_replay = nn.train_vae, attack.replay_distances
+        real_vae, real_column = nn.train_vae, attack.shadow_column
         monkeypatch.setattr(nn, "train_vae", lambda data, c: trained.setdefault(
             data.n, real_vae(data, c)))
-        monkeypatch.setattr(attack, "replay_distances", lambda *a: replayed.append(a[-1])
-                            or real_replay(*a))
+        monkeypatch.setattr(attack, "shadow_column", lambda *a: replayed.append(a[-1][1])
+                            or real_column(*a))
         runner.run_experiment(config_from_dict(raw))
         owner_vae, shadow_vae = trained[250], trained[300]  # eval.owner_n, eval.shadow_n
         for vae in (owner_vae, shadow_vae):
@@ -447,8 +490,9 @@ class TestTrainingTaskList:
             attacks={"which": ["cfd", "cfd_lrt"], "n_shadow_models": 3},
             eval={"eval_points": 10}))
 
-    def test_models_do_not_depend_on_the_cpu_count(self, monkeypatch):
-        # every model the audit process takes from its pool, by tag
+    def test_models_and_columns_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # every model, and every shadow model's column, that the audit
+        # process takes from its pool, by tag
         cfg = self.cchvae_lrt()
         taken = {}
         real_take = TaskPool.take
@@ -458,12 +502,14 @@ class TestTrainingTaskList:
             use_cpus(monkeypatch, cpus)
             taken[cpus] = {}
             runner.run_experiment(cfg)
-        models = {cpus: {tag: m for tag, m in by_tag.items() if not tag.startswith("replay_")}
-                  for cpus, by_tag in taken.items()}
-        assert sorted(models[1]) == sorted(models[2]) == [
+        assert sorted(taken[1]) == sorted(taken[2]) == [
             "owner", "owner_vae", "shadow_0", "shadow_1", "shadow_2", "shadow_vae"]
-        for tag, one in models[1].items():
-            two = models[2][tag]
+        for tag, one in taken[1].items():
+            two = taken[2][tag]
+            if tag.startswith("shadow_") and tag != "shadow_vae":  # (probs, dists)
+                assert all(np.array_equal(a, b, equal_nan=True)
+                           for a, b in zip(one, two, strict=True))
+                continue
             params = [(p.weights + p.biases) if isinstance(p, nn.Model)
                       else [a for _, a in p._arrays()] for p in (one, two)]
             assert all(np.array_equal(a, b) for a, b in zip(*params, strict=True))
@@ -471,8 +517,8 @@ class TestTrainingTaskList:
 
     def test_audit_trains_only_on_the_workers_in_one_task_list(self, monkeypatch):
         use_cpus(monkeypatch, 2)
-        pools, started, submitted = [], [], []
-        for name, seen in (("__init__", pools), ("start", started), ("submit", submitted)):
+        pools, started = [], []
+        for name, seen in (("__init__", pools), ("start", started)):
             monkeypatch.setattr(TaskPool, name, lambda self, *a, _real=getattr(TaskPool, name),
                                 _seen=seen: _seen.append(a[0] if a else None) or _real(self, *a))
         calls = []  # a forked worker's calls never reach this list
@@ -481,11 +527,10 @@ class TestTrainingTaskList:
                                 calls.append(_name) or _real(*a))
         runner.run_experiment(self.cchvae_lrt())
         # one pool: every model is one of its inherited tasks, longest
-        # first, and the 3 replays go to the same pool
+        # first, and each shadow task also replays its model
         assert len(pools) == 1 and list(pools[0]) == [
             "shadow_vae", "owner_vae", "owner", "shadow_0", "shadow_1", "shadow_2"]
         assert started == list(pools[0])
-        assert sorted(submitted) == ["replay_0", "replay_1", "replay_2"]
         assert calls == []
 
     @pytest.mark.parametrize("which,shadow_vae", [
@@ -760,8 +805,9 @@ class TestReproducibility:
 
 
 class TestStreamedAudit:
-    """One TaskPool per audit: the game overlaps shadow training, and each
-    shadow model is used once, in completion order, then dropped."""
+    """One TaskPool per audit: each shadow model trains, scores and replays
+    in its own task, and the audit process stores the columns in
+    completion order."""
 
     @staticmethod
     def lrt_raw(**overrides):
@@ -818,9 +864,9 @@ class TestStreamedAudit:
             assert two[name] == one[name], name
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_audit_holds_at_most_two_shadow_models(self, monkeypatch, cpus):
+    def test_audit_holds_no_shadow_model(self, monkeypatch, cpus):
         # live Models when the game returns and when each LRT scorer is
-        # entered: the owner and at most 2 shadows, never the ensemble
+        # entered: the owner alone, never a shadow model
         use_cpus(monkeypatch, cpus)
         gc.collect()
         before = sum(isinstance(o, nn.Model) for o in gc.get_objects())
@@ -838,14 +884,13 @@ class TestStreamedAudit:
                                 _name=name, **k: count(_name) or _real(*a, **k))
         runner.run_experiment(config_from_dict(self.lrt_raw()))
         assert set(live) == {"game", "cfd_lrt_attack_scores", "loss_lrt_attack_scores"}
-        assert all(1 <= n <= 3 for n in live.values()), live
+        assert all(n == 1 for n in live.values()), live
 
     def test_trace_counts_tasks_memory_and_shadow_skips(self, tmp_path):
         cfg = config_from_dict(self.lrt_raw(out_dir=str(tmp_path)))
         rep = runner.run_experiment(cfg)
         trace = json.loads((tmp_path / "trace.json").read_text())
-        assert set(trace["tasks"]) == {"owner", *(f"shadow_{i}" for i in range(6)),
-                                       *(f"replay_{i}" for i in range(6))}
+        assert set(trace["tasks"]) == {"owner", *(f"shadow_{i}" for i in range(6))}
         for times in trace["tasks"].values():
             assert set(times) == {"wall_s", "cpu_s"} and times["wall_s"] >= 0
         stages = ["data", "owner", "game", "shadows", "end"]
@@ -1017,6 +1062,20 @@ class TestCli:
         report = json.loads((tmp_path / written / "seed1" / "report.json").read_text())
         assert report["config"]["out_dir"] == str(Path(written) / "seed1")
         assert capsys.readouterr().out == f"1 runs -> {Path(written) / 'summary.csv'}\n"
+
+    @pytest.mark.parametrize("content", [None, "{"], ids=["missing", "not_json"])
+    def test_a_config_file_that_cannot_be_read_exits_1_before_training(
+            self, tmp_path, monkeypatch, capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        trained = []
+        for name in ("train_classifier", "train_vae"):
+            monkeypatch.setattr(nn, name, lambda *a, _name=name: trained.append(_name))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") and str(cfg_path) in err
+        assert trained == [] and not (tmp_path / "o").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
