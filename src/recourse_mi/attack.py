@@ -20,16 +20,14 @@ reaches the fit's (1 - alpha)-quantile (normal_quantile); cfd_lrt's
 statistic is the log-distance. Each loss statistic is one nn.bce or
 nn.logit_confidence call over all points (and all shadow models).
 
-An audit runs every task on one TaskPool (see pool.py): its workers
-train the models, and the game starts as soon as the owner returns.
-Once the game has been played, each shadow model's task (shadow_tasks)
-starts on the game's points: it trains its model, computes the model's
-probability of each point and, for cfd_lrt, replays recourse on it (a
-replayed point's seed is its index among the game's valid recourses).
-It returns only that column, never the model, and shadow_columns, the
-one path from shadow models to the offline LRTs, stores each column by
-model index as its task returns. Every model and replay keeps its own
-seeds, so results are identical at any CPU count and completion order.
+An audit's shadow models run as pool tasks (shadow_tasks), started once
+the game has been played: each trains its model in its own task and
+returns only that model's column over the game's points, its probability
+of each point and, for cfd_lrt, its recourse replay distances (a replayed
+point's seed is its index among the game's valid recourses), never the
+model. The runner stacks the columns in model order into the matrices
+that the offline LRTs take. Every model and replay keeps its own seeds,
+so results are identical at any CPU count.
 
 The normal CDF and quantile of the LRT scores and thresholds are ports of
 the Cephes `ndtr`/`ndtri` that SciPy's `special` module runs (see
@@ -49,7 +47,6 @@ from . import nn, recourse
 from .data import Dataset
 from .nn import Model, TrainConfig, VaeModel
 from .normal import ndtr, ndtri
-from .pool import TaskPool
 from .recourse import CostFn, RecourseBatch, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
 
@@ -121,11 +118,6 @@ class RecourseConfig:
         return recourse.cchvae(model, vae, X, self.search_params, self.cost_fn, seeds)
 
 
-def shadow_tag(i: int) -> str:
-    """The pool tag of shadow model i's task."""
-    return f"shadow_{i}"
-
-
 def train_shadow(shadow_pool: Dataset, index: int, architecture: Sequence[int],
                  trainer_config: TrainConfig, seed: int) -> Model:
     """Shadow model `index` of the shadow models with seed `seed`: it
@@ -145,7 +137,7 @@ def shadow_tasks(
     trainer_config: TrainConfig,
     seed: int,
 ) -> dict[str, Callable[..., tuple]]:
-    """The shadow models' pool tasks by tag, shadow_tag(i) in index order.
+    """The shadow models' pool tasks by tag, "shadow_{i}" in index order.
     Task i, started on (X, point_seeds, replay), trains model i
     (train_shadow) and returns its shadow_column, never the model."""
     if n_models < 2:
@@ -157,7 +149,7 @@ def shadow_tasks(
         model = train_shadow(shadow_pool, i, architecture, trainer_config, seed)
         return shadow_column(model, i, seed, X, point_seeds, replay)
 
-    return {shadow_tag(i): functools.partial(task, i) for i in range(n_models)}
+    return {f"shadow_{i}": functools.partial(task, i) for i in range(n_models)}
 
 
 def cfd_statistic(costs: np.ndarray) -> np.ndarray:
@@ -219,46 +211,6 @@ def shadow_column(
     return probs, dists
 
 
-@dataclass(frozen=True, eq=False)
-class ShadowColumns:
-    """One column per shadow model over the points of an audit: the
-    model's probability of each point (loss_lrt) and, with the replay, its
-    distance (cfd_lrt), NaN where the model already classifies the point
-    positively or the search failed."""
-
-    probs: np.ndarray
-    dists: np.ndarray | None
-
-    @property
-    def positive(self) -> np.ndarray:
-        """Per point, the replay skips of models that classify it positively."""
-        return (self.probs >= 0.5).sum(axis=1)
-
-    @property
-    def failed(self) -> np.ndarray:
-        """Per point, the replay skips of models whose search failed."""
-        return ((self.probs < 0.5) & np.isnan(self.dists)).sum(axis=1)
-
-
-def shadow_columns(pool: TaskPool, n_models: int, X: np.ndarray, point_seeds: Sequence[int],
-                   replay: tuple[RecourseConfig, VaeModel | None] | None) -> ShadowColumns:
-    """Start every shadow task of `pool` (shadow_tasks) on the rows of X,
-    point_seeds and replay, and store each column by model index as its
-    task returns."""
-    live = {shadow_tag(i): i for i in range(n_models)}
-    for tag in live:
-        pool.start(tag, X, point_seeds, replay)
-    cols = ShadowColumns(np.empty((len(X), n_models)),
-                         None if replay is None else np.empty((len(X), n_models)))
-    while live:
-        tag, (probs, dists) = pool.take_first(live)
-        i = live.pop(tag)
-        cols.probs[:, i] = probs
-        if cols.dists is not None:
-            cols.dists[:, i] = dists
-    return cols
-
-
 # --- attack stages consumed by the experiment runner -----------------------
 #
 # The distance attacks deliberately take no model argument: the statistic
@@ -300,8 +252,8 @@ def cfd_lrt_attack_scores(game, shadow_dists: np.ndarray,
                           alphas: Sequence[float]) -> AttackScores:
     """One-sided distance LRT: the offline LRT of log t0 against the log
     of row i of `shadow_dists`, round i's distances under the shadow
-    models, NaN where a model gave none (shadow_columns, with point seed
-    i)."""
+    models, NaN where a model gave none (row i of each model's
+    shadow_column, replayed with point seed i)."""
     if (np.asarray(shadow_dists) <= 0).any():  # NaN marks a missing distance
         raise ValueError("shadow distances must be positive")
     t0s = cfd_statistic(game.recourse.costs)

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -105,10 +104,7 @@ def cmd_dp_bound(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    docs = []
-    for path in args.reports:
-        with open(path, encoding="utf-8") as fh:
-            docs.append(json.load(fh))
+    docs = [runner.read_report(path) for path in args.reports]  # before --out is opened
     out = Path(args.out or "summary.csv")
     runner.write_summary(docs, out)
     print(f"wrote {out}")

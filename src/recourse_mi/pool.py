@@ -19,8 +19,8 @@ import functools
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Callable, Hashable, Mapping
 
 
 class TaskPool:
@@ -68,15 +68,6 @@ class TaskPool:
         value, wall, cpu = task() if self._executor is None else task.result()
         self.times[tag] = {"wall_s": wall, "cpu_s": cpu}
         return value
-
-    def take_first(self, tags: Iterable[Hashable]) -> tuple[Hashable, Any]:
-        """The first of the tasks `tags` to finish and its result (inline,
-        the first of them); earlier tags win ties."""
-        tags = list(tags)
-        if self._executor is not None:
-            done, _ = wait([self._tasks[t] for t in tags], return_when=FIRST_COMPLETED)
-            tags = [t for t in tags if self._tasks[t] in done]
-        return tags[0], self.take(tags[0])
 
 
 def _timed(fn: Callable[..., Any], *args: Any) -> tuple[Any, float, float]:

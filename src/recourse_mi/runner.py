@@ -354,15 +354,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def read_raw_config(path: str | Path) -> dict:
-    """The parsed JSON object of a config file, before defaults or checks."""
+def _read_json(path: str | Path, what: str) -> Any:
+    """The parsed JSON of the file at path, or a ConfigError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def read_raw_config(path: str | Path) -> dict:
+    """The parsed JSON object of a config file, before defaults or checks."""
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return raw
@@ -484,31 +489,6 @@ def _sample_game(config: ExperimentConfig, owner: Model, owner_vae: VaeModel | N
                 member[kept], batch.take(kept)), meta
 
 
-def _attack_scores(
-    config: ExperimentConfig,
-    owner_model: Model,
-    game: Game,
-    columns: attack_mod.ShadowColumns | None,
-) -> dict[str, attack_mod.AttackScores]:
-    # Distance attacks receive only the game transcript (and the shadow
-    # distances); the owner model is deliberately out of reach here.
-    out: dict[str, attack_mod.AttackScores] = {}
-    for name in config.attacks:
-        if name == "cfd":
-            out[name] = attack_mod.cfd_attack_scores(game)
-        elif name == "cfd_lrt":
-            assert columns is not None
-            out[name] = attack_mod.cfd_lrt_attack_scores(
-                game, columns.dists, alphas=config.alpha_grid)
-        elif name == "loss":
-            out[name] = attack_mod.loss_attack_scores(game, owner_model)
-        elif name == "loss_lrt":
-            assert columns is not None
-            out[name] = attack_mod.loss_lrt_attack_scores(
-                game, owner_model, columns.probs, alphas=config.alpha_grid)
-    return out
-
-
 def _stage(trace: dict[str, Any], name: str | None, span: str | None = None,
            since: float = 0.0) -> float:
     """Close a stage: the audit process's ru_maxrss (KiB) under name and,
@@ -536,9 +516,10 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
     soon as the owner (and its VAE) return. Then every shadow model's task
     (attack.shadow_tasks) starts on the game's points: it trains its model
     and returns only the model's column of the offline LRTs, its
-    probabilities and, for cfd_lrt, its replay's distances
-    (attack.shadow_columns), so the audit process never holds a shadow
-    model.
+    probabilities and, for cfd_lrt, its replay's distances, so the audit
+    process never holds a shadow model. The columns are taken in model
+    order and stacked into one matrix of probabilities and one of
+    distances, a row per game point.
 
     trace.json holds the wall seconds of the stages up to the owner model
     (prepare_s), the game (game_s) and the shadow columns and attack
@@ -598,20 +579,33 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
         if stop == "game":
             return report
 
-        columns = None
+        probs = dists = None
         if shadows:
             replay = None
             if "cfd_lrt" in scored:
                 replay = (config.recourse,
                           pool.take("shadow_vae") if "shadow_vae" in first else None)
-            columns = attack_mod.shadow_columns(pool, n_shadow, game.points,
-                                                range(len(game.point_ids)), replay)
+            for tag in shadows:
+                pool.start(tag, game.points, range(len(game.point_ids)), replay)
+            columns = [pool.take(tag) for tag in shadows]  # in model order
+            probs = np.column_stack([p for p, _ in columns])
+            if replay is not None:
+                dists = np.column_stack([d for _, d in columns])
             _stage(trace, "shadows")
-    scores = _attack_scores(config, owner, game, columns)
+    # the distance attacks receive only the game transcript and the shadow
+    # distances; the owner model is deliberately out of their reach
+    scorers = {
+        "cfd": lambda: attack_mod.cfd_attack_scores(game),
+        "cfd_lrt": lambda: attack_mod.cfd_lrt_attack_scores(game, dists, config.alpha_grid),
+        "loss": lambda: attack_mod.loss_attack_scores(game, owner),
+        "loss_lrt": lambda: attack_mod.loss_lrt_attack_scores(game, owner, probs,
+                                                              config.alpha_grid),
+    }
+    scores = {name: scorers[name]() for name in config.attacks}
     _stage(trace, None, "attacks_s", start)
     if "cfd_lrt" in scores:
-        trace["shadow_skips"] = {"positive": int(columns.positive.sum()),
-                                 "failed": int(columns.failed.sum())}
+        trace["shadow_skips"] = {"positive": int((probs >= 0.5).sum()),
+                                 "failed": int(((probs < 0.5) & np.isnan(dists)).sum())}
         trace["cfd_lrt_starved"] = len(game.point_ids) - scores["cfd_lrt"].rows.size
 
     for name, sc in scores.items():
@@ -634,22 +628,42 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
     return report
 
 
+def summary_rows(doc: Any) -> list[list]:
+    """The summary.csv rows of a report.json document, one per attack and
+    direction; KeyError or TypeError where it lacks a value of theirs."""
+    experiment_id, fprs = doc["experiment_id"], [repr(a) for a in metrics_mod.REPORT_FPRS]
+    rows = []
+    for name in sorted(doc["attacks"]):
+        for direction in ("standard", "reversed"):
+            m = doc["attacks"][name]["directions"][direction]
+            rows.append([experiment_id, name, direction, m["auc"], m["balanced_accuracy"],
+                         *(m["tpr_at_fpr"][a] for a in fprs)])
+    return rows
+
+
+def read_report(path: str | Path) -> dict:
+    """The report.json document at path, or a ConfigError that names the
+    path where it cannot be read or lacks a value of its summary rows."""
+    doc = _read_json(path, "report")
+    try:
+        summary_rows(doc)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"report {path} is not an audit report: "
+                          f"{type(exc).__name__} {exc}") from exc
+    return doc
+
+
 def write_summary(report_docs: Sequence[dict], path: str | Path) -> None:
     """One CSV row per (experiment, attack, direction) of report.json
-    documents (ExperimentReport.to_json())."""
+    documents (summary_rows)."""
     if not report_docs:
         raise ValueError("a summary needs at least one report")
-    fprs = [repr(a) for a in metrics_mod.REPORT_FPRS]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["experiment_id", "attack", "direction", "auc", "ba",
-                         *(f"tpr_at_{a}" for a in fprs)])
+                         *(f"tpr_at_{a!r}" for a in metrics_mod.REPORT_FPRS)])
         for doc in report_docs:
-            for name in sorted(doc["attacks"]):
-                for direction in ("standard", "reversed"):
-                    m = doc["attacks"][name]["directions"][direction]
-                    writer.writerow([doc["experiment_id"], name, direction, m["auc"],
-                                     m["balanced_accuracy"], *(m["tpr_at_fpr"][a] for a in fprs)])
+            writer.writerows(summary_rows(doc))
 
 
 def run_sweep(raw_config: dict) -> list[ExperimentReport]:

@@ -76,17 +76,28 @@ def train_shadows(shadow_pool, n_models, architecture, trainer_config, seed) -> 
     return list(done.values())
 
 
-def stream_columns(models, X, point_seeds, replay=None) -> attack.ShadowColumns:
-    """attack.shadow_columns over the given shadow models on a TaskPool
-    (forked workers when use_cpus allows), task i returning models[i]'s
-    attack.shadow_column as an audit's shadow task does. `replay` is
-    (recourse config, shadow seed, shadow VAE): the task's arguments and
-    the seed its shadow models hold."""
+def shadow_matrices(models, X, point_seeds, replay=None):
+    """The shadow probability and distance matrices (None without a replay)
+    of the given shadow models over the rows of X, a column per model in
+    model order, as an audit stacks them: task i of one TaskPool (forked
+    workers when use_cpus allows), started on (X, point_seeds, replay),
+    returns models[i]'s attack.shadow_column. `replay` is (recourse
+    config, shadow seed, shadow VAE): the task's arguments and the seed its
+    shadow models hold."""
     seed, replay = (replay[1], (replay[0], replay[2])) if replay else (0, None)
-    tasks = {attack.shadow_tag(i): functools.partial(attack.shadow_column, m, i, seed)
-             for i, m in enumerate(models)}
+    tasks = {i: functools.partial(attack.shadow_column, m, i, seed) for i, m in enumerate(models)}
     with TaskPool(tasks) as pool:
-        return attack.shadow_columns(pool, len(models), X, point_seeds, replay)
+        for i in tasks:
+            pool.start(i, X, point_seeds, replay)
+        columns = [pool.take(i) for i in tasks]
+    probs = np.column_stack([p for p, _ in columns])
+    return probs, None if replay is None else np.column_stack([d for _, d in columns])
+
+
+def skip_counts(probs, dists):
+    """Per point, the replay skips of the models that classify it
+    positively and of those whose search failed."""
+    return (probs >= 0.5).sum(axis=1), ((probs < 0.5) & np.isnan(dists)).sum(axis=1)
 
 
 def batch_split_agreement(cfg, cuts) -> tuple[bool, bool]:
@@ -106,10 +117,8 @@ def batch_split_agreement(cfg, cuts) -> tuple[bool, bool]:
     models = train_shadows(bundle.shadow_pool, cfg.n_shadow_models,
                            cfg.model_architecture, cfg.train, shadow_seed)
     replay = (cfg.recourse, shadow_seed, None)
-    whole = stream_columns(models, X, range(len(X)), replay=replay)
-    parts = [stream_columns(models, X[b], range(len(X))[b], replay=replay) for b in blocks]
-    matrix_equal = all(
-        np.array_equal(getattr(whole, key), np.concatenate([getattr(p, key) for p in parts]),
-                       equal_nan=True)
-        for key in ("dists", "positive", "failed"))
+    whole = shadow_matrices(models, X, range(len(X)), replay=replay)
+    parts = [shadow_matrices(models, X[b], range(len(X))[b], replay=replay) for b in blocks]
+    matrix_equal = all(np.array_equal(got, np.concatenate(stacked), equal_nan=True)
+                       for got, stacked in zip(whole, zip(*parts), strict=True))
     return game_equal, matrix_equal

@@ -8,18 +8,22 @@ Each <case>.json holds an audit config under "config" and, under
 BLAS kernel: per attack and direction the AUC, balanced accuracy and
 TPR at fixed FPR, the sha256 of each roc_*.csv, each scores file's point
 ids and guess_at in file order with their statistic and score, and the
-report's game section. It also holds the sha256 of each scores file and
-of report.json (without config.out_dir and, for a file case, without
-config.data.path and the provenance path, which name temporary files)
-and, under "exact_on", the OpenBLAS kernel and numpy version they were
-recorded with. A file case also holds, under "gen_data", the config
-whose `recourse-mi gen-data` CSV it audits; that CSV is written afresh
-on every run.
+report's game section. A file case also holds, under "gen_data", the
+config whose `recourse-mi gen-data` CSV it audits; that CSV is written
+afresh on every run.
+
+Under "exact_on" it holds one entry per OpenBLAS kernel in KERNELS: the
+kernel, the numpy version, the sha256 of each scores file and of
+report.json (without config.out_dir and, for a file case, without
+config.data.path and the provenance path, which name temporary files).
+numpy picks its kernel when it is imported, so each kernel's audits run
+in a child interpreter with OPENBLAS_CORETYPE set to it; "outputs" are
+the first kernel's. The host must be able to run every kernel in KERNELS.
 
 tests/test_golden.py reruns each config and compares. The statistic and
 score move in their last bits with the BLAS kernel, so they are compared
 within a relative bound, and byte for byte (the scores and report
-hashes) only where the kernel and numpy version equal the recorded ones.
+hashes) only against the entry of the kernel and numpy version found.
 Regenerate only when a change is meant to move outputs, and say by how
 much.
 """
@@ -28,11 +32,15 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
+# the kernels recorded: SkylakeX (AVX-512) and Haswell (AVX2 only), which CI forces
+KERNELS = ("SkylakeX", "Haswell")
 
 
 def exact_on() -> dict:
@@ -111,15 +119,39 @@ def run_case(config: dict, gen_data: dict | None = None) -> dict:
         return golden_outputs(tmp / "out")
 
 
-def main() -> int:
-    for path in sorted(GOLDEN.glob("*.json")):
-        doc = json.loads(path.read_text())
-        doc = {key: doc[key] for key in ("config", "gen_data") if key in doc}
-        doc.update(exact_on=exact_on(), outputs=run_case(**doc))
+def record(kernel: str) -> dict:
+    """exact_on() and {case: run_case outputs} of every case, run in a
+    child interpreter under the OpenBLAS kernel `kernel`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "outputs.json"
+        subprocess.run([sys.executable, __file__, "--child", str(out)], check=True,
+                       env=dict(os.environ, OPENBLAS_CORETYPE=kernel))
+        run = json.loads(out.read_text())
+    if run["exact_on"]["blas_kernel"] != kernel:
+        raise SystemExit(f"OPENBLAS_CORETYPE={kernel} ran kernel {run['exact_on']['blas_kernel']}")
+    return run
+
+
+def main(argv: list[str]) -> int:
+    cases = {path: json.loads(path.read_text()) for path in sorted(GOLDEN.glob("*.json"))}
+    cases = {path: {key: doc[key] for key in ("config", "gen_data") if key in doc}
+             for path, doc in cases.items()}
+    if argv[:1] == ["--child"]:
+        Path(argv[1]).write_text(json.dumps({
+            "exact_on": exact_on(),
+            "outputs": {path.stem: run_case(**doc) for path, doc in cases.items()}}))
+        return 0
+    runs = [record(kernel) for kernel in KERNELS]
+    for path, doc in cases.items():
+        outputs = [run["outputs"][path.stem] for run in runs]
+        doc["exact_on"] = [dict(run["exact_on"], scores_sha256=out.pop("scores_sha256"),
+                                report_sha256=out.pop("report_sha256"))
+                           for run, out in zip(runs, outputs)]
+        doc["outputs"] = outputs[0]
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path.name}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

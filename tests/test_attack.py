@@ -27,7 +27,6 @@ from recourse_mi.attack import (
     loss_lrt_score,
     normal_quantile,
     shadow_column,
-    shadow_tag,
     shadow_tasks,
 )
 from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standardize
@@ -51,8 +50,8 @@ from recourse_mi.recourse import (
 )
 from recourse_mi.seeds import derive_seed
 
-from conftest import (make_logistic, prob_of, records, run_all, stream_columns, train_shadows,
-                      use_cpus)
+from conftest import (make_logistic, prob_of, records, run_all, shadow_matrices, skip_counts,
+                      train_shadows, use_cpus)
 from reference import lognormal_quantile_oracle, normal_cdf
 
 
@@ -66,8 +65,8 @@ def confidence_of(m, x, y):
 
 def shadow_distances(x, models, replay, point_seed):
     """The shadow distances of one point in model order: its row of a
-    one-row stream, without the NaNs of skipped models."""
-    row = stream_columns(models, x[None, :], [point_seed], replay=replay).dists[0]
+    one-row distance matrix, without the NaNs of skipped models."""
+    row = shadow_matrices(models, x[None, :], [point_seed], replay=replay)[1][0]
     return row[~np.isnan(row)]
 
 
@@ -81,9 +80,9 @@ def distance_game(t0s, points=None):
 
 
 def cfd_lrt_scores(game, models, replay, alphas=(0.01, 0.05, 0.1)):
-    """cfd_lrt scores of the game's rounds against the stream's distance
+    """cfd_lrt scores of the game's rounds against the shadow distance
     matrix, round i replayed with point seed i."""
-    dists = stream_columns(models, game.points, range(len(game.points)), replay=replay).dists
+    _, dists = shadow_matrices(models, game.points, range(len(game.points)), replay=replay)
     return cfd_lrt_attack_scores(game, dists, alphas)
 
 
@@ -353,7 +352,7 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
     points = np.concatenate([std.features[:25], rng.normal(scale=40.0, size=(5, 2))])
     game = SimpleNamespace(points=points, labels=np.arange(len(points)) % 2)
     loss = loss_attack_scores(game, owner)
-    probs = stream_columns(models, points, range(len(points))).probs
+    probs, _ = shadow_matrices(models, points, range(len(points)))
     lrt = loss_lrt_attack_scores(game, owner, probs, (0.01, 0.05, 0.1))
     assert loss.higher_means_member is False
     for i, (x, y) in enumerate(zip(points, game.labels)):
@@ -365,15 +364,15 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
 
 
 class TestShadowEnsemble:
-    """The shadow models of shadow_tasks, and their columns as
-    shadow_columns, the audit's one path from shadow models to the LRTs,
-    builds them; the hand-built cases run on 1 and on 2 CPUs."""
+    """The shadow models of shadow_tasks, and their columns stacked in
+    model order into the matrices that the LRTs take, as an audit stacks
+    them; the hand-built cases run on 1 and on 2 CPUs."""
 
     def test_builds_n_models(self, shadow_setup):
         std, models, _ = shadow_setup
         assert len(models) == 8
         tasks = shadow_tasks(std, 8, [], TrainConfig(), seed=99)
-        assert list(tasks) == [shadow_tag(i) for i in range(8)]
+        assert list(tasks) == [f"shadow_{i}" for i in range(8)]
 
     def test_distances_positive_and_at_most_n(self, shadow_setup):
         std, models, replay = shadow_setup
@@ -416,9 +415,10 @@ class TestShadowEnsemble:
         game = distance_game([2.0])
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
-            cols = stream_columns(models, np.zeros((1, 2)), [0], replay=replay)
-            assert cols.positive.tolist() == [2] and cols.failed.tolist() == [0]
-            assert np.isnan(cols.dists).all()
+            probs, dists = shadow_matrices(models, np.zeros((1, 2)), [0], replay=replay)
+            positive, failed = skip_counts(probs, dists)
+            assert positive.tolist() == [2] and failed.tolist() == [0]
+            assert np.isnan(dists).all()
             assert cfd_lrt_scores(game, models, replay).rows.size == 0
 
     def test_cfd_lrt_starved_points_are_dropped(self, monkeypatch):
@@ -430,9 +430,10 @@ class TestShadowEnsemble:
         points = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
-            cols = stream_columns(models, points, range(3), replay=replay)
-            assert cols.positive.tolist() == [1, 2, 3] and cols.failed.tolist() == [0, 0, 0]
-            assert (~np.isnan(cols.dists)).sum(axis=1).tolist() == [2, 1, 0]
+            probs, dists = shadow_matrices(models, points, range(3), replay=replay)
+            positive, failed = skip_counts(probs, dists)
+            assert positive.tolist() == [1, 2, 3] and failed.tolist() == [0, 0, 0]
+            assert (~np.isnan(dists)).sum(axis=1).tolist() == [2, 1, 0]
             game = distance_game([2.0] * 3, points)
             assert cfd_lrt_scores(game, models, replay).rows.tolist() == [0]
             game = distance_game([2.0] * 2, points[1:])
@@ -443,19 +444,20 @@ class TestShadowEnsemble:
         # order, that a one-row replay gives it with the same seed
         std, models, replay = shadow_setup
         X = std.features[:12]
-        cols = stream_columns(models, X, range(40, 52), replay=replay)
-        assert cols.dists.shape == (12, len(models))
+        probs, dists = shadow_matrices(models, X, range(40, 52), replay=replay)
+        assert probs.shape == dists.shape == (12, len(models))
+        skips = skip_counts(probs, dists)
         for r, x in enumerate(X):
-            assert np.isnan(cols.dists[r]).sum() == cols.positive[r] + cols.failed[r]
+            assert np.isnan(dists[r]).sum() == skips[0][r] + skips[1][r]
             positive = failed = 0
             for i, m in enumerate(models):
                 prob, dist = shadow_column(m, i, replay[1], x[None, :], [40 + r],
                                            (replay[0], replay[2]))
-                assert prob.tolist() == [prob_of(m, x)] == [cols.probs[r, i]]
-                assert np.array_equal(cols.dists[r, i], dist[0], equal_nan=True)
+                assert prob.tolist() == [prob_of(m, x)] == [probs[r, i]]
+                assert np.array_equal(dists[r, i], dist[0], equal_nan=True)
                 positive += prob[0] >= 0.5
                 failed += bool(prob[0] < 0.5 and np.isnan(dist[0]))
-            assert (cols.positive[r], cols.failed[r]) == (positive, failed)
+            assert (skips[0][r], skips[1][r]) == (positive, failed)
 
     def test_matrix_over_a_block_stacks_its_halves(self):
         ds, _ = standardize(generate_synthetic(SyntheticSpec(d=40, n_per_class=200, seed=8,
@@ -472,7 +474,7 @@ class TestShadowEnsemble:
                       for part in (slice(0, 11), slice(11, 30))]
             for got, parts in zip(whole, zip(*halves)):
                 assert np.array_equal(got, np.concatenate(parts), equal_nan=True)
-        dists = stream_columns(models, X, seeds, replay=(rc, 3, None)).dists
+        _, dists = shadow_matrices(models, X, seeds, replay=(rc, 3, None))
         assert np.isnan(dists).any() and not np.isnan(dists).all()
 
     def test_shadow_task_sends_two_floats_per_row(self, monkeypatch):
@@ -497,7 +499,7 @@ class TestShadowEnsemble:
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             del sent[:]
-            cols = stream_columns(models, X, range(n), replay=(rc, 3, None))
+            probs, dists = shadow_matrices(models, X, range(n), replay=(rc, 3, None))
             assert len(sent) == k
             assert sum(sent) <= 16 * n * k + 512 * k
             # the matrix and skip counts still follow the replayed recourses
@@ -507,11 +509,12 @@ class TestShadowEnsemble:
                 batch = rc.generate_batch(model, X[neg], seeds)
                 want = np.where(batch.valid, np.maximum(batch.costs, recourse.DISTANCE_FLOOR),
                                 np.nan)
-                assert np.array_equal(cols.dists[neg, i], want, equal_nan=True)
-                assert np.isnan(cols.dists[~neg, i]).all()
-            assert np.array_equal(cols.positive + cols.failed, np.isnan(cols.dists).sum(axis=1))
-            assert cols.positive.sum() > 0 and cols.failed.sum() > 0
-            assert not np.isnan(cols.dists).all()
+                assert np.array_equal(dists[neg, i], want, equal_nan=True)
+                assert np.isnan(dists[~neg, i]).all()
+            positive, failed = skip_counts(probs, dists)
+            assert np.array_equal(positive + failed, np.isnan(dists).sum(axis=1))
+            assert positive.sum() > 0 and failed.sum() > 0
+            assert not np.isnan(dists).all()
 
     def test_cfd_lrt_scores_use_per_point_fits(self, shadow_setup):
         std, models, replay = shadow_setup
@@ -580,17 +583,18 @@ class TestWorkers:
             models = train_shadows(ds, n_models=3, architecture=[8],
                                    trainer_config=TrainConfig(learning_rate=0.02, epochs=8),
                                    seed=5)
-            runs.append((models, stream_columns(models, ds.features[:30], range(30),
-                                                replay=(rc, 5, vae))))
-        (one, cols_one), (two, cols_two) = runs
+            runs.append((models, shadow_matrices(models, ds.features[:30], range(30),
+                                                 replay=(rc, 5, vae))))
+        (one, (probs, dists)), (two, matrices_two) = runs
         for a, b in zip(one, two, strict=True):
             assert a.training_meta == b.training_meta
             for p, q in zip(a.weights + a.biases, b.weights + b.biases, strict=True):
                 assert np.array_equal(p, q)
-        for key in ("probs", "dists", "positive", "failed"):
-            assert np.array_equal(getattr(cols_two, key), getattr(cols_one, key), equal_nan=True)
-        assert cols_one.positive.any() and cols_one.failed.any()
-        assert not np.isnan(cols_one.dists).all()
+        for got, want in zip(matrices_two, (probs, dists), strict=True):
+            assert np.array_equal(got, want, equal_nan=True)
+        positive, failed = skip_counts(probs, dists)
+        assert positive.any() and failed.any()
+        assert not np.isnan(dists).all()
 
     def test_shadow_divergence_in_a_worker_raises_with_its_epoch(self, monkeypatch):
         use_cpus(monkeypatch, 2)

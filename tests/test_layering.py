@@ -1,8 +1,9 @@
 """The package's import layering, read from its sources with ast: the leaf
-modules import no other package module, data, nn and recourse import only
-the modules below them, and attack sits below the runner and the CLI. An
-ast check also pins the package's Adam loops to their two homes, and spies
-pin every row-blocked loop to the one scratch budget, data.BLOCK_VALUES."""
+modules import no other package module, and data, nn, recourse and attack
+import only the modules below them, so attack sits below the runner, the
+CLI and the worker pool. An ast check also pins the package's Adam loops
+to their two homes, and spies pin every row-blocked loop to the one
+scratch budget, data.BLOCK_VALUES."""
 import ast
 from pathlib import Path
 
@@ -23,6 +24,7 @@ ALLOWED = {
     "data": {"seeds"},
     "nn": {"data", "seeds"},
     "recourse": {"data", "nn", "seeds"},
+    "attack": {"data", "nn", "normal", "recourse", "seeds"},  # the pool stays in the runner
 }
 
 

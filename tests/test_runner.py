@@ -25,8 +25,8 @@ from recourse_mi.recourse import DISTANCE_FLOOR
 from recourse_mi.runner import ConfigError, GameSetupError, config_from_dict
 from recourse_mi.seeds import derive_seed
 
-from conftest import (batch_split_agreement, prob_of, records, stream_columns, train_shadows,
-                      use_cpus)
+from conftest import (batch_split_agreement, prob_of, records, shadow_matrices, skip_counts,
+                      train_shadows, use_cpus)
 
 
 def small_raw(**overrides):
@@ -806,8 +806,8 @@ class TestReproducibility:
 
 class TestStreamedAudit:
     """One TaskPool per audit: each shadow model trains, scores and replays
-    in its own task, and the audit process stores the columns in
-    completion order."""
+    in its own task, and the audit process takes the columns in model
+    order, whichever task finishes first."""
 
     @staticmethod
     def lrt_raw(**overrides):
@@ -823,42 +823,54 @@ class TestStreamedAudit:
         return dict(files, report=json.dumps(doc, sort_keys=True).encode())
 
     def test_outputs_do_not_depend_on_the_completion_order(self, tmp_path, monkeypatch):
-        # on 2 workers shadow 0's training waits until the audit process has
-        # taken every other shadow model, so it finishes last; every report,
-        # score and ROC byte must equal a run on one CPU
-        slow_seed = derive_seed(derive_seed(5, "shadow-ensemble"), "shadow-train", 0)
-        others_taken = tmp_path / "others_taken"
+        # on 2 workers shadow 0's training waits until shadows 1-5 have
+        # finished theirs, so it finishes last while the audit takes the
+        # columns in model order; every report, score and ROC byte must
+        # equal a run on one CPU
+        shadow_seed = derive_seed(5, "shadow-ensemble")
+        slow, *others = [str(derive_seed(shadow_seed, "shadow-train", i)) for i in range(6)]
+        log = tmp_path / "trained.log"  # a line per finished training: seed, how it waited
         audit_pid = os.getpid()
         real = nn.train_classifier
 
-        def delayed(data, arch, cfg):
-            deadline = time.monotonic() + 60
-            while (cfg.seed == slow_seed and os.getpid() != audit_pid
-                   and not others_taken.exists() and time.monotonic() < deadline):
-                time.sleep(0.01)
-            return real(data, arch, cfg)
+        def logged(data, arch, cfg):
+            waited = "no_wait"
+            if str(cfg.seed) == slow and os.getpid() != audit_pid:
+                waited, deadline = "others_finished", time.monotonic() + 60
+                while not set(others) <= set(log.read_text().split()):
+                    if time.monotonic() > deadline:
+                        waited = "deadline"
+                        break
+                    time.sleep(0.01)
+            model = real(data, arch, cfg)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{cfg.seed} {waited}\n")
+            return model
 
         taken = []
         real_take = TaskPool.take
 
         def take(pool, tag):
-            value = real_take(pool, tag)
             taken.append(tag)
-            if tag == "shadow_5":
-                others_taken.touch()
-            return value
+            return real_take(pool, tag)
 
         monkeypatch.setattr(TaskPool, "take", take)
-        monkeypatch.setattr(nn, "train_classifier", delayed)  # before the workers fork
+        monkeypatch.setattr(nn, "train_classifier", logged)  # before the workers fork
         runs = []
         for cpus in (2, 1):
             use_cpus(monkeypatch, cpus)
             del taken[:]
+            log.write_text("")
             out = tmp_path / f"cpus{cpus}"
             runner.run_experiment(config_from_dict(self.lrt_raw(out_dir=str(out))))
-            runs.append((self.outputs(out), [t for t in taken if t.startswith("shadow_")]))
-        (two, order_two), (one, order_one) = runs
-        assert order_two[-1] == "shadow_0" and order_one[0] == "shadow_0"
+            trained = [line.split() for line in log.read_text().splitlines()]
+            runs.append((self.outputs(out), [t for t in taken if t.startswith("shadow_")],
+                         [entry for entry in trained if entry[0] in (slow, *others)]))
+        (two, order_two, trained_two), (one, order_one, trained_one) = runs
+        assert trained_two[-1] == [slow, "others_finished"]
+        assert sorted(seed for seed, _ in trained_two) == sorted([slow, *others])
+        assert trained_one == [[seed, "no_wait"] for seed in (slow, *others)]
+        assert order_two == order_one == [f"shadow_{i}" for i in range(6)]
         assert set(two) == set(one) and len(two) == 13
         for name in one:
             assert two[name] == one[name], name
@@ -886,8 +898,12 @@ class TestStreamedAudit:
         assert set(live) == {"game", "cfd_lrt_attack_scores", "loss_lrt_attack_scores"}
         assert all(n == 1 for n in live.values()), live
 
-    def test_trace_counts_tasks_memory_and_shadow_skips(self, tmp_path):
-        cfg = config_from_dict(self.lrt_raw(out_dir=str(tmp_path)))
+    @pytest.mark.parametrize("recourse", [
+        {"algorithm": "scfe", "scfe": {"max_iters": 120}},
+        {"algorithm": "growing_spheres", "search": {"samples_per_radius": 50, "max_radius": 2.0}},
+    ], ids=lambda rc: rc["algorithm"])
+    def test_trace_counts_tasks_memory_and_shadow_skips(self, tmp_path, recourse):
+        cfg = config_from_dict(self.lrt_raw(out_dir=str(tmp_path), recourse=recourse))
         rep = runner.run_experiment(cfg)
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert set(trace["tasks"]) == {"owner", *(f"shadow_{i}" for i in range(6))}
@@ -902,15 +918,32 @@ class TestStreamedAudit:
         shadow_seed = derive_seed(cfg.seed, "shadow-ensemble")
         models = train_shadows(runner.build_split(cfg)[0].shadow_pool, cfg.n_shadow_models,
                                cfg.model_architecture, cfg.train, shadow_seed)
-        cols = stream_columns(models, game.points, range(len(game.points)),
-                              replay=(cfg.recourse, shadow_seed, None))
-        dists, positive, failed = cols.dists, cols.positive, cols.failed
+        probs, dists = shadow_matrices(models, game.points, range(len(game.points)),
+                                       replay=(cfg.recourse, shadow_seed, None))
+        positive, failed = skip_counts(probs, dists)
         assert trace["shadow_skips"] == {"positive": int(positive.sum()),
                                          "failed": int(failed.sum())}
         starved = int(((~np.isnan(dists)).sum(axis=1) < 2).sum())
         assert trace["cfd_lrt_starved"] == starved
         assert rep.game_meta["scored_points"]["cfd_lrt"]["n_skipped"] == starved
         assert positive.sum() > 0
+        assert (failed.sum() > 0) == (recourse["algorithm"] == "growing_spheres")
+
+    def test_a_shadow_task_that_raises_mid_audit_leaves_no_worker(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        real = attack.train_shadow
+
+        def diverging(shadow_pool, index, *args):
+            if index == 2:
+                raise nn.TrainingDivergedError(3)
+            return real(shadow_pool, index, *args)
+
+        monkeypatch.setattr(attack, "train_shadow", diverging)  # before the workers fork
+        with pytest.raises(nn.TrainingDivergedError) as err:
+            runner.run_experiment(config_from_dict(self.lrt_raw()))
+        assert err.value.epoch == 3
+        assert type(err.value.__cause__).__name__ == "_RemoteTraceback"  # raised in a worker
+        assert multiprocessing.active_children() == []
 
     def test_game_setup_error_mid_audit_leaves_no_worker(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -1004,6 +1037,27 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[0].startswith("experiment_id,attack,direction")
+
+    @pytest.mark.parametrize("content", [None, "{", '{"a": 1}',
+                                         '{"experiment_id": "x", "attacks": {"cfd": '
+                                         '{"directions": {"standard": {}}}}}'],
+                             ids=["missing", "not_json", "not_a_report", "one_direction"])
+    def test_summarize_names_a_bad_report_and_leaves_out_untouched(self, tmp_path, capsys,
+                                                                   content):
+        # a good report first: every report is checked before --out is opened
+        m = {"auc": 0.5, "balanced_accuracy": 0.5, "tpr_at_fpr": {"0.1": 0.1, "0.01": 0.0}}
+        good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "s.csv"
+        good.write_text(json.dumps({"experiment_id": "g", "attacks": {
+            "cfd": {"directions": {"standard": m, "reversed": m}}}}))
+        if content is not None:
+            bad.write_text(content)
+        out.write_text("kept\n")
+        assert cli.main(["summarize", str(good), str(bad), "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("config error: ") and str(bad) in err
+        assert out.read_text() == "kept\n"
+        assert cli.main(["summarize", str(good), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "g,cfd,standard,0.5,0.5,0.1,0.0"
 
     def test_run_prints_each_attacks_best_direction_then_the_report_path(self, tmp_path,
                                                                         capsys):
