@@ -2,16 +2,18 @@
 
 Two families:
 
-- Distance attacks consume only (x, x') pairs: simple thresholding on the
-  counterfactual distance, and a one-sided LRT of the log-distance
-  against the distances produced for x by shadow models (trained on data
-  disjoint from every evaluation point). They never see the owner model,
-  by interface.
-- Loss baselines consume the owner model and the true label: thresholding
-  on BCE, and the offline loss LRT of the logit-scaled confidence.
+- Distance attacks consume only the costs of the recourses issued:
+  simple thresholding on the counterfactual distance, and a one-sided LRT
+  of the log-distance against the distances produced for each point by
+  shadow models (trained on data disjoint from every evaluation point).
+- Loss baselines consume the owner's probability of each point and its
+  true label: thresholding on BCE, and the offline loss LRT of the
+  logit-scaled confidence.
 
-Every attack takes the game (runner.Game) and returns one AttackScores of
-arrays over the rounds it scored; AttackScores.records writes them out.
+Every attack takes arrays of the adversary's transcript, a row per game
+round, never the game (runner.Game, whose `member` and `point_ids` are the
+answer key) or a model. It returns one AttackScores of arrays over the
+rounds it scored; AttackScores.records writes them out.
 
 Both LRTs run one offline test (_offline_lrt_scores): a per-point normal
 fit of the OUT statistics (fit_normal_mle), scored by its CDF
@@ -213,13 +215,13 @@ def shadow_column(
 
 # --- attack stages consumed by the experiment runner -----------------------
 #
-# The distance attacks deliberately take no model argument: the statistic
-# is computed from the game transcript and the shadow distances alone.
+# Each scorer takes the transcript's arrays, a row per game round, and
+# nothing of the referee's: no game, no model, no membership.
 
-def cfd_attack_scores(game) -> AttackScores:
-    """Simple counterfactual-distance scores of the game's rounds
-    (runner.Game)."""
-    t = cfd_statistic(game.recourse.costs)
+def cfd_attack_scores(costs: np.ndarray) -> AttackScores:
+    """Simple counterfactual-distance scores of the game's rounds, from
+    the cost of each round's recourse."""
+    t = cfd_statistic(costs)
     return AttackScores("cfd", np.arange(t.size), t, t, higher_means_member=True)
 
 
@@ -248,37 +250,35 @@ def _offline_lrt_scores(attack: str, stats: Sequence[float], shadow_stats: np.nd
                         member_at={a: np.array(g, dtype=bool) for a, g in member_at.items()})
 
 
-def cfd_lrt_attack_scores(game, shadow_dists: np.ndarray,
+def cfd_lrt_attack_scores(costs: np.ndarray, shadow_dists: np.ndarray,
                           alphas: Sequence[float]) -> AttackScores:
-    """One-sided distance LRT: the offline LRT of log t0 against the log
-    of row i of `shadow_dists`, round i's distances under the shadow
-    models, NaN where a model gave none (row i of each model's
-    shadow_column, replayed with point seed i)."""
+    """One-sided distance LRT: the offline LRT of log t0, the floored cost
+    of round i's recourse, against the log of row i of `shadow_dists`,
+    round i's distances under the shadow models, NaN where a model gave
+    none (row i of each model's shadow_column, replayed with point seed i)."""
     if (np.asarray(shadow_dists) <= 0).any():  # NaN marks a missing distance
         raise ValueError("shadow distances must be positive")
-    t0s = cfd_statistic(game.recourse.costs)
+    t0s = cfd_statistic(costs)
     return _offline_lrt_scores("cfd_lrt", np.log(t0s).tolist(), np.log(shadow_dists),
                                alphas, reported=t0s)
 
 
-def loss_attack_scores(game, owner_model: Model) -> AttackScores:
-    """Loss-threshold baseline from one batched forward pass of the owner model."""
-    losses = nn.bce(nn.predict_proba_batch(owner_model, game.points), game.labels)
+def loss_attack_scores(probs: np.ndarray, labels: np.ndarray) -> AttackScores:
+    """Loss-threshold baseline: the BCE of round i's label under probs[i],
+    the owner's probability of round i's point."""
+    losses = nn.bce(probs, labels)
     return AttackScores("loss", np.arange(losses.size), losses, losses,
                         higher_means_member=False)
 
 
-def loss_lrt_attack_scores(
-    game,
-    owner_model: Model,
-    shadow_probs: np.ndarray,
-    alphas: Sequence[float],
-) -> AttackScores:
+def loss_lrt_attack_scores(probs: np.ndarray, labels: np.ndarray, shadow_probs: np.ndarray,
+                           alphas: Sequence[float]) -> AttackScores:
     """Offline loss-LRT baseline: normal OUT fit of shadow confidences.
-    Row i of `shadow_probs` holds round i's probability under each
-    shadow model; the owner's come from one batched forward pass."""
-    owner_p = nn.predict_proba_batch(owner_model, game.points)
-    confs = nn.logit_confidence(owner_p, game.labels)
-    shadow_confs = nn.logit_confidence(shadow_probs, game.labels[:, None])
+    Round i's statistic is the logit confidence of its label under
+    probs[i], the owner's probability of its point; row i of
+    `shadow_probs` holds that point's probability under each shadow
+    model."""
+    confs = nn.logit_confidence(probs, labels)
+    shadow_confs = nn.logit_confidence(shadow_probs, labels[:, None])
     return _offline_lrt_scores("loss_lrt", confs.tolist(), shadow_confs, alphas,
                                reported=confs)

@@ -380,11 +380,6 @@ def train_classifier(
     return model
 
 
-def accuracy(model: Model, data: Dataset) -> float:
-    preds = predict_proba_batch(model, data.features) >= 0.5
-    return float(np.mean(preds == (data.labels == 1)))
-
-
 def train_vae(data: Dataset, config: TrainConfig) -> VaeModel:
     """Train the tabular VAE, VAE_LATENT_DIM latent and VAE_HIDDEN_DIM
     hidden units (Gaussian decoder with unit observation variance, KL to a

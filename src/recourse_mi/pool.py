@@ -11,7 +11,8 @@ A result is taken by its tag, and a taken task is forgotten, so the pool
 keeps nothing alive that its caller has dropped. Inline, a task runs
 when its result is first taken, so that path holds no more results than
 the workers' path. Each task's wall and process seconds are measured
-where it runs.
+where it runs, and its start from the pool's creation on perf_counter,
+the system-wide CLOCK_MONOTONIC on Linux, which workers and pool share.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ class TaskPool:
         else:
             self.workers = 1
         self._tasks: dict[Hashable, Any] = {}  # tag -> Future, or the inline call
+        self._created = time.perf_counter()
         self.times: dict[Hashable, dict[str, float]] = {}
 
     def __enter__(self) -> TaskPool:
@@ -65,15 +67,15 @@ class TaskPool:
         """The result of task `tag`, once it has run; a worker's exception
         re-raises here."""
         task = self._tasks.pop(tag)
-        value, wall, cpu = task() if self._executor is None else task.result()
-        self.times[tag] = {"wall_s": wall, "cpu_s": cpu}
+        value, start, wall, cpu = task() if self._executor is None else task.result()
+        self.times[tag] = {"start_s": start - self._created, "wall_s": wall, "cpu_s": cpu}
         return value
 
 
-def _timed(fn: Callable[..., Any], *args: Any) -> tuple[Any, float, float]:
-    wall, cpu = time.perf_counter(), time.process_time()
+def _timed(fn: Callable[..., Any], *args: Any) -> tuple[Any, float, float, float]:
+    start, cpu = time.perf_counter(), time.process_time()
     value = fn(*args)
-    return value, time.perf_counter() - wall, time.process_time() - cpu
+    return value, start, time.perf_counter() - start, time.process_time() - cpu
 
 
 # in a TaskPool worker, the inherited tasks of its pool; empty elsewhere

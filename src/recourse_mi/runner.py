@@ -318,6 +318,9 @@ def _check_rules(snap: dict, d: int | None = None) -> None:
          f"(each shadow model trains on half the pool), got {ev['shadow_n']!r}"),
         (ev["eval_points"] % 2, f"eval.eval_points must be even (half members, half "
          f"non-members), got {ev['eval_points']!r}"),
+        (ev["eval_points"] // 2 > min(ev["owner_n"], ev["eval_out_n"]),
+         f"eval.eval_points must be at most twice eval.owner_n ({ev['owner_n']!r}) and twice "
+         f"eval.eval_out_n ({ev['eval_out_n']!r}), got {ev['eval_points']!r}"),
         (search["initial_radius"] > search["max_radius"],
          f"recourse.search.initial_radius must be at most recourse.search.max_radius "
          f"({search['max_radius']!r}), got {search['initial_radius']!r}"),
@@ -440,14 +443,14 @@ def _owner_tasks(config: ExperimentConfig, bundle: SplitBundle) -> dict:
 
 
 def _sample_game(config: ExperimentConfig, owner: Model, owner_vae: VaeModel | None,
-                 bundle: SplitBundle) -> tuple[Game, dict]:
+                 bundle: SplitBundle, p_out: np.ndarray) -> tuple[Game, dict]:
     """Draw balanced negatively-classified member/non-member points and
-    issue one recourse batch over them. Failed recourses are dropped with counts."""
+    issue one recourse batch over them; p_out holds the owner's
+    probability of each eval_out row. Failed recourses are dropped with counts."""
     train_ds = bundle.owner_train
     out_ds = bundle.eval_out
 
     p_train = nn.predict_proba_batch(owner, train_ds.features)
-    p_out = nn.predict_proba_batch(owner, out_ds.features)
     neg_train = np.flatnonzero(p_train < 0.5)
     neg_out = np.flatnonzero(p_out < 0.5)
     k = config.eval_points // 2
@@ -523,12 +526,12 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
 
     trace.json holds the wall seconds of the stages up to the owner model
     (prepare_s), the game (game_s) and the shadow columns and attack
-    scores (attacks_s); each pool task's wall and process seconds, as
-    measured where it ran (tasks; a shadow task's cover its model's
-    training, probabilities and replay); the audit process's ru_maxrss in
-    KiB at each stage boundary (ru_maxrss_kb); and for cfd_lrt the shadow
-    skips summed over the points (shadow_skips) and the number of starved
-    points it dropped (cfd_lrt_starved).
+    scores (attacks_s); each pool task's start from the pool's creation,
+    wall and process seconds, as measured where it ran (tasks; a shadow
+    task's cover its model's training, probabilities and replay); the
+    audit process's ru_maxrss in KiB at each stage boundary (ru_maxrss_kb);
+    and for cfd_lrt the shadow skips summed over the points (shadow_skips)
+    and the number of starved points it dropped (cfd_lrt_starved).
     """
     if stop not in ("owner", "game", "report"):
         raise ValueError(f"stop must be 'owner', 'game' or 'report', got {stop!r}")
@@ -553,12 +556,14 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
             pool.start(tag)
         owner_vae = pool.take("owner_vae") if "owner_vae" in first else None
         owner = pool.take("owner")
+        p_out = nn.predict_proba_batch(owner, bundle.eval_out.features)
+        correct = (p_out >= 0.5) == (bundle.eval_out.labels == 1)
         report = ExperimentReport(
             config=config.snapshot,
             model_meta={
                 "architecture": config.model_architecture,
                 "train_accuracy": owner.training_meta.get("train_accuracy"),
-                "test_accuracy": nn.accuracy(owner, bundle.eval_out),
+                "test_accuracy": float(np.mean(correct)),
                 "final_train_loss": owner.training_meta.get("final_train_loss"),
             },
             game_meta={},
@@ -573,7 +578,7 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
         if stop == "owner":
             return report
 
-        game, report.game_meta = _sample_game(config, owner, owner_vae, bundle)
+        game, report.game_meta = _sample_game(config, owner, owner_vae, bundle, p_out)
         report.game = game
         start = _stage(trace, "game", "game_s", start)
         if stop == "game":
@@ -592,13 +597,16 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
             if replay is not None:
                 dists = np.column_stack([d for _, d in columns])
             _stage(trace, "shadows")
-    # the distance attacks receive only the game transcript and the shadow
-    # distances; the owner model is deliberately out of their reach
+    # the scorers receive the transcript's arrays, never the game's answer
+    # key; the loss attacks share one pass of the owner over the game's points
+    costs, labels = game.recourse.costs, game.labels
+    if {"loss", "loss_lrt"} & set(scored):
+        owner_probs = nn.predict_proba_batch(owner, game.points)
     scorers = {
-        "cfd": lambda: attack_mod.cfd_attack_scores(game),
-        "cfd_lrt": lambda: attack_mod.cfd_lrt_attack_scores(game, dists, config.alpha_grid),
-        "loss": lambda: attack_mod.loss_attack_scores(game, owner),
-        "loss_lrt": lambda: attack_mod.loss_lrt_attack_scores(game, owner, probs,
+        "cfd": lambda: attack_mod.cfd_attack_scores(costs),
+        "cfd_lrt": lambda: attack_mod.cfd_lrt_attack_scores(costs, dists, config.alpha_grid),
+        "loss": lambda: attack_mod.loss_attack_scores(owner_probs, labels),
+        "loss_lrt": lambda: attack_mod.loss_lrt_attack_scores(owner_probs, labels, probs,
                                                               config.alpha_grid),
     }
     scores = {name: scorers[name]() for name in config.attacks}

@@ -8,7 +8,6 @@ desk scale and take minutes each.
 import functools
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -256,8 +255,7 @@ class TestCriterion6TwoSidedOracle:
             if len(ins) < 3 or len(outs) < 3:
                 return None
             # the one-sided score is the audit's cfd_lrt of the OUT distances
-            one_sided = cfd_lrt_attack_scores(SimpleNamespace(recourse=r0), np.array([outs]),
-                                              alphas=())
+            one_sided = cfd_lrt_attack_scores(r0.costs, np.array([outs]), alphas=())
             fit_in, fit_out = fit_normal_mle(np.log(ins)), fit_normal_mle(np.log(outs))
             return one_sided.score.item(), two_sided_distance_llr(t0, fit_in, fit_out)
 

@@ -70,20 +70,12 @@ def shadow_distances(x, models, replay, point_seed):
     return row[~np.isnan(row)]
 
 
-def distance_game(t0s, points=None):
-    """A game (runner.Game's fields that the distance attacks read) whose
-    rounds' valid recourses cost t0s, at `points` or at the origin of the
-    plane."""
-    t0s = np.asarray(t0s, dtype=np.float64)
-    return SimpleNamespace(points=np.zeros((t0s.size, 2)) if points is None else points,
-                           recourse=SimpleNamespace(costs=t0s))
-
-
-def cfd_lrt_scores(game, models, replay, alphas=(0.01, 0.05, 0.1)):
-    """cfd_lrt scores of the game's rounds against the shadow distance
-    matrix, round i replayed with point seed i."""
-    _, dists = shadow_matrices(models, game.points, range(len(game.points)), replay=replay)
-    return cfd_lrt_attack_scores(game, dists, alphas)
+def cfd_lrt_scores(points, costs, models, replay, alphas=(0.01, 0.05, 0.1)):
+    """cfd_lrt scores of the rounds at `points`, whose recourses cost
+    `costs`, against the shadow distance matrix, round i replayed with
+    point seed i."""
+    _, dists = shadow_matrices(models, points, range(len(points)), replay=replay)
+    return cfd_lrt_attack_scores(np.asarray(costs, dtype=np.float64), dists, alphas)
 
 
 class TestCfdStatistic:
@@ -172,7 +164,8 @@ class TestLogNormalQuantile:
 def cfd_lrt_one(t0, dists, alphas):
     """cfd_lrt's statistic, score and guesses (alpha -> member) of one
     point with distance t0 and shadow distances `dists`."""
-    sc = cfd_lrt_attack_scores(distance_game([t0]), np.array([dists], dtype=float), alphas)
+    sc = cfd_lrt_attack_scores(np.array([t0], dtype=float), np.array([dists], dtype=float),
+                               alphas)
     assert sc.rows.tolist() == [0]
     return SimpleNamespace(statistic=sc.statistic.item(), score=sc.score.item(),
                            member_at={a: bool(m[0]) for a, m in sc.member_at.items()})
@@ -208,8 +201,7 @@ class TestCfdLrtDecide:
         # point sits on its degenerate fit's mean; math.log beside np.log
         # scored some of these points 1.0 or 0.0
         t0s = np.random.default_rng(3).lognormal(size=20_000)
-        sc = cfd_lrt_attack_scores(distance_game(t0s), np.repeat(t0s[:, None], 4, axis=1),
-                                   (0.05,))
+        sc = cfd_lrt_attack_scores(t0s, np.repeat(t0s[:, None], 4, axis=1), (0.05,))
         assert sc.rows.size == t0s.size and (sc.score == 0.5).all()
 
     def test_score_threshold_sweep_matches_decisions(self):
@@ -242,8 +234,7 @@ class TestLevelAlpha:
         dists = rng.lognormal(0.3, math.sqrt(0.5), size=16)
         fit = fit_normal_mle(np.log(dists))
         t0s = np.exp(rng.normal(fit.mu, math.sqrt(fit.sigma2), size=self.N))
-        self.assert_level(cfd_lrt_attack_scores(distance_game(t0s),
-                                                np.tile(dists, (self.N, 1)), self.ALPHAS))
+        self.assert_level(cfd_lrt_attack_scores(t0s, np.tile(dists, (self.N, 1)), self.ALPHAS))
 
     def test_loss_lrt(self):
         # with a weight of 1 and no bias, a label-1 point's confidence is the point
@@ -251,8 +242,8 @@ class TestLevelAlpha:
         shadow_p = 1 / (1 + np.exp(-rng.normal(0.5, 1.2, size=8)))
         fit = fit_normal_mle(logit_confidence(shadow_p, 1))
         xs = rng.normal(fit.mu, math.sqrt(fit.sigma2), size=self.N)
-        game = SimpleNamespace(points=xs[:, None], labels=np.ones(self.N, dtype=np.int64))
-        self.assert_level(loss_lrt_attack_scores(game, make_logistic([1.0], 0.0),
+        probs = predict_proba_batch(make_logistic([1.0], 0.0), xs[:, None])
+        self.assert_level(loss_lrt_attack_scores(probs, np.ones(self.N, dtype=np.int64),
                                                  np.tile(shadow_p, (self.N, 1)), self.ALPHAS))
 
 
@@ -308,9 +299,7 @@ class TestLossScores:
         assert loss_lrt_score(0.0, fit) == 0.0
 
     def test_loss_attack_uses_bce_with_lower_direction(self):
-        m = make_logistic([0.0], 0.0)
-        sc = loss_attack_scores(SimpleNamespace(points=np.array([[1.0]]), labels=np.array([1])),
-                                m)
+        sc = loss_attack_scores(np.array([0.5]), np.array([1]))
         assert sc.rows.tolist() == [0]
         assert sc.statistic[0] == pytest.approx(np.log(2), abs=1e-12)
         assert sc.higher_means_member is False
@@ -350,12 +339,13 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
     owner = train_classifier(std, [8], TrainConfig(learning_rate=0.05, epochs=30, seed=4))
     rng = np.random.default_rng(8)
     points = np.concatenate([std.features[:25], rng.normal(scale=40.0, size=(5, 2))])
-    game = SimpleNamespace(points=points, labels=np.arange(len(points)) % 2)
-    loss = loss_attack_scores(game, owner)
+    labels = np.arange(len(points)) % 2
+    owner_probs = predict_proba_batch(owner, points)
+    loss = loss_attack_scores(owner_probs, labels)
     probs, _ = shadow_matrices(models, points, range(len(points)))
-    lrt = loss_lrt_attack_scores(game, owner, probs, (0.01, 0.05, 0.1))
+    lrt = loss_lrt_attack_scores(owner_probs, labels, probs, (0.01, 0.05, 0.1))
     assert loss.higher_means_member is False
-    for i, (x, y) in enumerate(zip(points, game.labels)):
+    for i, (x, y) in enumerate(zip(points, labels)):
         assert loss.statistic[i] == loss.score[i] == loss_of(owner, x, y)
         conf = confidence_of(owner, x, y)
         fit = fit_normal_mle([confidence_of(m, x, y) for m in models])
@@ -412,14 +402,13 @@ class TestShadowEnsemble:
         # so the point has no OUT fit and gets no score
         models = [make_logistic([0.0, 0.0], 3.0), make_logistic([0.0, 0.0], 5.0)]
         replay = (RecourseConfig(algorithm="growing_spheres"), 1, None)
-        game = distance_game([2.0])
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             probs, dists = shadow_matrices(models, np.zeros((1, 2)), [0], replay=replay)
             positive, failed = skip_counts(probs, dists)
             assert positive.tolist() == [2] and failed.tolist() == [0]
             assert np.isnan(dists).all()
-            assert cfd_lrt_scores(game, models, replay).rows.size == 0
+            assert cfd_lrt_scores(np.zeros((1, 2)), [2.0], models, replay).rows.size == 0
 
     def test_cfd_lrt_starved_points_are_dropped(self, monkeypatch):
         # one model accepts everything, the others are halfspaces x1 > 1
@@ -434,10 +423,8 @@ class TestShadowEnsemble:
             positive, failed = skip_counts(probs, dists)
             assert positive.tolist() == [1, 2, 3] and failed.tolist() == [0, 0, 0]
             assert (~np.isnan(dists)).sum(axis=1).tolist() == [2, 1, 0]
-            game = distance_game([2.0] * 3, points)
-            assert cfd_lrt_scores(game, models, replay).rows.tolist() == [0]
-            game = distance_game([2.0] * 2, points[1:])
-            assert cfd_lrt_scores(game, models, replay).rows.size == 0
+            assert cfd_lrt_scores(points, [2.0] * 3, models, replay).rows.tolist() == [0]
+            assert cfd_lrt_scores(points[1:], [2.0] * 2, models, replay).rows.size == 0
 
     def test_matrix_rows_match_per_point_distances(self, shadow_setup):
         # model-major replay gives each point the distances, in model
@@ -521,9 +508,8 @@ class TestShadowEnsemble:
         owner = models[0]
         js = [j for j, x in enumerate(std.features[:40]) if prob_of(owner, x) < 0.5]
         X = std.features[js]
-        game = SimpleNamespace(points=X, recourse=growing_spheres(owner, X, SearchParams(),
-                                                                  CostFn("l1"), js))
-        scores = cfd_lrt_scores(game, models, replay, alphas=(0.1,))
+        costs = growing_spheres(owner, X, SearchParams(), CostFn("l1"), js).costs
+        scores = cfd_lrt_scores(X, costs, models, replay, alphas=(0.1,))
         by_row = dict(zip(scores.rows.tolist(), scores.score.tolist()))
         assert len(by_row) >= len(js) // 2
         for idx, x in enumerate(X):
@@ -532,7 +518,7 @@ class TestShadowEnsemble:
                 assert idx not in by_row
                 continue
             fit = fit_normal_mle(np.log(row))
-            t0 = cfd_statistic(game.recourse.costs)[idx]
+            t0 = cfd_statistic(costs)[idx]
             assert by_row[idx] == loss_lrt_score(math.log(t0), fit)
 
     def test_shadow_models_never_trained_on_eval_rows(self, shadow_setup):

@@ -14,7 +14,6 @@ from recourse_mi.nn import (
     Model,
     TrainConfig,
     TrainingDivergedError,
-    accuracy,
     bce,
     bce_to_target_grad_batch,
     load_model,
@@ -487,12 +486,6 @@ class TestSerialization:
         (saved / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=re.escape(str(saved)) + ".*format_version"):
             load_model(saved)
-
-
-def test_accuracy_helper():
-    m = make_logistic([1.0], 0.0)
-    ds = Dataset(np.array([[1.0], [-1.0], [2.0]]), np.array([1, 0, 0]))
-    assert accuracy(m, ds) == pytest.approx(2.0 / 3.0)
 
 
 def test_batched_gradient_rows_match_single_point():

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import gc
+import inspect
 import json
 import multiprocessing
 import os
@@ -185,6 +186,8 @@ class TestConfig:
         ({"eval": {"owner_n": -5}}, "owner_n"),
         ({"eval": {"owner_n": 0}}, "owner_n"),
         ({"eval": {"eval_out_n": 0}}, "eval_out_n"),
+        # each side draws half the game's points from its own partition
+        ({"eval": {"eval_points": 402}}, "eval_points"),
         ({"attacks": {"which": ["cfd_lrt"]}, "eval": {"shadow_n": 3}}, "shadow_n"),
         ({"data": {"n_per_class": 100},
           "eval": {"owner_n": 100, "shadow_n": 100, "eval_out_n": 100}}, "exceeds the 200 rows"),
@@ -434,10 +437,10 @@ class TestPlayGame:
             runner.run_experiment(self.growing_spheres(0.2), stop="game")
 
     def test_too_few_negatives_errors_with_counts(self):
-        # near-total separation: almost nothing is negatively classified
-        # once we ask for more points than exist on a side
+        # as many points as the smaller partition (eval_out_n 200) holds:
+        # the config allows it, but not every row is negatively classified
         raw = small_raw()
-        raw["eval"]["eval_points"] = 100000
+        raw["eval"]["eval_points"] = 400
         cfg = config_from_dict(raw)
         with pytest.raises(GameSetupError, match="negatively-classified"):
             runner.run_experiment(cfg, stop="game")
@@ -666,7 +669,7 @@ class TestDataStage:
         config = config_from_dict(small_raw(
             data={"kind": "file", "path": str(csv_path), "label_column": "y",
                   "label_rule": "binary"},
-            eval={"owner_n": 4, "shadow_n": 4, "eval_out_n": 4}))
+            eval={"owner_n": 4, "shadow_n": 4, "eval_out_n": 4, "eval_points": 8}))
         with pytest.raises(ConfigError, match="^data.path .* b has zero variance$") as err:
             runner.build_split(config)
         assert isinstance(err.value.__cause__, ZeroVarianceColumnError)
@@ -691,7 +694,8 @@ class TestDataStage:
             path.write_text(rows)
         raw = small_raw(data={"kind": "file", "path": str(path), "label_rule": "binary",
                               "label_column": "label" if case == "no_label_column" else "y"},
-                        eval={"owner_n": 10, "shadow_n": 10, "eval_out_n": 10})
+                        eval={"owner_n": 10, "shadow_n": 10, "eval_out_n": 10,
+                              "eval_points": 20})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         for command in ("run", "gen-data"):
@@ -774,15 +778,16 @@ class TestRunExperiment:
         shadow = set(bundle.shadow_pool.provenance["rows"])
         assert not owner & shadow
 
-    def test_distance_attack_stage_takes_no_model(self):
-        # threat-model enforcement is structural: the distance attack
-        # entry points accept the transcript (+ shadow distances), never a Model
-        import inspect
-        from recourse_mi import attack as attack_mod
-        for fn in (attack_mod.cfd_attack_scores, attack_mod.cfd_lrt_attack_scores):
-            params = inspect.signature(fn).parameters
-            assert "model" not in params
-            assert "owner_model" not in params
+    @pytest.mark.parametrize("scorer,params", [
+        ("cfd_attack_scores", ["costs"]),
+        ("cfd_lrt_attack_scores", ["costs", "shadow_dists", "alphas"]),
+        ("loss_attack_scores", ["probs", "labels"]),
+        ("loss_lrt_attack_scores", ["probs", "labels", "shadow_probs", "alphas"]),
+    ])
+    def test_each_scorer_takes_only_the_transcript(self, scorer, params):
+        # threat-model enforcement is structural: a scorer takes the
+        # transcript's arrays, never a game, a model, `member` or `point_ids`
+        assert list(inspect.signature(getattr(attack, scorer)).parameters) == params
 
 
 class TestReproducibility:
@@ -908,7 +913,11 @@ class TestStreamedAudit:
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert set(trace["tasks"]) == {"owner", *(f"shadow_{i}" for i in range(6))}
         for times in trace["tasks"].values():
-            assert set(times) == {"wall_s", "cpu_s"} and times["wall_s"] >= 0
+            assert set(times) == {"start_s", "wall_s", "cpu_s"} and times["wall_s"] >= 0
+        # the shadow models train once the game, and so the owner, is done
+        owner = trace["tasks"]["owner"]
+        assert all(trace["tasks"][f"shadow_{i}"]["start_s"] >= owner["start_s"] + owner["wall_s"]
+                   for i in range(6))
         stages = ["data", "owner", "game", "shadows", "end"]
         maxrss = [trace["ru_maxrss_kb"].pop(name) for name in stages]
         assert not trace["ru_maxrss_kb"] and maxrss == sorted(maxrss) and maxrss[0] > 0
@@ -947,7 +956,7 @@ class TestStreamedAudit:
 
     def test_game_setup_error_mid_audit_leaves_no_worker(self, monkeypatch):
         use_cpus(monkeypatch, 2)
-        raw = self.lrt_raw(eval={"eval_points": 100000})
+        raw = self.lrt_raw(eval={"eval_points": 400})  # fewer negatives on each side
         with pytest.raises(GameSetupError, match="negatively-classified"):
             runner.run_experiment(config_from_dict(raw))
         assert multiprocessing.active_children() == []
@@ -1139,7 +1148,7 @@ class TestCli:
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         raw = small_raw()
-        raw["eval"]["eval_points"] = 100000  # unsatisfiable game
+        raw["eval"]["eval_points"] = 400  # too few negatives for the game
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
@@ -1170,7 +1179,7 @@ class TestCli:
         cfg_path.write_text(json.dumps({
             "data": {"kind": "file", "path": str(csv_path), "label_column": "y",
                      "label_rule": "binary"},
-            "eval": {"owner_n": 5, "shadow_n": 5, "eval_out_n": 5}}))
+            "eval": {"owner_n": 5, "shadow_n": 5, "eval_out_n": 5, "eval_points": 10}}))
         out_csv = tmp_path / "out.csv"
         assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out_csv)]) == 0
         assert out_csv.read_text().splitlines()[0] == "age,income,label"
