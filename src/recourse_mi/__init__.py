@@ -11,7 +11,6 @@ __version__ = "0.1.0"  # before the submodules: runner writes it into each repor
 from .attack import (
     AttackScores,
     NormalFit,
-    RecourseConfig,
     cfd_statistic,
     fit_normal_mle,
     loss_lrt_score,
@@ -48,8 +47,8 @@ from .nn import (
 )
 from .privacy import DpBound, dp_ba_bound
 from .recourse import (
-    CostFn,
     RecourseBatch,
+    RecourseConfig,
     ScfeParams,
     SearchParams,
     cchvae,

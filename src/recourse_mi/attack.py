@@ -25,11 +25,12 @@ nn.logit_confidence call over all points (and all shadow models).
 An audit's shadow models run as pool tasks (shadow_tasks), started once
 the game has been played: each trains its model in its own task and
 returns only that model's column over the game's points, its probability
-of each point and, for cfd_lrt, its recourse replay distances (a replayed
-point's seed is its index among the game's valid recourses), never the
-model. The runner stacks the columns in model order into the matrices
-that the offline LRTs take. Every model and replay keeps its own seeds,
-so results are identical at any CPU count.
+of each point and, for cfd_lrt, the distances of its replay of the
+owner's recourse setup (a RecourseConfig; a replayed point's seed is its
+index among the game's valid recourses), never the model. The runner
+stacks the columns in model order into the matrices that the offline
+LRTs take. Every model and replay keeps its own seeds, so results are
+identical at any CPU count.
 
 The normal CDF and quantile of the LRT scores and thresholds are ports of
 the Cephes `ndtr`/`ndtri` that SciPy's `special` module runs (see
@@ -49,7 +50,7 @@ from . import nn, recourse
 from .data import Dataset
 from .nn import Model, TrainConfig, VaeModel
 from .normal import ndtr, ndtri
-from .recourse import CostFn, RecourseBatch, ScfeParams, SearchParams
+from .recourse import RecourseConfig
 from .seeds import derive_seed, rng_for
 
 DEGENERATE_SIGMA2 = 1e-18
@@ -92,32 +93,6 @@ class AttackScores:
                 "guess_at": {repr(a): word[bool(m[j])] for a, m in sorted(self.member_at.items())},
                 "membership": word[bool(member[r])],
             }
-
-
-@dataclass(frozen=True)
-class RecourseConfig:
-    """Which generator the game (and the shadow replay) uses."""
-
-    algorithm: str = "scfe"  # scfe | growing_spheres | cchvae
-    cost_fn: CostFn = CostFn()
-    scfe_params: ScfeParams = ScfeParams()
-    search_params: SearchParams = SearchParams()
-
-    def __post_init__(self):
-        if self.algorithm not in ("scfe", "growing_spheres", "cchvae"):
-            raise ValueError(f"unknown recourse algorithm {self.algorithm!r}")
-
-    def generate_batch(self, model: Model, X: np.ndarray, seeds: Sequence[int],
-                       vae: VaeModel | None = None) -> RecourseBatch:
-        """One recourse per row of X, row i with seeds[i]. Row i depends
-        only on X[i] and seeds[i], however the rows are split into blocks."""
-        if self.algorithm == "scfe":
-            return recourse.scfe(model, X, self.scfe_params, self.cost_fn, seeds)
-        if self.algorithm == "growing_spheres":
-            return recourse.growing_spheres(model, X, self.search_params, self.cost_fn, seeds)
-        if vae is None:
-            raise ValueError("cchvae requires a trained VAE")
-        return recourse.cchvae(model, vae, X, self.search_params, self.cost_fn, seeds)
 
 
 def train_shadow(shadow_pool: Dataset, index: int, architecture: Sequence[int],

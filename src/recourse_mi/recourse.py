@@ -11,9 +11,10 @@ per row, the cheapest found input that the model classifies positively.
 - cchvae: the same growing search in a VAE's latent space; candidates are
   decoded back so results stay in the decoder's range.
 
-The ball searches run row by row inside the block. Each generator stores
-the row_costs of its counterfactual as its cost, and row i of a batch
-depends only on row i of the block and its seed.
+The ball searches run row by row inside the block. Every generator checks
+its norm (l1 or l2) and immutable indices once per block, stores the
+row_costs of its counterfactual as its cost, and makes row i depend only
+on row i of the block and its seed. RecourseConfig dispatches to them.
 """
 from __future__ import annotations
 
@@ -35,24 +36,12 @@ class RecoursePreconditionError(ValueError):
 
 
 @dataclass(frozen=True)
-class CostFn:
-    """l1 (default) or l2 distance."""
-
-    norm: str = "l1"
-
-    def __post_init__(self):
-        if self.norm not in ("l1", "l2"):
-            raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
-
-
-@dataclass(frozen=True)
 class ScfeParams:
     lam: float = 0.1
     lam_decay: float = 0.5
     max_iters: int = 1000
     step_size: float = 0.05
     max_retries: int = 5
-    immutable: tuple[int, ...] = ()  # feature indices recourse may not move
 
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.lam, self.max_iters, self.step_size)) \
@@ -70,7 +59,6 @@ class SearchParams:
     radius_step: float = 0.1
     samples_per_radius: int = 500
     max_radius: float = 10.0
-    immutable: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not all(0 < r < np.inf for r in (self.initial_radius, self.radius_step,
@@ -84,6 +72,35 @@ class SearchParams:
     def radii(self) -> np.ndarray:
         count = int(np.floor((self.max_radius - self.initial_radius) / self.radius_step + 1e-12)) + 1
         return self.initial_radius + self.radius_step * np.arange(count)
+
+
+@dataclass(frozen=True)
+class RecourseConfig:
+    """The config's recourse section, a field per key the search reads:
+    the generator, the cost norm, the features recourse may not change."""
+
+    algorithm: str = "scfe"  # scfe | growing_spheres | cchvae
+    norm: str = "l1"
+    immutable: tuple[int, ...] = ()
+    scfe_params: ScfeParams = ScfeParams()
+    search_params: SearchParams = SearchParams()
+
+    def __post_init__(self):
+        if self.algorithm not in ("scfe", "growing_spheres", "cchvae"):
+            raise ValueError(f"unknown recourse algorithm {self.algorithm!r}")
+
+    def generate_batch(self, model: Model, X: np.ndarray, seeds: Sequence[int],
+                       vae: VaeModel | None = None) -> RecourseBatch:
+        """One recourse per row of X, row i with seeds[i]. Row i depends
+        only on X[i] and seeds[i], however the rows are split into blocks."""
+        if self.algorithm == "scfe":
+            return scfe(model, X, self.scfe_params, self.norm, seeds, self.immutable)
+        if self.algorithm == "growing_spheres":
+            return growing_spheres(model, X, self.search_params, self.norm, seeds,
+                                   self.immutable)
+        if vae is None:
+            raise ValueError("cchvae requires a trained VAE")
+        return cchvae(model, vae, X, self.search_params, self.norm, seeds, self.immutable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,9 +181,16 @@ def norm_subgradient(delta: np.ndarray, norm: str) -> np.ndarray:
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def _query_block(model: Model, X: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
-    """X as a contiguous float64 (n, d) block, once its shape fits the
-    model, it has one seed per row and every row is negatively classified."""
+def _query_block(model: Model, X: np.ndarray, seeds: Sequence[int], norm: str,
+                 immutable: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """X as a contiguous float64 (n, d) block and `immutable` as an index
+    array, once norm is l1 or l2, each index is an integer in [0, d), X fits
+    the model, it has one seed per row and every row is negatively classified."""
+    if norm not in ("l1", "l2"):
+        raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
+    if not all(isinstance(i, (int, np.integer)) and 0 <= i < model.d for i in immutable):
+        raise ValueError(f"immutable must list integers in [0, {model.d}), got {immutable!r}")
+    frozen = np.asarray(immutable, dtype=np.int64)
     X = nn._as_matrix(X, model.d)
     if len(seeds) != X.shape[0]:
         raise ValueError(f"{len(seeds)} seeds for {X.shape[0]} points")
@@ -177,7 +201,7 @@ def _query_block(model: Model, X: np.ndarray, seeds: Sequence[int]) -> np.ndarra
         raise RecoursePreconditionError(
             f"query point is already positively classified (row {i}, p={p[i]:.6f})"
         )
-    return X
+    return X, frozen
 
 
 def _keep_cheaper(best: np.ndarray, best_cost: np.ndarray, xp: np.ndarray,
@@ -189,10 +213,11 @@ def _keep_cheaper(best: np.ndarray, best_cost: np.ndarray, xp: np.ndarray,
         best_cost[cheaper] = costs[cheaper]
 
 
-def scfe(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
-         seeds: Sequence[int]) -> RecourseBatch:
+def scfe(model: Model, X: np.ndarray, params: ScfeParams, norm: str,
+         seeds: Sequence[int], immutable: Sequence[int] = ()) -> RecourseBatch:
     """Gradient recourse for each row of X: minimize
-    BCE(f(x'), 1) + lam * c(x, x') by Adam descent from x' = x.
+    BCE(f(x'), 1) + lam * ||x' - x||_norm by Adam descent from x' = x,
+    with the gradient of the immutable features zeroed.
 
     After max_iters without a valid iterate, lam is multiplied by
     lam_decay and the search restarts, up to max_retries times. Each row
@@ -207,8 +232,7 @@ def scfe(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
     arrays whatever the number of rows. A failed row records the last
     attempt.
     """
-    X = _query_block(model, X, seeds)
-    frozen = np.asarray(params.immutable, dtype=np.int64)
+    X, frozen = _query_block(model, X, seeds, norm, immutable)
     block = block_rows(X.shape[1])
     n = X.shape[0]
     counterfactuals, costs, valid = X.copy(), np.zeros(n), np.zeros(n, dtype=bool)
@@ -223,7 +247,7 @@ def scfe(model: Model, X: np.ndarray, params: ScfeParams, cost_fn: CostFn,
         retries[active], lam_final[active] = attempt, lam
         for start in range(0, active.size, block):
             rows = active[start:start + block]
-            best, best_cost = _scfe_attempt(model, X[rows], params, lam, cost_fn.norm, frozen)
+            best, best_cost = _scfe_attempt(model, X[rows], params, lam, norm, frozen)
             found = best_cost < np.inf
             counterfactuals[rows[found]] = best[found]
             costs[rows[found]] = best_cost[found]
@@ -275,23 +299,23 @@ def uniform_l1_ball_sample(center: np.ndarray, radius: float, count: int,
     return center + surface * scale[:, None]
 
 
-def growing_spheres(model: Model, X: np.ndarray, params: SearchParams, cost_fn: CostFn,
-                    seeds: Sequence[int]) -> RecourseBatch:
+def growing_spheres(model: Model, X: np.ndarray, params: SearchParams, norm: str,
+                    seeds: Sequence[int], immutable: Sequence[int] = ()) -> RecourseBatch:
     """Random input-space search in l1 balls of growing radius, for each
     row of X with its seed."""
-    return _ball_search(model, None, X, params, cost_fn, seeds)
+    return _ball_search(model, None, X, params, norm, seeds, immutable)
 
 
 def cchvae(model: Model, vae: VaeModel, X: np.ndarray, params: SearchParams,
-           cost_fn: CostFn, seeds: Sequence[int]) -> RecourseBatch:
+           norm: str, seeds: Sequence[int], immutable: Sequence[int] = ()) -> RecourseBatch:
     """Latent-space recourse for each row x of X: growing l1-ball search
     around the encoder mean of x, candidates decoded back to input space
     (as project(decode(z)) under an immutable mask), cost measured there."""
-    return _ball_search(model, vae, X, params, cost_fn, seeds)
+    return _ball_search(model, vae, X, params, norm, seeds, immutable)
 
 
 def _ball_search(model: Model, vae: VaeModel | None, X: np.ndarray, params: SearchParams,
-                 cost_fn: CostFn, seeds: Sequence[int]) -> RecourseBatch:
+                 norm: str, seeds: Sequence[int], immutable: Sequence[int]) -> RecourseBatch:
     """Growing l1-ball search for each row x of X with its seed: in input
     space around x without a VAE (growing_spheres), in the VAE's latent
     space around the encoder mean of x alone with one (cchvae).
@@ -304,10 +328,9 @@ def _ball_search(model: Model, vae: VaeModel | None, X: np.ndarray, params: Sear
     recorded search point (a decoded block differs from a one-row decode
     in the last bits).
     """
-    X = _query_block(model, X, seeds)
+    X, frozen = _query_block(model, X, seeds, norm, immutable)
     if vae is not None and vae.d != X.shape[1]:
         raise nn.DimensionMismatchError(f"vae expects d={vae.d}, points have {X.shape[1]}")
-    frozen = np.asarray(params.immutable, dtype=np.int64)
 
     def decode(raw: np.ndarray, x: np.ndarray) -> np.ndarray:
         pts = raw if vae is None else vae.decode_batch(raw)
@@ -330,11 +353,11 @@ def _ball_search(model: Model, vae: VaeModel | None, X: np.ndarray, params: Sear
             hit = np.flatnonzero(nn.predict_proba_batch(model, candidates) >= 0.5)
             if hit.size == 0:
                 continue
-            for idx in hit[np.argsort(row_costs(candidates[hit] - x, cost_fn.norm),
+            for idx in hit[np.argsort(row_costs(candidates[hit] - x, norm),
                                       kind="stable")]:
                 final = decode(raw[idx:idx + 1], x)
                 if nn.predict_proba_batch(model, final)[0] >= 0.5:
-                    counterfactuals[i], costs[i] = final[0], row_costs(final - x, cost_fn.norm)[0]
+                    counterfactuals[i], costs[i] = final[0], row_costs(final - x, norm)[0]
                     valid[i], radius[i], radii_tried[i], points[i] = True, r, ri + 1, raw[idx]
                     break
             if valid[i]:

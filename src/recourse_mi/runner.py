@@ -31,12 +31,11 @@ from . import __version__
 from . import attack as attack_mod
 from . import metrics as metrics_mod
 from . import nn
-from .attack import RecourseConfig
 from .data import (Dataset, SplitBundle, SplitSizeError, SyntheticSpec, split_in_place,
                    standardize_in_place, synthetic_arrays, tabular_arrays)
 from .nn import Model, TrainConfig, VaeModel
 from .pool import TaskPool
-from .recourse import CostFn, RecourseBatch, ScfeParams, SearchParams
+from .recourse import RecourseBatch, RecourseConfig, ScfeParams, SearchParams
 from .seeds import derive_seed, rng_for
 
 SCHEMA_VERSION = 2
@@ -190,7 +189,7 @@ CONFIG_TABLE: tuple[tuple[str, Any, tuple | None, Any], ...] = (
     ("train.epochs", int, (1, None), TrainConfig.epochs),
     ("train.batch_size", int, (1, None), TrainConfig.batch_size),
     ("recourse.algorithm", ("scfe", "growing_spheres", "cchvae"), None, RecourseConfig.algorithm),
-    ("recourse.cost_norm", ("l1", "l2"), None, CostFn.norm),
+    ("recourse.cost_norm", ("l1", "l2"), None, RecourseConfig.norm),
     ("recourse.immutable", [int], (0, None), []),
     ("recourse.scfe.lam", float, (0, None), ScfeParams.lam),
     ("recourse.scfe.lam_decay", float, (0, 1), ScfeParams.lam_decay),
@@ -335,7 +334,6 @@ def _check_rules(snap: dict, d: int | None = None) -> None:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     snap = normalize_config(raw)
     rc = snap["recourse"]
-    frozen = tuple(rc["immutable"])
     return ExperimentConfig(
         data=snap["data"],
         model_architecture=list(snap["model"]["architecture"]),
@@ -343,9 +341,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                           epochs=snap["train"]["epochs"],
                           batch_size=snap["train"]["batch_size"],
                           seed=0),  # replaced by derived seeds per stage
-        recourse=RecourseConfig(algorithm=rc["algorithm"], cost_fn=CostFn(rc["cost_norm"]),
-                                scfe_params=ScfeParams(**rc["scfe"], immutable=frozen),
-                                search_params=SearchParams(**rc["search"], immutable=frozen)),
+        recourse=RecourseConfig(algorithm=rc["algorithm"], norm=rc["cost_norm"],
+                                immutable=tuple(rc["immutable"]),
+                                scfe_params=ScfeParams(**rc["scfe"]),
+                                search_params=SearchParams(**rc["search"])),
         attacks=list(snap["attacks"]["which"]),
         n_shadow_models=snap["attacks"]["n_shadow_models"],
         alpha_grid=[float(a) for a in snap["attacks"]["alpha_grid"]],
@@ -443,10 +442,11 @@ def _owner_tasks(config: ExperimentConfig, bundle: SplitBundle) -> dict:
 
 
 def _sample_game(config: ExperimentConfig, owner: Model, owner_vae: VaeModel | None,
-                 bundle: SplitBundle, p_out: np.ndarray) -> tuple[Game, dict]:
+                 bundle: SplitBundle, p_out: np.ndarray) -> tuple[Game, dict, dict]:
     """Draw balanced negatively-classified member/non-member points and
     issue one recourse batch over them; p_out holds the owner's
-    probability of each eval_out row. Failed recourses are dropped with counts."""
+    probability of each eval_out row. Failed recourses are dropped with
+    counts; the batch's trace (search counters) is returned as well."""
     train_ds = bundle.owner_train
     out_ds = bundle.eval_out
 
@@ -487,9 +487,9 @@ def _sample_game(config: ExperimentConfig, owner: Model, owner_vae: VaeModel | N
     }
     kept = batch.valid
     if kept.all():  # nothing to drop, so nothing to copy
-        return Game(point_ids, points, labels, member, batch), meta
+        return Game(point_ids, points, labels, member, batch), meta, batch.trace
     return Game([pid for pid, v in zip(point_ids, kept) if v], points[kept], labels[kept],
-                member[kept], batch.take(kept)), meta
+                member[kept], batch.take(kept)), meta, batch.trace
 
 
 def _stage(trace: dict[str, Any], name: str | None, span: str | None = None,
@@ -525,13 +525,14 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
     distances, a row per game point.
 
     trace.json holds the wall seconds of the stages up to the owner model
-    (prepare_s), the game (game_s) and the shadow columns and attack
-    scores (attacks_s); each pool task's start from the pool's creation,
-    wall and process seconds, as measured where it ran (tasks; a shadow
-    task's cover its model's training, probabilities and replay); the
-    audit process's ru_maxrss in KiB at each stage boundary (ru_maxrss_kb);
-    and for cfd_lrt the shadow skips summed over the points (shadow_skips)
-    and the number of starved points it dropped (cfd_lrt_starved).
+    (prepare_s), the game (game_s) and the shadow columns and attack scores
+    (attacks_s); the pool's worker count (workers) and each pool task's start
+    from the pool's creation, wall and process seconds, as measured where it
+    ran (tasks; a shadow task's cover its model's training, probabilities and
+    replay); the game batch's search counters (game_search); the audit
+    process's ru_maxrss in KiB at each stage boundary (ru_maxrss_kb); and for
+    cfd_lrt the shadow skips summed over the points (shadow_skips) and the
+    number of starved points it dropped (cfd_lrt_starved).
     """
     if stop not in ("owner", "game", "report"):
         raise ValueError(f"stop must be 'owner', 'game' or 'report', got {stop!r}")
@@ -551,7 +552,7 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
     shadows = attack_mod.shadow_tasks(bundle.shadow_pool, n_shadow, config.model_architecture,
                                       config.train, shadow_seed) if n_shadow else {}
     with TaskPool({**first, **shadows}) as pool:
-        trace["tasks"] = pool.times
+        trace["tasks"], trace["workers"] = pool.times, pool.workers
         for tag in first:
             pool.start(tag)
         owner_vae = pool.take("owner_vae") if "owner_vae" in first else None
@@ -578,7 +579,8 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
         if stop == "owner":
             return report
 
-        game, report.game_meta = _sample_game(config, owner, owner_vae, bundle, p_out)
+        game, report.game_meta, trace["game_search"] = _sample_game(config, owner, owner_vae,
+                                                                    bundle, p_out)
         report.game = game
         start = _stage(trace, "game", "game_s", start)
         if stop == "game":

@@ -123,14 +123,15 @@ def _norm(delta: np.ndarray, norm: str) -> float:
     return float(np.sqrt(np.sum(delta * delta)))
 
 
-def scfe_reference(model, x, params, norm: str) -> dict:
+def scfe_reference(model, x, params, norm: str, immutable=()) -> dict:
     """Per-point SCFE: Adam descent on BCE(f(x'), 1) + lam * ||x' - x||,
-    restarting with lam * lam_decay after each attempt of max_iters
-    without a valid iterate. Returns counterfactual, cost, valid, trace.
+    the immutable coordinates' gradient zeroed, restarting with
+    lam * lam_decay after each attempt of max_iters without a valid
+    iterate. Returns counterfactual, cost, valid, trace.
     """
     W, B = model.weights, model.biases
     x = np.asarray(x, dtype=np.float64)
-    frozen = np.asarray(params.immutable, dtype=np.int64)
+    frozen = np.asarray(immutable, dtype=np.int64)
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     def prob(v):
@@ -184,7 +185,7 @@ def scfe_reference(model, x, params, norm: str) -> dict:
 # batch and single-point decode/validate closures to one search loop -----
 
 def _ball_search_reference(predict_batch, decode_batch, decode_single, search_center,
-                           x, params, cost_fn, validate_single, seed):
+                           x, params, norm, validate_single, seed):
     """(counterfactual or None, cost, trace) of the cheapest valid
     candidate at the first accepting radius, rebuilt and re-checked
     through the single-point closures."""
@@ -200,7 +201,7 @@ def _ball_search_reference(predict_batch, decode_batch, decode_single, search_ce
         hit = np.flatnonzero(probs >= 0.5)
         if hit.size == 0:
             continue
-        costs = row_costs(candidates[hit] - x, cost_fn.norm)
+        costs = row_costs(candidates[hit] - x, norm)
         for local in np.argsort(costs, kind="stable"):
             idx = hit[local]
             final = decode_single(raw[idx])
@@ -208,7 +209,7 @@ def _ball_search_reference(predict_batch, decode_batch, decode_single, search_ce
                 trace = {"radius": float(r), "radii_tried": ri + 1,
                          "samples_per_radius": params.samples_per_radius,
                          "search_point": [float(v) for v in raw[idx]]}
-                return final, _norm(final - x, cost_fn.norm), trace
+                return final, _norm(final - x, norm), trace
     return None, 0.0, {"radius": float(radii[-1]) if radii.size else 0.0,
                        "radii_tried": int(radii.size),
                        "samples_per_radius": params.samples_per_radius}
@@ -248,36 +249,36 @@ def _row_record(algorithm, x, found, c, trace, seed):
             "trace": trace, "seed": seed}
 
 
-def growing_spheres_reference(model, x, params, cost_fn, seed):
+def growing_spheres_reference(model, x, params, norm, seed, immutable=()):
     """The row record of the input-space ball search."""
     from recourse_mi import nn
     from recourse_mi.recourse import _query_block
 
-    x = _query_block(model, x[None, :], [seed])[0]
-    project_batch, project_single = _freezer_reference(x, params.immutable)
+    x = _query_block(model, x[None, :], [seed], norm, immutable)[0][0]
+    project_batch, project_single = _freezer_reference(x, immutable)
     found, c, trace = _ball_search_reference(
         predict_batch=lambda pts: nn.predict_proba_batch(model, pts),
         decode_batch=project_batch, decode_single=project_single,
-        search_center=x, x=x, params=params, cost_fn=cost_fn,
+        search_center=x, x=x, params=params, norm=norm,
         validate_single=lambda pt: nn.predict_proba_batch(model, _one_row(pt, model.d))[0] >= 0.5,
         seed=seed)
     return _row_record("growing_spheres", x, found, c, trace, seed)
 
 
-def cchvae_reference(model, vae, x, params, cost_fn, seed):
+def cchvae_reference(model, vae, x, params, norm, seed, immutable=()):
     """The row record of the latent-space ball search around the encoder
     mean of x, each candidate decoded back and projected."""
     from recourse_mi import nn
     from recourse_mi.recourse import _query_block
 
-    x = _query_block(model, x[None, :], [seed])[0]
-    project_batch, project_single = _freezer_reference(x, params.immutable)
+    x = _query_block(model, x[None, :], [seed], norm, immutable)[0][0]
+    project_batch, project_single = _freezer_reference(x, immutable)
     z_center = vae.encode_batch(_one_row(x, vae.d))[0][0]
     found, c, trace = _ball_search_reference(
         predict_batch=lambda pts: nn.predict_proba_batch(model, pts),
         decode_batch=lambda zs: project_batch(vae.decode_batch(zs)),
         decode_single=lambda z: project_single(vae.decode_batch(_one_row(z, vae.latent_dim))[0]),
-        search_center=z_center, x=x, params=params, cost_fn=cost_fn,
+        search_center=z_center, x=x, params=params, norm=norm,
         validate_single=lambda pt: nn.predict_proba_batch(model, _one_row(pt, model.d))[0] >= 0.5,
         seed=seed)
     if found is not None:

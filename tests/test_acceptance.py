@@ -29,7 +29,6 @@ from recourse_mi.nn import (
 )
 from recourse_mi.privacy import dp_ba_bound
 from recourse_mi.recourse import (
-    CostFn,
     ScfeParams,
     SearchParams,
     growing_spheres,
@@ -213,7 +212,6 @@ class TestCriterion6TwoSidedOracle:
         candidates, rest = perm[:40000], perm[40000:]
         band_coord = (pool_raw.features[candidates] - (v0 + v1) / 2) @ axis
 
-        cost_fn = CostFn("l1")
         sp = ScfeParams(max_iters=300)
         own_rows = np.concatenate([candidates[:100], rest[:100]])
         owner = train_classifier(
@@ -228,7 +226,7 @@ class TestCriterion6TwoSidedOracle:
         def point_scores(j: int) -> tuple[float, float] | None:
             """(one-sided score, two-sided LLR) of point j; None drops it."""
             x, y = pool.features[chosen[j]], int(pool.labels[chosen[j]])
-            r0 = scfe(owner, x[None], sp, cost_fn, [derive_seed(master, "t0", j)])
+            r0 = scfe(owner, x[None], sp, "l1", [derive_seed(master, "t0", j)])
             if not r0.valid[0]:
                 return None
             t0 = max(r0.costs.item(), 1e-12)
@@ -248,7 +246,7 @@ class TestCriterion6TwoSidedOracle:
                     TrainConfig(seed=derive_seed(master, f"t-{j}", i), **train_kw))
                 if prob_of(m, x) >= 0.5:
                     continue
-                r = scfe(m, x[None], sp, cost_fn, [derive_seed(master, f"r-{j}", i)])
+                r = scfe(m, x[None], sp, "l1", [derive_seed(master, f"r-{j}", i)])
                 if not r.valid[0]:
                     continue
                 (ins if i < n_in else outs).append(max(r.costs.item(), 1e-12))
@@ -290,9 +288,9 @@ class TestCriterion7RecourseQuality:
         # rows are batch-independent: each batch equals 40 one-point calls,
         # point i with seed i
         seeds = list(range(len(neg)))
-        for batch in (scfe(model, neg, ScfeParams(max_iters=300), CostFn("l1"), seeds),
-                      growing_spheres(model, neg, SearchParams(), CostFn("l1"), seeds),
-                      cchvae(model, vae, neg, SearchParams(), CostFn("l1"), seeds)):
+        for batch in (scfe(model, neg, ScfeParams(max_iters=300), "l1", seeds),
+                      growing_spheres(model, neg, SearchParams(), "l1", seeds),
+                      cchvae(model, vae, neg, SearchParams(), "l1", seeds)):
             for cf, ok in zip(batch.counterfactuals, batch.valid):
                 total += 1
                 if ok and prob_of(model, cf) >= 0.5:
@@ -327,7 +325,7 @@ class TestCriterion7RecourseQuality:
             res = scfe(model2, x[None],
                        ScfeParams(lam=1.0, lam_decay=0.7, max_retries=12,
                                   step_size=0.01, max_iters=3000),
-                       CostFn("l2"), [0])
+                       "l2", [0])
             assert res.valid[0]
             span = 2.0 * boundary_dist
             _, oracle_cost = grid_cheapest_valid_logistic(
@@ -346,7 +344,7 @@ class TestCriterion7RecourseQuality:
             theta = np.zeros(d)
             theta[0] = 4.0
             model3 = make_logistic(theta, -4.0 * boundary)
-            res = growing_spheres(model3, np.zeros((1, d)), SearchParams(), CostFn("l1"), [d])
+            res = growing_spheres(model3, np.zeros((1, d)), SearchParams(), "l1", [d])
             c = res.costs.item()
             gs_detail.append(round(c / boundary, 3))
             gs_ok &= bool(res.valid[0]) and boundary <= c <= 1.5 * boundary

@@ -18,7 +18,6 @@ import recourse_mi
 from recourse_mi import data as data_mod, normal, recourse
 from recourse_mi.attack import (
     NormalFit,
-    RecourseConfig,
     cfd_lrt_attack_scores,
     cfd_statistic,
     fit_normal_mle,
@@ -41,7 +40,7 @@ from recourse_mi.nn import (
 )
 from recourse_mi.pool import TaskPool
 from recourse_mi.recourse import (
-    CostFn,
+    RecourseConfig,
     RecoursePreconditionError,
     ScfeParams,
     SearchParams,
@@ -87,7 +86,7 @@ class TestCfdStatistic:
 
     def test_matches_recomputed_cost(self, halfspace_2d):
         x = np.array([0.0, 0.0])
-        res = growing_spheres(halfspace_2d, x[None], SearchParams(), CostFn("l1"), [1])
+        res = growing_spheres(halfspace_2d, x[None], SearchParams(), "l1", [1])
         stat = cfd_statistic(res.costs)[0]
         assert stat == row_costs(res.counterfactuals - x, "l1")[0]
 
@@ -326,7 +325,7 @@ def shadow_setup():
                                           class_separation=1.0))
     std, _ = standardize(ds)
     cfg = TrainConfig(learning_rate=0.05, epochs=60, seed=0)
-    rc = RecourseConfig(algorithm="growing_spheres", cost_fn=CostFn("l1"),
+    rc = RecourseConfig(algorithm="growing_spheres", norm="l1",
                         search_params=SearchParams(samples_per_radius=200))
     models = train_shadows(std, n_models=8, architecture=[], trainer_config=cfg, seed=99)
     return std, models, (rc, 99, None)
@@ -385,7 +384,7 @@ class TestShadowEnsemble:
         # hand-built shadow models: halfspaces with known boundaries; each
         # GS distance must fall in [distance, 1.5 * distance]
         models = [make_logistic([4.0, 0.0], -4.0 * b) for b in (1.0, 1.5, 2.0)]
-        rc = RecourseConfig(algorithm="growing_spheres", cost_fn=CostFn("l1"),
+        rc = RecourseConfig(algorithm="growing_spheres", norm="l1",
                             search_params=SearchParams(samples_per_radius=500,
                                                        max_radius=10.0))
         runs = []
@@ -508,7 +507,7 @@ class TestShadowEnsemble:
         owner = models[0]
         js = [j for j, x in enumerate(std.features[:40]) if prob_of(owner, x) < 0.5]
         X = std.features[js]
-        costs = growing_spheres(owner, X, SearchParams(), CostFn("l1"), js).costs
+        costs = growing_spheres(owner, X, SearchParams(), "l1", js).costs
         scores = cfd_lrt_scores(X, costs, models, replay, alphas=(0.1,))
         by_row = dict(zip(scores.rows.tolist(), scores.score.tolist()))
         assert len(by_row) >= len(js) // 2
@@ -602,7 +601,7 @@ class TestGenerateBatch:
         X = np.array([[0.0, 0.0], [-1.0, 2.0], [0.5, -0.5]])
         batch = rc.generate_batch(halfspace_2d, X, [3, 4, 5])
         for i, (x, seed) in enumerate(zip(X, (3, 4, 5))):
-            one = growing_spheres(halfspace_2d, x[None], rc.search_params, rc.cost_fn, [seed])
+            one = growing_spheres(halfspace_2d, x[None], rc.search_params, rc.norm, [seed])
             assert batch.row_json(i) == one.row_json(0)
             assert batch.seeds[i] == seed
 

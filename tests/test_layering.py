@@ -134,7 +134,7 @@ def test_every_blocked_loop_takes_its_rows_from_the_one_budget(monkeypatch, tmp_
     attempts = spy(recourse, "_scfe_attempt")
     logistic = nn.Model([np.ones((d, 1))], [np.array([-100.0])], [], d)
     recourse.scfe(logistic, x, recourse.ScfeParams(max_iters=2, max_retries=0),
-                  recourse.CostFn("l1"), range(n))
+                  "l1", range(n))
     assert attempts == blocks_of(n, d)
 
     data.standardize_in_place(x.copy().view(RowSlices), {})

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from recourse_mi import attack, cli, nn, runner
+from recourse_mi import attack, cli, nn, recourse, runner
 from recourse_mi import data as data_mod
 from recourse_mi.data import SyntheticSpec, ZeroVarianceColumnError, load_tabular, write_csv
 from recourse_mi.pool import TaskPool
@@ -353,10 +353,21 @@ class TestConfig:
 
     def test_defaults_are_the_library_defaults(self):
         cfg = config_from_dict({})
-        assert cfg.recourse == attack.RecourseConfig()
+        assert cfg.recourse == recourse.RecourseConfig()
         assert cfg.train == nn.TrainConfig()
         assert runner.normalize_config({})["data"]["class_separation"] == \
             SyntheticSpec.class_separation
+
+    def test_one_library_field_per_config_key(self):
+        # each schedule holds exactly its section's keys, and the section's
+        # own keys land once, in RecourseConfig
+        for params, section in ((recourse.ScfeParams, "recourse.scfe."),
+                                (recourse.SearchParams, "recourse.search.")):
+            keys = {key[len(section):] for key, *_ in runner.CONFIG_TABLE
+                    if key.startswith(section)}
+            assert {f.name for f in dataclasses.fields(params)} == keys
+        cfg = config_from_dict({"recourse": {"cost_norm": "l2", "immutable": [1]}})
+        assert cfg.recourse.norm == "l2" and cfg.recourse.immutable == (1,)
 
 
 class TestPlayGame:
@@ -382,13 +393,13 @@ class TestPlayGame:
 
     def test_a_game_without_failed_recourse_copies_nothing(self, monkeypatch):
         seen = {}
-        real = attack.RecourseConfig.generate_batch
+        real = recourse.RecourseConfig.generate_batch
 
         def spy(self, model, X, seeds, vae=None):
             seen["points"], seen["batch"] = X, real(self, model, X, seeds, vae=vae)
             return seen["batch"]
 
-        monkeypatch.setattr(attack.RecourseConfig, "generate_batch", spy)
+        monkeypatch.setattr(recourse.RecourseConfig, "generate_batch", spy)
         game = runner.run_experiment(config_from_dict(small_raw()), stop="game").game
         assert seen["batch"].valid.all()
         assert np.shares_memory(game.points, seen["points"])
@@ -403,13 +414,13 @@ class TestPlayGame:
 
     def test_a_game_keeps_exactly_the_valid_rows_and_counts_the_failures(self, monkeypatch):
         seen = {}
-        real = attack.RecourseConfig.generate_batch
+        real = recourse.RecourseConfig.generate_batch
 
         def spy(self, model, X, seeds, vae=None):
             seen["points"], seen["batch"] = X, real(self, model, X, seeds, vae=vae)
             return seen["batch"]
 
-        monkeypatch.setattr(attack.RecourseConfig, "generate_batch", spy)
+        monkeypatch.setattr(recourse.RecourseConfig, "generate_batch", spy)
         cfg = self.growing_spheres(1.2)
         rep = runner.run_experiment(cfg, stop="game")
         game, batch, kept = rep.game, seen["batch"], seen["batch"].valid
@@ -744,7 +755,8 @@ class TestRunExperiment:
         assert doc["schema_version"] == 2
         assert "scores" not in doc and "timing" not in doc
         trace = json.loads((out / "trace.json").read_text())
-        assert set(trace) == {"prepare_s", "game_s", "attacks_s", "ru_maxrss_kb", "tasks"}
+        assert set(trace) == {"prepare_s", "game_s", "attacks_s", "ru_maxrss_kb", "tasks",
+                              "workers", "game_search"}
         scored = doc["game"]["scored_points"]
         assert set(scored) == set(rep.attacks) == {"cfd"}
         for name, counts in scored.items():
@@ -903,15 +915,25 @@ class TestStreamedAudit:
         assert set(live) == {"game", "cfd_lrt_attack_scores", "loss_lrt_attack_scores"}
         assert all(n == 1 for n in live.values()), live
 
-    @pytest.mark.parametrize("recourse", [
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("setup", [
         {"algorithm": "scfe", "scfe": {"max_iters": 120}},
         {"algorithm": "growing_spheres", "search": {"samples_per_radius": 50, "max_radius": 2.0}},
     ], ids=lambda rc: rc["algorithm"])
-    def test_trace_counts_tasks_memory_and_shadow_skips(self, tmp_path, recourse):
-        cfg = config_from_dict(self.lrt_raw(out_dir=str(tmp_path), recourse=recourse))
+    def test_trace_counts_tasks_memory_and_shadow_skips(self, tmp_path, monkeypatch, setup,
+                                                        cpus):
+        use_cpus(monkeypatch, cpus)
+        batches = []  # the audit process's recourse batches, the game's first
+        real = recourse.RecourseConfig.generate_batch
+        monkeypatch.setattr(recourse.RecourseConfig, "generate_batch",
+                            lambda *a, **k: batches.append(real(*a, **k)) or batches[-1])
+        cfg = config_from_dict(self.lrt_raw(out_dir=str(tmp_path), recourse=setup))
         rep = runner.run_experiment(cfg)
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert set(trace["tasks"]) == {"owner", *(f"shadow_{i}" for i in range(6))}
+        assert trace["workers"] == min(len(trace["tasks"]), cpus)
+        # the counters of the game's whole batch, failed rounds included
+        assert trace["game_search"] == batches[0].trace and len(batches[0]) == 30
         for times in trace["tasks"].values():
             assert set(times) == {"start_s", "wall_s", "cpu_s"} and times["wall_s"] >= 0
         # the shadow models train once the game, and so the owner, is done
@@ -936,7 +958,7 @@ class TestStreamedAudit:
         assert trace["cfd_lrt_starved"] == starved
         assert rep.game_meta["scored_points"]["cfd_lrt"]["n_skipped"] == starved
         assert positive.sum() > 0
-        assert (failed.sum() > 0) == (recourse["algorithm"] == "growing_spheres")
+        assert (failed.sum() > 0) == (setup["algorithm"] == "growing_spheres")
 
     def test_a_shadow_task_that_raises_mid_audit_leaves_no_worker(self, monkeypatch):
         use_cpus(monkeypatch, 2)
