@@ -22,14 +22,15 @@ reaches the fit's (1 - alpha)-quantile (normal_quantile); cfd_lrt's
 statistic is the log-distance. Each loss statistic is one nn.bce or
 nn.logit_confidence call over all points (and all shadow models).
 
-An audit's shadow models run as pool tasks (shadow_tasks), started once
-the game has been played: each trains its model in its own task and
-returns only that model's column over the game's points, its probability
-of each point and, for cfd_lrt, the distances of its replay of the
-owner's recourse setup (a RecourseConfig; a replayed point's seed is its
-index among the game's valid recourses), never the model. The runner
-stacks the columns in model order into the matrices that the offline
-LRTs take. Every model and replay keeps its own seeds, so results are
+An audit's shadow models run as pool tasks, all listed by the runner's
+_model_tasks and started once the game has been played: each trains its
+model (train_shadow) in its own task and returns only that model's
+column over the game's points (shadow_column), its probability of each
+point and, for cfd_lrt, the distances of its replay of the owner's
+recourse setup (a RecourseConfig; a replayed point's seed is its index
+among the game's valid recourses), never the model. The runner stacks
+the columns in model order into the matrices that the offline LRTs
+take. Every model and replay keeps its own seeds, so results are
 identical at any CPU count.
 
 The normal CDF and quantile of the LRT scores and thresholds are ports of
@@ -39,10 +40,9 @@ normal.py), and give SciPy's values bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -105,28 +105,6 @@ def train_shadow(shadow_pool: Dataset, index: int, architecture: Sequence[int],
     subset = Dataset(shadow_pool.features[rows], shadow_pool.labels[rows])
     cfg = dataclasses.replace(trainer_config, seed=derive_seed(seed, "shadow-train", index))
     return nn.train_classifier(subset, architecture, cfg)
-
-
-def shadow_tasks(
-    shadow_pool: Dataset,
-    n_models: int,
-    architecture: Sequence[int],
-    trainer_config: TrainConfig,
-    seed: int,
-) -> dict[str, Callable[..., tuple]]:
-    """The shadow models' pool tasks by tag, "shadow_{i}" in index order.
-    Task i, started on (X, point_seeds, replay), trains model i
-    (train_shadow) and returns its shadow_column, never the model."""
-    if n_models < 2:
-        raise ValueError(f"need at least 2 shadow models, got {n_models}")
-    if shadow_pool.n // 2 < 2:
-        raise ValueError(f"shadow pool too small (n={shadow_pool.n})")
-
-    def task(i: int, X: np.ndarray, point_seeds: Sequence[int], replay) -> tuple:
-        model = train_shadow(shadow_pool, i, architecture, trainer_config, seed)
-        return shadow_column(model, i, seed, X, point_seeds, replay)
-
-    return {f"shadow_{i}": functools.partial(task, i) for i in range(n_models)}
 
 
 def cfd_statistic(costs: np.ndarray) -> np.ndarray:

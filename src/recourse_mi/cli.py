@@ -35,8 +35,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = runner.config_from_dict(_raw_config(args))
-    report = runner.run_experiment(cfg, stop="owner")
     out = Path(args.out or "model")
+    runner.check_out_dir(out)
+    report = runner.run_experiment(cfg, stop="owner")
     nn.save_model(report.owner_model, out)
     if report.owner_vae is not None:
         nn.save_model(report.owner_vae, out / "vae")

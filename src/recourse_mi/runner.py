@@ -427,18 +427,48 @@ def build_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
     return bundle, prov
 
 
-def _owner_tasks(config: ExperimentConfig, bundle: SplitBundle) -> dict:
-    """The owner's training tasks by TaskPool tag, longest first so that
-    the workers' greedy pick balances the load: its VAE for cchvae, then
-    the owner model."""
-    tasks = {}
-    if config.recourse.algorithm == "cchvae":
+def check_out_dir(path: str | Path) -> None:
+    """A ConfigError where the output directory `path`, or its nearest
+    existing parent, is not a directory."""
+    nearest = next(p for p in (Path(path).absolute(), *Path(path).absolute().parents)
+                   if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output directory {path} cannot be used: {nearest} is not a directory")
+
+
+def _model_tasks(config: ExperimentConfig, bundle: SplitBundle,
+                 shadows: bool) -> tuple[dict, dict]:
+    """Every model task of an audit by TaskPool tag, the one place that
+    chooses which models train, on which rows and with which seeds.
+    `first`, started at once and longest first: the shadow VAE (cchvae
+    with cfd_lrt), the owner's VAE (cchvae), the owner. The shadow tasks,
+    none unless `shadows` is set and an LRT attack configured: "shadow_{i}"
+    in index order, started on (game points X, shadow VAE), trains shadow
+    model i and returns its attack.shadow_column over X, a point's replay
+    seed its row in X."""
+    cchvae = config.recourse.algorithm == "cchvae"
+    replays = shadows and "cfd_lrt" in config.attacks
+    shadow_seed = derive_seed(config.seed, "shadow-ensemble")
+    first = {}
+    if cchvae and replays:
+        vae_cfg = dataclasses.replace(config.vae_train, seed=derive_seed(shadow_seed, "shadow-vae"))
+        first["shadow_vae"] = functools.partial(nn.train_vae, bundle.shadow_pool, vae_cfg)
+    if cchvae:
         vae_cfg = dataclasses.replace(config.vae_train, seed=derive_seed(config.seed, "owner-vae"))
-        tasks["owner_vae"] = functools.partial(nn.train_vae, bundle.owner_train, vae_cfg)
+        first["owner_vae"] = functools.partial(nn.train_vae, bundle.owner_train, vae_cfg)
     train_cfg = dataclasses.replace(config.train, seed=derive_seed(config.seed, "owner-train"))
-    tasks["owner"] = functools.partial(nn.train_classifier, bundle.owner_train,
+    first["owner"] = functools.partial(nn.train_classifier, bundle.owner_train,
                                        config.model_architecture, train_cfg)
-    return tasks
+
+    def shadow(i: int, X: np.ndarray, vae: VaeModel | None) -> tuple:
+        model = attack_mod.train_shadow(bundle.shadow_pool, i, config.model_architecture,
+                                        config.train, shadow_seed)
+        return attack_mod.shadow_column(model, i, shadow_seed, X, range(len(X)),
+                                        (config.recourse, vae) if replays else None)
+
+    lrt = shadows and {"cfd_lrt", "loss_lrt"} & set(config.attacks)
+    return first, {f"shadow_{i}": functools.partial(shadow, i)
+                   for i in range(config.n_shadow_models if lrt else 0)}
 
 
 def _sample_game(config: ExperimentConfig, owner: Model, owner_vae: VaeModel | None,
@@ -511,18 +541,19 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
     "report" (shadow models, attack scores and metrics; saved as
     report.json, the score and ROC files and trace.json when out_dir is
     set). A run stopped before "report" trains only the owner's models and
-    writes nothing; the train and recourse commands run such prefixes.
+    writes nothing; the train and recourse commands run such prefixes. An
+    out_dir that cannot be a directory (check_out_dir) is a ConfigError
+    before any data is built.
 
-    One TaskPool serves the whole audit, one task per model. It first
-    starts the shadow VAE (cchvae with cfd_lrt, for the replay) and the
-    owner's models (_owner_tasks), longest first. The game runs here as
-    soon as the owner (and its VAE) return. Then every shadow model's task
-    (attack.shadow_tasks) starts on the game's points: it trains its model
-    and returns only the model's column of the offline LRTs, its
-    probabilities and, for cfd_lrt, its replay's distances, so the audit
-    process never holds a shadow model. The columns are taken in model
-    order and stacked into one matrix of probabilities and one of
-    distances, a row per game point.
+    One TaskPool serves the whole audit, one task per model, all listed
+    by _model_tasks. It first starts the shadow VAE and the owner's
+    models, longest first; the game runs here as soon as the owner (and
+    its VAE) return. Then every shadow task starts on the game's points
+    and the shadow VAE, and returns only its model's column of the
+    offline LRTs, its probabilities and, for cfd_lrt, its replay's
+    distances, so the audit process never holds a shadow model. The
+    columns are taken in model order and stacked into one matrix of
+    probabilities and one of distances, a row per game point.
 
     trace.json holds the wall seconds of the stages up to the owner model
     (prepare_s), the game (game_s) and the shadow columns and attack scores
@@ -536,21 +567,13 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
     """
     if stop not in ("owner", "game", "report"):
         raise ValueError(f"stop must be 'owner', 'game' or 'report', got {stop!r}")
-    scored = config.attacks if stop == "report" else []  # so a stopped run trains no shadow
+    if stop == "report" and config.out_dir:
+        check_out_dir(config.out_dir)
     trace: dict[str, Any] = {"ru_maxrss_kb": {}}
     start = time.perf_counter()
     bundle, data_provenance = build_split(config)
     _stage(trace, "data")
-    shadow_seed = derive_seed(config.seed, "shadow-ensemble")
-    first = {}
-    if "cfd_lrt" in scored and config.recourse.algorithm == "cchvae":
-        vae_cfg = dataclasses.replace(config.vae_train,
-                                      seed=derive_seed(shadow_seed, "shadow-vae"))
-        first["shadow_vae"] = functools.partial(nn.train_vae, bundle.shadow_pool, vae_cfg)
-    first.update(_owner_tasks(config, bundle))
-    n_shadow = config.n_shadow_models if set(scored) & {"cfd_lrt", "loss_lrt"} else 0
-    shadows = attack_mod.shadow_tasks(bundle.shadow_pool, n_shadow, config.model_architecture,
-                                      config.train, shadow_seed) if n_shadow else {}
+    first, shadows = _model_tasks(config, bundle, shadows=stop == "report")
     with TaskPool({**first, **shadows}) as pool:
         trace["tasks"], trace["workers"] = pool.times, pool.workers
         for tag in first:
@@ -588,21 +611,18 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
 
         probs = dists = None
         if shadows:
-            replay = None
-            if "cfd_lrt" in scored:
-                replay = (config.recourse,
-                          pool.take("shadow_vae") if "shadow_vae" in first else None)
+            shadow_vae = pool.take("shadow_vae") if "shadow_vae" in first else None
             for tag in shadows:
-                pool.start(tag, game.points, range(len(game.point_ids)), replay)
+                pool.start(tag, game.points, shadow_vae)
             columns = [pool.take(tag) for tag in shadows]  # in model order
             probs = np.column_stack([p for p, _ in columns])
-            if replay is not None:
+            if "cfd_lrt" in config.attacks:
                 dists = np.column_stack([d for _, d in columns])
             _stage(trace, "shadows")
     # the scorers receive the transcript's arrays, never the game's answer
     # key; the loss attacks share one pass of the owner over the game's points
     costs, labels = game.recourse.costs, game.labels
-    if {"loss", "loss_lrt"} & set(scored):
+    if {"loss", "loss_lrt"} & set(config.attacks):
         owner_probs = nn.predict_proba_batch(owner, game.points)
     scorers = {
         "cfd": lambda: attack_mod.cfd_attack_scores(costs),

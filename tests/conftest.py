@@ -69,8 +69,8 @@ def run_all(tasks: dict) -> dict:
 
 
 def train_shadows(shadow_pool, n_models, architecture, trainer_config, seed) -> list[Model]:
-    """The shadow models that the tasks of attack.shadow_tasks train
-    (attack.train_shadow), in index order, trained by run_all."""
+    """The shadow models that an audit's shadow tasks (runner._model_tasks)
+    train through attack.train_shadow, in index order, trained by run_all."""
     done = run_all({i: functools.partial(attack.train_shadow, shadow_pool, i, architecture,
                                          trainer_config, seed) for i in range(n_models)})
     return list(done.values())

@@ -26,7 +26,6 @@ from recourse_mi.attack import (
     loss_lrt_score,
     normal_quantile,
     shadow_column,
-    shadow_tasks,
 )
 from recourse_mi.data import Dataset, SyntheticSpec, generate_synthetic, standardize
 from recourse_mi.nn import (
@@ -353,15 +352,9 @@ def test_batched_loss_scores_equal_per_point_losses(shadow_setup):
 
 
 class TestShadowEnsemble:
-    """The shadow models of shadow_tasks, and their columns stacked in
+    """The shadow models of train_shadow, and their columns stacked in
     model order into the matrices that the LRTs take, as an audit stacks
     them; the hand-built cases run on 1 and on 2 CPUs."""
-
-    def test_builds_n_models(self, shadow_setup):
-        std, models, _ = shadow_setup
-        assert len(models) == 8
-        tasks = shadow_tasks(std, 8, [], TrainConfig(), seed=99)
-        assert list(tasks) == [f"shadow_{i}" for i in range(8)]
 
     def test_distances_positive_and_at_most_n(self, shadow_setup):
         std, models, replay = shadow_setup

@@ -189,6 +189,7 @@ class TestConfig:
         # each side draws half the game's points from its own partition
         ({"eval": {"eval_points": 402}}, "eval_points"),
         ({"attacks": {"which": ["cfd_lrt"]}, "eval": {"shadow_n": 3}}, "shadow_n"),
+        ({"attacks": {"which": ["loss_lrt"]}, "eval": {"shadow_n": 3}}, "shadow_n"),
         ({"data": {"n_per_class": 100},
           "eval": {"owner_n": 100, "shadow_n": 100, "eval_out_n": 100}}, "exceeds the 200 rows"),
         # data values: checked before any data is read
@@ -243,6 +244,27 @@ class TestConfig:
         out = [] if "out_dir" in raw else ["--out", str(tmp_path / "o")]  # --out would replace it
         assert cli.main([command, "--config", str(cfg_path), *out]) == 1
         assert match in capsys.readouterr().err and not trained
+
+    @pytest.mark.parametrize("command,under", [
+        ("run", False), ("run", True), ("sweep", False), ("train", False), ("train", True)])
+    def test_an_out_path_that_is_no_directory_exits_1_before_any_data(
+            self, tmp_path, monkeypatch, capsys, command, under):
+        # a file where the output directory, or one of its parents, would go
+        # would fail the first write, after the whole audit had trained
+        built = []
+        monkeypatch.setattr(runner, "build_split", lambda *a: built.append(a))
+        monkeypatch.setattr(nn, "train_classifier", lambda *a, **k: built.append(a))
+        raw = small_raw(sweep={"seed": [1, 2]}) if command == "sweep" else small_raw()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        blocker = tmp_path / "o"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if under else blocker
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        # a sweep names its first run's directory, inside the blocker
+        assert f"cannot be used: {blocker} is not a directory" in err and str(out) in err
+        assert not built and blocker.read_text() == "not a directory\n"
 
     def test_sweep_seed_flag_against_sweep_seed_exits_1_before_training(
             self, tmp_path, monkeypatch, capsys):
@@ -503,6 +525,39 @@ class TestTrainingTaskList:
                       "search": {"samples_per_radius": 50}},
             attacks={"which": ["cfd", "cfd_lrt"], "n_shadow_models": 3},
             eval={"eval_points": 10}))
+
+    @pytest.mark.parametrize("algorithm,which,shadows,first,n_shadows", [
+        ("scfe", "cfd", True, ["owner"], 0),
+        ("scfe", "cfd", False, ["owner"], 0),
+        ("scfe", "cfd_lrt", True, ["owner"], 3),
+        ("scfe", "cfd_lrt", False, ["owner"], 0),
+        ("scfe", "loss_lrt", True, ["owner"], 3),
+        ("scfe", "loss_lrt", False, ["owner"], 0),
+        ("cchvae", "cfd", True, ["owner_vae", "owner"], 0),
+        ("cchvae", "cfd", False, ["owner_vae", "owner"], 0),
+        ("cchvae", "cfd_lrt", True, ["shadow_vae", "owner_vae", "owner"], 3),
+        ("cchvae", "cfd_lrt", False, ["owner_vae", "owner"], 0),
+        ("cchvae", "loss_lrt", True, ["owner_vae", "owner"], 3),
+        ("cchvae", "loss_lrt", False, ["owner_vae", "owner"], 0),
+    ])
+    def test_model_tasks_lists_every_model_of_the_audit(self, monkeypatch, algorithm, which,
+                                                        shadows, first, n_shadows):
+        # the tags in start order and the rows each model of `first` trains
+        # on; the list is built without training anything
+        trained = []
+        for name in ("train_classifier", "train_vae"):
+            monkeypatch.setattr(nn, name, lambda *a: trained.append(a))
+        monkeypatch.setattr(attack, "train_shadow", lambda *a: trained.append(a))
+        cfg = config_from_dict(small_raw(recourse={"algorithm": algorithm},
+                                         attacks={"which": [which], "n_shadow_models": 3}))
+        bundle = runner.build_split(cfg)[0]
+        got_first, got_shadows = runner._model_tasks(cfg, bundle, shadows)
+        assert list(got_first) == first
+        assert list(got_shadows) == ["shadow_0", "shadow_1", "shadow_2"][:n_shadows]
+        for tag, task in got_first.items():
+            assert task.args[0] is (bundle.shadow_pool if tag == "shadow_vae"
+                                    else bundle.owner_train)
+        assert not trained
 
     def test_models_and_columns_do_not_depend_on_the_cpu_count(self, monkeypatch):
         # every model, and every shadow model's column, that the audit
