@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -25,8 +26,11 @@ def _raw_config(args) -> dict:
 
 def cmd_gen_data(args) -> int:
     cfg = runner.config_from_dict(_raw_config(args))
-    data = runner.build_dataset(cfg)
     out = Path(args.out or "data.csv")
+    runner.check_out_file(out)
+    runner.check_out_file(out.with_suffix(".provenance.json"))
+    data = runner.build_dataset(cfg)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(data, out)
     runner.write_json(out.with_suffix(".provenance.json"), data.provenance)
     print(f"wrote {data.n} rows x {data.d} features to {out}")
@@ -51,8 +55,10 @@ def cmd_train(args) -> int:
 
 def cmd_recourse(args) -> int:
     cfg = runner.config_from_dict(_raw_config(args))
-    game = runner.run_experiment(cfg, stop="game").game
     out = Path(args.out or "game_samples.jsonl")
+    runner.check_out_file(out)
+    game = runner.run_experiment(cfg, stop="game").game
+    out.parent.mkdir(parents=True, exist_ok=True)
     runner.write_jsonl(out, ({
         "point_id": point_id,
         "membership": "MEMBER" if game.member[i] else "NON-MEMBER",
@@ -94,19 +100,23 @@ def cmd_sweep(args) -> int:
 
 def cmd_dp_bound(args) -> int:
     try:  # a token that is no number, or a negative or NaN epsilon
-        bounds = privacy.bound_table(float(tok) for tok in args.epsilons.split(",")
-                                     if tok.strip() != "")
+        bounds = [privacy.dp_ba_bound(float(tok)) for tok in args.epsilons.split(",")
+                  if tok.strip() != ""]
     except ValueError as exc:
         raise runner.ConfigError(f"bad --epsilons list: {exc}") from exc
     if not bounds:
         raise runner.ConfigError("--epsilons is empty")
-    sys.stdout.write(privacy.format_bound_csv(bounds))
+    writer = csv.writer(sys.stdout, lineterminator="\n")  # a float as its repr
+    writer.writerow(["epsilon", "ba_bound", "refined_ba_bound"])
+    writer.writerows([b.epsilon, b.ba_bound, b.refined_ba_bound] for b in bounds)
     return 0
 
 
 def cmd_summarize(args) -> int:
-    docs = [runner.read_report(path) for path in args.reports]  # before --out is opened
     out = Path(args.out or "summary.csv")
+    runner.check_out_file(out)
+    docs = [runner.read_report(path) for path in args.reports]  # before --out is opened
+    out.parent.mkdir(parents=True, exist_ok=True)
     runner.write_summary(docs, out)
     print(f"wrote {out}")
     return 0

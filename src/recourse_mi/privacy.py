@@ -3,8 +3,8 @@ epsilon-differentially-private recourse generator.
 
 Two closed forms: the simple bound 1/2 + (1 - e^-eps)/2 and the refined
 small-epsilon bound 1/2 + (2 - e^-eps)(1 - e^-eps)/4, which never exceeds
-the simple one. This module only evaluates the bounds; it does not build
-a private recourse mechanism.
+the simple one. This module only evaluates the bounds, and `cli dp-bound`
+writes them as CSV; it does not build a private recourse mechanism.
 
 Reading the bound: since BA = (TPR + TNR)/2, a cap of BA <= b means that
 at false-positive rate alpha the attacker's TPR is at most
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -37,13 +36,3 @@ def dp_ba_bound(epsilon: float) -> DpBound:
         refined_ba_bound=min(refined, 1.0),
     )
 
-
-def bound_table(epsilons: Iterable[float]) -> list[DpBound]:
-    return [dp_ba_bound(e) for e in epsilons]
-
-
-def format_bound_csv(bounds: Sequence[DpBound]) -> str:
-    lines = ["epsilon,ba_bound,refined_ba_bound"]
-    for b in bounds:
-        lines.append(f"{b.epsilon!r},{b.ba_bound!r},{b.refined_ba_bound!r}")
-    return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ does not depend on how the points are batched.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import functools
@@ -436,6 +437,16 @@ def check_out_dir(path: str | Path) -> None:
         raise ConfigError(f"output directory {path} cannot be used: {nearest} is not a directory")
 
 
+def check_out_file(path: str | Path) -> None:
+    """A ConfigError where the output file `path` is a directory, or where
+    its nearest existing parent is not one."""
+    full = Path(path).absolute()
+    nearest = next(p for p in full.parents if p.exists())
+    if full.is_dir() or not nearest.is_dir():
+        why = f"{full} is a directory" if full.is_dir() else f"{nearest} is not a directory"
+        raise ConfigError(f"output file {path} cannot be used: {why}")
+
+
 def _model_tasks(config: ExperimentConfig, bundle: SplitBundle,
                  shadows: bool) -> tuple[dict, dict]:
     """Every model task of an audit by TaskPool tag, the one place that
@@ -702,13 +713,12 @@ def run_sweep(raw_config: dict) -> list[ExperimentReport]:
     The config's optional "sweep" section holds {"d": [...], "seed": [...]},
     each a non-empty list of distinct values that the data.d and seed rows
     of CONFIG_TABLE accept; d only for synthetic data, since a file fixes
-    d. Each combination runs as its own experiment, in <out_dir>/<run id>
-    when the config sets out_dir, with a combined summary.csv beside the
-    runs. Every combination's config is checked
-    before the first one trains.
+    d. The base config is checked once, values that each run overrides
+    included; each combination then runs on a copy of its snapshot, in
+    <out_dir>/<run id> when out_dir is set, with a combined summary.csv
+    beside the runs. Every run's config is checked before the first trains.
     """
-    raw_config = dict(raw_config)
-    spec = raw_config.pop("sweep", {})
+    spec = raw_config.get("sweep", {})
     if not isinstance(spec, dict) or set(spec) - {"d", "seed"}:
         raise ConfigError(f"sweep must be a JSON object with the keys d and/or seed, got {spec!r}")
     for key, target in (("d", "data.d"), ("seed", "seed")):
@@ -717,33 +727,22 @@ def run_sweep(raw_config: dict) -> list[ExperimentReport]:
                                 and len(set(spec[key])) == len(spec[key])):
             raise ConfigError(f"sweep.{key} must be a non-empty list of distinct {target} "
                               f"values, each {_requirement(target)}; got {spec[key]!r}")
-    dc = raw_config.get("data")
-    if "d" in spec and isinstance(dc, dict) and dc.get("kind") == "file":
+    snap = normalize_config(raw_config)
+    if "d" in spec and snap["data"]["kind"] == "file":
         raise ConfigError("sweep.d cannot vary d with data.kind 'file': the file fixes d")
-    ds = spec.get("d", [None])
-    seeds = spec.get("seed", [None])
-    out_dir = _checked("out_dir", raw_config.get("out_dir"))
-    out_dir = Path(out_dir) if out_dir else None
+    out_dir = Path(snap["out_dir"]) if snap["out_dir"] else None
 
     configs = []
-    for d in ds:
-        for seed in seeds:
-            variant = json.loads(json.dumps(raw_config))
-            parts = []
-            if d is not None:
-                data = variant.setdefault("data", {})
-                if isinstance(data, dict):  # otherwise config_from_dict rejects it
-                    data["d"] = d
-                parts.append(f"d{d}")
-            if seed is not None:
-                variant["seed"] = seed
-                parts.append(f"seed{seed}")
-            run_id = "_".join(parts) if parts else "run"
-            base_id = variant.get("experiment_id", _ROWS["experiment_id"][3])
-            if parts and isinstance(base_id, str):  # otherwise config_from_dict rejects it
-                variant["experiment_id"] = f"{base_id}_{run_id}"
+    for d in spec.get("d", [snap["data"]["d"]]):
+        for seed in spec.get("seed", [snap["seed"]]):
+            variant = copy.deepcopy(snap)
+            variant["data"]["d"], variant["seed"] = d, seed
+            run_id = "_".join(f"{key}{value}" for key, value in (("d", d), ("seed", seed))
+                              if key in spec)
+            if run_id:
+                variant["experiment_id"] += f"_{run_id}"
             if out_dir is not None:
-                variant["out_dir"] = str(out_dir / run_id)
+                variant["out_dir"] = str(out_dir / (run_id or "run"))
             configs.append(config_from_dict(variant))
     reports = [run_experiment(cfg) for cfg in configs]
     if out_dir is not None:

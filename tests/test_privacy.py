@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recourse_mi.privacy import bound_table, dp_ba_bound, format_bound_csv
+from recourse_mi.privacy import dp_ba_bound
 
 
 class TestDpBaBound:
@@ -34,7 +34,7 @@ class TestDpBaBound:
 
     def test_refined_below_simple_and_monotone_on_grid(self):
         eps = np.arange(0.0, 10.0 + 1e-12, 0.01)
-        bounds = bound_table(eps)
+        bounds = [dp_ba_bound(e) for e in eps]
         prev_simple, prev_refined = -1.0, -1.0
         for b in bounds:
             assert 0.5 <= b.refined_ba_bound <= b.ba_bound <= 1.0
@@ -55,10 +55,3 @@ class TestDpBaBound:
         diffs = np.abs(np.diff(vals))
         assert diffs.max() < 0.005
 
-
-def test_csv_format():
-    text = format_bound_csv(bound_table([0.0, math.log(2)]))
-    lines = text.strip().split("\n")
-    assert lines[0] == "epsilon,ba_bound,refined_ba_bound"
-    assert len(lines) == 3
-    assert float(lines[2].split(",")[1]) == 0.75

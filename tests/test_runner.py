@@ -218,6 +218,8 @@ class TestConfig:
         ({"sweep": {"seed": [1]}, "experiment_id": [1]}, "experiment_id"),
         ({"sweep": {"seed": [1]}, "experiment_id": None}, "experiment_id"),
         ({"sweep": {"d": [4]}, "experiment_id": 5}, "experiment_id"),
+        # a base value is checked even where every run overrides it
+        ({"seed": "x", "sweep": {"seed": [1]}}, "seed must be an integer"),
         # work repeated or dropped without a word: a repeated sweep value would
         # run and write one experiment twice, a file fixes d so sweep.d would
         # repeat its audit under other names, and a repeated alpha collapses
@@ -265,6 +267,39 @@ class TestConfig:
         # a sweep names its first run's directory, inside the blocker
         assert f"cannot be used: {blocker} is not a directory" in err and str(out) in err
         assert not built and blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command,out,blocker,kind", [
+        ("gen-data", "o", "o", "dir"), ("gen-data", "o/d.csv", "o", "file"),
+        ("gen-data", "d.csv", "d.provenance.json", "dir"),
+        ("recourse", "o", "o", "dir"), ("recourse", "o/g.jsonl", "o", "file"),
+        ("summarize", "o", "o", "dir"), ("summarize", "o/s.csv", "o", "file")])
+    def test_an_out_file_that_cannot_be_written_exits_1_before_any_data(
+            self, tmp_path, monkeypatch, capsys, command, out, blocker, kind):
+        # a directory at the output file's path (or gen-data's provenance
+        # sibling), or a file among its parents, would fail the write after
+        # the data was built or every report read
+        built = []
+        for name in ("build_dataset", "build_split", "read_report"):
+            monkeypatch.setattr(runner, name, lambda *a, _name=name: built.append(_name))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_raw()))
+        out, blocker = tmp_path / out, tmp_path / blocker
+        if kind == "dir":
+            blocker.mkdir()
+        else:
+            blocker.write_text("not a directory\n")
+        args = ([str(tmp_path / "report.json")] if command == "summarize"
+                else ["--config", str(cfg_path)])
+        assert cli.main([command, *args, "--out", str(out)]) == 1
+        named = blocker if blocker.name.endswith(".provenance.json") else out
+        why = "is a directory" if kind == "dir" else "is not a directory"
+        assert (f"config error: output file {named} cannot be used: {blocker} {why}"
+                in capsys.readouterr().err)
+        assert not built
+        if kind == "dir":
+            assert list(blocker.iterdir()) == []
+        else:
+            assert blocker.read_text() == "not a directory\n"
 
     def test_sweep_seed_flag_against_sweep_seed_exits_1_before_training(
             self, tmp_path, monkeypatch, capsys):
@@ -1072,6 +1107,24 @@ class TestSweepAndSummary:
         assert cli.main(["summarize", *paths, "--out", str(tmp_path / "again.csv")]) == 0
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "summary.csv").read_bytes()
 
+    def test_a_sweep_run_equals_run_on_its_own_config(self, tmp_path, monkeypatch, capsys):
+        # both sides write to the same relative out_dir, so the config echoes match
+        (tmp_path / "sweep").mkdir()
+        monkeypatch.chdir(tmp_path / "sweep")
+        runner.run_sweep(small_raw(out_dir="o", sweep={"d": [4], "seed": [1, 2]}))
+        for run_id, seed in (("d4_seed1", 1), ("d4_seed2", 2)):
+            raw = small_raw(data={"d": 4}, seed=seed, experiment_id=f"t_{run_id}")
+            (tmp_path / "cfg.json").write_text(json.dumps(raw))
+            (tmp_path / run_id).mkdir()
+            monkeypatch.chdir(tmp_path / run_id)
+            assert cli.main(["run", "--config", "../cfg.json", "--out", f"o/{run_id}"]) == 0
+            swept, alone = tmp_path / "sweep" / "o" / run_id, tmp_path / run_id / "o" / run_id
+            names = sorted(p.name for p in alone.iterdir() if p.name != "trace.json")
+            assert sorted(p.name for p in swept.iterdir() if p.name != "trace.json") == names
+            assert "report.json" in names and any(n.startswith("roc_") for n in names)
+            for name in names:
+                assert (swept / name).read_bytes() == (alone / name).read_bytes(), name
+
     def test_unknown_sweep_key(self):
         with pytest.raises(ConfigError, match="sweep"):
             runner.run_sweep({"sweep": {"nope": [1]}})
@@ -1098,11 +1151,10 @@ class TestSweepAndSummary:
 
 class TestCli:
     def test_dp_bound_stdout(self, capsys):
-        rc = cli.main(["dp-bound", "--epsilons", "0,0.6931471805599453"])
-        out = capsys.readouterr().out.splitlines()
-        assert rc == 0
-        assert out[0] == "epsilon,ba_bound,refined_ba_bound"
-        assert float(out[2].split(",")[1]) == pytest.approx(0.75, abs=1e-12)
+        assert cli.main(["dp-bound", "--epsilons", "0,0.6931471805599453"]) == 0
+        assert capsys.readouterr().out == ("epsilon,ba_bound,refined_ba_bound\n"
+                                           "0.0,0.5,0.5\n"
+                                           "0.6931471805599453,0.75,0.6875\n")
 
     @pytest.mark.parametrize("epsilons", ["nan", "-1", "0.5,nan"])
     def test_dp_bound_bad_epsilon_exits_1(self, capsys, epsilons):
@@ -1260,6 +1312,22 @@ class TestCli:
         out_csv = tmp_path / "out.csv"
         assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out_csv)]) == 0
         assert out_csv.read_text().splitlines()[0] == "age,income,label"
+
+    def test_an_out_file_in_a_missing_directory_is_written_there(self, tmp_path, capsys):
+        # as run creates its out_dir, a file command creates its file's parents
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_raw()))
+        m = {"auc": 0.5, "balanced_accuracy": 0.5, "tpr_at_fpr": {"0.1": 0.1, "0.01": 0.0}}
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"experiment_id": "g", "attacks": {
+            "cfd": {"directions": {"standard": m, "reversed": m}}}}))
+        new = tmp_path / "new" / "dir"
+        for command, args, name in (("gen-data", ["--config", str(cfg_path)], "d.csv"),
+                                    ("recourse", ["--config", str(cfg_path)], "g.jsonl"),
+                                    ("summarize", [str(report)], "s.csv")):
+            assert cli.main([command, *args, "--out", str(new / name)]) == 0
+        assert sorted(p.name for p in new.iterdir()) == ["d.csv", "d.provenance.json",
+                                                         "g.jsonl", "s.csv"]
 
     def test_gen_data_round_trip(self, tmp_path, capsys):
         raw = small_raw()
