@@ -18,7 +18,6 @@ from .attack import (
 )
 from .data import (
     Dataset,
-    ScalerParams,
     SplitBundle,
     SyntheticSpec,
     generate_synthetic,

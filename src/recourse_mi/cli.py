@@ -15,20 +15,18 @@ from .data import write_csv
 
 
 def _raw_config(args) -> dict:
-    """The raw config of --config with --seed and --out applied."""
+    """The raw config of --config with --seed applied."""
     raw = runner.read_raw_config(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.out:
-        raw["out_dir"] = args.out
     return raw
 
 
 def cmd_gen_data(args) -> int:
     cfg = runner.config_from_dict(_raw_config(args))
     out = Path(args.out or "data.csv")
-    runner.check_out_file(out)
-    runner.check_out_file(out.with_suffix(".provenance.json"))
+    runner.check_out(out, file=True)
+    runner.check_out(out.with_suffix(".provenance.json"), file=True)
     data = runner.build_dataset(cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(data, out)
@@ -40,7 +38,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = runner.config_from_dict(_raw_config(args))
     out = Path(args.out or "model")
-    runner.check_out_dir(out)
+    runner.check_out(out)
     report = runner.run_experiment(cfg, stop="owner")
     nn.save_model(report.owner_model, out)
     if report.owner_vae is not None:
@@ -56,7 +54,7 @@ def cmd_train(args) -> int:
 def cmd_recourse(args) -> int:
     cfg = runner.config_from_dict(_raw_config(args))
     out = Path(args.out or "game_samples.jsonl")
-    runner.check_out_file(out)
+    runner.check_out(out, file=True)
     game = runner.run_experiment(cfg, stop="game").game
     out.parent.mkdir(parents=True, exist_ok=True)
     runner.write_jsonl(out, ({
@@ -72,8 +70,7 @@ def cmd_recourse(args) -> int:
 
 def cmd_run(args) -> int:
     raw = _raw_config(args)
-    if not raw.get("out_dir"):
-        raw["out_dir"] = "run_out"
+    raw["out_dir"] = args.out or raw.get("out_dir") or "run_out"
     cfg = runner.config_from_dict(raw)
     report = runner.run_experiment(cfg)
     for name, result in report.attacks.items():
@@ -91,8 +88,7 @@ def cmd_sweep(args) -> int:
     if args.seed is not None and isinstance(spec, dict) and "seed" in spec:
         raise runner.ConfigError("--seed cannot be combined with sweep.seed, which sets the "
                                  "master seed of every run")
-    if not raw.get("out_dir"):  # as for run: --out, then the config's out_dir
-        raw["out_dir"] = "sweep_out"
+    raw["out_dir"] = args.out or raw.get("out_dir") or "sweep_out"
     reports = runner.run_sweep(raw)
     print(f"{len(reports)} runs -> {Path(raw['out_dir']) / 'summary.csv'}")
     return 0
@@ -114,7 +110,7 @@ def cmd_dp_bound(args) -> int:
 
 def cmd_summarize(args) -> int:
     out = Path(args.out or "summary.csv")
-    runner.check_out_file(out)
+    runner.check_out(out, file=True)
     docs = [runner.read_report(path) for path in args.reports]  # before --out is opened
     out.parent.mkdir(parents=True, exist_ok=True)
     runner.write_summary(docs, out)

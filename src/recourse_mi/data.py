@@ -117,14 +117,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class ScalerParams:
-    """Per-column mean/std of a fitted standardizer (population std)."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-
-@dataclass(frozen=True)
 class SplitBundle:
     """Disjoint owner/shadow/eval partitions of one dataset."""
 
@@ -265,10 +257,10 @@ def load_tabular(path: str | Path, label_column: str, label_rule: str) -> Datase
     return Dataset(*tabular_arrays(path, label_column, label_rule))
 
 
-def standardize_in_place(features: np.ndarray, provenance: dict) -> tuple[dict, ScalerParams]:
+def standardize_in_place(features: np.ndarray, provenance: dict) -> dict:
     """Shift and scale the columns of `features` in place to zero mean and
     unit variance (population convention); returns the provenance of the
-    result and the scaler.
+    result.
 
     The mean is np.mean's. The variance adds the squared deviations of
     blocks of rows to a running sum, row after row; np.std adds the rows
@@ -299,14 +291,13 @@ def standardize_in_place(features: np.ndarray, provenance: dict) -> tuple[dict, 
         raise ZeroVarianceColumnError(f"{label} has zero variance")
     features -= mean
     features /= std
-    return {"kind": "standardized", "parent": provenance}, ScalerParams(mean=mean, std=std)
+    return {"kind": "standardized", "parent": provenance}
 
 
-def standardize(data: Dataset) -> tuple[Dataset, ScalerParams]:
+def standardize(data: Dataset) -> Dataset:
     """A standardized copy of `data` (see standardize_in_place)."""
     features = data.features.copy()
-    prov, scaler = standardize_in_place(features, data.provenance)
-    return Dataset(features, data.labels, prov), scaler
+    return Dataset(features, data.labels, standardize_in_place(features, data.provenance))
 
 
 def split_in_place(

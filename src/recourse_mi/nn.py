@@ -248,8 +248,6 @@ def predict_proba_batch(model: Model, x: np.ndarray) -> np.ndarray:
     blocks change no bit."""
     x = _as_matrix(x, model.d)
     rows = block_rows(max(model.architecture, default=1))
-    if x.shape[0] <= rows:
-        return _forward_batch(model, x)
     p = np.empty(x.shape[0])
     for start in range(0, x.shape[0], rows):
         p[start : start + rows] = _forward_batch(model, x[start : start + rows])

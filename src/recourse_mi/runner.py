@@ -326,6 +326,9 @@ def _check_rules(snap: dict, d: int | None = None) -> None:
          f"({search['max_radius']!r}), got {search['initial_radius']!r}"),
         (d is not None and any(i >= d for i in rc["immutable"]),
          f"recourse.immutable must list feature indices in [0, {d}), got {rc['immutable']!r}"),
+        (d is not None and set(range(d)) <= set(rc["immutable"]),
+         f"recourse.immutable must leave at least one of the {d} features free, since no "
+         f"recourse can move a point otherwise; got {rc['immutable']!r}"),
     )
     for broken, message in rules:
         if broken:
@@ -400,7 +403,7 @@ def _data_arrays(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict
             features, labels, prov = tabular_arrays(dc["path"], dc["label_column"],
                                                     dc["label_rule"])
         if dc["standardize"]:
-            prov, _ = standardize_in_place(features, prov)
+            prov = standardize_in_place(features, prov)
     except (OSError, csv.Error, ValueError) as exc:
         if dc["kind"] != "file":
             raise
@@ -428,23 +431,20 @@ def build_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
     return bundle, prov
 
 
-def check_out_dir(path: str | Path) -> None:
-    """A ConfigError where the output directory `path`, or its nearest
-    existing parent, is not a directory."""
-    nearest = next(p for p in (Path(path).absolute(), *Path(path).absolute().parents)
-                   if p.exists())
-    if not nearest.is_dir():
-        raise ConfigError(f"output directory {path} cannot be used: {nearest} is not a directory")
-
-
-def check_out_file(path: str | Path) -> None:
-    """A ConfigError where the output file `path` is a directory, or where
-    its nearest existing parent is not one."""
+def check_out(path: str | Path, file: bool = False) -> None:
+    """A ConfigError where the output directory `path`, or with `file` the
+    output file `path`, cannot be written: where the nearest existing one
+    of `path` and its parents is not a directory (an existing output file
+    is overwritten), or where an output file is a directory."""
     full = Path(path).absolute()
-    nearest = next(p for p in full.parents if p.exists())
-    if full.is_dir() or not nearest.is_dir():
-        why = f"{full} is a directory" if full.is_dir() else f"{nearest} is not a directory"
-        raise ConfigError(f"output file {path} cannot be used: {why}")
+    nearest = next(p for p in (full, *full.parents) if p.exists())
+    if file and nearest == full:  # a file there is overwritten, a directory is not
+        broken, why = full.is_dir(), "is a directory"
+    else:
+        broken, why = not nearest.is_dir(), "is not a directory"
+    if broken:
+        raise ConfigError(f"output {'file' if file else 'directory'} {path} cannot be used: "
+                          f"{nearest} {why}")
 
 
 def _model_tasks(config: ExperimentConfig, bundle: SplitBundle,
@@ -553,8 +553,8 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
     report.json, the score and ROC files and trace.json when out_dir is
     set). A run stopped before "report" trains only the owner's models and
     writes nothing; the train and recourse commands run such prefixes. An
-    out_dir that cannot be a directory (check_out_dir) is a ConfigError
-    before any data is built.
+    out_dir that cannot be a directory (check_out) is a ConfigError before
+    any data is built.
 
     One TaskPool serves the whole audit, one task per model, all listed
     by _model_tasks. It first starts the shadow VAE and the owner's
@@ -579,7 +579,7 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
     if stop not in ("owner", "game", "report"):
         raise ValueError(f"stop must be 'owner', 'game' or 'report', got {stop!r}")
     if stop == "report" and config.out_dir:
-        check_out_dir(config.out_dir)
+        check_out(config.out_dir)
     trace: dict[str, Any] = {"ru_maxrss_kb": {}}
     start = time.perf_counter()
     bundle, data_provenance = build_split(config)
@@ -716,7 +716,8 @@ def run_sweep(raw_config: dict) -> list[ExperimentReport]:
     d. The base config is checked once, values that each run overrides
     included; each combination then runs on a copy of its snapshot, in
     <out_dir>/<run id> when out_dir is set, with a combined summary.csv
-    beside the runs. Every run's config is checked before the first trains.
+    beside the runs. Every run's config, then every run's directory in run
+    order and summary.csv (check_out), is checked before any data is built.
     """
     spec = raw_config.get("sweep", {})
     if not isinstance(spec, dict) or set(spec) - {"d", "seed"}:
@@ -744,6 +745,10 @@ def run_sweep(raw_config: dict) -> list[ExperimentReport]:
             if out_dir is not None:
                 variant["out_dir"] = str(out_dir / (run_id or "run"))
             configs.append(config_from_dict(variant))
+    if out_dir is not None:
+        for cfg in configs:
+            check_out(cfg.out_dir)
+        check_out(out_dir / "summary.csv", file=True)
     reports = [run_experiment(cfg) for cfg in configs]
     if out_dir is not None:
         write_summary([r.to_json() for r in reports], out_dir / "summary.csv")

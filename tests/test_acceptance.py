@@ -203,7 +203,7 @@ class TestCriterion6TwoSidedOracle:
         sep = target_half_dist / math.sqrt(k)
         pool_raw = generate_synthetic(SyntheticSpec(
             d=5, n_per_class=26000, seed=seed_pool, class_separation=sep))
-        pool, _ = standardize(pool_raw)
+        pool = standardize(pool_raw)
         v0, v1 = (np.array(v) for v in pool_raw.provenance["vertices"])
         axis = (v1 - v0) / np.linalg.norm(v1 - v0)
 
@@ -276,7 +276,7 @@ class TestCriterion7RecourseQuality:
         # (a) validity across the three generators on a synthetic model
         ds = generate_synthetic(SyntheticSpec(d=8, n_per_class=600, seed=70,
                                               class_separation=0.7))
-        std, _ = standardize(ds)
+        std = standardize(ds)
         model = train_classifier(std, [],
                                  TrainConfig(learning_rate=0.05, epochs=150, seed=7))
         from recourse_mi.nn import predict_proba_batch, train_vae

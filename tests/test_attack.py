@@ -322,7 +322,7 @@ def shadow_setup():
     their growing_spheres replay setup (recourse config, seed, no VAE)."""
     ds = generate_synthetic(SyntheticSpec(d=2, n_per_class=300, seed=31,
                                           class_separation=1.0))
-    std, _ = standardize(ds)
+    std = standardize(ds)
     cfg = TrainConfig(learning_rate=0.05, epochs=60, seed=0)
     rc = RecourseConfig(algorithm="growing_spheres", norm="l1",
                         search_params=SearchParams(samples_per_radius=200))
@@ -439,7 +439,7 @@ class TestShadowEnsemble:
             assert (skips[0][r], skips[1][r]) == (positive, failed)
 
     def test_matrix_over_a_block_stacks_its_halves(self):
-        ds, _ = standardize(generate_synthetic(SyntheticSpec(d=40, n_per_class=200, seed=8,
+        ds = standardize(generate_synthetic(SyntheticSpec(d=40, n_per_class=200, seed=8,
                                                              class_separation=0.5)))
         rc = RecourseConfig(algorithm="scfe", scfe_params=ScfeParams(max_iters=100,
                                                                      max_retries=1))
@@ -548,7 +548,7 @@ class TestWorkers:
     @pytest.mark.parametrize("algorithm", ["scfe", "growing_spheres", "cchvae"])
     def test_ensemble_and_replay_do_not_depend_on_the_worker_count(self, monkeypatch,
                                                                    algorithm):
-        ds, _ = standardize(generate_synthetic(SyntheticSpec(d=6, n_per_class=150, seed=12,
+        ds = standardize(generate_synthetic(SyntheticSpec(d=6, n_per_class=150, seed=12,
                                                              class_separation=0.5)))
         rc = RecourseConfig(algorithm=algorithm,
                             scfe_params=ScfeParams(max_iters=60, max_retries=1),
@@ -611,7 +611,7 @@ class TestGenerateBatch:
         # point alone give the same recourses bit for bit; with block_rows,
         # each SCFE attempt runs its rows in blocks of 5, which the first
         # attempt's 24 rows fill four times with a 4-row tail
-        ds, _ = standardize(generate_synthetic(SyntheticSpec(d=12, n_per_class=150, seed=5,
+        ds = standardize(generate_synthetic(SyntheticSpec(d=12, n_per_class=150, seed=5,
                                                              class_separation=0.6)))
         if block_rows is not None:
             monkeypatch.setattr(data_mod, "BLOCK_VALUES", block_rows * ds.d)

@@ -201,7 +201,7 @@ class TestTrainClassifier:
     def test_separable_blobs_high_accuracy(self):
         ds = generate_synthetic(
             SyntheticSpec(d=2, n_per_class=150, seed=7, class_separation=4.0))
-        std, _ = standardize(ds)
+        std = standardize(ds)
         m = train_classifier(std, [], TrainConfig(learning_rate=0.05, epochs=150, seed=1))
         assert m.training_meta["train_accuracy"] >= 0.99
 
@@ -282,7 +282,7 @@ class TestFlatParameterTraining:
 
     def test_vae_matches_list_of_arrays_oracle(self):
         ds = generate_synthetic(SyntheticSpec(d=7, n_per_class=60, seed=13))
-        std, _ = standardize(ds)
+        std = standardize(ds)
         cfg = TrainConfig(learning_rate=2e-3, epochs=6, batch_size=25, seed=8)
         vae = train_vae(std, cfg)
         arrays, meta = train_vae_reference(std, cfg)
@@ -321,7 +321,7 @@ class TestFlatParameterTraining:
 @pytest.fixture(scope="module")
 def trained_vae():
     ds = generate_synthetic(SyntheticSpec(d=10, n_per_class=200, seed=8))
-    std, _ = standardize(ds)
+    std = standardize(ds)
     vae = train_vae(std, TrainConfig(learning_rate=1e-3, epochs=200, seed=5))
     return std, vae
 
@@ -349,7 +349,7 @@ class TestVae:
 
     def test_deterministic(self):
         ds = generate_synthetic(SyntheticSpec(d=6, n_per_class=50, seed=9))
-        std, _ = standardize(ds)
+        std = standardize(ds)
         cfg = TrainConfig(learning_rate=1e-3, epochs=20, seed=77)
         v1 = train_vae(std, cfg)
         v2 = train_vae(std, cfg)
@@ -359,7 +359,7 @@ class TestVae:
     @pytest.mark.parametrize("poison", ["nan cell", "1e200 cell", "scaled by 1e150"])
     def test_divergence_raises_with_epoch(self, poison):
         ds = generate_synthetic(SyntheticSpec(d=4, n_per_class=30, seed=3))
-        std, _ = standardize(ds)
+        std = standardize(ds)
         feats = std.features.copy()
         if poison == "scaled by 1e150":
             feats *= 1e150
@@ -400,7 +400,7 @@ class TestSerialization:
 
     def test_vae_round_trip_bit_exact(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(d=5, n_per_class=30, seed=6))
-        std, _ = standardize(ds)
+        std = standardize(ds)
         vae = train_vae(std, TrainConfig(learning_rate=1e-3, epochs=5, seed=2))
         save_model(vae, tmp_path / "v")
         back = load_model(tmp_path / "v")
@@ -410,7 +410,7 @@ class TestSerialization:
         assert np.array_equal(vae.decode_batch(z), back.decode_batch(z))
 
     def test_one_file_per_model(self, tmp_path):
-        std, _ = standardize(generate_synthetic(SyntheticSpec(d=5, n_per_class=30, seed=6)))
+        std = standardize(generate_synthetic(SyntheticSpec(d=5, n_per_class=30, seed=6)))
         save_model(make_logistic([1.0, -2.0], 0.5), tmp_path / "m")
         save_model(train_vae(std, TrainConfig(learning_rate=1e-3, epochs=1, seed=2)),
                    tmp_path / "v")
@@ -447,7 +447,7 @@ class TestSerialization:
         """The directory of a saved model of `kind` whose manifest.json
         document `edit` has changed in place."""
         if kind == "vae":
-            std, _ = standardize(generate_synthetic(SyntheticSpec(d=5, n_per_class=30, seed=6)))
+            std = standardize(generate_synthetic(SyntheticSpec(d=5, n_per_class=30, seed=6)))
             model = train_vae(std, TrainConfig(learning_rate=1e-3, epochs=1, seed=2))
         else:
             model = make_logistic([1.0, -2.0, 0.5], 0.25)

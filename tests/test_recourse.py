@@ -101,7 +101,7 @@ class TestCost:
         # bit, however the generator computed it; the points sit just on
         # the negative side of a random hyperplane, so every search can
         # find a recourse
-        ds, _ = standardize(generate_synthetic(SyntheticSpec(d=d, n_per_class=30, seed=d)))
+        ds = standardize(generate_synthetic(SyntheticSpec(d=d, n_per_class=30, seed=d)))
         theta = np.random.default_rng(d).normal(size=d)
         model = make_logistic(theta, 0.0)
         X = ds.features[:6] - ((ds.features[:6] @ theta + 1e-3) / (theta @ theta))[:, None] * theta
@@ -223,7 +223,7 @@ class TestScfe:
 
 @pytest.fixture(scope="module")
 def scfe_models():
-    ds, _ = standardize(generate_synthetic(SyntheticSpec(d=5, n_per_class=150, seed=3,
+    ds = standardize(generate_synthetic(SyntheticSpec(d=5, n_per_class=150, seed=3,
                                                          class_separation=0.8)))
     return ds, {"logistic": train_classifier(ds, [], TrainConfig(
                     learning_rate=0.05, epochs=40, seed=4)),
@@ -371,7 +371,7 @@ class TestGrowingSpheres:
 def vae_setup():
     ds = generate_synthetic(SyntheticSpec(d=8, n_per_class=300, seed=21,
                                           class_separation=2.0))
-    std, _ = standardize(ds)
+    std = standardize(ds)
     vae = train_vae(std, TrainConfig(learning_rate=1e-3, epochs=300, seed=2))
     return std, vae
 

@@ -159,6 +159,8 @@ class TestConfig:
         ({"attacks": {"alpha_grid": [0.1, 0.0]}}, "alpha_grid"),
         ({"data": {"d": 8}, "recourse": {"immutable": [99]}}, "immutable"),
         ({"recourse": {"immutable": [1.5]}}, "immutable"),
+        # no recourse could move a point: every game recourse would fail
+        ({"data": {"d": 2}, "recourse": {"immutable": [0, 1]}}, "immutable"),
         ({"eval": {"eval_points": "20"}}, "eval_points"),
         ({"eval": {"owner_n": 250.0}}, "owner_n"),
         ({"eval": {"eval_points": 21}}, "even"),
@@ -301,6 +303,33 @@ class TestConfig:
         else:
             assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("blocker,kind,what", [
+        ("seed2", "file", "directory"), ("summary.csv", "dir", "file")])
+    def test_a_sweep_path_that_cannot_be_written_exits_1_before_any_data(
+            self, tmp_path, monkeypatch, capsys, blocker, kind, what):
+        # a later run's directory, or the summary beside the runs, would fail
+        # its write after the earlier runs had trained and written theirs
+        built = []
+        monkeypatch.setattr(runner, "build_split", lambda *a: built.append(a))
+        monkeypatch.setattr(nn, "train_classifier", lambda *a, **k: built.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_raw(sweep={"seed": [1, 2]})))
+        out = tmp_path / "o"
+        out.mkdir()
+        if kind == "dir":
+            (out / blocker).mkdir()
+        else:
+            (out / blocker).write_text("not a directory\n")
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        why = "is a directory" if kind == "dir" else "is not a directory"
+        assert (f"config error: output {what} {out / blocker} cannot be used: "
+                f"{out / blocker} {why}" in capsys.readouterr().err)
+        assert not built and [p.name for p in out.iterdir()] == [blocker]
+        if kind == "dir":
+            assert list((out / blocker).iterdir()) == []
+        else:
+            assert (out / blocker).read_text() == "not a directory\n"
+
     def test_sweep_seed_flag_against_sweep_seed_exits_1_before_training(
             self, tmp_path, monkeypatch, capsys):
         # every run's sweep.seed would replace --seed without a word
@@ -372,6 +401,10 @@ class TestConfig:
         monkeypatch.setattr(nn, "train_classifier", lambda *a: trained.append(a))
         with pytest.raises(ConfigError, match=r"immutable.*\[0, 2\)"):
             runner.run_experiment(cfg, stop="owner")
+        # both of the file's columns immutable: no recourse could move a point
+        with pytest.raises(ConfigError, match=r"immutable.*2 features free"):
+            runner.run_experiment(config_from_dict(dict(raw, recourse={"immutable": [1, 0]})),
+                                  stop="owner")
         assert not trained
 
     def test_readme_lists_the_config_table_and_names_only_its_keys(self):
@@ -742,15 +775,13 @@ class TestDataStage:
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1, 1025])
     def test_scaler_equals_np_std_around_the_chunk_size(self, extra_rows, d):
         # a chunking that changes the order of the sum moves the std's last
-        # bit for about half of these draws
+        # bit, and so standardized values, for about half of these draws
         n = data_mod.block_rows(d) + extra_rows
         for seed in range(8):
             rng = np.random.default_rng(seed)
             x = rng.normal(3.0, 2.5, size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
-            out, scaler = data_mod.standardize(data_mod.Dataset(x, np.arange(n) % 2))
-            ref, mean, std = reference.standardize_reference(x)
-            assert scaler.mean.tobytes() == mean.tobytes()
-            assert scaler.std.tobytes() == std.tobytes()
+            out = data_mod.standardize(data_mod.Dataset(x, np.arange(n) % 2))
+            ref, _, _ = reference.standardize_reference(x)
             assert out.features.tobytes() == ref.tobytes()
 
     def test_median_threshold_file_equals_the_copy_based_pipeline(self, tmp_path):
