@@ -27,7 +27,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -185,9 +184,18 @@ def tabular_arrays(
         except StopIteration:
             raise TabularParseError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        seen: set[str] = set()
+        for name in header:
+            if name in seen:
+                raise TabularParseError(f"{path}: header names column {name!r} twice: {header}")
+            seen.add(name)
         if label_column not in header:
             raise TabularParseError(
                 f"{path}: label column {label_column!r} not in header {header}"
+            )
+        if len(header) == 1:
+            raise TabularParseError(
+                f"{path}: no feature column beside the label column {label_column!r}"
             )
         label_idx = header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
@@ -376,15 +384,15 @@ def _gather_rows(arrays: tuple[np.ndarray, ...], order: np.ndarray) -> None:
         held[vacated] = moved
 
 
-def write_csv(data: Dataset, path: str | Path, label_column: str = "label") -> None:
-    """Write features + label column as CSV (inverse of load_tabular)."""
+def write_csv(data: Dataset, path: str | Path) -> None:
+    """Write the features and a "label" column as CSV (inverse of load_tabular)."""
     source = data.provenance
     while "parent" in source:  # a file's names stay with the file's own provenance
         source = source["parent"]
     names = source.get("feature_names") or [f"x{i}" for i in range(data.d)]
     rows = block_rows(data.d)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(list(names) + [label_column])
+        csv.writer(fh).writerow(list(names) + ["label"])
         # numeric cells never need quoting and "\r\n" is csv.writer's line
         # end, so joining the reprs (an int label's is its str) writes
         # csv.writer's bytes

@@ -121,8 +121,11 @@ class TaskPool:
                 return
             tag, args = self._queue.popleft()
             frame = memoryview(pickle.dumps((tag, args)))
-            while frame:
-                frame = frame[os.write(worker.tasks, frame):]
+            try:
+                while frame:
+                    frame = frame[os.write(worker.tasks, frame):]
+            except BrokenPipeError:  # the worker exited while idle
+                raise self._lost(worker, tag) from None
             self._busy[worker.results.fileno()] = worker, tag
 
     def _wait(self) -> None:
@@ -134,10 +137,15 @@ class TaskPool:
             try:
                 self._tasks[tag] = pickle.load(worker.results)
             except EOFError:
-                self._forked.remove(worker)
-                raise RuntimeError(f"task {tag!r} returned no result: its worker exited "
-                                   f"with status {worker.end()}") from None
+                raise self._lost(worker, tag) from None
         self._dispatch()
+
+    def _lost(self, worker: _Worker, tag: Hashable) -> RuntimeError:
+        """Drop and reap `worker`, which has exited, and return the error
+        that names the task `tag` it was given."""
+        self._forked.remove(worker)
+        return RuntimeError(f"task {tag!r} returned no result: its worker exited "
+                            f"with status {worker.end()}")
 
 
 class _Worker(NamedTuple):

@@ -27,12 +27,10 @@ def dp_ba_bound(epsilon: float) -> DpBound:
     """Both balanced-accuracy bounds at privacy level epsilon >= 0."""
     if not epsilon >= 0:  # also rejects NaN
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    e = math.exp(-epsilon)
-    simple = 0.5 + (1.0 - e) / 2.0
-    refined = 0.5 + (2.0 - e) * (1.0 - e) / 4.0
+    e = math.exp(-epsilon)  # in [0, 1], so each bound is at most 1 exactly
     return DpBound(
         epsilon=epsilon,
-        ba_bound=min(simple, 1.0),
-        refined_ba_bound=min(refined, 1.0),
+        ba_bound=0.5 + (1.0 - e) / 2.0,
+        refined_ba_bound=0.5 + (2.0 - e) * (1.0 - e) / 4.0,
     )
 

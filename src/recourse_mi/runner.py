@@ -66,21 +66,22 @@ class Game:
 
 @dataclass
 class ExperimentConfig:
-    data: dict
-    model_architecture: list[int]
-    train: TrainConfig
-    recourse: RecourseConfig
-    attacks: list[str]
-    n_shadow_models: int
-    alpha_grid: list[float]
-    owner_n: int
-    shadow_n: int
-    eval_out_n: int
-    eval_points: int
-    seed: int
-    vae_train: TrainConfig
-    out_dir: str | None
+    """A checked config: its snapshot (normalize_config), which holds every
+    value, and the library objects built from it. The runner reads every
+    other value from the snapshot."""
+
     snapshot: dict
+    train: TrainConfig  # seed 0: each model's seed derives from the master seed
+    recourse: RecourseConfig
+    vae_train: TrainConfig
+
+    @property
+    def seed(self) -> int:
+        return self.snapshot["seed"]
+
+    @property
+    def out_dir(self) -> str | None:
+        return self.snapshot["out_dir"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,24 +340,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     snap = normalize_config(raw)
     rc = snap["recourse"]
     return ExperimentConfig(
-        data=snap["data"],
-        model_architecture=list(snap["model"]["architecture"]),
-        train=TrainConfig(learning_rate=snap["train"]["learning_rate"],
-                          epochs=snap["train"]["epochs"],
-                          batch_size=snap["train"]["batch_size"],
-                          seed=0),  # replaced by derived seeds per stage
+        snapshot=snap,
+        train=TrainConfig(**snap["train"]),
         recourse=RecourseConfig(algorithm=rc["algorithm"], norm=rc["cost_norm"],
                                 immutable=tuple(rc["immutable"]),
                                 scfe_params=ScfeParams(**rc["scfe"]),
                                 search_params=SearchParams(**rc["search"])),
-        attacks=list(snap["attacks"]["which"]),
-        n_shadow_models=snap["attacks"]["n_shadow_models"],
-        alpha_grid=[float(a) for a in snap["attacks"]["alpha_grid"]],
-        **snap["eval"],  # owner_n, shadow_n, eval_out_n, eval_points
-        seed=snap["seed"], out_dir=snap["out_dir"],
-        vae_train=TrainConfig(learning_rate=rc["vae"]["learning_rate"],
-                              epochs=rc["vae"]["epochs"]),
-        snapshot=snap,
+        vae_train=TrainConfig(**rc["vae"]),
     )
 
 
@@ -390,12 +380,12 @@ def _data_arrays(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict
     configured dataset, standardized in place if configured. A data file
     that cannot be read or standardized is a ConfigError naming data.path,
     and its immutable indices are checked once it has loaded."""
-    dc = config.data
+    dc = config.snapshot["data"]
     try:
         if dc["kind"] == "synthetic":
             features, labels, prov = synthetic_arrays(SyntheticSpec(
-                d=int(dc["d"]),
-                n_per_class=int(dc["n_per_class"]),
+                d=dc["d"],
+                n_per_class=dc["n_per_class"],
                 seed=derive_seed(config.seed, "synthetic-data"),
                 class_separation=float(dc["class_separation"]),
             ))
@@ -423,9 +413,10 @@ def build_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
     full dataset's provenance. Generation, standardization and the split
     all work on one feature matrix, whose rows the partitions view."""
     features, labels, prov = _data_arrays(config)
+    ev = config.snapshot["eval"]
     try:
-        bundle = split_in_place(features, labels, prov, config.owner_n, config.shadow_n,
-                                config.eval_out_n, seed=derive_seed(config.seed, "split"))
+        bundle = split_in_place(features, labels, prov, ev["owner_n"], ev["shadow_n"],
+                                ev["eval_out_n"], seed=derive_seed(config.seed, "split"))
     except SplitSizeError as exc:  # partitions larger than the data, before any training
         raise ConfigError(f"eval: {exc}") from None
     return bundle, prov
@@ -449,16 +440,19 @@ def check_out(path: str | Path, file: bool = False) -> None:
 
 def _model_tasks(config: ExperimentConfig, bundle: SplitBundle,
                  shadows: bool) -> tuple[dict, dict]:
-    """Every model task of an audit by TaskPool tag, the one place that
-    chooses which models train, on which rows and with which seeds.
-    `first`, started at once and longest first: the shadow VAE (cchvae
-    with cfd_lrt), the owner's VAE (cchvae), the owner. The shadow tasks,
-    none unless `shadows` is set and an LRT attack configured: "shadow_{i}"
-    in index order, started on (game points X, shadow VAE), trains shadow
-    model i and returns its attack.shadow_column over X, a point's replay
-    seed its row in X."""
+    """Every model task of an audit by TaskPool tag: which models train,
+    on which pool, and the seeds of the VAEs, the owner and the shadow
+    ensemble. attack.train_shadow draws each shadow model's half of the
+    shadow pool and its training seed from the ensemble's seed and its
+    index. `first`, started at once and longest first: the shadow VAE
+    (cchvae with cfd_lrt), the owner's VAE (cchvae), the owner. The shadow
+    tasks, none unless `shadows` is set and an LRT attack configured:
+    "shadow_{i}" in index order, started on (game points X, shadow VAE),
+    trains shadow model i and returns its attack.shadow_column over X, a
+    point's replay seed its row in X."""
+    architecture, att = config.snapshot["model"]["architecture"], config.snapshot["attacks"]
     cchvae = config.recourse.algorithm == "cchvae"
-    replays = shadows and "cfd_lrt" in config.attacks
+    replays = shadows and "cfd_lrt" in att["which"]
     shadow_seed = derive_seed(config.seed, "shadow-ensemble")
     first = {}
     if cchvae and replays:
@@ -469,17 +463,17 @@ def _model_tasks(config: ExperimentConfig, bundle: SplitBundle,
         first["owner_vae"] = functools.partial(nn.train_vae, bundle.owner_train, vae_cfg)
     train_cfg = dataclasses.replace(config.train, seed=derive_seed(config.seed, "owner-train"))
     first["owner"] = functools.partial(nn.train_classifier, bundle.owner_train,
-                                       config.model_architecture, train_cfg)
+                                       architecture, train_cfg)
 
     def shadow(i: int, X: np.ndarray, vae: VaeModel | None) -> tuple:
-        model = attack_mod.train_shadow(bundle.shadow_pool, i, config.model_architecture,
-                                        config.train, shadow_seed)
+        model = attack_mod.train_shadow(bundle.shadow_pool, i, architecture, config.train,
+                                        shadow_seed)
         return attack_mod.shadow_column(model, i, shadow_seed, X, range(len(X)),
                                         (config.recourse, vae) if replays else None)
 
-    lrt = shadows and {"cfd_lrt", "loss_lrt"} & set(config.attacks)
+    lrt = shadows and {"cfd_lrt", "loss_lrt"} & set(att["which"])
     return first, {f"shadow_{i}": functools.partial(shadow, i)
-                   for i in range(config.n_shadow_models if lrt else 0)}
+                   for i in range(att["n_shadow_models"] if lrt else 0)}
 
 
 def _sample_game(config: ExperimentConfig, owner: Model, owner_vae: VaeModel | None,
@@ -494,7 +488,7 @@ def _sample_game(config: ExperimentConfig, owner: Model, owner_vae: VaeModel | N
     p_train = nn.predict_proba_batch(owner, train_ds.features)
     neg_train = np.flatnonzero(p_train < 0.5)
     neg_out = np.flatnonzero(p_out < 0.5)
-    k = config.eval_points // 2
+    k = config.snapshot["eval"]["eval_points"] // 2
     if neg_train.size < k or neg_out.size < k:
         raise GameSetupError(
             f"need {k} negatively-classified points per side, got "
@@ -580,6 +574,7 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
         raise ValueError(f"stop must be 'owner', 'game' or 'report', got {stop!r}")
     if stop == "report" and config.out_dir:
         check_out(config.out_dir)
+    att = config.snapshot["attacks"]
     trace: dict[str, Any] = {"ru_maxrss_kb": {}}
     start = time.perf_counter()
     bundle, data_provenance = build_split(config)
@@ -596,7 +591,7 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
         report = ExperimentReport(
             config=config.snapshot,
             model_meta={
-                "architecture": config.model_architecture,
+                "architecture": config.snapshot["model"]["architecture"],
                 "train_accuracy": owner.training_meta.get("train_accuracy"),
                 "test_accuracy": float(np.mean(correct)),
                 "final_train_loss": owner.training_meta.get("final_train_loss"),
@@ -627,22 +622,22 @@ def run_experiment(config: ExperimentConfig, stop: str = "report") -> Experiment
                 pool.start(tag, game.points, shadow_vae)
             columns = [pool.take(tag) for tag in shadows]  # in model order
             probs = np.column_stack([p for p, _ in columns])
-            if "cfd_lrt" in config.attacks:
+            if "cfd_lrt" in att["which"]:
                 dists = np.column_stack([d for _, d in columns])
             _stage(trace, "shadows")
     # the scorers receive the transcript's arrays, never the game's answer
     # key; the loss attacks share one pass of the owner over the game's points
     costs, labels = game.recourse.costs, game.labels
-    if {"loss", "loss_lrt"} & set(config.attacks):
+    if {"loss", "loss_lrt"} & set(att["which"]):
         owner_probs = nn.predict_proba_batch(owner, game.points)
     scorers = {
         "cfd": lambda: attack_mod.cfd_attack_scores(costs),
-        "cfd_lrt": lambda: attack_mod.cfd_lrt_attack_scores(costs, dists, config.alpha_grid),
+        "cfd_lrt": lambda: attack_mod.cfd_lrt_attack_scores(costs, dists, att["alpha_grid"]),
         "loss": lambda: attack_mod.loss_attack_scores(owner_probs, labels),
         "loss_lrt": lambda: attack_mod.loss_lrt_attack_scores(owner_probs, labels, probs,
-                                                              config.alpha_grid),
+                                                              att["alpha_grid"]),
     }
-    scores = {name: scorers[name]() for name in config.attacks}
+    scores = {name: scorers[name]() for name in att["which"]}
     _stage(trace, None, "attacks_s", start)
     if "cfd_lrt" in scores:
         trace["shadow_skips"] = {"positive": int((probs >= 0.5).sum()),

@@ -133,8 +133,8 @@ def batch_split_agreement(cfg, cuts) -> tuple[bool, bool]:
     game_equal = split == records(game.recourse)
     shadow_seed = derive_seed(cfg.seed, "shadow-ensemble")
     bundle, _ = runner.build_split(cfg)
-    models = train_shadows(bundle.shadow_pool, cfg.n_shadow_models,
-                           cfg.model_architecture, cfg.train, shadow_seed)
+    models = train_shadows(bundle.shadow_pool, cfg.snapshot["attacks"]["n_shadow_models"],
+                           cfg.snapshot["model"]["architecture"], cfg.train, shadow_seed)
     replay = (cfg.recourse, shadow_seed, None)
     whole = shadow_matrices(models, X, range(len(X)), replay=replay)
     parts = [shadow_matrices(models, X[b], range(len(X))[b], replay=replay) for b in blocks]

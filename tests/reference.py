@@ -540,9 +540,16 @@ def tabular_arrays_reference(path, label_column, label_rule):
         except StopIteration:
             raise TabularParseError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise TabularParseError(f"{path}: header names column {name!r} twice: {header}")
         if label_column not in header:
             raise TabularParseError(
                 f"{path}: label column {label_column!r} not in header {header}"
+            )
+        if len(header) == 1:
+            raise TabularParseError(
+                f"{path}: no feature column beside the label column {label_column!r}"
             )
         label_idx = header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]

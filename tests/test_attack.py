@@ -604,6 +604,30 @@ class TestWorkers:
             signal.signal(signal.SIGALRM, previous)
         assert not has_children()
 
+    def test_a_worker_lost_while_idle_names_the_next_task(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+
+        def hung(signum, frame):
+            raise TimeoutError("start waited 5 s on a worker that had exited")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            with TaskPool({"pid_0": os.getpid, "pid_1": os.getpid, "later": lambda: 1}) as pool:
+                pool.start("pid_0")
+                pool.start("pid_1")  # on the other worker, since the first is busy
+                for tag in ("pid_0", "pid_1"):  # kill both idle workers, left unreaped
+                    pid = pool.take(tag)
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                with pytest.raises(RuntimeError, match="^task 'later' returned no result: its "
+                                                       "worker exited with status -9$"):
+                    pool.start("later")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not has_children()
+
     def test_an_exception_that_does_not_pickle_comes_back_by_its_type(self, monkeypatch):
         use_cpus(monkeypatch, 2)
 

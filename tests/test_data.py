@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,8 @@ CSV_CASES = {
     "label_first": (b"y,a,b\n1,2,3\n0,4,5\n", "y", "binary"),
     "label_middle": (b"a,s,b\n1,10,2\n3,20,4\n5,30,6\n", "s", "median-threshold"),
     "label_only": (b"y\n1\n0\n", "y", "binary"),
+    "repeated_label_name": (b"y,a,y\n1,2,0\n0,4,1\n", "y", "binary"),
+    "repeated_feature_name": (b"a, a,y\n1,2,0\n0,4,1\n", "y", "binary"),
     "nan_label": (b"a,y\n1,0\n2,nan\n", "y", "median-threshold"),
     "bad_label_before_bad_feature": (b"y,a\nx,inf\n", "y", "binary"),
     "inf_before_text": (b"a,b,y\ninf,abc,1\n", "y", "binary"),
@@ -211,6 +214,24 @@ class TestLoadTabular:
         f = tmp_path / "t.csv"
         f.write_text("a,b\n1,2\n")
         with pytest.raises(TabularParseError, match="label column"):
+            load_tabular(f, "y", "binary")
+
+    def test_a_file_with_only_the_label_column_is_rejected_by_name(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("y\n1\n0\n1\n0\n")
+        with pytest.raises(TabularParseError, match=f"^{re.escape(str(f))}: no feature column "
+                                                    f"beside the label column 'y'$"):
+            load_tabular(f, "y", "binary")
+
+    @pytest.mark.parametrize("header,repeated", [("y,a,y", "y"), ("a,y, a", "a"),
+                                                 ("a,b,b,a,y", "b")])
+    def test_a_header_that_names_a_column_twice_is_rejected(self, tmp_path, header,
+                                                            repeated):
+        f = tmp_path / "t.csv"
+        width = header.count(",") + 1
+        f.write_text(f"{header}\n" + ",".join(["0"] * width) + "\n" + ",".join(["1"] * width))
+        with pytest.raises(TabularParseError, match=f"^{re.escape(str(f))}: header names "
+                                                    f"column '{repeated}' twice"):
             load_tabular(f, "y", "binary")
 
     def test_non_binary_label_under_binary_rule(self, tmp_path):

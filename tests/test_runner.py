@@ -438,7 +438,7 @@ class TestConfig:
         assert cfg.recourse.algorithm == "scfe"
         assert cfg.train.learning_rate == 1e-4
         assert cfg.train.epochs == 250
-        assert cfg.n_shadow_models == 16
+        assert cfg.snapshot["attacks"]["n_shadow_models"] == 16
 
     def test_defaults_are_the_library_defaults(self):
         cfg = config_from_dict({})
@@ -457,6 +457,19 @@ class TestConfig:
             assert {f.name for f in dataclasses.fields(params)} == keys
         cfg = config_from_dict({"recourse": {"cost_norm": "l2", "immutable": [1]}})
         assert cfg.recourse.norm == "l2" and cfg.recourse.immutable == (1,)
+
+    def test_a_new_table_row_reaches_the_snapshot_with_no_other_edit(self, monkeypatch):
+        # the checked config stores only the snapshot and the library objects
+        # built from it, so a key needs its CONFIG_TABLE row and nothing more
+        table = (*runner.CONFIG_TABLE, ("eval.extra", int, (0, None), 7))
+        monkeypatch.setattr(runner, "CONFIG_TABLE", table)
+        monkeypatch.setattr(runner, "_ROWS", {row[0]: row for row in table})
+        assert config_from_dict({}).snapshot["eval"]["extra"] == 7
+        cfg = config_from_dict({"seed": 5, "out_dir": "out", "eval": {"extra": 3}})
+        assert cfg.snapshot["eval"]["extra"] == 3
+        assert (cfg.seed, cfg.out_dir) == (5, "out")
+        assert [f.name for f in dataclasses.fields(cfg)] == ["snapshot", "train", "recourse",
+                                                              "vae_train"]
 
 
 class TestPlayGame:
@@ -719,7 +732,7 @@ class TestDataStage:
 
     @staticmethod
     def reference_stage(config):
-        dc = config.data
+        dc, ev = config.snapshot["data"], config.snapshot["eval"]
         if dc["kind"] == "synthetic":
             spec = SyntheticSpec(d=dc["d"], n_per_class=dc["n_per_class"],
                                  seed=derive_seed(config.seed, "synthetic-data"),
@@ -731,8 +744,8 @@ class TestDataStage:
         if dc["standardize"]:
             features = reference.standardize_reference(features)[0]
             prov = {"kind": "standardized", "parent": prov}
-        parts = reference.split_reference(features, labels, prov, config.owner_n,
-                                          config.shadow_n, config.eval_out_n,
+        parts = reference.split_reference(features, labels, prov, ev["owner_n"],
+                                          ev["shadow_n"], ev["eval_out_n"],
                                           derive_seed(config.seed, "split"))
         return parts, prov, (features, labels)
 
@@ -808,7 +821,8 @@ class TestDataStage:
         assert isinstance(err.value.__cause__, ZeroVarianceColumnError)
 
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "non_numeric",
-                                      "zero_variance", "no_label_column"])
+                                      "zero_variance", "no_label_column", "label_only",
+                                      "repeated_name"])
     def test_unusable_data_file_exits_1_before_training(self, tmp_path, monkeypatch, capsys,
                                                          case):
         trained = []
@@ -823,6 +837,10 @@ class TestDataStage:
             path.write_text(rows + "x,1.0,0\n")
         elif case == "zero_variance":
             path.write_text("a,b,y\n" + "".join(f"{i * 0.5!r},2.0,{i % 2}\n" for i in range(40)))
+        elif case == "label_only":  # no feature column, so no immutable rule applies
+            path.write_text("y\n" + "".join(f"{i % 2}\n" for i in range(40)))
+        elif case == "repeated_name":
+            path.write_text("y,b,y\n" + "".join(f"{i % 2},{-i!r},{i % 2}\n" for i in range(40)))
         elif case != "missing":
             path.write_text(rows)
         raw = small_raw(data={"kind": "file", "path": str(path), "label_rule": "binary",
@@ -831,7 +849,7 @@ class TestDataStage:
                               "eval_points": 20})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
-        for command in ("run", "gen-data"):
+        for command in ("run", "train", "gen-data"):
             assert cli.main([command, "--config", str(cfg_path),
                              "--out", str(tmp_path / command)]) == 1
             assert f"config error: data.path {str(path)!r} cannot be used: " in \
@@ -1069,8 +1087,9 @@ class TestStreamedAudit:
         # outside the audit
         game = runner.run_experiment(cfg, stop="game").game
         shadow_seed = derive_seed(cfg.seed, "shadow-ensemble")
-        models = train_shadows(runner.build_split(cfg)[0].shadow_pool, cfg.n_shadow_models,
-                               cfg.model_architecture, cfg.train, shadow_seed)
+        models = train_shadows(runner.build_split(cfg)[0].shadow_pool,
+                               cfg.snapshot["attacks"]["n_shadow_models"],
+                               cfg.snapshot["model"]["architecture"], cfg.train, shadow_seed)
         probs, dists = shadow_matrices(models, game.points, range(len(game.points)),
                                        replay=(cfg.recourse, shadow_seed, None))
         positive, failed = skip_counts(probs, dists)
