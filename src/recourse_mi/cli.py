@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, recourse, run, sweep, dp-bound, summarize.
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration error (a bad command line too), 2 runtime error.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import metrics, nn, privacy, runner
-from .data import write_csv
+from .data import DataError, csv_header, write_csv
 
 
 def _raw_config(args) -> dict:
@@ -28,6 +28,10 @@ def cmd_gen_data(args) -> int:
     runner.check_out(out, file=True)
     runner.check_out(out.with_suffix(".provenance.json"), file=True)
     data = runner.build_dataset(cfg)
+    try:  # before anything is written
+        csv_header(data)
+    except DataError as exc:
+        raise runner.ConfigError(f"data.path {cfg.snapshot['data']['path']!r}: {exc}") from None
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(data, out)
     runner.write_json(out.with_suffix(".provenance.json"), data.provenance)
@@ -118,8 +122,17 @@ def cmd_summarize(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1: a bad command line is
+    a configuration error. --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recourse-mi",
         description="Membership-inference auditing for algorithmic recourse.",
     )

@@ -10,9 +10,11 @@ Each stage has one array-level core. `synthetic_arrays` and
 `tabular_arrays` return a writable float64 feature matrix with its
 labels and provenance, `standardize_in_place` shifts and scales that
 matrix, and `split_in_place` moves its rows into
-[owner | shadow | eval-out | unused] order and returns the partitions as
-read-only views of it. An audit runs them in turn, so from generation to
-partition it holds one feature matrix. The Dataset-level functions
+[owner | shadow | eval-out | unused] order, frees the unused rows and
+returns the partitions as read-only views of the rest. An audit runs
+them in turn, so from generation to partition it holds one feature
+matrix, and from the split on only the partitions' rows of it. The
+Dataset-level functions
 (`generate_synthetic`, `load_tabular`, `standardize`, `split`) wrap the
 same cores; `standardize` and `split` work on a copy, so their input
 stays intact.
@@ -166,8 +168,12 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 def tabular_arrays(
     path: str | Path, label_column: str, label_rule: str
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Features (a writable matrix), labels and provenance of a CSV file
-    with a header row.
+    """Features (a writable matrix that owns its data), labels and
+    provenance of a CSV file with a header row.
+
+    The matrix is allocated for one row per line after the header; when a
+    quoted cell holds a line break there are fewer rows, and the matrix
+    shrinks in place to them, which frees the spare rows.
 
     label_rule "binary" requires the label column to already hold 0/1;
     "median-threshold" labels 1 iff the raw score exceeds the column
@@ -215,8 +221,9 @@ def tabular_arrays(
             values = _parse_row(path, header, n, row)
             scores[n - 1] = values.pop(label_idx)
             features[n - 1] = values
-        if n < max_rows:  # a quoted cell holds a line break
-            features, scores = features[:n], scores[:n]
+        if n < max_rows:  # a quoted cell holds a line break: free the spare rows
+            features.resize((n, features.shape[1]), refcheck=False)
+            scores.resize(n, refcheck=False)
 
     if n == 0:
         raise TabularParseError(f"{path}: no data rows")
@@ -320,11 +327,13 @@ def split_in_place(
     """Disjoint uniformly-random owner/shadow/eval-out partition of the
     dataset (features, labels, provenance).
 
-    The rows of `features` and `labels` move in place into
-    [owner | shadow | eval-out | unused] order, each partition's rows in
-    source order, and the partitions are views of them; both arrays are
-    left read-only, so the partitions cannot change. Each partition's
-    provenance lists its source rows.
+    The call takes `features` and `labels` over: both must own their data,
+    and no view of them may outlive the call. Their rows move in place
+    into [owner | shadow | eval-out | unused] order, each partition's rows
+    in source order; then both shrink in place to the partitions' rows,
+    which frees the unused ones, and the partitions are views of them.
+    Both arrays are left read-only, so the partitions cannot change. Each
+    partition's provenance lists its source rows.
     """
     sizes = (owner_n, shadow_n, eval_out_n)
     if min(sizes) < 0:
@@ -339,6 +348,8 @@ def split_in_place(
     bounds = (0, owner_n, owner_n + shadow_n, total)
     source_rows = [np.sort(perm[a:b]) for a, b in zip(bounds, bounds[1:])]
     _gather_rows((features, labels), np.concatenate(source_rows))
+    features.resize((total, features.shape[1]), refcheck=False)  # frees the unused rows
+    labels.resize(total, refcheck=False)
     features.setflags(write=False)
     labels.setflags(write=False)
     owner, shadow, out = (
@@ -384,15 +395,26 @@ def _gather_rows(arrays: tuple[np.ndarray, ...], order: np.ndarray) -> None:
         held[vacated] = moved
 
 
-def write_csv(data: Dataset, path: str | Path) -> None:
-    """Write the features and a "label" column as CSV (inverse of load_tabular)."""
+def csv_header(data: Dataset) -> list[str]:
+    """The header row of write_csv: the feature names, then "label".
+    Raises DataError if a feature is already named "label", because the
+    file would name that column twice and could not be read back."""
     source = data.provenance
     while "parent" in source:  # a file's names stay with the file's own provenance
         source = source["parent"]
     names = source.get("feature_names") or [f"x{i}" for i in range(data.d)]
+    if "label" in names:
+        raise DataError("feature column 'label' has the name that the written CSV gives "
+                        "its label column, so the CSV could not be read back")
+    return list(names) + ["label"]
+
+
+def write_csv(data: Dataset, path: str | Path) -> None:
+    """Write the features and a "label" column as CSV (inverse of load_tabular)."""
+    header = csv_header(data)  # before the file is opened
     rows = block_rows(data.d)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(list(names) + ["label"])
+        csv.writer(fh).writerow(header)
         # numeric cells never need quoting and "\r\n" is csv.writer's line
         # end, so joining the reprs (an int label's is its str) writes
         # csv.writer's bytes

@@ -169,6 +169,15 @@ class TestLoadTabular:
         assert features.shape == (2000, 40) and features.flags.writeable
         assert peak <= 1.25 * features.nbytes
 
+    def test_a_quoted_line_break_leaves_a_matrix_that_owns_its_rows(self, tmp_path):
+        # four lines after the header hold two rows: the spare rows are freed
+        f = tmp_path / "t.csv"
+        f.write_bytes(CSV_CASES["multi_line_quoted"][0])
+        features, labels, _ = data_mod.tabular_arrays(f, "y", "binary")
+        assert features.shape == (2, 2) and features.flags.owndata and features.flags.writeable
+        assert features.tolist() == [[1.0, 2.0], [3.0, 4.0]] and labels.tolist() == [0, 1]
+        assert labels.flags.owndata
+
     def test_median_threshold(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a,b,score\n1,10,1\n2,20,2\n3,30,3\n4,40,4\n")

@@ -884,6 +884,39 @@ class TestDataStage:
         assert bundle.shadow_pool.features.base is bundle.owner_train.features.base
         assert peak <= 1.25 * 6000 * 200 * 8
 
+    def test_split_frees_the_rows_no_partition_uses(self):
+        # 6000 rows of d=200, of which the partitions use 4000: from the
+        # split on, the stage holds those rows' 6.4 MB and not the 9.6 MB
+        cfg = config_from_dict(small_raw(data={"d": 200, "n_per_class": 3000},
+                                         eval={"owner_n": 1000, "shadow_n": 2000,
+                                               "eval_out_n": 1000}))
+        tracemalloc.start()
+        try:
+            bundle, _ = runner.build_split(cfg)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        base = bundle.owner_train.features.base
+        assert base is bundle.shadow_pool.features.base is bundle.eval_out.features.base
+        assert base.shape == (4000, 200)
+        assert abs(current - base.nbytes) <= 0.05 * base.nbytes
+
+    def test_audit_of_a_file_with_a_quoted_line_break(self, tmp_path):
+        # the line breaks leave the parse fewer rows than the file has
+        # lines, and the matrix it hands the split must still own its data
+        cells = np.random.default_rng(8).normal(size=(120, 2)).tolist()
+        rows = [f'"{a!r}\n",{b!r},{i % 2}' for i, (a, b) in enumerate(cells)]
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+        cfg = config_from_dict(small_raw(
+            data={"kind": "file", "path": str(csv_path), "label_column": "y",
+                  "label_rule": "binary"},
+            eval={"owner_n": 40, "shadow_n": 40, "eval_out_n": 30, "eval_points": 20},
+            out_dir=str(tmp_path / "out")))
+        report = runner.run_experiment(cfg)
+        assert len(report.game.point_ids) == 20 and "cfd" in report.attacks
+        assert (tmp_path / "out" / "report.json").exists()
+
 
 class TestRunExperiment:
     def test_report_artifacts(self, small_report):
@@ -1349,6 +1382,40 @@ class TestCli:
                              "--out", str(tmp_path / command)]) == 1
             assert "exceeds the 200 rows" in capsys.readouterr().err
         assert not trained
+
+    def test_gen_data_exits_1_on_a_feature_named_label(self, tmp_path, capsys):
+        # gen-data names the label column "label"; a feature of that name
+        # would make a CSV that names it twice and cannot be read back
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text("label,b,y\n" + "".join(f"{i},{i * i % 7},{i % 2}\n"
+                                                    for i in range(20)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "data": {"kind": "file", "path": str(csv_path), "label_column": "y",
+                     "label_rule": "binary"},
+            "eval": {"owner_n": 5, "shadow_n": 5, "eval_out_n": 5, "eval_points": 10}}))
+        out_csv = tmp_path / "out" / "data.csv"
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out_csv)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: data.path {str(csv_path)!r}: ")
+        assert "feature column 'label'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["run", "--config", "c.json", "--seed", "x"],
+                                      ["run"], ["run", "--bogus"], ["nosuch"], []])
+    def test_a_bad_command_line_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "usage: recourse-mi" in err and "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 0
+        assert "usage: recourse-mi" in capsys.readouterr().out
 
     def test_gen_data_keeps_a_files_feature_names(self, tmp_path, capsys):
         # standardized data keeps the file's names under its provenance's parent
