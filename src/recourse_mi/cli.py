@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -22,11 +23,18 @@ def _raw_config(args) -> dict:
     return raw
 
 
+def _inputs(args, cfg: runner.ExperimentConfig) -> list[str]:
+    """The files a config command reads: --config and, for file data, data.path."""
+    data = cfg.snapshot["data"]
+    return [args.config, *([data["path"]] if data["kind"] == "file" else [])]
+
+
 def cmd_gen_data(args) -> int:
     cfg = runner.config_from_dict(_raw_config(args))
     out = Path(args.out or "data.csv")
-    runner.check_out(out, file=True)
-    runner.check_out(out.with_suffix(".provenance.json"), file=True)
+    inputs = _inputs(args, cfg)
+    for path in (out, out.with_suffix(".provenance.json")):
+        runner.check_out(path, file=True, inputs=inputs)
     data = runner.build_dataset(cfg)
     try:  # before anything is written
         csv_header(data)
@@ -58,7 +66,7 @@ def cmd_train(args) -> int:
 def cmd_recourse(args) -> int:
     cfg = runner.config_from_dict(_raw_config(args))
     out = Path(args.out or "game_samples.jsonl")
-    runner.check_out(out, file=True)
+    runner.check_out(out, file=True, inputs=_inputs(args, cfg))
     game = runner.run_experiment(cfg, stop="game").game
     out.parent.mkdir(parents=True, exist_ok=True)
     runner.write_jsonl(out, ({
@@ -114,8 +122,12 @@ def cmd_dp_bound(args) -> int:
 
 def cmd_summarize(args) -> int:
     out = Path(args.out or "summary.csv")
-    runner.check_out(out, file=True)
+    runner.check_out(out, file=True, inputs=args.reports)
     docs = [runner.read_report(path) for path in args.reports]  # before --out is opened
+    for i, path in enumerate(args.reports):  # each report is read, so it exists
+        twice = next((p for p in args.reports[:i] if os.path.samefile(p, path)), None)
+        if twice is not None:
+            raise runner.ConfigError(f"report {path} is named twice: it is {twice}")
     out.parent.mkdir(parents=True, exist_ok=True)
     runner.write_summary(docs, out)
     print(f"wrote {out}")

@@ -6,21 +6,21 @@ Every task is given at construction and reaches the workers through
 fork, so it may be a closure; only the arguments it is started with and
 its result are pickled. The pool forks its workers at its first task;
 each reads (tag, args) from its own pipe and writes each result to
-another, until its task pipe closes. The calling process sends a task
-only to an idle worker and reads results only while it waits in `take`,
-so the pool runs no helper threads. A task's exception re-raises in
-`take` with the worker's formatted traceback as its cause.
+another, until its task pipe closes. `start` sends a task to an idle
+worker, waiting for one while every worker is busy, and the calling
+process reads results only while it waits, so the pool runs no helper
+threads. Inline, `start` runs the task at once. Either way a task's
+exception re-raises in `take`, with the formatted traceback of where it
+ran as its cause.
 
 A result is taken by its tag, and a taken task is forgotten, so the pool
-keeps nothing alive that its caller has dropped. Inline, a task runs
-when its result is first taken, so that path holds no more results than
-the workers' path. Each task's wall and process seconds are measured
-where it runs, and its start from the pool's creation on perf_counter,
-the system-wide CLOCK_MONOTONIC on Linux, which workers and pool share.
+keeps nothing alive that its caller has dropped. Each task's wall and
+process seconds are measured where it runs, and its start from the
+pool's creation on perf_counter, the system-wide CLOCK_MONOTONIC on
+Linux, which workers and pool share.
 """
 from __future__ import annotations
 
-import collections
 import os
 import pickle
 import select
@@ -36,9 +36,9 @@ class TaskPool:
     pipes open, so the first's workers would never see them end).
 
     `inherited` holds every task by tag, each started with `start`; their
-    number caps the worker count. On leaving the context, tasks that have
-    not started are dropped, a worker still running a task is killed and
-    the others exit as their task pipes close; every worker is reaped.
+    number caps the worker count. On leaving the context, results not
+    taken are dropped, a worker still running a task is killed and the
+    others exit as their task pipes close; every worker is reaped.
     """
 
     def __init__(self, inherited: Mapping[Hashable, Callable[..., Any]]):
@@ -48,8 +48,7 @@ class TaskPool:
         self.workers = workers if workers >= 2 and hasattr(os, "fork") else 1
         self._forked: list[_Worker] = []
         self._busy: dict[int, tuple[_Worker, Hashable]] = {}  # result fd -> worker, its task
-        self._queue: collections.deque[tuple[Hashable, tuple]] = collections.deque()
-        # tag -> inline, its args; on the workers, None until its result is read
+        # tag -> (ok, result) of _outcome; None while it runs on a worker
         self._tasks: dict[Hashable, Any] = {}
         self._created = time.perf_counter()
         self.times: dict[Hashable, dict[str, float]] = {}
@@ -59,7 +58,6 @@ class TaskPool:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._tasks.clear()
-        self._queue.clear()
         for worker, _ in self._busy.values():
             os.kill(worker.pid, signal.SIGKILL)
         for worker in self._forked:
@@ -67,30 +65,36 @@ class TaskPool:
         self._forked, self._busy = [], {}
 
     def start(self, tag: Hashable, *args: Any) -> None:
-        """Queue the inherited task `tag` on `args`, which must pickle."""
+        """Run the inherited task `tag` on `args`, which must pickle: inline
+        at once, else on an idle worker, waiting for one while all are busy."""
         if self.workers == 1:
-            self._tasks[tag] = args
+            self._tasks[tag] = _outcome(self._inherited[tag], args)
             return
         if not self._forked:
             self._fork()
+        while len(self._busy) == len(self._forked):
+            self._wait()
+        worker = next(w for w in self._forked if w.results.fileno() not in self._busy)
+        frame = memoryview(pickle.dumps((tag, args)))
+        try:
+            while frame:
+                frame = frame[os.write(worker.tasks, frame):]
+        except BrokenPipeError:  # the worker exited while idle
+            raise self._lost(worker, tag) from None
         self._tasks[tag] = None
-        self._queue.append((tag, args))
-        self._dispatch()
+        self._busy[worker.results.fileno()] = worker, tag
 
     def take(self, tag: Hashable) -> Any:
-        """The result of task `tag`, once it has run; a worker's exception
+        """The result of task `tag`, once it has run; its exception
         re-raises here."""
-        if self.workers == 1:
-            value, start, wall, cpu = _timed(self._inherited[tag], *self._tasks.pop(tag))
-        else:
-            while self._tasks[tag] is None:
-                self._wait()
-            ok, result = self._tasks.pop(tag)
-            if not ok:
-                exc, remote = result
-                exc.__cause__ = _RemoteTraceback(remote)
-                raise exc
-            value, start, wall, cpu = result
+        while self._tasks[tag] is None:
+            self._wait()
+        ok, result = self._tasks.pop(tag)
+        if not ok:
+            exc, remote = result
+            exc.__cause__ = _RemoteTraceback(remote)
+            raise exc
+        value, start, wall, cpu = result
         self.times[tag] = {"start_s": start - self._created, "wall_s": wall, "cpu_s": cpu}
         return value
 
@@ -114,23 +118,8 @@ class TaskPool:
             os.close(result_w)
             self._forked.append(_Worker(pid, task_w, os.fdopen(result_r, "rb")))
 
-    def _dispatch(self) -> None:
-        """Send queued tasks, oldest first, to the idle workers."""
-        for worker in [w for w in self._forked if w.results.fileno() not in self._busy]:
-            if not self._queue:
-                return
-            tag, args = self._queue.popleft()
-            frame = memoryview(pickle.dumps((tag, args)))
-            try:
-                while frame:
-                    frame = frame[os.write(worker.tasks, frame):]
-            except BrokenPipeError:  # the worker exited while idle
-                raise self._lost(worker, tag) from None
-            self._busy[worker.results.fileno()] = worker, tag
-
     def _wait(self) -> None:
-        """Wait for a result, read every result that has come in and give
-        the workers that sent them queued tasks."""
+        """Wait for a result and read every result that has come in."""
         ready, _, _ = select.select(list(self._busy), [], [])
         for fd in ready:
             worker, tag = self._busy.pop(fd)
@@ -138,7 +127,6 @@ class TaskPool:
                 self._tasks[tag] = pickle.load(worker.results)
             except EOFError:
                 raise self._lost(worker, tag) from None
-        self._dispatch()
 
     def _lost(self, worker: _Worker, tag: Hashable) -> RuntimeError:
         """Drop and reap `worker`, which has exited, and return the error
@@ -174,18 +162,14 @@ class _RemoteTraceback(Exception):
 
 def _serve(inherited: Mapping[Hashable, Callable[..., Any]], tasks: BinaryIO,
            results: BinaryIO) -> None:
-    """A worker's loop: run each task read from `tasks` and write (True,
-    _timed's tuple) or (False, (exception, formatted traceback)) to
-    `results`, until `tasks` ends."""
+    """A worker's loop: run each task read from `tasks` and write its
+    _outcome to `results`, until `tasks` ends."""
     while True:
         try:
             tag, args = pickle.load(tasks)
         except EOFError:
             return
-        try:
-            result = True, _timed(inherited[tag], *args)
-        except Exception as exc:
-            result = False, (exc, _formatted(exc))
+        result = _outcome(inherited[tag], args)
         try:
             frame = pickle.dumps(result)
         except Exception as err:  # the value or the exception does not pickle
@@ -200,10 +184,15 @@ def _serve(inherited: Mapping[Hashable, Callable[..., Any]], tasks: BinaryIO,
         results.flush()
 
 
-def _timed(fn: Callable[..., Any], *args: Any) -> tuple[Any, float, float, float]:
+def _outcome(fn: Callable[..., Any], args: tuple) -> tuple[bool, tuple]:
+    """(True, (fn(*args), its start on perf_counter, its wall and process
+    seconds)), or (False, (its exception, the formatted traceback))."""
     start, cpu = time.perf_counter(), time.process_time()
-    value = fn(*args)
-    return value, start, time.perf_counter() - start, time.process_time() - cpu
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return False, (exc, _formatted(exc))
+    return True, (value, start, time.perf_counter() - start, time.process_time() - cpu)
 
 
 def _formatted(exc: BaseException) -> str:

@@ -422,15 +422,20 @@ def build_split(config: ExperimentConfig) -> tuple[SplitBundle, dict]:
     return bundle, prov
 
 
-def check_out(path: str | Path, file: bool = False) -> None:
+def check_out(path: str | Path, file: bool = False,
+              inputs: Iterable[str | Path] = ()) -> None:
     """A ConfigError where the output directory `path`, or with `file` the
     output file `path`, cannot be written: where the nearest existing one
     of `path` and its parents is not a directory (an existing output file
-    is overwritten), or where an output file is a directory."""
+    is overwritten), or where an output file is a directory or one of the
+    files the command reads, its `inputs` (the same file by samefile)."""
     full = Path(path).absolute()
     nearest = next(p for p in (full, *full.parents) if p.exists())
-    if file and nearest == full:  # a file there is overwritten, a directory is not
+    if file and nearest == full:  # a file there is overwritten, a directory or an input is not
         broken, why = full.is_dir(), "is a directory"
+        read = next((i for i in inputs if Path(i).exists() and full.samefile(i)), None)
+        if read is not None:
+            broken, why = True, f"is the input {read}"
     else:
         broken, why = not nearest.is_dir(), "is not a directory"
     if broken:

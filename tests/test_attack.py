@@ -546,6 +546,82 @@ class TestWorkers:
         got = run_all({i: lambda i=i: (i, os.getpid()) for i in range(n)})
         assert got == {i: (i, os.getpid()) for i in range(n)}
 
+    def test_start_waits_for_an_idle_worker_and_sends_in_start_order(self, monkeypatch,
+                                                                     tmp_path):
+        # task k logs its start, waits until task k + 1 has started and logs
+        # its end 0.1 s later (the last task at once), so on two workers
+        # task k + 2 can reach a worker only once task k has ended
+        use_cpus(monkeypatch, 2)
+        log = tmp_path / "log"
+        log.touch()
+
+        def logged() -> list[str]:
+            return log.read_text().split()
+
+        def task(k: int, last: bool) -> int:
+            with open(log, "a") as fh:
+                fh.write(f"start{k}\n")
+            if not last:
+                while f"start{k + 1}" not in logged():
+                    time.sleep(0.005)
+                time.sleep(0.1)
+            with open(log, "a") as fh:
+                fh.write(f"end{k}\n")
+            return os.getpid()
+
+        def hung(signum, frame):
+            raise TimeoutError("the tasks waited 10 s on each other")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with TaskPool({k: lambda k=k: task(k, k == 3) for k in range(4)}) as pool:
+                pool.start(0)
+                while "start0" not in logged():  # so that task 0 logs first
+                    time.sleep(0.005)
+                pool.start(1)
+                for k in (2, 3):
+                    pool.start(k)
+                    assert f"end{k - 2}" in logged()  # start waited for a worker
+                pids = [pool.take(k) for k in range(4)]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert logged() == ["start0", "start1", "end0", "start2", "end1", "start3",
+                            "end3", "end2"]
+        assert pids[2] == pids[0] != pids[1] == pids[3]  # each to the worker that freed
+        assert not has_children()
+
+    def test_an_inline_task_runs_when_it_is_started(self, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        calls = []
+        with TaskPool({k: lambda k=k: calls.append(k) or -k for k in range(3)}) as pool:
+            assert pool.workers == 1
+            for k in range(3):
+                pool.start(k)
+                assert calls == list(range(k + 1))
+            assert [pool.take(k) for k in (2, 0, 1)] == [-2, 0, -1]
+        assert calls == [0, 1, 2]
+
+    def test_an_inline_tasks_exception_re_raises_at_take(self, monkeypatch):
+        use_cpus(monkeypatch, 1)
+
+        class LocalError(Exception):  # inline, nothing is pickled
+            pass
+
+        def fails():
+            raise LocalError("no recourse")
+
+        with TaskPool({"fails": fails, "fine": lambda: 1}) as pool:
+            assert pool.workers == 1
+            pool.start("fails")
+            pool.start("fine")
+            assert pool.take("fine") == 1
+            with pytest.raises(LocalError, match="^no recourse$") as err:
+                pool.take("fails")
+        assert "LocalError: no recourse" in str(err.value.__cause__)  # where it was raised
+        assert "fails" not in pool.times and "fine" in pool.times
+
     @pytest.mark.parametrize("algorithm", ["scfe", "growing_spheres", "cchvae"])
     def test_ensemble_and_replay_do_not_depend_on_the_worker_count(self, monkeypatch,
                                                                    algorithm):

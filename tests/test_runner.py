@@ -50,6 +50,13 @@ def small_raw(**overrides):
     return raw
 
 
+def write_report(path):
+    """A minimal report.json at path: one attack, both directions."""
+    m = {"auc": 0.5, "balanced_accuracy": 0.5, "tpr_at_fpr": {"0.1": 0.1, "0.01": 0.0}}
+    Path(path).write_text(json.dumps({"experiment_id": "g", "attacks": {
+        "cfd": {"directions": {"standard": m, "reversed": m}}}}))
+
+
 _NOT_INT = st.one_of(st.floats(), st.text(max_size=4), st.booleans(), st.none())
 
 
@@ -1280,6 +1287,51 @@ class TestCli:
         assert out.read_text() == "kept\n"
         assert cli.main(["summarize", str(good), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1] == "g,cfd,standard,0.5,0.5,0.1,0.0"
+
+    @pytest.mark.parametrize("command,config,out,read", [
+        ("summarize", None, "report.json", "report.json"),
+        ("summarize", None, "alias.json", "report.json"),  # a hard link to the report
+        ("gen-data", "cfg.json", "in.csv", "in.csv"),
+        ("gen-data", "cfg.json", "cfg.json", "cfg.json"),
+        ("gen-data", "d.provenance.json", "d.csv", "d.provenance.json"),
+        ("recourse", "cfg.json", "cfg.json", "cfg.json"),
+        ("recourse", "cfg.json", "in.csv", "in.csv")])
+    def test_an_out_file_that_is_the_commands_input_exits_1_before_any_data(
+            self, tmp_path, monkeypatch, capsys, command, config, out, read):
+        # the output would replace the report, the config or the data file
+        # that the command reads
+        built = []
+        for name in ("build_dataset", "build_split", "read_report"):
+            monkeypatch.setattr(runner, name, lambda *a, _name=name, _real=getattr(runner, name):
+                                built.append(_name) or _real(*a))
+        rows = np.random.default_rng(3).normal(size=(200, 2)).tolist()
+        (tmp_path / "in.csv").write_text("a,b,y\n" + "".join(
+            f"{a!r},{b!r},{i % 2}\n" for i, (a, b) in enumerate(rows)))
+        write_report(tmp_path / "report.json")
+        os.link(tmp_path / "report.json", tmp_path / "alias.json")
+        if config is None:
+            args = [str(tmp_path / "report.json")]
+        else:
+            (tmp_path / config).write_text(json.dumps(small_raw(
+                data={"kind": "file", "path": str(tmp_path / "in.csv"), "label_column": "y",
+                      "label_rule": "binary"},
+                eval={"owner_n": 50, "shadow_n": 60, "eval_out_n": 50, "eval_points": 10})))
+            args = ["--config", str(tmp_path / config)]
+        before = (tmp_path / read).read_bytes()
+        assert cli.main([command, *args, "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err.endswith(f"is the input {tmp_path / read}\n")
+        assert not built and (tmp_path / read).read_bytes() == before
+
+    def test_summarize_exits_1_on_a_report_named_twice(self, tmp_path, capsys):
+        # each of its summary rows would be written twice
+        report, out = tmp_path / "report.json", tmp_path / "s.csv"
+        write_report(report)
+        os.link(report, tmp_path / "alias.json")
+        for twice in (report, tmp_path / "alias.json"):
+            assert cli.main(["summarize", str(report), str(twice), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (f"config error: report {twice} is named "
+                                               f"twice: it is {report}\n")
+            assert not out.exists()
 
     def test_run_prints_each_attacks_best_direction_then_the_report_path(self, tmp_path,
                                                                         capsys):
